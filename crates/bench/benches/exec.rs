@@ -36,6 +36,14 @@
 //!   prefetcher overlapping both sources' page latency with the join, and
 //!   the retry overhead of the same join at a 10% injected transient-fault
 //!   rate vs fault-free.
+//! * **Append-requery workload** — the SUPERSEDE running example over two
+//!   10k-document VoD collections: one document inserted into the v2
+//!   collection, then the exemplary query, on a fresh context per query
+//!   (every scan re-read in full) vs the pooled persistent context (the
+//!   grown collection's cached scan upgraded by the one document).
+//! * **Sketch-maintenance workload** — one insert, then the v2 wrapper's
+//!   `column_stats`: a wrapper with no sketch history (a full aggregate)
+//!   vs the long-lived wrapper folding in the one appended document.
 //! * **Contended-callers workload** — 4 threads answering the same cached
 //!   plan through `BdiSystem::serve` at once, vs the same calls funneled
 //!   through one global mutex (the convoy a single-`Mutex` cache imposed
@@ -54,8 +62,10 @@ use bdi_relational::plan::{
 };
 use bdi_relational::{Attribute, ExecContext, PhysicalPlan, Relation, ScanRequest, Schema, Value};
 use bdi_wrappers::{
-    FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint, TableWrapper, WrapperRegistry,
+    FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint, TableWrapper, Wrapper,
+    WrapperRegistry,
 };
+use serde_json::json;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -713,6 +723,179 @@ fn main() {
     let remote_overlap = remote_serial_ns / remote_overlap_ns;
     let remote_retry_overhead = remote_fault_ns / remote_overlap_ns;
 
+    // ---- Append-requery workload: SUPERSEDE (§2.1) with 64 applications,
+    // 10k VoD documents in each of D1's two versions, and a source that
+    // keeps receiving records: every iteration inserts one v2 document and
+    // re-asks the exemplary query over all versions. On a fresh context
+    // each query re-reads both collections in full; the pooled persistent
+    // context reads the one new document and appends it to the cached
+    // scan. Plans are recompiled either way (`cache_plans` is off here, and
+    // a write flushes them in production).
+    let vod_docs = bdi_bench::scaled(10_000, 50);
+    let apps = 64usize;
+    let supersede_system = || {
+        use bdi_core::supersede;
+        use bdi_wrappers::supersede as data;
+        let monitor = |i: usize| 100 + (i % apps) as i64;
+        let store = bdi_docstore::DocStore::new();
+        let batches: [(&str, Vec<serde_json::Value>); 4] = [
+            (
+                data::RELATION_COLLECTION,
+                (0..apps)
+                    .map(|a| json!({"appId": (a as i64), "monitor": (monitor(a)), "feedback": (1000 + a as i64)}))
+                    .collect(),
+            ),
+            (
+                data::FEEDBACK_COLLECTION,
+                (0..apps)
+                    .map(|a| json!({"feedbackGatheringId": (1000 + a as i64), "text": (format!("feedback {a}"))}))
+                    .collect(),
+            ),
+            (
+                data::VOD_COLLECTION,
+                (0..vod_docs)
+                    .map(|i| json!({"monitorId": (monitor(i)), "waitTime": (2 * ((i / apps) % 5) as i64 + 1), "watchTime": 16}))
+                    .collect(),
+            ),
+            (
+                data::VOD_V2_COLLECTION,
+                (0..vod_docs)
+                    .map(|i| json!({"monitorId": (monitor(i)), "bufferingRatio": (100.0 + (2 * ((i / apps) % 5) + 1) as f64 / 16.0)}))
+                    .collect(),
+            ),
+        ];
+        for (collection, docs) in batches {
+            store
+                .insert_many(collection, docs)
+                .expect("generated documents are objects");
+        }
+        let mut system = BdiSystem::from_parts(supersede::build_ontology(), Default::default());
+        for release in [
+            supersede::release_w1(Arc::new(data::wrapper_w1(store.clone()))),
+            supersede::release_w2(Arc::new(data::wrapper_w2(store.clone()))),
+            supersede::release_w3(Arc::new(data::wrapper_w3(store.clone()))),
+            supersede::release_w4(Arc::new(data::wrapper_w4(store.clone()))),
+        ] {
+            system.register_release(release).expect("running example");
+        }
+        (system, store)
+    };
+    // One new record with a ratio no other has: the answer gains a row.
+    let mut appended = 0u64;
+    let mut append_v2 = |store: &bdi_docstore::DocStore| {
+        appended += 1;
+        store
+            .insert(
+                bdi_wrappers::supersede::VOD_V2_COLLECTION,
+                json!({"monitorId": (100 + (appended % apps as u64) as i64), "bufferingRatio": (1000.0 + appended as f64 / 128.0)}),
+            )
+            .expect("a document");
+    };
+    let exemplary_len = |system: &BdiSystem, opts: &ExecOptions| {
+        system
+            .answer_with(
+                bdi_core::supersede::exemplary_omq(),
+                &VersionScope::All,
+                opts,
+            )
+            .expect("exemplary query answers")
+            .relation
+            .len()
+    };
+    let fresh_ctx = ExecOptions {
+        reuse_scans: false,
+        ..stream_full.clone()
+    };
+    let persistent_ctx = ExecOptions {
+        reuse_scans: true,
+        ..stream_full.clone()
+    };
+    // Separate deployments, so neither variant's inserts grow the other's
+    // collection.
+    let (fresh_system, fresh_store) = supersede_system();
+    let (persistent_system, persistent_store) = supersede_system();
+    let base_rows = exemplary_len(&fresh_system, &eager);
+    assert_eq!(
+        exemplary_len(&persistent_system, &persistent_ctx),
+        base_rows
+    );
+    append_v2(&fresh_store);
+    append_v2(&persistent_store);
+    assert_eq!(exemplary_len(&fresh_system, &fresh_ctx), base_rows + 1);
+    assert_eq!(
+        exemplary_len(&persistent_system, &persistent_ctx),
+        base_rows + 1
+    );
+    let append_fresh_ns = measure(
+        "exec/append_requery_json_10k/fresh_ctx".to_owned(),
+        &mut records,
+        || {
+            append_v2(&fresh_store);
+            exemplary_len(&fresh_system, &fresh_ctx)
+        },
+    );
+    let append_persistent_ns = measure(
+        "exec/append_requery_json_10k/persistent_ctx".to_owned(),
+        &mut records,
+        || {
+            append_v2(&persistent_store);
+            exemplary_len(&persistent_system, &persistent_ctx)
+        },
+    );
+    let append_requery_speedup = append_fresh_ns / append_persistent_ns;
+    let append_stats = persistent_system.context_stats();
+    assert!(
+        append_stats.resumed_scans > 0 && append_stats.full_scans <= 4,
+        "the persistent context should resume, not re-read: {append_stats:?}"
+    );
+    assert_eq!(
+        exemplary_len(&persistent_system, &persistent_ctx),
+        exemplary_len(&persistent_system, &eager)
+    );
+
+    // ---- Sketch-maintenance workload: one insert, then the v2 wrapper's
+    // sketches. A wrapper built for the occasion has no builder to resume
+    // and aggregates the whole collection — what every version bump cost
+    // before sketches were folded; the deployment's own wrapper observes
+    // the one appended document.
+    let (stats_system, stats_store) = supersede_system();
+    let stats_wrapper = stats_system
+        .registry()
+        .get("w4")
+        .expect("w4 is registered")
+        .clone();
+    let rebuilt_rows = |store: &bdi_docstore::DocStore| {
+        bdi_wrappers::supersede::wrapper_w4(store.clone())
+            .column_stats()
+            .expect("no concurrent writer")
+            .rows()
+    };
+    let folded_rows = || {
+        stats_wrapper
+            .column_stats()
+            .expect("no concurrent writer")
+            .rows()
+    };
+    assert_eq!(folded_rows(), rebuilt_rows(&stats_store));
+    let stats_rebuild_ns = measure(
+        "exec/json_stats_append_10k/rebuild".to_owned(),
+        &mut records,
+        || {
+            append_v2(&stats_store);
+            rebuilt_rows(&stats_store)
+        },
+    );
+    let stats_fold_ns = measure(
+        "exec/json_stats_append_10k/fold".to_owned(),
+        &mut records,
+        || {
+            append_v2(&stats_store);
+            folded_rows()
+        },
+    );
+    let stats_fold_speedup = stats_rebuild_ns / stats_fold_ns;
+    assert_eq!(folded_rows(), rebuilt_rows(&stats_store));
+
     // ---- Contended-callers workload: 4 threads answering the same cached
     // plan through `serve` at once. The sharded plan cache (lock-free
     // validity check, per-shard locks) and the context pool let the callers
@@ -805,6 +988,12 @@ fn main() {
         "overhead: remote join at 10% transient faults (vs fault-free)    = {remote_retry_overhead:.2}x"
     );
     println!(
+        "speedup: insert + exemplary query, 2x10k docs (fresh / persistent) = {append_requery_speedup:.2}x"
+    );
+    println!(
+        "speedup: insert + column_stats, 10k docs (rebuild / fold)         = {stats_fold_speedup:.2}x"
+    );
+    println!(
         "speedup: 4 contended cached-plan callers (single mutex / sharded) = {contended_speedup:.2}x"
     );
 
@@ -815,8 +1004,11 @@ fn main() {
         return;
     }
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
-    let mut json = String::from(
-        "{\n  \"bench\": \"exec\",\n  \"workload\": \"walk execution: W wrappers x 10k rows x 10 cols (8 noise), 2-concept join, ID filter\",\n  \"results\": [\n",
+    // Thread-dependent ratios (prefetch, parallel walks, contended serve)
+    // only compare between hosts of the same width.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"bench\": \"exec\",\n  \"nproc\": {nproc},\n  \"workload\": \"walk execution: W wrappers x 10k rows x 10 cols (8 noise), 2-concept join, ID filter\",\n  \"results\": [\n",
     );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
@@ -828,7 +1020,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"speedups\": {{\"union_16_wrappers\": {speedup_16:.2}, \"union_16_wrappers_distinct_worst_case\": {distinct_speedup:.2}, \"join_2x4\": {join_speedup:.2}, \"id_filter\": {filter_speedup:.2}, \"single_walk_prefetch\": {prefetch_speedup:.2}, \"single_walk_prefetch_vs_serial\": {prefetch_vs_serial:.2}, \"semijoin_selective_join\": {semijoin_speedup:.2}, \"bloom_semijoin_50k_keys\": {bloom_speedup:.2}, \"join_order_cost_based\": {order_speedup:.2}, \"misestimate_overhead_100x\": {misestimate_overhead:.2}, \"cursor_scan_peak_bytes_ratio\": {cursor_peak_ratio:.2}, \"remote_latency_overlap\": {remote_overlap:.2}, \"remote_retry_overhead_10pct\": {remote_retry_overhead:.2}, \"contended_serve_4x\": {contended_speedup:.2}}}\n}}\n"
+        "  ],\n  \"speedups\": {{\"union_16_wrappers\": {speedup_16:.2}, \"union_16_wrappers_distinct_worst_case\": {distinct_speedup:.2}, \"join_2x4\": {join_speedup:.2}, \"id_filter\": {filter_speedup:.2}, \"single_walk_prefetch\": {prefetch_speedup:.2}, \"single_walk_prefetch_vs_serial\": {prefetch_vs_serial:.2}, \"semijoin_selective_join\": {semijoin_speedup:.2}, \"bloom_semijoin_50k_keys\": {bloom_speedup:.2}, \"join_order_cost_based\": {order_speedup:.2}, \"misestimate_overhead_100x\": {misestimate_overhead:.2}, \"cursor_scan_peak_bytes_ratio\": {cursor_peak_ratio:.2}, \"remote_latency_overlap\": {remote_overlap:.2}, \"remote_retry_overhead_10pct\": {remote_retry_overhead:.2}, \"contended_serve_4x\": {contended_speedup:.2}, \"append_requery_json_10k\": {append_requery_speedup:.2}, \"json_stats_fold_append_10k\": {stats_fold_speedup:.2}}}\n}}\n"
     ));
     let mut f = std::fs::File::create(out_path).expect("write BENCH_exec.json");
     f.write_all(json.as_bytes()).expect("write BENCH_exec.json");

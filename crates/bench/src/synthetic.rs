@@ -14,7 +14,7 @@ use bdi_core::system::BdiSystem;
 use bdi_core::vocab as core_vocab;
 use bdi_rdf::model::{Iri, Triple};
 use bdi_relational::{Schema, Value};
-use bdi_wrappers::TableWrapper;
+use bdi_wrappers::{TableWrapper, Wrapper};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -187,6 +187,18 @@ pub fn register_extra_chain_wrapper_handle(
         TableWrapper::new(format!("w_{i}_{j}"), format!("D_{i}_{j}"), schema, rows)
             .expect("synthetic rows match schema"),
     );
+    register_extra_chain_wrapper_of(system, i, wrapper.clone());
+    wrapper
+}
+
+/// Registers any wrapper exposing attributes `id{i}` and `f{i}` as one more
+/// version of (terminal) concept `i` — how the differential suites put a
+/// document-store wrapper beside the chain's table wrappers.
+pub fn register_extra_chain_wrapper_of(
+    system: &mut BdiSystem,
+    i: usize,
+    wrapper: Arc<dyn Wrapper>,
+) {
     let lav = vec![
         has_feature(&concept(i), &id_feature(i)),
         has_feature(&concept(i), &data_feature(i)),
@@ -196,9 +208,8 @@ pub fn register_extra_chain_wrapper_handle(
         (format!("f{i}"), data_feature(i)),
     ]);
     system
-        .register_release(Release::new(wrapper.clone(), lav, mappings))
+        .register_release(Release::new(wrapper, lav, mappings))
         .expect("synthetic releases are valid");
-    wrapper
 }
 
 /// The query navigating the whole chain and projecting every concept's data

@@ -111,12 +111,14 @@ const CTX_POOL_IDLE: usize = 16;
 /// pooled contexts, while a stats-epoch-only change flushes just the
 /// plans — every cached scan is keyed by its wrapper's live
 /// [`data_version`](bdi_wrappers::Wrapper::data_version) at scan time, so a
-/// mutation makes the stale entry unreachable and the next query re-scans
-/// just the mutated wrapper — sibling wrappers' (and sibling docstore
-/// collections') cached scans survive. Stale entries age out through each
-/// context's LRU caps, and the value-cap watermark retires a context whose
-/// pool has outgrown its bound ([`BdiSystem::set_context_value_cap`] — the
-/// context-retirement tier). This is what lets
+/// mutation makes the stale entry unreachable and the next query brings
+/// just the mutated wrapper's scans up to date — by the appended rows when
+/// the wrapper can resume, by a re-scan otherwise; sibling wrappers' (and
+/// sibling docstore collections') cached scans survive. The superseded
+/// entry is retired by the fill that replaces it, and the value-cap
+/// watermark retires a context whose pool has outgrown its bound
+/// ([`BdiSystem::set_context_value_cap`] — the context-retirement tier).
+/// This is what lets
 /// [`ExecOptions::reuse_scans`] default on without one wrapper's appends
 /// flushing every other wrapper's interned scans.
 ///
@@ -188,6 +190,11 @@ struct CtxPool {
     /// [`BdiSystem::planner_stats`] reports lifetime totals.
     retired_semijoin_insets: u64,
     retired_semijoin_blooms: u64,
+    /// Scan-fill counters folded out of retired contexts, so
+    /// [`BdiSystem::context_stats`] reports lifetime totals.
+    retired_resumed_scans: u64,
+    retired_resumed_rows: u64,
+    retired_full_scans: u64,
 }
 
 impl CtxPool {
@@ -201,6 +208,9 @@ impl CtxPool {
             retired_peak_bytes: 0,
             retired_semijoin_insets: 0,
             retired_semijoin_blooms: 0,
+            retired_resumed_scans: 0,
+            retired_resumed_rows: 0,
+            retired_full_scans: 0,
         }
     }
 
@@ -211,6 +221,9 @@ impl CtxPool {
         self.retired_peak_bytes = self.retired_peak_bytes.max(ctx.peak_bytes());
         self.retired_semijoin_insets += ctx.semijoin_insets();
         self.retired_semijoin_blooms += ctx.semijoin_blooms();
+        self.retired_resumed_scans += ctx.resumed_scans();
+        self.retired_resumed_rows += ctx.resumed_rows();
+        self.retired_full_scans += ctx.full_scans();
         let ptr = Arc::as_ptr(ctx);
         self.live.retain(|weak| weak.as_ptr() != ptr);
     }
@@ -504,8 +517,10 @@ pub struct ContextStats {
     /// Rough resident bytes: pools + cached interned scans + cached join
     /// build sides, summed across live pooled contexts.
     pub approx_bytes: usize,
-    /// Cached interned-scan entries currently held (semi-join-reduced probe
-    /// scans and cursor-only scans never appear here).
+    /// Cached interned-scan entries currently held, one per distinct
+    /// `(wrapper, columns, filters)` at its newest data version — a fill
+    /// retires the older versions it supersedes. Semi-join-reduced probe
+    /// scans and cursor-only scans never appear here.
     pub cached_scans: usize,
     /// Batch-granular high-water mark of a single context's resident
     /// estimate, across retired contexts too — cursor-only streaming peaks
@@ -515,6 +530,14 @@ pub struct ContextStats {
     /// High-water mark of a single context's `pooled_values`, across
     /// retired contexts too.
     pub peak_pooled_values: usize,
+    /// Scan-cache fills that resumed from an older data version's entry and
+    /// read only what its wrapper appended since — lifetime, retired
+    /// contexts included (like the three below).
+    pub resumed_scans: u64,
+    /// Rows those resumed fills read.
+    pub resumed_rows: u64,
+    /// Scan-cache fills that read their wrapper from the first record.
+    pub full_scans: u64,
 }
 
 /// A complete, queryable BDI deployment.
@@ -758,20 +781,19 @@ impl BdiSystem {
     /// retirement, so streaming (cursor-only) peaks are observable after
     /// the fact.
     pub fn context_stats(&self) -> ContextStats {
-        let (contexts, retired_peak_values, retired_peak_bytes) = {
+        let (contexts, mut stats) = {
             let mut pool = self.cache.pool.lock().expect(POISONED);
-            (
-                pool.contexts(),
-                pool.retired_peak_values,
-                pool.retired_peak_bytes,
-            )
-        };
-        let mut stats = ContextStats {
-            pooled_values: 0,
-            approx_bytes: 0,
-            cached_scans: 0,
-            peak_bytes: retired_peak_bytes,
-            peak_pooled_values: retired_peak_values,
+            let stats = ContextStats {
+                pooled_values: 0,
+                approx_bytes: 0,
+                cached_scans: 0,
+                peak_bytes: pool.retired_peak_bytes,
+                peak_pooled_values: pool.retired_peak_values,
+                resumed_scans: pool.retired_resumed_scans,
+                resumed_rows: pool.retired_resumed_rows,
+                full_scans: pool.retired_full_scans,
+            };
+            (pool.contexts(), stats)
         };
         for ctx in &contexts {
             stats.pooled_values += ctx.pooled_values();
@@ -779,6 +801,9 @@ impl BdiSystem {
             stats.cached_scans += ctx.cached_scans();
             stats.peak_bytes = stats.peak_bytes.max(ctx.peak_bytes());
             stats.peak_pooled_values = stats.peak_pooled_values.max(ctx.pooled_values());
+            stats.resumed_scans += ctx.resumed_scans();
+            stats.resumed_rows += ctx.resumed_rows();
+            stats.full_scans += ctx.full_scans();
         }
         stats
     }

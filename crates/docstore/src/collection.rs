@@ -27,6 +27,12 @@ pub struct Collection {
     /// clears) — the per-collection granularity wrapper scan caches key on,
     /// so mutating one collection never invalidates siblings' cached scans.
     version: u64,
+    /// Bumped only when documents are *removed* ([`DocStore::clear`], hence
+    /// [`DocStore::restore`]). Within one epoch the collection is
+    /// append-only: documents `[0, n)` observed at some point are still
+    /// documents `[0, n)` later, which is what lets a consumer resume a
+    /// scan from `n` instead of re-reading from 0.
+    epoch: u64,
 }
 
 impl Collection {
@@ -216,6 +222,19 @@ impl DocStore {
             .ok_or_else(|| StoreError::UnknownCollection(collection.to_owned()))
     }
 
+    /// A collection's `(epoch, length)` under one read lock, erring when it
+    /// does not exist — what a resumable scan bounds itself to at start and
+    /// hands back as its mark: a later scan may resume from `length` iff
+    /// the epoch is unchanged (no [`DocStore::clear`] in between), since
+    /// within an epoch documents are only ever appended.
+    pub fn collection_extent(&self, collection: &str) -> Result<(u64, usize), StoreError> {
+        self.collections
+            .read()
+            .get(collection)
+            .map(|coll| (coll.epoch, coll.docs.len()))
+            .ok_or_else(|| StoreError::UnknownCollection(collection.to_owned()))
+    }
+
     /// Clones documents `[start, start + max)` of a collection — one short
     /// read-lock hold per chunk, so batch-at-a-time consumers (wrapper
     /// streaming scans) never block writers for the duration of a full
@@ -266,6 +285,7 @@ impl DocStore {
         let n = match guard.get_mut(collection) {
             Some(coll) => {
                 coll.version += 1;
+                coll.epoch += 1;
                 std::mem::take(&mut coll.docs).len()
             }
             None => 0,
@@ -422,6 +442,35 @@ mod tests {
         store.insert_many("c", Vec::new()).unwrap();
         assert!(store.collection_version("c") > 0);
         assert_eq!(store.count("c"), 0);
+    }
+
+    #[test]
+    fn epoch_moves_only_when_documents_are_removed() {
+        let store = DocStore::new();
+        assert!(store.collection_extent("c").is_err());
+        store.insert("c", json!({"a": 1})).unwrap();
+        let (epoch, len) = store.collection_extent("c").unwrap();
+        assert_eq!(len, 1);
+        // Appends (accepted or rejected) keep the epoch: the prefix a
+        // reader saw is still the prefix.
+        store.insert("c", json!({"a": 2})).unwrap();
+        let _ = store.insert("c", json!([1]));
+        store.insert_many("c", vec![json!({"a": 3})]).unwrap();
+        assert_eq!(store.collection_extent("c").unwrap(), (epoch, 3));
+        // A clear — and therefore a restore — starts a new epoch, even when
+        // the refill reaches the old length again.
+        store.clear("c");
+        let (cleared, len) = store.collection_extent("c").unwrap();
+        assert!(cleared > epoch);
+        assert_eq!(len, 0);
+        let image = store.dump();
+        store.restore(image).unwrap();
+        assert!(store.collection_extent("c").unwrap().0 > cleared);
+        // Siblings are untouched.
+        store.insert("d", json!({"a": 1})).unwrap();
+        let d = store.collection_extent("d").unwrap();
+        store.clear("c");
+        assert_eq!(store.collection_extent("d").unwrap(), d);
     }
 
     #[test]

@@ -326,6 +326,19 @@ impl Pipeline {
             .all(|stage| matches!(stage, Stage::Project(_)))
     }
 
+    /// Whether every stage decides each document on its own — true unless a
+    /// `$limit` is present (`$match` and `$project` are per-document). For
+    /// such a pipeline, running a collection's new suffix alone yields
+    /// exactly what a full run would append to the earlier output, which is
+    /// what lets a wrapper resume a scan after an append; a `$limit`'s
+    /// budget depends on every document before it.
+    pub fn is_record_local(&self) -> bool {
+        !self
+            .stages
+            .iter()
+            .any(|stage| matches!(stage, Stage::Limit(_)))
+    }
+
     /// Runs the pipeline over a document set.
     pub fn run<'a, I>(&self, docs: I) -> Result<Vec<Value>, PipelineError>
     where

@@ -50,6 +50,21 @@
 //! before a source mutation. [`execute_plan_prefetched`] issues a plan's
 //! scans concurrently on scoped threads ahead of the pulling pipeline.
 //!
+//! ## Append-aware scans
+//!
+//! A cached scan is derived data; when its source grows it is maintained,
+//! not rebuilt. [`PlanSource::scan_batches_after`] hands back, with a scan's
+//! batches, a [`ScanMark`] (source epoch + source records covered, opaque to
+//! the executor) and, given a mark back, yields only the rows of the
+//! records appended since — or declines, and the caller scans in full. On a
+//! scan-cache miss the [`ExecContext`] looks for the same scan cached under
+//! an older data version, resumes from its mark and appends the delta to
+//! that table, so a read that follows an append costs O(records appended).
+//! Table and mark are published together, and an older version is retired
+//! only once its successor is complete; every fill, resumed or full, also
+//! retires the versions it supersedes, so a context holds one entry per
+//! scan however many versions went by.
+//!
 //! ## Runtime policy: semi-join sideways passing & cursor-only scans
 //!
 //! Execution entry points take an [`ExecPolicy`] (separate from the plan —
@@ -66,7 +81,12 @@
 //!   when the source claims it ([`PlanSource::claims`]); otherwise the probe
 //!   scan runs unreduced and the join's own hash probe is the residual
 //!   semi-join, so answers are identical either way. A key-reduced probe
-//!   scan is query-specific and always bypasses the scan cache. When the
+//!   scan is query-specific and always bypasses the scan cache — which is
+//!   why the pass only fires when the key set promises a real reduction
+//!   (`semijoin_pays`: keys against the probe key column's *distinct*
+//!   count where the source publishes sketches, not against its rows), and
+//!   never for a probe scan that is already cached, or one resume away
+//!   from it. When the
 //!   build side's key set exceeds `semijoin_max_keys`, the pass degrades to
 //!   a **bloom semi-join** ([`ExecPolicy::bloom_semijoins`]): a compact
 //!   [`Predicate::Bloom`] membership filter built from the live build keys
@@ -149,12 +169,11 @@ pub const BATCH_ROWS: usize = 1024;
 /// expensive to evaluate source-side than the rows they would save.
 pub const DEFAULT_SEMIJOIN_MAX_KEYS: usize = 16 * 1024;
 
-/// Selectivity gate for the sideways pass: the build-key IN-set is
-/// injected only when it promises at least this reduction factor over the
-/// probe's hinted row count (`keys × factor ≤ probe rows`). A
-/// non-selective join — every probe row surviving — would pay the
-/// source-side membership probes *and* forfeit probe-scan cache sharing
-/// across walks, for zero rows saved.
+/// Selectivity gate for the sideways pass ([`semijoin_pays`]): the
+/// build-key set is injected only when it promises at least this reduction
+/// factor over the probe scan. A non-selective join — every probe row
+/// surviving — would pay the source-side membership probes *and* forfeit
+/// probe-scan cache sharing across walks and queries, for zero rows saved.
 const SEMIJOIN_SELECTIVITY: u64 = 4;
 
 /// Upper bound on build-side distinct keys for the *bloom* degradation of
@@ -613,6 +632,40 @@ pub fn batches_from_relation(relation: Relation, batch_rows: usize) -> BatchIter
     }))
 }
 
+/// How far into its source a scan read: the source's *epoch* (a generation
+/// within which the source only ever appends records) and the number of
+/// source records the scan bounded itself to when it started. Handed back
+/// with the batches of [`PlanSource::scan_batches_after`] and accepted by
+/// it again to resume.
+///
+/// The executor never interprets a mark — it stores it beside the cached
+/// scan it describes and hands it back to the same source. `consumed`
+/// counts *source* records (stored rows, documents), not rows the request's
+/// filters let through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScanMark {
+    epoch: u64,
+    consumed: u64,
+}
+
+impl ScanMark {
+    /// A mark covering the first `consumed` records of the source's
+    /// generation `epoch`.
+    pub fn new(epoch: u64, consumed: u64) -> Self {
+        Self { epoch, consumed }
+    }
+
+    /// The append-only generation of the source the mark was taken in.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Source records covered, counted from the first.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
+    }
+}
+
 /// Resolves a source name and a pushed-down [`ScanRequest`] to a relation.
 ///
 /// `Sync` is a supertrait so a shared [`ExecContext`] can fan walk plans out
@@ -649,6 +702,34 @@ pub trait PlanSource: Sync {
             });
         }
         Ok(batches_from_relation(relation, batch_rows))
+    }
+
+    /// Resumable form of [`PlanSource::scan_batches`]: the batches plus the
+    /// [`ScanMark`] saying how much of the source they cover, fixed when
+    /// the scan *starts* (records appended mid-scan are not covered, and a
+    /// later resume picks them up).
+    ///
+    /// * `after: None` is the ordinary full scan, with a mark a later call
+    ///   can resume from.
+    /// * `after: Some(mark)` yields exactly the rows a full scan would
+    ///   yield now **minus** the rows the scan that returned `mark`
+    ///   yielded, in the same order — the rows of the records appended
+    ///   since.
+    ///
+    /// `Ok(None)` *declines*: the source cannot mark this request, or can
+    /// no longer vouch for the marked prefix (records were removed, the
+    /// request is not decidable record by record). The caller then scans
+    /// in full through [`PlanSource::scan_batches`]; declining never
+    /// changes an answer, only what it costs. The default declines always,
+    /// so sources predating the contract keep working unchanged.
+    fn scan_batches_after<'a>(
+        &'a self,
+        _source: &str,
+        _request: &ScanRequest,
+        _batch_rows: usize,
+        _after: Option<&ScanMark>,
+    ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
+        Ok(None)
     }
 
     /// Monotonic counter identifying the current *data* of `source`. A
@@ -1192,9 +1273,10 @@ impl Batch {
 /// Identity of a scan's *data* (output attribute labels excluded — two
 /// requests differing only in labels read the same rows). The source's
 /// [`PlanSource::data_version`] at scan time is part of the identity: a
-/// mutation bumps it, so a persistent context re-scans instead of serving
-/// rows from before the mutation (stale entries age out through the LRU
-/// cap).
+/// mutation bumps it, so a persistent context never serves rows from
+/// before the mutation — it upgrades the older version's entry by the
+/// appended rows when the source can resume, re-scans otherwise, and
+/// either way retires the older entry once the new one is filled.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ScanKey {
     source: String,
@@ -1203,7 +1285,46 @@ struct ScanKey {
     data_version: u64,
 }
 
-type ScanCell = Arc<OnceLock<Result<Arc<Batch>, PlanError>>>;
+impl ScanKey {
+    /// Whether this is the same scan as `newer`, keyed under an older data
+    /// version.
+    fn older_version_of(&self, newer: &ScanKey) -> bool {
+        self.data_version < newer.data_version
+            && self.source == newer.source
+            && self.columns == newer.columns
+            && self.filters == newer.filters
+    }
+}
+
+/// A filled scan-cache entry. Table and mark are published together: the
+/// mark (absent when the source declines to mark its scans) says how much
+/// of the source the table covers, which is what a later data version's
+/// fill resumes from.
+#[derive(Debug, Clone)]
+struct CachedScan {
+    table: Arc<Batch>,
+    mark: Option<ScanMark>,
+}
+
+type ScanCell = Arc<OnceLock<Result<CachedScan, PlanError>>>;
+
+/// A scan-cache slot: the single-flight cell plus the bytes
+/// `scan_cache_bytes` holds for it — `0` until the fill is published, so
+/// removing a slot at any point unaccounts exactly what was accounted.
+struct ScanSlot {
+    cell: ScanCell,
+    bytes: usize,
+}
+
+/// The table of a filled cell, moved out when this is the last handle to
+/// it and copied while a concurrent query still reads it.
+fn take_table(cell: ScanCell) -> Option<Batch> {
+    let table = match Arc::try_unwrap(cell) {
+        Ok(cell) => cell.into_inner()?.ok()?.table,
+        Err(shared) => shared.get()?.as_ref().ok()?.table.clone(),
+    };
+    Some(Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone()))
+}
 
 /// A hash-join build side: interned key id → build-row indices, in row
 /// order (so probe output preserves build insertion order, matching the
@@ -1284,10 +1405,9 @@ pub struct ExecContext {
     peak_bytes: AtomicUsize,
     /// Running byte totals of the two caches, maintained on insert/evict so
     /// [`ExecContext::memory_estimate`] — polled once per interned batch
-    /// for the high-water mark — never walks the cache maps. A cell
-    /// evicted while its scan is still in flight leaks its eventual bytes
-    /// into the counter (the filler has nothing to subtract from); an
-    /// accepted drift in what is documented as an estimate.
+    /// for the high-water mark — never walks the cache maps. Each scan slot
+    /// remembers what it added ([`ScanSlot::bytes`]), so a cell evicted
+    /// while its scan is still in flight adds nothing and subtracts nothing.
     scan_cache_bytes: AtomicUsize,
     build_cache_bytes: AtomicUsize,
     tick: AtomicU64,
@@ -1296,7 +1416,13 @@ pub struct ExecContext {
     /// `BdiSystem::planner_stats`, never consulted by the executor.
     semijoin_insets: AtomicU64,
     semijoin_blooms: AtomicU64,
-    scans: Mutex<HashMap<ScanKey, Stamped<ScanCell>>>,
+    /// Lifetime counts of scan-cache fills by how they read their source:
+    /// resumed from an older version's mark (and the rows that appended),
+    /// or from the first record. Observability only.
+    resumed_scans: AtomicU64,
+    resumed_rows: AtomicU64,
+    full_scans: AtomicU64,
+    scans: Mutex<HashMap<ScanKey, Stamped<ScanSlot>>>,
     builds: Mutex<BuildCache>,
     /// Bounded batch feeds registered by the prefetcher for cursor-routed
     /// scans (see [`execute_plan_prefetched_with`]): the scan operator that
@@ -1365,6 +1491,9 @@ impl ExecContext {
             tick: AtomicU64::new(0),
             semijoin_insets: AtomicU64::new(0),
             semijoin_blooms: AtomicU64::new(0),
+            resumed_scans: AtomicU64::new(0),
+            resumed_rows: AtomicU64::new(0),
+            full_scans: AtomicU64::new(0),
             scans: Mutex::new(HashMap::new()),
             builds: Mutex::new(HashMap::new()),
             queued: Mutex::new(HashMap::new()),
@@ -1406,6 +1535,23 @@ impl ExecContext {
     /// this context (see [`ExecPolicy::bloom_semijoins`]).
     pub fn semijoin_blooms(&self) -> u64 {
         self.semijoin_blooms.load(Ordering::Relaxed)
+    }
+
+    /// Lifetime count of scan-cache fills that resumed from an older data
+    /// version's [`ScanMark`] instead of re-reading their source.
+    pub fn resumed_scans(&self) -> u64 {
+        self.resumed_scans.load(Ordering::Relaxed)
+    }
+
+    /// Rows those resumed fills read (and appended to the cached tables).
+    pub fn resumed_rows(&self) -> u64 {
+        self.resumed_rows.load(Ordering::Relaxed)
+    }
+
+    /// Lifetime count of scan-cache fills that read their source from the
+    /// first record (no resumable predecessor, or the source declined).
+    pub fn full_scans(&self) -> u64 {
+        self.full_scans.load(Ordering::Relaxed)
     }
 
     /// Whether the shared pool has grown past the configured watermark.
@@ -1610,70 +1756,219 @@ impl ExecContext {
         let cell = {
             let mut scans = self.scans.lock().expect("scan cache poisoned");
             if let Some(evicted) = evict_for(&mut scans, &key, self.max_entries) {
-                if let Some(Ok(batch)) = evicted.get() {
-                    self.scan_cache_bytes
-                        .fetch_sub(batch.approx_bytes(), Ordering::Relaxed);
-                }
+                self.scan_cache_bytes
+                    .fetch_sub(evicted.bytes, Ordering::Relaxed);
             }
             let tick = self.tick.fetch_add(1, Ordering::Relaxed);
             let entry = scans.entry(key.clone()).or_insert_with(|| Stamped {
-                value: ScanCell::default(),
+                value: ScanSlot {
+                    cell: ScanCell::default(),
+                    bytes: 0,
+                },
                 last_used: tick,
             });
             entry.last_used = tick;
-            entry.value.clone()
+            entry.value.cell.clone()
         };
+        // Concurrent callers single-flight on the cell; only the one whose
+        // closure ran publishes the fill.
+        let mut filled_here = false;
         let result = cell
-            .get_or_init(|| -> Result<Arc<Batch>, PlanError> {
-                let mut interned = Batch::new(request.output().len());
-                for batch in source.scan_batches(
-                    name,
-                    request,
-                    adaptive_batch_rows(self, source, name, request),
-                )? {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        return Err(PlanError::DeadlineExceeded);
-                    }
-                    self.intern_scan_rows(request.output(), &batch?, &mut interned)?;
-                    // Note the growing (not-yet-cached) table batch by
-                    // batch, so peak accounting is streaming-accurate even
-                    // for a scan that errors before caching.
-                    self.note_high_water(interned.approx_bytes());
-                }
-                self.scan_cache_bytes
-                    .fetch_add(interned.approx_bytes(), Ordering::Relaxed);
-                Ok(Arc::new(interned))
+            .get_or_init(|| {
+                filled_here = true;
+                self.fill_scan(source, name, request, &key, deadline)
             })
             .clone();
-        self.note_high_water(0);
-        if result.is_err() {
-            // Failures are never cached: a transient source error or an
-            // expired per-query deadline must not poison the cell for later
-            // queries, which should retry the scan from scratch. Remove the
-            // entry only if it still holds this very cell — a concurrent
-            // eviction/refill may have already replaced it.
-            let mut scans = self.scans.lock().expect("scan cache poisoned");
-            if scans
-                .get(&key)
-                .is_some_and(|stamped| Arc::ptr_eq(&stamped.value, &cell))
-            {
-                scans.remove(&key);
+        match &result {
+            Ok(cached) if filled_here => {
+                self.publish_scan(&key, &cell, cached.table.approx_bytes());
+            }
+            Ok(_) => {}
+            Err(_) => {
+                // Failures are never cached: a transient source error or an
+                // expired per-query deadline must not poison the cell for
+                // later queries, which should retry the scan from scratch.
+                // Remove the entry only if it still holds this very cell —
+                // a concurrent eviction/refill may have already replaced it.
+                let mut scans = self.scans.lock().expect("scan cache poisoned");
+                if scans
+                    .get(&key)
+                    .is_some_and(|stamped| Arc::ptr_eq(&stamped.value.cell, &cell))
+                {
+                    scans.remove(&key);
+                }
             }
         }
-        result.map(|batch| (batch, data_version))
+        self.note_high_water(0);
+        result.map(|cached| (cached.table, data_version))
     }
 
-    /// Whether a scan's cache cell is already resolved for the source's
-    /// current data version — the prefetcher skips spawning threads for
-    /// warm scans (a repeated query on a persistent context would otherwise
-    /// pay thread spawns just to find every cell filled).
-    fn scan_resolved(&self, source: &dyn PlanSource, name: &str, request: &ScanRequest) -> bool {
-        let key = versioned_scan_key(source, name, request);
-        self.scans
+    /// Computes the cache entry for `key`: by upgrading an older version's
+    /// entry with the rows its source appended since
+    /// ([`ExecContext::resume_scan`]) when that is possible, by reading the
+    /// source in full otherwise. The `scans` lock is never held across a
+    /// source call.
+    fn fill_scan(
+        &self,
+        source: &dyn PlanSource,
+        name: &str,
+        request: &ScanRequest,
+        key: &ScanKey,
+        deadline: Option<Instant>,
+    ) -> Result<CachedScan, PlanError> {
+        let batch_rows = adaptive_batch_rows(self, source, name, request);
+        match self.resume_scan(source, name, request, batch_rows, key, deadline) {
+            Ok(Some(upgraded)) => return Ok(upgraded),
+            Err(PlanError::DeadlineExceeded) => return Err(PlanError::DeadlineExceeded),
+            // Declined, or failed part-way: the predecessor is untouched
+            // and the full read below reports whatever is really wrong.
+            Ok(None) | Err(_) => {}
+        }
+        let (batches, mark) = match source.scan_batches_after(name, request, batch_rows, None)? {
+            Some((batches, mark)) => (batches, Some(mark)),
+            None => (source.scan_batches(name, request, batch_rows)?, None),
+        };
+        let mut table = Batch::new(request.output().len());
+        self.intern_batches(request, batches, deadline, &mut table)?;
+        self.full_scans.fetch_add(1, Ordering::Relaxed);
+        Ok(CachedScan {
+            table: Arc::new(table),
+            mark,
+        })
+    }
+
+    /// Asks the source to resume from the mark of this scan's newest filled
+    /// older version and appends the delta to that version's table.
+    /// `Ok(None)` when there is no such entry or the source declines. The
+    /// predecessor leaves the cache only once the delta is complete, so a
+    /// failure at any point before leaves it usable.
+    fn resume_scan(
+        &self,
+        source: &dyn PlanSource,
+        name: &str,
+        request: &ScanRequest,
+        batch_rows: usize,
+        key: &ScanKey,
+        deadline: Option<Instant>,
+    ) -> Result<Option<CachedScan>, PlanError> {
+        let predecessor = {
+            let scans = self.scans.lock().expect("scan cache poisoned");
+            resumable_predecessor(&scans, key)
+                .map(|(old_key, slot, mark)| (old_key.clone(), slot.cell.clone(), mark))
+        };
+        let Some((old_key, old_cell, mark)) = predecessor else {
+            return Ok(None);
+        };
+        let Some((batches, mark)) =
+            source.scan_batches_after(name, request, batch_rows, Some(&mark))?
+        else {
+            return Ok(None);
+        };
+        let mut delta = Batch::new(request.output().len());
+        self.intern_batches(request, batches, deadline, &mut delta)?;
+        let retired = self
+            .scans
             .lock()
             .expect("scan cache poisoned")
+            .remove(&old_key);
+        if let Some(slot) = retired {
+            self.scan_cache_bytes
+                .fetch_sub(slot.value.bytes, Ordering::Relaxed);
+        }
+        self.drop_builds_of(std::slice::from_ref(&old_key));
+        let Some(mut table) = take_table(old_cell) else {
+            return Ok(None);
+        };
+        table.append(&delta);
+        self.resumed_scans.fetch_add(1, Ordering::Relaxed);
+        self.resumed_rows
+            .fetch_add(delta.len() as u64, Ordering::Relaxed);
+        Ok(Some(CachedScan {
+            table: Arc::new(table),
+            mark: Some(mark),
+        }))
+    }
+
+    /// Interns a source batch stream into `into`, one batch at a time,
+    /// checking the deadline per batch — the one fill loop behind both the
+    /// full and the resumed read.
+    fn intern_batches(
+        &self,
+        request: &ScanRequest,
+        batches: BatchIter<'_>,
+        deadline: Option<Instant>,
+        into: &mut Batch,
+    ) -> Result<(), PlanError> {
+        for batch in batches {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(PlanError::DeadlineExceeded);
+            }
+            self.intern_scan_rows(request.output(), &batch?, into)?;
+            // Note the growing (not-yet-cached) table batch by batch, so
+            // peak accounting is streaming-accurate even for a scan that
+            // errors before caching.
+            self.note_high_water(into.approx_bytes());
+        }
+        Ok(())
+    }
+
+    /// Accounts a completed fill and retires every older version of the
+    /// same scan (with the build indexes derived from them) — they can
+    /// never be asked for again, and would otherwise stay resident until
+    /// the LRU cap. A slot evicted while it was being filled is left alone.
+    fn publish_scan(&self, key: &ScanKey, cell: &ScanCell, bytes: usize) {
+        let mut retired: Vec<ScanKey> = Vec::new();
+        {
+            let mut scans = self.scans.lock().expect("scan cache poisoned");
+            match scans.get_mut(key) {
+                Some(stamped) if Arc::ptr_eq(&stamped.value.cell, cell) => {
+                    stamped.value.bytes = bytes;
+                    self.scan_cache_bytes.fetch_add(bytes, Ordering::Relaxed);
+                }
+                _ => return,
+            }
+            scans.retain(|old, stamped| {
+                let stale = old.older_version_of(key);
+                if stale {
+                    self.scan_cache_bytes
+                        .fetch_sub(stamped.value.bytes, Ordering::Relaxed);
+                    retired.push(old.clone());
+                }
+                !stale
+            });
+        }
+        self.drop_builds_of(&retired);
+    }
+
+    /// Drops the cached build indexes keyed on retired scans.
+    fn drop_builds_of(&self, retired: &[ScanKey]) {
+        if retired.is_empty() {
+            return;
+        }
+        let mut builds = self.builds.lock().expect("build cache poisoned");
+        builds.retain(|(scan, _), stamped| {
+            let stale = retired.contains(scan);
+            if stale {
+                self.build_cache_bytes
+                    .fetch_sub(stamped.value.approx_bytes(), Ordering::Relaxed);
+            }
+            !stale
+        });
+    }
+
+    /// Whether a scan is warm for the source's current data version: its
+    /// cache cell is already filled, or an older version's is and carries a
+    /// mark to resume from (an O(appended) upgrade). The prefetcher skips
+    /// spawning threads for warm scans (a repeated query on a persistent
+    /// context would otherwise pay thread spawns just to find every cell
+    /// filled), and the semi-join pass prefers them to a reduced re-read.
+    fn scan_resolved(&self, source: &dyn PlanSource, name: &str, request: &ScanRequest) -> bool {
+        let key = versioned_scan_key(source, name, request);
+        let scans = self.scans.lock().expect("scan cache poisoned");
+        scans
             .get(&key)
-            .is_some_and(|stamped| stamped.value.get().is_some())
+            .is_some_and(|stamped| stamped.value.cell.get().is_some())
+            || resumable_predecessor(&scans, &key).is_some()
     }
 
     /// A hash-join build index over `table[key]`, cached when the build side
@@ -1810,6 +2105,24 @@ impl RowSet {
 // ---------------------------------------------------------------------------
 // Operators
 // ---------------------------------------------------------------------------
+
+/// The newest filled entry for an older data version of `key`'s scan that
+/// carries a mark — what a fill of `key` can resume from.
+fn resumable_predecessor<'m>(
+    scans: &'m HashMap<ScanKey, Stamped<ScanSlot>>,
+    key: &ScanKey,
+) -> Option<(&'m ScanKey, &'m ScanSlot, ScanMark)> {
+    scans
+        .iter()
+        .filter(|(old, _)| old.older_version_of(key))
+        .filter_map(|(old, stamped)| match stamped.value.cell.get() {
+            Some(Ok(CachedScan {
+                mark: Some(mark), ..
+            })) => Some((old, &stamped.value, *mark)),
+            _ => None,
+        })
+        .max_by_key(|(old, ..)| old.data_version)
+}
 
 /// The cache/registry key of a scan against the source's *current* data
 /// version — the single place the key is assembled, shared by the scan
@@ -1963,6 +2276,36 @@ fn plan_scan_site(plan: &PhysicalPlan, index: usize) -> Option<(&str, &str)> {
     }
 }
 
+/// Whether injecting `keys` distinct build keys into the probe scan of
+/// `probe_column` promises a [`SEMIJOIN_SELECTIVITY`]-fold reduction — the
+/// one gate behind both the executor's injection (`OpNode::init_join`, with
+/// the build index's live key count) and the prefetcher's mirror
+/// ([`semijoin_probe_plan`], with the build's row hint as its upper bound).
+///
+/// A key set keeps about `keys / distinct(probe key column)` of the probe's
+/// rows, so when the probe source publishes [`TableStats`] the keys are
+/// compared with that column's distinct count (capped by the hinted rows, a
+/// filtered probe holding fewer): 64 keys do not reduce a 10 000-row probe
+/// whose key column holds those same 64 values, however many rows carry
+/// them. Without stats the rows are all there is to compare with — exact
+/// for a unique key column, optimistic otherwise.
+fn semijoin_pays(
+    source: &dyn PlanSource,
+    keys: u64,
+    probe_rows: u64,
+    probe_source: &str,
+    probe_column: &str,
+) -> bool {
+    let needed = keys.saturating_mul(SEMIJOIN_SELECTIVITY);
+    // The rows bound the distinct count, so a key set that fails against
+    // them fails either way — without a sketch lookup per join.
+    needed <= probe_rows
+        && source
+            .stats(probe_source)
+            .and_then(|stats| Some(stats.column(probe_column)?.distinct))
+            .is_none_or(|distinct| needed <= distinct)
+}
+
 /// The probe-side subtree of a hash join that semi-join sideways passing
 /// would reduce (both children hinted, probe key maps to a scan site).
 /// Mirrored by the prefetcher so it never warms — and caches — a scan the
@@ -1985,15 +2328,15 @@ fn semijoin_probe_plan<'p>(
     } else {
         (right, left, left_key, right_hint, left_hint)
     };
-    // Mirror of the operator's selectivity gate, approximated with the
-    // build *row* hint (an upper bound on its distinct keys): the probe is
-    // only skipped here when the operator will certainly reduce it. A
+    let (scan_name, column) = plan_scan_site(probe, probe_key)?;
+    // The operator's selectivity gate, approximated with the build *row*
+    // hint (an upper bound on its distinct keys): the probe is only
+    // skipped here when the operator will certainly reduce it. A
     // duplicate-heavy build may still reduce a probe the prefetcher
     // warmed — a wasted warm, never a wrong answer.
-    if build_hint.saturating_mul(SEMIJOIN_SELECTIVITY) > probe_hint {
+    if !semijoin_pays(source, build_hint, probe_hint, scan_name, column) {
         return None;
     }
-    let (scan_name, column) = plan_scan_site(probe, probe_key)?;
     // Distinct build keys never exceed the build's *exact* row hint, so a
     // hint under the IN-set threshold makes an IN-set injection certain; a
     // hint between the IN-set and bloom thresholds makes *some* injection
@@ -2499,45 +2842,49 @@ impl<'r> OpNode<'r> {
             });
             let index = ctx.build_index(cache_key, &build, build_key);
             // Inject only when the key set is selective enough to actually
-            // shrink the probe (see SEMIJOIN_SELECTIVITY): as an exact
-            // IN-set while small enough to evaluate source-side, degrading
-            // to a bloom membership filter over the same *live* build keys
-            // past that threshold ([`ExecPolicy::bloom_semijoins`]). The
-            // bloom's false positives only admit extra probe rows this
-            // join's hash probe then discards — never a wrong answer, and
-            // never dependent on any statistics sketch.
+            // shrink the probe ([`semijoin_pays`]): as an exact IN-set
+            // while small enough to evaluate source-side, degrading to a
+            // bloom membership filter over the same *live* build keys past
+            // that threshold ([`ExecPolicy::bloom_semijoins`]). The bloom's
+            // false positives only admit extra probe rows this join's hash
+            // probe then discards — never a wrong answer, and never
+            // dependent on any statistics sketch.
             let distinct = index.distinct_keys();
             let wants_bloom = distinct > policy.semijoin_max_keys;
-            let injectable = (distinct as u64).saturating_mul(SEMIJOIN_SELECTIVITY) <= probe_hint
-                && (!wants_bloom
-                    || (policy.bloom_semijoins && distinct <= BLOOM_SEMIJOIN_MAX_KEYS));
-            if injectable {
-                if let Some((column_index, scan)) = probe_node.scan_site(probe_key) {
-                    // A warm cached unreduced scan beats a reduced re-read
-                    // of the source: serve it and let the join's hash probe
-                    // be the semi-join (answer-identical, strictly cheaper).
-                    if matches!(scan.state, ScanState::Pending)
-                        && !ctx.scan_resolved(source, &scan.source, &scan.request)
-                    {
-                        if let Some(column) = scan.request.columns().get(column_index) {
-                            let keys = ctx.decode_ids(index.keys());
-                            let predicate = if wants_bloom {
-                                Predicate::Bloom(BloomFilter::from_values(&keys))
-                            } else {
-                                Predicate::in_set(keys)
-                            };
-                            let filter = ColumnFilter::new(column.clone(), predicate);
-                            if source.claims(&scan.source, &filter) {
-                                scan.request.add_column_filter(filter);
-                                scan.semijoin_reduced = true;
-                                let counter = if wants_bloom {
-                                    &ctx.semijoin_blooms
-                                } else {
-                                    &ctx.semijoin_insets
-                                };
-                                counter.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+            let within_budget =
+                !wants_bloom || (policy.bloom_semijoins && distinct <= BLOOM_SEMIJOIN_MAX_KEYS);
+            let site = within_budget
+                .then(|| probe_node.scan_site(probe_key))
+                .flatten()
+                .and_then(|(column_index, scan)| {
+                    let column = scan.request.columns().get(column_index)?.clone();
+                    Some((column, scan))
+                });
+            if let Some((column, scan)) = site {
+                // A warm cached unreduced scan (or one an O(appended)
+                // resume away from warm) beats a reduced re-read of the
+                // source: serve it and let the join's hash probe be the
+                // semi-join (answer-identical, strictly cheaper).
+                if matches!(scan.state, ScanState::Pending)
+                    && semijoin_pays(source, distinct as u64, probe_hint, &scan.source, &column)
+                    && !ctx.scan_resolved(source, &scan.source, &scan.request)
+                {
+                    let keys = ctx.decode_ids(index.keys());
+                    let predicate = if wants_bloom {
+                        Predicate::Bloom(BloomFilter::from_values(&keys))
+                    } else {
+                        Predicate::in_set(keys)
+                    };
+                    let filter = ColumnFilter::new(column, predicate);
+                    if source.claims(&scan.source, &filter) {
+                        scan.request.add_column_filter(filter);
+                        scan.semijoin_reduced = true;
+                        let counter = if wants_bloom {
+                            &ctx.semijoin_blooms
+                        } else {
+                            &ctx.semijoin_insets
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -3915,5 +4262,285 @@ mod tests {
             cursor_ctx.peak_bytes(),
             cached_ctx.peak_bytes()
         );
+    }
+
+    // -- Append-aware scans -------------------------------------------------
+
+    /// An append-only source `wgrow` (wbig's schema) that marks its scans
+    /// and resumes from a mark, beside the static `w3`. Its data version
+    /// and its hint are its row count; `clear` starts a new epoch.
+    struct Growing {
+        rows: std::sync::Mutex<Vec<Tuple>>,
+        epoch: AtomicU64,
+        full_reads: AtomicUsize,
+        resumed_reads: AtomicUsize,
+        /// While set, every read of `wgrow` fails after its first row.
+        failing: std::sync::atomic::AtomicBool,
+        /// Publish sketches (the semi-join gate's input) or not.
+        with_stats: bool,
+        requests: std::sync::Mutex<Vec<ScanRequest>>,
+    }
+
+    impl Growing {
+        fn new(rows: Vec<Tuple>, with_stats: bool) -> Self {
+            Self {
+                rows: std::sync::Mutex::new(rows),
+                epoch: AtomicU64::new(0),
+                full_reads: AtomicUsize::new(0),
+                resumed_reads: AtomicUsize::new(0),
+                failing: std::sync::atomic::AtomicBool::new(false),
+                with_stats,
+                requests: std::sync::Mutex::new(Vec::new()),
+            }
+        }
+
+        fn push(&self, id: i64, load: f64) {
+            self.rows
+                .lock()
+                .unwrap()
+                .push(vec![Value::Int(id), Value::Float(load)]);
+        }
+
+        fn relation(&self, from: usize) -> Relation {
+            let rows = self.rows.lock().unwrap()[from..].to_vec();
+            Relation::new(wbig().schema().clone(), rows).unwrap()
+        }
+    }
+
+    impl PlanSource for Growing {
+        fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
+            match name {
+                // The cursor-only path (a reduced probe) lands here.
+                "wgrow" => {
+                    self.full_reads.fetch_add(1, Ordering::SeqCst);
+                    request.apply(&self.relation(0))
+                }
+                "w3" => request.apply(&w3()),
+                other => Err(RelationError::Source(format!("unknown source {other}"))),
+            }
+        }
+
+        fn scan_batches_after<'a>(
+            &'a self,
+            name: &str,
+            request: &ScanRequest,
+            batch_rows: usize,
+            after: Option<&ScanMark>,
+        ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
+            if name != "wgrow" {
+                return Ok(None);
+            }
+            self.requests.lock().unwrap().push(request.clone());
+            let epoch = self.epoch.load(Ordering::SeqCst);
+            let total = self.rows.lock().unwrap().len();
+            let start = match after {
+                None => 0,
+                Some(mark) if mark.epoch() == epoch && mark.consumed() <= total as u64 => {
+                    mark.consumed() as usize
+                }
+                Some(_) => return Ok(None),
+            };
+            let counter = if after.is_some() {
+                &self.resumed_reads
+            } else {
+                &self.full_reads
+            };
+            counter.fetch_add(1, Ordering::SeqCst);
+            let rows = request.apply(&self.relation(start))?.into_rows();
+            let batches: BatchIter<'a> = if self.failing.load(Ordering::SeqCst) {
+                let first: Vec<Tuple> = rows.into_iter().take(1).collect();
+                Box::new(
+                    vec![
+                        Ok(first),
+                        Err(RelationError::Source("wgrow went away".into())),
+                    ]
+                    .into_iter(),
+                )
+            } else {
+                let relation = Relation::new(request.output().clone(), rows)?;
+                batches_from_relation(relation, batch_rows)
+            };
+            Ok(Some((batches, ScanMark::new(epoch, total as u64))))
+        }
+
+        fn data_version(&self, name: &str) -> u64 {
+            match name {
+                "wgrow" => self.rows.lock().unwrap().len() as u64,
+                _ => 0,
+            }
+        }
+
+        fn scan_hint(&self, name: &str, _request: &ScanRequest) -> Option<u64> {
+            Some(match name {
+                "wgrow" => self.rows.lock().unwrap().len() as u64,
+                _ => w3().len() as u64,
+            })
+        }
+
+        fn stats(&self, name: &str) -> Option<Arc<TableStats>> {
+            if !self.with_stats || name != "wgrow" {
+                return None;
+            }
+            let mut builder = crate::stats::StatsBuilder::new(wbig().schema().names());
+            for row in self.rows.lock().unwrap().iter() {
+                builder.observe_row(row);
+            }
+            Some(Arc::new(builder.snapshot(self.data_version(name))))
+        }
+    }
+
+    fn wgrow_rows(n: i64) -> Vec<Tuple> {
+        (0..n)
+            .map(|r| vec![Value::Int(10 + r % 12), Value::Float(r as f64 / 4.0)])
+            .collect()
+    }
+
+    fn w3_wgrow_join() -> PhysicalPlan {
+        scan_all("w3", &w3())
+            .hash_join(scan_all("wgrow", &wbig()), "MonitorId", "BigId")
+            .unwrap()
+    }
+
+    /// The stale-version satellite and the tentpole's cache half in one: N
+    /// appends + N queries on a persistent context read each appended row
+    /// once, keep one entry per scan (and per build side), keep the byte
+    /// estimate flat, and answer exactly like a fresh context every time.
+    #[test]
+    fn appends_upgrade_the_cached_scan_in_place() {
+        // wgrow starts smaller than w3, so it is the join's build side and
+        // its cached index is re-derived (and the stale one dropped) per
+        // version; past two rows it becomes the probe.
+        let src = Growing::new(wgrow_rows(1), false);
+        let ctx = ExecContext::new();
+        let policy = ExecPolicy {
+            semijoin_max_keys: 0,
+            ..ExecPolicy::default()
+        };
+        let plan = w3_wgrow_join();
+        let scan_plan = scan_all("wgrow", &wbig());
+        let mut bytes = Vec::new();
+        for step in 0..40 {
+            let persistent = execute_plan_in_with(&plan, &ctx, &src, policy).unwrap();
+            let fresh = execute_plan_in_with(&plan, &ExecContext::new(), &src, policy).unwrap();
+            assert_eq!(persistent.rows(), fresh.rows(), "step {step}");
+            let scanned = execute_plan_in_with(&scan_plan, &ctx, &src, policy).unwrap();
+            assert_eq!(scanned.rows(), src.relation(0).rows(), "step {step}");
+            assert_eq!(ctx.cached_scans(), 2, "step {step}: w3 + one wgrow version");
+            assert_eq!(ctx.cached_builds(), 1, "step {step}");
+            bytes.push(ctx.memory_estimate());
+            src.push(10 + step % 5, 100.0 + step as f64);
+        }
+        assert_eq!(ctx.full_scans(), 2); // w3 and wgrow, once each
+        assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (39, 39));
+        // Flat: what 40 rows and their values take, not 40 tables' worth.
+        let growth = bytes[39] - bytes[0];
+        assert!(growth < 8 * 1024, "estimate grew by {growth} bytes");
+        // A third of the estimate, at most, is the cached table's doubling
+        // slack; the running counter matches what the map really holds.
+        let fresh = ExecContext::new();
+        execute_plan_in_with(&plan, &fresh, &src, policy).unwrap();
+        assert!(ctx.memory_estimate() <= fresh.memory_estimate() + growth);
+    }
+
+    /// A source that no longer vouches for the marked prefix (new epoch)
+    /// declines, and the fill reads in full; one that fails part-way
+    /// through a resume leaves the predecessor where it was, so the next
+    /// query resumes from it.
+    #[test]
+    fn declined_and_failed_resumes_leave_answers_and_predecessor_intact() {
+        let src = Growing::new(wgrow_rows(6), false);
+        let ctx = ExecContext::new();
+        let plan = scan_all("wgrow", &wbig());
+        assert_eq!(execute_plan_in(&plan, &ctx, &src).unwrap().len(), 6);
+
+        // Clear + refill to a greater length: same positions, other rows.
+        *src.rows.lock().unwrap() = wgrow_rows(9).split_off(2);
+        src.epoch.fetch_add(1, Ordering::SeqCst);
+        let refilled = execute_plan_in(&plan, &ctx, &src).unwrap();
+        assert_eq!(refilled.rows(), src.relation(0).rows());
+        assert_eq!((ctx.resumed_scans(), ctx.full_scans()), (0, 2));
+        assert_eq!(ctx.cached_scans(), 1);
+
+        // The source dies mid-read: the query fails, nothing is cached for
+        // the new version, the old version's entry survives…
+        src.push(30, 9.5);
+        src.failing.store(true, Ordering::SeqCst);
+        let err = execute_plan_in(&plan, &ctx, &src).unwrap_err();
+        assert!(err.to_string().contains("wgrow went away"), "{err}");
+        assert_eq!(ctx.cached_scans(), 1);
+        // …and once the source is back, is what the next fill resumes from.
+        src.failing.store(false, Ordering::SeqCst);
+        src.push(31, 9.75);
+        let healed = execute_plan_in(&plan, &ctx, &src).unwrap();
+        assert_eq!(healed.rows(), src.relation(0).rows());
+        assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (1, 2));
+        assert_eq!(ctx.full_scans(), 2);
+        assert_eq!(ctx.cached_scans(), 1);
+    }
+
+    /// The rule "a warm cached unreduced scan beats a reduced re-read"
+    /// extends to a scan one resume away from warm: after an append the
+    /// probe is upgraded through the cache, not re-read reduced.
+    #[test]
+    fn a_resumable_probe_scan_counts_as_warm() {
+        let src = Growing::new(wgrow_rows(12), false);
+        let ctx = ExecContext::new();
+        execute_plan_in(&scan_all("wgrow", &wbig()), &ctx, &src).unwrap();
+        src.push(12, 7.0);
+        let out = execute_plan_in(&w3_wgrow_join(), &ctx, &src).unwrap();
+        let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
+        assert_eq!(out.rows(), eager.rows());
+        assert!(src
+            .requests
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|r| r.filters().is_empty()));
+        assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (1, 1));
+        assert_eq!(ctx.semijoin_insets(), 0);
+        // On a fresh context the same join does reduce its probe: 2 keys
+        // against 13 rows, no sketches to say otherwise.
+        let cold = ExecContext::new();
+        execute_plan_in(&w3_wgrow_join(), &cold, &src).unwrap();
+        assert_eq!(cold.semijoin_insets(), 1);
+    }
+
+    /// The gate compares build keys with the probe key column's distinct
+    /// count when the probe publishes sketches: w3's 2 keys do not reduce
+    /// a probe whose key column holds 3 values, whatever its row count, and
+    /// do reduce one holding 12.
+    #[test]
+    fn semijoin_gate_counts_distinct_probe_keys_not_rows() {
+        let few_keys: Vec<Tuple> = (0..60)
+            .map(|r| vec![Value::Int(12 + 3 * (r % 3)), Value::Float(r as f64)])
+            .collect();
+        for (rows, with_stats, injects) in [
+            (few_keys.clone(), true, false),
+            (few_keys, false, true), // rows are all there is to go by
+            (wgrow_rows(60), true, true),
+        ] {
+            let src = Growing::new(rows, with_stats);
+            let plan = w3_wgrow_join();
+            for prefetch in [false, true] {
+                let ctx = ExecContext::new();
+                let out = if prefetch {
+                    execute_plan_prefetched(&plan, &ctx, &src, 4).unwrap()
+                } else {
+                    execute_plan_in(&plan, &ctx, &src).unwrap()
+                };
+                let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
+                assert_eq!(out.rows(), eager.rows());
+                assert_eq!(
+                    ctx.semijoin_insets(),
+                    u64::from(injects),
+                    "stats {with_stats}, prefetch {prefetch}"
+                );
+                // An unreduced probe is cached for the next query; a
+                // reduced one never is. Either way wgrow was read once —
+                // the prefetcher made the same call the operator did.
+                assert_eq!(ctx.cached_scans(), if injects { 1 } else { 2 });
+                assert_eq!(src.full_reads.swap(0, Ordering::SeqCst), 1);
+            }
+        }
     }
 }

@@ -38,6 +38,9 @@ pub fn stats(backend: &Backend) -> String {
             "cached_scans": (contexts.cached_scans),
             "peak_bytes": (contexts.peak_bytes),
             "peak_pooled_values": (contexts.peak_pooled_values),
+            "resumed_scans": (contexts.resumed_scans),
+            "resumed_rows": (contexts.resumed_rows),
+            "full_scans": (contexts.full_scans),
         },
         "planner": {
             "cost_based_plans": (planner.cost_based_plans),

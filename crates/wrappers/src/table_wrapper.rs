@@ -3,7 +3,7 @@
 //! natively tabular.
 
 use crate::wrapper::{RowBatches, Wrapper, WrapperError};
-use bdi_relational::plan::{Predicate, ScanRequest};
+use bdi_relational::plan::{Predicate, ScanMark, ScanRequest};
 use bdi_relational::{Relation, Schema, StatsBuilder, TableStats, Tuple, Value};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -158,6 +158,69 @@ impl TableWrapper {
     }
 }
 
+impl TableWrapper {
+    /// The one scan loop: rows `[start, total)` with the request's
+    /// projection and filters applied, where `total` is the row count when
+    /// the cursor is created — returned as the [`ScanMark`] a later cursor
+    /// can start from. `start` is `0` for a full scan.
+    fn cursor<'a>(
+        &'a self,
+        request: &ScanRequest,
+        batch_rows: usize,
+        start: usize,
+    ) -> Result<(RowBatches<'a>, ScanMark), WrapperError> {
+        let mut indices = Vec::with_capacity(request.columns().len());
+        for column in request.columns() {
+            indices.push(
+                self.schema
+                    .require(column)
+                    .map_err(bdi_relational::RelationError::Schema)?,
+            );
+        }
+        let mut filters: Vec<(usize, CompiledFilter)> = Vec::with_capacity(request.filters().len());
+        for f in request.filters() {
+            filters.push((
+                self.schema
+                    .require(&f.column)
+                    .map_err(bdi_relational::RelationError::Schema)?,
+                CompiledFilter::new(&f.predicate),
+            ));
+        }
+        let batch_rows = batch_rows.max(1);
+        let total = self.rows.read().len();
+        let mut cursor = start;
+        let batches = std::iter::from_fn(move || {
+            while cursor < total {
+                let rows = self.rows.read();
+                // `total` can only have grown (push appends); the prefix the
+                // scan covers is immutable, so re-locking is consistent.
+                // The min is shrink-defensive anyway — and if the vec ever
+                // shrank below the cursor, end the scan rather than spin.
+                let end = total.min(rows.len());
+                if end <= cursor {
+                    return None;
+                }
+                // Examine at most `batch_rows` rows under this hold.
+                let window_end = end.min(cursor.saturating_add(batch_rows));
+                let mut out: Vec<Tuple> = Vec::new();
+                while cursor < window_end {
+                    let row = &rows[cursor];
+                    cursor += 1;
+                    if filters.iter().all(|(idx, p)| p.matches(&row[*idx])) {
+                        out.push(indices.iter().map(|&i| row[i].clone()).collect());
+                    }
+                }
+                if !out.is_empty() {
+                    return Some(Ok(out));
+                }
+                // Whole window filtered out: release the lock, keep going.
+            }
+            None
+        });
+        Ok((Box::new(batches), ScanMark::new(0, total as u64)))
+    }
+}
+
 impl Wrapper for TableWrapper {
     fn name(&self) -> &str {
         &self.name
@@ -209,54 +272,20 @@ impl Wrapper for TableWrapper {
         request: &ScanRequest,
         batch_rows: usize,
     ) -> Result<RowBatches<'a>, WrapperError> {
-        let mut indices = Vec::with_capacity(request.columns().len());
-        for column in request.columns() {
-            indices.push(
-                self.schema
-                    .require(column)
-                    .map_err(bdi_relational::RelationError::Schema)?,
-            );
-        }
-        let mut filters: Vec<(usize, CompiledFilter)> = Vec::with_capacity(request.filters().len());
-        for f in request.filters() {
-            filters.push((
-                self.schema
-                    .require(&f.column)
-                    .map_err(bdi_relational::RelationError::Schema)?,
-                CompiledFilter::new(&f.predicate),
-            ));
-        }
-        let batch_rows = batch_rows.max(1);
-        let total = self.rows.read().len();
-        let mut cursor = 0usize;
-        Ok(Box::new(std::iter::from_fn(move || {
-            while cursor < total {
-                let rows = self.rows.read();
-                // `total` can only have grown (push appends); the prefix the
-                // scan covers is immutable, so re-locking is consistent.
-                // The min is shrink-defensive anyway — and if the vec ever
-                // shrank below the cursor, end the scan rather than spin.
-                let end = total.min(rows.len());
-                if end <= cursor {
-                    return None;
-                }
-                // Examine at most `batch_rows` rows under this hold.
-                let window_end = end.min(cursor.saturating_add(batch_rows));
-                let mut out: Vec<Tuple> = Vec::new();
-                while cursor < window_end {
-                    let row = &rows[cursor];
-                    cursor += 1;
-                    if filters.iter().all(|(idx, p)| p.matches(&row[*idx])) {
-                        out.push(indices.iter().map(|&i| row[i].clone()).collect());
-                    }
-                }
-                if !out.is_empty() {
-                    return Some(Ok(out));
-                }
-                // Whole window filtered out: release the lock, keep going.
-            }
-            None
-        })))
+        Ok(self.cursor(request, batch_rows, 0)?.0)
+    }
+
+    /// The table only grows ([`TableWrapper::push`]), so every scan can be
+    /// marked with the row count it covered and every mark resumed from:
+    /// this never declines.
+    fn scan_request_batches_after<'a>(
+        &'a self,
+        request: &ScanRequest,
+        batch_rows: usize,
+        after: Option<&ScanMark>,
+    ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
+        let start = after.map_or(0, |mark| mark.consumed() as usize);
+        self.cursor(request, batch_rows, start).map(Some)
     }
 
     fn data_version(&self) -> u64 {
@@ -467,5 +496,45 @@ mod tests {
         )
         .unwrap();
         assert!(w.scan_request_batches(&bad, 4).is_err());
+    }
+
+    #[test]
+    fn resumed_scan_yields_exactly_the_rows_pushed_since_the_mark() {
+        use bdi_relational::Predicate;
+        let w = TableWrapper::new(
+            "w",
+            "D",
+            Schema::from_parts(&["id"], &["x"]).unwrap(),
+            (0..5)
+                .map(|i| vec![Value::Int(i % 2), Value::Float(i as f64)])
+                .collect(),
+        )
+        .unwrap();
+        let request = ScanRequest::full(w.schema()).with_predicate("id", Predicate::eq(1));
+        let drain = |after: Option<&ScanMark>, batch_rows: usize| {
+            let (batches, mark) = w
+                .scan_request_batches_after(&request, batch_rows, after)
+                .unwrap()
+                .expect("a table never declines");
+            let rows: Vec<Tuple> = batches.flat_map(|b| b.unwrap()).collect();
+            (rows, mark)
+        };
+        let (mut seen, mut mark) = drain(None, 2);
+        assert_eq!(seen, w.scan_request(&request).unwrap().rows());
+        assert_eq!(mark.consumed(), 5); // rows covered, not rows matched
+        for (i, batch_rows) in [(5, 1usize), (6, 3), (7, usize::MAX)] {
+            w.push(vec![Value::Int(i % 2), Value::Float(i as f64)])
+                .unwrap();
+            w.push(vec![Value::Int(1), Value::Null]).unwrap();
+            let (delta, next) = drain(Some(&mark), batch_rows);
+            seen.extend(delta);
+            mark = next;
+            // Earlier yield + delta = what a full scan yields now, in order.
+            assert_eq!(seen, w.scan_request(&request).unwrap().rows());
+        }
+        // Nothing appended: an empty delta and the same mark.
+        let (delta, same) = drain(Some(&mark), 4);
+        assert!(delta.is_empty());
+        assert_eq!(same, mark);
     }
 }

@@ -7,7 +7,7 @@
 //! ontology layer never talks to a source directly.
 
 use bdi_relational::plan::{
-    batches_from_relation, BatchIter, ColumnFilter, PlanSource, Predicate, ScanRequest,
+    batches_from_relation, BatchIter, ColumnFilter, PlanSource, Predicate, ScanMark, ScanRequest,
 };
 use bdi_relational::{
     BloomFilter, Relation, RelationError, Schema, SourceResolver, TableStats, Tuple, Value,
@@ -186,6 +186,28 @@ pub trait Wrapper: Send + Sync {
         Ok(Box::new(
             batches_from_relation(relation, batch_rows).map(|r| r.map_err(WrapperError::from)),
         ))
+    }
+
+    /// Resumable form of [`Wrapper::scan_request_batches`] — the
+    /// wrapper-level image of [`PlanSource::scan_batches_after`], which has
+    /// the contract. With `after: None`, the full scan plus a [`ScanMark`]
+    /// fixed at scan start; with `after: Some(mark)`, only the rows of the
+    /// source records appended since the scan that returned `mark`, in scan
+    /// order; `Ok(None)` to decline, after which the caller scans in full.
+    ///
+    /// The default declines always (correct for any wrapper).
+    /// [`crate::TableWrapper`] is append-only and never declines;
+    /// [`crate::JsonWrapper`] resumes while its collection has only been
+    /// appended to and its pipeline decides documents one by one, and
+    /// declines dotted-column requests outright; [`crate::RemoteWrapper`]
+    /// pages a source it cannot vouch for and keeps the default.
+    fn scan_request_batches_after<'a>(
+        &'a self,
+        _request: &ScanRequest,
+        _batch_rows: usize,
+        _after: Option<&ScanMark>,
+    ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
+        Ok(None)
     }
 
     /// Monotonic counter over the wrapper's *source data*: bumped by every
@@ -430,16 +452,28 @@ fn relation_error(name: &str, error: WrapperError) -> RelationError {
     }
 }
 
+/// A wrapper's batch stream with its errors lowered into the mediator's
+/// relational error space (see [`relation_error`]).
+fn lower_batches<'a>(name: &str, batches: RowBatches<'a>) -> BatchIter<'a> {
+    let name = name.to_owned();
+    Box::new(batches.map(move |r| r.map_err(|e| relation_error(&name, e))))
+}
+
+impl WrapperRegistry {
+    /// The wrapper a plan scan names, as the executor's error when absent.
+    fn wrapper(&self, name: &str) -> Result<&Arc<dyn Wrapper>, RelationError> {
+        self.wrappers
+            .get(name)
+            .ok_or_else(|| RelationError::Source(format!("unknown wrapper {name}")))
+    }
+}
+
 /// The registry is the plan executor's pushdown-aware source catalog: each
 /// [`bdi_relational::plan::PhysicalPlan`] scan resolves a wrapper by name
 /// and hands it the requested projection/filter.
 impl PlanSource for WrapperRegistry {
     fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-        let wrapper = self
-            .wrappers
-            .get(name)
-            .ok_or_else(|| RelationError::Source(format!("unknown wrapper {name}")))?;
-        wrapper
+        self.wrapper(name)?
             .scan_request(request)
             .map_err(|e| relation_error(name, e))
     }
@@ -453,17 +487,27 @@ impl PlanSource for WrapperRegistry {
         request: &ScanRequest,
         batch_rows: usize,
     ) -> Result<BatchIter<'a>, RelationError> {
-        let wrapper = self
-            .wrappers
-            .get(name)
-            .ok_or_else(|| RelationError::Source(format!("unknown wrapper {name}")))?;
-        let name = name.to_owned();
-        let batches = wrapper
+        let batches = self
+            .wrapper(name)?
             .scan_request_batches(request, batch_rows)
-            .map_err(|e| relation_error(&name, e))?;
-        Ok(Box::new(
-            batches.map(move |r| r.map_err(|e| relation_error(&name, e))),
-        ))
+            .map_err(|e| relation_error(name, e))?;
+        Ok(lower_batches(name, batches))
+    }
+
+    /// Forwards to the wrapper's own
+    /// [`Wrapper::scan_request_batches_after`].
+    fn scan_batches_after<'a>(
+        &'a self,
+        name: &str,
+        request: &ScanRequest,
+        batch_rows: usize,
+        after: Option<&ScanMark>,
+    ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
+        let resumed = self
+            .wrapper(name)?
+            .scan_request_batches_after(request, batch_rows, after)
+            .map_err(|e| relation_error(name, e))?;
+        Ok(resumed.map(|(batches, mark)| (lower_batches(name, batches), mark)))
     }
 
     /// The wrapper's own data-generation counter (unknown wrappers report a

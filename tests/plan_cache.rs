@@ -147,9 +147,13 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
 
     // …but the persistent scan context survives (unlike ontology/release
     // invalidation, which replaces it): the untouched sibling's interned
-    // scan is still resident, and only the mutated wrapper re-scanned under
-    // its bumped data_version — 2 old entries + 1 fresh one.
-    assert_eq!(sys.context_stats().cached_scans, scans_before + 1);
+    // scan is still resident, and the mutated wrapper's was brought up to
+    // its bumped data_version by the one pushed row, replacing the entry
+    // it superseded.
+    let contexts = sys.context_stats();
+    assert_eq!(contexts.cached_scans, scans_before);
+    assert_eq!((contexts.resumed_scans, contexts.resumed_rows), (1, 1));
+    assert_eq!(contexts.full_scans, 2);
 
     // Repeats without further mutation hit the recompiled plan again.
     sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)

@@ -6,7 +6,10 @@
 //! cross-typed numerics, duplicate rows) and every `VersionScope`, with and
 //! without pushed-down predicate filters — randomized equality, IN-set and
 //! range conjunctions over the same hazard-laden value domain, including the
-//! full-residue path of a source that claims no filters at all.
+//! full-residue path of a source that claims no filters at all. The same
+//! reference pins the append-aware scan cache: after every step of a random
+//! sequence of appends, clears and queries over table and document
+//! wrappers, a persistent context answers exactly like a fresh one.
 
 use bdi::core::exec::{self, Engine, ExecOptions, FeatureFilter};
 use bdi::core::system::VersionScope;
@@ -737,6 +740,285 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Append-aware scans: persistent context vs fresh context vs eager
+// ---------------------------------------------------------------------------
+
+/// One step of a mutation history over the append-aware fixture.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Insert one document into `c` (plain wrapper) or `l` (`$limit`).
+    Doc {
+        limited: bool,
+        id: Option<i64>,
+        datum: u8,
+    },
+    /// Push one row into the first or the second concept's table wrapper.
+    Row { first: bool, row: RawRow },
+    /// `clear` a collection and refill it — possibly past its old length.
+    Refill {
+        limited: bool,
+        docs: Vec<(Option<i64>, u8)>,
+    },
+    /// No mutation: the queries repeat on warm caches.
+    Requery,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let doc = || {
+        (any::<bool>(), arb_id(), 0u8..9).prop_map(|(limited, id, datum)| Step::Doc {
+            limited,
+            id,
+            datum,
+        })
+    };
+    prop_oneof![
+        // Twice: appends are the case under test.
+        doc(),
+        doc(),
+        (any::<bool>(), arb_raw_row()).prop_map(|(first, row)| Step::Row { first, row }),
+        (
+            any::<bool>(),
+            prop::collection::vec((arb_id(), 0u8..9), 0..8)
+        )
+            .prop_map(|(limited, docs)| Step::Refill { limited, docs }),
+        Just(Step::Requery),
+    ]
+}
+
+/// [`datum`]'s JSON image (NaN has none: that selector leaves the field
+/// out, which a wrapper reads as null).
+fn json_doc(id: Option<i64>, selector: u8) -> serde_json::Value {
+    use serde_json::json;
+    let val = match selector {
+        0 => json!(2),
+        1 => json!(2.0),
+        2 => serde_json::Value::Null,
+        3 => json!("x"),
+        4 => json!(7),
+        5 => json!(-0.0),
+        6 => json!(0.0),
+        7 => return json!({ "id": id }),
+        _ => json!(0.5),
+    };
+    json!({ "id": id, "val": val })
+}
+
+/// A 2-concept chain whose terminal concept has three versions: the
+/// chain's table wrapper `w_2_1`, a document wrapper `w_2_2` over
+/// collection `c`, and a `$limit 3` document wrapper `w_2_3` over `l`.
+fn append_fixture(
+    first: &[RawRow],
+    second: &[RawRow],
+    docs: &[(Option<i64>, u8)],
+) -> (bdi::core::system::BdiSystem, bdi::docstore::DocStore) {
+    use bdi::docstore::{DocStore, Pipeline, Projection};
+    use bdi::relational::Schema;
+    use bdi::wrappers::JsonWrapper;
+    use std::sync::Arc;
+
+    let mut system = build_system(2, 1, &[first.to_vec(), second.to_vec()]);
+    let store = DocStore::new();
+    for collection in ["c", "l"] {
+        store
+            .insert_many(collection, docs.iter().map(|(id, d)| json_doc(*id, *d)))
+            .unwrap();
+    }
+    let project = vec![
+        Projection::field("id2", "id"),
+        Projection::field("f2", "val"),
+    ];
+    for (name, collection, pipeline) in [
+        ("w_2_2", "c", Pipeline::new().project(project.clone())),
+        (
+            "w_2_3",
+            "l",
+            Pipeline::new().limit(3).project(project.clone()),
+        ),
+    ] {
+        let wrapper = JsonWrapper::new(
+            name,
+            format!("D_{name}"),
+            Schema::from_parts(&["id2"], &["f2"]).unwrap(),
+            store.clone(),
+            collection,
+            pipeline,
+        )
+        .unwrap();
+        synthetic::register_extra_chain_wrapper_of(&mut system, 2, Arc::new(wrapper));
+    }
+    (system, store)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // After every step of a random history — document inserts, table
+    // pushes, clear + refill, plain repeats — the pooled persistent context
+    // (which upgrades its cached scans by what was appended), a fresh
+    // context and the eager engine agree row for row, order included:
+    // unfiltered and under a pushed predicate, through the union of all
+    // three versions and through each version's single walk (natural
+    // order), the `$limit` one included — which must never resume.
+    #[test]
+    fn persistent_context_matches_fresh_and_eager_after_every_step(
+        first in prop::collection::vec(arb_raw_row(), 0..8),
+        second in prop::collection::vec(arb_raw_row(), 0..8),
+        docs in prop::collection::vec((arb_id(), 0u8..9), 0..8),
+        steps in prop::collection::vec(arb_step(), 1..8),
+        predicate in arb_predicate(),
+    ) {
+        let (system, store) = append_fixture(&first, &second, &docs);
+        let walk_through = |version: &str| {
+            VersionScope::Only(BTreeSet::from(["w_1_1".to_owned(), version.to_owned()]))
+        };
+        let scopes = [
+            VersionScope::All,
+            walk_through("w_2_1"),
+            walk_through("w_2_2"),
+            walk_through("w_2_3"),
+        ];
+        let filters = [
+            Vec::new(),
+            vec![FeatureFilter::new(synthetic::chain_data_feature(2), predicate)],
+        ];
+        let check = |label: &str| -> Result<(), TestCaseError> {
+            for scope in &scopes {
+                for filters in &filters {
+                    let answer = |options: ExecOptions| {
+                        system
+                            .answer_with(
+                                synthetic::chain_query(2),
+                                scope,
+                                &ExecOptions { filters: filters.clone(), ..options },
+                            )
+                            .unwrap()
+                            .relation
+                    };
+                    let reference = answer(eager());
+                    let fresh = answer(ExecOptions { reuse_scans: false, ..ExecOptions::default() });
+                    prop_assert!(
+                        fresh.rows() == reference.rows(),
+                        "{}: fresh context diverged from eager ({:?}, {:?})",
+                        label, scope, filters
+                    );
+                    // Default options, and with the sideways pass off so
+                    // every probe scan goes through the cache.
+                    for semijoin_max_keys in [ExecOptions::default().semijoin_max_keys, 0] {
+                        let persistent = answer(ExecOptions {
+                            semijoin_max_keys,
+                            ..ExecOptions::default()
+                        });
+                        prop_assert!(
+                            persistent.rows() == reference.rows(),
+                            "{}: persistent context diverged ({:?}, {:?}, semijoin {}):\n {:?}\n {:?}",
+                            label, scope, filters, semijoin_max_keys,
+                            persistent.rows(), reference.rows()
+                        );
+                    }
+                }
+            }
+            Ok(())
+        };
+        check("initial")?;
+        for (index, step) in steps.iter().enumerate() {
+            let before = system.context_stats();
+            match step {
+                Step::Doc { limited, id, datum } => {
+                    let collection = if *limited { "l" } else { "c" };
+                    store.insert(collection, json_doc(*id, *datum)).unwrap();
+                }
+                Step::Row { first, row: (id, next, d) } => {
+                    let (name, row) = if *first {
+                        ("w_1_1", vec![id_value(*id), id_value(*next), datum(*d)])
+                    } else {
+                        ("w_2_1", vec![id_value(*id), datum(*d)])
+                    };
+                    let table = system.registry().get(name).unwrap().as_table().unwrap();
+                    table.push(row).unwrap();
+                }
+                Step::Refill { limited, docs } => {
+                    let collection = if *limited { "l" } else { "c" };
+                    store.clear(collection);
+                    store
+                        .insert_many(collection, docs.iter().map(|(id, d)| json_doc(*id, *d)))
+                        .unwrap();
+                }
+                Step::Requery => {}
+            }
+            check(&format!("after step {index} ({step:?})"))?;
+            // The differential above is vacuous unless the cache really took
+            // the path the step calls for.
+            let after = system.context_stats();
+            match step {
+                Step::Doc { limited: false, .. } | Step::Row { .. } => prop_assert!(
+                    after.resumed_scans > before.resumed_scans
+                        && after.full_scans == before.full_scans,
+                    "step {} ({:?}) did not resume: {:?} -> {:?}", index, step, before, after
+                ),
+                Step::Doc { limited: true, .. } | Step::Refill { .. } => prop_assert!(
+                    after.resumed_scans == before.resumed_scans
+                        && after.full_scans > before.full_scans,
+                    "step {} ({:?}) did not re-read in full: {:?} -> {:?}",
+                    index, step, before, after
+                ),
+                Step::Requery => prop_assert!(
+                    (after.resumed_scans, after.full_scans)
+                        == (before.resumed_scans, before.full_scans),
+                    "a repeat touched a source: {:?} -> {:?}", before, after
+                ),
+            }
+            // One entry per distinct scan, however many versions went by.
+            prop_assert!(after.cached_scans <= 16, "stale versions kept: {:?}", after);
+        }
+    }
+
+    // A `JsonWrapper` sketch folded over a history of inserts (asked for at
+    // random points, so folds span one or many documents) and clears equals
+    // a `StatsBuilder` fed the same rows from scratch, field by field.
+    #[test]
+    fn folded_json_sketches_equal_a_from_scratch_build(
+        docs in prop::collection::vec((arb_id(), 0u8..9), 0..6),
+        history in prop::collection::vec((arb_id(), 0u8..9, 0u8..8), 1..40),
+    ) {
+        use bdi::relational::StatsBuilder;
+
+        let (system, store) = append_fixture(&[], &[], &docs);
+        let wrapper = system.registry().get("w_2_2").unwrap();
+        for (id, selector, action) in history {
+            match action {
+                // One history entry in eight clears first.
+                0 => drop(store.clear("c")),
+                _ => store.insert("c", json_doc(id, selector)).unwrap(),
+            }
+            // …and about half are followed by a stats request.
+            if action % 2 == 1 {
+                continue;
+            }
+            let folded = wrapper.column_stats().expect("no concurrent writer");
+            let mut builder = StatsBuilder::new(wrapper.schema().names());
+            for row in wrapper.scan().unwrap().rows() {
+                builder.observe_row(row);
+            }
+            let scratch = builder.snapshot(wrapper.data_version());
+            prop_assert_eq!(folded.rows(), scratch.rows());
+            prop_assert_eq!(folded.data_version(), scratch.data_version());
+            prop_assert_eq!(folded.columns().len(), scratch.columns().len());
+            for ((name, f), (_, s)) in folded.columns().iter().zip(scratch.columns()) {
+                prop_assert!(
+                    f.distinct == s.distinct
+                        && f.nulls == s.nulls
+                        && f.min == s.min
+                        && f.max == s.max
+                        && f.bloom == s.bloom
+                        && f.avg_width == s.avg_width,
+                    "column {}: folded {:?} != from scratch {:?}", name, f, s
+                );
+            }
+        }
+    }
+}
+
 /// The bloom degradation of the semi-join pass: when the build side's
 /// distinct keys blow the `semijoin_max_keys` budget, a bloom filter ships
 /// sideways instead of the pass silently disabling — and the IN-set path,
@@ -744,13 +1026,14 @@ proptest! {
 /// the rows.
 #[test]
 fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
-    // c1: 600 rows probing; c2: 64 distinct build keys. With a key budget
-    // of 8 the IN-set is over budget (64 > 8) and the bloom branch fires
-    // (64 distinct × selectivity gate 4 = 256 ≤ 600 probe rows).
+    // c1: 600 rows probing, 300 distinct join keys; c2: 64 distinct build
+    // keys. With a key budget of 8 the IN-set is over budget (64 > 8) and
+    // the bloom branch fires (64 distinct × selectivity gate 4 = 256 ≤ the
+    // probe key column's 300 distinct values).
     let system = synthetic::build_chain_system_with(2, 1, 0, |i, _, _| {
         if i == 1 {
             (0..600)
-                .map(|r| vec![Value::Int(r), Value::Int(r % 100), Value::Float(r as f64)])
+                .map(|r| vec![Value::Int(r), Value::Int(r % 300), Value::Float(r as f64)])
                 .collect()
         } else {
             (0..64)

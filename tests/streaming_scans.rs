@@ -130,11 +130,14 @@ fn sibling_wrapper_scans_survive_a_push() {
         .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
         .unwrap();
     assert_eq!(after.relation.len(), 4);
-    // Only the pushed wrapper re-scanned (one new version-keyed entry; the
-    // stale one ages out through the LRU cap). The sibling's entry — and
-    // the whole context — survived: on the pre-fix code the context was
-    // retired wholesale and this reads 2 again.
-    assert_eq!(system.context_stats().cached_scans, 3);
+    // Only the pushed wrapper's entry moved — upgraded by the one pushed
+    // row, the superseded version retired with it. The sibling's entry —
+    // and the whole context — survived: a context retired wholesale would
+    // have re-read both wrappers in full.
+    let contexts = system.context_stats();
+    assert_eq!(contexts.cached_scans, 2);
+    assert_eq!((contexts.resumed_scans, contexts.resumed_rows), (1, 1));
+    assert_eq!(contexts.full_scans, 2);
 }
 
 /// A one-concept system over a [`bdi::docstore::DocStore`]-backed
@@ -403,13 +406,15 @@ fn sibling_collection_scans_survive_inserts() {
     );
     assert_eq!(system.context_stats().pooled_values, pooled);
 
-    // c2's wrapper sees a new collection version: it re-scans and surfaces
-    // the insert.
+    // c2's wrapper sees a new collection version: it reads the inserted
+    // document, surfaces it, and its older entry is replaced.
     let c2_after = system
         .answer_with(omqs[1].clone(), &VersionScope::All, &options)
         .unwrap();
     assert_eq!(c2_after.relation.len(), c2_before.relation.len() + 1);
-    assert_eq!(system.context_stats().cached_scans, 3);
+    let contexts = system.context_stats();
+    assert_eq!(contexts.cached_scans, 2);
+    assert_eq!((contexts.resumed_scans, contexts.resumed_rows), (1, 1));
 }
 
 /// The semi-join sideways pass on a 2-concept chain: the small first
@@ -940,6 +945,247 @@ mod fault_tolerance {
             elapsed <= budget * 2 + Duration::from_secs(1),
             "stall detection too slow: {elapsed:?} (budget {budget:?})"
         );
+    }
+
+    /// A table wrapper whose reads can be made to die after their first
+    /// batch: only resumed ones (`fail_resumes`), or all of them
+    /// (`fail_all`) — the mid-stream failure of [`Misbehaving`] below, on
+    /// the append-aware path.
+    struct FlakyResume {
+        inner: TableWrapper,
+        fail_resumes: std::sync::atomic::AtomicBool,
+        fail_all: std::sync::atomic::AtomicBool,
+    }
+
+    impl Wrapper for FlakyResume {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn source(&self) -> &str {
+            self.inner.source()
+        }
+
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn scan(&self) -> Result<Relation, bdi::wrappers::WrapperError> {
+            self.inner.scan()
+        }
+
+        fn data_version(&self) -> u64 {
+            self.inner.data_version()
+        }
+
+        fn scan_request_batches_after<'a>(
+            &'a self,
+            request: &bdi::relational::plan::ScanRequest,
+            _batch_rows: usize,
+            after: Option<&bdi::relational::ScanMark>,
+        ) -> Result<
+            Option<(
+                bdi::wrappers::wrapper::RowBatches<'a>,
+                bdi::relational::ScanMark,
+            )>,
+            bdi::wrappers::WrapperError,
+        > {
+            use std::sync::atomic::Ordering;
+            // One-row batches, so a failure after the first is mid-stream.
+            let Some((batches, mark)) = self.inner.scan_request_batches_after(request, 1, after)?
+            else {
+                return Ok(None);
+            };
+            let dies = self.fail_all.load(Ordering::SeqCst)
+                || (after.is_some() && self.fail_resumes.load(Ordering::SeqCst));
+            if !dies {
+                return Ok(Some((batches, mark)));
+            }
+            let gone = bdi::wrappers::WrapperError::transient(self.name(), "connection reset");
+            Ok(Some((
+                Box::new(batches.take(1).chain(std::iter::once(Err(gone)))),
+                mark,
+            )))
+        }
+    }
+
+    /// A source failing part-way through a resumed read costs a full read,
+    /// never an answer; and when the full read fails too, the query errors
+    /// with the older version's entry still cached — the next query, source
+    /// healed, resumes from it.
+    #[test]
+    fn a_failed_resume_keeps_the_predecessor_and_the_next_answer_correct() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        let flaky = Arc::new(FlakyResume {
+            inner: TableWrapper::new("wf", "DF", schema(), relation_of(0..6).into_rows()).unwrap(),
+            fail_resumes: AtomicBool::new(false),
+            fail_all: AtomicBool::new(false),
+        });
+        let (system, omq) = system_over(vec![flaky.clone() as Arc<dyn Wrapper>]);
+        let options = ExecOptions::default();
+        let push = |id: i64| {
+            flaky
+                .inner
+                .push(vec![Value::Int(id), Value::Float(id as f64 / 2.0)])
+                .unwrap()
+        };
+        let answer = || system.answer_with(omq.clone(), &VersionScope::All, &options);
+        assert_eq!(answer().unwrap().relation.len(), 6);
+        let fills = |system: &BdiSystem| {
+            let stats = system.context_stats();
+            (stats.resumed_scans, stats.resumed_rows, stats.full_scans)
+        };
+        assert_eq!(fills(&system), (0, 0, 1));
+
+        // Resumed reads die mid-stream: the fill falls back to a full read.
+        push(6);
+        push(7);
+        flaky.fail_resumes.store(true, Ordering::SeqCst);
+        let fallback = answer().unwrap();
+        assert_eq!(
+            fallback.relation.rows(),
+            eager_reference(&omq, &system).rows()
+        );
+        assert_eq!(fills(&system), (0, 0, 2));
+
+        // Every read dies: the query fails, and fails again…
+        push(8);
+        flaky.fail_all.store(true, Ordering::SeqCst);
+        for _ in 0..2 {
+            let err = answer().expect_err("the source is down").to_string();
+            assert!(err.contains("connection reset"), "unexpected error: {err}");
+        }
+        assert_eq!(system.context_stats().cached_scans, 1);
+        // …until the source heals: the entry cached three pushes ago is
+        // upgraded by exactly the rows pushed since.
+        flaky.fail_all.store(false, Ordering::SeqCst);
+        flaky.fail_resumes.store(false, Ordering::SeqCst);
+        push(9);
+        let healed = answer().unwrap();
+        assert_eq!(
+            healed.relation.rows(),
+            eager_reference(&omq, &system).rows()
+        );
+        assert_eq!(healed.relation.len(), 10);
+        assert_eq!(fills(&system), (1, 2, 2));
+        assert_eq!(system.context_stats().cached_scans, 1);
+    }
+
+    /// One writer and one reader on one system, for a second in all (three
+    /// seeds): the writer appends a row with a value of its own to a table
+    /// wrapper or a document to a collection, the reader re-asks the query
+    /// on the pooled persistent context. Every answer holds at least the
+    /// writes acknowledged before it was asked and at most those started
+    /// before it came back; the last one equals a fresh context's and the
+    /// eager engine's.
+    #[test]
+    fn reads_racing_appends_see_a_prefix_of_the_acknowledged_writes() {
+        use bdi::docstore::{DocStore, Pipeline, Projection};
+        use bdi::wrappers::JsonWrapper;
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+        const BASE: usize = 8;
+        for seed in [1u64, 2, 3] {
+            let table = Arc::new(
+                TableWrapper::new("wt", "DT", schema(), relation_of(0..4).into_rows()).unwrap(),
+            );
+            let store = DocStore::new();
+            store
+                .insert_many(
+                    "c",
+                    (4..8).map(|i| serde_json::json!({"id": i, "val": (i as f64 / 2.0)})),
+                )
+                .unwrap();
+            let json = Arc::new(
+                JsonWrapper::new(
+                    "wj",
+                    "DJ",
+                    schema(),
+                    store.clone(),
+                    "c",
+                    Pipeline::new().project(vec![
+                        Projection::field("id", "id"),
+                        Projection::field("val", "val"),
+                    ]),
+                )
+                .unwrap(),
+            );
+            let (system, omq) = system_over(vec![table.clone(), json]);
+            let (started, acked) = (AtomicU64::new(0), AtomicU64::new(0));
+            let stop = AtomicBool::new(false);
+            let reads = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let mut state = seed;
+                    while !stop.load(Ordering::SeqCst) {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let k = started.fetch_add(1, Ordering::SeqCst);
+                        // Ids past the base rows', values nobody else has.
+                        let (id, val) = (100 + k as i64, 1000.25 + k as f64);
+                        if (state >> 33) % 2 == 0 {
+                            table.push(vec![Value::Int(id), Value::Float(val)]).unwrap();
+                        } else {
+                            store
+                                .insert("c", serde_json::json!({"id": id, "val": val}))
+                                .unwrap();
+                        }
+                        acked.fetch_add(1, Ordering::SeqCst);
+                        // A few thousand writes a second: sources that grow
+                        // while being read, not a bulk load.
+                        std::thread::sleep(Duration::from_micros(50 + (state >> 40) % 200));
+                    }
+                });
+                let begun = Instant::now();
+                let mut reads = 0u64;
+                while begun.elapsed() < Duration::from_millis(334) {
+                    let low = acked.load(Ordering::SeqCst) as usize;
+                    let answer = system
+                        .answer_with(omq.clone(), &VersionScope::All, &ExecOptions::default())
+                        .unwrap();
+                    let high = started.load(Ordering::SeqCst) as usize;
+                    let rows = answer.relation.len();
+                    assert!(
+                        (BASE + low..=BASE + high).contains(&rows),
+                        "seed {seed}: {rows} rows, {low} writes acknowledged before, \
+                         {high} started by the reply"
+                    );
+                    reads += 1;
+                }
+                stop.store(true, Ordering::SeqCst);
+                reads
+            });
+            let writes = acked.load(Ordering::SeqCst) as usize;
+            let last = system
+                .answer_with(omq.clone(), &VersionScope::All, &ExecOptions::default())
+                .unwrap();
+            assert_eq!(last.relation.len(), BASE + writes, "seed {seed}");
+            let fresh = system
+                .answer_with(
+                    omq.clone(),
+                    &VersionScope::All,
+                    &ExecOptions {
+                        reuse_scans: false,
+                        ..ExecOptions::default()
+                    },
+                )
+                .unwrap();
+            assert_eq!(last.relation.rows(), fresh.relation.rows(), "seed {seed}");
+            assert_eq!(
+                last.relation.rows(),
+                eager_reference(&omq, &system).rows(),
+                "seed {seed}"
+            );
+            let stats = system.context_stats();
+            assert!(
+                reads > 2 && writes > 2 && stats.resumed_scans > 0,
+                "seed {seed}: nothing raced ({reads} reads, {writes} writes, {stats:?})"
+            );
+            // Every appended row was read once, or once more by a full
+            // re-read after a resume lost a race — never per query.
+            assert!(stats.cached_scans <= 2, "seed {seed}: {stats:?}");
+        }
     }
 
     /// The mid-stream arity satellite: a misbehaving wrapper whose batch

@@ -1,5 +1,7 @@
-// Deliberately bad: a scan issued under a live cache guard (rule 1) and a
-// stats lock taken while a store guard is live (rule 2).
+// Deliberately bad: a scan issued under a live cache guard (rule 1), a
+// resumed scan issued under the guard that found its predecessor (rule 1
+// again: O(appended) is still a source call), and a stats lock taken while
+// a store guard is live (rule 2).
 
 impl Ctx {
     fn scan_under_guard(&self, source: &dyn PlanSource) -> Result<Batch, PlanError> {
@@ -9,6 +11,16 @@ impl Ctx {
         let batch = source.scan_batches("w", &self.request)?;
         scans.insert(batch.clone());
         Ok(batch)
+    }
+
+    fn resume_under_guard(&self, source: &dyn PlanSource) -> Result<Batch, PlanError> {
+        let mut scans = self.scans.lock().expect("scan cache poisoned");
+        let (old_key, mark) = scans.predecessor(&self.key);
+        // Still under `scans`: the delta fetch convoys every other query,
+        // however few records were appended.
+        let delta = source.scan_batches_after("w", &self.request, 1024, Some(&mark))?;
+        let table = scans.upgrade(old_key, delta);
+        Ok(table)
     }
 
     fn stats_under_store(&self) {

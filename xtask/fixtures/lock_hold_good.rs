@@ -14,6 +14,18 @@ impl Ctx {
         Ok(batch)
     }
 
+    fn resume_outside_guard(&self, source: &dyn PlanSource) -> Result<Batch, PlanError> {
+        let (old_key, mark) = {
+            let scans = self.scans.lock().expect("scan cache poisoned");
+            scans.predecessor(&self.key)
+        };
+        // Guard released across the delta fetch; the predecessor is taken
+        // out only afterwards, in a statement-scoped hold.
+        let delta = source.scan_batches_after("w", &self.request, 1024, Some(&mark))?;
+        let old = self.scans.lock().expect("scan cache poisoned").remove(&old_key);
+        Ok(old.appended(delta))
+    }
+
     fn stats_then_store(&self, row: Tuple) {
         let mut stats = self.stats.lock();
         stats.observe_row(&row);

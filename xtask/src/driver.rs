@@ -9,12 +9,16 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Files the `deadline` lint covers, with the functions whose loops must
-/// stay cancellable: the operator pull path and the prefetch/pager
-/// producers.
+/// stay cancellable: the operator pull path, the scan-cache fill loop (full
+/// and resumed reads share it) and the prefetch/pager producers.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     (
         "crates/relational/src/plan.rs",
-        &["next_batch", "execute_plan_prefetched_with"],
+        &[
+            "next_batch",
+            "execute_plan_prefetched_with",
+            "intern_batches",
+        ],
     ),
     (
         "crates/wrappers/src/remote.rs",

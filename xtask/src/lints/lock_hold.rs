@@ -10,11 +10,13 @@
 //! 1. **No scan under a guard** — while any guard binding is live (from
 //!    its `let` to the end of its enclosing block, or an explicit
 //!    `drop(g)`), calling into a wrapper/docstore pipeline entry point
-//!    (`scan`, `scan_versioned`, `scan_batches`, `scan_request`,
-//!    `scan_request_batches`, `scan_hint`, `column_stats`, `aggregate`,
-//!    `rebuild_stats`) is flagged: those calls do I/O-shaped work (page
-//!    fetches, full-collection aggregates) and convoy every other thread
-//!    behind the lock — the PR 7 review bug class.
+//!    (`scan`, `scan_versioned`, `scan_batches`, `scan_batches_after`,
+//!    `scan_request`, `scan_request_batches`,
+//!    `scan_request_batches_after`, `scan_hint`, `column_stats`,
+//!    `aggregate`, `fold_stats`) is flagged: those calls do I/O-shaped
+//!    work (page fetches, full-collection aggregates) and convoy every
+//!    other thread behind the lock — the PR 7 review bug class. A resumed
+//!    scan is shorter than a full one, not free: it still fetches.
 //! 2. **Stats-before-store order** — acquiring a stats lock (receiver
 //!    path mentions `stats`) while a store guard (receiver mentions
 //!    `rows`, `collections`, `docstore`, `documents` or `store`) is live
@@ -30,12 +32,14 @@ const SCAN_ENTRY_CALLS: &[&str] = &[
     "scan",
     "scan_versioned",
     "scan_batches",
+    "scan_batches_after",
     "scan_request",
     "scan_request_batches",
+    "scan_request_batches_after",
     "scan_hint",
     "column_stats",
     "aggregate",
-    "rebuild_stats",
+    "fold_stats",
 ];
 const STORE_WORDS: &[&str] = &["rows", "collections", "docstore", "documents", "store"];
 
@@ -338,6 +342,17 @@ mod tests {
     fn good_fixture_is_clean() {
         let diags = check("fixture", &lex(GOOD));
         assert!(diags.is_empty(), "got {diags:?}");
+    }
+
+    #[test]
+    fn resume_under_the_scan_cache_guard_is_flagged() {
+        let diags = check("fixture", &lex(BAD));
+        assert!(
+            diags.iter().any(
+                |d| d.message.contains("`scan_batches_after`") && d.message.contains("`scans`")
+            ),
+            "resumed scan under the `scans` guard missing: {diags:?}"
+        );
     }
 
     #[test]
