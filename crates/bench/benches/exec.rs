@@ -4,23 +4,22 @@
 //!
 //! * **Union workload** — one concept, `W ∈ {1, 4, 16}` disjoint wrappers of
 //!   10k rows × 10 columns each (8 of them noise no query requests), i.e.
-//!   `W` single-wrapper walks unioned. Engines: eager, streaming without
-//!   projection pushdown, streaming single-threaded, streaming with
-//!   pushdown + parallel walks (the production default).
+//!   `W` single-wrapper walks unioned. Engines: eager vs streaming (pushed
+//!   projections, walks on `min(nproc, W)` threads).
 //! * **Join workload** — two concepts × 4 wrappers × 10k rows → 16 two-way
 //!   hash-join walks sharing scans and build sides through the execution
 //!   context's caches.
 //! * **Filter workload** — a pushed-down ID-equality selection vs. the
 //!   eager post-selection.
 //! * **Prefetch workload** — ONE walk joining 4 wrappers (the common
-//!   analyst query): eager vs serial streaming vs streaming with the
-//!   walk's scans prefetched concurrently through the batch-scan contract.
+//!   analyst query): eager vs streaming with the walk's scans prefetched
+//!   concurrently through the batch-scan contract.
 //! * **Semi-join workload** — a selective join (100-key build × 100k-row
 //!   probe): semi-join sideways passing on vs off, i.e. whether the build
 //!   keys reach the probe wrapper as an IN-set before its scan is issued.
 //! * **Bloom semi-join workload** — the selective join at 50k build keys
 //!   (over the IN-set budget): the pass degrading to a sideways bloom
-//!   filter vs disabling itself, PR 4's behaviour at this key count.
+//!   filter vs no pass at all (`semijoin_max_keys: 0`).
 //! * **Cardinality-ordering workload** — a 3-join chain in the worst
 //!   syntactic order (20k × 20k × 20k × 2 rows, the first join fanning
 //!   out 8×): cost-based join ordering from the wrappers' sketches vs
@@ -28,12 +27,12 @@
 //!   100× in both directions (estimates steer choice only, so
 //!   misestimates must stay cheap — and rows never move).
 //! * **Cursor workload** — a scan of a source 10× the context's value-cap
-//!   watermark: cached (`ScanCache::Always`) vs cursor-only (`Never`),
-//!   comparing both time and the batch-granular resident peak.
+//!   watermark: cached (an uncapped context) vs cursor-only (a capped
+//!   one), comparing both time and the batch-granular resident peak.
 //! * **Paged-remote workload** — a hash join whose both sides are
 //!   [`bdi_wrappers::RemoteWrapper`]s over 50 ms/page simulated endpoints:
-//!   serial execution (one scan's pages after the other's) vs the
-//!   prefetcher overlapping both sources' page latency with the join, and
+//!   a plain operator pull (one scan's pages after the other's) vs the
+//!   driver's prefetcher overlapping both sources' page latency with the join, and
 //!   the retry overhead of the same join at a 10% injected transient-fault
 //!   rate vs fault-free.
 //! * **Append-requery workload** — the SUPERSEDE running example over two
@@ -54,13 +53,13 @@
 //! track the trajectory.
 
 use bdi_bench::synthetic;
-use bdi_bench::{measure, Measurement};
+use bdi_bench::{compile_and_execute, measure, Measurement};
 use bdi_core::exec::{Engine, ExecOptions, FeatureFilter};
-use bdi_core::system::{AnswerRequest, BdiSystem, VersionScope};
-use bdi_relational::plan::{
-    execute_plan_in_with, execute_plan_prefetched_with, ExecPolicy, ScanCache,
+use bdi_core::system::{AnswerRequest, BdiSystem};
+use bdi_relational::plan::{execute_plan, ExecPolicy, Operator};
+use bdi_relational::{
+    Attribute, ExecContext, PhysicalPlan, PlanSource, Relation, ScanRequest, Schema, Value,
 };
-use bdi_relational::{Attribute, ExecContext, PhysicalPlan, Relation, ScanRequest, Schema, Value};
 use bdi_wrappers::{
     FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint, TableWrapper, Wrapper,
     WrapperRegistry,
@@ -108,11 +107,9 @@ fn workload(concepts: usize, wrappers: usize, distinct: bool) -> BdiSystem {
     })
 }
 
-fn options(engine: Engine, pushdown: bool, parallel: bool) -> ExecOptions {
+fn options(engine: Engine) -> ExecOptions {
     ExecOptions {
         engine,
-        pushdown,
-        parallel,
         // Measure raw engine work, not cache hits: the plan cache gets its
         // own benchmark (benches/pushdown.rs), and scan reuse — the
         // production default — is exercised here only by the
@@ -126,18 +123,27 @@ fn options(engine: Engine, pushdown: bool, parallel: bool) -> ExecOptions {
 
 fn answer_len(system: &BdiSystem, concepts: usize, opts: &ExecOptions) -> usize {
     system
-        .answer_with(synthetic::chain_query(concepts), &VersionScope::All, opts)
+        .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).options(opts.clone()))
         .expect("benchmark query answers")
         .relation
         .len()
 }
 
+/// The plain pull loop over the public operator API: no prefetch threads,
+/// every scan issued when the pipeline first pulls it.
+fn pull(plan: &PhysicalPlan, ctx: &ExecContext, source: &dyn PlanSource) -> Relation {
+    let mut op = Operator::new(plan, ctx, source, ExecPolicy::default());
+    let mut rows = Vec::new();
+    while let Some(batch) = op.next_batch().expect("plan executes") {
+        rows.extend(ctx.decode_batch(&batch));
+    }
+    Relation::new(plan.schema().clone(), rows).expect("rows match the plan's schema")
+}
+
 fn main() {
     let mut records: Vec<Measurement> = Vec::new();
-    let eager = options(Engine::Eager, true, true);
-    let stream_full = options(Engine::Streaming, true, true);
-    let stream_no_pushdown = options(Engine::Streaming, false, true);
-    let stream_serial = options(Engine::Streaming, true, false);
+    let eager = options(Engine::Eager);
+    let stream_full = options(Engine::Streaming);
 
     // ---- Union workload: 1 concept × W wrappers × 10k rows.
     let mut speedup_16 = 0.0;
@@ -147,23 +153,11 @@ fn main() {
         // Sanity: all engines agree before we time anything.
         let expected = answer_len(&system, 1, &eager);
         assert_eq!(answer_len(&system, 1, &stream_full), expected);
-        assert_eq!(answer_len(&system, 1, &stream_no_pushdown), expected);
-        assert_eq!(answer_len(&system, 1, &stream_serial), expected);
 
         let eager_ns = measure(
             format!("exec/union_w{wrappers}_10k/eager"),
             &mut records,
             || answer_len(&system, 1, &eager),
-        );
-        measure(
-            format!("exec/union_w{wrappers}_10k/stream_no_pushdown"),
-            &mut records,
-            || answer_len(&system, 1, &stream_no_pushdown),
-        );
-        measure(
-            format!("exec/union_w{wrappers}_10k/stream_serial"),
-            &mut records,
-            || answer_len(&system, 1, &stream_serial),
         );
         let full_ns = measure(
             format!("exec/union_w{wrappers}_10k/stream_pushdown_parallel"),
@@ -213,7 +207,7 @@ fn main() {
     )];
     let filtered = |opts: &ExecOptions| {
         filter_system
-            .answer_with(synthetic::chain_query_with_id(1), &VersionScope::All, opts)
+            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(opts.clone()))
             .expect("filtered query answers")
             .relation
             .len()
@@ -240,23 +234,16 @@ fn main() {
     let filter_speedup = filter_eager_ns / filter_stream_ns;
 
     // ---- Prefetch workload: ONE walk joining 4 wrappers (1 per concept) —
-    // the common analyst query the ROADMAP called out as fully serial. The
-    // parallel variant prefetches the walk's 4 scans concurrently on scoped
-    // threads through the streaming batch contract before (and while) the
-    // join pipeline pulls.
+    // the common analyst query. The driver prefetches the walk's 4 scans
+    // concurrently on scoped threads through the streaming batch contract
+    // before (and while) the join pipeline pulls.
     let prefetch_system = workload(4, 1, false);
     let expected = answer_len(&prefetch_system, 4, &eager);
     assert_eq!(answer_len(&prefetch_system, 4, &stream_full), expected);
-    assert_eq!(answer_len(&prefetch_system, 4, &stream_serial), expected);
     let prefetch_eager_ns = measure(
         "exec/single_walk_c4_10k/eager".to_owned(),
         &mut records,
         || answer_len(&prefetch_system, 4, &eager),
-    );
-    let prefetch_serial_ns = measure(
-        "exec/single_walk_c4_10k/stream_serial".to_owned(),
-        &mut records,
-        || answer_len(&prefetch_system, 4, &stream_serial),
     );
     let prefetch_ns = measure(
         "exec/single_walk_c4_10k/stream_prefetch".to_owned(),
@@ -264,7 +251,6 @@ fn main() {
         || answer_len(&prefetch_system, 4, &stream_full),
     );
     let prefetch_speedup = prefetch_eager_ns / prefetch_ns;
-    let prefetch_vs_serial = prefetch_serial_ns / prefetch_ns;
 
     // ---- Semi-join workload: selective join — a 100-key build side whose
     // distinct keys reduce a 100k-row probe scan to the ~100 rows that
@@ -313,10 +299,9 @@ fn main() {
     let semijoin_speedup = semijoin_off_ns / semijoin_on_ns;
 
     // ---- Bloom semi-join workload: the same selective-join shape, but the
-    // build side carries 50k distinct keys — far past the 16k IN-set budget,
-    // where PR 4's pass simply disabled itself. With sketches the pass
-    // degrades to shipping a bloom filter sideways, so the 500k-row probe
-    // still gets reduced at the source. Fast mode shrinks the data, so it
+    // build side carries 50k distinct keys — far past the 16k IN-set budget.
+    // The pass degrades to shipping a bloom filter sideways, so the
+    // 500k-row probe still gets reduced at the source. Fast mode shrinks the data, so it
     // forces a tiny key budget to keep exercising the bloom branch.
     let bloom_build = bdi_bench::scaled(50_000, 500);
     let bloom_probe = bdi_bench::scaled(500_000, 500);
@@ -346,10 +331,9 @@ fn main() {
         semijoin_max_keys: bloom_budget,
         ..stream_full.clone()
     };
-    // The PR 4 behaviour at this key count: over budget, pass disabled.
+    // No sideways pass at all: the probe ships every row.
     let bloom_off = ExecOptions {
-        semijoin_max_keys: bloom_budget,
-        bloom_semijoins: false,
+        semijoin_max_keys: 0,
         ..stream_full.clone()
     };
     let expected = answer_len(&bloom_system, 2, &eager);
@@ -410,7 +394,7 @@ fn main() {
             ..stream_full.clone()
         };
         order_system
-            .answer_with(synthetic::chain_query(4), &VersionScope::All, &opts)
+            .serve(AnswerRequest::omq(synthetic::chain_query(4)).options(opts.clone()))
             .expect("ordering query answers")
             .relation
             .len()
@@ -420,7 +404,7 @@ fn main() {
         ..eager.clone()
     };
     let expected = order_system
-        .answer_with(synthetic::chain_query(4), &VersionScope::All, &order_eager)
+        .serve(AnswerRequest::omq(synthetic::chain_query(4)).options(order_eager.clone()))
         .expect("ordering query answers")
         .relation
         .len();
@@ -505,17 +489,16 @@ fn main() {
     let order_opts = ExecOptions {
         filters: order_filters.clone(),
         semijoin_max_keys: 0,
-        // Pin the scan mode: inflated sketches would (correctly) push the
-        // big scans cursor-only through the adaptive Auto arm, and with no
-        // scan reuse in this harness that happens to *win* — pinning keeps
-        // the comparison about join ordering alone.
-        scan_cache: ScanCache::Always,
         ..stream_full.clone()
     };
     let misestimated = MisestimatedStats(order_system.registry());
+    // Uncapped contexts: under a value cap the inflated sketches would
+    // (correctly) push the big scans cursor-only, and the comparison would
+    // stop being about join ordering alone.
+    let ontology = order_system.ontology();
     let estimated_run = || {
-        bdi_core::exec::execute_with(
-            order_system.ontology(),
+        compile_and_execute(
+            ontology,
             order_system.registry(),
             &order_rewriting,
             &order_opts,
@@ -525,15 +508,10 @@ fn main() {
         .len()
     };
     let misestimated_run = || {
-        bdi_core::exec::execute_with(
-            order_system.ontology(),
-            &misestimated,
-            &order_rewriting,
-            &order_opts,
-        )
-        .expect("misestimated run answers")
-        .relation
-        .len()
+        compile_and_execute(ontology, &misestimated, &order_rewriting, &order_opts)
+            .expect("misestimated run answers")
+            .relation
+            .len()
     };
     assert_eq!(estimated_run(), expected);
     assert_eq!(misestimated_run(), expected); // wrong sketches never change rows
@@ -581,20 +559,16 @@ fn main() {
         .unwrap(),
     ));
     let big_plan = PhysicalPlan::scan("big", ScanRequest::full(&big_schema));
-    let cached_policy = ExecPolicy {
-        scan_cache: ScanCache::Always,
-        ..ExecPolicy::default()
-    };
-    let cursor_policy = ExecPolicy {
-        scan_cache: ScanCache::Never,
-        ..ExecPolicy::default()
-    };
-    let cached_ctx = ExecContext::new().with_scan_batch_rows(scan_batch);
-    let cached_rows = execute_plan_in_with(&big_plan, &cached_ctx, &registry, cached_policy)
-        .expect("cached scan answers");
-    let cursor_ctx = ExecContext::new().with_scan_batch_rows(scan_batch);
-    let cursor_rows = execute_plan_in_with(&big_plan, &cursor_ctx, &registry, cursor_policy)
-        .expect("cursor scan answers");
+    // An uncapped context caches the scan; one capped at a tenth of the
+    // source routes it cursor-only.
+    let uncapped = || ExecContext::new().with_scan_batch_rows(scan_batch);
+    let capped = || uncapped().with_value_cap(cap);
+    let cached_ctx = uncapped();
+    let cached_rows = pull(&big_plan, &cached_ctx, &registry);
+    assert_eq!(cached_ctx.cached_scans(), 1);
+    let cursor_ctx = capped();
+    let cursor_rows = pull(&big_plan, &cursor_ctx, &registry);
+    assert_eq!(cursor_ctx.cached_scans(), 0, "cached an over-cap source");
     assert_eq!(cursor_rows.rows(), cached_rows.rows());
     let (cached_peak, cursor_peak) = (cached_ctx.peak_bytes(), cursor_ctx.peak_bytes());
     assert!(
@@ -602,37 +576,21 @@ fn main() {
         "cursor-only peak {cursor_peak} did not undercut the cached peak {cached_peak}"
     );
     let cursor_peak_ratio = cached_peak as f64 / cursor_peak as f64;
-    // Auto on a capped context routes the over-cap source cursor-only.
-    let auto_ctx = ExecContext::new()
-        .with_value_cap(cap)
-        .with_scan_batch_rows(scan_batch);
-    execute_plan_in_with(&big_plan, &auto_ctx, &registry, ExecPolicy::default())
-        .expect("auto scan answers");
-    assert_eq!(auto_ctx.cached_scans(), 0, "Auto cached an over-cap source");
     let cursor_cached_ns = measure(
         "exec/cursor_scan_10x_cap/cached".to_owned(),
         &mut records,
-        || {
-            let ctx = ExecContext::new().with_scan_batch_rows(scan_batch);
-            execute_plan_in_with(&big_plan, &ctx, &registry, cached_policy)
-                .expect("cached scan answers")
-                .len()
-        },
+        || pull(&big_plan, &uncapped(), &registry).len(),
     );
     let cursor_only_ns = measure(
         "exec/cursor_scan_10x_cap/cursor_only".to_owned(),
         &mut records,
-        || {
-            let ctx = ExecContext::new().with_scan_batch_rows(scan_batch);
-            execute_plan_in_with(&big_plan, &ctx, &registry, cursor_policy)
-                .expect("cursor scan answers")
-                .len()
-        },
+        || pull(&big_plan, &capped(), &registry).len(),
     );
 
     // ---- Paged-remote workload: a hash join whose BOTH sides are remote
-    // wrappers over 50 ms/page endpoints. Serially, one source's pages are
-    // fetched after the other's; the prefetcher fetches both concurrently
+    // wrappers over 50 ms/page endpoints. Pulled plainly, one source's pages
+    // are fetched after the other's; the driver's prefetcher fetches both
+    // concurrently
     // and the join pulls as pages land, so wall-clock approaches the slower
     // single source instead of the sum. The 10% variant re-runs the
     // prefetched join against endpoints injecting seeded transient faults,
@@ -693,11 +651,11 @@ fn main() {
     let remote_run = |registry: &WrapperRegistry, prefetch: bool| {
         let ctx = ExecContext::new();
         let relation = if prefetch {
-            execute_plan_prefetched_with(&remote_plan, &ctx, registry, 4, ExecPolicy::default())
+            execute_plan(&remote_plan, &ctx, registry, ExecPolicy::default())
+                .expect("remote join answers")
         } else {
-            execute_plan_in_with(&remote_plan, &ctx, registry, ExecPolicy::default())
-        }
-        .expect("remote join answers");
+            pull(&remote_plan, &ctx, registry)
+        };
         relation.len()
     };
     let clean_registry = remote_registry(0.0);
@@ -793,11 +751,7 @@ fn main() {
     };
     let exemplary_len = |system: &BdiSystem, opts: &ExecOptions| {
         system
-            .answer_with(
-                bdi_core::supersede::exemplary_omq(),
-                &VersionScope::All,
-                opts,
-            )
+            .serve(AnswerRequest::omq(bdi_core::supersede::exemplary_omq()).options(opts.clone()))
             .expect("exemplary query answers")
             .relation
             .len()
@@ -963,13 +917,13 @@ fn main() {
         "speedup: ID filter (eager post-select / pushed-down)             = {filter_speedup:.2}x"
     );
     println!(
-        "speedup: single walk x 4 scans (eager / streaming+prefetch)      = {prefetch_speedup:.2}x (vs serial streaming: {prefetch_vs_serial:.2}x)"
+        "speedup: single walk x 4 scans (eager / streaming+prefetch)      = {prefetch_speedup:.2}x"
     );
     println!(
         "speedup: selective join 100x100k (semi-join off / on)            = {semijoin_speedup:.2}x"
     );
     println!(
-        "speedup: bloom semi-join 50kx500k (pass disabled / bloom)        = {bloom_speedup:.2}x"
+        "speedup: bloom semi-join 50kx500k (no pass / bloom)              = {bloom_speedup:.2}x"
     );
     println!(
         "speedup: 3-join worst order (syntactic / cost-based)             = {order_speedup:.2}x"
@@ -982,7 +936,7 @@ fn main() {
         cursor_only_ns / cursor_cached_ns
     );
     println!(
-        "speedup: remote join, {page_ms}ms pages (serial / prefetch overlap)    = {remote_overlap:.2}x"
+        "speedup: remote join, {page_ms}ms pages (plain pull / prefetch overlap) = {remote_overlap:.2}x"
     );
     println!(
         "overhead: remote join at 10% transient faults (vs fault-free)    = {remote_retry_overhead:.2}x"
@@ -1020,7 +974,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"speedups\": {{\"union_16_wrappers\": {speedup_16:.2}, \"union_16_wrappers_distinct_worst_case\": {distinct_speedup:.2}, \"join_2x4\": {join_speedup:.2}, \"id_filter\": {filter_speedup:.2}, \"single_walk_prefetch\": {prefetch_speedup:.2}, \"single_walk_prefetch_vs_serial\": {prefetch_vs_serial:.2}, \"semijoin_selective_join\": {semijoin_speedup:.2}, \"bloom_semijoin_50k_keys\": {bloom_speedup:.2}, \"join_order_cost_based\": {order_speedup:.2}, \"misestimate_overhead_100x\": {misestimate_overhead:.2}, \"cursor_scan_peak_bytes_ratio\": {cursor_peak_ratio:.2}, \"remote_latency_overlap\": {remote_overlap:.2}, \"remote_retry_overhead_10pct\": {remote_retry_overhead:.2}, \"contended_serve_4x\": {contended_speedup:.2}, \"append_requery_json_10k\": {append_requery_speedup:.2}, \"json_stats_fold_append_10k\": {stats_fold_speedup:.2}}}\n}}\n"
+        "  ],\n  \"speedups\": {{\"union_16_wrappers\": {speedup_16:.2}, \"union_16_wrappers_distinct_worst_case\": {distinct_speedup:.2}, \"join_2x4\": {join_speedup:.2}, \"id_filter\": {filter_speedup:.2}, \"single_walk_prefetch\": {prefetch_speedup:.2}, \"semijoin_selective_join\": {semijoin_speedup:.2}, \"bloom_semijoin_50k_keys\": {bloom_speedup:.2}, \"join_order_cost_based\": {order_speedup:.2}, \"misestimate_overhead_100x\": {misestimate_overhead:.2}, \"cursor_scan_peak_bytes_ratio\": {cursor_peak_ratio:.2}, \"remote_latency_overlap\": {remote_overlap:.2}, \"remote_retry_overhead_10pct\": {remote_retry_overhead:.2}, \"contended_serve_4x\": {contended_speedup:.2}, \"append_requery_json_10k\": {append_requery_speedup:.2}, \"json_stats_fold_append_10k\": {stats_fold_speedup:.2}}}\n}}\n"
     ));
     let mut f = std::fs::File::create(out_path).expect("write BENCH_exec.json");
     f.write_all(json.as_bytes()).expect("write BENCH_exec.json");

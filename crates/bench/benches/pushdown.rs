@@ -13,7 +13,7 @@
 //! * **Pushed IN-set scan** — the same shape with a 3-member IN-set.
 //! * **Cached plan vs recompile** — a rewriting-heavy query (3 concepts ×
 //!   4 wrappers → 64 walks) over tiny data, answered through
-//!   `BdiSystem::answer_with` with the cross-query plan cache off (PR 2
+//!   `BdiSystem::serve` with the cross-query plan cache off (PR 2
 //!   behaviour: rewrite + compile every time) vs on (hit after the first
 //!   query) vs on with `reuse_scans` (interned scans also carried over).
 //!
@@ -22,9 +22,9 @@
 //! (skipped under `BDI_BENCH_FAST`, whose timings are smoke-test noise).
 
 use bdi_bench::synthetic;
-use bdi_bench::{measure, Measurement};
-use bdi_core::exec::{self, Engine, ExecOptions, FeatureFilter};
-use bdi_core::system::{BdiSystem, VersionScope};
+use bdi_bench::{compile_and_execute, measure, Measurement};
+use bdi_core::exec::{Engine, ExecOptions, FeatureFilter};
+use bdi_core::system::{AnswerRequest, BdiSystem};
 use bdi_relational::plan::ColumnFilter;
 use bdi_relational::{
     PlanSource, Predicate, Relation, RelationError, ScanRequest, SourceResolver, Value,
@@ -119,16 +119,16 @@ fn main() {
         };
 
         // Sanity: all three evaluation sites agree before timing.
-        let expected = exec::execute_with(ontology, registry, &rewriting, &eager)
-            .expect("eager answers")
+        let expected = compile_and_execute(ontology, registry, &rewriting, &eager)
+            .expect("benchmark query answers")
             .relation;
         assert!(!expected.is_empty());
         for source_rows in [
-            exec::execute_with(ontology, registry, &rewriting, &streaming)
-                .expect("pushed answers")
+            compile_and_execute(ontology, registry, &rewriting, &streaming)
+                .expect("benchmark query answers")
                 .relation,
-            exec::execute_with(ontology, &no_claims, &rewriting, &streaming)
-                .expect("residual answers")
+            compile_and_execute(ontology, &no_claims, &rewriting, &streaming)
+                .expect("benchmark query answers")
                 .relation,
         ] {
             assert_eq!(source_rows.rows(), expected.rows());
@@ -138,8 +138,8 @@ fn main() {
             format!("pushdown/{name}_w4_10k/eager_postselect"),
             &mut records,
             || {
-                exec::execute_with(ontology, registry, &rewriting, &eager)
-                    .expect("eager answers")
+                compile_and_execute(ontology, registry, &rewriting, &eager)
+                    .expect("benchmark query answers")
                     .relation
                     .len()
             },
@@ -148,8 +148,8 @@ fn main() {
             format!("pushdown/{name}_w4_10k/stream_residual_filter"),
             &mut records,
             || {
-                exec::execute_with(ontology, &no_claims, &rewriting, &streaming)
-                    .expect("residual answers")
+                compile_and_execute(ontology, &no_claims, &rewriting, &streaming)
+                    .expect("benchmark query answers")
                     .relation
                     .len()
             },
@@ -158,8 +158,8 @@ fn main() {
             format!("pushdown/{name}_w4_10k/stream_pushed_to_wrapper"),
             &mut records,
             || {
-                exec::execute_with(ontology, registry, &rewriting, &streaming)
-                    .expect("pushed answers")
+                compile_and_execute(ontology, registry, &rewriting, &streaming)
+                    .expect("benchmark query answers")
                     .relation
                     .len()
             },
@@ -189,7 +189,7 @@ fn main() {
     };
     let answer = |opts: &ExecOptions| {
         cache_system
-            .answer_with(query(), &VersionScope::All, opts)
+            .serve(AnswerRequest::omq(query()).options(opts.clone()))
             .expect("benchmark query answers")
             .relation
             .len()

@@ -3,6 +3,7 @@
 
 use bdi_bench::synthetic;
 use bdi_core::supersede;
+use bdi_core::system::AnswerRequest;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -21,7 +22,9 @@ fn bench_running_example(c: &mut Criterion) {
 
     c.bench_function("answer/running_example_sparql", |b| {
         b.iter(|| {
-            let answer = system.answer(black_box(&query)).expect("answers");
+            let answer = system
+                .serve(AnswerRequest::sparql(black_box(&query)))
+                .expect("answers");
             black_box(answer.relation.len())
         })
     });
@@ -77,7 +80,7 @@ fn bench_execution(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
             b.iter(|| {
                 let answer = system
-                    .answer_omq(black_box(synthetic::chain_query(3)))
+                    .serve(AnswerRequest::omq(black_box(synthetic::chain_query(3))))
                     .expect("answers");
                 black_box(answer.relation.len())
             })

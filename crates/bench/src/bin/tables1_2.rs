@@ -6,6 +6,7 @@
 //! ```
 
 use bdi_core::supersede;
+use bdi_core::system::AnswerRequest;
 use bdi_relational::SourceResolver;
 
 fn main() {
@@ -19,7 +20,7 @@ fn main() {
 
     println!("Table 2 — exemplary query: for each applicationId, its lagRatio instances\n");
     let answer = system
-        .answer(&supersede::exemplary_query())
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
         .expect("query answers");
     println!("{}", answer.relation);
     println!("\nRewriting produced {} walk(s):", answer.walk_exprs.len());
@@ -31,7 +32,7 @@ fn main() {
     let mut system = system;
     supersede::evolve_with_w4(&mut system, &store);
     let evolved = system
-        .answer(&supersede::exemplary_query())
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
         .expect("query answers");
     println!("\nAfter the w4 release (lagRatio → bufferingRatio), the same OMQ yields:");
     println!("{}", evolved.relation);

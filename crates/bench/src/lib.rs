@@ -45,6 +45,24 @@ pub fn scaled(n: usize, divisor: usize) -> usize {
     }
 }
 
+/// Compiles `rewriting` against `source` and executes it once on a fresh
+/// (uncapped) context under `options` — no plan cache, no pooled scans.
+/// For benches and differential tests that run a query against a source
+/// other than a system's own registry, or must not touch its caches.
+pub fn compile_and_execute<S>(
+    ontology: &bdi_core::ontology::BdiOntology,
+    source: &S,
+    rewriting: &bdi_core::rewrite::Rewriting,
+    options: &bdi_core::exec::ExecOptions,
+) -> Result<bdi_core::exec::QueryAnswer, bdi_core::exec::ExecError>
+where
+    S: bdi_relational::SourceResolver + bdi_relational::PlanSource,
+{
+    use bdi_core::exec;
+    let compiled = exec::compile_query(ontology, source, rewriting.clone(), options)?;
+    exec::execute_compiled_with(ontology, source, &compiled, None, options.split().1)
+}
+
 /// One timed result from [`measure`].
 pub struct Measurement {
     pub id: String,

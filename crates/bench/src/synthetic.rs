@@ -257,6 +257,7 @@ pub fn predicted_walks(concepts: usize, wrappers_per_concept: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bdi_core::system::AnswerRequest;
 
     #[test]
     fn walk_count_matches_w_to_the_c() {
@@ -274,7 +275,7 @@ mod tests {
     #[test]
     fn chain_queries_execute_end_to_end() {
         let system = build_chain_system(3, 2, 4);
-        let answer = system.answer_omq(chain_query(3)).unwrap();
+        let answer = system.serve(AnswerRequest::omq(chain_query(3))).unwrap();
         assert_eq!(answer.relation.schema().names(), vec!["f1", "f2", "f3"]);
         // Each walk yields the 4 aligned rows; all walks agree on values so
         // the union collapses them.
@@ -286,7 +287,7 @@ mod tests {
         let system = build_chain_system(1, 1, 3);
         let rewriting = system.rewrite(chain_query(1)).unwrap();
         assert_eq!(rewriting.walks.len(), 1);
-        let answer = system.answer_omq(chain_query(1)).unwrap();
+        let answer = system.serve(AnswerRequest::omq(chain_query(1))).unwrap();
         assert_eq!(answer.relation.len(), 3);
     }
 }

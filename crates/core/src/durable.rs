@@ -385,11 +385,6 @@ impl DurableSystem {
         self.system.serve(request)
     }
 
-    /// Answers a SPARQL OMQ — a passthrough to [`BdiSystem::answer`].
-    pub fn answer(&self, sparql: &str) -> Result<Answer, SystemError> {
-        self.system.answer(sparql)
-    }
-
     fn lock_journal(&self) -> MutexGuard<'_, Journal> {
         self.journal.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -859,7 +854,9 @@ mod tests {
     fn create_then_reopen_preserves_answers_and_recovers_writes() {
         let dir = tmp("reopen");
         let (system, store) = supersede::build_running_example_with_store();
-        let expected = system.answer(&supersede::exemplary_query()).unwrap();
+        let expected = system
+            .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+            .unwrap();
 
         let durable = DurableSystem::create(&dir, system, store).unwrap();
         durable.insert_quad(&probe_quad(1)).unwrap();
@@ -873,7 +870,7 @@ mod tests {
         assert_eq!(reopened.recovery().replayed, 2);
         assert_eq!(
             reopened
-                .answer(&supersede::exemplary_query())
+                .serve(AnswerRequest::sparql(supersede::exemplary_query()))
                 .unwrap()
                 .relation,
             expected.relation

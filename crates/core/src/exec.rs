@@ -18,9 +18,9 @@
 //!   not. At run time, hash joins pass information sideways: a small,
 //!   selective build-side key set is injected into the probe wrapper's
 //!   scan as an IN-set before that scan is issued
-//!   ([`ExecOptions::semijoin_max_keys`]), and scans can run cursor-only
-//!   instead of materializing in the scan cache
-//!   ([`ExecOptions::scan_cache`]). Wrapper rows arrive through the
+//!   ([`ExecOptions::semijoin_max_keys`]), and a scan whose estimated size
+//!   exceeds the context's value cap runs cursor-only instead of
+//!   materializing in the scan cache. Wrapper rows arrive through the
 //!   streaming batch-scan contract
 //!   ([`bdi_relational::plan::PlanSource::scan_batches`]) — interned one
 //!   bounded batch at a time, never materialized as a whole value-space
@@ -30,8 +30,8 @@
 //!   reused per ID attribute); each walk emits a deduplicated *sorted run*
 //!   and the runs are k-way merged into the canonical union. A single-walk
 //!   query prefetches its scans concurrently
-//!   ([`bdi_relational::plan::execute_plan_prefetched`]) so source reads
-//!   overlap each other and the join pipeline.
+//!   ([`bdi_relational::plan::execute_plan`]) so source reads overlap each
+//!   other and the join pipeline.
 //! * **Eager** ([`Engine::Eager`]): the original §2.2 operator-at-a-time
 //!   evaluation through [`bdi_relational::RelExpr`] / [`ops`]. It stays as
 //!   the executable reference the streaming engine is differentially tested
@@ -51,7 +51,7 @@ use crate::rewrite::{walk::prefixed_attr_name, Rewriting, Walk};
 use bdi_rdf::model::Iri;
 use bdi_relational::plan::{
     self, ColumnFilter, ExecContext, ExecPolicy, Operator, PhysicalPlan, PlanError, Predicate,
-    RowSet, ScanCache, DEFAULT_SEMIJOIN_MAX_KEYS,
+    RowSet, DEFAULT_SEMIJOIN_MAX_KEYS,
 };
 use bdi_relational::{
     ops, AlgebraError, Attribute, PlanSource, Relation, RelationError, ScanRequest, Schema,
@@ -146,17 +146,29 @@ pub struct SourceFailure {
     pub walks_dropped: usize,
 }
 
-/// Execution knobs. [`ExecOptions::default`] is what [`crate::system`] uses:
-/// the streaming engine with projection pushdown and parallel walks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// How one query is executed. [`ExecOptions::default`] — the streaming
+/// engine, cached plans, pooled scans — is what a request runs under unless
+/// it says otherwise:
+///
+/// | field | set by | kind |
+/// |---|---|---|
+/// | `engine` | the benchmark's reference path, differential suites | plan-shaping |
+/// | `filters` | library callers (a capability: σ pushed to the wrappers) | plan-shaping |
+/// | `cost_based_joins` | A/B bench rows, differential suites | plan-shaping |
+/// | `cache_plans` | the benchmark's reference/cold path | run-time (steers `serve`) |
+/// | `reuse_scans` | the benchmark's reference/cold path | run-time (steers `serve`) |
+/// | `semijoin_max_keys` | A/B bench rows, differential suites | run-time |
+/// | `deadline` | HTTP `deadline_ms` | run-time |
+/// | `on_source_failure` | HTTP `on_source_failure` | run-time |
+/// | `max_rows` | HTTP `max_rows` | run-time |
+///
+/// Plan-shaping fields make up the [`PlanShape`] a [`CompiledQuery`] is
+/// compiled from and cached under; run-time fields steer one execution and
+/// never reach a compiled plan. [`ExecOptions::split`] is where each field
+/// is assigned its side, and the compiler holds it to account.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     pub engine: Engine,
-    /// Push each walk's projection set into the wrappers' scans. When off,
-    /// scans surface every attribute the Source graph records for the
-    /// wrapper (the pre-pushdown behaviour, kept measurable for the bench).
-    pub pushdown: bool,
-    /// Execute per-walk plans on scoped threads (streaming engine only).
-    pub parallel: bool,
     /// Selections pushed into the scans (conjunction; empty = unfiltered).
     pub filters: Vec<FeatureFilter>,
     /// Reuse compiled plans across queries through the system's release-seq
@@ -176,60 +188,44 @@ pub struct ExecOptions {
     /// side finishes with at most this many distinct keys, they are
     /// injected as an IN-set filter into the probe wrapper's scan request —
     /// rows the join would discard are never shipped out of the source.
-    /// Wrappers that claim the IN-set ([`bdi_wrappers::Wrapper::
-    /// claims_filter`]) filter natively (`TableWrapper` in-scan,
+    /// Past it (up to [`bdi_relational::plan::BLOOM_SEMIJOIN_MAX_KEYS`])
+    /// the pass degrades to a Bloom filter over the same keys, whose false
+    /// positives only ship extra probe rows the join then discards.
+    /// Wrappers that claim the filter ([`bdi_wrappers::Wrapper::
+    /// claims_filter`]) evaluate it natively (`TableWrapper` in-scan,
     /// `JsonWrapper` through its `$match` translation); for ones that do
     /// not, the join's own hash probe is the residual semi-join, so answers
-    /// are engine-independent either way. `0` disables the pass. A
-    /// runtime-only knob: it never shapes the compiled plan, so the
-    /// system's plan cache normalizes it out of the cache key.
+    /// are engine-independent either way. `0` disables the pass.
     pub semijoin_max_keys: usize,
-    /// Degrade the semi-join pass to a Bloom filter instead of disabling it
-    /// when the build side's distinct keys exceed `semijoin_max_keys` (up
-    /// to [`bdi_relational::plan::BLOOM_SEMIJOIN_MAX_KEYS`]). False
-    /// positives only ship extra probe rows the join then discards, so
-    /// answers are identical either way. Runtime-only (normalized out of
-    /// the plan-cache key) like `semijoin_max_keys`.
-    pub bloom_semijoins: bool,
     /// Order each walk's joins by estimated output cardinality (from the
     /// wrappers' column sketches, [`bdi_wrappers::Wrapper::column_stats`])
     /// instead of their syntactic order. Only engaged where the row-order
     /// contract already sorts the answer (multi-walk rewritings or filtered
     /// queries — a single unfiltered walk keeps its natural order and its
     /// syntactic join tree), and only when every wrapper in the walk offers
-    /// a row estimate; otherwise the syntactic order is kept. A
-    /// *compile-time* knob: it shapes the plan, so it stays in the
-    /// plan-cache key.
+    /// a row estimate; otherwise the syntactic order is kept.
     pub cost_based_joins: bool,
-    /// How scans materialize through the execution context (see
-    /// [`ScanCache`]): `Auto` (default) caches unless a source's size hint
-    /// exceeds the context's value-cap watermark, `Always` forces the
-    /// pre-cursor behaviour, `Never` pulls every scan cursor-only — the
-    /// mode for one-shot queries over sources larger than RAM. Runtime-only
-    /// (normalized out of the plan-cache key) like `semijoin_max_keys`.
-    pub scan_cache: ScanCache,
-    /// Per-query deadline, measured from [`ExecOptions::policy`] (i.e. from
-    /// when execution starts). Every operator, scan fill and prefetch queue
-    /// wait checks it, so a stalled source aborts the query with
+    /// Per-query wall-clock budget, measured from when the request is
+    /// accepted: [`crate::system::BdiSystem::serve`] arms it first thing
+    /// (through [`ExecOptions::split`]), so on a plan-cache miss rewriting
+    /// and compilation spend it too. Every operator, scan fill and prefetch
+    /// queue wait checks it, so a stalled source aborts the query with
     /// [`bdi_relational::plan::PlanError::DeadlineExceeded`] within one
     /// page-fetch budget of the deadline instead of hanging. `None` (the
-    /// default) never expires. Runtime-only (normalized out of the
-    /// plan-cache key); the eager reference engine ignores it.
+    /// default) never expires. The eager reference engine ignores it.
     pub deadline: Option<Duration>,
     /// What a permanently failed source does to the answer: abort
     /// ([`SourceFailurePolicy::Fail`], the default) or drop that source's
     /// walks and return a partial answer with a [`SourceFailure`] report
-    /// ([`SourceFailurePolicy::Degrade`]). Runtime-only (normalized out of
-    /// the plan-cache key); the eager reference engine ignores it.
+    /// ([`SourceFailurePolicy::Degrade`]). The eager reference engine
+    /// ignores it.
     pub on_source_failure: SourceFailurePolicy,
     /// Per-query row limit: an answer holding more rows than this is
     /// truncated to the first `max_rows` (in the answer's contractual row
     /// order) and flagged [`QueryAnswer::truncated`]. `None` (the default)
-    /// never truncates. The serving front end maps a client's row budget
-    /// onto this knob. Runtime-only (normalized out of the plan-cache key),
-    /// and honoured by *both* engines — truncation happens after the answer
-    /// relation is assembled, so it can never change which rows exist, only
-    /// how many are returned.
+    /// never truncates. Honoured by *both* engines — truncation happens
+    /// after the answer relation is assembled, so it can never change which
+    /// rows exist, only how many are returned.
     pub max_rows: Option<usize>,
 }
 
@@ -237,15 +233,11 @@ impl Default for ExecOptions {
     fn default() -> Self {
         Self {
             engine: Engine::Streaming,
-            pushdown: true,
-            parallel: true,
             filters: Vec::new(),
             cache_plans: true,
             reuse_scans: true,
             semijoin_max_keys: DEFAULT_SEMIJOIN_MAX_KEYS,
-            bloom_semijoins: true,
             cost_based_joins: true,
-            scan_cache: ScanCache::Auto,
             deadline: None,
             on_source_failure: SourceFailurePolicy::Fail,
             max_rows: None,
@@ -254,43 +246,73 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The relational-layer runtime [`ExecPolicy`] these options select —
-    /// read at execution time from the *caller's* options, never from a
-    /// cached [`CompiledQuery`] (the plan cache normalizes runtime knobs
-    /// out of its keys, so a cached entry's stored options may not carry
-    /// them).
-    pub fn policy(&self) -> ExecPolicy {
-        ExecPolicy {
-            semijoin_max_keys: self.semijoin_max_keys,
-            bloom_semijoins: self.bloom_semijoins,
-            scan_cache: self.scan_cache,
-            deadline: self.deadline.and_then(|d| Instant::now().checked_add(d)),
-        }
-    }
-
-    /// The full bundle of runtime (execution-only) knobs these options
-    /// select — the [`ExecPolicy`] plus the knobs resolved at the core
-    /// layer (failure policy, row limit). Like [`ExecOptions::policy`],
-    /// always derived from the *caller's* options, never from a cached
-    /// [`CompiledQuery`].
-    pub fn runtime(&self) -> ExecRuntime {
-        ExecRuntime {
-            policy: self.policy(),
-            on_source_failure: self.on_source_failure,
-            max_rows: self.max_rows,
-        }
+    /// Splits the options into what a compiled plan may depend on — the
+    /// [`PlanShape`], also the options' share of the plan-cache key — and
+    /// what steers one execution, the [`ExecRuntime`]; a relative
+    /// [`ExecOptions::deadline`] becomes absolute here, counted from now.
+    ///
+    /// This is the only place the struct is taken apart, and it is taken
+    /// apart without `..`: a new field does not compile until it is bound
+    /// here (it shapes the plan) or ignored here (it steers a run), with
+    /// the reason beside it.
+    pub fn split(&self) -> (PlanShape, ExecRuntime) {
+        let ExecOptions {
+            engine,
+            filters,
+            cost_based_joins,
+            // Whether `serve` consults the plan cache at all.
+            cache_plans: _,
+            // Whether `serve` executes on a pooled context or a private one.
+            reuse_scans: _,
+            // Sizes the sideways pass while the plan executes.
+            semijoin_max_keys,
+            // A budget for this request; the executor checks it as it pulls.
+            deadline,
+            // What a failed scan does to the answer being assembled.
+            on_source_failure,
+            // Truncates the assembled answer; a plan cached under it would
+            // serve short answers to uncapped requests.
+            max_rows,
+        } = self;
+        let shape = PlanShape {
+            engine: *engine,
+            filters: filters.clone(),
+            cost_based_joins: *cost_based_joins,
+        };
+        let runtime = ExecRuntime {
+            policy: ExecPolicy {
+                semijoin_max_keys: *semijoin_max_keys,
+                deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
+            },
+            on_source_failure: *on_source_failure,
+            max_rows: *max_rows,
+        };
+        (shape, runtime)
     }
 }
 
-/// The runtime knobs one execution of a [`CompiledQuery`] runs under: the
-/// relational-layer [`ExecPolicy`] (semi-joins, scan-cache mode, deadline)
-/// plus the core-layer source-failure policy and row limit. The system's
-/// plan cache normalizes all of these out of its keys, so a cached plan is
-/// executed under the knobs of whoever *this* call is for — never the knobs
-/// it happened to be compiled under.
+/// Everything of [`ExecOptions`] a compiled plan may depend on. The
+/// system's plan cache keys on `(OMQ, scope, PlanShape)`, the compiler sees
+/// nothing else of the options, and a [`CompiledQuery`] stores nothing
+/// else — so a run-time field cannot leak into a cached plan, and a cached
+/// plan cannot supply one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PlanShape {
+    /// Which engine interprets the walks (the eager one compiles no plans).
+    pub engine: Engine,
+    /// Compiled into the scans (claimed) or into residual filters above them.
+    pub filters: Vec<FeatureFilter>,
+    /// Decides each walk's join order.
+    pub cost_based_joins: bool,
+}
+
+/// What one execution of a [`CompiledQuery`] runs under: the
+/// relational-layer [`ExecPolicy`] (semi-join sizing, absolute deadline)
+/// plus the core-layer source-failure policy and row limit — always those
+/// of whoever *this* call is for ([`ExecOptions::split`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecRuntime {
-    /// Relational-layer execution policy (see [`ExecOptions::policy`]).
+    /// Relational-layer execution policy.
     pub policy: ExecPolicy,
     /// What a permanently failed source does to the answer.
     pub on_source_failure: SourceFailurePolicy,
@@ -422,36 +444,6 @@ fn resolve_filters(
         .collect()
 }
 
-/// Evaluates the rewriting and projects the final feature columns with the
-/// default options (streaming engine, pushdown, parallel walks).
-pub fn execute<S>(
-    ontology: &BdiOntology,
-    source: &S,
-    rewriting: &Rewriting,
-) -> Result<QueryAnswer, ExecError>
-where
-    S: SourceResolver + PlanSource,
-{
-    execute_with(ontology, source, rewriting, &ExecOptions::default())
-}
-
-/// Evaluates the rewriting with explicit [`ExecOptions`] (compile +
-/// execute, no caching — [`crate::system::BdiSystem::answer_with`] layers
-/// the cross-query plan cache on top of [`compile_query`] /
-/// [`execute_compiled`]).
-pub fn execute_with<S>(
-    ontology: &BdiOntology,
-    source: &S,
-    rewriting: &Rewriting,
-    options: &ExecOptions,
-) -> Result<QueryAnswer, ExecError>
-where
-    S: SourceResolver + PlanSource,
-{
-    let compiled = compile_query(ontology, source, rewriting.clone(), options)?;
-    execute_compiled(ontology, source, &compiled, None)
-}
-
 // ---------------------------------------------------------------------------
 // The eager reference engine
 // ---------------------------------------------------------------------------
@@ -556,28 +548,22 @@ fn leaf_plan(
     ontology: &BdiOntology,
     source: &dyn PlanSource,
     wrapper: &Iri,
-    needed: Option<&BTreeSet<&Iri>>,
+    needed: &BTreeSet<&Iri>,
     filter_targets: &[(&Iri, &Iri, &Predicate)],
 ) -> Result<(PhysicalPlan, LeafCost), ExecError> {
     let wrapper_name = crate::vocab::wrapper_name_of(wrapper)
         .unwrap_or_else(|| wrapper.as_str())
         .to_owned();
-    // Pushdown on (`needed` present): only the columns the plan consumes —
-    // the attributes providing requested features plus this wrapper's join
+    // The scan surfaces only `needed`, the columns the plan consumes — the
+    // attributes providing requested features plus this wrapper's join
     // keys. IDs the rewriting projected but the query never surfaces are
     // dropped here, at the source, rather than "at the final step" (§5.2).
-    // Pushdown off: every attribute the Source graph records for the
-    // wrapper, i.e. the full pre-pushdown surface.
-    let attrs: Vec<Iri> = match needed {
-        Some(set) => set.iter().map(|a| (*a).clone()).collect(),
-        None => ontology.attributes_of_wrapper(wrapper),
-    };
-    let mut columns = Vec::with_capacity(attrs.len());
-    let mut out_attrs = Vec::with_capacity(attrs.len());
+    let mut columns = Vec::with_capacity(needed.len());
+    let mut out_attrs = Vec::with_capacity(needed.len());
     // (local, prefixed) column-name pairs — sketches key on local names,
     // join conditions on prefixed ones.
-    let mut col_pairs = Vec::with_capacity(attrs.len());
-    for attr in &attrs {
+    let mut col_pairs = Vec::with_capacity(needed.len());
+    for attr in needed.iter().copied() {
         let (local, prefixed) = match crate::vocab::attribute_parts_of(attr) {
             Some((_, local)) => (local.to_owned(), prefixed_attr_name(attr)),
             None => (attr.as_str().to_owned(), attr.as_str().to_owned()),
@@ -676,12 +662,12 @@ fn compile_walk(
     features: &[Iri],
     columns: &[String],
     target: &Schema,
-    options: &ExecOptions,
+    shape: &PlanShape,
     order_safe: bool,
 ) -> Result<(PhysicalPlan, PlanNote), ExecError> {
     // Each filter lands on the (wrapper, attribute) providing its feature
     // in this walk — the same choice `walk_columns` aligns on.
-    let filter_targets: Vec<(&Iri, &Iri, &Predicate)> = options
+    let filter_targets: Vec<(&Iri, &Iri, &Predicate)> = shape
         .filters
         .iter()
         .filter_map(|f| {
@@ -691,30 +677,27 @@ fn compile_walk(
     // Per wrapper, the columns the plan actually consumes: the attribute
     // chosen for each requested feature (the one `walk_columns` aligns on)
     // plus both sides of every ⋈̃ condition.
-    let needed: Option<BTreeMap<&Iri, BTreeSet<&Iri>>> = options.pushdown.then(|| {
-        let mut needed: BTreeMap<&Iri, BTreeSet<&Iri>> = BTreeMap::new();
-        for feature in features {
-            if let Some((wrapper, attr)) = walk_feature_attr(ontology, walk, feature) {
-                needed.entry(wrapper).or_default().insert(attr);
-            }
+    let mut needed: BTreeMap<&Iri, BTreeSet<&Iri>> = BTreeMap::new();
+    for feature in features {
+        if let Some((wrapper, attr)) = walk_feature_attr(ontology, walk, feature) {
+            needed.entry(wrapper).or_default().insert(attr);
         }
-        for join in walk.joins() {
-            needed
-                .entry(&join.left_wrapper)
-                .or_default()
-                .insert(&join.left_attribute);
-            needed
-                .entry(&join.right_wrapper)
-                .or_default()
-                .insert(&join.right_attribute);
-        }
+    }
+    for join in walk.joins() {
         needed
-    });
+            .entry(&join.left_wrapper)
+            .or_default()
+            .insert(&join.left_attribute);
+        needed
+            .entry(&join.right_wrapper)
+            .or_default()
+            .insert(&join.right_attribute);
+    }
     let empty = BTreeSet::new();
     let mut leaves: BTreeMap<&Iri, PhysicalPlan> = BTreeMap::new();
     let mut costs: BTreeMap<&Iri, LeafCost> = BTreeMap::new();
     for wrapper in walk.wrappers() {
-        let wrapper_needed = needed.as_ref().map(|n| n.get(wrapper).unwrap_or(&empty));
+        let wrapper_needed = needed.get(wrapper).unwrap_or(&empty);
         let (plan, cost) = leaf_plan(ontology, source, wrapper, wrapper_needed, &filter_targets)?;
         leaves.insert(wrapper, plan);
         costs.insert(wrapper, cost);
@@ -736,7 +719,7 @@ fn compile_walk(
     // list stays connected, so the left-deep growth below consumes it
     // verbatim; a wrong estimate can therefore change only the plan's
     // cost, never its rows.
-    let mut cost_based = options.cost_based_joins
+    let mut cost_based = shape.cost_based_joins
         && order_safe
         && !walk.joins().is_empty()
         && walk
@@ -970,13 +953,10 @@ fn compile_walk(
 // The streaming engine: compile once, execute many times
 // ---------------------------------------------------------------------------
 
-/// Upper bound on walk-executor threads.
-const MAX_WORKERS: usize = 16;
-
 /// A query compiled once and executable many times: the (scope-filtered)
 /// rewriting, the target schema, the rendered walk algebra and — for the
 /// streaming engine — one physical plan per walk. Plans depend only on the
-/// ontology, the options and the sources' *capabilities* (never their
+/// ontology, the [`PlanShape`] and the sources' *capabilities* (never their
 /// data), so a `CompiledQuery` stays valid until the next release; the
 /// system's cross-query plan cache keys on exactly that.
 #[derive(Debug, Clone)]
@@ -984,7 +964,7 @@ pub struct CompiledQuery {
     /// The rewriting the plans were compiled from. Shared (`Arc`) so
     /// cache-hit answers hand it out without deep-cloning the walks.
     pub rewriting: std::sync::Arc<Rewriting>,
-    options: ExecOptions,
+    shape: PlanShape,
     schema: Schema,
     walk_exprs: Vec<String>,
     /// One plan per walk (left empty under [`Engine::Eager`], which
@@ -995,11 +975,6 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// The options the query was compiled under.
-    pub fn options(&self) -> &ExecOptions {
-        &self.options
-    }
-
     /// Rendered physical plans (diagnostics).
     pub fn plan_strings(&self) -> Vec<String> {
         self.plans.iter().map(|p| p.to_string()).collect()
@@ -1016,7 +991,8 @@ impl CompiledQuery {
 /// Compiles a rewriting into an executable [`CompiledQuery`]: validates π
 /// and the filters, renders the walk algebra, and (streaming engine) builds
 /// each walk's physical plan with claimed filters pushed into the scans and
-/// unclaimed residues kept as mediator-side filters.
+/// unclaimed residues kept as mediator-side filters. Of `options` only the
+/// [`PlanShape`] is read.
 pub fn compile_query<S>(
     ontology: &BdiOntology,
     source: &S,
@@ -1026,26 +1002,26 @@ pub fn compile_query<S>(
 where
     S: SourceResolver + PlanSource,
 {
+    let (shape, _) = options.split();
     let features = &rewriting.well_formed.omq.pi;
     let schema = target_schema(ontology, features)?;
-    resolve_filters(features, &options.filters)?;
+    resolve_filters(features, &shape.filters)?;
 
     let mut walk_exprs = Vec::with_capacity(rewriting.walks.len());
     let mut plans = Vec::with_capacity(rewriting.walks.len());
     let mut plan_notes = Vec::with_capacity(rewriting.walks.len());
     // The eager engine renders its own walk_exprs while interpreting the
     // walks (`execute_eager`), so compiling them here would be wasted work.
-    if matches!(options.engine, Engine::Streaming) {
+    if matches!(shape.engine, Engine::Streaming) {
         // Join reordering is invisible exactly where the row-order contract
         // already sorts the answer: multi-walk unions and filtered queries.
         // A single unfiltered walk keeps its natural (syntactic) order.
-        let order_safe = rewriting.walks.len() > 1 || !options.filters.is_empty();
+        let order_safe = rewriting.walks.len() > 1 || !shape.filters.is_empty();
         for (walk_index, walk) in rewriting.walks.iter().enumerate() {
             walk_exprs.push(walk.to_rel_expr_full(ontology).to_string());
             let columns = walk_columns(ontology, walk, features)?;
             let (plan, note) = compile_walk(
-                ontology, source, walk, walk_index, features, &columns, &schema, options,
-                order_safe,
+                ontology, source, walk, walk_index, features, &columns, &schema, &shape, order_safe,
             )?;
             plans.push(plan);
             plan_notes.push(note);
@@ -1053,7 +1029,7 @@ where
     }
     Ok(CompiledQuery {
         rewriting: std::sync::Arc::new(rewriting),
-        options: options.clone(),
+        shape,
         schema,
         walk_exprs,
         plans,
@@ -1061,14 +1037,12 @@ where
     })
 }
 
-/// Executes a compiled query. `ctx` lets callers thread a persistent
-/// [`ExecContext`] through (reusing interned scans and join build sides
-/// across queries); `None` executes against a fresh context, re-scanning
-/// every wrapper — the right default when source data may have changed.
-/// The runtime policy (semi-join passing, scan-cache mode) is derived from
-/// the options the query was compiled under; use
-/// [`execute_compiled_with`] to execute the same compiled query under a
-/// different policy.
+/// Executes a compiled query under the default run-time values (no
+/// deadline, no row limit, fail on a source failure). `ctx` lets callers
+/// thread a persistent [`ExecContext`] through (reusing interned scans and
+/// join build sides across queries); `None` executes against a fresh
+/// context, re-scanning every wrapper — the right default when source data
+/// may have changed.
 pub fn execute_compiled<S>(
     ontology: &BdiOntology,
     source: &S,
@@ -1078,18 +1052,15 @@ pub fn execute_compiled<S>(
 where
     S: SourceResolver + PlanSource,
 {
-    execute_compiled_with(ontology, source, compiled, ctx, compiled.options.runtime())
+    let (_, runtime) = ExecOptions::default().split();
+    execute_compiled_with(ontology, source, compiled, ctx, runtime)
 }
 
-/// [`execute_compiled`] under an explicit [`ExecRuntime`] (runtime policy,
-/// source-failure policy, row limit) — the entry point
-/// [`crate::system::BdiSystem::serve`] uses, since its plan cache
-/// normalizes runtime knobs (semi-join keys, scan-cache mode, deadline,
-/// degrade policy, row limit) out of the cache key and must execute each
-/// hit under the *caller's* knobs, not the cached ones. Row-limit
-/// truncation is applied here, after the answer relation is assembled, so
-/// both engines honour it identically and the kept prefix respects the
-/// answer's contractual row order.
+/// [`execute_compiled`] under the caller's [`ExecRuntime`] — how
+/// [`crate::system::BdiSystem::serve`] runs a cached plan for whoever is
+/// asking now. Row-limit truncation is applied here, after the answer
+/// relation is assembled, so both engines honour it identically and the
+/// kept prefix respects the answer's contractual row order.
 pub fn execute_compiled_with<S>(
     ontology: &BdiOntology,
     source: &S,
@@ -1100,12 +1071,12 @@ pub fn execute_compiled_with<S>(
 where
     S: SourceResolver + PlanSource,
 {
-    let mut answer = match compiled.options.engine {
+    let mut answer = match compiled.shape.engine {
         Engine::Eager => execute_eager(
             ontology,
             source,
             &compiled.rewriting,
-            &compiled.options.filters,
+            &compiled.shape.filters,
         ),
         Engine::Streaming => run_streaming(
             source,
@@ -1176,8 +1147,7 @@ where
     let schema = compiled.schema.clone();
     let walk_exprs = compiled.walk_exprs.clone();
     let plans = &compiled.plans;
-    let options = &compiled.options;
-    let filtered = !options.filters.is_empty();
+    let filtered = !compiled.shape.filters.is_empty();
     let src: &dyn PlanSource = source;
 
     if plans.is_empty() {
@@ -1203,38 +1173,26 @@ where
     // canonicalization), exactly like the eager engine — except under a
     // pushed-down filter, where both engines emit the canonical sorted
     // order (σ below a join changes build-side choices and thus the
-    // natural order). Under `parallel`, the walk's scans are prefetched
-    // concurrently on scoped threads ahead of the pulling join pipeline —
-    // sized to the machine, so a single-core host (where prefetch threads
-    // could only convoy on the pool's shard locks) degrades to the serial
-    // pull without spawning.
+    // natural order). The driver prefetches the walk's scans concurrently
+    // ahead of the pulling join pipeline where the machine and the plan
+    // leave something to work ahead on.
     if plans.len() == 1 {
-        let prefetch_workers = if options.parallel {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(MAX_WORKERS)
-        } else {
-            1
+        let mut relation = match plan::execute_plan(&plans[0], ctx, src, policy) {
+            Ok(relation) => relation,
+            // A one-walk query degrading around its only source is an
+            // empty (but honest) answer: the report says what was lost.
+            Err(e) if degrade && source_failure_of(&e).is_some() => {
+                return Ok(QueryAnswer {
+                    relation: Relation::empty(schema),
+                    walk_exprs,
+                    source_failures: source_failure_of(&e).into_iter().collect(),
+                    // The walk was dropped: its actual stays unset.
+                    plan_notes: compiled.plan_notes.clone(),
+                    truncated: false,
+                });
+            }
+            Err(e) => return Err(e.into()),
         };
-        let mut relation =
-            match plan::execute_plan_prefetched_with(&plans[0], ctx, src, prefetch_workers, policy)
-            {
-                Ok(relation) => relation,
-                // A one-walk query degrading around its only source is an
-                // empty (but honest) answer: the report says what was lost.
-                Err(e) if degrade && source_failure_of(&e).is_some() => {
-                    return Ok(QueryAnswer {
-                        relation: Relation::empty(schema),
-                        walk_exprs,
-                        source_failures: source_failure_of(&e).into_iter().collect(),
-                        // The walk was dropped: its actual stays unset.
-                        plan_notes: compiled.plan_notes.clone(),
-                        truncated: false,
-                    });
-                }
-                Err(e) => return Err(e.into()),
-            };
         if filtered {
             relation.sort_rows();
         }
@@ -1287,15 +1245,7 @@ where
         },
     };
 
-    let workers = if options.parallel {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(plans.len())
-            .min(MAX_WORKERS)
-    } else {
-        1
-    };
+    let workers = plan::worker_budget().min(plans.len());
 
     if workers <= 1 {
         for (index, walk_plan) in plans.iter().enumerate() {

@@ -17,10 +17,11 @@
 //! quickest way to see everything working:
 //!
 //! ```
-//! use bdi_core::supersede;
+//! use bdi_core::{supersede, system::AnswerRequest};
 //!
 //! let system = supersede::build_running_example();
-//! let answer = system.answer(&supersede::exemplary_query()).unwrap();
+//! let request = AnswerRequest::sparql(supersede::exemplary_query());
+//! let answer = system.serve(request).unwrap();
 //! assert_eq!(answer.relation.len(), 3); // Table 2
 //! ```
 

@@ -139,19 +139,24 @@ pub fn from_json(json: &str) -> Result<SystemSnapshot, SnapshotError> {
 mod tests {
     use super::*;
     use crate::supersede;
+    use crate::system::AnswerRequest;
 
     #[test]
     fn snapshot_restore_preserves_query_answers() {
         let (mut system, store) = supersede::build_running_example_with_store();
         supersede::evolve_with_w4(&mut system, &store);
-        let original = system.answer(&supersede::exemplary_query()).unwrap();
+        let original = system
+            .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+            .unwrap();
 
         let image = snapshot(&system, &store).unwrap();
         let json = to_json(&image).unwrap();
         let parsed = from_json(&json).unwrap();
         let (restored, _) = restore(&parsed).unwrap();
 
-        let replayed = restored.answer(&supersede::exemplary_query()).unwrap();
+        let replayed = restored
+            .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+            .unwrap();
         assert_eq!(replayed.relation, original.relation);
         assert_eq!(
             replayed.rewriting.walks.len(),
@@ -169,7 +174,9 @@ mod tests {
 
         assert_eq!(restored.release_log().len(), 4);
         let historical = restored
-            .answer_scoped(supersede::exemplary_omq(), &VersionScope::UpToRelease(2))
+            .serve(
+                AnswerRequest::omq(supersede::exemplary_omq()).scope(VersionScope::UpToRelease(2)),
+            )
             .unwrap();
         assert_eq!(historical.relation.len(), 3); // pre-evolution Table 2
     }

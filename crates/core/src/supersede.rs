@@ -348,6 +348,7 @@ pub fn exemplary_omq() -> Omq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::AnswerRequest;
     use bdi_relational::Value;
 
     #[test]
@@ -373,7 +374,9 @@ mod tests {
     #[test]
     fn exemplary_query_reproduces_table2() {
         let system = build_running_example();
-        let answer = system.answer(&exemplary_query()).unwrap();
+        let answer = system
+            .serve(AnswerRequest::sparql(exemplary_query()))
+            .unwrap();
         // Table 2: (1, 0.75), (1, 0.90), (2, 0.1).
         assert_eq!(
             answer.relation.schema().names(),
@@ -394,8 +397,10 @@ mod tests {
     #[test]
     fn programmatic_and_sparql_queries_agree() {
         let system = build_running_example();
-        let a = system.answer(&exemplary_query()).unwrap();
-        let b = system.answer_omq(exemplary_omq()).unwrap();
+        let a = system
+            .serve(AnswerRequest::sparql(exemplary_query()))
+            .unwrap();
+        let b = system.serve(AnswerRequest::omq(exemplary_omq())).unwrap();
         assert_eq!(a.relation, b.relation);
     }
 
@@ -406,7 +411,9 @@ mod tests {
         assert!(!stats.new_source);
         assert_eq!(stats.attributes_reused, 1);
 
-        let answer = system.answer(&exemplary_query()).unwrap();
+        let answer = system
+            .serve(AnswerRequest::sparql(exemplary_query()))
+            .unwrap();
         // Two walks now: {w1, w3} and {w4, w3}.
         assert_eq!(answer.rewriting.walks.len(), 2);
         // Union of Table 2 with the v2 documents (0.42 and 0.05).
@@ -424,7 +431,9 @@ mod tests {
     #[test]
     fn walk_expression_matches_paper_notation() {
         let system = build_running_example();
-        let answer = system.answer(&exemplary_query()).unwrap();
+        let answer = system
+            .serve(AnswerRequest::sparql(exemplary_query()))
+            .unwrap();
         let expr = &answer.walk_exprs[0];
         assert!(expr.contains("⋈̃"), "expected a join in {expr}");
         assert!(expr.contains("D1/VoDmonitorId") && expr.contains("D3/MonitorId"));
@@ -448,7 +457,7 @@ mod tests {
                 has_feature(&concepts::user_feedback(), &features::description()),
             ],
         );
-        let answer = system.answer_omq(q).unwrap();
+        let answer = system.serve(AnswerRequest::omq(q)).unwrap();
         assert_eq!(answer.relation.len(), 2);
         assert_eq!(
             answer.relation.value(0, "description"),

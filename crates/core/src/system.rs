@@ -15,7 +15,7 @@
 //! literature; see PAPERS.md).
 
 use crate::exec::{
-    self, CompiledQuery, ExecError, ExecOptions, PlanNote, QueryAnswer, SourceFailure,
+    self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanShape, QueryAnswer, SourceFailure,
 };
 use crate::omq::{Omq, OmqError};
 use crate::ontology::BdiOntology;
@@ -135,8 +135,8 @@ type CacheValidity = (usize, u64, u64, u64);
 const DEFAULT_CTX_VALUE_CAP: usize = 1 << 20;
 
 /// Cache key: the full query identity — OMQ fingerprint, version scope and
-/// execution options (engine, pushdown, filters all shape the plan).
-type PlanKey = (Omq, VersionScope, ExecOptions);
+/// the plan-shaping share of the execution options.
+type PlanKey = (Omq, VersionScope, PlanShape);
 
 const POISONED: &str = "plan cache poisoned";
 
@@ -589,8 +589,7 @@ pub struct Answer {
 /// )?;
 /// ```
 ///
-/// This is the one entry point the legacy `answer*` convenience methods
-/// (and the HTTP front end) all funnel through.
+/// This is the one way in — the HTTP front end builds the same request.
 #[derive(Debug, Clone)]
 pub struct AnswerRequest {
     query: QueryText,
@@ -633,16 +632,15 @@ impl AnswerRequest {
         self
     }
 
-    /// Replaces the execution options wholesale (engine, pushdown,
-    /// filters, …). Compose with the knob shortcuts below by calling this
-    /// first.
+    /// Replaces the execution options wholesale (engine, filters, …).
+    /// Compose with the shortcuts below by calling this first.
     pub fn options(mut self, options: ExecOptions) -> Self {
         self.options = options;
         self
     }
 
-    /// Per-query wall-clock budget, measured from when execution starts
-    /// (sets [`ExecOptions::deadline`]).
+    /// Per-query wall-clock budget, measured from when
+    /// [`BdiSystem::serve`] is entered (sets [`ExecOptions::deadline`]).
     pub fn deadline(mut self, budget: Duration) -> Self {
         self.options.deadline = Some(budget);
         self
@@ -835,53 +833,15 @@ impl BdiSystem {
         Ok(rewrite::rewrite(&self.ontology, query)?)
     }
 
-    /// Parses (Code 3 template), rewrites and executes a SPARQL OMQ.
-    /// Convenience for [`BdiSystem::serve`] with an
-    /// [`AnswerRequest::sparql`] request.
-    pub fn answer(&self, sparql: &str) -> Result<Answer, SystemError> {
-        self.serve(AnswerRequest::sparql(sparql))
-    }
-
-    /// Rewrites and executes an already-built OMQ over all versions.
-    /// Convenience for [`BdiSystem::serve`] with an
-    /// [`AnswerRequest::omq`] request.
-    pub fn answer_omq(&self, omq: Omq) -> Result<Answer, SystemError> {
-        self.serve(AnswerRequest::omq(omq))
-    }
-
-    /// Rewrites and executes an OMQ, keeping only walks whose wrappers all
-    /// fall inside `scope` — e.g. `VersionScope::Latest` for
-    /// most-recent-schema answers, or `UpToRelease(n)` for historical
-    /// point-in-time answers. Convenience for [`BdiSystem::serve`].
-    pub fn answer_scoped(&self, omq: Omq, scope: &VersionScope) -> Result<Answer, SystemError> {
-        self.serve(AnswerRequest::omq(omq).scope(scope.clone()))
-    }
-
-    /// Rewrites and executes an OMQ with explicit [`ExecOptions`].
-    /// Convenience for [`BdiSystem::serve`]; see there for caching and
-    /// concurrency behaviour.
-    pub fn answer_with(
-        &self,
-        omq: Omq,
-        scope: &VersionScope,
-        options: &ExecOptions,
-    ) -> Result<Answer, SystemError> {
-        self.serve(
-            AnswerRequest::omq(omq)
-                .scope(scope.clone())
-                .options(options.clone()),
-        )
-    }
-
     /// Executes one [`AnswerRequest`] — the single entry point every query
-    /// takes (the `answer*` conveniences and the HTTP front end all build a
-    /// request and call this). Takes `&self` and is safe to call from many
-    /// threads at once: concurrent callers share compiled plans through the
-    /// sharded cache but never an execution lock.
+    /// takes (the HTTP front end builds a request and calls this too).
+    /// Takes `&self` and is safe to call from many threads at once:
+    /// concurrent callers share compiled plans through the sharded cache
+    /// but never an execution lock.
     ///
     /// Repeated queries skip the rewriting-to-plan pipeline entirely: the
-    /// compiled form is cached under `(OMQ, scope, options)` and stays
-    /// valid until the next [`BdiSystem::register_release`] (or other
+    /// compiled form is cached under `(OMQ, scope, `[`PlanShape`]`)` and
+    /// stays valid until the next [`BdiSystem::register_release`] (or other
     /// visible metadata change). With [`ExecOptions::reuse_scans`] the
     /// query also checks a persistent [`ExecContext`] out of the system's
     /// pool, carrying interned wrapper scans and join build sides across
@@ -892,35 +852,17 @@ impl BdiSystem {
             scope,
             options,
         } = request;
+        // First thing, so the request's deadline is armed before parsing,
+        // rewriting and compiling spend any of it. The shape is the
+        // options' share of the cache key; the run-time values are this
+        // caller's, whoever compiled the plan that ends up executing.
+        let (shape, runtime) = options.split();
         let omq = match query {
             QueryText::Sparql(text) => Omq::parse(&text, self.ontology.prefixes())?,
             QueryText::Omq(omq) => omq,
         };
         self.cache.ensure_valid(self.cache_validity());
-        // Normalize the key to the plan-shaping options: `cache_plans` and
-        // `reuse_scans` steer *this* method, and `semijoin_max_keys` /
-        // `bloom_semijoins` / `scan_cache` / `deadline` /
-        // `on_source_failure` / `max_rows` steer only the executor — never
-        // the compiled plan — so queries differing only in them share one
-        // cache entry (and each execution reads those knobs from the
-        // caller's options, below). The rest stay in the key: `engine`,
-        // `pushdown`, `parallel`, `filters`, and `cost_based_joins` all
-        // shape the compiled plan. `cargo xtask analyze` enforces that
-        // every ExecOptions field is classified one way or the other
-        // (normalized-out fields are ledgered in
-        // analysis/normalized_out.txt; in-key fields must be named here).
-        let key_options = ExecOptions {
-            cache_plans: true,
-            reuse_scans: false,
-            semijoin_max_keys: bdi_relational::plan::DEFAULT_SEMIJOIN_MAX_KEYS,
-            bloom_semijoins: true,
-            scan_cache: bdi_relational::ScanCache::Auto,
-            deadline: None,
-            on_source_failure: exec::SourceFailurePolicy::Fail,
-            max_rows: None,
-            ..options.clone()
-        };
-        let key = (omq, scope, key_options);
+        let key = (omq, scope, shape);
         let (cached, at_epoch) = if options.cache_plans {
             self.cache.lookup(&key)
         } else {
@@ -929,7 +871,7 @@ impl BdiSystem {
         let compiled = match cached {
             Some(compiled) => compiled,
             None => {
-                let (omq, scope, key_options) = &key;
+                let (omq, scope, _) = &key;
                 let mut rewriting = rewrite::rewrite(&self.ontology, omq.clone())?;
                 if !matches!(scope, VersionScope::All) {
                     let allowed = self.wrappers_in_scope(scope);
@@ -945,7 +887,7 @@ impl BdiSystem {
                     &self.ontology,
                     &self.registry,
                     rewriting,
-                    key_options,
+                    &options,
                 )?);
                 self.cache.record_compile(compiled.plan_notes());
                 if options.cache_plans {
@@ -969,7 +911,7 @@ impl BdiSystem {
             &self.registry,
             &compiled,
             pooled.as_ref().map(|p| p.get()),
-            options.runtime(),
+            runtime,
         )?;
         drop(pooled);
         Ok(Answer {

@@ -29,7 +29,7 @@ pub use algebra::{AlgebraError, RelExpr, SourceResolver};
 pub use expr::{Expr, ExprError};
 pub use plan::{
     BatchIter, Bound, ColumnFilter, ExecContext, ExecPolicy, PhysicalPlan, PlanError, PlanSource,
-    Predicate, ScanCache, ScanMark, ScanRequest,
+    Predicate, ScanMark, ScanRequest,
 };
 pub use relation::{Relation, RelationError, Tuple};
 pub use schema::{Attribute, Schema, SchemaError};

@@ -47,8 +47,8 @@
 //! under short lock holds. [`PlanSource::data_version`] stamps each scan
 //! with the source's data generation — the [`ExecContext`] scan cache keys
 //! on it, so contexts reused across queries can never serve rows scanned
-//! before a source mutation. [`execute_plan_prefetched`] issues a plan's
-//! scans concurrently on scoped threads ahead of the pulling pipeline.
+//! before a source mutation. [`execute_plan`] issues a plan's scans
+//! concurrently on scoped threads ahead of the pulling pipeline.
 //!
 //! ## Append-aware scans
 //!
@@ -67,8 +67,8 @@
 //!
 //! ## Runtime policy: semi-join sideways passing & cursor-only scans
 //!
-//! Execution entry points take an [`ExecPolicy`] (separate from the plan —
-//! the same compiled plan runs under any policy):
+//! [`execute_plan`] and [`Operator::new`] take an [`ExecPolicy`] (separate
+//! from the plan — the same compiled plan runs under any policy):
 //!
 //! * **Semi-join sideways information passing**
 //!   ([`ExecPolicy::semijoin_max_keys`]): a hash join schedules its build
@@ -86,20 +86,21 @@
 //!   (`semijoin_pays`: keys against the probe key column's *distinct*
 //!   count where the source publishes sketches, not against its rows), and
 //!   never for a probe scan that is already cached, or one resume away
-//!   from it. When the
-//!   build side's key set exceeds `semijoin_max_keys`, the pass degrades to
-//!   a **bloom semi-join** ([`ExecPolicy::bloom_semijoins`]): a compact
-//!   [`Predicate::Bloom`] membership filter built from the live build keys
-//!   is injected instead of the IN-set. Its false positives only admit
-//!   extra probe rows the join's hash probe then discards, so answers stay
-//!   identical to the eager reference.
-//! * **Cursor-only scans** ([`ExecPolicy::scan_cache`]): instead of
-//!   materializing the whole interned table in the [`ExecContext`] cache, a
-//!   scan can pull interned batches straight through
-//!   ([`ScanCache::Never`], or [`ScanCache::Auto`] when the source's size
-//!   hint exceeds the context's value-cap watermark) — the mediator's
-//!   resident footprint for such a scan is one batch, making sources larger
-//!   than RAM (even in id space) queryable.
+//!   from it. When the build side's key set exceeds `semijoin_max_keys`
+//!   (up to [`BLOOM_SEMIJOIN_MAX_KEYS`]), the pass degrades to a **bloom
+//!   semi-join**: a compact [`Predicate::Bloom`] membership filter built
+//!   from the live build keys is injected instead of the IN-set. Its false
+//!   positives only admit extra probe rows the join's hash probe then
+//!   discards, so answers stay identical to the eager reference.
+//!
+//! **Cursor-only scans** are not a policy but a decision the executor takes
+//! from what it can see (`scan_uses_cache`): a scan whose estimated
+//! interned size exceeds the context's value-cap watermark
+//! ([`ExecContext::with_value_cap`]) pulls interned batches straight
+//! through instead of materializing the whole table in the [`ExecContext`]
+//! cache — the mediator's resident footprint for such a scan is one batch,
+//! making sources larger than RAM (even in id space) queryable. An uncapped
+//! context, or a source that publishes no size hint, caches everything.
 
 use crate::relation::{Relation, RelationError, Tuple};
 use crate::schema::{Attribute, Schema};
@@ -193,33 +194,13 @@ const ADAPTIVE_BATCH_MIN_ROWS: usize = 256;
 const ADAPTIVE_BATCH_MAX_ROWS: usize = 8 * 1024;
 
 /// Row-id cells a stats-gated cache admission may store per value-cap
-/// unit. The stats path of [`ScanCache::Auto`] bounds *pool* growth by
+/// unit. The stats path of `scan_uses_cache` bounds *pool* growth by
 /// per-column distinct counts, but the cached [`Batch`] itself stores
 /// post-filter rows × arity `u32` ids however few distinct values they
 /// decode to — this factor caps that storage relative to the value cap,
 /// weighting a 4-byte id cell against an interned [`Value`] plus its pool
 /// overhead (conservatively this many id cells per value).
 const SCAN_CACHE_ID_CELLS_PER_VALUE: u64 = 8;
-
-/// How scans materialize through the [`ExecContext`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScanCache {
-    /// Cache interned scans, except when a scan's estimated interned size —
-    /// [`PlanSource::scan_hint`] rows × output arity, i.e. the cells the
-    /// cached table would hold — exceeds the context's
-    /// [`ExecContext::value_cap`] watermark: such scans run cursor-only
-    /// rather than blow the memory bound the cap promises. An uncapped
-    /// context caches everything (the pre-cursor behaviour).
-    #[default]
-    Auto,
-    /// Always cache, whatever the hints say.
-    Always,
-    /// Never cache: every scan pulls interned batches straight through
-    /// ("cursor-only"). Peak resident memory per scan is one batch, at the
-    /// cost of re-reading sources on every execution — the right trade for
-    /// one-shot queries over sources larger than RAM.
-    Never,
-}
 
 /// Runtime execution policy, orthogonal to the compiled [`PhysicalPlan`]:
 /// the same plan executes under any policy, and answers never depend on it
@@ -228,19 +209,14 @@ pub enum ScanCache {
 pub struct ExecPolicy {
     /// Semi-join sideways passing: when a hash join's build side has at most
     /// this many distinct keys, they are injected as an IN-set filter into
-    /// the probe child's scan request (when the source claims it). `0`
-    /// disables the sideways pass entirely, including the hint-driven build
-    /// scheduling that enables it.
+    /// the probe child's scan request (when the source claims it). Past
+    /// it (but within [`BLOOM_SEMIJOIN_MAX_KEYS`]) a [`Predicate::Bloom`]
+    /// membership filter over the live build keys is injected instead;
+    /// its false positives only admit extra probe rows that the join's own
+    /// hash probe discards, so answers are unaffected either way. `0`
+    /// disables the sideways pass entirely, including the bloom degradation
+    /// and the hint-driven build scheduling that enables it.
     pub semijoin_max_keys: usize,
-    /// Bloom degradation of the sideways pass: when the build side's
-    /// distinct keys exceed `semijoin_max_keys` (but stay within
-    /// [`BLOOM_SEMIJOIN_MAX_KEYS`]), inject a [`Predicate::Bloom`]
-    /// membership filter over the live build keys instead of disabling the
-    /// pass. False positives only admit extra probe rows that the join's
-    /// own hash probe discards, so answers are unaffected either way.
-    pub bloom_semijoins: bool,
-    /// How scans materialize through the shared context (see [`ScanCache`]).
-    pub scan_cache: ScanCache,
     /// Absolute wall-clock deadline for the execution. Checked at every
     /// batch boundary (operator pulls, scan-cache fills, cursor pulls) and
     /// while waiting on a queued prefetch feed, so a stalled or slow source
@@ -255,8 +231,6 @@ impl Default for ExecPolicy {
     fn default() -> Self {
         Self {
             semijoin_max_keys: DEFAULT_SEMIJOIN_MAX_KEYS,
-            bloom_semijoins: true,
-            scan_cache: ScanCache::Auto,
             deadline: None,
         }
     }
@@ -758,8 +732,8 @@ pub trait PlanSource: Sync {
     /// A cheap estimate of how many rows a scan of `source` under `request`
     /// would yield, or `None` when the source cannot produce one. Used for
     /// execution-time *scheduling* only — choosing a hash join's build side
-    /// before any scan is issued (semi-join sideways passing) and gating
-    /// [`ScanCache::Auto`] — never for correctness.
+    /// before any scan is issued (semi-join sideways passing) and routing
+    /// over-cap scans cursor-only — never for correctness.
     ///
     /// Contract: for an unfiltered request, return the exact row count or
     /// `None` (an exact hint is what keeps the hint-driven build-side
@@ -1425,7 +1399,7 @@ pub struct ExecContext {
     scans: Mutex<HashMap<ScanKey, Stamped<ScanSlot>>>,
     builds: Mutex<BuildCache>,
     /// Bounded batch feeds registered by the prefetcher for cursor-routed
-    /// scans (see [`execute_plan_prefetched_with`]): the scan operator that
+    /// scans (see [`execute_plan`]): the scan operator that
     /// owns the matching request takes its feed here instead of opening a
     /// second source cursor. Feeds are per-execution and always drained or
     /// dropped before the prefetch scope joins.
@@ -1532,7 +1506,7 @@ impl ExecContext {
     }
 
     /// Lifetime count of bloom semi-join sideways passes executed through
-    /// this context (see [`ExecPolicy::bloom_semijoins`]).
+    /// this context (see [`ExecPolicy::semijoin_max_keys`]).
     pub fn semijoin_blooms(&self) -> u64 {
         self.semijoin_blooms.load(Ordering::Relaxed)
     }
@@ -2136,10 +2110,12 @@ fn versioned_scan_key(source: &dyn PlanSource, name: &str, request: &ScanRequest
     }
 }
 
-/// Whether a scan materializes through the context cache under `policy`.
-/// The prefetcher and the scan operator must agree on this, so it is the
-/// single decision point: [`ScanCache::Auto`] caches unless the scan's
-/// estimated interned size exceeds the context's value-cap watermark.
+/// Whether a scan materializes through the context cache. The prefetcher
+/// and the scan operator must agree on this, so it is the single decision
+/// point: a scan is cached unless its estimated interned size exceeds the
+/// context's value-cap watermark — then it runs cursor-only rather than
+/// blow the memory bound the cap promises. An uncapped context caches
+/// everything, as does a source that publishes neither stats nor a hint.
 ///
 /// The estimate prefers the source's [`PlanSource::stats`] snapshot when
 /// one exists: the cached table's cell count is post-filter rows × arity,
@@ -2152,48 +2128,40 @@ fn versioned_scan_key(source: &dyn PlanSource, name: &str, request: &ScanRequest
 fn scan_uses_cache(
     ctx: &ExecContext,
     source: &dyn PlanSource,
-    policy: &ExecPolicy,
     name: &str,
     request: &ScanRequest,
 ) -> bool {
-    match policy.scan_cache {
-        ScanCache::Always => true,
-        ScanCache::Never => false,
-        ScanCache::Auto => {
-            let Some(cap) = ctx.value_cap() else {
-                return true;
-            };
-            if let Some(stats) = source.stats(name) {
-                let rows = stats.estimate_rows(request.filters());
-                // The cached batch stores rows × arity row-id cells no
-                // matter how few distinct values back them — bound that
-                // storage too ([`SCAN_CACHE_ID_CELLS_PER_VALUE`]), so a
-                // huge low-cardinality scan cannot grow cache bytes
-                // unbounded under a tight value cap.
-                let id_cells = rows.saturating_mul(request.output().len().max(1) as u64);
-                if id_cells > (cap as u64).saturating_mul(SCAN_CACHE_ID_CELLS_PER_VALUE) {
-                    return false;
-                }
-                let cells: u64 = request
-                    .columns()
-                    .iter()
-                    .map(|column| {
-                        stats
-                            .column(column)
-                            .map(|c| c.distinct.min(rows))
-                            .unwrap_or(rows)
-                    })
-                    .sum();
-                return cells <= cap as u64;
-            }
-            match source.scan_hint(name, request) {
-                Some(hint) => {
-                    let cells = hint.saturating_mul(request.output().len().max(1) as u64);
-                    cells <= cap as u64
-                }
-                None => true,
-            }
+    let Some(cap) = ctx.value_cap() else {
+        return true;
+    };
+    if let Some(stats) = source.stats(name) {
+        let rows = stats.estimate_rows(request.filters());
+        // The cached batch stores rows × arity row-id cells no matter how
+        // few distinct values back them — bound that storage too
+        // ([`SCAN_CACHE_ID_CELLS_PER_VALUE`]), so a huge low-cardinality
+        // scan cannot grow cache bytes unbounded under a tight value cap.
+        let id_cells = rows.saturating_mul(request.output().len().max(1) as u64);
+        if id_cells > (cap as u64).saturating_mul(SCAN_CACHE_ID_CELLS_PER_VALUE) {
+            return false;
         }
+        let cells: u64 = request
+            .columns()
+            .iter()
+            .map(|column| {
+                stats
+                    .column(column)
+                    .map(|c| c.distinct.min(rows))
+                    .unwrap_or(rows)
+            })
+            .sum();
+        return cells <= cap as u64;
+    }
+    match source.scan_hint(name, request) {
+        Some(hint) => {
+            let cells = hint.saturating_mul(request.output().len().max(1) as u64);
+            cells <= cap as u64
+        }
+        None => true,
     }
 }
 
@@ -2340,11 +2308,11 @@ fn semijoin_probe_plan<'p>(
     // Distinct build keys never exceed the build's *exact* row hint, so a
     // hint under the IN-set threshold makes an IN-set injection certain; a
     // hint between the IN-set and bloom thresholds makes *some* injection
-    // (IN-set for a duplicate-heavy build, bloom otherwise) certain when
-    // blooms are enabled. Past the bloom cap the probe runs unreduced and
-    // must keep its prefetch. A source that declines the pass will also be
-    // scanned unreduced, so probe the claim with the matching canonical
-    // filter. A sketch-*estimated* build hint (see [`plan_hint_is_estimate`])
+    // (IN-set for a duplicate-heavy build, bloom otherwise) certain. Past
+    // the bloom cap the probe runs unreduced and must keep its prefetch. A
+    // source that declines the pass will also be scanned unreduced, so
+    // probe the claim with the matching canonical filter. A
+    // sketch-*estimated* build hint (see [`plan_hint_is_estimate`])
     // can land on either side of the IN-set threshold, so the executor may
     // pick either kind — require both canonical claims then. A
     // value-sensitive claimer may still diverge from the real injected set;
@@ -2357,10 +2325,10 @@ fn semijoin_probe_plan<'p>(
         if !source.claims(scan_name, &in_set) {
             return None;
         }
-        if estimate && policy.bloom_semijoins && !source.claims(scan_name, &bloom) {
+        if estimate && !source.claims(scan_name, &bloom) {
             return None;
         }
-    } else if policy.bloom_semijoins && build_hint <= BLOOM_SEMIJOIN_MAX_KEYS as u64 {
+    } else if build_hint <= BLOOM_SEMIJOIN_MAX_KEYS as u64 {
         if !source.claims(scan_name, &bloom) {
             return None;
         }
@@ -2574,7 +2542,7 @@ impl<'r> ScanOp<'r> {
             state,
         } = self;
         if matches!(state, ScanState::Pending) {
-            *state = if !*semijoin_reduced && scan_uses_cache(ctx, source, policy, name, request) {
+            *state = if !*semijoin_reduced && scan_uses_cache(ctx, source, name, request) {
                 ScanState::Cached {
                     table: ctx.scan(source, name, request, policy.deadline)?,
                     cursor: 0,
@@ -2783,9 +2751,7 @@ impl<'r> OpNode<'r> {
         policy: &ExecPolicy,
     ) -> Result<(Arc<Batch>, Option<u64>), PlanError> {
         if let OpNode::Scan(op) = self {
-            if !op.semijoin_reduced
-                && scan_uses_cache(ctx, plan_source, policy, &op.source, &op.request)
-            {
+            if !op.semijoin_reduced && scan_uses_cache(ctx, plan_source, &op.source, &op.request) {
                 let (batch, version) =
                     ctx.scan_versioned(plan_source, &op.source, &op.request, policy.deadline)?;
                 return Ok((batch, Some(version)));
@@ -2845,14 +2811,13 @@ impl<'r> OpNode<'r> {
             // shrink the probe ([`semijoin_pays`]): as an exact IN-set
             // while small enough to evaluate source-side, degrading to a
             // bloom membership filter over the same *live* build keys past
-            // that threshold ([`ExecPolicy::bloom_semijoins`]). The bloom's
+            // that threshold (up to [`BLOOM_SEMIJOIN_MAX_KEYS`]). The bloom's
             // false positives only admit extra probe rows this join's hash
             // probe then discards — never a wrong answer, and never
             // dependent on any statistics sketch.
             let distinct = index.distinct_keys();
             let wants_bloom = distinct > policy.semijoin_max_keys;
-            let within_budget =
-                !wants_bloom || (policy.bloom_semijoins && distinct <= BLOOM_SEMIJOIN_MAX_KEYS);
+            let within_budget = !wants_bloom || distinct <= BLOOM_SEMIJOIN_MAX_KEYS;
             let site = within_budget
                 .then(|| probe_node.scan_site(probe_key))
                 .flatten()
@@ -3133,29 +3098,9 @@ impl<'r> OpNode<'r> {
     }
 }
 
-/// Runs a plan to completion against a fresh context, decoding the result.
-///
-/// Union nodes deduplicate (set semantics) and emit rows in first-occurrence
-/// order; every other operator preserves its input order. Callers wanting
-/// the canonical sorted form apply [`Relation::distinct`] themselves.
-pub fn execute_plan(plan: &PhysicalPlan, source: &dyn PlanSource) -> Result<Relation, PlanError> {
-    let ctx = ExecContext::new();
-    execute_plan_in(plan, &ctx, source)
-}
-
-/// Runs a plan to completion against an existing (possibly shared) context,
-/// under the default [`ExecPolicy`].
-pub fn execute_plan_in(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    source: &dyn PlanSource,
-) -> Result<Relation, PlanError> {
-    execute_plan_in_with(plan, ctx, source, ExecPolicy::default())
-}
-
-/// Runs a plan to completion against an existing context under an explicit
-/// runtime [`ExecPolicy`] (semi-join sideways passing, scan-cache mode).
-pub fn execute_plan_in_with(
+/// The plain pull loop: drains an [`Operator`] on the caller's thread,
+/// decoding each batch.
+fn pull_plan(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
     source: &dyn PlanSource,
@@ -3192,7 +3137,7 @@ fn collect_prefetch_scans<'p>(
                 .iter()
                 .any(|(s, r, _)| *s == name.as_str() && *r == request)
             {
-                let cached = scan_uses_cache(ctx, source, policy, name, request);
+                let cached = scan_uses_cache(ctx, source, name, request);
                 out.push((name, request, cached));
             }
         }
@@ -3227,38 +3172,48 @@ fn collect_prefetch_scans<'p>(
     }
 }
 
-/// [`execute_plan_prefetched_with`] under the default [`ExecPolicy`].
-pub fn execute_plan_prefetched(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    source: &dyn PlanSource,
-    max_workers: usize,
-) -> Result<Relation, PlanError> {
-    execute_plan_prefetched_with(plan, ctx, source, max_workers, ExecPolicy::default())
-}
-
 /// Batches a queued-scan producer may run ahead of its consumer: the
 /// bounded queue is the backpressure that keeps one slow (or huge) source
 /// from buffering unboundedly while siblings and the pipeline proceed.
 pub const PREFETCH_QUEUE_BATCHES: usize = 4;
 
-/// Runs a plan like [`execute_plan_in_with`], but works ahead of the
-/// pulling pipeline on `crossbeam` scoped prefetch threads:
+/// Threads one query execution may occupy — prefetch producers here, walk
+/// executors in the layer above: the machine's parallelism, capped at 16.
+pub fn worker_budget() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(16)
+}
+
+/// Runs a plan to completion against a (possibly shared) context under a
+/// runtime [`ExecPolicy`], decoding the result — the one plan driver.
+/// ([`Operator::new`] + [`Operator::next_batch`] is the pull API for
+/// callers that consume interned batches themselves.)
+///
+/// Union nodes deduplicate (set semantics) and emit rows in first-occurrence
+/// order; every other operator preserves its input order. Callers wanting
+/// the canonical sorted form apply [`Relation::distinct`] themselves.
+///
+/// The pipeline pulls on the caller's thread; where there is something to
+/// work ahead on, `crossbeam` scoped prefetch threads — at most
+/// [`worker_budget`] of them — run ahead of it:
 ///
 /// * **Cache-destined** scan leaves are warmed concurrently by a worker
-///   pool (bounded by `max_workers`), so a plan over several sources
-///   overlaps their scans with each other — and with the join pipeline,
-///   which starts pulling on the caller's thread immediately and blocks
-///   per scan only until *that* scan's shared cache cell is filled.
-/// * **Cursor-routed** scan leaves (scans the policy keeps out of the
-///   cache) each get a *dedicated* producer thread feeding interned
-///   batches through a bounded queue of [`PREFETCH_QUEUE_BATCHES`]
-///   batches; the scan operator consumes the queue instead of opening its
-///   own cursor. Source latency (a remote source's page fetches) overlaps
-///   with execution, while the bounded queue exerts backpressure — a slow
-///   source can stall only its own producer, never a sibling's, and never
-///   buffers more than the queue holds. Producers beyond `max_workers`
-///   are not spawned; the overflow scans just run as plain cursors.
+///   pool, so a plan over several sources overlaps their scans with each
+///   other — and with the join pipeline, which starts pulling immediately
+///   and blocks per scan only until *that* scan's shared cache cell is
+///   filled.
+/// * **Cursor-routed** scan leaves (scans kept out of the cache by the
+///   context's value cap) each get a *dedicated* producer thread feeding
+///   interned batches through a bounded queue of
+///   [`PREFETCH_QUEUE_BATCHES`] batches; the scan operator consumes the
+///   queue instead of opening its own cursor. Source latency (a remote
+///   source's page fetches) overlaps with execution, while the bounded
+///   queue exerts backpressure — a slow source can stall only its own
+///   producer, never a sibling's, and never buffers more than the queue
+///   holds. Producers beyond the worker budget are not spawned; the
+///   overflow scans just run as plain cursors.
 ///
 /// Probe scans the semi-join pass is about to reduce are deliberately not
 /// prefetched on either path. Memory stays bounded: each in-flight
@@ -3266,13 +3221,25 @@ pub const PREFETCH_QUEUE_BATCHES: usize = 4;
 /// one value-space batch plus (for queued feeds) the bounded queue; what
 /// accumulates is the interned (4-bytes-per-cell) form in the shared scan
 /// cache, which the plan's operators would have materialized anyway.
-/// Plans with nothing to work ahead on skip the threads entirely.
-pub fn execute_plan_prefetched_with(
+/// A single-core host, and a plan with nothing to work ahead on (fewer
+/// than two cold cache-destined scans and no cursor-routed one), skip the
+/// threads entirely.
+pub fn execute_plan(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
     source: &dyn PlanSource,
-    max_workers: usize,
     policy: ExecPolicy,
+) -> Result<Relation, PlanError> {
+    execute_plan_with_workers(plan, ctx, source, policy, worker_budget())
+}
+
+/// [`execute_plan`] with the prefetch-thread budget as an argument.
+fn execute_plan_with_workers(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    source: &dyn PlanSource,
+    policy: ExecPolicy,
+    max_workers: usize,
 ) -> Result<Relation, PlanError> {
     let mut scans = Vec::new();
     collect_prefetch_scans(plan, ctx, source, &policy, &mut scans);
@@ -3290,7 +3257,7 @@ pub fn execute_plan_prefetched_with(
         .collect();
     queued.truncate(max_workers);
     if max_workers < 2 || (cached.len() < 2 && queued.is_empty()) {
-        return execute_plan_in_with(plan, ctx, source, policy);
+        return pull_plan(plan, ctx, source, policy);
     }
     let warm_workers = if cached.len() >= 2 {
         cached.len().min(max_workers)
@@ -3354,7 +3321,7 @@ pub fn execute_plan_prefetched_with(
                 let _ = ctx.scan(source, name, request, deadline);
             });
         }
-        let result = execute_plan_in_with(plan, ctx, source, policy);
+        let result = pull_plan(plan, ctx, source, policy);
         // Feeds nobody claimed (a probe scan reduced after registration, an
         // execution that errored before reaching its scan) would leave
         // their producers blocked on a full queue: drop them so the
@@ -3370,6 +3337,19 @@ mod tests {
     use super::*;
     use crate::ops;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The plain pull loop under the default policy, on a fresh context.
+    fn run(plan: &PhysicalPlan, source: &dyn PlanSource) -> Result<Relation, PlanError> {
+        run_in(plan, &ExecContext::new(), source)
+    }
+
+    fn run_in(
+        plan: &PhysicalPlan,
+        ctx: &ExecContext,
+        source: &dyn PlanSource,
+    ) -> Result<Relation, PlanError> {
+        pull_plan(plan, ctx, source, ExecPolicy::default())
+    }
 
     fn w1() -> Relation {
         Relation::new(
@@ -3429,7 +3409,7 @@ mod tests {
         let plan = scan_all("w1", &w1())
             .hash_join(scan_all("w3", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        let streamed = execute_plan(&plan, &source).unwrap();
+        let streamed = run(&plan, &source).unwrap();
         let eager = ops::join(&w1(), &w3(), "VoDmonitorId", "MonitorId").unwrap();
         assert_eq!(streamed, eager);
         assert_eq!(streamed.rows(), eager.rows()); // identical order too
@@ -3442,7 +3422,7 @@ mod tests {
         let plan = scan_all("w3", &w3())
             .hash_join(scan_all("w1", &w1()), "MonitorId", "VoDmonitorId")
             .unwrap();
-        let streamed = execute_plan(&plan, &source).unwrap();
+        let streamed = run(&plan, &source).unwrap();
         let eager = ops::join(&w3(), &w1(), "MonitorId", "VoDmonitorId").unwrap();
         assert_eq!(streamed.rows(), eager.rows());
     }
@@ -3480,7 +3460,7 @@ mod tests {
             "rid",
         )
         .unwrap();
-        let out = execute_plan(&plan, &src).unwrap();
+        let out = run(&plan, &src).unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -3488,7 +3468,7 @@ mod tests {
     fn union_dedups_in_first_occurrence_order() {
         let a = scan_all("w1", &w1());
         let plan = PhysicalPlan::union(vec![a.clone(), a]).unwrap();
-        let out = execute_plan(&plan, &source).unwrap();
+        let out = run(&plan, &source).unwrap();
         assert_eq!(out.len(), 3); // both inputs identical → one copy each
         assert_eq!(out.rows()[0], w1().rows()[0]); // original order kept
     }
@@ -3512,8 +3492,8 @@ mod tests {
         };
         let ctx = ExecContext::new();
         let plan = scan_all("w1", &w1());
-        execute_plan_in(&plan, &ctx, &counting).unwrap();
-        execute_plan_in(&plan, &ctx, &counting).unwrap();
+        run_in(&plan, &ctx, &counting).unwrap();
+        run_in(&plan, &ctx, &counting).unwrap();
         assert_eq!(scans.load(Ordering::SeqCst), 1);
 
         // A different request (a filter) is a different cache entry.
@@ -3521,7 +3501,7 @@ mod tests {
             "w1",
             ScanRequest::full(w1().schema()).with_filter("VoDmonitorId", Value::Int(18)),
         );
-        let out = execute_plan_in(&filtered, &ctx, &counting).unwrap();
+        let out = run_in(&filtered, &ctx, &counting).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(scans.load(Ordering::SeqCst), 2);
     }
@@ -3544,7 +3524,7 @@ mod tests {
             .rename(&[("VoDmonitorId", "monitorId")])
             .unwrap();
         assert!(plan.schema().attribute("monitorId").unwrap().is_id());
-        let out = execute_plan(&plan, &source).unwrap();
+        let out = run(&plan, &source).unwrap();
         assert_eq!(out.len(), 3);
         assert!(scan_all("w1", &w1()).rename(&[("zz", "x")]).is_err());
     }
@@ -3557,7 +3537,7 @@ mod tests {
                 Schema::from_parts::<&str>(&[], &["lagRatio"]).unwrap(),
             )
             .unwrap();
-        let out = execute_plan(&plan, &source).unwrap();
+        let out = run(&plan, &source).unwrap();
         assert_eq!(out.schema().names(), vec!["lagRatio"]);
         assert_eq!(out.len(), 3);
 
@@ -3652,8 +3632,8 @@ mod tests {
                 .with_predicate("lagRatio", predicates[1].1.clone()),
         );
         let residual = scan_all("w1", &w1()).filter(predicates).unwrap();
-        let a = execute_plan(&pushed, &source).unwrap();
-        let b = execute_plan(&residual, &source).unwrap();
+        let a = run(&pushed, &source).unwrap();
+        let b = run(&residual, &source).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 1);
         // Unknown filter columns are rejected at build time.
@@ -3677,7 +3657,7 @@ mod tests {
         let reference = request.apply(&w1()).unwrap();
         assert_eq!(reference.schema().names(), vec!["lagRatio"]);
         assert_eq!(reference.len(), 2); // both monitor-12 rows, not monitor-18
-        let out = execute_plan(&PhysicalPlan::scan("w1", request), &source).unwrap();
+        let out = run(&PhysicalPlan::scan("w1", request), &source).unwrap();
         assert_eq!(out, reference);
     }
 
@@ -3695,18 +3675,18 @@ mod tests {
             "w1",
             ScanRequest::full(w1().schema()).with_filter("VoDmonitorId", Value::Int(18)),
         );
-        execute_plan_in(&w1_plan, &ctx, &counting).unwrap(); // cache: w1
-        execute_plan_in(&w3_plan, &ctx, &counting).unwrap(); // cache: w1, w3
-        execute_plan_in(&w1_plan, &ctx, &counting).unwrap(); // touch w1
+        run_in(&w1_plan, &ctx, &counting).unwrap(); // cache: w1
+        run_in(&w3_plan, &ctx, &counting).unwrap(); // cache: w1, w3
+        run_in(&w1_plan, &ctx, &counting).unwrap(); // touch w1
         assert_eq!(scans.load(Ordering::SeqCst), 2);
         assert_eq!(ctx.cached_scans(), 2);
         // Third distinct scan evicts the LRU entry (w3, not the re-touched w1).
-        execute_plan_in(&filtered, &ctx, &counting).unwrap();
+        run_in(&filtered, &ctx, &counting).unwrap();
         assert_eq!(ctx.cached_scans(), 2);
         assert_eq!(scans.load(Ordering::SeqCst), 3);
-        execute_plan_in(&w1_plan, &ctx, &counting).unwrap(); // still cached
+        run_in(&w1_plan, &ctx, &counting).unwrap(); // still cached
         assert_eq!(scans.load(Ordering::SeqCst), 3);
-        execute_plan_in(&w3_plan, &ctx, &counting).unwrap(); // was evicted → rescans
+        run_in(&w3_plan, &ctx, &counting).unwrap(); // was evicted → rescans
         assert_eq!(scans.load(Ordering::SeqCst), 4);
     }
 
@@ -3729,11 +3709,11 @@ mod tests {
         let plan = scan_all("w1", &w1())
             .hash_join(scan_all("w3", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        let reference = execute_plan(&plan, &source).unwrap();
+        let reference = run(&plan, &source).unwrap();
         for batch_rows in [1usize, 3, 1 << 20] {
             let ctx = ExecContext::new().with_scan_batch_rows(batch_rows);
             assert_eq!(ctx.scan_batch_rows(), batch_rows);
-            let out = execute_plan_in(&plan, &ctx, &source).unwrap();
+            let out = run_in(&plan, &ctx, &source).unwrap();
             assert_eq!(out.rows(), reference.rows());
         }
     }
@@ -3748,9 +3728,10 @@ mod tests {
         let plan = scan_all("w1", &w1())
             .hash_join(scan_all("w3", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        let reference = execute_plan(&plan, &source).unwrap();
+        let reference = run(&plan, &source).unwrap();
         let ctx = ExecContext::new();
-        let out = execute_plan_prefetched(&plan, &ctx, &counting, 8).unwrap();
+        let out =
+            execute_plan_with_workers(&plan, &ctx, &counting, ExecPolicy::default(), 8).unwrap();
         assert_eq!(out.rows(), reference.rows());
         // Prefetch threads and the pulling pipeline share the cache cells:
         // each distinct scan ran exactly once.
@@ -3759,7 +3740,14 @@ mod tests {
         let bad = scan_all("w1", &w1())
             .hash_join(scan_all("zz", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        assert!(execute_plan_prefetched(&bad, &ExecContext::new(), &source, 8).is_err());
+        assert!(execute_plan_with_workers(
+            &bad,
+            &ExecContext::new(),
+            &source,
+            ExecPolicy::default(),
+            8
+        )
+        .is_err());
     }
 
     /// A mutable source whose `data_version` moves with its rows — the
@@ -3790,8 +3778,8 @@ mod tests {
         };
         let ctx = ExecContext::new();
         let plan = scan_all("w1", &w1());
-        assert_eq!(execute_plan_in(&plan, &ctx, &source).unwrap().len(), 3);
-        assert_eq!(execute_plan_in(&plan, &ctx, &source).unwrap().len(), 3);
+        assert_eq!(run_in(&plan, &ctx, &source).unwrap().len(), 3);
+        assert_eq!(run_in(&plan, &ctx, &source).unwrap().len(), 3);
         assert_eq!(source.scans.load(Ordering::SeqCst), 1); // cached
 
         // Mutate the data and bump the version: the same context must
@@ -3802,7 +3790,7 @@ mod tests {
             .unwrap();
         *source.rows.lock().unwrap() = bigger;
         source.version.fetch_add(1, Ordering::SeqCst);
-        let fresh = execute_plan_in(&plan, &ctx, &source).unwrap();
+        let fresh = run_in(&plan, &ctx, &source).unwrap();
         assert_eq!(fresh.len(), 4);
         assert_eq!(source.scans.load(Ordering::SeqCst), 2);
     }
@@ -3864,7 +3852,7 @@ mod tests {
         let plan = scan_all("wr", &one_row())
             .hash_join(scan_all("w3", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        let first = execute_plan_in(&plan, &ctx, &source).unwrap();
+        let first = run_in(&plan, &ctx, &source).unwrap();
         assert_eq!(first.len(), 1); // monitor 12 matches one w3 row
 
         // The push's rows become visible (its version bump was already
@@ -3874,7 +3862,7 @@ mod tests {
             .push(vec![Value::Int(18), Value::Float(0.4)])
             .unwrap();
         *source.rows.lock().unwrap() = pushed.clone();
-        let second = execute_plan_in(&plan, &ctx, &source).unwrap();
+        let second = run_in(&plan, &ctx, &source).unwrap();
         let eager = ops::join(&pushed, &w3(), "VoDmonitorId", "MonitorId").unwrap();
         assert_eq!(second.rows(), eager.rows(), "stale build index served");
         assert_eq!(second.len(), 2);
@@ -3889,7 +3877,7 @@ mod tests {
             Relation::new(Schema::from_parts::<&str>(&[], &["only"]).unwrap(), vec![])
         };
         let plan = scan_all("w1", &w1()); // requests w1's 2-column shape
-        let err = execute_plan(&plan, &misshapen);
+        let err = run(&plan, &misshapen);
         assert!(err.is_err(), "empty wrong-shape scan was silently accepted");
     }
 
@@ -3931,7 +3919,7 @@ mod tests {
         let plan = scan_all("w1", &w1())
             .filter(vec![("VoDmonitorId", Predicate::eq(12))])
             .unwrap();
-        let out = execute_plan(&plan, &NoClaims).unwrap();
+        let out = run(&plan, &NoClaims).unwrap();
         assert_eq!(out.len(), 2);
     }
 
@@ -3967,6 +3955,12 @@ mod tests {
                 "wbig" => wbig(),
                 // An empty source sharing w3's join column.
                 "w_empty" => Relation::empty(w3().schema().clone()),
+                // 5000 rows over a 16-value domain.
+                "big" => Relation::new(
+                    Schema::from_parts::<&str>(&["id"], &[]).unwrap(),
+                    (0..5000).map(|i| vec![Value::Int(i % 16)]).collect(),
+                )
+                .unwrap(),
                 other => panic!("unknown source {other}"),
             }
         }
@@ -4018,7 +4012,7 @@ mod tests {
     fn semijoin_reduces_probe_scan_and_bypasses_cache() {
         let src = Hinted::new(true);
         let ctx = ExecContext::new();
-        let out = execute_plan_in(&w3_wbig_join(), &ctx, &src).unwrap();
+        let out = run_in(&w3_wbig_join(), &ctx, &src).unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         assert_eq!(out.len(), 2);
@@ -4039,48 +4033,39 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_respects_disable_and_threshold() {
+    fn zero_max_keys_disables_the_sideways_pass() {
+        // 0 disables the pass outright — including the bloom degradation:
+        // the probe runs unreduced (and cache-normally).
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
-        // 0 disables the pass outright — including the bloom degradation,
-        // despite blooms defaulting on. With blooms off, 1 is under the
-        // build's 2 distinct keys, so the probe runs unreduced (and
-        // cache-normally) there too.
-        for (max_keys, blooms) in [(0usize, true), (0, false), (1, false)] {
-            let src = Hinted::new(true);
-            let ctx = ExecContext::new();
-            let policy = ExecPolicy {
-                semijoin_max_keys: max_keys,
-                bloom_semijoins: blooms,
-                ..ExecPolicy::default()
-            };
-            let out = execute_plan_in_with(&w3_wbig_join(), &ctx, &src, policy).unwrap();
-            assert_eq!(
-                out.rows(),
-                eager.rows(),
-                "max_keys={max_keys} blooms={blooms}"
-            );
-            assert!(src
-                .requests_for("wbig")
-                .iter()
-                .all(|r| r.filters().is_empty()));
-            assert_eq!(ctx.cached_scans(), 2);
-            assert_eq!(ctx.semijoin_blooms(), 0);
-        }
+        let src = Hinted::new(true);
+        let ctx = ExecContext::new();
+        let policy = ExecPolicy {
+            semijoin_max_keys: 0,
+            ..ExecPolicy::default()
+        };
+        let out = pull_plan(&w3_wbig_join(), &ctx, &src, policy).unwrap();
+        assert_eq!(out.rows(), eager.rows());
+        assert!(src
+            .requests_for("wbig")
+            .iter()
+            .all(|r| r.filters().is_empty()));
+        assert_eq!(ctx.cached_scans(), 2);
+        assert_eq!(ctx.semijoin_blooms(), 0);
     }
 
     #[test]
     fn semijoin_past_threshold_degrades_to_bloom() {
-        // A nonzero threshold under the build's 2 distinct keys with blooms
-        // on (the default): the pass degrades to a bloom membership filter
-        // over the live build keys instead of standing down. The reduced
-        // probe scan is query-specific (cache-bypassed) like an IN-set.
+        // A nonzero threshold under the build's 2 distinct keys: the pass
+        // degrades to a bloom membership filter over the live build keys
+        // instead of standing down. The reduced probe scan is
+        // query-specific (cache-bypassed) like an IN-set.
         let src = Hinted::new(true);
         let ctx = ExecContext::new();
         let policy = ExecPolicy {
             semijoin_max_keys: 1,
             ..ExecPolicy::default()
         };
-        let out = execute_plan_in_with(&w3_wbig_join(), &ctx, &src, policy).unwrap();
+        let out = pull_plan(&w3_wbig_join(), &ctx, &src, policy).unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         let probe_requests = src.requests_for("wbig");
@@ -4106,7 +4091,7 @@ mod tests {
         // and the probe scan stays shared/cacheable.
         let src = Hinted::new(true);
         let ctx = ExecContext::new();
-        let out = execute_plan_in(&w1_w3_join(), &ctx, &src).unwrap();
+        let out = run_in(&w1_w3_join(), &ctx, &src).unwrap();
         let eager = ops::join(&w1(), &w3(), "VoDmonitorId", "MonitorId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         assert!(src
@@ -4122,7 +4107,7 @@ mod tests {
         // cached), and the join's own hash probe is the residual semi-join.
         let src = Hinted::new(false);
         let ctx = ExecContext::new();
-        let out = execute_plan_in(&w3_wbig_join(), &ctx, &src).unwrap();
+        let out = run_in(&w3_wbig_join(), &ctx, &src).unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         assert!(src
@@ -4139,7 +4124,7 @@ mod tests {
         let plan = PhysicalPlan::scan("w_empty", ScanRequest::full(w3().schema()))
             .hash_join(scan_all("wbig", &wbig()), "MonitorId", "BigId")
             .unwrap();
-        let out = execute_plan_in(&plan, &ctx, &src).unwrap();
+        let out = run_in(&plan, &ctx, &src).unwrap();
         assert!(out.is_empty());
         // The injected IN-set is the canonical empty set — the probe source
         // ships no rows at all.
@@ -4158,9 +4143,9 @@ mod tests {
         // the pass stands down and the join probes the warm table.
         let src = Hinted::new(true);
         let ctx = ExecContext::new();
-        execute_plan_in(&scan_all("wbig", &wbig()), &ctx, &src).unwrap();
+        run_in(&scan_all("wbig", &wbig()), &ctx, &src).unwrap();
         assert_eq!(src.requests_for("wbig").len(), 1);
-        let out = execute_plan_in(&w3_wbig_join(), &ctx, &src).unwrap();
+        let out = run_in(&w3_wbig_join(), &ctx, &src).unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         // No second wbig read happened, filtered or otherwise.
@@ -4177,9 +4162,8 @@ mod tests {
         // already carrying the IN-set.
         let src = Hinted::new(true);
         let ctx = ExecContext::new();
-        let out =
-            execute_plan_prefetched_with(&w3_wbig_join(), &ctx, &src, 8, ExecPolicy::default())
-                .unwrap();
+        let out = execute_plan_with_workers(&w3_wbig_join(), &ctx, &src, ExecPolicy::default(), 8)
+            .unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         let probe_requests = src.requests_for("wbig");
@@ -4189,47 +4173,39 @@ mod tests {
     }
 
     #[test]
-    fn cursor_only_mode_never_caches() {
-        let scans = AtomicUsize::new(0);
-        let counting = |name: &str, request: &ScanRequest| {
-            scans.fetch_add(1, Ordering::SeqCst);
-            source(name, request)
-        };
-        let ctx = ExecContext::new();
-        let policy = ExecPolicy {
-            scan_cache: ScanCache::Never,
-            ..ExecPolicy::default()
-        };
+    fn over_cap_scans_run_cursor_only_and_never_cache() {
+        // Both hints exceed a value cap of 1, so both scans go cursor-only.
+        let src = Hinted::new(true);
+        let ctx = ExecContext::new().with_value_cap(1);
         let plan = w1_w3_join();
-        let reference = execute_plan(&plan, &source).unwrap();
-        let first = execute_plan_in_with(&plan, &ctx, &counting, policy).unwrap();
+        let reference = run(&plan, &source).unwrap();
+        let first = run_in(&plan, &ctx, &src).unwrap();
         assert_eq!(first.rows(), reference.rows());
         assert_eq!(ctx.cached_scans(), 0);
-        let scans_after_first = scans.load(Ordering::SeqCst);
-        assert_eq!(scans_after_first, 2);
+        assert_eq!(src.requests.lock().unwrap().len(), 2);
         // A second execution re-reads the sources — nothing was cached.
-        let second = execute_plan_in_with(&plan, &ctx, &counting, policy).unwrap();
+        let second = run_in(&plan, &ctx, &src).unwrap();
         assert_eq!(second.rows(), reference.rows());
-        assert_eq!(scans.load(Ordering::SeqCst), 2 * scans_after_first);
+        assert_eq!(src.requests.lock().unwrap().len(), 4);
         assert_eq!(ctx.cached_builds(), 0); // no version → no build caching
     }
 
     #[test]
-    fn auto_mode_gates_on_value_cap_and_hint() {
-        // w1's hint (3 rows) exceeds a cap of 2 → cursor-only under Auto.
+    fn scan_caching_gates_on_value_cap_and_hint() {
+        // w1's hint (3 rows) exceeds a cap of 2 → cursor-only.
         let src = Hinted::new(true);
         let capped = ExecContext::new().with_value_cap(2);
         let plan = scan_all("w1", &w1());
-        let out = execute_plan_in_with(&plan, &capped, &src, ExecPolicy::default()).unwrap();
+        let out = run_in(&plan, &capped, &src).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(capped.cached_scans(), 0);
         // An uncapped context caches as before.
         let uncapped = ExecContext::new();
-        execute_plan_in_with(&plan, &uncapped, &src, ExecPolicy::default()).unwrap();
+        run_in(&plan, &uncapped, &src).unwrap();
         assert_eq!(uncapped.cached_scans(), 1);
-        // A hintless source always caches under Auto, capped or not.
+        // A hintless source always caches, capped or not.
         let hintless = ExecContext::new().with_value_cap(2);
-        execute_plan_in_with(&plan, &hintless, &source, ExecPolicy::default()).unwrap();
+        run_in(&plan, &hintless, &source).unwrap();
         assert_eq!(hintless.cached_scans(), 1);
     }
 
@@ -4237,23 +4213,15 @@ mod tests {
     fn cursor_mode_peaks_below_cached_mode() {
         // A 5000-row scan over a 16-value domain: the cached interned table
         // dominates the resident estimate; cursor-only holds one batch.
-        let schema = Schema::from_parts::<&str>(&["id"], &[]).unwrap();
-        let big = Relation::new(
-            schema.clone(),
-            (0..5000).map(|i| vec![Value::Int(i % 16)]).collect(),
-        )
-        .unwrap();
-        let src = move |_: &str, request: &ScanRequest| request.apply(&big);
-        let plan = PhysicalPlan::scan("big", ScanRequest::full(&schema));
+        let src = Hinted::new(true);
+        let plan = scan_all("big", &Hinted::relation("big"));
 
         let cached_ctx = ExecContext::new();
-        let cached = execute_plan_in(&plan, &cached_ctx, &src).unwrap();
-        let cursor_ctx = ExecContext::new();
-        let policy = ExecPolicy {
-            scan_cache: ScanCache::Never,
-            ..ExecPolicy::default()
-        };
-        let streamed = execute_plan_in_with(&plan, &cursor_ctx, &src, policy).unwrap();
+        let cached = run_in(&plan, &cached_ctx, &src).unwrap();
+        assert_eq!(cached_ctx.cached_scans(), 1);
+        let cursor_ctx = ExecContext::new().with_value_cap(1024);
+        let streamed = run_in(&plan, &cursor_ctx, &src).unwrap();
+        assert_eq!(cursor_ctx.cached_scans(), 0);
         assert_eq!(streamed.rows(), cached.rows());
         assert!(cursor_ctx.peak_bytes() > 0);
         assert!(
@@ -4420,10 +4388,10 @@ mod tests {
         let scan_plan = scan_all("wgrow", &wbig());
         let mut bytes = Vec::new();
         for step in 0..40 {
-            let persistent = execute_plan_in_with(&plan, &ctx, &src, policy).unwrap();
-            let fresh = execute_plan_in_with(&plan, &ExecContext::new(), &src, policy).unwrap();
+            let persistent = pull_plan(&plan, &ctx, &src, policy).unwrap();
+            let fresh = pull_plan(&plan, &ExecContext::new(), &src, policy).unwrap();
             assert_eq!(persistent.rows(), fresh.rows(), "step {step}");
-            let scanned = execute_plan_in_with(&scan_plan, &ctx, &src, policy).unwrap();
+            let scanned = pull_plan(&scan_plan, &ctx, &src, policy).unwrap();
             assert_eq!(scanned.rows(), src.relation(0).rows(), "step {step}");
             assert_eq!(ctx.cached_scans(), 2, "step {step}: w3 + one wgrow version");
             assert_eq!(ctx.cached_builds(), 1, "step {step}");
@@ -4438,7 +4406,7 @@ mod tests {
         // A third of the estimate, at most, is the cached table's doubling
         // slack; the running counter matches what the map really holds.
         let fresh = ExecContext::new();
-        execute_plan_in_with(&plan, &fresh, &src, policy).unwrap();
+        pull_plan(&plan, &fresh, &src, policy).unwrap();
         assert!(ctx.memory_estimate() <= fresh.memory_estimate() + growth);
     }
 
@@ -4451,12 +4419,12 @@ mod tests {
         let src = Growing::new(wgrow_rows(6), false);
         let ctx = ExecContext::new();
         let plan = scan_all("wgrow", &wbig());
-        assert_eq!(execute_plan_in(&plan, &ctx, &src).unwrap().len(), 6);
+        assert_eq!(run_in(&plan, &ctx, &src).unwrap().len(), 6);
 
         // Clear + refill to a greater length: same positions, other rows.
         *src.rows.lock().unwrap() = wgrow_rows(9).split_off(2);
         src.epoch.fetch_add(1, Ordering::SeqCst);
-        let refilled = execute_plan_in(&plan, &ctx, &src).unwrap();
+        let refilled = run_in(&plan, &ctx, &src).unwrap();
         assert_eq!(refilled.rows(), src.relation(0).rows());
         assert_eq!((ctx.resumed_scans(), ctx.full_scans()), (0, 2));
         assert_eq!(ctx.cached_scans(), 1);
@@ -4465,13 +4433,13 @@ mod tests {
         // the new version, the old version's entry survives…
         src.push(30, 9.5);
         src.failing.store(true, Ordering::SeqCst);
-        let err = execute_plan_in(&plan, &ctx, &src).unwrap_err();
+        let err = run_in(&plan, &ctx, &src).unwrap_err();
         assert!(err.to_string().contains("wgrow went away"), "{err}");
         assert_eq!(ctx.cached_scans(), 1);
         // …and once the source is back, is what the next fill resumes from.
         src.failing.store(false, Ordering::SeqCst);
         src.push(31, 9.75);
-        let healed = execute_plan_in(&plan, &ctx, &src).unwrap();
+        let healed = run_in(&plan, &ctx, &src).unwrap();
         assert_eq!(healed.rows(), src.relation(0).rows());
         assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (1, 2));
         assert_eq!(ctx.full_scans(), 2);
@@ -4485,9 +4453,9 @@ mod tests {
     fn a_resumable_probe_scan_counts_as_warm() {
         let src = Growing::new(wgrow_rows(12), false);
         let ctx = ExecContext::new();
-        execute_plan_in(&scan_all("wgrow", &wbig()), &ctx, &src).unwrap();
+        run_in(&scan_all("wgrow", &wbig()), &ctx, &src).unwrap();
         src.push(12, 7.0);
-        let out = execute_plan_in(&w3_wgrow_join(), &ctx, &src).unwrap();
+        let out = run_in(&w3_wgrow_join(), &ctx, &src).unwrap();
         let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         assert!(src
@@ -4501,7 +4469,7 @@ mod tests {
         // On a fresh context the same join does reduce its probe: 2 keys
         // against 13 rows, no sketches to say otherwise.
         let cold = ExecContext::new();
-        execute_plan_in(&w3_wgrow_join(), &cold, &src).unwrap();
+        run_in(&w3_wgrow_join(), &cold, &src).unwrap();
         assert_eq!(cold.semijoin_insets(), 1);
     }
 
@@ -4524,9 +4492,9 @@ mod tests {
             for prefetch in [false, true] {
                 let ctx = ExecContext::new();
                 let out = if prefetch {
-                    execute_plan_prefetched(&plan, &ctx, &src, 4).unwrap()
+                    execute_plan_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 4).unwrap()
                 } else {
-                    execute_plan_in(&plan, &ctx, &src).unwrap()
+                    run_in(&plan, &ctx, &src).unwrap()
                 };
                 let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
                 assert_eq!(out.rows(), eager.rows());

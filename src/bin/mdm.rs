@@ -19,7 +19,7 @@
 //! Run via `cargo run --bin mdm -- <command>`.
 
 use bdi::core::supersede;
-use bdi::core::system::BdiSystem;
+use bdi::core::system::{AnswerRequest, BdiSystem};
 use bdi::core::{typing, validate, vocab};
 use bdi::evolution::{industrial, wordpress};
 use bdi::rdf::trig;
@@ -109,7 +109,7 @@ fn query(evolved: bool, q: Option<&str>) {
     let sparql = q
         .map(str::to_owned)
         .unwrap_or_else(supersede::exemplary_query);
-    match system.answer(&sparql) {
+    match system.serve(AnswerRequest::sparql(&sparql)) {
         Ok(answer) => {
             println!("walks ({}):", answer.walk_exprs.len());
             for w in &answer.walk_exprs {
@@ -238,7 +238,7 @@ fn load_cmd(path: Option<&str>) -> ExitCode {
         system.registry().len(),
         system.ontology().store().len()
     );
-    match system.answer(&supersede::exemplary_query()) {
+    match system.serve(AnswerRequest::sparql(supersede::exemplary_query())) {
         Ok(answer) => {
             println!(
                 "Code 8 query over the restored deployment:\n{}",

@@ -12,12 +12,13 @@
 //! (*walks*) over the wrappers.
 //!
 //! ```
-//! use bdi::core::supersede;
+//! use bdi::core::{supersede, system::AnswerRequest};
 //!
 //! // Build the paper's running example (SUPERSEDE) and run the exemplary
 //! // query: for each applicationId, all lagRatio instances (Table 2).
 //! let system = supersede::build_running_example();
-//! let result = system.answer(&supersede::exemplary_query()).unwrap();
+//! let request = AnswerRequest::sparql(supersede::exemplary_query());
+//! let result = system.serve(request).unwrap();
 //! assert_eq!(result.relation.len(), 3);
 //! ```
 //!

@@ -22,6 +22,7 @@
 
 use bdi::core::durable::{DurableError, DurableSystem};
 use bdi::core::supersede;
+use bdi::core::system::AnswerRequest;
 use bdi::rdf::model::{GraphName, Iri, Literal, Quad};
 use bdi::relational::{Schema, Value};
 use bdi::wrappers::supersede::VOD_COLLECTION;
@@ -184,7 +185,7 @@ struct Fingerprint {
 
 fn fingerprint(d: &DurableSystem) -> Fingerprint {
     let answer = d
-        .answer(&supersede::exemplary_query())
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
         .expect("exemplary query answers");
     let mut answers: Vec<String> = answer
         .relation
@@ -387,7 +388,8 @@ fn recovery_restores_counters_bit_exact_and_monotonic() {
     let before = {
         let d = seed_deployment(&dir);
         // Warm the caches the counters guard, then mutate every store.
-        d.answer(&supersede::exemplary_query()).expect("warm-up");
+        d.serve(AnswerRequest::sparql(supersede::exemplary_query()))
+            .expect("warm-up");
         for kind in [StoreKind::Quad, StoreKind::Doc, StoreKind::Table] {
             for i in 0..4 {
                 apply_op(&d, kind, i).expect("workload");
@@ -489,7 +491,7 @@ fn poisoned_handle_refuses_writes_but_serves_reads() {
     // Reads still serve: Table 2's three rows plus the one from the
     // acknowledged VoD document.
     assert_eq!(
-        d.answer(&supersede::exemplary_query())
+        d.serve(AnswerRequest::sparql(supersede::exemplary_query()))
             .expect("reads survive poisoning")
             .relation
             .rows()

@@ -4,7 +4,7 @@
 
 use bdi::core::omq::Omq;
 use bdi::core::release::Release;
-use bdi::core::system::BdiSystem;
+use bdi::core::system::{AnswerRequest, BdiSystem};
 use bdi::core::vocab;
 use bdi::evolution::taxonomy::{classify_delta, ParameterLevelChange};
 use bdi::evolution::wordpress;
@@ -132,7 +132,7 @@ fn simulator_releases_flow_through_algorithm1() {
             has_feature(&iri("Sample"), &iri("cpuUsage")),
         ],
     );
-    let answer = system.answer_omq(q).unwrap();
+    let answer = system.serve(AnswerRequest::omq(q)).unwrap();
     assert_eq!(answer.rewriting.walks.len(), 2);
     // 10 v1 rows + 7 v2 rows, modulo duplicate collapses in the set union.
     assert!(answer.relation.len() > 10 && answer.relation.len() <= 17);
@@ -146,7 +146,7 @@ fn simulator_releases_flow_through_algorithm1() {
             has_feature(&iri("Sample"), &iri("memUsage")),
         ],
     );
-    let answer = system.answer_omq(q_mem).unwrap();
+    let answer = system.serve(AnswerRequest::omq(q_mem)).unwrap();
     assert_eq!(answer.rewriting.walks.len(), 1);
     assert_eq!(answer.relation.len(), 7);
 }

@@ -2,7 +2,7 @@
 //! the union semantics (§1's "correctness in historical queries").
 
 use bdi::core::supersede;
-use bdi::core::system::VersionScope;
+use bdi::core::system::{AnswerRequest, VersionScope};
 use std::collections::BTreeSet;
 
 fn evolved() -> bdi::core::BdiSystem {
@@ -15,7 +15,7 @@ fn evolved() -> bdi::core::BdiSystem {
 fn all_scope_unions_every_version() {
     let system = evolved();
     let answer = system
-        .answer_scoped(supersede::exemplary_omq(), &VersionScope::All)
+        .serve(AnswerRequest::omq(supersede::exemplary_omq()).scope(VersionScope::All))
         .unwrap();
     assert_eq!(answer.rewriting.walks.len(), 2);
     assert_eq!(answer.relation.len(), 5);
@@ -25,7 +25,7 @@ fn all_scope_unions_every_version() {
 fn latest_scope_uses_only_the_newest_version_per_source() {
     let system = evolved();
     let answer = system
-        .answer_scoped(supersede::exemplary_omq(), &VersionScope::Latest)
+        .serve(AnswerRequest::omq(supersede::exemplary_omq()).scope(VersionScope::Latest))
         .unwrap();
     // D1's latest is w4; w1 is excluded → only the two v2 rows remain.
     assert_eq!(answer.rewriting.walks.len(), 1);
@@ -49,14 +49,14 @@ fn up_to_release_reconstructs_the_past() {
     // Releases: #0 w1, #1 w2, #2 w3, #3 w4. As of release #2, w4 did not
     // exist — the historical answer is exactly the pre-evolution Table 2.
     let answer = system
-        .answer_scoped(supersede::exemplary_omq(), &VersionScope::UpToRelease(2))
+        .serve(AnswerRequest::omq(supersede::exemplary_omq()).scope(VersionScope::UpToRelease(2)))
         .unwrap();
     assert_eq!(answer.rewriting.walks.len(), 1);
     assert_eq!(answer.relation.len(), 3);
 
     // As of release #0 only w1 exists: the query needs w3 too → no walk.
     let answer = system
-        .answer_scoped(supersede::exemplary_omq(), &VersionScope::UpToRelease(0))
+        .serve(AnswerRequest::omq(supersede::exemplary_omq()).scope(VersionScope::UpToRelease(0)))
         .unwrap();
     assert!(answer.rewriting.walks.is_empty());
     assert!(answer.relation.is_empty());
@@ -72,7 +72,7 @@ fn explicit_allow_list_scope() {
     let system = evolved();
     let only_w4 = VersionScope::Only(BTreeSet::from(["w3".to_owned(), "w4".to_owned()]));
     let answer = system
-        .answer_scoped(supersede::exemplary_omq(), &only_w4)
+        .serve(AnswerRequest::omq(supersede::exemplary_omq()).scope(only_w4.clone()))
         .unwrap();
     assert_eq!(answer.rewriting.walks.len(), 1);
     assert_eq!(answer.relation.len(), 2);

@@ -3,10 +3,11 @@
 //! the cached plans and the persistent scan context, and answers are
 //! identical cached or not — with and without `reuse_scans`.
 
-use bdi::core::exec::{Engine, ExecOptions, FeatureFilter};
-use bdi::core::system::VersionScope;
-use bdi::relational::{Predicate, Value};
+use bdi::core::exec::{Engine, ExecError, ExecOptions, FeatureFilter, SourceFailurePolicy};
+use bdi::core::system::{AnswerRequest, SystemError, VersionScope};
+use bdi::relational::{PlanError, Predicate, Value};
 use bdi_bench::synthetic;
+use std::time::Duration;
 
 fn rows(n: usize, with_next: bool) -> Vec<Vec<Value>> {
     (0..n)
@@ -32,7 +33,7 @@ fn repeated_queries_hit_the_plan_cache() {
     let system = system(2, 2);
     let options = ExecOptions::default();
     let first = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options.clone()))
         .unwrap();
     let stats = system.plan_cache_stats();
     assert_eq!(stats.misses, 1);
@@ -40,7 +41,7 @@ fn repeated_queries_hit_the_plan_cache() {
     assert_eq!(stats.entries, 1);
 
     let second = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options.clone()))
         .unwrap();
     let stats = system.plan_cache_stats();
     assert_eq!(stats.hits, 1);
@@ -51,20 +52,22 @@ fn repeated_queries_hit_the_plan_cache() {
 
     // A different scope, option set or query is a different entry.
     system
-        .answer_with(synthetic::chain_query(2), &VersionScope::Latest, &options)
-        .unwrap();
-    system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
-                pushdown: false,
-                ..ExecOptions::default()
-            },
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2))
+                .scope(VersionScope::Latest)
+                .options(options.clone()),
         )
         .unwrap();
     system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
+                cost_based_joins: false,
+                ..ExecOptions::default()
+            }),
+        )
+        .unwrap();
+    system
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(system.plan_cache_stats().entries, 4);
 
@@ -75,7 +78,7 @@ fn repeated_queries_hit_the_plan_cache() {
     };
     let before = system.plan_cache_stats();
     let uncached = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &opt_out)
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(opt_out.clone()))
         .unwrap();
     assert_eq!(uncached.relation, first.relation);
     let after = system.plan_cache_stats();
@@ -96,7 +99,7 @@ fn register_release_invalidates_plans_and_scans() {
         ..ExecOptions::default()
     };
     let before = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &reuse)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(reuse.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().entries, 1);
     assert_eq!(before.rewriting.walks.len(), 2);
@@ -109,7 +112,7 @@ fn register_release_invalidates_plans_and_scans() {
     // …and the next answer sees the new wrapper's rows (a fresh context —
     // no stale interned scans) under a recompiled three-walk rewriting.
     let after = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &reuse)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(reuse.clone()))
         .unwrap();
     assert_eq!(after.rewriting.walks.len(), 3);
     assert!(after.relation.len() >= before.relation.len());
@@ -124,7 +127,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     let wrapper = synthetic::register_extra_chain_wrapper_handle(&mut sys, 1, 2, rows(5, false));
     let options = ExecOptions::default(); // reuse_scans: true
     let before = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     let baseline = sys.plan_cache_stats();
     assert_eq!(baseline.entries, 1);
@@ -137,7 +140,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
         .push(vec![Value::Int(99), Value::Float(9.9)])
         .unwrap();
     let after = sys
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     let stats = sys.plan_cache_stats();
     assert_eq!(stats.misses, baseline.misses + 1);
@@ -156,7 +159,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     assert_eq!(contexts.full_scans, 2);
 
     // Repeats without further mutation hit the recompiled plan again.
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().hits, baseline.hits + 1);
 }
@@ -166,9 +169,9 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     use bdi::rdf::model::{GraphName, Iri, Quad};
     let sys = system(1, 1);
     let options = ExecOptions::default();
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().hits, 1);
 
@@ -187,27 +190,149 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     assert_eq!(sys.ontology().store().len(), len_before);
 
     let misses_before = sys.plan_cache_stats().misses;
-    sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().misses, misses_before + 1); // recompiled
 }
 
+/// The key contract, field by field: a request differing from the default
+/// only in a run-time field shares the default's cache entry; one differing
+/// in a plan-shaping field gets its own. (`cache_plans` is the one field
+/// left out: it decides whether the cache is consulted at all.)
 #[test]
 fn execution_only_options_share_one_cache_entry() {
     let sys = system(1, 2);
-    for reuse_scans in [false, true, false] {
-        let options = ExecOptions {
-            reuse_scans,
-            ..ExecOptions::default()
-        };
-        sys.answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
-            .unwrap();
-    }
-    // reuse_scans (and cache_plans) don't shape the plan: one entry, two hits.
+    let serve = |options: &ExecOptions| {
+        sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
+            .unwrap()
+    };
+    let base = ExecOptions::default;
+    serve(&base());
     let stats = sys.plan_cache_stats();
-    assert_eq!(stats.entries, 1);
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 2);
+    assert_eq!((stats.entries, stats.misses, stats.hits), (1, 1, 0));
+
+    let run_time = [
+        (
+            "reuse_scans",
+            ExecOptions {
+                reuse_scans: false,
+                ..base()
+            },
+        ),
+        (
+            "semijoin_max_keys",
+            ExecOptions {
+                semijoin_max_keys: 0,
+                ..base()
+            },
+        ),
+        (
+            "deadline",
+            ExecOptions {
+                deadline: Some(Duration::from_secs(60)),
+                ..base()
+            },
+        ),
+        (
+            "on_source_failure",
+            ExecOptions {
+                on_source_failure: SourceFailurePolicy::Degrade,
+                ..base()
+            },
+        ),
+        (
+            "max_rows",
+            ExecOptions {
+                max_rows: Some(3),
+                ..base()
+            },
+        ),
+    ];
+    for (hits, (field, options)) in run_time.iter().enumerate() {
+        serve(options);
+        let stats = sys.plan_cache_stats();
+        assert_eq!(
+            (stats.entries, stats.misses, stats.hits),
+            (1, 1, hits as u64 + 1),
+            "{field} must not split the entry"
+        );
+    }
+
+    let shaping = [
+        (
+            "filters",
+            ExecOptions {
+                filters: vec![FeatureFilter::new(
+                    synthetic::chain_data_feature(1),
+                    Predicate::between(0.0, 5.0),
+                )],
+                ..base()
+            },
+        ),
+        (
+            "engine",
+            ExecOptions {
+                engine: Engine::Eager,
+                ..base()
+            },
+        ),
+        (
+            "cost_based_joins",
+            ExecOptions {
+                cost_based_joins: false,
+                ..base()
+            },
+        ),
+    ];
+    let hits = run_time.len() as u64;
+    for (extra, (field, options)) in shaping.iter().enumerate() {
+        serve(options);
+        let stats = sys.plan_cache_stats();
+        assert_eq!(
+            (stats.entries, stats.misses, stats.hits),
+            (extra + 2, extra as u64 + 2, hits),
+            "{field} must get its own entry"
+        );
+    }
+}
+
+/// A cached plan holds no run-time value of the request that compiled it:
+/// compiled under an already-expired deadline, or under a zero row limit,
+/// it still answers a later default request in full.
+#[test]
+fn a_cached_plan_carries_no_run_time_values() {
+    let request =
+        |options: ExecOptions| AnswerRequest::omq(synthetic::chain_query(1)).options(options);
+
+    let sys = system(1, 2);
+    let err = sys
+        .serve(request(ExecOptions {
+            deadline: Some(Duration::from_nanos(1)),
+            ..ExecOptions::default()
+        }))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SystemError::Exec(ExecError::Plan(PlanError::DeadlineExceeded))
+    );
+    assert_eq!(sys.plan_cache_stats().entries, 1);
+    let full = sys.serve(request(ExecOptions::default())).unwrap();
+    assert_eq!(sys.plan_cache_stats().hits, 1);
+    assert!(!full.truncated);
+    assert_eq!(full.relation.len(), 50);
+
+    let sys = system(1, 2);
+    let cut = sys
+        .serve(request(ExecOptions {
+            max_rows: Some(0),
+            ..ExecOptions::default()
+        }))
+        .unwrap();
+    assert!(cut.truncated && cut.relation.is_empty());
+    let full = sys.serve(request(ExecOptions::default())).unwrap();
+    assert_eq!(sys.plan_cache_stats().hits, 1);
+    assert!(!full.truncated);
+    assert_eq!(full.relation.len(), 50);
 }
 
 #[test]
@@ -226,11 +351,7 @@ fn cached_and_uncached_answers_agree_on_filtered_queries() {
         ..ExecOptions::default()
     };
     let reference = sys
-        .answer_with(
-            synthetic::chain_query_with_id(2),
-            &VersionScope::All,
-            &eager,
-        )
+        .serve(AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(eager.clone()))
         .unwrap();
     for reuse_scans in [false, true] {
         let options = ExecOptions {
@@ -242,10 +363,8 @@ fn cached_and_uncached_answers_agree_on_filtered_queries() {
         // reuse_scans, the cached interned scans).
         for _ in 0..2 {
             let answer = sys
-                .answer_with(
-                    synthetic::chain_query_with_id(2),
-                    &VersionScope::All,
-                    &options,
+                .serve(
+                    AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(options.clone()),
                 )
                 .unwrap();
             assert_eq!(answer.relation.rows(), reference.relation.rows());

@@ -1,7 +1,7 @@
 //! Differential property test for walk execution: the streaming physical
-//! plan engine (`Engine::Streaming`, with and without projection pushdown
-//! and parallelism) must return **byte-identical** answers — same rows, same
-//! order — to the eager `ops::*` reference engine (`Engine::Eager`), over
+//! plan engine (`Engine::Streaming`) must return **byte-identical** answers
+//! — same rows, same order — to the eager `ops::*` reference engine
+//! (`Engine::Eager`), over
 //! randomized chain systems with randomized wrapper data (null join keys,
 //! cross-typed numerics, duplicate rows) and every `VersionScope`, with and
 //! without pushed-down predicate filters — randomized equality, IN-set and
@@ -12,10 +12,10 @@
 //! wrappers, a persistent context answers exactly like a fresh one.
 
 use bdi::core::exec::{self, Engine, ExecOptions, FeatureFilter};
-use bdi::core::system::VersionScope;
-use bdi::relational::plan::{Bound, ColumnFilter, Predicate, ScanCache};
+use bdi::core::system::{AnswerRequest, VersionScope};
+use bdi::relational::plan::{Bound, ColumnFilter, Predicate};
 use bdi::relational::{PlanSource, Relation, RelationError, ScanRequest, SourceResolver, Value};
-use bdi_bench::synthetic;
+use bdi_bench::{compile_and_execute, synthetic};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -125,11 +125,9 @@ fn build_system(
     })
 }
 
-fn streaming(pushdown: bool, parallel: bool) -> ExecOptions {
+fn streaming() -> ExecOptions {
     ExecOptions {
         engine: Engine::Streaming,
-        pushdown,
-        parallel,
         ..ExecOptions::default()
     }
 }
@@ -293,29 +291,23 @@ fn filtered_join_build_side_flip_is_order_stable() {
         Value::Int(1),
     )];
     let reference = system
-        .answer_with(
-            synthetic::chain_query_with_id(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(ExecOptions {
                 filters: filters.clone(),
                 ..eager()
-            },
+            }),
         )
         .unwrap();
     assert_eq!(reference.relation.len(), 4); // 2 filtered w1 rows × 2 w2 rows
-    for pushdown in [true, false] {
-        let streamed = system
-            .answer_with(
-                synthetic::chain_query_with_id(2),
-                &VersionScope::All,
-                &ExecOptions {
-                    filters: filters.clone(),
-                    ..streaming(pushdown, false)
-                },
-            )
-            .unwrap();
-        assert_eq!(streamed.relation.rows(), reference.relation.rows());
-    }
+    let streamed = system
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(ExecOptions {
+                filters: filters.clone(),
+                ..streaming()
+            }),
+        )
+        .unwrap();
+    assert_eq!(streamed.relation.rows(), reference.relation.rows());
 }
 
 /// An empty IN-set matches nothing: the answer is empty however the data
@@ -335,19 +327,11 @@ fn empty_in_set_selects_nothing() {
         },
         ExecOptions {
             filters: filters.clone(),
-            ..streaming(true, true)
-        },
-        ExecOptions {
-            filters: filters.clone(),
-            ..streaming(false, false)
+            ..streaming()
         },
     ] {
         let answer = system
-            .answer_with(
-                synthetic::chain_query_with_id(1),
-                &VersionScope::All,
-                &options,
-            )
+            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(options.clone()))
             .unwrap();
         assert!(answer.relation.is_empty());
     }
@@ -384,23 +368,19 @@ fn nan_and_signed_zero_range_bounds_agree_across_engines() {
             predicate.clone(),
         )];
         let reference = system
-            .answer_with(
-                synthetic::chain_query(1),
-                &VersionScope::All,
-                &ExecOptions {
+            .serve(
+                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
                     filters: filters.clone(),
                     ..eager()
-                },
+                }),
             )
             .unwrap();
         let streamed = system
-            .answer_with(
-                synthetic::chain_query(1),
-                &VersionScope::All,
-                &ExecOptions {
+            .serve(
+                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
                     filters,
-                    ..streaming(true, false)
-                },
+                    ..streaming()
+                }),
             )
             .unwrap();
         assert_eq!(
@@ -435,59 +415,46 @@ proptest! {
         let system = build_system(concepts, wrappers, &data);
         let scope = scope_for(scope_seed, upto, concepts, wrappers, &system);
 
-        let reference = system
-            .answer_with(synthetic::chain_query(concepts), &scope, &eager())
-            .unwrap();
-
-        for (pushdown, parallel) in [(true, true), (true, false), (false, true), (false, false)] {
-            let streamed = system
-                .answer_with(
-                    synthetic::chain_query(concepts),
-                    &scope,
-                    &streaming(pushdown, parallel),
-                )
-                .unwrap();
-            // Byte-identical: same schema, same rows, same order.
-            prop_assert!(
-                streamed.relation.rows() == reference.relation.rows(),
-                "mismatch (pushdown={} parallel={} scope={:?}):\n streamed {:?}\n reference {:?}",
-                pushdown,
-                parallel,
-                &scope,
-                streamed.relation.rows(),
-                reference.relation.rows()
-            );
-            prop_assert!(streamed.relation.schema().same_shape(reference.relation.schema()));
-            // Diagnostics are engine-independent.
-            prop_assert_eq!(&streamed.walk_exprs, &reference.walk_exprs);
-            prop_assert_eq!(
-                streamed.rewriting.walks.len(),
-                reference.rewriting.walks.len()
-            );
-            // Multi-walk answers are sets: no Eq-duplicate rows may survive
-            // (an oracle independent of the engine comparison, since both
-            // engines share the hash-based dedup machinery).
-            if streamed.rewriting.walks.len() > 1 {
-                let rows = streamed.relation.rows();
-                for pair in rows.windows(2) {
-                    prop_assert!(pair[0] != pair[1], "duplicate row {:?}", &pair[0]);
-                }
+        let request = AnswerRequest::omq(synthetic::chain_query(concepts)).scope(scope.clone());
+        let reference = system.serve(request.clone().options(eager())).unwrap();
+        let streamed = system.serve(request.options(streaming())).unwrap();
+        // Byte-identical: same schema, same rows, same order.
+        prop_assert!(
+            streamed.relation.rows() == reference.relation.rows(),
+            "mismatch (scope={:?}):\n streamed {:?}\n reference {:?}",
+            &scope,
+            streamed.relation.rows(),
+            reference.relation.rows()
+        );
+        prop_assert!(streamed.relation.schema().same_shape(reference.relation.schema()));
+        // Diagnostics are engine-independent.
+        prop_assert_eq!(&streamed.walk_exprs, &reference.walk_exprs);
+        prop_assert_eq!(
+            streamed.rewriting.walks.len(),
+            reference.rewriting.walks.len()
+        );
+        // Multi-walk answers are sets: no Eq-duplicate rows may survive
+        // (an oracle independent of the engine comparison, since both
+        // engines share the hash-based dedup machinery).
+        if streamed.rewriting.walks.len() > 1 {
+            let rows = streamed.relation.rows();
+            for pair in rows.windows(2) {
+                prop_assert!(pair[0] != pair[1], "duplicate row {:?}", &pair[0]);
             }
         }
 
         // The streaming batch-scan path at adversarial batch sizes —
-        // one-row batches, tiny batches, one giant batch — executed with
-        // the scan prefetcher on (parallel), pinned to the same eager
-        // reference. Batch size is an ExecContext knob, so this goes
+        // one-row batches, tiny batches, one giant batch — pinned to the
+        // same eager reference. Batch size is an ExecContext knob, so this goes
         // through compile/execute with an explicit context.
         let all_scope_reference = system
-            .answer_with(synthetic::chain_query(concepts), &VersionScope::All, &eager())
+            .serve(AnswerRequest::omq(synthetic::chain_query(concepts)).options(eager()))
             .unwrap();
         let compiled = exec::compile_query(
             system.ontology(),
             system.registry(),
             system.rewrite(synthetic::chain_query(concepts)).unwrap(),
-            &streaming(true, true),
+            &streaming(),
         )
         .unwrap();
         for batch_rows in [1usize, 3, 1 << 20] {
@@ -511,8 +478,8 @@ proptest! {
 
     // The widened pushdown suite: random conjunctions of an ID predicate
     // and a data-feature predicate (equality / IN / range, hazard-laden
-    // value domain), on every scope — streaming with and without pushdown
-    // and parallelism must match the eager post-selection byte for byte.
+    // value domain), on every scope — streaming must match the eager
+    // post-selection byte for byte.
     #[test]
     fn randomized_predicate_conjunctions_match_eager(
         concepts in 1usize..3,
@@ -533,85 +500,86 @@ proptest! {
             filters.push(FeatureFilter::new(synthetic::chain_data_feature(1), p));
         }
 
+        let request =
+            AnswerRequest::omq(synthetic::chain_query_with_id(concepts)).scope(scope.clone());
         let reference = system
-            .answer_with(
-                synthetic::chain_query_with_id(concepts),
-                &scope,
-                &ExecOptions { filters: filters.clone(), ..eager() },
-            )
+            .serve(request.clone().options(ExecOptions { filters: filters.clone(), ..eager() }))
             .unwrap();
-        for (pushdown, parallel) in [(true, true), (true, false), (false, false)] {
-            let streamed = system
-                .answer_with(
-                    synthetic::chain_query_with_id(concepts),
-                    &scope,
-                    &ExecOptions {
-                        filters: filters.clone(),
-                        ..streaming(pushdown, parallel)
-                    },
-                )
-                .unwrap();
-            prop_assert!(
-                streamed.relation.rows() == reference.relation.rows(),
-                "mismatch (pushdown={} parallel={} scope={:?} filters={:?}):\n streamed {:?}\n reference {:?}",
-                pushdown,
-                parallel,
-                &scope,
-                &filters,
-                streamed.relation.rows(),
-                reference.relation.rows()
-            );
-            // Every surviving row satisfies the conjunction on its π columns.
-            for row in streamed.relation.rows() {
-                for f in &filters {
-                    let idx = if f.feature == synthetic::chain_id_feature(1) { 0 } else { 1 };
-                    prop_assert!(f.predicate.matches(&row[idx]));
-                }
+        let streamed = system
+            .serve(request.options(ExecOptions { filters: filters.clone(), ..streaming() }))
+            .unwrap();
+        prop_assert!(
+            streamed.relation.rows() == reference.relation.rows(),
+            "mismatch (scope={:?} filters={:?}):\n streamed {:?}\n reference {:?}",
+            &scope,
+            &filters,
+            streamed.relation.rows(),
+            reference.relation.rows()
+        );
+        // Every surviving row satisfies the conjunction on its π columns.
+        for row in streamed.relation.rows() {
+            for f in &filters {
+                let idx = if f.feature == synthetic::chain_id_feature(1) { 0 } else { 1 };
+                prop_assert!(f.predicate.matches(&row[idx]));
             }
         }
     }
 
-    // The semi-join sideways pass and the cursor-only scan modes are pure
-    // execution-time policies: over random join shapes (multi-concept
+    // The semi-join sideways pass and the cursor-only scan route are pure
+    // execution-time decisions: over random join shapes (multi-concept
     // chains with null keys, cross-typed numerics and duplicate rows),
-    // every (semijoin_max_keys, scan_cache) combination must reproduce the
-    // eager reference byte for byte — 0 disables the pass, 1 exercises
-    // hint scheduling whose threshold almost never admits injection, 8
-    // fires on small builds, ∞ always fires; Never re-reads every source
-    // cursor-only. All combinations share one system (and its persistent
-    // context), so cache-policy cross-talk would surface here too.
+    // every semijoin_max_keys × context value cap combination must
+    // reproduce the eager reference byte for byte — 0 disables the pass, 1
+    // exercises hint scheduling whose threshold almost never admits an
+    // IN-set, 8 fires on small builds, ∞ always fires; under the default
+    // cap these small scans are all cached, under a cap of 1 every one of
+    // them runs cursor-only (two fixed rows per wrapper keep each scan's
+    // estimate above it). The key budgets of one cap share one persistent
+    // context, so cross-talk between them would surface here too.
     #[test]
     fn semijoin_and_cursor_modes_match_eager(
         concepts in 1usize..4,
         wrappers in 1usize..3,
         data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..10),
-        parallel in any::<bool>(),
     ) {
-        let system = build_system(concepts, wrappers, &data);
-        let reference = system
-            .answer_with(synthetic::chain_query(concepts), &VersionScope::All, &eager())
-            .unwrap();
-        for max_keys in [0usize, 1, 8, usize::MAX] {
-            for scan_cache in [ScanCache::Always, ScanCache::Never] {
+        let padded: Vec<Vec<RawRow>> = (0..concepts * wrappers)
+            .map(|w| {
+                let mut rows = data.get(w).cloned().unwrap_or_default();
+                rows.extend([(Some(0), Some(0), 0u8), (Some(1), Some(1), 1)]);
+                rows
+            })
+            .collect();
+        let system = build_system(concepts, wrappers, &padded);
+        let request = AnswerRequest::omq(synthetic::chain_query(concepts));
+        let reference = system.serve(request.clone().options(eager())).unwrap();
+        for value_cap in [None, Some(1usize)] {
+            if let Some(cap) = value_cap {
+                system.set_context_value_cap(cap);
+            }
+            for max_keys in [0usize, 1, 8, usize::MAX] {
                 let streamed = system
-                    .answer_with(
-                        synthetic::chain_query(concepts),
-                        &VersionScope::All,
-                        &ExecOptions {
-                            semijoin_max_keys: max_keys,
-                            scan_cache,
-                            ..streaming(true, parallel)
-                        },
-                    )
+                    .serve(request.clone().options(ExecOptions {
+                        semijoin_max_keys: max_keys,
+                        ..streaming()
+                    }))
                     .unwrap();
                 prop_assert!(
                     streamed.relation.rows() == reference.relation.rows(),
-                    "mismatch (max_keys={} scan_cache={:?} parallel={}):\n streamed {:?}\n reference {:?}",
+                    "mismatch (max_keys={} value_cap={:?}):\n streamed {:?}\n reference {:?}",
                     max_keys,
-                    scan_cache,
-                    parallel,
+                    value_cap,
                     streamed.relation.rows(),
                     reference.relation.rows()
+                );
+                // The path taken: cached scans without a cap in reach, none
+                // at all under a cap every scan exceeds.
+                let cached = system.context_stats().cached_scans;
+                prop_assert!(
+                    if value_cap.is_some() { cached == 0 } else { cached > 0 },
+                    "max_keys={} value_cap={:?} left {} cached scans",
+                    max_keys,
+                    value_cap,
+                    cached
                 );
             }
         }
@@ -634,7 +602,7 @@ proptest! {
             FeatureFilter::new(synthetic::chain_data_feature(1), data_pred),
         ];
         let no_claims = NoClaims(system.registry());
-        let reference = exec::execute_with(
+        let reference = compile_and_execute(
             system.ontology(),
             &no_claims,
             &rewriting,
@@ -645,18 +613,18 @@ proptest! {
         // claims everything): three ways to evaluate, one answer.
         for source_claims in [false, true] {
             let streamed = if source_claims {
-                exec::execute_with(
+                compile_and_execute(
                     system.ontology(),
                     system.registry(),
                     &rewriting,
-                    &ExecOptions { filters: filters.clone(), ..streaming(true, false) },
+                    &ExecOptions { filters: filters.clone(), ..streaming() },
                 )
             } else {
-                exec::execute_with(
+                compile_and_execute(
                     system.ontology(),
                     &no_claims,
                     &rewriting,
-                    &ExecOptions { filters: filters.clone(), ..streaming(true, false) },
+                    &ExecOptions { filters: filters.clone(), ..streaming() },
                 )
             }
             .unwrap();
@@ -671,8 +639,8 @@ proptest! {
     }
 
     // The stats-quality sweep: sketches {exact, absent, adversarially wrong
-    // by 1000x either way} × bloom semi-joins {on, off} × semi-join key
-    // budgets {tiny, small, unbounded}, filtered and unfiltered, over random
+    // by 1000x either way} × semi-join key budgets {tiny (bloom-degraded),
+    // small, unbounded}, filtered and unfiltered, over random
     // join shapes. Statistics feed *planning only* — plans may differ under
     // every combination, but each answer must match the eager reference byte
     // for byte.
@@ -694,7 +662,7 @@ proptest! {
         } else {
             Vec::new()
         };
-        let reference = exec::execute_with(
+        let reference = compile_and_execute(
             system.ontology(),
             system.registry(),
             &rewriting,
@@ -704,37 +672,33 @@ proptest! {
         let distortion = [0.001, 0.5, 1000.0][distortion_seed];
         let no_stats = NoStats(system.registry());
         let wrong_stats = WrongStats(system.registry(), distortion);
-        for bloom_semijoins in [true, false] {
-            for semijoin_max_keys in [1usize, 2, usize::MAX] {
-                let options = ExecOptions {
-                    filters: filters.clone(),
+        for semijoin_max_keys in [1usize, 2, usize::MAX] {
+            let options = ExecOptions {
+                filters: filters.clone(),
+                semijoin_max_keys,
+                ..streaming()
+            };
+            let exact = compile_and_execute(
+                system.ontology(), system.registry(), &rewriting, &options,
+            ).unwrap();
+            let absent = compile_and_execute(
+                system.ontology(), &no_stats, &rewriting, &options,
+            ).unwrap();
+            let wrong = compile_and_execute(
+                system.ontology(), &wrong_stats, &rewriting, &options,
+            ).unwrap();
+            for (label, answer) in
+                [("exact", &exact), ("absent", &absent), ("wrong", &wrong)]
+            {
+                prop_assert!(
+                    answer.relation.rows() == reference.relation.rows(),
+                    "mismatch (stats={} distortion={} max_keys={}):\n streamed {:?}\n reference {:?}",
+                    label,
+                    distortion,
                     semijoin_max_keys,
-                    bloom_semijoins,
-                    ..streaming(true, false)
-                };
-                let exact = exec::execute_with(
-                    system.ontology(), system.registry(), &rewriting, &options,
-                ).unwrap();
-                let absent = exec::execute_with(
-                    system.ontology(), &no_stats, &rewriting, &options,
-                ).unwrap();
-                let wrong = exec::execute_with(
-                    system.ontology(), &wrong_stats, &rewriting, &options,
-                ).unwrap();
-                for (label, answer) in
-                    [("exact", &exact), ("absent", &absent), ("wrong", &wrong)]
-                {
-                    prop_assert!(
-                        answer.relation.rows() == reference.relation.rows(),
-                        "mismatch (stats={} distortion={} bloom={} max_keys={}):\n streamed {:?}\n reference {:?}",
-                        label,
-                        distortion,
-                        bloom_semijoins,
-                        semijoin_max_keys,
-                        answer.relation.rows(),
-                        reference.relation.rows()
-                    );
-                }
+                    answer.relation.rows(),
+                    reference.relation.rows()
+                );
             }
         }
     }
@@ -887,11 +851,7 @@ proptest! {
                 for filters in &filters {
                     let answer = |options: ExecOptions| {
                         system
-                            .answer_with(
-                                synthetic::chain_query(2),
-                                scope,
-                                &ExecOptions { filters: filters.clone(), ..options },
-                            )
+                            .serve(AnswerRequest::omq(synthetic::chain_query(2)).scope(scope.clone()).options(ExecOptions { filters: filters.clone(), ..options }))
                             .unwrap()
                             .relation
                     };
@@ -1042,18 +1002,16 @@ fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
         }
     });
     let reference = system
-        .answer_with(synthetic::chain_query(2), &VersionScope::All, &eager())
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(eager()))
         .unwrap();
     assert!(!reference.relation.rows().is_empty());
 
     let bloom = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 semijoin_max_keys: 8,
-                ..streaming(true, false)
-            },
+                ..streaming()
+            }),
         )
         .unwrap();
     assert_eq!(bloom.relation.rows(), reference.relation.rows());
@@ -1064,30 +1022,28 @@ fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
     );
 
     let in_set = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 semijoin_max_keys: usize::MAX,
-                ..streaming(true, false)
-            },
+                ..streaming()
+            }),
         )
         .unwrap();
     assert_eq!(in_set.relation.rows(), reference.relation.rows());
     assert!(system.planner_stats().semijoin_insets >= 1);
 
+    // A zero budget is no pass at all, bloom degradation included.
+    let fired = system.planner_stats();
     let disabled = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
-                semijoin_max_keys: 8,
-                bloom_semijoins: false,
-                ..streaming(true, false)
-            },
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
+                semijoin_max_keys: 0,
+                ..streaming()
+            }),
         )
         .unwrap();
     assert_eq!(disabled.relation.rows(), reference.relation.rows());
+    assert_eq!(system.planner_stats(), fired);
 }
 
 /// Cost-based join ordering: a 3-join chain in the worst syntactic order
@@ -1116,24 +1072,20 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
         Predicate::range(None, None),
     )];
     let reference = system
-        .answer_with(
-            synthetic::chain_query(3),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
                 filters: filters.clone(),
                 ..eager()
-            },
+            }),
         )
         .unwrap();
 
     let ordered = system
-        .answer_with(
-            synthetic::chain_query(3),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
                 filters: filters.clone(),
-                ..streaming(true, false)
-            },
+                ..streaming()
+            }),
         )
         .unwrap();
     assert_eq!(ordered.relation.rows(), reference.relation.rows());
@@ -1147,14 +1099,12 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
     assert_eq!(note.actual_rows, Some(ordered.relation.len() as u64));
 
     let syntactic = system
-        .answer_with(
-            synthetic::chain_query(3),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
                 filters,
                 cost_based_joins: false,
-                ..streaming(true, false)
-            },
+                ..streaming()
+            }),
         )
         .unwrap();
     assert_eq!(syntactic.relation.rows(), reference.relation.rows());
@@ -1207,23 +1157,19 @@ fn data_version_bump_refreshes_sketches() {
         Predicate::in_set([Value::Int(1), Value::Int(7)]),
     )];
     let reference = system
-        .answer_with(
-            synthetic::chain_query_with_id(1),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(ExecOptions {
                 filters: filters.clone(),
                 ..eager()
-            },
+            }),
         )
         .unwrap();
     let streamed = system
-        .answer_with(
-            synthetic::chain_query_with_id(1),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(ExecOptions {
                 filters,
-                ..streaming(true, false)
-            },
+                ..streaming()
+            }),
         )
         .unwrap();
     assert_eq!(streamed.relation.rows(), reference.relation.rows());

@@ -2,6 +2,7 @@
 //! dimensions the §2.3 guarantees must hold — walk count `W^C`, coverage,
 //! minimality, non-equivalence, and executable output.
 
+use bdi::core::system::AnswerRequest;
 use bdi_bench::synthetic;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -44,7 +45,7 @@ proptest! {
         rows in 0usize..6,
     ) {
         let system = synthetic::build_chain_system(concepts, wrappers, rows);
-        let answer = system.answer_omq(synthetic::chain_query(concepts)).unwrap();
+        let answer = system.serve(AnswerRequest::omq(synthetic::chain_query(concepts))).unwrap();
 
         // Every wrapper serves identical synthetic data, so regardless of
         // how many walks the union has, the distinct result is `rows`.

@@ -2,6 +2,7 @@
 //! outputs, the Table 2 query answer, and the §2.1 evolution scenario.
 
 use bdi::core::supersede;
+use bdi::core::system::AnswerRequest;
 use bdi::core::vocab;
 use bdi::relational::{SourceResolver, Value};
 
@@ -34,7 +35,9 @@ fn table1_wrapper_outputs() {
 #[test]
 fn table2_exemplary_query() {
     let system = supersede::build_running_example();
-    let answer = system.answer(&supersede::exemplary_query()).unwrap();
+    let answer = system
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+        .unwrap();
 
     assert_eq!(
         answer.relation.schema().names(),
@@ -53,7 +56,9 @@ fn table2_exemplary_query() {
 #[test]
 fn rewriting_resolves_the_lav_mappings_to_w1_join_w3() {
     let system = supersede::build_running_example();
-    let answer = system.answer(&supersede::exemplary_query()).unwrap();
+    let answer = system
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+        .unwrap();
 
     assert_eq!(answer.rewriting.walks.len(), 1);
     let walk = &answer.rewriting.walks[0];
@@ -77,13 +82,13 @@ fn rewriting_resolves_the_lav_mappings_to_w1_join_w3() {
 fn evolution_preserves_the_analysts_query() {
     let (mut system, store) = supersede::build_running_example_with_store();
     let query = supersede::exemplary_query();
-    let before = system.answer(&query).unwrap();
+    let before = system.serve(AnswerRequest::sparql(&query)).unwrap();
 
     supersede::evolve_with_w4(&mut system, &store);
 
     // The *same* query string, untouched, now unions both versions — the
     // §2.1 requirement that analysts are shielded from schema evolution.
-    let after = system.answer(&query).unwrap();
+    let after = system.serve(AnswerRequest::sparql(&query)).unwrap();
     assert_eq!(after.rewriting.walks.len(), 2);
     assert_eq!(after.relation.len(), before.relation.len() + 2);
 
@@ -100,7 +105,9 @@ fn evolution_preserves_the_analysts_query() {
 fn same_source_versions_are_never_joined() {
     let (mut system, store) = supersede::build_running_example_with_store();
     supersede::evolve_with_w4(&mut system, &store);
-    let answer = system.answer(&supersede::exemplary_query()).unwrap();
+    let answer = system
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+        .unwrap();
     for walk in &answer.rewriting.walks {
         let names: Vec<&str> = walk
             .wrappers()
@@ -117,7 +124,9 @@ fn same_source_versions_are_never_joined() {
 #[test]
 fn unrequested_ids_are_projected_out_of_the_final_answer() {
     let system = supersede::build_running_example();
-    let answer = system.answer(&supersede::exemplary_query()).unwrap();
+    let answer = system
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+        .unwrap();
     // The rewriting added sup:monitorId internally, but the answer exposes
     // only π = {applicationId, lagRatio} (§5.2's final projection).
     assert_eq!(answer.relation.schema().len(), 2);

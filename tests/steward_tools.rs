@@ -4,6 +4,7 @@
 
 use bdi::core::release::Release;
 use bdi::core::supersede::{self, features};
+use bdi::core::system::AnswerRequest;
 use bdi::core::{align, subgraph, typing, validate};
 use bdi::rdf::trig;
 use bdi::relational::Schema;
@@ -53,7 +54,9 @@ fn a_release_can_be_assembled_almost_automatically() {
         .register_release(Release::new(Arc::new(wrapper), lav, mappings))
         .unwrap();
     assert!(validate::check_ontology(system.ontology()).is_empty());
-    let answer = system.answer(&supersede::exemplary_query()).unwrap();
+    let answer = system
+        .serve(AnswerRequest::sparql(supersede::exemplary_query()))
+        .unwrap();
     assert_eq!(answer.rewriting.walks.len(), 2);
     assert_eq!(answer.relation.len(), 5);
 }

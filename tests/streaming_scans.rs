@@ -4,7 +4,7 @@
 //! bounded under its watermark.
 
 use bdi::core::exec::{Engine, ExecOptions, FeatureFilter};
-use bdi::core::system::{BdiSystem, VersionScope};
+use bdi::core::system::{AnswerRequest, BdiSystem};
 use bdi::relational::Value;
 use bdi_bench::synthetic;
 
@@ -39,7 +39,7 @@ fn wrapper_push_between_queries_is_never_served_stale() {
         ..ExecOptions::default()
     };
     let before = system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(before.relation.len(), 3);
 
@@ -49,7 +49,7 @@ fn wrapper_push_between_queries_is_never_served_stale() {
         .unwrap();
 
     let after = system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(after.relation.len(), 4, "stale scan served after push");
     assert!(after
@@ -65,13 +65,11 @@ fn wrapper_push_between_queries_is_never_served_stale() {
         .unwrap();
     for engine in [Engine::Streaming, Engine::Eager] {
         let answer = system
-            .answer_with(
-                synthetic::chain_query(1),
-                &VersionScope::All,
-                &ExecOptions {
+            .serve(
+                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
                     engine,
                     ..options.clone()
-                },
+                }),
             )
             .unwrap();
         assert_eq!(answer.relation.len(), 5, "engine {engine:?}");
@@ -87,10 +85,10 @@ fn data_mutations_recompile_plans_against_fresh_sketches() {
     let (system, wrapper) = system_with_handle(rows(3));
     let options = ExecOptions::default();
     system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     let baseline = system.plan_cache_stats();
     assert_eq!(baseline.hits, 1); // unmutated repeat hits the cache
@@ -99,7 +97,7 @@ fn data_mutations_recompile_plans_against_fresh_sketches() {
         .push(vec![Value::Int(90), Value::Float(9.0)])
         .unwrap();
     let after = system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(after.relation.len(), 4); // fresh data…
     let stats = system.plan_cache_stats();
@@ -118,7 +116,7 @@ fn sibling_wrapper_scans_survive_a_push() {
     // The 1-concept system has two wrappers providing f1: the chain
     // builder's (empty) and the handle's. One query scans and caches both.
     let before = system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(before.relation.len(), 3);
     assert_eq!(system.context_stats().cached_scans, 2);
@@ -127,7 +125,7 @@ fn sibling_wrapper_scans_survive_a_push() {
         .push(vec![Value::Int(77), Value::Float(7.7)])
         .unwrap();
     let after = system
-        .answer_with(synthetic::chain_query(1), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(after.relation.len(), 4);
     // Only the pushed wrapper's entry moved — upgraded by the one pushed
@@ -220,7 +218,7 @@ fn docstore_insert_between_queries_is_never_served_stale() {
     let (system, store, omq) = json_system();
     let options = ExecOptions::default(); // reuse_scans is the default now
     let before = system
-        .answer_with(omq.clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omq.clone()).options(options.clone()))
         .unwrap();
     assert_eq!(before.relation.len(), 2);
 
@@ -228,7 +226,7 @@ fn docstore_insert_between_queries_is_never_served_stale() {
         .insert("c", serde_json::json!({"id": 3, "val": 30}))
         .unwrap();
     let after = system
-        .answer_with(omq, &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omq).options(options.clone()))
         .unwrap();
     assert_eq!(after.relation.len(), 3, "stale scan served after insert");
 }
@@ -252,17 +250,13 @@ fn capped_context_pool_stays_bounded_across_1k_queries() {
             Predicate::in_set([Value::Float(f64::NAN), Value::Float(r as f64 + 0.5)]),
         );
         let answer = system
-            .answer_with(
-                omq.clone(),
-                &VersionScope::All,
-                &ExecOptions {
-                    filters: vec![filter],
-                    // A distinct filter is a distinct plan-cache key; plan
-                    // caching is orthogonal to what this test pins.
-                    cache_plans: false,
-                    ..ExecOptions::default()
-                },
-            )
+            .serve(AnswerRequest::omq(omq.clone()).options(ExecOptions {
+                filters: vec![filter],
+                // A distinct filter is a distinct plan-cache key; plan
+                // caching is orthogonal to what this test pins.
+                cache_plans: false,
+                ..ExecOptions::default()
+            }))
             .unwrap();
         assert!(answer.relation.is_empty()); // fractional/NaN never match
         system.context_stats().pooled_values
@@ -379,10 +373,10 @@ fn sibling_collection_scans_survive_inserts() {
 
     let options = ExecOptions::default();
     let c1_before = system
-        .answer_with(omqs[0].clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omqs[0].clone()).options(options.clone()))
         .unwrap();
     let c2_before = system
-        .answer_with(omqs[1].clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omqs[1].clone()).options(options.clone()))
         .unwrap();
     assert_eq!(system.context_stats().cached_scans, 2);
     let pooled = system.context_stats().pooled_values;
@@ -396,7 +390,7 @@ fn sibling_collection_scans_survive_inserts() {
     // entry, nothing freshly interned. (On the store-wide counter this
     // insert flushed c1's scan too.)
     let c1_after = system
-        .answer_with(omqs[0].clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omqs[0].clone()).options(options.clone()))
         .unwrap();
     assert_eq!(c1_after.relation.rows(), c1_before.relation.rows());
     assert_eq!(
@@ -409,7 +403,7 @@ fn sibling_collection_scans_survive_inserts() {
     // c2's wrapper sees a new collection version: it reads the inserted
     // document, surfaces it, and its older entry is replaced.
     let c2_after = system
-        .answer_with(omqs[1].clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omqs[1].clone()).options(options.clone()))
         .unwrap();
     assert_eq!(c2_after.relation.len(), c2_before.relation.len() + 1);
     let contexts = system.context_stats();
@@ -442,13 +436,11 @@ fn semijoin_reduced_probe_scan_never_lands_in_the_reuse_cache() {
         }
     });
     let reference = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 engine: Engine::Eager,
                 ..ExecOptions::default()
-            },
+            }),
         )
         .unwrap();
     assert_eq!(reference.relation.len(), 2);
@@ -456,11 +448,7 @@ fn semijoin_reduced_probe_scan_never_lands_in_the_reuse_cache() {
     // Default options: the pass fires, the probe scan is issued reduced
     // and bypasses the cache — only the build side's scan is cached.
     let answer = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions::default(),
-        )
+        .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions::default()))
         .unwrap();
     assert_eq!(answer.relation.rows(), reference.relation.rows());
     assert_eq!(
@@ -472,13 +460,11 @@ fn semijoin_reduced_probe_scan_never_lands_in_the_reuse_cache() {
     // With the pass disabled the probe scan runs unreduced and caches
     // normally (the build side's entry is reused).
     let off = system
-        .answer_with(
-            synthetic::chain_query(2),
-            &VersionScope::All,
-            &ExecOptions {
+        .serve(
+            AnswerRequest::omq(synthetic::chain_query(2)).options(ExecOptions {
                 semijoin_max_keys: 0,
                 ..ExecOptions::default()
-            },
+            }),
         )
         .unwrap();
     assert_eq!(off.relation.rows(), reference.relation.rows());
@@ -586,12 +572,12 @@ fn capability_flips_recompile_cached_plans() {
     };
 
     let first = system
-        .answer_with(omq.clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omq.clone()).options(options.clone()))
         .unwrap();
     assert_eq!(first.relation.len(), 1);
     let baseline = system.plan_cache_stats();
     system
-        .answer_with(omq.clone(), &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omq.clone()).options(options.clone()))
         .unwrap();
     assert_eq!(system.plan_cache_stats().hits, baseline.hits + 1);
 
@@ -600,7 +586,7 @@ fn capability_flips_recompile_cached_plans() {
     // with a residual split — and the answer is unchanged.
     moody.claiming.store(false, Ordering::SeqCst);
     let after = system
-        .answer_with(omq, &VersionScope::All, &options)
+        .serve(AnswerRequest::omq(omq).options(options.clone()))
         .unwrap();
     assert_eq!(after.relation.rows(), first.relation.rows());
     let stats = system.plan_cache_stats();
@@ -710,14 +696,10 @@ mod fault_tolerance {
     /// the same data with no faults injected.
     fn eager_reference(omq: &bdi::core::omq::Omq, system: &BdiSystem) -> Relation {
         system
-            .answer_with(
-                omq.clone(),
-                &VersionScope::All,
-                &ExecOptions {
-                    engine: Engine::Eager,
-                    ..ExecOptions::default()
-                },
-            )
+            .serve(AnswerRequest::omq(omq.clone()).options(ExecOptions {
+                engine: Engine::Eager,
+                ..ExecOptions::default()
+            }))
             .unwrap()
             .relation
     }
@@ -745,14 +727,10 @@ mod fault_tolerance {
                     let mut profile = FaultProfile::default();
                     profile.transient_failures.insert(fail_page, failures);
                     let (system, omq) = remote_plus_table(profile, fast_retry());
-                    let result = system.answer_with(
-                        omq,
-                        &VersionScope::All,
-                        &ExecOptions {
-                            on_source_failure: policy,
-                            ..ExecOptions::default()
-                        },
-                    );
+                    let result = system.serve(AnswerRequest::omq(omq).options(ExecOptions {
+                        on_source_failure: policy,
+                        ..ExecOptions::default()
+                    }));
                     let label = format!(
                         "page {fail_page}, {} leading failures, {policy:?}",
                         if succeeds { "2" } else { "∞" }
@@ -818,14 +796,10 @@ mod fault_tolerance {
         ) as Arc<dyn Wrapper>]);
         let surviving = eager_reference(&omq, &table_only).to_distinct();
         let answer = system
-            .answer_with(
-                omq,
-                &VersionScope::All,
-                &ExecOptions {
-                    on_source_failure: SourceFailurePolicy::Degrade,
-                    ..ExecOptions::default()
-                },
-            )
+            .serve(AnswerRequest::omq(omq).options(ExecOptions {
+                on_source_failure: SourceFailurePolicy::Degrade,
+                ..ExecOptions::default()
+            }))
             .unwrap();
         assert_eq!(answer.relation.rows(), surviving.rows());
         assert_eq!(answer.source_failures.len(), 1);
@@ -850,14 +824,10 @@ mod fault_tolerance {
                     as Arc<dyn Wrapper>,
             ]);
         let answer = system
-            .answer_with(
-                omq,
-                &VersionScope::All,
-                &ExecOptions {
-                    on_source_failure: SourceFailurePolicy::Degrade,
-                    ..ExecOptions::default()
-                },
-            )
+            .serve(AnswerRequest::omq(omq).options(ExecOptions {
+                on_source_failure: SourceFailurePolicy::Degrade,
+                ..ExecOptions::default()
+            }))
             .unwrap();
         assert!(answer.relation.is_empty());
         assert_eq!(answer.source_failures.len(), 1);
@@ -884,14 +854,10 @@ mod fault_tolerance {
         let deadline = Duration::from_millis(300);
         let started = Instant::now();
         let err = system
-            .answer_with(
-                omq,
-                &VersionScope::All,
-                &ExecOptions {
-                    deadline: Some(deadline),
-                    ..ExecOptions::default()
-                },
-            )
+            .serve(AnswerRequest::omq(omq).options(ExecOptions {
+                deadline: Some(deadline),
+                ..ExecOptions::default()
+            }))
             .expect_err("a 20-page, 50 ms/page scan cannot finish in 300 ms");
         let elapsed = started.elapsed();
         assert!(
@@ -902,6 +868,63 @@ mod fault_tolerance {
             elapsed <= deadline * 2,
             "deadline overshoot: {elapsed:?} for a {deadline:?} deadline"
         );
+    }
+
+    /// A wrapper whose sketches take 50 ms to produce, once, when armed —
+    /// planning consults them while compiling.
+    struct SlowStatsOnce {
+        inner: TableWrapper,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Wrapper for SlowStatsOnce {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn source(&self) -> &str {
+            self.inner.source()
+        }
+
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn scan(&self) -> Result<Relation, bdi::wrappers::WrapperError> {
+            self.inner.scan()
+        }
+
+        fn column_stats(&self) -> Option<Arc<bdi::relational::TableStats>> {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            self.inner.column_stats()
+        }
+    }
+
+    /// The deadline is a budget for the request, armed when `serve` is
+    /// entered: a compile that outlasts it fails the request — yet the plan
+    /// it produced is cached, so the retry is a hit and fits the budget.
+    #[test]
+    fn deadline_is_armed_on_entry_and_spent_by_compilation() {
+        let slow = Arc::new(SlowStatsOnce {
+            inner: TableWrapper::new("ws", "DS", schema(), relation_of(0..2).into_rows()).unwrap(),
+            armed: std::sync::atomic::AtomicBool::new(false),
+        });
+        let (system, omq) = system_over(vec![slow.clone() as Arc<dyn Wrapper>]);
+        slow.armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        let request = || AnswerRequest::omq(omq.clone()).deadline(Duration::from_millis(10));
+        let err = system
+            .serve(request())
+            .expect_err("a 50 ms compile cannot fit a 10 ms budget");
+        assert!(
+            err.to_string().contains("deadline"),
+            "unexpected error: {err}"
+        );
+        assert_eq!(system.plan_cache_stats().entries, 1);
+        let answer = system.serve(request()).expect("a plan-cache hit fits");
+        assert_eq!(answer.relation.len(), 2);
+        assert_eq!(system.plan_cache_stats().hits, 1);
     }
 
     /// A *stalled* source (first page slower than the whole retry budget)
@@ -927,14 +950,10 @@ mod fault_tolerance {
             ]);
         let started = Instant::now();
         let err = system
-            .answer_with(
-                omq,
-                &VersionScope::All,
-                &ExecOptions {
-                    deadline: Some(Duration::from_secs(10)),
-                    ..ExecOptions::default()
-                },
-            )
+            .serve(AnswerRequest::omq(omq).options(ExecOptions {
+                deadline: Some(Duration::from_secs(10)),
+                ..ExecOptions::default()
+            }))
             .expect_err("a 30 s/page endpoint cannot satisfy a 100 ms attempt budget");
         let elapsed = started.elapsed();
         assert!(
@@ -1030,7 +1049,7 @@ mod fault_tolerance {
                 .push(vec![Value::Int(id), Value::Float(id as f64 / 2.0)])
                 .unwrap()
         };
-        let answer = || system.answer_with(omq.clone(), &VersionScope::All, &options);
+        let answer = || system.serve(AnswerRequest::omq(omq.clone()).options(options.clone()));
         assert_eq!(answer().unwrap().relation.len(), 6);
         let fills = |system: &BdiSystem| {
             let stats = system.context_stats();
@@ -1142,7 +1161,7 @@ mod fault_tolerance {
                 while begun.elapsed() < Duration::from_millis(334) {
                     let low = acked.load(Ordering::SeqCst) as usize;
                     let answer = system
-                        .answer_with(omq.clone(), &VersionScope::All, &ExecOptions::default())
+                        .serve(AnswerRequest::omq(omq.clone()).options(ExecOptions::default()))
                         .unwrap();
                     let high = started.load(Ordering::SeqCst) as usize;
                     let rows = answer.relation.len();
@@ -1158,18 +1177,14 @@ mod fault_tolerance {
             });
             let writes = acked.load(Ordering::SeqCst) as usize;
             let last = system
-                .answer_with(omq.clone(), &VersionScope::All, &ExecOptions::default())
+                .serve(AnswerRequest::omq(omq.clone()).options(ExecOptions::default()))
                 .unwrap();
             assert_eq!(last.relation.len(), BASE + writes, "seed {seed}");
             let fresh = system
-                .answer_with(
-                    omq.clone(),
-                    &VersionScope::All,
-                    &ExecOptions {
-                        reuse_scans: false,
-                        ..ExecOptions::default()
-                    },
-                )
+                .serve(AnswerRequest::omq(omq.clone()).options(ExecOptions {
+                    reuse_scans: false,
+                    ..ExecOptions::default()
+                }))
                 .unwrap();
             assert_eq!(last.relation.rows(), fresh.relation.rows(), "seed {seed}");
             assert_eq!(
@@ -1239,7 +1254,7 @@ mod fault_tolerance {
             inner: TableWrapper::new("wb", "DB", schema(), relation_of(0..4).into_rows()).unwrap(),
         }) as Arc<dyn Wrapper>]);
         let err = system
-            .answer_with(omq, &VersionScope::All, &ExecOptions::default())
+            .serve(AnswerRequest::omq(omq).options(ExecOptions::default()))
             .expect_err("mid-stream arity violation must error")
             .to_string();
         assert!(
@@ -1270,7 +1285,7 @@ mod fault_tolerance {
         let (system, omq) = remote_plus_table(profile, retry);
         for _ in 0..3 {
             let answer = system
-                .answer_with(omq.clone(), &VersionScope::All, &ExecOptions::default())
+                .serve(AnswerRequest::omq(omq.clone()).options(ExecOptions::default()))
                 .unwrap();
             assert_eq!(answer.relation.rows(), reference.rows());
             assert!(answer.source_failures.is_empty());

@@ -3,6 +3,7 @@
 
 use bdi::core::omq::{Omq, OmqError};
 use bdi::core::supersede::{self, concepts, features};
+use bdi::core::system::AnswerRequest;
 use bdi::core::vocab;
 use bdi::core::wellformed::{well_formed_query, WellFormedError};
 use bdi::rdf::model::Triple;
@@ -60,7 +61,7 @@ fn code9_is_repaired_into_code10_and_answers() {
     assert_eq!(wf.replacements.len(), 3);
 
     // And the repaired query actually executes: w3 provides all three IDs.
-    let answer = system.answer_omq(code9()).unwrap();
+    let answer = system.serve(AnswerRequest::omq(code9())).unwrap();
     assert_eq!(
         answer.relation.schema().names(),
         vec!["applicationId", "monitorId", "feedbackGatheringId"]
@@ -91,7 +92,7 @@ fn cyclic_queries_are_rejected() {
         ],
     );
     assert!(matches!(
-        system.answer_omq(cyclic),
+        system.serve(AnswerRequest::omq(cyclic)),
         Err(bdi::core::SystemError::Rewrite(
             bdi::core::RewriteError::WellFormed(WellFormedError::Cyclic)
         ))
@@ -110,7 +111,7 @@ fn projecting_a_concept_without_id_is_rejected() {
         )],
     );
     assert!(matches!(
-        system.answer_omq(q),
+        system.serve(AnswerRequest::omq(q)),
         Err(bdi::core::SystemError::Rewrite(
             bdi::core::RewriteError::WellFormed(WellFormedError::ConceptWithoutId(_))
         ))
@@ -122,7 +123,7 @@ fn sparql_template_requires_values_clause() {
     let system = supersede::build_running_example();
     let q = "SELECT ?x WHERE { <http://a/A> <http://a/p> <http://a/B> . }";
     assert!(matches!(
-        system.answer(q),
+        system.serve(AnswerRequest::sparql(q)),
         Err(bdi::core::SystemError::Omq(OmqError::MissingValues))
     ));
 }
@@ -132,7 +133,7 @@ fn sparql_template_rejects_variables_in_patterns() {
     let system = supersede::build_running_example();
     let q = "SELECT ?x WHERE { VALUES (?x) { (<http://a/f>) } ?c <http://a/p> <http://a/f> . }";
     assert!(matches!(
-        system.answer(q),
+        system.serve(AnswerRequest::sparql(q)),
         Err(bdi::core::SystemError::Omq(OmqError::VariableInPattern(_)))
     ));
 }
@@ -156,7 +157,7 @@ fn sparql_template_rejects_disconnected_patterns() {
         features::lag_ratio().as_str(),
     );
     assert!(matches!(
-        system.answer(&q),
+        system.serve(AnswerRequest::sparql(&q)),
         Err(bdi::core::SystemError::Omq(OmqError::Disconnected(2)))
     ));
 }

@@ -6,7 +6,9 @@
 //! `recv_timeout`, any `*timeout*` identifier) or a bounded-channel
 //! send (`send`/`try_send` — a disconnected or full channel is how a
 //! producer learns its consumer gave up). Loops that are genuinely bounded
-//! another way carry `// analyze: allow(deadline, <reason>)`.
+//! another way carry `// analyze: allow(deadline, <reason>)`. Every
+//! registered function must exist: a rename that silently drops a loop out
+//! of the contract is flagged at the top of the file.
 
 use super::{Diagnostic, DEADLINE};
 use crate::lexer::{Kind, Lexed, Tok};
@@ -30,8 +32,22 @@ fn is_evidence(tok: &Tok) -> bool {
 /// Checks every loop body inside functions of `lexed` named in `fn_names`.
 pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
+    let fns = functions(tokens);
     let mut out = Vec::new();
-    for span in functions(tokens) {
+    for name in fn_names {
+        if !fns.iter().any(|f| f.name == *name) {
+            out.push(Diagnostic::new(
+                file,
+                1,
+                DEADLINE,
+                format!(
+                    "registered deadline target `{name}` not found; \
+                     update the registration if it was renamed"
+                ),
+            ));
+        }
+    }
+    for span in fns {
         if !fn_names.contains(&span.name.as_str()) {
             continue;
         }
@@ -109,8 +125,16 @@ mod tests {
 
     #[test]
     fn unregistered_functions_are_ignored() {
-        let src = "fn helper() { loop { spin(); } }";
+        let src = "fn helper() { loop { spin(); } } fn next_batch() {}";
         assert!(check("f", &lex(src), &["next_batch"]).is_empty());
+    }
+
+    #[test]
+    fn missing_target_is_reported_even_in_clean_files() {
+        let src = "fn next_batch() { while !policy.deadline_passed() { step(); } }";
+        let diags = check("f", &lex(src), &["next_batch", "execute_plan"]);
+        assert_eq!(diags.len(), 1, "got {diags:?}");
+        assert!(diags[0].message.contains("`execute_plan` not found"));
     }
 
     #[test]

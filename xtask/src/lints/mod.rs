@@ -6,10 +6,8 @@ pub mod deadline;
 pub mod durability;
 pub mod lock_hold;
 pub mod no_panic;
-pub mod plan_cache;
 
 /// Lint names, as they appear in diagnostics and escape comments.
-pub const PLAN_CACHE_KEY: &str = "plan_cache_key";
 pub const LOCK_HOLD: &str = "lock_hold";
 pub const DEADLINE: &str = "deadline";
 pub const NO_PANIC: &str = "no_panic";
@@ -19,7 +17,7 @@ pub const DURABILITY: &str = "durability";
 pub const ESCAPE: &str = "escape";
 
 /// Every escapable lint (what an `allow(...)` may name).
-pub const ALL_LINTS: &[&str] = &[PLAN_CACHE_KEY, LOCK_HOLD, DEADLINE, NO_PANIC, DURABILITY];
+pub const ALL_LINTS: &[&str] = &[LOCK_HOLD, DEADLINE, NO_PANIC, DURABILITY];
 
 /// One finding: `file:line: [lint] message`.
 #[derive(Debug, Clone)]

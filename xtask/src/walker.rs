@@ -1,7 +1,6 @@
 //! Token-walking utilities shared by the lints: brace matching, function
-//! spans, `#[cfg(test)]` regions, struct-field and struct-literal
-//! extraction. Everything works on the significant-token stream from
-//! [`crate::lexer::lex`]; nothing here panics on arbitrary input.
+//! spans, `#[cfg(test)]` regions. Everything works on the significant-token
+//! stream from [`crate::lexer::lex`]; nothing here panics on arbitrary input.
 
 use crate::lexer::{Kind, Tok};
 
@@ -144,122 +143,6 @@ pub fn in_spans(spans: &[(usize, usize)], i: usize) -> bool {
     spans.iter().any(|&(s, e)| i >= s && i <= e)
 }
 
-/// The field names of `struct <name> { … }`, in declaration order.
-/// Attributes and doc comments between fields are skipped by construction
-/// (comments never reach the token stream; `#[…]` groups are stepped
-/// over). Returns `None` when the struct isn't found.
-pub fn struct_fields(tokens: &[Tok], name: &str) -> Option<Vec<String>> {
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if tokens[i].is_ident("struct") && tokens[i + 1].is_ident(name) {
-            let open = (i + 2..tokens.len()).find(|&j| tokens[j].is_punct('{'))?;
-            let close = matching_brace(tokens, open)?;
-            return Some(fields_of_body(tokens, open, close));
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Field names at depth 1 of a struct body or struct literal: at each
-/// field position (start of body, or after a depth-1 comma) skip
-/// attributes and visibility, then take `ident :` (but not `ident ::`, a
-/// path). Only `{}`/`()`/`[]` nest — angle brackets are ignored, so
-/// generic types and `->` in field types can't desynchronize the depth.
-fn fields_of_body(tokens: &[Tok], open: usize, close: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 1usize; // `open` itself
-    let mut i = open + 1;
-    let mut expecting_field = true;
-    while i < close {
-        let tok = &tokens[i];
-        if tok.is_punct('{') || tok.is_punct('(') || tok.is_punct('[') {
-            depth += 1;
-        } else if tok.is_punct('}') || tok.is_punct(')') || tok.is_punct(']') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 1 {
-            if tok.is_punct(',') {
-                expecting_field = true;
-                i += 1;
-                continue;
-            }
-            if expecting_field {
-                // Skip attributes (`#[…]`) and visibility (`pub`,
-                // `pub(crate)`) ahead of the name.
-                if tok.is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-                    let mut d = 0usize;
-                    let mut j = i + 1;
-                    while let Some(t) = tokens.get(j) {
-                        if t.is_punct('[') {
-                            d += 1;
-                        } else if t.is_punct(']') {
-                            d = d.saturating_sub(1);
-                            if d == 0 {
-                                break;
-                            }
-                        }
-                        j += 1;
-                    }
-                    i = j + 1;
-                    continue;
-                }
-                if tok.is_ident("pub") {
-                    i += 1;
-                    continue;
-                }
-                if tok.kind == Kind::Ident
-                    && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && !tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                {
-                    out.push(tok.text.clone());
-                }
-                expecting_field = false;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// A struct literal `Name { field: …, .., }` found in an expression: the
-/// explicitly assigned field names plus whether a `..spread` is present.
-#[derive(Debug, Clone)]
-pub struct StructLiteral {
-    pub fields: Vec<String>,
-    pub has_spread: bool,
-    /// Token index of the literal's `Name`.
-    pub at: usize,
-    pub line: u32,
-}
-
-/// Finds the struct literal `name { … }` that immediately follows the
-/// identifier `binding` and an `=` (i.e. `let <binding> = <name> { … }`).
-pub fn struct_literal_bound_to(tokens: &[Tok], binding: &str, name: &str) -> Option<StructLiteral> {
-    let mut i = 0usize;
-    while i + 3 < tokens.len() {
-        if tokens[i].is_ident(binding)
-            && tokens[i + 1].is_punct('=')
-            && tokens[i + 2].is_ident(name)
-            && tokens[i + 3].is_punct('{')
-        {
-            let open = i + 3;
-            let close = matching_brace(tokens, open)?;
-            let fields = fields_of_body(tokens, open, close);
-            let has_spread = (open..close).any(|j| {
-                tokens[j].is_punct('.') && tokens.get(j + 1).is_some_and(|t| t.is_punct('.'))
-            });
-            return Some(StructLiteral {
-                fields,
-                has_spread,
-                at: i + 2,
-                line: tokens[i + 2].line,
-            });
-        }
-        i += 1;
-    }
-    None
-}
-
 /// The function span (innermost) containing token index `i`, if any.
 pub fn enclosing_fn(fns: &[FnSpan], i: usize) -> Option<&FnSpan> {
     fns.iter()
@@ -297,32 +180,5 @@ mod tests {
             .position(|t| t.is_ident("live"))
             .unwrap();
         assert!(!in_spans(&spans, live_at));
-    }
-
-    #[test]
-    fn struct_fields_skip_attrs_and_types() {
-        let src = "pub struct Opts {\n pub engine: Engine,\n #[serde(default)]\n pub max_rows: Option<usize>,\n pub filters: Vec<FeatureFilter>,\n}";
-        let lexed = lex(src);
-        assert_eq!(
-            struct_fields(&lexed.tokens, "Opts").unwrap(),
-            ["engine", "max_rows", "filters"]
-        );
-    }
-
-    #[test]
-    fn struct_literal_with_spread() {
-        let src = "let key_options = Opts { a: true, b: Mode::Auto, ..options.clone() };";
-        let lexed = lex(src);
-        let lit = struct_literal_bound_to(&lexed.tokens, "key_options", "Opts").unwrap();
-        assert_eq!(lit.fields, ["a", "b"]);
-        assert!(lit.has_spread);
-    }
-
-    #[test]
-    fn nested_struct_literal_fields_not_collected() {
-        let src = "let k = Opts { a: Inner { x: 1 }, ..d };";
-        let lexed = lex(src);
-        let lit = struct_literal_bound_to(&lexed.tokens, "k", "Opts").unwrap();
-        assert_eq!(lit.fields, ["a"]);
     }
 }
