@@ -435,23 +435,34 @@ fn main() {
     struct MisestimatedStats<'a>(&'a bdi_wrappers::WrapperRegistry);
 
     impl bdi_relational::PlanSource for MisestimatedStats<'_> {
-        fn scan(
-            &self,
-            name: &str,
-            request: &ScanRequest,
-        ) -> Result<Relation, bdi_relational::RelationError> {
-            bdi_relational::PlanSource::scan(self.0, name, request)
-        }
-
-        // Forward batch streaming too — the comparison must isolate the
-        // sketch distortion, not degrade the scan path.
+        // The comparison must isolate the sketch distortion: scans and
+        // resumes are the registry's own.
         fn scan_batches<'b>(
             &'b self,
             source: &str,
             request: &ScanRequest,
             batch_rows: usize,
-        ) -> Result<bdi_relational::plan::BatchIter<'b>, bdi_relational::RelationError> {
+        ) -> Result<
+            (
+                bdi_relational::BatchIter<'b>,
+                Option<bdi_relational::ScanMark>,
+            ),
+            bdi_relational::RelationError,
+        > {
             self.0.scan_batches(source, request, batch_rows)
+        }
+
+        fn resume_batches<'b>(
+            &'b self,
+            source: &str,
+            request: &ScanRequest,
+            batch_rows: usize,
+            mark: &bdi_relational::ScanMark,
+        ) -> Result<
+            Option<(bdi_relational::BatchIter<'b>, bdi_relational::ScanMark)>,
+            bdi_relational::RelationError,
+        > {
+            self.0.resume_batches(source, request, batch_rows, mark)
         }
 
         fn data_version(&self, name: &str) -> u64 {

@@ -27,7 +27,8 @@ use bdi_core::exec::{Engine, ExecOptions, FeatureFilter};
 use bdi_core::system::{AnswerRequest, BdiSystem};
 use bdi_relational::plan::ColumnFilter;
 use bdi_relational::{
-    PlanSource, Predicate, Relation, RelationError, ScanRequest, SourceResolver, Value,
+    BatchIter, PlanSource, Predicate, Relation, RelationError, ScanMark, ScanRequest,
+    SourceResolver, Value,
 };
 use std::io::Write;
 
@@ -63,8 +64,23 @@ fn scan_workload(wrappers: usize) -> BdiSystem {
 struct NoClaims<'a>(&'a bdi_wrappers::WrapperRegistry);
 
 impl PlanSource for NoClaims<'_> {
-    fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-        self.0.scan(name, request)
+    fn scan_batches<'a>(
+        &'a self,
+        name: &str,
+        request: &ScanRequest,
+        batch_rows: usize,
+    ) -> Result<(BatchIter<'a>, Option<ScanMark>), RelationError> {
+        self.0.scan_batches(name, request, batch_rows)
+    }
+
+    fn resume_batches<'a>(
+        &'a self,
+        name: &str,
+        request: &ScanRequest,
+        batch_rows: usize,
+        mark: &ScanMark,
+    ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
+        self.0.resume_batches(name, request, batch_rows, mark)
     }
 
     fn claims(&self, _source: &str, _filter: &ColumnFilter) -> bool {

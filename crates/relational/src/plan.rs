@@ -19,16 +19,16 @@
 //!   context is `Sync`; per-walk plans can execute on scoped threads against
 //!   a shared context.
 //!
-//! ## The pushdown contract
+//! ## The scan contract
 //!
-//! A [`PlanSource`] receives a [`ScanRequest`] and must return a relation
-//! with **exactly** the request's output schema, rows in the source's stable
-//! scan order, surfacing only the requested columns and — when the request
-//! carries [`ColumnFilter`]s — only the rows satisfying *every* filter's
-//! [`Predicate`] (equality, IN-set, or an ordered range over [`Value`]'s
-//! total order). [`ScanRequest::apply`] is the reference implementation that
-//! sources without native pushdown fall back to (scan everything, then
-//! project, rename and filter in the mediator).
+//! The executor reaches a source through one required method,
+//! [`PlanSource::scan_batches`] — the rows a [`ScanRequest`] asks for, as a
+//! stream of bounded value-space batches, plus a [`ScanMark`] when the
+//! source can say how far it read — and one optional one,
+//! [`PlanSource::resume_batches`], which reads on from a mark. The contract
+//! (shape, order, pushdown, marks) is documented once, on the trait;
+//! [`ScanRequest::apply`] is its reference semantics, what a source
+//! without native pushdown does to its full relation.
 //!
 //! Sources advertise per-filter capability through [`PlanSource::claims`]:
 //! plan compilers hand a source only the filters it claims, and evaluate
@@ -36,34 +36,27 @@
 //! [`PhysicalPlan::Filter`] above the scan, so answers are identical
 //! whatever a source can natively honour.
 //!
-//! ## The streaming scan contract
-//!
-//! Scans reach sources through [`PlanSource::scan_batches`]: a stream of
-//! bounded value-space row batches, interned one batch at a time, so the
-//! whole-relation `Vec` the eager [`PlanSource::scan`] contract implies
-//! never materializes in the mediator. The default implementation is a
-//! one-shot adapter over `scan` (third-party sources keep working
-//! unchanged); native sources yield one batch of projected cells at a time
-//! under short lock holds. [`PlanSource::data_version`] stamps each scan
-//! with the source's data generation — the [`ExecContext`] scan cache keys
-//! on it, so contexts reused across queries can never serve rows scanned
-//! before a source mutation. [`execute_plan`] issues a plan's scans
+//! Whatever consumes a scan — the scan cache's fill, a cursor-only scan, a
+//! prefetch producer — pulls it through one loop (`InternedBatches`): one
+//! source batch at a time, the deadline checked and the rows interned
+//! before the next is pulled, so no whole value-space relation ever
+//! materializes in the mediator. [`PlanSource::data_version`] stamps each
+//! scan with the source's data generation — the [`ExecContext`] scan cache
+//! keys on it, so contexts reused across queries can never serve rows
+//! scanned before a source mutation. [`execute_plan`] issues a plan's scans
 //! concurrently on scoped threads ahead of the pulling pipeline.
 //!
 //! ## Append-aware scans
 //!
 //! A cached scan is derived data; when its source grows it is maintained,
-//! not rebuilt. [`PlanSource::scan_batches_after`] hands back, with a scan's
-//! batches, a [`ScanMark`] (source epoch + source records covered, opaque to
-//! the executor) and, given a mark back, yields only the rows of the
-//! records appended since — or declines, and the caller scans in full. On a
-//! scan-cache miss the [`ExecContext`] looks for the same scan cached under
-//! an older data version, resumes from its mark and appends the delta to
-//! that table, so a read that follows an append costs O(records appended).
-//! Table and mark are published together, and an older version is retired
-//! only once its successor is complete; every fill, resumed or full, also
-//! retires the versions it supersedes, so a context holds one entry per
-//! scan however many versions went by.
+//! not rebuilt. On a scan-cache miss the [`ExecContext`] looks for the same
+//! scan cached under an older data version, hands its mark to
+//! [`PlanSource::resume_batches`] and appends the delta to that table, so a
+//! read that follows an append costs O(records appended); a source that
+//! declines is scanned in full. Table and mark are published together, and
+//! an older version is retired only once its successor is complete; every
+//! fill, resumed or full, also retires the versions it supersedes, so a
+//! context holds one entry per scan however many versions went by.
 //!
 //! ## Runtime policy: semi-join sideways passing & cursor-only scans
 //!
@@ -587,30 +580,43 @@ impl fmt::Display for ScanRequest {
 /// one batch — never the whole relation.
 pub type BatchIter<'a> = Box<dyn Iterator<Item = Result<Vec<Tuple>, RelationError>> + Send + 'a>;
 
-/// One-shot adapter from the eager scan contract to the streaming one:
-/// consumes an already-materialized relation and re-yields its rows in
-/// `batch_rows`-sized chunks (without cloning). This is what the default
-/// [`PlanSource::scan_batches`] wraps around [`PlanSource::scan`], so
-/// sources that only implement the eager entry point keep working
-/// unchanged.
-pub fn batches_from_relation(relation: Relation, batch_rows: usize) -> BatchIter<'static> {
+/// The adapter from a materialized relation to the streaming contract, for
+/// sources that can only answer a request whole: checks the relation has
+/// the request's shape, then re-yields its rows in `batch_rows`-sized
+/// chunks (without cloning). The closure [`PlanSource`] impl and the
+/// default `Wrapper::scan_batches` of `bdi_wrappers` are built on it.
+///
+/// A mis-shaped relation is rejected even when *empty*: it is a source
+/// misconfiguration, and must not be masked just because no row exists to
+/// fail the consumer's per-row check.
+pub fn batches_from_relation(
+    relation: Relation,
+    request: &ScanRequest,
+    batch_rows: usize,
+) -> Result<BatchIter<'static>, RelationError> {
+    if relation.schema().len() != request.output().len() {
+        return Err(RelationError::Arity {
+            expected: request.output().len(),
+            found: relation.schema().len(),
+        });
+    }
     let batch_rows = batch_rows.max(1);
     let mut rows = relation.into_rows().into_iter();
-    Box::new(std::iter::from_fn(move || {
+    Ok(Box::new(std::iter::from_fn(move || {
         let batch: Vec<Tuple> = rows.by_ref().take(batch_rows).collect();
         if batch.is_empty() {
             None
         } else {
             Some(Ok(batch))
         }
-    }))
+    })))
 }
 
 /// How far into its source a scan read: the source's *epoch* (a generation
 /// within which the source only ever appends records) and the number of
 /// source records the scan bounded itself to when it started. Handed back
-/// with the batches of [`PlanSource::scan_batches_after`] and accepted by
-/// it again to resume.
+/// with the batches of [`PlanSource::scan_batches`] and accepted by
+/// [`PlanSource::resume_batches`] to read on from there.
 ///
 /// The executor never interprets a mark — it stores it beside the cached
 /// scan it describes and hands it back to the same source. `consumed`
@@ -640,68 +646,52 @@ impl ScanMark {
     }
 }
 
-/// Resolves a source name and a pushed-down [`ScanRequest`] to a relation.
+/// Resolves a source name and a pushed-down [`ScanRequest`] to its rows.
 ///
 /// `Sync` is a supertrait so a shared [`ExecContext`] can fan walk plans out
 /// across scoped threads.
 pub trait PlanSource: Sync {
-    /// Scans `source`, honouring the request (see the module docs for the
-    /// contract).
-    fn scan(&self, source: &str, request: &ScanRequest) -> Result<Relation, RelationError>;
-
-    /// Streaming scan: yields the same rows [`PlanSource::scan`] would, in
-    /// the same order, but as a sequence of at-most-`batch_rows`-row batches
-    /// so the consumer (the interning layer) never holds the whole
-    /// value-space relation at once.
+    /// Scans `source` — the one way rows enter the executor.
     ///
-    /// The default is a one-shot adapter over [`PlanSource::scan`] — it
-    /// materializes eagerly and re-chunks, so third-party sources keep
-    /// working unchanged. Sources that can produce rows incrementally
-    /// (e.g. `bdi_wrappers`' table and JSON wrappers) override it to clone
-    /// only one batch of projected cells at a time under short lock holds.
+    /// **Rows.** Exactly the rows [`ScanRequest::apply`] would keep of the
+    /// source's full relation, in the source's stable scan order: only the
+    /// requested columns, each row of the request's output arity, and —
+    /// when the request carries [`ColumnFilter`]s — only rows satisfying
+    /// *every* filter's [`Predicate`]. They arrive as batches of at most
+    /// `batch_rows` rows, so the consumer never holds the whole value-space
+    /// relation; a source that can only answer whole goes through
+    /// [`batches_from_relation`].
+    ///
+    /// **Mark.** `Some(mark)` when the source can say how much of itself
+    /// the batches cover, fixed when the scan *starts* (records appended
+    /// mid-scan are not covered, and a later
+    /// [`PlanSource::resume_batches`] picks them up); `None` when it cannot
+    /// — then every later read of the scan is a full one. A mark never
+    /// changes an answer, only what the next read costs.
     fn scan_batches<'a>(
         &'a self,
         source: &str,
         request: &ScanRequest,
         batch_rows: usize,
-    ) -> Result<BatchIter<'a>, RelationError> {
-        let relation = self.scan(source, request)?;
-        // Reject a mis-shaped scan up front — even an *empty* relation with
-        // the wrong arity is a source misconfiguration, and it must not be
-        // masked just because no row exists to fail the per-row check.
-        if relation.schema().len() != request.output().len() {
-            return Err(RelationError::Arity {
-                expected: request.output().len(),
-                found: relation.schema().len(),
-            });
-        }
-        Ok(batches_from_relation(relation, batch_rows))
-    }
+    ) -> Result<(BatchIter<'a>, Option<ScanMark>), RelationError>;
 
-    /// Resumable form of [`PlanSource::scan_batches`]: the batches plus the
-    /// [`ScanMark`] saying how much of the source they cover, fixed when
-    /// the scan *starts* (records appended mid-scan are not covered, and a
-    /// later resume picks them up).
+    /// Reads on from `mark`: exactly the rows a full
+    /// [`PlanSource::scan_batches`] would yield now **minus** the rows the
+    /// scan that returned `mark` yielded, in the same order — the rows of
+    /// the records appended since — with the mark the delta extends the
+    /// covered prefix to.
     ///
-    /// * `after: None` is the ordinary full scan, with a mark a later call
-    ///   can resume from.
-    /// * `after: Some(mark)` yields exactly the rows a full scan would
-    ///   yield now **minus** the rows the scan that returned `mark`
-    ///   yielded, in the same order — the rows of the records appended
-    ///   since.
-    ///
-    /// `Ok(None)` *declines*: the source cannot mark this request, or can
-    /// no longer vouch for the marked prefix (records were removed, the
-    /// request is not decidable record by record). The caller then scans
-    /// in full through [`PlanSource::scan_batches`]; declining never
+    /// `Ok(None)` *declines*: the source can no longer vouch for the marked
+    /// prefix (records were removed), or the request is not decidable
+    /// record by record. The caller then scans in full; declining never
     /// changes an answer, only what it costs. The default declines always,
-    /// so sources predating the contract keep working unchanged.
-    fn scan_batches_after<'a>(
+    /// which is correct for any source.
+    fn resume_batches<'a>(
         &'a self,
         _source: &str,
         _request: &ScanRequest,
         _batch_rows: usize,
-        _after: Option<&ScanMark>,
+        _mark: &ScanMark,
     ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
         Ok(None)
     }
@@ -764,13 +754,20 @@ pub trait PlanSource: Sync {
     }
 }
 
-/// Blanket impl so closures can act as plan sources in tests.
+/// Blanket impl so closures answering a request whole can act as plan
+/// sources (tests, one-off adapters): unmarked, never resumable.
 impl<F> PlanSource for F
 where
     F: Fn(&str, &ScanRequest) -> Result<Relation, RelationError> + Sync,
 {
-    fn scan(&self, source: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-        self(source, request)
+    fn scan_batches<'a>(
+        &'a self,
+        source: &str,
+        request: &ScanRequest,
+        batch_rows: usize,
+    ) -> Result<(BatchIter<'a>, Option<ScanMark>), RelationError> {
+        let batches = batches_from_relation(self(source, request)?, request, batch_rows)?;
+        Ok((batches, None))
     }
 }
 
@@ -1355,12 +1352,11 @@ pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 /// least-recently-touched entry is evicted (an approximate LRU: each access
 /// stamps a monotonic tick, eviction removes the minimum).
 ///
-/// Scans go through the streaming contract ([`PlanSource::scan_batches`]):
-/// the context pulls one value-space batch at a time ([`ExecContext::
-/// scan_batch_rows`] rows, [`BATCH_ROWS`] by default) and interns it before
-/// pulling the next, so the full `Vec<Tuple>` relation the eager contract
-/// materialized never exists here — peak value-space memory per scan is one
-/// batch. The cache stores only the interned result.
+/// Scans go through [`PlanSource::scan_batches`]: the context pulls one
+/// value-space batch at a time ([`ExecContext::scan_batch_rows`] rows,
+/// [`BATCH_ROWS`] by default) and interns it before pulling the next, so a
+/// scan's full `Vec<Tuple>` relation never exists here — peak value-space
+/// memory per scan is one batch. The cache stores only the interned result.
 pub struct ExecContext {
     pool: ValuePool,
     null_id: u32,
@@ -1619,32 +1615,26 @@ impl ExecContext {
         }
     }
 
-    /// Interns one value-space scan batch into `into`, enforcing the
-    /// scan-shape contract (every row must have the request's output
-    /// arity). The single implementation of the per-row scan contract,
-    /// shared by the cache-fill and cursor-only paths so they can never
-    /// diverge.
-    fn intern_scan_rows(
-        &self,
-        output: &Schema,
-        rows: &[Tuple],
-        into: &mut Batch,
-    ) -> Result<(), PlanError> {
-        let arity = output.len();
+    /// Interns one value-space scan batch, enforcing the scan-shape
+    /// contract (every row must have the request's output arity). Called
+    /// from [`InternedBatches`] alone, so no consumer of a scan can
+    /// diverge from another on the per-row contract.
+    fn intern_scan_rows(&self, arity: usize, rows: &[Tuple]) -> Result<Batch, PlanError> {
+        let mut batch = Batch::new(arity);
         for row in rows {
             if row.len() != arity {
-                // Same error the first-batch precheck in the default
-                // `PlanSource::scan_batches` produces, so a wrapper that
-                // turns misshapen *mid-stream* (after a well-formed first
-                // batch) surfaces identically on every operator path.
+                // Same error [`batches_from_relation`]'s shape check
+                // produces, so a source that turns misshapen *mid-stream*
+                // (after a well-formed first batch) surfaces identically on
+                // every operator path.
                 return Err(PlanError::Relation(RelationError::Arity {
                     expected: arity,
                     found: row.len(),
                 }));
             }
-            into.push(row.iter().map(|v| self.pool.intern(v)));
+            batch.push(row.iter().map(|v| self.pool.intern(v)));
         }
-        Ok(())
+        Ok(batch)
     }
 
     /// Interns an entire relation.
@@ -1696,29 +1686,13 @@ impl ExecContext {
     /// The interned rows of a scan, computed once per distinct
     /// `(source, columns, filters, data version)` and shared by every plan
     /// run against the context — across queries, until the entry is evicted
-    /// or the source's [`PlanSource::data_version`] moves on.
-    ///
-    /// The computation streams: source batches are pulled through
-    /// [`PlanSource::scan_batches`] and interned one at a time, so the
-    /// value-space high-water mark is a single batch regardless of the
-    /// scan's size.
+    /// or the source's [`PlanSource::data_version`] moves on — together
+    /// with the data version the result was keyed under. Consumers deriving
+    /// further cached state from the batch (the hash-join build cache) must
+    /// stamp it with *this* version, not a re-read one, or a mutation
+    /// landing between the scan and the derivation would cache old-batch
+    /// state under the new version.
     fn scan(
-        &self,
-        source: &dyn PlanSource,
-        name: &str,
-        request: &ScanRequest,
-        deadline: Option<Instant>,
-    ) -> Result<Arc<Batch>, PlanError> {
-        self.scan_versioned(source, name, request, deadline)
-            .map(|(b, _)| b)
-    }
-
-    /// [`ExecContext::scan`] plus the data version the result was keyed
-    /// under — consumers deriving further cached state from the batch (the
-    /// hash-join build cache) must stamp it with *this* version, not a
-    /// re-read one, or a mutation landing between the scan and the
-    /// derivation would cache old-batch state under the new version.
-    fn scan_versioned(
         &self,
         source: &dyn PlanSource,
         name: &str,
@@ -1798,12 +1772,8 @@ impl ExecContext {
             // and the full read below reports whatever is really wrong.
             Ok(None) | Err(_) => {}
         }
-        let (batches, mark) = match source.scan_batches_after(name, request, batch_rows, None)? {
-            Some((batches, mark)) => (batches, Some(mark)),
-            None => (source.scan_batches(name, request, batch_rows)?, None),
-        };
-        let mut table = Batch::new(request.output().len());
-        self.intern_batches(request, batches, deadline, &mut table)?;
+        let (batches, mark) = source.scan_batches(name, request, batch_rows)?;
+        let table = self.collect_scan(request, batches, deadline)?;
         self.full_scans.fetch_add(1, Ordering::Relaxed);
         Ok(CachedScan {
             table: Arc::new(table),
@@ -1833,13 +1803,10 @@ impl ExecContext {
         let Some((old_key, old_cell, mark)) = predecessor else {
             return Ok(None);
         };
-        let Some((batches, mark)) =
-            source.scan_batches_after(name, request, batch_rows, Some(&mark))?
-        else {
+        let Some((batches, mark)) = source.resume_batches(name, request, batch_rows, &mark)? else {
             return Ok(None);
         };
-        let mut delta = Batch::new(request.output().len());
-        self.intern_batches(request, batches, deadline, &mut delta)?;
+        let delta = self.collect_scan(request, batches, deadline)?;
         let retired = self
             .scans
             .lock()
@@ -1863,27 +1830,40 @@ impl ExecContext {
         }))
     }
 
-    /// Interns a source batch stream into `into`, one batch at a time,
-    /// checking the deadline per batch — the one fill loop behind both the
-    /// full and the resumed read.
-    fn intern_batches(
+    /// A source's batch stream, interned: what every consumer of a scan —
+    /// the cache fill, a cursor-only scan, a prefetch producer — pulls.
+    fn interned<'a>(
+        &'a self,
+        request: &ScanRequest,
+        batches: BatchIter<'a>,
+        deadline: Option<Instant>,
+    ) -> InternedBatches<'a> {
+        InternedBatches {
+            ctx: self,
+            batches,
+            arity: request.output().len(),
+            deadline,
+            done: false,
+        }
+    }
+
+    /// Drains a source's batch stream into one interned table — the full
+    /// read of a cache fill, or the delta of a resumed one.
+    fn collect_scan(
         &self,
         request: &ScanRequest,
         batches: BatchIter<'_>,
         deadline: Option<Instant>,
-        into: &mut Batch,
-    ) -> Result<(), PlanError> {
-        for batch in batches {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(PlanError::DeadlineExceeded);
-            }
-            self.intern_scan_rows(request.output(), &batch?, into)?;
+    ) -> Result<Batch, PlanError> {
+        let mut table = Batch::new(request.output().len());
+        for batch in self.interned(request, batches, deadline) {
+            table.append(&batch?);
             // Note the growing (not-yet-cached) table batch by batch, so
             // peak accounting is streaming-accurate even for a scan that
             // errors before caching.
-            self.note_high_water(into.approx_bytes());
+            self.note_high_water(table.approx_bytes());
         }
-        Ok(())
+        Ok(table)
     }
 
     /// Accounts a completed fill and retires every older version of the
@@ -1993,6 +1973,51 @@ impl ExecContext {
             }
         }
         index
+    }
+}
+
+/// The one consumer loop between a source and the executor
+/// ([`ExecContext::interned`]): pull a source batch, check the deadline,
+/// intern the rows, note the high-water mark. The scan cache's fill appends
+/// what it yields, a cursor-only scan hands it on, a prefetch producer
+/// sends it. Batches a filter emptied are skipped; the first error (the
+/// deadline's included) ends the stream.
+struct InternedBatches<'a> {
+    ctx: &'a ExecContext,
+    batches: BatchIter<'a>,
+    arity: usize,
+    deadline: Option<Instant>,
+    done: bool,
+}
+
+impl Iterator for InternedBatches<'_> {
+    type Item = Result<Batch, PlanError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while !self.done {
+            let Some(rows) = self.batches.next() else {
+                break;
+            };
+            let interned = if self.deadline.is_some_and(|d| Instant::now() >= d) {
+                Err(PlanError::DeadlineExceeded)
+            } else {
+                rows.map_err(PlanError::from)
+                    .and_then(|rows| self.ctx.intern_scan_rows(self.arity, &rows))
+            };
+            match interned {
+                Ok(batch) if batch.is_empty() => {}
+                Ok(batch) => {
+                    self.ctx.note_high_water(batch.approx_bytes());
+                    return Some(Ok(batch));
+                }
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        self.done = true;
+        None
     }
 }
 
@@ -2370,7 +2395,7 @@ enum ScanState<'r> {
     Cached { table: Arc<Batch>, cursor: usize },
     /// Cursor-only: interned batches pulled straight from the source, one
     /// at a time — nothing is cached, peak residency is one batch.
-    Cursor { batches: BatchIter<'r>, done: bool },
+    Cursor { batches: InternedBatches<'r> },
     /// Cursor-only through a prefetch feed: a dedicated producer thread
     /// pulls and interns source batches into a bounded queue
     /// ([`PREFETCH_QUEUE_BATCHES`]), overlapping source latency with the
@@ -2531,7 +2556,7 @@ impl<'r> Operator<'r> {
 impl<'r> ScanOp<'r> {
     fn next_batch(
         &mut self,
-        ctx: &ExecContext,
+        ctx: &'r ExecContext,
         source: &'r dyn PlanSource,
         policy: &ExecPolicy,
     ) -> Result<Option<Batch>, PlanError> {
@@ -2544,7 +2569,7 @@ impl<'r> ScanOp<'r> {
         if matches!(state, ScanState::Pending) {
             *state = if !*semijoin_reduced && scan_uses_cache(ctx, source, name, request) {
                 ScanState::Cached {
-                    table: ctx.scan(source, name, request, policy.deadline)?,
+                    table: ctx.scan(source, name, request, policy.deadline)?.0,
                     cursor: 0,
                 }
             } else if let Some(feed) = (!*semijoin_reduced)
@@ -2558,15 +2583,10 @@ impl<'r> ScanOp<'r> {
                 // outright for clarity.
                 ScanState::Queued { feed, done: false }
             } else {
+                let batch_rows = adaptive_batch_rows(ctx, source, name, request);
+                let (batches, _) = source.scan_batches(name, request, batch_rows)?;
                 ScanState::Cursor {
-                    batches: source
-                        .scan_batches(
-                            name,
-                            request,
-                            adaptive_batch_rows(ctx, source, name, request),
-                        )
-                        .map_err(PlanError::Relation)?,
-                    done: false,
+                    batches: ctx.interned(request, batches, policy.deadline),
                 }
             };
         }
@@ -2581,76 +2601,35 @@ impl<'r> ScanOp<'r> {
                 *cursor += take;
                 Ok(Some(out))
             }
-            ScanState::Cursor { batches, done } => {
-                if *done {
-                    return Ok(None);
-                }
-                loop {
-                    if policy.deadline_passed() {
-                        *done = true;
-                        return Err(PlanError::DeadlineExceeded);
-                    }
-                    match batches.next() {
-                        None => {
-                            *done = true;
-                            return Ok(None);
-                        }
-                        Some(Err(e)) => {
-                            *done = true;
-                            return Err(e.into());
-                        }
-                        Some(Ok(rows)) => {
-                            let mut out = Batch::new(request.output().len());
-                            if let Err(e) = ctx.intern_scan_rows(request.output(), &rows, &mut out)
-                            {
-                                *done = true;
-                                return Err(e);
-                            }
-                            if !out.is_empty() {
-                                ctx.note_high_water(out.approx_bytes());
-                                return Ok(Some(out));
-                            }
-                        }
-                    }
-                }
-            }
+            ScanState::Cursor { batches } => batches.next().transpose(),
             ScanState::Queued { feed, done } => {
                 if *done {
                     return Ok(None);
                 }
-                loop {
-                    // A sender dropping without an error message is the
-                    // normal end of stream; an expired deadline surfaces
-                    // here rather than blocking on a stalled producer.
-                    let message = match policy.deadline {
-                        Some(d) => {
-                            let wait = d.saturating_duration_since(Instant::now());
-                            match feed.recv_timeout(wait) {
-                                Ok(message) => Some(message),
-                                Err(RecvTimeoutError::Timeout) => {
-                                    *done = true;
-                                    return Err(PlanError::DeadlineExceeded);
-                                }
-                                Err(RecvTimeoutError::Disconnected) => None,
+                // A sender dropping without an error message is the normal
+                // end of stream; an expired deadline surfaces here rather
+                // than blocking on a stalled producer.
+                let message = match policy.deadline {
+                    Some(d) => {
+                        let wait = d.saturating_duration_since(Instant::now());
+                        match feed.recv_timeout(wait) {
+                            Ok(message) => Some(message),
+                            Err(RecvTimeoutError::Timeout) => {
+                                Some(Err(PlanError::DeadlineExceeded))
                             }
+                            Err(RecvTimeoutError::Disconnected) => None,
                         }
-                        None => feed.recv().ok(),
-                    };
-                    match message {
-                        None => {
-                            *done = true;
-                            return Ok(None);
-                        }
-                        Some(Err(e)) => {
-                            *done = true;
-                            return Err(e);
-                        }
-                        Some(Ok(batch)) => {
-                            if !batch.is_empty() {
-                                ctx.note_high_water(batch.approx_bytes());
-                                return Ok(Some(batch));
-                            }
-                        }
+                    }
+                    None => feed.recv().ok(),
+                };
+                match message {
+                    Some(Ok(batch)) => {
+                        ctx.note_high_water(batch.approx_bytes());
+                        Ok(Some(batch))
+                    }
+                    ended => {
+                        *done = true;
+                        ended.transpose()
                     }
                 }
             }
@@ -2746,14 +2725,14 @@ impl<'r> OpNode<'r> {
     /// that version, and never created without one.
     fn materialize(
         &mut self,
-        ctx: &ExecContext,
+        ctx: &'r ExecContext,
         plan_source: &'r dyn PlanSource,
         policy: &ExecPolicy,
     ) -> Result<(Arc<Batch>, Option<u64>), PlanError> {
         if let OpNode::Scan(op) = self {
             if !op.semijoin_reduced && scan_uses_cache(ctx, plan_source, &op.source, &op.request) {
                 let (batch, version) =
-                    ctx.scan_versioned(plan_source, &op.source, &op.request, policy.deadline)?;
+                    ctx.scan(plan_source, &op.source, &op.request, policy.deadline)?;
                 return Ok((batch, Some(version)));
             }
         }
@@ -2786,7 +2765,7 @@ impl<'r> OpNode<'r> {
         right_key: usize,
         left_scan: &Option<ScanKey>,
         right_scan: &Option<ScanKey>,
-        ctx: &ExecContext,
+        ctx: &'r ExecContext,
         source: &'r dyn PlanSource,
         policy: &ExecPolicy,
     ) -> Result<JoinState, PlanError> {
@@ -2913,7 +2892,7 @@ impl<'r> OpNode<'r> {
 
     fn next_batch(
         &mut self,
-        ctx: &ExecContext,
+        ctx: &'r ExecContext,
         plan_source: &'r dyn PlanSource,
         policy: &ExecPolicy,
     ) -> Result<Option<Batch>, PlanError> {
@@ -3278,32 +3257,18 @@ fn execute_plan_with_workers(
             queued_keys.push(key);
             let (name, request) = (*name, *request);
             s.spawn(move |_| {
-                let batches = match source.scan_batches(
-                    name,
-                    request,
-                    adaptive_batch_rows(ctx, source, name, request),
-                ) {
-                    Ok(batches) => batches,
+                let batch_rows = adaptive_batch_rows(ctx, source, name, request);
+                let batches = match source.scan_batches(name, request, batch_rows) {
+                    Ok((batches, _)) => batches,
                     Err(e) => {
                         let _ = tx.send(Err(e.into()));
                         return;
                     }
                 };
-                for rows in batches {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        let _ = tx.send(Err(PlanError::DeadlineExceeded));
-                        return;
-                    }
-                    let message = rows.map_err(PlanError::from).and_then(|rows| {
-                        let mut out = Batch::new(request.output().len());
-                        ctx.intern_scan_rows(request.output(), &rows, &mut out)?;
-                        ctx.note_high_water(out.approx_bytes());
-                        Ok(out)
-                    });
-                    let failed = message.is_err();
+                for message in ctx.interned(request, batches, deadline) {
                     // A failed send means the consumer (or the cleanup
                     // below) dropped the feed — stop fetching.
-                    if tx.send(message).is_err() || failed {
+                    if tx.send(message).is_err() {
                         return;
                     }
                 }
@@ -3380,6 +3345,14 @@ mod tests {
             "w3" => request.apply(&w3()),
             other => Err(RelationError::Source(format!("unknown source {other}"))),
         }
+    }
+
+    type Scanned<'a> = Result<(BatchIter<'a>, Option<ScanMark>), RelationError>;
+
+    /// What a source that answers a request whole returns from
+    /// `scan_batches`: the relation re-chunked, unmarked.
+    fn whole(relation: Relation, request: &ScanRequest, batch_rows: usize) -> Scanned<'static> {
+        Ok((batches_from_relation(relation, request, batch_rows)?, None))
     }
 
     fn scan_all(name: &str, rel: &Relation) -> PhysicalPlan {
@@ -3504,6 +3477,34 @@ mod tests {
         let out = run_in(&filtered, &ctx, &counting).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(scans.load(Ordering::SeqCst), 2);
+    }
+
+    /// A full fill is one source call: the scan hands back its own mark
+    /// (or none), there is no "marked, else plain" second ask.
+    #[test]
+    fn a_full_fill_makes_one_source_call() {
+        struct Counting(AtomicUsize);
+
+        impl PlanSource for Counting {
+            fn scan_batches<'a>(
+                &'a self,
+                name: &str,
+                request: &ScanRequest,
+                n: usize,
+            ) -> Scanned<'a> {
+                self.0.fetch_add(1, Ordering::SeqCst);
+                source.scan_batches(name, request, n)
+            }
+        }
+
+        let counting = Counting(AtomicUsize::new(0));
+        let ctx = ExecContext::new();
+        let scanned = run_in(&scan_all("w1", &w1()), &ctx, &counting).unwrap();
+        assert_eq!(
+            (scanned.len(), ctx.full_scans(), ctx.cached_scans()),
+            (3, 1, 1)
+        );
+        assert_eq!(counting.0.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -3694,7 +3695,8 @@ mod tests {
     fn batches_from_relation_chunks_in_order() {
         for batch_rows in [1usize, 3, 1 << 20] {
             let mut rows: Vec<Tuple> = Vec::new();
-            for batch in batches_from_relation(w1(), batch_rows) {
+            let request = ScanRequest::full(w1().schema());
+            for batch in batches_from_relation(w1(), &request, batch_rows).unwrap() {
                 let batch = batch.unwrap();
                 assert!(batch.len() <= batch_rows);
                 assert!(!batch.is_empty());
@@ -3759,9 +3761,9 @@ mod tests {
     }
 
     impl PlanSource for Versioned {
-        fn scan(&self, _: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
+        fn scan_batches<'a>(&'a self, _: &str, request: &ScanRequest, rows: usize) -> Scanned<'a> {
             self.scans.fetch_add(1, Ordering::SeqCst);
-            request.apply(&self.rows.lock().unwrap())
+            whole(request.apply(&self.rows.lock().unwrap())?, request, rows)
         }
 
         fn data_version(&self, _: &str) -> u64 {
@@ -3820,12 +3822,18 @@ mod tests {
         }
 
         impl PlanSource for Racy {
-            fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-                match name {
+            fn scan_batches<'a>(
+                &'a self,
+                name: &str,
+                request: &ScanRequest,
+                rows: usize,
+            ) -> Scanned<'a> {
+                let relation = match name {
                     "wr" => request.apply(&self.rows.lock().unwrap()),
                     "w3" => request.apply(&w3()),
                     other => Err(RelationError::Source(format!("unknown source {other}"))),
-                }
+                };
+                whole(relation?, request, rows)
             }
 
             fn data_version(&self, name: &str) -> u64 {
@@ -3900,10 +3908,15 @@ mod tests {
     struct NoClaims;
 
     impl PlanSource for NoClaims {
-        fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
+        fn scan_batches<'a>(
+            &'a self,
+            name: &str,
+            request: &ScanRequest,
+            rows: usize,
+        ) -> Scanned<'a> {
             // A claims-nothing source must never be handed a filter.
             assert!(request.filters().is_empty());
-            source(name, request)
+            source.scan_batches(name, request, rows)
         }
 
         fn claims(&self, _source: &str, _filter: &ColumnFilter) -> bool {
@@ -3967,12 +3980,17 @@ mod tests {
     }
 
     impl PlanSource for Hinted {
-        fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
+        fn scan_batches<'a>(
+            &'a self,
+            name: &str,
+            request: &ScanRequest,
+            rows: usize,
+        ) -> Scanned<'a> {
             self.requests
                 .lock()
                 .unwrap()
                 .push((name.to_owned(), request.clone()));
-            request.apply(&Self::relation(name))
+            whole(request.apply(&Self::relation(name))?, request, rows)
         }
 
         fn scan_hint(&self, name: &str, _request: &ScanRequest) -> Option<u64> {
@@ -4275,48 +4293,26 @@ mod tests {
         }
     }
 
-    impl PlanSource for Growing {
-        fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-            match name {
-                // The cursor-only path (a reduced probe) lands here.
-                "wgrow" => {
-                    self.full_reads.fetch_add(1, Ordering::SeqCst);
-                    request.apply(&self.relation(0))
-                }
-                "w3" => request.apply(&w3()),
-                other => Err(RelationError::Source(format!("unknown source {other}"))),
-            }
-        }
-
-        fn scan_batches_after<'a>(
+    impl Growing {
+        /// One read of `wgrow` from row `start`: the rows the request keeps
+        /// and the mark covering every row present now.
+        fn read<'a>(
             &'a self,
-            name: &str,
             request: &ScanRequest,
             batch_rows: usize,
-            after: Option<&ScanMark>,
-        ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
-            if name != "wgrow" {
-                return Ok(None);
-            }
+            start: usize,
+        ) -> Result<(BatchIter<'a>, ScanMark), RelationError> {
             self.requests.lock().unwrap().push(request.clone());
-            let epoch = self.epoch.load(Ordering::SeqCst);
             let total = self.rows.lock().unwrap().len();
-            let start = match after {
-                None => 0,
-                Some(mark) if mark.epoch() == epoch && mark.consumed() <= total as u64 => {
-                    mark.consumed() as usize
-                }
-                Some(_) => return Ok(None),
-            };
-            let counter = if after.is_some() {
+            let counter = if start > 0 {
                 &self.resumed_reads
             } else {
                 &self.full_reads
             };
             counter.fetch_add(1, Ordering::SeqCst);
-            let rows = request.apply(&self.relation(start))?.into_rows();
+            let relation = request.apply(&self.relation(start))?;
             let batches: BatchIter<'a> = if self.failing.load(Ordering::SeqCst) {
-                let first: Vec<Tuple> = rows.into_iter().take(1).collect();
+                let first: Vec<Tuple> = relation.into_rows().into_iter().take(1).collect();
                 Box::new(
                     vec![
                         Ok(first),
@@ -4325,10 +4321,46 @@ mod tests {
                     .into_iter(),
                 )
             } else {
-                let relation = Relation::new(request.output().clone(), rows)?;
-                batches_from_relation(relation, batch_rows)
+                batches_from_relation(relation, request, batch_rows)?
             };
-            Ok(Some((batches, ScanMark::new(epoch, total as u64))))
+            let mark = ScanMark::new(self.epoch.load(Ordering::SeqCst), total as u64);
+            Ok((batches, mark))
+        }
+    }
+
+    impl PlanSource for Growing {
+        fn scan_batches<'a>(
+            &'a self,
+            name: &str,
+            request: &ScanRequest,
+            rows: usize,
+        ) -> Scanned<'a> {
+            match name {
+                "wgrow" => {
+                    let (batches, mark) = self.read(request, rows, 0)?;
+                    Ok((batches, Some(mark)))
+                }
+                "w3" => whole(request.apply(&w3())?, request, rows),
+                other => Err(RelationError::Source(format!("unknown source {other}"))),
+            }
+        }
+
+        fn resume_batches<'a>(
+            &'a self,
+            name: &str,
+            request: &ScanRequest,
+            batch_rows: usize,
+            mark: &ScanMark,
+        ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
+            let total = self.rows.lock().unwrap().len() as u64;
+            if name != "wgrow"
+                || mark.epoch() != self.epoch.load(Ordering::SeqCst)
+                || mark.consumed() > total
+            {
+                return Ok(None);
+            }
+            self.read(request, batch_rows, mark.consumed() as usize)
+                .map(Some)
         }
 
         fn data_version(&self, name: &str) -> u64 {

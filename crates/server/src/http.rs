@@ -169,22 +169,23 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one JSON response.
+/// Writes one JSON response, head and body in a single write: two writes
+/// on a keep-alive connection put the body behind Nagle's algorithm until
+/// the client's delayed ACK of the head arrives (~40 ms per response).
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
+    let message = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{body}",
         status,
         reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -204,13 +205,13 @@ pub mod client {
         body: Option<&str>,
     ) -> io::Result<(u16, String)> {
         let mut stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let body = body.unwrap_or("");
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len(),
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(body.as_bytes())?;
+        stream.write_all(message.as_bytes())?;
         stream.flush()?;
 
         let mut raw = Vec::new();

@@ -234,6 +234,7 @@ fn serve_connection(
     stop: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_nodelay(true)?;
     while let Some(request) = http::read_request(&mut stream, stop)? {
         let (status, body) = route(backend, config, &request);
         let keep_alive = request.keep_alive && !stop.load(Ordering::Acquire);

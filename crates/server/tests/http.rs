@@ -71,6 +71,60 @@ fn stats_scrape_reports_all_surfaces() {
     }
 }
 
+/// The keep-alive pin: a response leaves in one write on a `TCP_NODELAY`
+/// socket. Written as head then body it met Nagle's algorithm and the
+/// client's delayed ACK, and every response after a connection's first
+/// took ~44 ms however fast the server answered.
+#[test]
+fn keep_alive_responses_are_not_stalled() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+
+    let (_server, addr) = started();
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut round_trips = Vec::new();
+    for _ in 0..25 {
+        let started = Instant::now();
+        stream
+            .write_all(b"GET /stats HTTP/1.1\r\nHost: pin\r\n\r\n")
+            .expect("request");
+        let mut raw = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let (head_end, length) = loop {
+            let n = stream.read(&mut chunk).expect("response");
+            assert!(n > 0, "server closed a keep-alive connection");
+            raw.extend_from_slice(&chunk[..n]);
+            if let Some(at) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&raw[..at]).to_ascii_lowercase();
+                assert!(head.starts_with("http/1.1 200"), "head: {head}");
+                let length: usize = head
+                    .lines()
+                    .find_map(|line| line.strip_prefix("content-length:"))
+                    .expect("Content-Length")
+                    .trim()
+                    .parse()
+                    .expect("numeric Content-Length");
+                break (at, length);
+            }
+        };
+        while raw.len() < head_end + 4 + length {
+            let n = stream.read(&mut chunk).expect("body");
+            assert!(n > 0, "server closed mid-body");
+            raw.extend_from_slice(&chunk[..n]);
+        }
+        round_trips.push(started.elapsed());
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "keep-alive median round trip {median:?} (all: {round_trips:?})"
+    );
+}
+
 #[test]
 fn expired_deadline_maps_to_504() {
     let (_server, addr) = started();

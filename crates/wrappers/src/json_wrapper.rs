@@ -4,11 +4,9 @@
 //! collection and flattens the resulting JSON objects into the flat 1NF
 //! relation the ontology layer expects.
 
-use crate::wrapper::{RowBatches, Wrapper, WrapperError};
+use crate::wrapper::{eager_batches, RowBatches, Wrapper, WrapperError};
 use bdi_docstore::{DocPredicate, DocStore, Pipeline, Projection};
-use bdi_relational::plan::{
-    batches_from_relation, Bound, ColumnFilter, Predicate, ScanMark, ScanRequest, BATCH_ROWS,
-};
+use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest, BATCH_ROWS};
 use bdi_relational::{Relation, RelationError, Schema, StatsBuilder, TableStats, Tuple, Value};
 use std::sync::{Arc, Mutex};
 
@@ -175,40 +173,35 @@ impl JsonWrapper {
     ) -> Option<(StatsBuilder, Option<ScanMark>)> {
         let request = ScanRequest::full(&self.schema);
         let resumed = match &folded {
-            Some((_, mark)) => self
-                .scan_request_batches_after(&request, BATCH_ROWS, Some(mark))
-                .ok()?,
+            Some((_, mark)) => self.resume_batches(&request, BATCH_ROWS, mark).ok()?,
             None => None,
         };
-        let (mut builder, scan) = match (folded, resumed) {
-            (Some((builder, _)), Some(delta)) => (builder, Some(delta)),
-            _ => (
-                StatsBuilder::new(self.schema.names()),
-                self.scan_request_batches_after(&request, BATCH_ROWS, None)
-                    .ok()?,
-            ),
-        };
-        let Some((batches, mark)) = scan else {
-            // Unmarkable (dotted columns): one eager aggregate per version.
-            for row in self.scan().ok()?.rows() {
-                builder.observe_row(row);
+        // An unmarkable scan (dotted columns) is one eager aggregate per
+        // version: it comes back without a mark, so nothing is kept to fold.
+        let (mut builder, batches, mark) = match (folded, resumed) {
+            (Some((builder, _)), Some((delta, mark))) => (builder, delta, Some(mark)),
+            _ => {
+                let (batches, mark) = self.scan_batches(&request, BATCH_ROWS).ok()?;
+                (StatsBuilder::new(self.schema.names()), batches, mark)
             }
-            return Some((builder, None));
         };
         for batch in batches {
             for row in batch.ok()? {
                 builder.observe_row(&row);
             }
         }
-        Some((builder, Some(mark)))
+        Some((builder, mark))
     }
 
     /// The narrowed pipeline for a request: the fetch list (requested
     /// columns plus ride-along filter columns), the residual predicates
     /// (indexed into the fetch list) and the wrapper pipeline with the
     /// trailing `$project` / `$match` stages appended. `None` when a dotted
-    /// column forces the wholesale reference path (see
-    /// [`JsonWrapper::scan_request`]).
+    /// column forces the wholesale reference path: the narrowing `$project`
+    /// (and any `$match`) resolves fields by dotted-path traversal, while
+    /// this wrapper's own projection output holds column names as literal
+    /// keys, so a dotted column name cannot be re-addressed through the
+    /// pipeline.
     #[allow(clippy::type_complexity)]
     fn narrowed_pipeline(
         &self,
@@ -258,6 +251,99 @@ impl JsonWrapper {
             pipeline = pipeline.match_pred(column, doc_predicate);
         }
         Ok(Some((fetch, residual, pipeline)))
+    }
+
+    /// The one scan loop behind [`Wrapper::scan_batches`] and
+    /// [`Wrapper::resume_batches`], started at document `0` or at `after`;
+    /// `None` when the request cannot be narrowed (dotted columns) or
+    /// `after` cannot be resumed from.
+    ///
+    /// The mark is the collection's `(epoch, length)` read under one lock
+    /// when the cursor starts — what the cursor bounds itself to, never
+    /// something derived from [`Wrapper::data_version`] (versions also move
+    /// on rejected inserts).
+    fn cursor<'a>(
+        &'a self,
+        request: &ScanRequest,
+        batch_rows: usize,
+        after: Option<&ScanMark>,
+    ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
+        let Some((fetch, residual, pipeline)) = self.narrowed_pipeline(request)? else {
+            return Ok(None);
+        };
+        let (epoch, total) = self
+            .store
+            .collection_extent(&self.collection)
+            .map_err(|e| WrapperError::permanent(self.name.clone(), e.to_string()))?;
+        let start = match after {
+            None => 0,
+            Some(mark)
+                if mark.epoch() == epoch
+                    && mark.consumed() <= total as u64
+                    && pipeline.is_record_local() =>
+            {
+                mark.consumed() as usize
+            }
+            Some(_) => return Ok(None),
+        };
+        let arity = request.columns().len();
+        let batch_rows = batch_rows.max(1);
+        let mut run = pipeline.start();
+        let mut cursor = start;
+        let mut failed = false;
+        let batches = std::iter::from_fn(move || {
+            loop {
+                if failed || cursor >= total || run.exhausted() {
+                    return None;
+                }
+                // Never read past `total`, even when appends have landed
+                // since: the mark promises exactly `[0, total)` was covered,
+                // and a resume from it would yield the overshoot twice.
+                let chunk = batch_rows.min(DOC_CHUNK_MAX).min(total - cursor);
+                let docs = match self.store.docs_chunk(&self.collection, cursor, chunk) {
+                    Ok(docs) => docs,
+                    Err(e) => {
+                        failed = true;
+                        return Some(Err(WrapperError::permanent(
+                            self.name.clone(),
+                            e.to_string(),
+                        )));
+                    }
+                };
+                if docs.is_empty() {
+                    return None; // the collection shrank mid-scan
+                }
+                cursor += docs.len();
+                let outs = match run.push_batch(docs) {
+                    Ok(outs) => outs,
+                    Err(e) => {
+                        failed = true;
+                        return Some(Err(WrapperError::permanent(
+                            self.name.clone(),
+                            e.to_string(),
+                        )));
+                    }
+                };
+                let mut rows: Vec<Tuple> = Vec::with_capacity(outs.len());
+                for doc in &outs {
+                    match self.convert_row(&fetch, arity, &residual, doc) {
+                        Ok(Some(row)) => rows.push(row),
+                        Ok(None) => {}
+                        Err(e) => {
+                            failed = true;
+                            return Some(Err(e));
+                        }
+                    }
+                }
+                if !rows.is_empty() {
+                    return Some(Ok(rows));
+                }
+            }
+        });
+        Ok(Some((
+            Box::new(batches),
+            ScanMark::new(epoch, total as u64),
+        )))
     }
 
     /// Converts one pipeline output document into a row of the request's
@@ -354,168 +440,61 @@ impl Wrapper for JsonWrapper {
                 || to_doc_predicate(&filter.predicate).is_some())
     }
 
-    /// Native pushdown: a trailing `$project` of only the requested fields
-    /// is appended to the wrapper's pipeline, followed by a `$match` of
-    /// every translatable predicate, so the document store never surfaces
-    /// unused attributes or filtered-out documents. The docstore compares
-    /// through [`bdi_docstore::json_cmp`], which mirrors relational
-    /// [`Value`] ordering (cross-type numeric equality included) — the
-    /// contract is relational. Untranslatable predicates are evaluated here
-    /// after JSON→[`Value`] conversion, so the method honours *any* request
-    /// whether or not its filters were claimed.
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        // The narrowing `$project` (and any `$match`) resolves fields by
-        // dotted-path traversal, while this wrapper's own projection output
-        // holds column names as literal keys — a dotted column name cannot
-        // be re-addressed through the pipeline, so such requests take the
-        // reference path wholesale.
-        let Some((fetch, residual, pipeline)) = self.narrowed_pipeline(request)? else {
-            return Ok(request.apply(&self.scan()?)?);
-        };
-        let docs = self
-            .store
-            .aggregate(&self.collection, &pipeline)
-            .map_err(|e| WrapperError::permanent(self.name.clone(), e.to_string()))?;
-        let arity = request.columns().len();
-        let mut rel = Relation::empty(request.output().clone());
-        for doc in docs {
-            if let Some(row) = self.convert_row(&fetch, arity, &residual, &doc)? {
-                rel.push(row)?;
-            }
-        }
-        Ok(rel)
-    }
-
-    /// Native streaming pushdown: pulls chunks of at most `batch_rows`
-    /// documents (and at most `DOC_CHUNK_MAX`) from the backing
-    /// collection (one short read-lock hold each, via
-    /// [`DocStore::docs_chunk`]) and feeds them through a batch-aware
-    /// pipeline cursor ([`Pipeline::start`]) whose `$limit` budgets span
-    /// chunks — so neither the store's full document set nor the full
-    /// result relation is ever materialized in one piece. A
-    /// `$limit`-exhausted cursor stops pulling chunks early.
+    /// Native streaming pushdown; a dotted-column request cannot be
+    /// narrowed and takes the reference path over [`Wrapper::scan`]
+    /// wholesale, unmarked.
     ///
-    /// Unlike the eager [`Wrapper::scan_request`] (one lock across the
-    /// whole aggregate), this is a *cursor*, not a point snapshot: it is
-    /// bounded to the documents present when it started and shrink-safe
-    /// (a concurrent [`DocStore::clear`] ends it early), but a clear
-    /// followed by re-inserts mid-scan can surface a mix of the two
-    /// generations within one result — the same consistency any paging
-    /// source gives. Every mutation bumps [`Wrapper::data_version`], so
-    /// cached results of such a scan are invalidated either way; consumers
-    /// needing single-lock snapshot semantics use the eager entry point.
-    fn scan_request_batches<'a>(
+    /// A trailing `$project` of only the requested fields is appended to
+    /// the wrapper's pipeline, followed by a `$match` of every translatable
+    /// predicate, so the document store never surfaces unused attributes or
+    /// filtered-out documents. The docstore compares through
+    /// [`bdi_docstore::json_cmp`], which mirrors relational [`Value`]
+    /// ordering (cross-type numeric equality included) — the contract is
+    /// relational. Untranslatable predicates are evaluated here after
+    /// JSON→[`Value`] conversion, so the scan honours *any* request
+    /// whether or not its filters were claimed.
+    ///
+    /// It pulls chunks of at most `batch_rows` documents (and at most
+    /// `DOC_CHUNK_MAX`) from the backing collection (one short read-lock
+    /// hold each, via [`DocStore::docs_chunk`]) and feeds them through a
+    /// batch-aware pipeline run ([`Pipeline::start`]) whose `$limit`
+    /// budgets span chunks — so neither the store's full document set nor
+    /// the full result relation is ever materialized in one piece. A
+    /// `$limit`-exhausted run stops pulling chunks early.
+    ///
+    /// Unlike the eager [`Wrapper::scan`] (one lock across the whole
+    /// aggregate), this is a *cursor*, not a point snapshot: it is bounded
+    /// to the documents present when it started and shrink-safe (a
+    /// concurrent [`DocStore::clear`] ends it early), but a clear followed
+    /// by re-inserts mid-scan can surface a mix of the two generations
+    /// within one result — the same consistency any paging source gives.
+    /// Every mutation bumps [`Wrapper::data_version`], so cached results of
+    /// such a scan are invalidated either way.
+    fn scan_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
-    ) -> Result<RowBatches<'a>, WrapperError> {
-        if let Some((batches, _)) = self.scan_request_batches_after(request, batch_rows, None)? {
-            return Ok(batches);
+    ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
+        match self.cursor(request, batch_rows, None)? {
+            Some((batches, mark)) => Ok((batches, Some(mark))),
+            None => eager_batches(self, request, batch_rows),
         }
-        // Dotted columns cannot be re-addressed through the narrowing
-        // pipeline: chunk the wholesale reference result instead.
-        let relation = self.scan_request(request)?;
-        Ok(Box::new(
-            batches_from_relation(relation, batch_rows).map(|r| r.map_err(WrapperError::from)),
-        ))
     }
 
-    /// The cursor behind [`Wrapper::scan_request_batches`], started at
-    /// document `0` or at the mark. The mark is the collection's
-    /// `(epoch, length)` read under one lock when the cursor starts — what
-    /// the cursor bounds itself to, never something derived from
-    /// [`Wrapper::data_version`] (versions also move on rejected inserts).
-    ///
     /// Resumes iff the collection is still in the mark's epoch (nothing was
     /// cleared, so the marked prefix is still the prefix), has not shrunk
     /// below the mark, and the narrowed pipeline is
     /// [record-local](Pipeline::is_record_local): `$project` and `$match`
     /// decide each document alone, so the suffix's output is exactly what a
     /// full run would append, while a `$limit`'s budget depends on the
-    /// prefix. Dotted-column requests (the wholesale reference path)
-    /// decline with or without a mark.
-    fn scan_request_batches_after<'a>(
+    /// prefix.
+    fn resume_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
-        after: Option<&ScanMark>,
+        mark: &ScanMark,
     ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
-        let Some((fetch, residual, pipeline)) = self.narrowed_pipeline(request)? else {
-            return Ok(None);
-        };
-        let (epoch, total) = self
-            .store
-            .collection_extent(&self.collection)
-            .map_err(|e| WrapperError::permanent(self.name.clone(), e.to_string()))?;
-        let start = match after {
-            None => 0,
-            Some(mark)
-                if mark.epoch() == epoch
-                    && mark.consumed() <= total as u64
-                    && pipeline.is_record_local() =>
-            {
-                mark.consumed() as usize
-            }
-            Some(_) => return Ok(None),
-        };
-        let arity = request.columns().len();
-        let batch_rows = batch_rows.max(1);
-        let mut run = pipeline.start();
-        let mut cursor = start;
-        let mut failed = false;
-        let batches = std::iter::from_fn(move || {
-            loop {
-                if failed || cursor >= total || run.exhausted() {
-                    return None;
-                }
-                // Never read past `total`, even when appends have landed
-                // since: the mark promises exactly `[0, total)` was covered,
-                // and a resume from it would yield the overshoot twice.
-                let chunk = batch_rows.min(DOC_CHUNK_MAX).min(total - cursor);
-                let docs = match self.store.docs_chunk(&self.collection, cursor, chunk) {
-                    Ok(docs) => docs,
-                    Err(e) => {
-                        failed = true;
-                        return Some(Err(WrapperError::permanent(
-                            self.name.clone(),
-                            e.to_string(),
-                        )));
-                    }
-                };
-                if docs.is_empty() {
-                    return None; // the collection shrank mid-scan
-                }
-                cursor += docs.len();
-                let outs = match run.push_batch(docs) {
-                    Ok(outs) => outs,
-                    Err(e) => {
-                        failed = true;
-                        return Some(Err(WrapperError::permanent(
-                            self.name.clone(),
-                            e.to_string(),
-                        )));
-                    }
-                };
-                let mut rows: Vec<Tuple> = Vec::with_capacity(outs.len());
-                for doc in &outs {
-                    match self.convert_row(&fetch, arity, &residual, doc) {
-                        Ok(Some(row)) => rows.push(row),
-                        Ok(None) => {}
-                        Err(e) => {
-                            failed = true;
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                if !rows.is_empty() {
-                    return Some(Ok(rows));
-                }
-            }
-        });
-        Ok(Some((
-            Box::new(batches),
-            ScanMark::new(epoch, total as u64),
-        )))
+        self.cursor(request, batch_rows, Some(mark))
     }
 
     /// The backing *collection*'s mutation counter
@@ -592,12 +571,12 @@ impl Wrapper for JsonWrapper {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bdi_docstore::{AggExpr, Projection};
     use serde_json::json;
 
-    fn vod_store() -> DocStore {
+    pub(crate) fn vod_store() -> DocStore {
         let store = DocStore::new();
         store
             .insert_many(
@@ -612,7 +591,7 @@ mod tests {
         store
     }
 
-    fn code2_wrapper(store: DocStore) -> JsonWrapper {
+    pub(crate) fn code2_wrapper(store: DocStore) -> JsonWrapper {
         JsonWrapper::new(
             "w1",
             "D1",
@@ -628,6 +607,13 @@ mod tests {
             ]),
         )
         .unwrap()
+    }
+
+    /// Everything `scan_batches` streams for `request`, as a relation.
+    fn scanned(w: &JsonWrapper, request: &ScanRequest) -> Relation {
+        let (batches, _) = w.scan_batches(request, 2).unwrap();
+        let rows = batches.flat_map(|b| b.unwrap()).collect();
+        Relation::new(request.output().clone(), rows).unwrap()
     }
 
     #[test]
@@ -673,23 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_request_narrows_pipeline_and_filters() {
-        let w = code2_wrapper(vod_store());
-        let request = ScanRequest::new(
-            vec!["lagRatio".into()],
-            Schema::from_parts::<&str>(&[], &["D1/lagRatio"]).unwrap(),
-        )
-        .unwrap()
-        .with_filter("VoDmonitorId", Value::Int(12));
-        let native = w.scan_request(&request).unwrap();
-        let reference = request.apply(&w.scan().unwrap()).unwrap();
-        assert_eq!(native, reference);
-        assert_eq!(native.len(), 2);
-        assert_eq!(native.schema().names(), vec!["D1/lagRatio"]);
-        assert_eq!(native.value(0, "D1/lagRatio"), Some(&Value::Float(0.75)));
-    }
-
-    #[test]
     fn predicate_pushdown_matches_reference_and_reconciles_numerics() {
         let store = vod_store();
         // A float-typed monitor id: relational equality is cross-type, so a
@@ -707,7 +676,7 @@ mod tests {
         )
         .unwrap()
         .with_filter("VoDmonitorId", Value::Int(12));
-        let native = w.scan_request(&eq).unwrap();
+        let native = scanned(&w, &eq);
         assert_eq!(native, eq.apply(&w.scan().unwrap()).unwrap());
         assert_eq!(native.len(), 3); // both Int(12) docs and the Float(12.0) doc
 
@@ -718,7 +687,7 @@ mod tests {
                 Predicate::in_set([Value::Int(12), Value::Int(18)]),
             );
         assert!(w.claims_filter(&range.filters()[0]));
-        let native = w.scan_request(&range).unwrap();
+        let native = scanned(&w, &range);
         assert_eq!(native, range.apply(&w.scan().unwrap()).unwrap());
     }
 
@@ -760,7 +729,7 @@ mod tests {
         let dotted_filter = ColumnFilter::new("a.b", Predicate::eq(1));
         assert!(!dotted.claims_filter(&dotted_filter));
         let dotted_request = ScanRequest::full(dotted.schema()).with_column_filter(dotted_filter);
-        let dotted_native = dotted.scan_request(&dotted_request).unwrap();
+        let dotted_native = scanned(&dotted, &dotted_request);
         assert_eq!(
             dotted_native,
             dotted_request.apply(&dotted.scan().unwrap()).unwrap()
@@ -769,87 +738,9 @@ mod tests {
         // …but a request carrying one anyway is evaluated residually, with
         // reference semantics (everything is ≤ NaN: it sorts greatest).
         let request = ScanRequest::full(w.schema()).with_column_filter(filter);
-        let native = w.scan_request(&request).unwrap();
+        let native = scanned(&w, &request);
         assert_eq!(native, request.apply(&w.scan().unwrap()).unwrap());
         assert_eq!(native.len(), 3);
-    }
-
-    #[test]
-    fn native_batches_match_reference_at_every_size() {
-        let w = code2_wrapper(vod_store());
-        // Projection + claimed filter + ride-along filter column.
-        let request = ScanRequest::new(
-            vec!["lagRatio".into()],
-            Schema::from_parts::<&str>(&[], &["D1/lagRatio"]).unwrap(),
-        )
-        .unwrap()
-        .with_filter("VoDmonitorId", Value::Int(12));
-        let reference = request.apply(&w.scan().unwrap()).unwrap();
-        assert_eq!(reference.len(), 2);
-        for batch_rows in [1usize, 2, usize::MAX] {
-            let mut rows = Vec::new();
-            for batch in w.scan_request_batches(&request, batch_rows).unwrap() {
-                let batch = batch.unwrap();
-                assert!(!batch.is_empty());
-                assert!(batch.len() <= batch_rows);
-                rows.extend(batch);
-            }
-            assert_eq!(rows, reference.rows(), "batch_rows={batch_rows}");
-        }
-    }
-
-    #[test]
-    fn batched_scan_honours_limit_stages_across_chunks() {
-        // A wrapper pipeline with $limit: the budget must span pulled
-        // chunks (2 docs surface however small the batches are).
-        let store = vod_store();
-        let w = JsonWrapper::new(
-            "w1",
-            "D1",
-            Schema::from_parts(&["VoDmonitorId"], &[]).unwrap(),
-            store,
-            "vod",
-            Pipeline::new()
-                .limit(2)
-                .project(vec![Projection::field("VoDmonitorId", "monitorId")]),
-        )
-        .unwrap();
-        let request = ScanRequest::full(w.schema());
-        let reference = request.apply(&w.scan().unwrap()).unwrap();
-        assert_eq!(reference.len(), 2);
-        for batch_rows in [1usize, 3] {
-            let rows: Vec<_> = w
-                .scan_request_batches(&request, batch_rows)
-                .unwrap()
-                .flat_map(|b| b.unwrap())
-                .collect();
-            assert_eq!(rows, reference.rows());
-        }
-    }
-
-    #[test]
-    fn dotted_columns_fall_back_to_chunked_reference_path() {
-        let store = DocStore::new();
-        store
-            .insert_many("c", vec![json!({"a": {"b": 1}}), json!({"a": {"b": 2}})])
-            .unwrap();
-        let w = JsonWrapper::new(
-            "wd",
-            "D",
-            Schema::from_parts::<&str>(&[], &["a.b"]).unwrap(),
-            store,
-            "c",
-            Pipeline::new().project(vec![Projection::field("a.b", "a.b")]),
-        )
-        .unwrap();
-        let request = ScanRequest::full(w.schema());
-        let reference = w.scan_request(&request).unwrap();
-        let rows: Vec<_> = w
-            .scan_request_batches(&request, 1)
-            .unwrap()
-            .flat_map(|b| b.unwrap())
-            .collect();
-        assert_eq!(rows, reference.rows());
     }
 
     #[test]
@@ -883,51 +774,6 @@ mod tests {
         assert_eq!(w.scan().unwrap().len(), 4);
     }
 
-    /// Drains a (possibly resumed) scan of `w`; `None` when it declines.
-    fn drain(
-        w: &JsonWrapper,
-        request: &ScanRequest,
-        batch_rows: usize,
-        after: Option<&ScanMark>,
-    ) -> Option<(Vec<Tuple>, ScanMark)> {
-        let (batches, mark) = w
-            .scan_request_batches_after(request, batch_rows, after)
-            .unwrap()?;
-        Some((batches.flat_map(|b| b.unwrap()).collect(), mark))
-    }
-
-    #[test]
-    fn resumed_scan_yields_exactly_the_documents_inserted_since_the_mark() {
-        let store = vod_store();
-        let w = code2_wrapper(store.clone());
-        let request = ScanRequest::new(
-            vec!["lagRatio".into()],
-            Schema::from_parts::<&str>(&[], &["D1/lagRatio"]).unwrap(),
-        )
-        .unwrap()
-        .with_filter("VoDmonitorId", Value::Int(12));
-        let (mut seen, mut mark) = drain(&w, &request, 2, None).unwrap();
-        assert_eq!(seen, w.scan_request(&request).unwrap().rows());
-        assert_eq!(mark.consumed(), 3); // documents covered, not rows matched
-        for (monitor, batch_rows) in [(12, 1usize), (18, 2), (12, usize::MAX)] {
-            store
-                .insert(
-                    "vod",
-                    json!({"monitorId": monitor, "waitTime": 1, "watchTime": 8}),
-                )
-                .unwrap();
-            // A rejected insert moves the version, not the extent.
-            assert!(store.insert("vod", json!([1])).is_err());
-            let (delta, next) = drain(&w, &request, batch_rows, Some(&mark)).unwrap();
-            seen.extend(delta);
-            mark = next;
-            assert_eq!(seen, w.scan_request(&request).unwrap().rows());
-        }
-        let (delta, same) = drain(&w, &request, 4, Some(&mark)).unwrap();
-        assert!(delta.is_empty());
-        assert_eq!(same, mark);
-    }
-
     #[test]
     fn a_scan_never_reads_past_the_extent_its_mark_promises() {
         // An insert landing after the cursor bounded itself but before its
@@ -936,10 +782,8 @@ mod tests {
         let store = vod_store();
         let w = code2_wrapper(store.clone());
         let request = ScanRequest::full(w.schema());
-        let (batches, mark) = w
-            .scan_request_batches_after(&request, 1024, None)
-            .unwrap()
-            .unwrap();
+        let (batches, mark) = w.scan_batches(&request, 1024).unwrap();
+        let mark = mark.expect("a narrowable request is marked");
         store
             .insert(
                 "vod",
@@ -948,62 +792,24 @@ mod tests {
             .unwrap();
         let first: Vec<Tuple> = batches.flat_map(|b| b.unwrap()).collect();
         assert_eq!((first.len(), mark.consumed()), (3, 3));
-        let (delta, _) = drain(&w, &request, 1024, Some(&mark)).unwrap();
+        let (delta, _) = w.resume_batches(&request, 1024, &mark).unwrap().unwrap();
+        let delta: Vec<Tuple> = delta.flat_map(|b| b.unwrap()).collect();
         assert_eq!(delta, vec![vec![Value::Int(7), Value::Float(0.5)]]);
     }
 
     #[test]
-    fn resume_declines_after_a_clear_under_a_limit_and_for_dotted_columns() {
-        let store = vod_store();
-        let w = code2_wrapper(store.clone());
-        let request = ScanRequest::full(w.schema());
-        let (_, mark) = drain(&w, &request, 8, None).unwrap();
-        // Clear + refill past the old length: same positions, other
-        // documents — only the epoch can tell.
-        let image = store.dump();
-        store.clear("vod");
-        store.restore(image).unwrap();
-        store
-            .insert(
-                "vod",
-                json!({"monitorId": 7, "waitTime": 1, "watchTime": 2}),
-            )
-            .unwrap();
-        assert!(drain(&w, &request, 8, Some(&mark)).is_none());
-        let (full, fresh_mark) = drain(&w, &request, 8, None).unwrap();
-        assert_eq!(full, w.scan().unwrap().rows());
-        assert!(fresh_mark.epoch() > mark.epoch());
-
-        // `$limit` spans documents: markable, never resumable.
-        let limited = JsonWrapper::new(
-            "wl",
-            "D1",
-            Schema::from_parts(&["VoDmonitorId"], &[]).unwrap(),
-            store.clone(),
-            "vod",
-            Pipeline::new()
-                .limit(2)
-                .project(vec![Projection::field("VoDmonitorId", "monitorId")]),
-        )
-        .unwrap();
-        let request = ScanRequest::full(limited.schema());
-        let (rows, mark) = drain(&limited, &request, 1, None).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(drain(&limited, &request, 1, Some(&mark)).is_none());
-
-        // Dotted columns take the reference path: no mark at all.
-        let dotted_store = DocStore::new();
-        dotted_store.insert("c", json!({"a": {"b": 1}})).unwrap();
+    fn unmarkable_dotted_columns_sketch_by_one_eager_aggregate() {
+        let store = DocStore::new();
+        store.insert("c", json!({"a": {"b": 1}})).unwrap();
         let dotted = JsonWrapper::new(
             "wd",
             "D",
             Schema::from_parts::<&str>(&[], &["a.b"]).unwrap(),
-            dotted_store,
+            store,
             "c",
             Pipeline::new().project(vec![Projection::field("a.b", "a.b")]),
         )
         .unwrap();
-        assert!(drain(&dotted, &ScanRequest::full(dotted.schema()), 4, None).is_none());
         assert_eq!(dotted.column_stats().unwrap().rows(), 1);
     }
 

@@ -19,14 +19,14 @@
 //!   per-attempt timeout. Only [`crate::FailureKind::Transient`] failures are
 //!   retried; a permanent failure aborts the scan immediately.
 //! * [`RemoteWrapper`] — a [`Wrapper`] whose
-//!   [`Wrapper::scan_request_batches`] runs the pager on a detached
+//!   [`Wrapper::scan_batches`] runs the pager on a detached
 //!   producer thread feeding a bounded queue, so page latency overlaps
 //!   with the mediator's execution and a stalled endpoint surfaces as a
 //!   transient timeout error instead of a hang. Retry activity is counted
 //!   in [`RetryStats`], surfaced through [`Wrapper::retry_stats`].
 
 use crate::wrapper::{RetryStats, RowBatches, Wrapper, WrapperError};
-use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanRequest};
+use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest};
 use bdi_relational::{Relation, Schema, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -635,28 +635,6 @@ impl RemoteWrapper {
     pub fn endpoint(&self) -> &Arc<SimulatedEndpoint> {
         &self.endpoint
     }
-
-    /// Synchronous paged fetch of a whole request (the eager path).
-    fn fetch_all(&self, request: &ScanRequest) -> Result<Vec<Tuple>, WrapperError> {
-        let mut rows = Vec::new();
-        let mut page = 0u64;
-        // analyze: allow(deadline, every page fetch below is bounded by the retry policy's attempt budget and deadline)
-        loop {
-            let params = render_params(request, page, self.endpoint.page_rows);
-            let fetched = fetch_page_with_retry(
-                &self.name,
-                &self.endpoint,
-                &self.retry,
-                &self.stats,
-                &params,
-            )?;
-            rows.extend(fetched.rows);
-            if fetched.last {
-                return Ok(rows);
-            }
-            page += 1;
-        }
-    }
 }
 
 /// The detached pager: fetches pages in order with retries and sends each
@@ -674,6 +652,8 @@ struct Pager {
 impl Pager {
     fn run(self, tx: SyncSender<Result<Vec<Tuple>, WrapperError>>) {
         let mut page = 0u64;
+        // Cancellable two ways: every page fetch is bounded by the retry
+        // policy's attempt budget, and a consumer that hung up fails the send.
         loop {
             let params = render_params(&self.request, page, self.page_rows);
             match fetch_page_with_retry(
@@ -753,31 +733,34 @@ impl Wrapper for RemoteWrapper {
         self.endpoint.schema()
     }
 
+    /// Collects the pager's stream for the full schema, asking for the
+    /// endpoint's own page size — the page sequence (and so the fault
+    /// schedule a seeded endpoint replays) a synchronous fetch would see.
     fn scan(&self) -> Result<Relation, WrapperError> {
-        self.scan_request(&ScanRequest::full(self.endpoint.schema()))
-    }
-
-    /// Pages the whole request through the endpoint synchronously (with
-    /// retries); the endpoint evaluates the projection and every filter
-    /// server-side.
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        let rows = self.fetch_all(request)?;
-        Ok(Relation::new(request.output().clone(), rows)?)
+        let schema = self.endpoint.schema();
+        let (pages, _) = self.scan_batches(&ScanRequest::full(schema), self.endpoint.page_rows)?;
+        let mut rows = Vec::new();
+        for page in pages {
+            rows.extend(page?);
+        }
+        Ok(Relation::new(schema.clone(), rows)?)
     }
 
     /// Streams pages through a detached producer thread and a bounded
-    /// queue: page latency overlaps with the mediator's execution, the
-    /// queue's backpressure keeps at most [`RemoteWrapper::with_queue_pages`]
-    /// pages resident, and a consumer that stops pulling (or drops the
-    /// iterator) disconnects the producer after its current page. Pages
-    /// are requested at `batch_rows` rows, so yielded batches respect the
-    /// consumer's bound (the endpoint may serve less per page, never
-    /// more).
-    fn scan_request_batches<'a>(
+    /// queue: the endpoint evaluates the projection and every filter
+    /// server-side, page latency overlaps with the mediator's execution,
+    /// the queue's backpressure keeps at most
+    /// [`RemoteWrapper::with_queue_pages`] pages resident, and a consumer
+    /// that stops pulling (or drops the iterator) disconnects the producer
+    /// after its current page. Pages are requested at `batch_rows` rows, so
+    /// yielded batches respect the consumer's bound (the endpoint may serve
+    /// less per page, never more). Unmarked: the wrapper cannot vouch for
+    /// what a remote source did between two scans.
+    fn scan_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
-    ) -> Result<RowBatches<'a>, WrapperError> {
+    ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
         let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_pages);
         let pager = Pager {
             name: self.name.clone(),
@@ -788,12 +771,13 @@ impl Wrapper for RemoteWrapper {
             page_rows: batch_rows.max(1),
         };
         std::thread::spawn(move || pager.run(tx));
-        Ok(Box::new(PagedRows {
+        let pages = PagedRows {
             rx,
             budget: self.retry.page_budget(),
             name: self.name.clone(),
             done: false,
-        }))
+        };
+        Ok((Box::new(pages), None))
     }
 
     /// Exact row count for unfiltered requests; filtered requests are
@@ -822,13 +806,13 @@ impl Wrapper for RemoteWrapper {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::wrapper::{FailureKind, WrapperRegistry};
     use bdi_relational::plan::PlanSource;
     use bdi_relational::RelationError;
 
-    fn sample_relation() -> Relation {
+    pub(crate) fn sample_relation() -> Relation {
         let schema = Schema::from_parts(&["id"], &["x"]).unwrap();
         Relation::new(
             schema,
@@ -837,14 +821,6 @@ mod tests {
                 .collect(),
         )
         .unwrap()
-    }
-
-    fn reliable_endpoint(page_rows: usize) -> Arc<SimulatedEndpoint> {
-        Arc::new(SimulatedEndpoint::new(
-            sample_relation(),
-            page_rows,
-            FaultProfile::default(),
-        ))
     }
 
     #[test]
@@ -861,23 +837,6 @@ mod tests {
         assert_eq!(query.columns, vec![0, 1]);
         assert_eq!(query.filters.len(), 3);
         assert_eq!(query.filters, request.filters().to_vec());
-    }
-
-    #[test]
-    fn paged_scan_equals_reference_apply() {
-        let endpoint = reliable_endpoint(3);
-        let wrapper = RemoteWrapper::new("rw", "D", endpoint, RetryPolicy::default());
-        let request =
-            ScanRequest::full(wrapper.schema()).with_predicate("id", Predicate::at_least(4));
-        let native = wrapper.scan_request(&request).unwrap();
-        let reference = request.apply(&sample_relation()).unwrap();
-        assert_eq!(native, reference);
-        // Streaming path yields the same rows in the same order.
-        let mut streamed = Vec::new();
-        for batch in wrapper.scan_request_batches(&request, 2).unwrap() {
-            streamed.extend(batch.unwrap());
-        }
-        assert_eq!(streamed, reference.rows());
     }
 
     #[test]
@@ -938,8 +897,13 @@ mod tests {
         assert_eq!(wrapper.retry_stats().unwrap().permanent_failures, 1);
     }
 
+    /// Both engines name a source failure the same way: the eager
+    /// reference's `resolve` and the streaming `scan_batches` lower a
+    /// wrapper's error through one mapping.
     #[test]
-    fn registry_preserves_the_failure_classification() {
+    fn registry_preserves_the_failure_classification_for_both_engines() {
+        use bdi_relational::SourceResolver;
+
         let profile = FaultProfile {
             hard_fail_after: Some(0),
             ..FaultProfile::default()
@@ -953,11 +917,15 @@ mod tests {
             RetryPolicy::default(),
         )));
         let request = ScanRequest::full(&Schema::from_parts(&["id"], &["x"]).unwrap());
-        let mut batches = registry.scan_batches("rw", &request, 4).unwrap();
-        let err = batches
+        let (mut batches, _) = registry.scan_batches("rw", &request, 4).unwrap();
+        let streamed = batches
             .find_map(|r| r.err())
             .expect("hard-failed scan must error");
-        match err {
+        let eager = registry
+            .resolve("rw")
+            .expect_err("hard-failed scan must error");
+        assert_eq!(eager, streamed);
+        match streamed {
             RelationError::SourceFailure {
                 source, transient, ..
             } => {
@@ -966,6 +934,13 @@ mod tests {
             }
             other => panic!("expected SourceFailure, got {other:?}"),
         }
+        // An unknown wrapper is a source error too, not a schema one.
+        let unknown = registry.resolve("zz").expect_err("no such wrapper");
+        assert!(matches!(unknown, RelationError::Source(_)), "{unknown:?}");
+        assert_eq!(
+            registry.scan_batches("zz", &request, 4).err(),
+            Some(unknown)
+        );
     }
 
     #[test]
@@ -984,7 +959,7 @@ mod tests {
         let wrapper = RemoteWrapper::new("rw", "D", endpoint, retry);
         let request = ScanRequest::full(wrapper.schema());
         let started = Instant::now();
-        let mut batches = wrapper.scan_request_batches(&request, 4).unwrap();
+        let (mut batches, _) = wrapper.scan_batches(&request, 4).unwrap();
         let first = batches.next().expect("a timeout error, not end-of-stream");
         assert!(matches!(
             first,

@@ -241,51 +241,37 @@ impl Wrapper for TableWrapper {
         )?)
     }
 
-    /// Native pushdown: only the requested cells are ever cloned, and rows
-    /// failing any pushed predicate are skipped under the read lock instead
-    /// of being materialized first. Every predicate kind is evaluated
-    /// in-scan ([`bdi_relational::Predicate::matches`]), so the wrapper
-    /// claims all filters (the [`crate::Wrapper::claims_filter`] default).
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        // One maximal batch — a single lock hold, like the pre-streaming
-        // implementation.
-        let mut rel = Relation::empty(request.output().clone());
-        for batch in self.scan_request_batches(request, usize::MAX)? {
-            for row in batch? {
-                rel.push(row)?;
-            }
-        }
-        Ok(rel)
-    }
-
     /// Native streaming pushdown: each pulled batch re-acquires the read
     /// lock, examines at most `batch_rows` rows under it — the bound is on
     /// rows *examined*, so even a predicate matching almost nothing never
     /// stretches one hold across the table — and clones only the projected
-    /// cells of the survivors. The lock is never held across batches, so
-    /// appends interleave with long scans instead of blocking behind them.
-    /// The scan covers the rows present when it started (appends landing
-    /// mid-scan surface on the next scan, which also carries a new
-    /// [`Wrapper::data_version`]).
-    fn scan_request_batches<'a>(
+    /// cells of the survivors. Every predicate kind is evaluated in-scan
+    /// ([`bdi_relational::Predicate::matches`]), so the wrapper claims all
+    /// filters (the [`crate::Wrapper::claims_filter`] default). The lock
+    /// is never held across batches, so appends interleave with long scans
+    /// instead of blocking behind them. The scan covers the rows present
+    /// when it started — what its mark says — and appends landing mid-scan
+    /// surface on the next scan, which also carries a new
+    /// [`Wrapper::data_version`].
+    fn scan_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
-    ) -> Result<RowBatches<'a>, WrapperError> {
-        Ok(self.cursor(request, batch_rows, 0)?.0)
+    ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
+        let (batches, mark) = self.cursor(request, batch_rows, 0)?;
+        Ok((batches, Some(mark)))
     }
 
-    /// The table only grows ([`TableWrapper::push`]), so every scan can be
-    /// marked with the row count it covered and every mark resumed from:
-    /// this never declines.
-    fn scan_request_batches_after<'a>(
+    /// The table only grows ([`TableWrapper::push`]), so every mark can be
+    /// resumed from: this never declines.
+    fn resume_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
-        after: Option<&ScanMark>,
+        mark: &ScanMark,
     ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
-        let start = after.map_or(0, |mark| mark.consumed() as usize);
-        self.cursor(request, batch_rows, start).map(Some)
+        self.cursor(request, batch_rows, mark.consumed() as usize)
+            .map(Some)
     }
 
     fn data_version(&self) -> u64 {
@@ -364,70 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_request_matches_reference_apply() {
-        let w = TableWrapper::new(
-            "w",
-            "D",
-            Schema::from_parts(&["id"], &["x", "y"]).unwrap(),
-            vec![
-                vec![Value::Int(1), Value::Str("a".into()), Value::Int(10)],
-                vec![Value::Int(2), Value::Str("b".into()), Value::Int(20)],
-                vec![Value::Int(1), Value::Str("c".into()), Value::Int(30)],
-            ],
-        )
-        .unwrap();
-        let request = ScanRequest::new(
-            vec!["y".into(), "id".into()],
-            Schema::new(vec![
-                bdi_relational::Attribute::non_id("D/y"),
-                bdi_relational::Attribute::id("D/id"),
-            ])
-            .unwrap(),
-        )
-        .unwrap()
-        .with_filter("id", Value::Int(1));
-        let native = w.scan_request(&request).unwrap();
-        let reference = request.apply(&w.scan().unwrap()).unwrap();
-        assert_eq!(native, reference);
-        assert_eq!(native.len(), 2);
-        assert_eq!(native.value(1, "D/y"), Some(&Value::Int(30)));
-        // Unknown columns are rejected, as in the reference.
-        let bad = ScanRequest::new(
-            vec!["zz".into()],
-            Schema::from_parts::<&str>(&[], &["zz"]).unwrap(),
-        )
-        .unwrap();
-        assert!(w.scan_request(&bad).is_err());
-    }
-
-    #[test]
-    fn scan_request_evaluates_predicate_conjunctions() {
-        use bdi_relational::Predicate;
-        let w = TableWrapper::new(
-            "w",
-            "D",
-            Schema::from_parts(&["id"], &["x"]).unwrap(),
-            vec![
-                vec![Value::Int(1), Value::Float(0.25)],
-                vec![Value::Int(2), Value::Float(0.75)],
-                vec![Value::Int(3), Value::Float(0.5)],
-                vec![Value::Null, Value::Float(0.9)],
-            ],
-        )
-        .unwrap();
-        let request = ScanRequest::full(w.schema())
-            .with_predicate("id", Predicate::between(1, 3))
-            .with_predicate(
-                "x",
-                Predicate::in_set([Value::Float(0.25), Value::Float(0.5)]),
-            );
-        let native = w.scan_request(&request).unwrap();
-        let reference = request.apply(&w.scan().unwrap()).unwrap();
-        assert_eq!(native, reference);
-        assert_eq!(native.len(), 2);
-    }
-
-    #[test]
     fn push_appends_and_validates() {
         let w = TableWrapper::new(
             "w",
@@ -457,84 +379,5 @@ mod tests {
         // A rejected row mutates nothing and stamps nothing.
         assert!(w.push(vec![Value::Int(3)]).is_err());
         assert_eq!(w.data_version(), 2);
-    }
-
-    #[test]
-    fn native_batches_match_reference_at_every_size() {
-        use bdi_relational::Predicate;
-        let w = TableWrapper::new(
-            "w",
-            "D",
-            Schema::from_parts(&["id"], &["x"]).unwrap(),
-            (0..10)
-                .map(|i| vec![Value::Int(i % 4), Value::Float(i as f64)])
-                .collect(),
-        )
-        .unwrap();
-        let request = ScanRequest::new(
-            vec!["x".into()],
-            Schema::from_parts::<&str>(&[], &["D/x"]).unwrap(),
-        )
-        .unwrap()
-        .with_predicate("id", Predicate::between(1, 2));
-        let reference = request.apply(&w.scan().unwrap()).unwrap();
-        assert_eq!(reference.len(), 5);
-        for batch_rows in [1usize, 3, usize::MAX] {
-            let mut rows: Vec<Tuple> = Vec::new();
-            for batch in w.scan_request_batches(&request, batch_rows).unwrap() {
-                let batch = batch.unwrap();
-                assert!(!batch.is_empty());
-                assert!(batch.len() <= batch_rows);
-                rows.extend(batch);
-            }
-            assert_eq!(rows, reference.rows(), "batch_rows={batch_rows}");
-        }
-        // Unknown columns fail at iterator construction, like the eager path.
-        let bad = ScanRequest::new(
-            vec!["zz".into()],
-            Schema::from_parts::<&str>(&[], &["zz"]).unwrap(),
-        )
-        .unwrap();
-        assert!(w.scan_request_batches(&bad, 4).is_err());
-    }
-
-    #[test]
-    fn resumed_scan_yields_exactly_the_rows_pushed_since_the_mark() {
-        use bdi_relational::Predicate;
-        let w = TableWrapper::new(
-            "w",
-            "D",
-            Schema::from_parts(&["id"], &["x"]).unwrap(),
-            (0..5)
-                .map(|i| vec![Value::Int(i % 2), Value::Float(i as f64)])
-                .collect(),
-        )
-        .unwrap();
-        let request = ScanRequest::full(w.schema()).with_predicate("id", Predicate::eq(1));
-        let drain = |after: Option<&ScanMark>, batch_rows: usize| {
-            let (batches, mark) = w
-                .scan_request_batches_after(&request, batch_rows, after)
-                .unwrap()
-                .expect("a table never declines");
-            let rows: Vec<Tuple> = batches.flat_map(|b| b.unwrap()).collect();
-            (rows, mark)
-        };
-        let (mut seen, mut mark) = drain(None, 2);
-        assert_eq!(seen, w.scan_request(&request).unwrap().rows());
-        assert_eq!(mark.consumed(), 5); // rows covered, not rows matched
-        for (i, batch_rows) in [(5, 1usize), (6, 3), (7, usize::MAX)] {
-            w.push(vec![Value::Int(i % 2), Value::Float(i as f64)])
-                .unwrap();
-            w.push(vec![Value::Int(1), Value::Null]).unwrap();
-            let (delta, next) = drain(Some(&mark), batch_rows);
-            seen.extend(delta);
-            mark = next;
-            // Earlier yield + delta = what a full scan yields now, in order.
-            assert_eq!(seen, w.scan_request(&request).unwrap().rows());
-        }
-        // Nothing appended: an empty delta and the same mark.
-        let (delta, same) = drain(Some(&mark), 4);
-        assert!(delta.is_empty());
-        assert_eq!(same, mark);
     }
 }

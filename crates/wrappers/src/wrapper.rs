@@ -5,6 +5,16 @@
 //! first-normal-form relation `w(a_ID, a_nID)`. Different wrappers over the
 //! same data source represent different **schema versions** (§2); the
 //! ontology layer never talks to a source directly.
+//!
+//! A wrapper kind implements [`Wrapper`]: `name`, `source`, `schema` and an
+//! eager [`Wrapper::scan`] are all it must supply — the §2.2 reference
+//! engine ([`SourceResolver`]) reads that relation whole. The streaming
+//! executor reads through [`Wrapper::scan_batches`] (pushdown, batches, a
+//! mark) and [`Wrapper::resume_batches`] (only what was appended since a
+//! mark), whose defaults are built on `scan` and which a kind overrides to
+//! do better; [`WrapperRegistry`] forwards both to the executor's
+//! [`PlanSource`], where the scan contract is written down, and lowers a
+//! wrapper's errors the same way for either engine.
 
 use bdi_relational::plan::{
     batches_from_relation, BatchIter, ColumnFilter, PlanSource, Predicate, ScanMark, ScanRequest,
@@ -139,73 +149,48 @@ pub trait Wrapper: Send + Sync {
     /// Executes the wrapper's underlying query, producing the current rows.
     fn scan(&self) -> Result<Relation, WrapperError>;
 
-    /// Pushdown-aware scan: surfaces only the columns the mediator's plan
-    /// requests (renamed to the request's output attributes) and, when the
-    /// request carries filters, only the rows satisfying every predicate —
-    /// in the same stable order [`Wrapper::scan`] would produce them.
+    /// Pushdown-aware streaming scan: the rows of [`Wrapper::scan`] the
+    /// request keeps — its columns only, renamed to its output attributes,
+    /// filtered by every predicate it carries — in `scan`'s stable order,
+    /// as batches of at most `batch_rows` rows, plus a [`ScanMark`] when
+    /// the wrapper can say how much of its source they cover. This is the
+    /// wrapper-level image of [`PlanSource::scan_batches`], which documents
+    /// the contract; [`WrapperRegistry`] forwards one to the other.
     ///
-    /// The default implementation scans everything and applies the request
-    /// in the mediator ([`ScanRequest::apply`], the reference semantics).
+    /// The default scans everything and applies the request in the
+    /// mediator ([`ScanRequest::apply`], the reference semantics),
+    /// unmarked: correct for any wrapper, at the cost of materializing the
+    /// full relation per scan and of a full re-read after every append.
     /// Wrapper kinds that can do better override it: [`crate::TableWrapper`]
-    /// copies only the requested cells and evaluates predicates under its
-    /// read lock, [`crate::JsonWrapper`] narrows its aggregation pipeline
-    /// and pushes translatable predicates into a `$match` stage so the
-    /// document store never materializes unused fields or filtered-out
-    /// documents.
-    fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-        Ok(request.apply(&self.scan()?)?)
-    }
-
-    /// Streaming form of [`Wrapper::scan_request`]: the same rows in the
-    /// same order, yielded as batches of at most `batch_rows` rows so the
-    /// mediator's interning layer never holds the whole value-space
-    /// relation.
-    ///
-    /// The default is a one-shot adapter over [`Wrapper::scan_request`] —
-    /// existing wrapper kinds keep working unchanged. Wrappers that can
-    /// produce rows incrementally override it: [`crate::TableWrapper`]
     /// clones only the projected cells of one batch at a time under short
-    /// read-lock holds, [`crate::JsonWrapper`] pulls document chunks from
-    /// its store and runs them through a batch-aware pipeline cursor.
-    fn scan_request_batches<'a>(
+    /// read-lock holds, [`crate::JsonWrapper`] narrows its aggregation
+    /// pipeline and runs document chunks through a batch-aware cursor,
+    /// [`crate::RemoteWrapper`] pages its endpoint from a producer thread.
+    fn scan_batches<'a>(
         &'a self,
         request: &ScanRequest,
         batch_rows: usize,
-    ) -> Result<RowBatches<'a>, WrapperError> {
-        let relation = self.scan_request(request)?;
-        // A mis-shaped scan — wrong arity — must error even when empty
-        // (same precheck as the `PlanSource::scan_batches` default: no row
-        // exists to fail the consumer's per-row check, and the
-        // misconfiguration must not be masked).
-        if relation.schema().len() != request.output().len() {
-            return Err(WrapperError::Relation(RelationError::Arity {
-                expected: request.output().len(),
-                found: relation.schema().len(),
-            }));
-        }
-        Ok(Box::new(
-            batches_from_relation(relation, batch_rows).map(|r| r.map_err(WrapperError::from)),
-        ))
+    ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
+        eager_batches(self, request, batch_rows)
     }
 
-    /// Resumable form of [`Wrapper::scan_request_batches`] — the
-    /// wrapper-level image of [`PlanSource::scan_batches_after`], which has
-    /// the contract. With `after: None`, the full scan plus a [`ScanMark`]
-    /// fixed at scan start; with `after: Some(mark)`, only the rows of the
-    /// source records appended since the scan that returned `mark`, in scan
-    /// order; `Ok(None)` to decline, after which the caller scans in full.
+    /// Reads on from a mark [`Wrapper::scan_batches`] returned: only the
+    /// rows of the source records appended since, in scan order, with the
+    /// mark that now covers them; `Ok(None)` to decline, after which the
+    /// caller scans in full ([`PlanSource::resume_batches`] has the
+    /// contract).
     ///
     /// The default declines always (correct for any wrapper).
     /// [`crate::TableWrapper`] is append-only and never declines;
     /// [`crate::JsonWrapper`] resumes while its collection has only been
-    /// appended to and its pipeline decides documents one by one, and
-    /// declines dotted-column requests outright; [`crate::RemoteWrapper`]
-    /// pages a source it cannot vouch for and keeps the default.
-    fn scan_request_batches_after<'a>(
+    /// appended to and its pipeline decides documents one by one;
+    /// [`crate::RemoteWrapper`] pages a source it cannot vouch for and
+    /// keeps the default.
+    fn resume_batches<'a>(
         &'a self,
         _request: &ScanRequest,
         _batch_rows: usize,
-        _after: Option<&ScanMark>,
+        _mark: &ScanMark,
     ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
         Ok(None)
     }
@@ -224,17 +209,17 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// Whether the wrapper natively honours `filter` inside
-    /// [`Wrapper::scan_request`]. Plan compilers push only claimed filters
+    /// [`Wrapper::scan_batches`]. Plan compilers push only claimed filters
     /// into the scan request; unclaimed predicates are re-applied in the
     /// mediator as a residual selection, so declining never changes
     /// answers — only where the work happens. The default claims
-    /// everything, which is correct for any wrapper whose `scan_request`
+    /// everything, which is correct for any wrapper whose `scan_batches`
     /// falls back to [`ScanRequest::apply`].
     fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
         true
     }
 
-    /// A cheap estimate of how many rows [`Wrapper::scan_request`] would
+    /// A cheap estimate of how many rows [`Wrapper::scan_batches`] would
     /// yield, or `None` when the wrapper cannot produce one. The mediator
     /// uses it for execution-time scheduling only (hash-join build-side
     /// choice for semi-join sideways passing, cursor-only gating) — never
@@ -299,6 +284,22 @@ pub trait Wrapper: Send + Sync {
     fn as_table(&self) -> Option<&crate::TableWrapper> {
         None
     }
+}
+
+/// What [`Wrapper::scan_batches`] defaults to, and what a wrapper kind
+/// falls back to for a request it cannot push down: the full
+/// [`Wrapper::scan`], the request applied in the mediator, re-chunked.
+pub(crate) fn eager_batches<W: Wrapper + ?Sized>(
+    wrapper: &W,
+    request: &ScanRequest,
+    batch_rows: usize,
+) -> Result<(RowBatches<'static>, Option<ScanMark>), WrapperError> {
+    let relation = request.apply(&wrapper.scan()?)?;
+    let batches = batches_from_relation(relation, request, batch_rows)?;
+    Ok((
+        Box::new(batches.map(|r| r.map_err(WrapperError::from))),
+        None,
+    ))
 }
 
 /// The probe-hash behind [`Wrapper::claims_fingerprint`]: every schema
@@ -472,40 +473,31 @@ impl WrapperRegistry {
 /// [`bdi_relational::plan::PhysicalPlan`] scan resolves a wrapper by name
 /// and hands it the requested projection/filter.
 impl PlanSource for WrapperRegistry {
-    fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-        self.wrapper(name)?
-            .scan_request(request)
-            .map_err(|e| relation_error(name, e))
-    }
-
-    /// Streams through the wrapper's own [`Wrapper::scan_request_batches`]
-    /// (native for table and JSON wrappers, the one-shot adapter
-    /// otherwise).
+    /// The wrapper's own [`Wrapper::scan_batches`], its errors lowered.
     fn scan_batches<'a>(
         &'a self,
         name: &str,
         request: &ScanRequest,
         batch_rows: usize,
-    ) -> Result<BatchIter<'a>, RelationError> {
-        let batches = self
+    ) -> Result<(BatchIter<'a>, Option<ScanMark>), RelationError> {
+        let (batches, mark) = self
             .wrapper(name)?
-            .scan_request_batches(request, batch_rows)
+            .scan_batches(request, batch_rows)
             .map_err(|e| relation_error(name, e))?;
-        Ok(lower_batches(name, batches))
+        Ok((lower_batches(name, batches), mark))
     }
 
-    /// Forwards to the wrapper's own
-    /// [`Wrapper::scan_request_batches_after`].
-    fn scan_batches_after<'a>(
+    /// The wrapper's own [`Wrapper::resume_batches`], its errors lowered.
+    fn resume_batches<'a>(
         &'a self,
         name: &str,
         request: &ScanRequest,
         batch_rows: usize,
-        after: Option<&ScanMark>,
+        mark: &ScanMark,
     ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
         let resumed = self
             .wrapper(name)?
-            .scan_request_batches_after(request, batch_rows, after)
+            .resume_batches(request, batch_rows, mark)
             .map_err(|e| relation_error(name, e))?;
         Ok(resumed.map(|(batches, mark)| (lower_batches(name, batches), mark)))
     }
@@ -563,18 +555,13 @@ impl PlanSource for WrapperRegistry {
     }
 }
 
+/// The eager §2.2 reference reads whole relations, and names a missing or
+/// failing wrapper exactly as the streaming path does.
 impl SourceResolver for WrapperRegistry {
     fn resolve(&self, name: &str) -> Result<Relation, RelationError> {
-        let wrapper = self.wrappers.get(name).ok_or_else(|| {
-            RelationError::Schema(bdi_relational::SchemaError::UnknownAttribute(format!(
-                "unknown wrapper {name}"
-            )))
-        })?;
-        wrapper.scan().map_err(|e| {
-            RelationError::Schema(bdi_relational::SchemaError::UnknownAttribute(format!(
-                "wrapper {name} failed: {e}"
-            )))
-        })
+        self.wrapper(name)?
+            .scan()
+            .map_err(|e| relation_error(name, e))
     }
 }
 
@@ -630,12 +617,223 @@ mod tests {
         assert_eq!(reg.by_source("D3").len(), 0);
     }
 
-    /// A wrapper whose `scan_request` override answers with an empty
-    /// relation of the wrong arity (a misconfiguration): the default batch
-    /// adapter must reject it even though no row exists to fail the
-    /// consumer's per-row check.
+    /// One wrapper kind under the scan contract.
+    struct Case {
+        label: &'static str,
+        wrapper: Arc<dyn Wrapper>,
+        /// A projecting, renaming, filtering request the kind pushes down.
+        filtered: ScanRequest,
+        /// Whether the kind's scans carry a mark at all.
+        marks: bool,
+        /// Appends one record to the source, for kinds whose marks resume.
+        append: Option<Box<dyn Fn(i64)>>,
+        /// Empties the source and refills it past its old length.
+        clear: Option<Box<dyn Fn()>>,
+    }
+
+    fn drain(batches: RowBatches<'_>, batch_rows: usize, label: &str) -> Vec<Tuple> {
+        let mut rows = Vec::new();
+        for batch in batches {
+            let batch = batch.unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(!batch.is_empty() && batch.len() <= batch_rows, "{label}");
+            rows.extend(batch);
+        }
+        rows
+    }
+
+    fn cases() -> Vec<Case> {
+        use crate::json_wrapper::tests::{code2_wrapper, vod_store};
+        use crate::remote::{FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint};
+        use crate::JsonWrapper;
+        use bdi_docstore::{DocStore, Pipeline, Projection};
+        use bdi_relational::{Attribute, Predicate};
+        use serde_json::json;
+
+        let table_row = |i: i64| vec![Value::Int(i % 4), Value::Float(i as f64), Value::Null];
+        let table = Arc::new(
+            TableWrapper::new(
+                "wt",
+                "D",
+                Schema::from_parts(&["id"], &["x", "y"]).unwrap(),
+                (0..10).map(table_row).collect(),
+            )
+            .unwrap(),
+        );
+        let pushed_to = table.clone();
+        // The filter column rides along and is dropped from the output.
+        let by_monitor = |column: &str| {
+            let output = Schema::from_parts::<&str>(&[], &[&format!("D1/{column}")]).unwrap();
+            ScanRequest::new(vec![column.into()], output)
+                .unwrap()
+                .with_filter("VoDmonitorId", Value::Int(12))
+        };
+        let store = vod_store();
+        let (inserted_into, cleared) = (store.clone(), store.clone());
+        let json_over = |store: DocStore, collection: &str, column: &str, pipeline: Pipeline| {
+            let schema = Schema::from_parts::<&str>(&[], &[column]).unwrap();
+            let pipeline = pipeline.project(vec![Projection::field(column, column)]);
+            Arc::new(JsonWrapper::new("wj", "D1", schema, store, collection, pipeline).unwrap())
+        };
+        let dotted_store = DocStore::new();
+        dotted_store
+            .insert_many("c", vec![json!({"a": {"b": 1}}), json!({"a": {"b": 2}})])
+            .unwrap();
+        let dotted = json_over(dotted_store, "c", "a.b", Pipeline::new());
+        let remote_rows = crate::remote::tests::sample_relation();
+        let endpoint = SimulatedEndpoint::new(remote_rows, 3, FaultProfile::default());
+        let remote = RemoteWrapper::new("wr", "D", Arc::new(endpoint), RetryPolicy::default());
+
+        vec![
+            Case {
+                label: "table",
+                wrapper: table,
+                filtered: ScanRequest::new(
+                    vec!["x".into(), "id".into()],
+                    Schema::new(vec![Attribute::non_id("D/x"), Attribute::id("D/id")]).unwrap(),
+                )
+                .unwrap()
+                .with_predicate("id", Predicate::between(1, 2))
+                .with_predicate(
+                    "x",
+                    Predicate::in_set((0..20).map(|i| Value::Float(i as f64))),
+                ),
+                marks: true,
+                append: Some(Box::new(move |i| pushed_to.push(table_row(i)).unwrap())),
+                clear: None,
+            },
+            Case {
+                label: "json",
+                wrapper: Arc::new(code2_wrapper(store)),
+                filtered: by_monitor("lagRatio"),
+                marks: true,
+                append: Some(Box::new(move |i| {
+                    let monitor = 12 + 6 * (i % 2);
+                    let doc = json!({"monitorId": monitor, "waitTime": i, "watchTime": 8});
+                    inserted_into.insert("vod", doc).unwrap();
+                    // A rejected insert moves the version, not the extent.
+                    assert!(inserted_into.insert("vod", json!([1])).is_err());
+                })),
+                // Same positions, other documents — only the epoch can tell.
+                clear: Some(Box::new(move || {
+                    let image = cleared.dump();
+                    cleared.clear("vod");
+                    cleared.restore(image).unwrap();
+                    let doc = json!({"monitorId": 7, "waitTime": 1, "watchTime": 2});
+                    cleared.insert("vod", doc).unwrap();
+                })),
+            },
+            Case {
+                label: "json $limit",
+                // Markable, never resumable: the budget spans documents.
+                wrapper: json_over(vod_store(), "vod", "monitorId", Pipeline::new().limit(2)),
+                filtered: ScanRequest::full(
+                    &Schema::from_parts::<&str>(&[], &["monitorId"]).unwrap(),
+                )
+                .with_predicate("monitorId", Predicate::eq(12)),
+                marks: true,
+                append: None,
+                clear: None,
+            },
+            Case {
+                label: "json dotted",
+                filtered: ScanRequest::full(dotted.schema())
+                    .with_predicate("a.b", Predicate::eq(1)),
+                wrapper: dotted,
+                marks: false,
+                append: None,
+                clear: None,
+            },
+            Case {
+                label: "remote",
+                filtered: ScanRequest::full(remote.schema())
+                    .with_predicate("id", Predicate::at_least(4)),
+                wrapper: Arc::new(remote),
+                marks: false,
+                append: None,
+                clear: None,
+            },
+        ]
+    }
+
+    /// The scan contract, kind by kind: `scan_batches` streams exactly
+    /// `request.apply(scan())` at any batch size; `resume_batches` yields
+    /// exactly what was appended since its mark, or declines.
     #[test]
-    fn misshapen_empty_scan_errors_through_the_batch_adapter() {
+    fn every_wrapper_kind_conforms_to_the_scan_contract() {
+        for case in cases() {
+            let (w, label) = (&case.wrapper, case.label);
+            let full = ScanRequest::full(w.schema());
+            let reference =
+                |request: &ScanRequest| request.apply(&w.scan().unwrap()).unwrap().into_rows();
+            for request in [&full, &case.filtered] {
+                assert!(!reference(request).is_empty(), "{label}: vacuous request");
+                for batch_rows in [1usize, 7, 1024] {
+                    let (batches, mark) = w.scan_batches(request, batch_rows).unwrap();
+                    assert_eq!(mark.is_some(), case.marks, "{label}");
+                    let streamed = drain(batches, batch_rows, label);
+                    assert_eq!(streamed, reference(request), "{label}");
+                }
+            }
+            // Unknown columns fail, when the cursor is built or in its stream.
+            let zz = Schema::from_parts::<&str>(&[], &["zz"]).unwrap();
+            let failed = match w.scan_batches(&ScanRequest::full(&zz), 4) {
+                Ok((mut batches, _)) => batches.any(|batch| batch.is_err()),
+                Err(_) => true,
+            };
+            assert!(failed, "{label}: unknown column accepted");
+
+            let Some(append) = &case.append else {
+                // No mark to resume from, or one that never resumes.
+                let mark = w.scan_batches(&full, 7).unwrap().1;
+                let mark = mark.unwrap_or(ScanMark::new(0, 0));
+                assert!(
+                    w.resume_batches(&full, 7, &mark).unwrap().is_none(),
+                    "{label}"
+                );
+                continue;
+            };
+            let mut next = 100;
+            for request in [&full, &case.filtered] {
+                let (batches, mark) = w.scan_batches(request, 7).unwrap();
+                let mut seen = drain(batches, 7, label);
+                let mut mark = mark.expect("checked above");
+                for (k, batch_rows) in [(1usize, 1usize), (0, 7), (3, 1024)] {
+                    (next..next + k as i64).for_each(append);
+                    next += k as i64;
+                    let (delta, resumed) = w
+                        .resume_batches(request, batch_rows, &mark)
+                        .unwrap()
+                        .unwrap_or_else(|| panic!("{label}: declined after {k} appends"));
+                    let delta = drain(delta, batch_rows, label);
+                    if request.filters().is_empty() {
+                        assert_eq!(delta.len(), k, "{label}");
+                    }
+                    // Earlier yield + delta = what a full scan yields now.
+                    seen.extend(delta);
+                    assert_eq!(seen, reference(request), "{label}: {k} appends");
+                    assert_eq!(resumed == mark, k == 0, "{label}: marks count records");
+                    mark = resumed;
+                }
+            }
+            if let Some(clear) = &case.clear {
+                let before = w.scan_batches(&full, 7).unwrap().1.expect("checked above");
+                clear();
+                assert!(
+                    w.resume_batches(&full, 7, &before).unwrap().is_none(),
+                    "{label}"
+                );
+                let (batches, after) = w.scan_batches(&full, 7).unwrap();
+                assert_eq!(drain(batches, 7, label), reference(&full), "{label}");
+                assert!(after.expect("markable").epoch() > before.epoch(), "{label}");
+            }
+        }
+    }
+
+    /// An empty scan of the wrong shape (a misconfiguration) errors through
+    /// the default adapter and the registry, though no row exists to fail
+    /// the consumer's per-row check.
+    #[test]
+    fn misshapen_empty_scan_errors_through_the_default_adapter() {
         struct Misshapen(Schema);
 
         impl Wrapper for Misshapen {
@@ -652,25 +850,18 @@ mod tests {
             }
 
             fn scan(&self) -> Result<Relation, WrapperError> {
-                self.scan_request(&ScanRequest::full(&self.0))
-            }
-
-            fn scan_request(&self, _request: &ScanRequest) -> Result<Relation, WrapperError> {
-                // Always one column, whatever was asked for.
-                Ok(Relation::empty(
-                    Schema::from_parts::<&str>(&[], &["only"]).unwrap(),
-                ))
+                // Always one column, whatever the schema promises.
+                let only = Schema::from_parts::<&str>(&[], &["only"]).unwrap();
+                Ok(Relation::empty(only))
             }
         }
 
         let wrapper = Misshapen(Schema::from_parts(&["id"], &["x"]).unwrap());
         let request = ScanRequest::full(wrapper.schema()); // two columns
-        assert!(wrapper.scan_request_batches(&request, 64).is_err());
+        assert!(wrapper.scan_batches(&request, 64).is_err());
         let mut reg = WrapperRegistry::new();
-        reg.register(Arc::new(Misshapen(
-            Schema::from_parts(&["id"], &["x"]).unwrap(),
-        )));
-        assert!(reg.scan_batches("bad", &request, 64).is_err());
+        reg.register(Arc::new(wrapper));
+        assert!(PlanSource::scan_batches(&reg, "bad", &request, 64).is_err());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 use bdi::core::exec::{self, Engine, ExecOptions, FeatureFilter};
 use bdi::core::system::{AnswerRequest, VersionScope};
 use bdi::relational::plan::{Bound, ColumnFilter, Predicate};
-use bdi::relational::{PlanSource, Relation, RelationError, ScanRequest, SourceResolver, Value};
+use bdi::relational::{
+    BatchIter, PlanSource, Relation, RelationError, ScanMark, ScanRequest, SourceResolver, Value,
+};
 use bdi_bench::{compile_and_execute, synthetic};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -162,20 +164,47 @@ fn scope_for(
     }
 }
 
+/// Forwards the scan contract of a delegating source to the registry it
+/// wraps — the streaming scan and the resume, so the differential suites
+/// run the wrappers' native cursors, not an adapter over an eager scan —
+/// after running `$check` on each request.
+macro_rules! forward_scans {
+    (|$request:ident| $check:block) => {
+        fn scan_batches<'a>(
+            &'a self,
+            name: &str,
+            $request: &ScanRequest,
+            batch_rows: usize,
+        ) -> Result<(BatchIter<'a>, Option<ScanMark>), RelationError> {
+            $check
+            self.0.scan_batches(name, $request, batch_rows)
+        }
+
+        fn resume_batches<'a>(
+            &'a self,
+            name: &str,
+            request: &ScanRequest,
+            batch_rows: usize,
+            mark: &ScanMark,
+        ) -> Result<Option<(BatchIter<'a>, ScanMark)>, RelationError> {
+            self.0.resume_batches(name, request, batch_rows, mark)
+        }
+    };
+}
+
 /// A plan source over the system's registry that claims **no** filters, so
 /// every predicate survives only as a mediator-side residual `Filter` — the
 /// worst-capability wrapper a deployment could contain.
 struct NoClaims<'a>(&'a bdi_wrappers::WrapperRegistry);
 
 impl PlanSource for NoClaims<'_> {
-    fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
+    forward_scans!(|request| {
         // The compiler must never hand a claims-nothing source a filter.
         assert!(
             request.filters().is_empty(),
             "unclaimed filter reached the source: {request}"
         );
-        self.0.scan(name, request)
-    }
+    });
 
     fn claims(&self, _source: &str, _filter: &ColumnFilter) -> bool {
         false
@@ -195,9 +224,7 @@ impl SourceResolver for NoClaims<'_> {
 struct NoStats<'a>(&'a bdi_wrappers::WrapperRegistry);
 
 impl PlanSource for NoStats<'_> {
-    fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-        self.0.scan(name, request)
-    }
+    forward_scans!(|_request| {});
 
     fn data_version(&self, name: &str) -> u64 {
         self.0.data_version(name)
@@ -234,9 +261,7 @@ impl SourceResolver for NoStats<'_> {
 struct WrongStats<'a>(&'a bdi_wrappers::WrapperRegistry, f64);
 
 impl PlanSource for WrongStats<'_> {
-    fn scan(&self, name: &str, request: &ScanRequest) -> Result<Relation, RelationError> {
-        self.0.scan(name, request)
-    }
+    forward_scans!(|_request| {});
 
     fn data_version(&self, name: &str) -> u64 {
         self.0.data_version(name)

@@ -481,8 +481,9 @@ fn capability_flips_recompile_cached_plans() {
     use bdi::core::release::Release;
     use bdi::core::vocab as core_vocab;
     use bdi::rdf::model::{Iri, Triple};
-    use bdi::relational::plan::{ColumnFilter, ScanRequest};
+    use bdi::relational::plan::{ColumnFilter, ScanMark, ScanRequest};
     use bdi::relational::{Relation, Schema};
+    use bdi::wrappers::wrapper::RowBatches;
     use bdi::wrappers::{TableWrapper, Wrapper, WrapperError};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -510,8 +511,21 @@ fn capability_flips_recompile_cached_plans() {
             self.inner.scan()
         }
 
-        fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-            self.inner.scan_request(request)
+        fn scan_batches<'a>(
+            &'a self,
+            request: &ScanRequest,
+            batch_rows: usize,
+        ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
+            self.inner.scan_batches(request, batch_rows)
+        }
+
+        fn resume_batches<'a>(
+            &'a self,
+            request: &ScanRequest,
+            batch_rows: usize,
+            mark: &ScanMark,
+        ) -> Result<Option<(RowBatches<'a>, ScanMark)>, WrapperError> {
+            self.inner.resume_batches(request, batch_rows, mark)
         }
 
         fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
@@ -605,8 +619,10 @@ mod fault_tolerance {
     use bdi::core::vocab as core_vocab;
     use bdi::rdf::model::{Iri, Triple};
     use bdi::relational::{Relation, Schema};
+    use bdi::wrappers::wrapper::RowBatches;
     use bdi::wrappers::{
         FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint, TableWrapper, Wrapper,
+        WrapperError,
     };
     use std::collections::BTreeMap;
     use std::sync::Arc;
@@ -777,6 +793,53 @@ mod fault_tolerance {
                 }
             }
         }
+    }
+
+    /// Both engines name a source failure the same way: a permanently
+    /// failing wrapper surfaces as the same classified
+    /// `RelationError::SourceFailure` whether the eager reference resolved
+    /// it or the streaming executor scanned it.
+    #[test]
+    fn both_engines_classify_a_permanent_source_failure_alike() {
+        use bdi::core::exec::ExecError;
+        use bdi::core::system::SystemError;
+        use bdi::relational::{AlgebraError, PlanError, RelationError};
+
+        let failure_under = |engine: Engine| {
+            let profile = FaultProfile {
+                hard_fail_after: Some(0),
+                ..FaultProfile::default()
+            };
+            let endpoint = Arc::new(SimulatedEndpoint::new(relation_of(0..12), 4, profile));
+            let (system, omq) =
+                system_over(vec![
+                    Arc::new(RemoteWrapper::new("wr", "DR", endpoint, fast_retry()))
+                        as Arc<dyn Wrapper>,
+                ]);
+            let err = system
+                .serve(AnswerRequest::omq(omq).options(ExecOptions {
+                    engine,
+                    ..ExecOptions::default()
+                }))
+                .expect_err("the source is gone");
+            match err {
+                SystemError::Exec(
+                    ExecError::Relation(e)
+                    | ExecError::Algebra(AlgebraError::Relation(e))
+                    | ExecError::Plan(PlanError::Relation(e)),
+                ) => e,
+                other => panic!("{engine:?}: not a relation error: {other:?}"),
+            }
+        };
+        let streamed = failure_under(Engine::Streaming);
+        assert_eq!(failure_under(Engine::Eager), streamed);
+        assert!(
+            matches!(
+                &streamed,
+                RelationError::SourceFailure { source, transient: false, .. } if source == "wr"
+            ),
+            "{streamed:?}"
+        );
     }
 
     /// A permanently failed source (gone after one page) under `Degrade`:
@@ -997,34 +1060,39 @@ mod fault_tolerance {
             self.inner.data_version()
         }
 
-        fn scan_request_batches_after<'a>(
+        fn scan_batches<'a>(
             &'a self,
             request: &bdi::relational::plan::ScanRequest,
             _batch_rows: usize,
-            after: Option<&bdi::relational::ScanMark>,
-        ) -> Result<
-            Option<(
-                bdi::wrappers::wrapper::RowBatches<'a>,
-                bdi::relational::ScanMark,
-            )>,
-            bdi::wrappers::WrapperError,
-        > {
-            use std::sync::atomic::Ordering;
+        ) -> Result<(RowBatches<'a>, Option<bdi::relational::ScanMark>), WrapperError> {
             // One-row batches, so a failure after the first is mid-stream.
-            let Some((batches, mark)) = self.inner.scan_request_batches_after(request, 1, after)?
-            else {
-                return Ok(None);
-            };
+            let (batches, mark) = self.inner.scan_batches(request, 1)?;
+            Ok((self.dying(batches, false), mark))
+        }
+
+        fn resume_batches<'a>(
+            &'a self,
+            request: &bdi::relational::plan::ScanRequest,
+            _batch_rows: usize,
+            mark: &bdi::relational::ScanMark,
+        ) -> Result<Option<(RowBatches<'a>, bdi::relational::ScanMark)>, WrapperError> {
+            let resumed = self.inner.resume_batches(request, 1, mark)?;
+            Ok(resumed.map(|(batches, mark)| (self.dying(batches, true), mark)))
+        }
+    }
+
+    impl FlakyResume {
+        /// `batches`, cut off by a transient error after the first when
+        /// this kind of read is set to die.
+        fn dying<'a>(&self, batches: RowBatches<'a>, resumed: bool) -> RowBatches<'a> {
+            use std::sync::atomic::Ordering;
             let dies = self.fail_all.load(Ordering::SeqCst)
-                || (after.is_some() && self.fail_resumes.load(Ordering::SeqCst));
+                || (resumed && self.fail_resumes.load(Ordering::SeqCst));
             if !dies {
-                return Ok(Some((batches, mark)));
+                return batches;
             }
-            let gone = bdi::wrappers::WrapperError::transient(self.name(), "connection reset");
-            Ok(Some((
-                Box::new(batches.take(1).chain(std::iter::once(Err(gone)))),
-                mark,
-            )))
+            let gone = WrapperError::transient(self.name(), "connection reset");
+            Box::new(batches.take(1).chain(std::iter::once(Err(gone))))
         }
     }
 
@@ -1211,7 +1279,6 @@ mod fault_tolerance {
     fn mid_stream_arity_violation_errors_like_the_precheck() {
         use bdi::relational::plan::ScanRequest;
         use bdi::relational::Tuple;
-        use bdi::wrappers::WrapperError;
 
         struct Misbehaving {
             inner: TableWrapper,
@@ -1234,19 +1301,16 @@ mod fault_tolerance {
                 self.inner.scan()
             }
 
-            fn scan_request(&self, request: &ScanRequest) -> Result<Relation, WrapperError> {
-                self.inner.scan_request(request)
-            }
-
             /// A good first batch, then a wrong-arity row.
-            fn scan_request_batches<'a>(
+            fn scan_batches<'a>(
                 &'a self,
                 request: &ScanRequest,
                 _batch_rows: usize,
-            ) -> Result<bdi::wrappers::wrapper::RowBatches<'a>, WrapperError> {
-                let good: Vec<Tuple> = self.inner.scan_request(request)?.into_rows();
+            ) -> Result<(RowBatches<'a>, Option<bdi::relational::ScanMark>), WrapperError>
+            {
+                let (batches, mark) = self.inner.scan_batches(request, usize::MAX)?;
                 let bad: Vec<Tuple> = vec![vec![Value::Int(99)]]; // arity 1, schema wants 2
-                Ok(Box::new(vec![Ok(good), Ok(bad)].into_iter()))
+                Ok((Box::new(batches.chain(std::iter::once(Ok(bad)))), mark))
             }
         }
 

@@ -1,6 +1,6 @@
-// Clean twin of deadline_bad.rs: every loop either consults the deadline,
-// waits with a timeout, or sends into a bounded channel (so a hung-up
-// consumer cancels the producer).
+// Clean twin of deadline_bad.rs: every loop either consults the deadline
+// (in its body or its header), or sends into a bounded channel (so a
+// hung-up consumer cancels the producer).
 
 fn next_batch(&mut self) -> Result<Option<Batch>, PlanError> {
     loop {
@@ -25,13 +25,12 @@ fn run(self, tx: SyncSender<Page>) {
     }
 }
 
-fn fetch_all(&self) -> Vec<Row> {
-    let mut rows = Vec::new();
-    // analyze: allow(deadline, each page fetch is bounded by the per-attempt timeout budget)
-    loop {
-        match self.rx.recv_timeout(self.budget) {
-            Ok(row) => rows.push(row),
-            Err(_) => return rows,
-        }
+fn collect_scan(&self, batches: Batches, deadline: Option<Instant>) -> Result<Batch, PlanError> {
+    let mut table = Batch::new();
+    // Evidence in the header: the interning iterator checks the deadline
+    // before every batch it yields.
+    for batch in self.interned(batches, deadline) {
+        table.append(&batch?);
     }
+    Ok(table)
 }

@@ -18,7 +18,7 @@ impl Ctx {
         let (old_key, mark) = scans.predecessor(&self.key);
         // Still under `scans`: the delta fetch convoys every other query,
         // however few records were appended.
-        let delta = source.scan_batches_after("w", &self.request, 1024, Some(&mark))?;
+        let delta = source.resume_batches("w", &self.request, 1024, &mark)?;
         let table = scans.upgrade(old_key, delta);
         Ok(table)
     }

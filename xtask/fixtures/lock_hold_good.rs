@@ -21,7 +21,7 @@ impl Ctx {
         };
         // Guard released across the delta fetch; the predecessor is taken
         // out only afterwards, in a statement-scoped hold.
-        let delta = source.scan_batches_after("w", &self.request, 1024, Some(&mark))?;
+        let delta = source.resume_batches("w", &self.request, 1024, &mark)?;
         let old = self.scans.lock().expect("scan cache poisoned").remove(&old_key);
         Ok(old.appended(delta))
     }
@@ -36,6 +36,6 @@ impl Ctx {
         let guard = self.cache.lock().unwrap();
         let hint = guard.hint();
         drop(guard);
-        self.wrapper.scan_request(&hint)
+        self.wrapper.scan_batches(&hint)
     }
 }

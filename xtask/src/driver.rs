@@ -10,8 +10,9 @@ use std::path::Path;
 
 /// Files the `deadline` lint covers, with the functions whose loops must
 /// stay cancellable: the operator pull path, the plan driver (its
-/// worker-count body holds the prefetch producers), the scan-cache fill
-/// loop (full and resumed reads share it) and the pager producers.
+/// worker-count body holds the prefetch producers), the one loop that
+/// interns a source's batches (`InternedBatches::next`) with the
+/// scan-cache fill that drains it, and the pager producer and consumer.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     (
         "crates/relational/src/plan.rs",
@@ -19,12 +20,13 @@ const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
             "next_batch",
             "execute_plan",
             "execute_plan_with_workers",
-            "intern_batches",
+            "next",
+            "collect_scan",
         ],
     ),
     (
         "crates/wrappers/src/remote.rs",
-        &["run", "fetch_all", "fetch_page_with_retry", "next"],
+        &["run", "fetch_page_with_retry", "next"],
     ),
 ];
 
@@ -366,7 +368,7 @@ pub fn self_test() -> Vec<String> {
     );
     expect(
         lints::DEADLINE,
-        deadline::check("fixture", &good, &["next_batch", "run", "fetch_all"]),
+        deadline::check("fixture", &good, &["next_batch", "run", "collect_scan"]),
         false,
     );
 

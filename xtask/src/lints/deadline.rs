@@ -119,7 +119,11 @@ mod tests {
 
     #[test]
     fn good_fixture_is_clean() {
-        let diags = check("fixture", &lex(GOOD), &["next_batch", "run", "fetch_all"]);
+        let diags = check(
+            "fixture",
+            &lex(GOOD),
+            &["next_batch", "run", "collect_scan"],
+        );
         assert!(diags.is_empty(), "got {diags:?}");
     }
 

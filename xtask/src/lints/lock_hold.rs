@@ -10,10 +10,8 @@
 //! 1. **No scan under a guard** — while any guard binding is live (from
 //!    its `let` to the end of its enclosing block, or an explicit
 //!    `drop(g)`), calling into a wrapper/docstore pipeline entry point
-//!    (`scan`, `scan_versioned`, `scan_batches`, `scan_batches_after`,
-//!    `scan_request`, `scan_request_batches`,
-//!    `scan_request_batches_after`, `scan_hint`, `column_stats`,
-//!    `aggregate`, `fold_stats`) is flagged: those calls do I/O-shaped
+//!    (`scan`, `scan_batches`, `resume_batches`, `scan_hint`,
+//!    `column_stats`, `aggregate`, `fold_stats`) is flagged: those calls do I/O-shaped
 //!    work (page fetches, full-collection aggregates) and convoy every
 //!    other thread behind the lock — the PR 7 review bug class. A resumed
 //!    scan is shorter than a full one, not free: it still fetches.
@@ -30,12 +28,8 @@ const GUARD_CALLS: &[&str] = &["lock", "read", "write"];
 const GUARD_ADAPTERS: &[&str] = &["expect", "unwrap", "unwrap_or_else"];
 const SCAN_ENTRY_CALLS: &[&str] = &[
     "scan",
-    "scan_versioned",
     "scan_batches",
-    "scan_batches_after",
-    "scan_request",
-    "scan_request_batches",
-    "scan_request_batches_after",
+    "resume_batches",
     "scan_hint",
     "column_stats",
     "aggregate",
@@ -348,9 +342,9 @@ mod tests {
     fn resume_under_the_scan_cache_guard_is_flagged() {
         let diags = check("fixture", &lex(BAD));
         assert!(
-            diags.iter().any(
-                |d| d.message.contains("`scan_batches_after`") && d.message.contains("`scans`")
-            ),
+            diags
+                .iter()
+                .any(|d| d.message.contains("`resume_batches`") && d.message.contains("`scans`")),
             "resumed scan under the `scans` guard missing: {diags:?}"
         );
     }
@@ -363,14 +357,14 @@ mod tests {
 
     #[test]
     fn dropped_guard_is_not_live() {
-        let src = "fn f(&self) { let g = self.cache.lock().unwrap(); g.touch(); drop(g); self.wrapper.scan_request(r); }";
+        let src = "fn f(&self) { let g = self.cache.lock().unwrap(); g.touch(); drop(g); self.wrapper.scan_batches(r); }";
         assert!(check("f", &lex(src)).is_empty());
     }
 
     #[test]
     fn chained_temporary_is_exempt() {
         let src =
-            "fn f(&self) { let n = self.rows.read().len(); self.wrapper.scan_request(r); g(n); }";
+            "fn f(&self) { let n = self.rows.read().len(); self.wrapper.scan_batches(r); g(n); }";
         assert!(check("f", &lex(src)).is_empty());
     }
 
