@@ -44,9 +44,10 @@
 //!   `column_stats`: a wrapper with no sketch history (a full aggregate)
 //!   vs the long-lived wrapper folding in the one appended document.
 //! * **Contended-callers workload** — 4 threads answering the same cached
-//!   plan through `BdiSystem::serve` at once, vs the same calls funneled
-//!   through one global mutex (the convoy a single-`Mutex` cache imposed
-//!   before the cache was sharded).
+//!   plan through `BdiSystem::serve` at once, vs the same calls each made
+//!   under one global mutex held across the *whole* `serve` — what sharing
+//!   the cache and pooling contexts buys over serializing callers, not a
+//!   measurement of how the cache itself is locked.
 //!
 //! Run with `cargo bench -p bdi_bench --bench exec`. Results are printed and
 //! written to `BENCH_exec.json` at the workspace root so future PRs can
@@ -862,12 +863,12 @@ fn main() {
     assert_eq!(folded_rows(), rebuilt_rows(&stats_store));
 
     // ---- Contended-callers workload: 4 threads answering the same cached
-    // plan through `serve` at once. The sharded plan cache (lock-free
-    // validity check, per-shard locks) and the context pool let the callers
-    // run in parallel; the baseline funnels every call through one global
-    // mutex — the convoy the old single-`Mutex<ExecCache>` imposed on
-    // concurrent callers. On a single-CPU host both shapes serialize anyway
-    // and the ratio records ~1x; nothing gates on it.
+    // plan through `serve` at once. The shared plan cache (one lock, held
+    // for the probe only) and the context pool let the callers execute in
+    // parallel; the baseline holds one global mutex across each whole
+    // `serve`, so callers run one at a time. On a single-CPU host both
+    // shapes serialize anyway and the ratio records ~1x; nothing gates on
+    // it.
     let contended_system = Arc::new(workload(1, 4, false));
     let contended_request = || AnswerRequest::omq(synthetic::chain_query(1));
     let expected = contended_system
@@ -901,16 +902,16 @@ fn main() {
     assert_eq!(hammer(Some(&global_lock)), CONTENDED_CALLERS * expected);
     assert_eq!(hammer(None), CONTENDED_CALLERS * expected);
     let contended_serial_ns = measure(
-        "exec/contended_serve_4x/single_mutex_baseline".to_owned(),
+        "exec/contended_serve_4x/whole_serve_mutex".to_owned(),
         &mut records,
         || hammer(Some(&global_lock)),
     );
-    let contended_sharded_ns = measure(
-        "exec/contended_serve_4x/sharded_cache".to_owned(),
+    let contended_shared_ns = measure(
+        "exec/contended_serve_4x/shared_cache".to_owned(),
         &mut records,
         || hammer(None),
     );
-    let contended_speedup = contended_serial_ns / contended_sharded_ns;
+    let contended_speedup = contended_serial_ns / contended_shared_ns;
     assert!(
         contended_system.plan_cache_stats().hits > 0,
         "contended callers should serve from the plan cache"
@@ -959,7 +960,7 @@ fn main() {
         "speedup: insert + column_stats, 10k docs (rebuild / fold)         = {stats_fold_speedup:.2}x"
     );
     println!(
-        "speedup: 4 contended cached-plan callers (single mutex / sharded) = {contended_speedup:.2}x"
+        "speedup: 4 contended cached-plan callers (whole-serve mutex / shared cache) = {contended_speedup:.2}x"
     );
 
     // ---- Persist machine-readable results at the workspace root — but not

@@ -250,8 +250,11 @@ fn main() {
         return;
     }
     let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pushdown.json");
-    let mut json = String::from(
-        "{\n  \"bench\": \"pushdown\",\n  \"workload\": \"range/IN predicate scans: 4 wrappers x 10k rows x 10 cols (~1% selectivity); plan cache: chain c3 w4 (64 walks) x 10 rows\",\n  \"results\": [\n",
+    // Recorded so rows are only compared between hosts of the same width
+    // (walks execute on `nproc` threads), as BENCH_exec.json does.
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"bench\": \"pushdown\",\n  \"nproc\": {nproc},\n  \"workload\": \"range/IN predicate scans: 4 wrappers x 10k rows x 10 cols (~1% selectivity); plan cache: chain c3 w4 (64 walks) x 10 rows\",\n  \"results\": [\n",
     );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(

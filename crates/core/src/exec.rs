@@ -47,7 +47,8 @@
 //! changes join build-side choices, so natural order is not stable there).
 
 use crate::ontology::BdiOntology;
-use crate::rewrite::{walk::prefixed_attr_name, Rewriting, Walk};
+use crate::rewrite::walk::{prefixed_attr_name, Attach, JoinCondition, Orientation};
+use crate::rewrite::{Rewriting, Walk};
 use bdi_rdf::model::Iri;
 use bdi_relational::plan::{
     self, ColumnFilter, ExecContext, ExecPolicy, Operator, PhysicalPlan, PlanError, Predicate,
@@ -644,24 +645,104 @@ fn leaf_plan(
     ))
 }
 
-/// Compiles a walk to its aligned physical plan: pushdown-aware scans with
-/// fused renames, the walk's ⋈̃ conditions as hash joins (the same left-deep
-/// construction as [`Walk::to_rel_expr_full`], so row order matches the
-/// eager engine — unless cost-based ordering is engaged, see
-/// [`ExecOptions::cost_based_joins`]), topped by the projection aligning to
-/// the target schema. Also returns the walk's [`PlanNote`] (with
-/// `actual_rows` unset). `order_safe` says whether the answer's row-order
-/// contract already sorts this walk's output, making join reordering
-/// invisible.
-#[allow(clippy::too_many_arguments)]
+/// Cost-based ordering of a walk's ⋈̃ conditions: the cheapest-estimate
+/// pair first, then whichever condition keeps the estimated intermediate
+/// result smallest — returned with the whole tree's estimated rows. The
+/// join estimate is |L ⋈ R| = |L|·|R| / max(d_L(a), d_R(b)) over the
+/// condition attributes' distinct-count sketches (distinct defaulting to
+/// the side's row count — unique keys — when unsketched). The reordered
+/// list stays connected, so [`Walk::join_tree`] consumes it verbatim; a
+/// wrong estimate can therefore change only the plan's cost, never its
+/// rows. `None` on a disconnected join graph — such walks fail coverage
+/// upstream — and the caller keeps the syntactic order. Every wrapper of
+/// the walk must carry a row estimate in `costs`.
+fn order_joins<'w>(
+    walk: &'w Walk,
+    costs: &'w BTreeMap<&'w Iri, LeafCost>,
+) -> Option<(Vec<&'w JoinCondition>, u64)> {
+    let rows_of = |w: &Iri| costs[w].rows.unwrap_or(1).max(1) as f64;
+    let distinct_of = |w: &Iri, attr: &Iri| {
+        let rows = rows_of(w);
+        costs[w]
+            .distinct
+            .get(&prefixed_attr_name(attr))
+            .map_or(rows, |d| (*d as f64).min(rows))
+            .max(1.0)
+    };
+    let mut remaining: Vec<&JoinCondition> = walk.joins().iter().collect();
+    let mut next = remaining
+        .iter()
+        .enumerate()
+        .map(|(i, j)| {
+            let d = distinct_of(&j.left_wrapper, &j.left_attribute)
+                .max(distinct_of(&j.right_wrapper, &j.right_attribute));
+            (i, rows_of(&j.left_wrapper) * rows_of(&j.right_wrapper) / d)
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i);
+    // The subtree starts as the seed condition's left leaf; the seed then
+    // attaches its right wrapper like every later step.
+    let root = &remaining[next?].left_wrapper;
+    let mut connected = BTreeSet::from([root]);
+    let mut sub_rows = rows_of(root);
+    let mut sub_distinct: BTreeMap<&str, f64> = BTreeMap::new();
+    let absorb = |sub_distinct: &mut BTreeMap<&'w str, f64>, wrapper: &Iri| {
+        for (prefixed, d) in &costs[wrapper].distinct {
+            sub_distinct.entry(prefixed).or_insert(*d as f64);
+        }
+    };
+    absorb(&mut sub_distinct, root);
+    // Estimated rows of the subtree once `step` has attached its leaf.
+    let attach_rows = |sub_rows: f64, sub_distinct: &BTreeMap<&str, f64>, step: &Attach| {
+        let d_sub = sub_distinct
+            .get(prefixed_attr_name(step.on).as_str())
+            .map_or(sub_rows, |d| d.min(sub_rows))
+            .max(1.0);
+        let d_leaf = distinct_of(step.wrapper, step.attribute);
+        sub_rows * rows_of(step.wrapper) / d_sub.max(d_leaf)
+    };
+    let mut ordered = Vec::with_capacity(remaining.len());
+    while let Some(index) = next {
+        let condition = remaining.remove(index);
+        if let Orientation::Attach(step) = condition.orient(&connected) {
+            sub_rows = attach_rows(sub_rows, &sub_distinct, &step);
+            absorb(&mut sub_distinct, step.wrapper);
+            connected.insert(step.wrapper);
+        }
+        ordered.push(condition);
+        next = remaining
+            .iter()
+            .enumerate()
+            .filter_map(|(i, j)| match j.orient(&connected) {
+                // Redundant condition over already-joined wrappers (the
+                // growth drops it): free.
+                Orientation::Connected => Some((i, sub_rows)),
+                Orientation::Attach(step) => Some((i, attach_rows(sub_rows, &sub_distinct, &step))),
+                Orientation::Disconnected => None,
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| i);
+    }
+    remaining
+        .is_empty()
+        .then(|| (ordered, sub_rows.round() as u64))
+}
+
+/// Compiles a walk to its physical join tree: pushdown-aware scans with
+/// fused renames, joined by the walk's ⋈̃ conditions as hash joins — a fold
+/// over the same [`Walk::join_tree`] steps as [`Walk::to_rel_expr_full`], so
+/// row order matches the eager engine unless cost-based ordering is engaged
+/// (see [`ExecOptions::cost_based_joins`]). The caller tops it with the
+/// projection aligning it to the target schema. Also returns the walk's
+/// [`PlanNote`] (with `actual_rows` unset). `order_safe` says whether the
+/// answer's row-order contract already sorts this walk's output, making
+/// join reordering invisible.
 fn compile_walk(
     ontology: &BdiOntology,
     source: &dyn PlanSource,
     walk: &Walk,
     walk_index: usize,
     features: &[Iri],
-    columns: &[String],
-    target: &Schema,
     shape: &PlanShape,
     order_safe: bool,
 ) -> Result<(PhysicalPlan, PlanNote), ExecError> {
@@ -702,247 +783,62 @@ fn compile_walk(
         leaves.insert(wrapper, plan);
         costs.insert(wrapper, cost);
     }
-    let name_of = |w: &Iri| {
-        crate::vocab::wrapper_name_of(w)
-            .unwrap_or_else(|| w.as_str())
-            .to_owned()
-    };
 
-    // Cost-based ordering: when engaged (knob on, the answer's row-order
-    // contract already sorts this walk — `order_safe` — and every wrapper
-    // offers a row estimate), reorder the pending ⋈̃ conditions so the
-    // cheapest-estimate pair joins first and every later condition keeps
-    // the estimated intermediate result smallest. The join estimate is
-    // |L ⋈ R| = |L|·|R| / max(d_L(a), d_R(b)) over the condition
-    // attributes' distinct-count sketches (distinct defaulting to the
-    // side's row count — unique keys — when unsketched). The reordered
-    // list stays connected, so the left-deep growth below consumes it
-    // verbatim; a wrong estimate can therefore change only the plan's
-    // cost, never its rows.
-    let mut cost_based = shape.cost_based_joins
+    // Cost-based ordering engages when the knob is on, the answer's
+    // row-order contract already sorts this walk (`order_safe`) and every
+    // wrapper offers a row estimate; otherwise the syntactic order stands.
+    let engage = shape.cost_based_joins
         && order_safe
         && !walk.joins().is_empty()
-        && walk
-            .wrappers()
-            .iter()
-            .all(|w| costs.get(w).is_some_and(|c| c.rows.is_some()));
-    let mut estimated_rows: Option<u64> = None;
-    let mut pending: Vec<_> = walk.joins().iter().collect();
-    if cost_based {
-        let rows_of = |w: &Iri| costs[w].rows.unwrap_or(1).max(1) as f64;
-        let distinct_of = |w: &Iri, attr: &Iri| {
-            let rows = rows_of(w);
-            costs[w]
-                .distinct
-                .get(&prefixed_attr_name(attr))
-                .map_or(rows, |d| (*d as f64).min(rows))
-                .max(1.0)
-        };
-        let mut remaining = pending.clone();
-        let mut ordered = Vec::with_capacity(remaining.len());
-        let seed = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let d = distinct_of(&j.left_wrapper, &j.left_attribute)
-                    .max(distinct_of(&j.right_wrapper, &j.right_attribute));
-                (i, rows_of(&j.left_wrapper) * rows_of(&j.right_wrapper) / d)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1));
-        if let Some((seed_index, seed_rows)) = seed {
-            let first = remaining.remove(seed_index);
-            let mut included: BTreeSet<&Iri> = [&first.left_wrapper, &first.right_wrapper]
-                .into_iter()
-                .collect();
-            let mut sub_rows = seed_rows;
-            let mut sub_distinct: BTreeMap<String, f64> = BTreeMap::new();
-            for w in [&first.left_wrapper, &first.right_wrapper] {
-                for (prefixed, d) in &costs[w].distinct {
-                    sub_distinct.entry(prefixed.clone()).or_insert(*d as f64);
-                }
-            }
-            ordered.push(first);
-            while !remaining.is_empty() {
-                let best = remaining
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, j)| {
-                        let j = *j;
-                        let l_in = included.contains(&j.left_wrapper);
-                        let r_in = included.contains(&j.right_wrapper);
-                        match (l_in, r_in) {
-                            // Redundant condition over already-joined
-                            // wrappers (the growth below drops it): free.
-                            (true, true) => Some((i, sub_rows, None)),
-                            (true, false) => {
-                                let d_sub = sub_distinct
-                                    .get(&prefixed_attr_name(&j.left_attribute))
-                                    .map_or(sub_rows, |d| d.min(sub_rows))
-                                    .max(1.0);
-                                let d_leaf = distinct_of(&j.right_wrapper, &j.right_attribute);
-                                Some((
-                                    i,
-                                    sub_rows * rows_of(&j.right_wrapper) / d_sub.max(d_leaf),
-                                    Some(&j.right_wrapper),
-                                ))
-                            }
-                            (false, true) => {
-                                let d_sub = sub_distinct
-                                    .get(&prefixed_attr_name(&j.right_attribute))
-                                    .map_or(sub_rows, |d| d.min(sub_rows))
-                                    .max(1.0);
-                                let d_leaf = distinct_of(&j.left_wrapper, &j.left_attribute);
-                                Some((
-                                    i,
-                                    sub_rows * rows_of(&j.left_wrapper) / d_sub.max(d_leaf),
-                                    Some(&j.left_wrapper),
-                                ))
-                            }
-                            (false, false) => None,
-                        }
-                    })
-                    .min_by(|a, b| a.1.total_cmp(&b.1));
-                let Some((index, new_rows, attached)) = best else {
-                    // Disconnected join graph — such walks fail coverage
-                    // upstream; keep the syntactic order.
-                    cost_based = false;
-                    break;
-                };
-                if let Some(wrapper) = attached {
-                    for (prefixed, d) in &costs[wrapper].distinct {
-                        sub_distinct.entry(prefixed.clone()).or_insert(*d as f64);
-                    }
-                    included.insert(wrapper);
-                    sub_rows = new_rows;
-                }
-                ordered.push(remaining.remove(index));
-            }
-            if cost_based {
-                estimated_rows = Some(sub_rows.round() as u64);
-                pending = ordered;
-            }
-        }
-    }
-
-    // Wrapper names in the order the growth below attaches them.
-    let mut attach_order: Vec<String> = Vec::new();
-    let joined = if walk.joins().is_empty() {
+        && costs.values().all(|c| c.rows.is_some());
+    let ordered = engage.then(|| order_joins(walk, &costs)).flatten();
+    let cost_based = ordered.is_some();
+    let (conditions, mut estimated_rows) = match ordered {
+        Some((conditions, rows)) => (conditions, Some(rows)),
+        None => (walk.joins().iter().collect(), None),
+    };
+    if walk.joins().is_empty() {
         // Single-wrapper walk (degenerate multi-wrapper walks without joins
         // are rejected upstream by coverage/minimality filtering).
-        attach_order.extend(walk.wrappers().iter().map(|w| name_of(w)));
         estimated_rows = costs.values().next().and_then(|c| c.rows);
-        leaves.into_values().next().unwrap_or_else(|| {
-            PhysicalPlan::scan(
-                "∅",
-                ScanRequest::new(Vec::new(), Schema::default())
-                    .expect("empty request is well-formed"),
-            )
-        })
-    } else {
-        // Mirror of `Walk::build_rel_expr`'s join-tree growth: attach each
-        // pending ⋈̃ condition as soon as one side is connected.
-        let take_leaf = |leaves: &mut BTreeMap<&Iri, PhysicalPlan>, wrapper: &Iri| {
-            leaves.remove(wrapper).unwrap_or_else(|| {
-                PhysicalPlan::scan(
-                    wrapper.as_str(),
-                    ScanRequest::new(Vec::new(), Schema::default())
-                        .expect("empty request is well-formed"),
-                )
-            })
-        };
-        let mut included: BTreeSet<&Iri> = BTreeSet::new();
-        let mut expr: Option<PhysicalPlan> = None;
-        while !pending.is_empty() {
-            let before = pending.len();
-            let mut error: Option<ExecError> = None;
-            pending.retain(|j| {
-                if error.is_some() {
-                    return false;
-                }
-                let l_in = included.contains(&j.left_wrapper);
-                let r_in = included.contains(&j.right_wrapper);
-                let result = match (&mut expr, l_in, r_in) {
-                    (None, _, _) => {
-                        let l = take_leaf(&mut leaves, &j.left_wrapper);
-                        let r = take_leaf(&mut leaves, &j.right_wrapper);
-                        match l.hash_join(
-                            r,
-                            &prefixed_attr_name(&j.left_attribute),
-                            &prefixed_attr_name(&j.right_attribute),
-                        ) {
-                            Ok(joined) => {
-                                expr = Some(joined);
-                                included.insert(&j.left_wrapper);
-                                included.insert(&j.right_wrapper);
-                                attach_order.push(name_of(&j.left_wrapper));
-                                attach_order.push(name_of(&j.right_wrapper));
-                                Ok(false)
-                            }
-                            Err(e) => Err(e),
-                        }
-                    }
-                    (Some(_), true, true) => Ok(false), // already connected
-                    (Some(e), true, false) => {
-                        let r = take_leaf(&mut leaves, &j.right_wrapper);
-                        match e.clone().hash_join(
-                            r,
-                            &prefixed_attr_name(&j.left_attribute),
-                            &prefixed_attr_name(&j.right_attribute),
-                        ) {
-                            Ok(joined) => {
-                                *e = joined;
-                                included.insert(&j.right_wrapper);
-                                attach_order.push(name_of(&j.right_wrapper));
-                                Ok(false)
-                            }
-                            Err(err) => Err(err),
-                        }
-                    }
-                    (Some(e), false, true) => {
-                        let l = take_leaf(&mut leaves, &j.left_wrapper);
-                        match e.clone().hash_join(
-                            l,
-                            &prefixed_attr_name(&j.right_attribute),
-                            &prefixed_attr_name(&j.left_attribute),
-                        ) {
-                            Ok(joined) => {
-                                *e = joined;
-                                included.insert(&j.left_wrapper);
-                                attach_order.push(name_of(&j.left_wrapper));
-                                Ok(false)
-                            }
-                            Err(err) => Err(err),
-                        }
-                    }
-                    (Some(_), false, false) => Ok(true), // later pass
-                };
-                match result {
-                    Ok(keep) => keep,
-                    Err(e) => {
-                        error = Some(e.into());
-                        false
-                    }
-                }
-            });
-            if let Some(e) = error {
-                return Err(e);
-            }
-            if pending.len() == before {
-                // Disconnected join graph; such walks fail coverage upstream.
-                break;
-            }
-        }
-        expr.expect("joins is non-empty")
-    };
+    }
 
-    let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-    let plan = joined.project_columns(&column_refs, target.clone())?;
+    let empty_scan = |name: &str| {
+        PhysicalPlan::scan(
+            name,
+            ScanRequest::new(Vec::new(), Schema::default()).expect("empty request is well-formed"),
+        )
+    };
+    let mut leaf = |wrapper: &Iri| {
+        leaves
+            .remove(wrapper)
+            .unwrap_or_else(|| empty_scan(wrapper.as_str()))
+    };
+    let (root, attaches) = walk.join_tree(conditions);
+    // Wrapper names in the order the tree attaches them.
+    let join_order = root
+        .into_iter()
+        .chain(attaches.iter().map(|step| step.wrapper))
+        .map(|w| {
+            crate::vocab::wrapper_name_of(w)
+                .unwrap_or_else(|| w.as_str())
+                .to_owned()
+        })
+        .collect();
+    let mut joined = root.map_or_else(|| empty_scan("∅"), &mut leaf);
+    for step in attaches {
+        joined = joined.hash_join(
+            leaf(step.wrapper),
+            &prefixed_attr_name(step.on),
+            &prefixed_attr_name(step.attribute),
+        )?;
+    }
     Ok((
-        plan,
+        joined,
         PlanNote {
             walk: walk_index,
             cost_based,
-            join_order: attach_order,
+            join_order,
             estimated_rows,
             actual_rows: None,
         },
@@ -975,11 +871,6 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// Rendered physical plans (diagnostics).
-    pub fn plan_strings(&self) -> Vec<String> {
-        self.plans.iter().map(|p| p.to_string()).collect()
-    }
-
     /// Planner notes, one per walk (empty under [`Engine::Eager`]).
     /// `actual_rows` is `None` here — execution clones the notes into
     /// [`QueryAnswer::plan_notes`] with the actuals filled in.
@@ -1020,10 +911,11 @@ where
         for (walk_index, walk) in rewriting.walks.iter().enumerate() {
             walk_exprs.push(walk.to_rel_expr_full(ontology).to_string());
             let columns = walk_columns(ontology, walk, features)?;
-            let (plan, note) = compile_walk(
-                ontology, source, walk, walk_index, features, &columns, &schema, &shape, order_safe,
+            let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+            let (joined, note) = compile_walk(
+                ontology, source, walk, walk_index, features, &shape, order_safe,
             )?;
-            plans.push(plan);
+            plans.push(joined.project_columns(&column_refs, schema.clone())?);
             plan_notes.push(note);
         }
     }

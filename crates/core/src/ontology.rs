@@ -343,15 +343,6 @@ impl BdiOntology {
         ))
     }
 
-    /// All wrapper URIs of one data source.
-    pub fn wrappers_of_source(&self, source_uri: &Iri) -> Vec<Iri> {
-        self.store.iri_objects(
-            source_uri,
-            &vocab::s::HAS_WRAPPER,
-            &GraphPattern::Named((*graphs::SOURCE).clone()),
-        )
-    }
-
     /// All attribute URIs a wrapper provides.
     pub fn attributes_of_wrapper(&self, wrapper_uri: &Iri) -> Vec<Iri> {
         self.store.iri_objects(

@@ -18,7 +18,6 @@ pub mod walk;
 use crate::omq::Omq;
 use crate::ontology::BdiOntology;
 use crate::wellformed::{self, WellFormedQuery};
-use bdi_relational::RelExpr;
 use std::collections::BTreeSet;
 
 pub use expand::{ExpandError, ExpandedQuery};
@@ -45,22 +44,6 @@ pub struct Rewriting {
     pub candidates: usize,
     /// The final covering, minimal, non-equivalent walks.
     pub walks: Vec<Walk>,
-}
-
-impl Rewriting {
-    /// The union-of-conjunctive-queries expression over the wrappers, or
-    /// `None` when no walk answers the query.
-    pub fn union_expr(&self) -> Option<RelExpr> {
-        if self.walks.is_empty() {
-            return None;
-        }
-        if self.walks.len() == 1 {
-            return Some(self.walks[0].to_rel_expr());
-        }
-        Some(RelExpr::union(
-            self.walks.iter().map(Walk::to_rel_expr).collect(),
-        ))
-    }
 }
 
 /// Rewrites an OMQ into a union of walks over the wrappers.

@@ -20,6 +20,51 @@ pub struct JoinCondition {
     pub right_attribute: Iri,
 }
 
+/// One growth step of a walk's left-deep join tree:
+/// `tree ⋈̃[on = attribute] Π̃(wrapper)` — `on` is the attribute on the
+/// tree's side, `wrapper` the leaf being attached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attach<'w> {
+    pub on: &'w Iri,
+    pub wrapper: &'w Iri,
+    pub attribute: &'w Iri,
+}
+
+/// How a ⋈̃ condition relates to the wrappers a growing join tree already
+/// connects ([`JoinCondition::orient`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Orientation<'w> {
+    /// Both sides are in the tree: the condition is dropped.
+    Connected,
+    /// Exactly one side is in the tree: the other attaches through it.
+    Attach(Attach<'w>),
+    /// Neither side is in the tree (yet).
+    Disconnected,
+}
+
+impl JoinCondition {
+    /// Orients the condition against the wrappers a join tree connects so
+    /// far: which side is inside, which leaf it would attach.
+    pub fn orient(&self, connected: &BTreeSet<&Iri>) -> Orientation<'_> {
+        let left_in = connected.contains(&self.left_wrapper);
+        let right_in = connected.contains(&self.right_wrapper);
+        match (left_in, right_in) {
+            (true, true) => Orientation::Connected,
+            (true, false) => Orientation::Attach(Attach {
+                on: &self.left_attribute,
+                wrapper: &self.right_wrapper,
+                attribute: &self.right_attribute,
+            }),
+            (false, true) => Orientation::Attach(Attach {
+                on: &self.right_attribute,
+                wrapper: &self.left_wrapper,
+                attribute: &self.left_attribute,
+            }),
+            (false, false) => Orientation::Disconnected,
+        }
+    }
+}
+
 /// A (partial or complete) walk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Walk {
@@ -211,94 +256,63 @@ impl Walk {
         &self,
         rename_for: impl Fn(&Iri, &BTreeSet<Iri>) -> Vec<(String, String)>,
     ) -> RelExpr {
-        let mut leaf_exprs: BTreeMap<&Iri, RelExpr> = BTreeMap::new();
-        for (wrapper, attrs) in &self.projections {
-            let wrapper_name = vocab::wrapper_name_of(wrapper)
-                .unwrap_or_else(|| wrapper.as_str())
-                .to_owned();
-            let renames = rename_for(wrapper, attrs);
-            let projected: Vec<String> = attrs.iter().map(prefixed_attr_name).collect();
-            leaf_exprs.insert(
-                wrapper,
-                RelExpr::source(wrapper_name)
-                    .rename(renames)
-                    .project(projected),
+        let leaf = |wrapper: &Iri| {
+            let Some(attrs) = self.projections.get(wrapper) else {
+                return RelExpr::source(wrapper.as_str());
+            };
+            let wrapper_name = vocab::wrapper_name_of(wrapper).unwrap_or_else(|| wrapper.as_str());
+            RelExpr::source(wrapper_name)
+                .rename(rename_for(wrapper, attrs))
+                .project(attrs.iter().map(prefixed_attr_name).collect())
+        };
+        let (root, attaches) = self.join_tree(&self.joins);
+        let mut expr = root.map_or_else(|| RelExpr::source("∅"), leaf);
+        for step in attaches {
+            expr = expr.join(
+                leaf(step.wrapper),
+                prefixed_attr_name(step.on),
+                prefixed_attr_name(step.attribute),
             );
         }
+        expr
+    }
 
-        if self.joins.is_empty() {
-            // Single-wrapper walk (or degenerate multi-wrapper without joins,
-            // which coverage/minimality filtering rejects upstream).
-            return leaf_exprs
-                .into_values()
-                .next()
-                .unwrap_or_else(|| RelExpr::source("∅"));
-        }
-
-        let mut included: BTreeSet<&Iri> = BTreeSet::new();
-        let mut expr: Option<RelExpr> = None;
-        let mut pending: Vec<&JoinCondition> = self.joins.iter().collect();
-        while !pending.is_empty() {
+    /// The left-deep join tree the walk grows from `conditions` — its own
+    /// [`Walk::joins`], or a reordering of them — as a root wrapper and the
+    /// leaves attached to it in order. The first condition's left wrapper is
+    /// the root (a join-less walk's only wrapper; `None` for an empty walk);
+    /// each later condition attaches as soon as one of its sides is
+    /// connected, a condition between two connected wrappers is dropped, and
+    /// passes repeat until one makes no progress (a disconnected join graph
+    /// stops there rather than loop forever — such walks fail the coverage
+    /// check upstream). Both the §2.2 [`RelExpr`] and the engine's physical
+    /// plan are folds over this one sequence.
+    pub fn join_tree<'w>(
+        &'w self,
+        conditions: impl IntoIterator<Item = &'w JoinCondition>,
+    ) -> (Option<&'w Iri>, Vec<Attach<'w>>) {
+        let mut pending: Vec<&JoinCondition> = conditions.into_iter().collect();
+        let root = match pending.first() {
+            Some(first) => Some(&first.left_wrapper),
+            None => self.projections.keys().next(),
+        };
+        let mut connected: BTreeSet<&Iri> = root.into_iter().collect();
+        let mut attaches = Vec::with_capacity(pending.len());
+        loop {
             let before = pending.len();
-            pending.retain(|j| {
-                let l_in = included.contains(&j.left_wrapper);
-                let r_in = included.contains(&j.right_wrapper);
-                match (&mut expr, l_in, r_in) {
-                    (None, _, _) => {
-                        let l = leaf_exprs
-                            .get(&j.left_wrapper)
-                            .cloned()
-                            .unwrap_or_else(|| RelExpr::source(j.left_wrapper.as_str()));
-                        let r = leaf_exprs
-                            .get(&j.right_wrapper)
-                            .cloned()
-                            .unwrap_or_else(|| RelExpr::source(j.right_wrapper.as_str()));
-                        expr = Some(l.join(
-                            r,
-                            prefixed_attr_name(&j.left_attribute),
-                            prefixed_attr_name(&j.right_attribute),
-                        ));
-                        included.insert(&j.left_wrapper);
-                        included.insert(&j.right_wrapper);
-                        false
-                    }
-                    (Some(_), true, true) => false, // already connected
-                    (Some(e), true, false) => {
-                        let r = leaf_exprs
-                            .get(&j.right_wrapper)
-                            .cloned()
-                            .unwrap_or_else(|| RelExpr::source(j.right_wrapper.as_str()));
-                        *e = e.clone().join(
-                            r,
-                            prefixed_attr_name(&j.left_attribute),
-                            prefixed_attr_name(&j.right_attribute),
-                        );
-                        included.insert(&j.right_wrapper);
-                        false
-                    }
-                    (Some(e), false, true) => {
-                        let l = leaf_exprs
-                            .get(&j.left_wrapper)
-                            .cloned()
-                            .unwrap_or_else(|| RelExpr::source(j.left_wrapper.as_str()));
-                        *e = e.clone().join(
-                            l,
-                            prefixed_attr_name(&j.right_attribute),
-                            prefixed_attr_name(&j.left_attribute),
-                        );
-                        included.insert(&j.left_wrapper);
-                        false
-                    }
-                    (Some(_), false, false) => true, // keep for a later pass
+            pending.retain(|condition| match condition.orient(&connected) {
+                Orientation::Connected => false,
+                Orientation::Attach(step) => {
+                    connected.insert(step.wrapper);
+                    attaches.push(step);
+                    false
                 }
+                Orientation::Disconnected => true,
             });
-            if pending.len() == before {
-                // Disconnected join graph; stop rather than loop forever —
-                // such walks fail the coverage check upstream.
-                break;
+            if pending.is_empty() || pending.len() == before {
+                return (root, attaches);
             }
         }
-        expr.expect("joins is non-empty")
     }
 }
 

@@ -5,6 +5,16 @@
 //! as TriG (all named graphs), every wrapper's serializable definition, the
 //! backing document collections and the release log — as one JSON document
 //! that restores to an equivalent, queryable [`BdiSystem`].
+//!
+//! There are two persisted types, on purpose. `SystemSnapshot` is the
+//! *portable* one: what `mdm snapshot` / `mdm load` exchange between
+//! machines, holding nothing but the deployment. A
+//! [`crate::durable::DurableImage`] wraps one and adds what only makes
+//! sense next to the write-ahead log it was checkpointed beside — the WAL
+//! seq it covers and the cache-validity counters recovery restores
+//! bit-exact — so it is private to its data directory and is never the
+//! exchange format: a restored `SystemSnapshot` starts its counters afresh,
+//! an image loaded without its log would claim writes it cannot replay.
 
 use crate::ontology::BdiOntology;
 use crate::system::{BdiSystem, ReleaseLogEntry};
@@ -30,14 +40,6 @@ pub enum SnapshotError {
     Store(String),
 }
 
-/// Serializable release-log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LogEntry {
-    pub seq: usize,
-    pub wrapper: String,
-    pub source: String,
-}
-
 /// A complete, self-contained deployment image.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SystemSnapshot {
@@ -50,7 +52,7 @@ pub struct SystemSnapshot {
     /// Document collections backing the JSON wrappers.
     pub collections: BTreeMap<String, Vec<serde_json::Value>>,
     /// The release log (registration order).
-    pub release_log: Vec<LogEntry>,
+    pub release_log: Vec<ReleaseLogEntry>,
 }
 
 /// Captures a snapshot of a system. Fails when any wrapper kind is not
@@ -73,15 +75,7 @@ pub fn snapshot(system: &BdiSystem, store: &DocStore) -> Result<SystemSnapshot, 
             .collect(),
         wrappers,
         collections: store.dump(),
-        release_log: system
-            .release_log()
-            .iter()
-            .map(|e| LogEntry {
-                seq: e.seq,
-                wrapper: e.wrapper.clone(),
-                source: e.source.clone(),
-            })
-            .collect(),
+        release_log: system.release_log().to_vec(),
     })
 }
 
@@ -111,17 +105,7 @@ pub fn restore(image: &SystemSnapshot) -> Result<(BdiSystem, DocStore), Snapshot
     }
 
     let mut system = BdiSystem::from_parts(ontology, registry);
-    system.set_release_log(
-        image
-            .release_log
-            .iter()
-            .map(|e| ReleaseLogEntry {
-                seq: e.seq,
-                wrapper: e.wrapper.clone(),
-                source: e.source.clone(),
-            })
-            .collect(),
-    );
+    system.set_release_log(image.release_log.clone());
     Ok((system, store))
 }
 
@@ -179,6 +163,40 @@ mod tests {
             )
             .unwrap();
         assert_eq!(historical.relation.len(), 3); // pre-evolution Table 2
+    }
+
+    /// An image written before `ReleaseLogEntry` was the serialized type
+    /// (by `to_json` at the parent commit): it still parses, restores its
+    /// log, and re-encodes byte for byte.
+    #[test]
+    fn a_pre_change_image_still_restores() {
+        const IMAGE: &str = r#"{
+  "collections": {},
+  "ontology_trig": "",
+  "prefixes": {},
+  "release_log": [
+    {
+      "seq": 0,
+      "source": "D1",
+      "wrapper": "w1"
+    },
+    {
+      "seq": 1,
+      "source": "D1",
+      "wrapper": "w4"
+    }
+  ],
+  "wrappers": []
+}"#;
+        let image = from_json(IMAGE).unwrap();
+        assert_eq!(to_json(&image).unwrap(), IMAGE);
+        let (restored, _) = restore(&image).unwrap();
+        let entry = |seq, wrapper: &str| ReleaseLogEntry {
+            seq,
+            wrapper: wrapper.into(),
+            source: "D1".into(),
+        };
+        assert_eq!(restored.release_log(), [entry(0, "w1"), entry(1, "w4")]);
     }
 
     #[test]

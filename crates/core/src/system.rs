@@ -5,14 +5,15 @@
 //! rewritten (Algorithms 2–5) and executed over the wrappers.
 //!
 //! Query answering is **shared-read**: [`BdiSystem::serve`] takes `&self`,
-//! and concurrent callers do not convoy behind a single lock. The compiled
-//! plan cache is sharded by key hash (each shard its own mutex, held only
-//! for a lookup or insert), the validity stamp is checked lock-free through
-//! an atomic tag, and each query that reuses scans checks a persistent
-//! [`ExecContext`] out of a pool instead of sharing one context — readers
-//! proceed against immutable shared state while mutation installs a new
-//! validity epoch (the snapshot-read discipline of the NVRAM tree
-//! literature; see PAPERS.md).
+//! and concurrent callers do not convoy behind a single lock held across a
+//! request. The compiled-plan cache is one mutex over *(validity stamp, LRU
+//! map)*, held for one lookup or one insert and never across rewriting,
+//! compilation or execution; a compiled plan is an immutable `Arc` a reader
+//! keeps once it holds it, so the only thing that has to be atomic is
+//! installing stamp and map together — which one lock over both gives
+//! directly (the publish-a-consistent-version discipline of the NVRAM tree
+//! literature; see PAPERS.md). Each query that reuses scans checks a
+//! persistent [`ExecContext`] out of a pool instead of sharing one context.
 
 use crate::exec::{
     self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanShape, QueryAnswer, SourceFailure,
@@ -22,13 +23,11 @@ use crate::ontology::BdiOntology;
 use crate::release::{self, Release, ReleaseError, ReleaseStats};
 use crate::rewrite::{self, RewriteError, Rewriting};
 use crate::vocab;
-use bdi_relational::ExecContext;
+use bdi_relational::{ContextCounters, ExecContext};
 use bdi_wrappers::WrapperRegistry;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Duration;
 
 /// Errors surfaced by the system facade.
@@ -44,8 +43,9 @@ pub enum SystemError {
     Release(#[from] ReleaseError),
 }
 
-/// One entry of the system's release log.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One entry of the system's release log (serialized as is into a
+/// [`crate::snapshot::SystemSnapshot`]).
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ReleaseLogEntry {
     /// Monotonic sequence number (0-based registration order).
     pub seq: usize,
@@ -72,18 +72,9 @@ pub enum VersionScope {
     Only(BTreeSet<String>),
 }
 
-/// Upper bound on cached compiled queries across all shards; beyond it each
-/// shard evicts its least-recently-hit entry.
+/// Upper bound on cached compiled queries; beyond it an insert evicts the
+/// least-recently-hit entry.
 const PLAN_CACHE_ENTRIES: usize = 64;
-
-/// Shards of the plan-cache map. Each shard is its own mutex, held only for
-/// the duration of one lookup or insert, so concurrent callers of distinct
-/// queries proceed in parallel and callers of the *same* query contend only
-/// with each other.
-const PLAN_SHARDS: usize = 8;
-
-/// Per-shard entry cap (the global cap split evenly).
-const PLAN_SHARD_ENTRIES: usize = PLAN_CACHE_ENTRIES / PLAN_SHARDS;
 
 /// Idle contexts the pool keeps warm; a context returning to a full pool is
 /// retired instead (its peaks fold into the lifetime counters).
@@ -106,26 +97,34 @@ const CTX_POOL_IDLE: usize = 16;
 /// must recompile plans even though their answers would still be correct
 /// (only possibly slower).
 ///
-/// The two halves invalidate differently ([`ExecCache::ensure_valid`]): a
-/// change in the leading triple flushes the plans **and** retires the
-/// pooled contexts, while a stats-epoch-only change flushes just the
-/// plans — every cached scan is keyed by its wrapper's live
-/// [`data_version`](bdi_wrappers::Wrapper::data_version) at scan time, so a
-/// mutation makes the stale entry unreachable and the next query brings
-/// just the mutated wrapper's scans up to date — by the appended rows when
-/// the wrapper can resume, by a re-scan otherwise; sibling wrappers' (and
-/// sibling docstore collections') cached scans survive. The superseded
-/// entry is retired by the fill that replaces it, and the value-cap
-/// watermark retires a context whose pool has outgrown its bound
-/// ([`BdiSystem::set_context_value_cap`] — the context-retirement tier).
-/// This is what lets
+/// The tuple is stored whole beside the map it stamps ([`PlanCache`]) and
+/// compared whole under the map's lock — no digest of it is published
+/// anywhere. The two halves invalidate differently
+/// ([`ExecCache::revalidate`]): a change in the leading triple flushes the
+/// plans **and** retires the pooled contexts, while a stats-epoch-only
+/// change flushes just the plans — every cached scan is keyed by its
+/// wrapper's live [`data_version`](bdi_wrappers::Wrapper::data_version) at
+/// scan time, so a mutation makes the stale entry unreachable and the next
+/// query brings just the mutated wrapper's scans up to date — by the
+/// appended rows when the wrapper can resume, by a re-scan otherwise;
+/// sibling wrappers' (and sibling docstore collections') cached scans
+/// survive. The superseded entry is retired by the fill that replaces it,
+/// and the value-cap watermark retires a context whose pool has outgrown
+/// its bound ([`BdiSystem::set_context_value_cap`] — the
+/// context-retirement tier). This is what lets
 /// [`ExecOptions::reuse_scans`] default on without one wrapper's appends
 /// flushing every other wrapper's interned scans.
 ///
-/// Changes to the leading triple only happen through `&mut self` methods,
-/// so they can never race an in-flight `&self` query; a stats-epoch change
-/// *can* race one (wrapper data mutates through shared handles), but that
-/// race is performance-only — answers stay correct through the
+/// The release log only changes through `&mut self` methods, which call
+/// [`ExecCache::invalidate`] and cannot race a `&self` query; ontology
+/// writes, capability flips and wrapper-data mutations go through shared
+/// handles and *can*. What the one lock guarantees then: stamp and map
+/// only ever change together, so a plan is found only under the validity
+/// its compiler read before compiling, and a plan whose validity moved
+/// while it compiled is dropped at insert. A request that read its validity
+/// just before such a write may still run the pre-write plan — the two
+/// were concurrent — and the next request flushes it; a stats-epoch race
+/// is performance-only either way, answers staying correct through the
 /// `data_version` keying one level down.
 type CacheValidity = (usize, u64, u64, u64);
 
@@ -140,24 +139,11 @@ type PlanKey = (Omq, VersionScope, PlanShape);
 
 const POISONED: &str = "plan cache poisoned";
 
-/// The atomic tag a [`CacheValidity`] publishes: a mix-hash of the 4-tuple
-/// (two of whose components are already u64 hashes, so this adds no new
-/// collision class). `0` is reserved as the never-valid initial tag.
-fn validity_tag(validity: &CacheValidity) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    validity.hash(&mut hasher);
-    hasher.finish().max(1)
-}
-
-fn shard_of(key: &PlanKey) -> usize {
-    let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % PLAN_SHARDS
-}
-
-/// One shard of the compiled-plan map, with its own LRU clock.
-#[derive(Default)]
-struct PlanShard {
+/// The compiled-plan map and the validity it reflects, under one lock
+/// ([`ExecCache::plans`]) so the two can only change together.
+struct PlanCache {
+    validity: CacheValidity,
+    /// LRU clock: bumped by every lookup and insert.
     tick: u64,
     plans: HashMap<PlanKey, (Arc<CompiledQuery>, u64)>,
 }
@@ -180,21 +166,11 @@ struct CtxPool {
     /// Every non-retired context (idle or checked out), for stats
     /// aggregation. Dead weaks are pruned opportunistically.
     live: Vec<Weak<ExecContext>>,
-    /// High-water marks carried across retired contexts, so
-    /// [`BdiSystem::context_stats`] reports lifetime streaming peaks even
-    /// after the watermark (or a release) retired the context they occurred
-    /// in.
-    retired_peak_values: usize,
-    retired_peak_bytes: usize,
-    /// Semi-join pass counters folded out of retired contexts, so
-    /// [`BdiSystem::planner_stats`] reports lifetime totals.
-    retired_semijoin_insets: u64,
-    retired_semijoin_blooms: u64,
-    /// Scan-fill counters folded out of retired contexts, so
-    /// [`BdiSystem::context_stats`] reports lifetime totals.
-    retired_resumed_scans: u64,
-    retired_resumed_rows: u64,
-    retired_full_scans: u64,
+    /// Counters and high-water marks folded out of retired contexts, so
+    /// [`BdiSystem::context_stats`] and [`BdiSystem::planner_stats`] report
+    /// lifetime figures even after the watermark (or a release) retired the
+    /// context they occurred in.
+    retired: ContextCounters,
 }
 
 impl CtxPool {
@@ -204,26 +180,14 @@ impl CtxPool {
             generation: 0,
             idle: Vec::new(),
             live: Vec::new(),
-            retired_peak_values: 0,
-            retired_peak_bytes: 0,
-            retired_semijoin_insets: 0,
-            retired_semijoin_blooms: 0,
-            retired_resumed_scans: 0,
-            retired_resumed_rows: 0,
-            retired_full_scans: 0,
+            retired: ContextCounters::default(),
         }
     }
 
     /// Folds a retiring context's peaks and counters into the lifetime
     /// totals and forgets it.
     fn retire(&mut self, ctx: &Arc<ExecContext>) {
-        self.retired_peak_values = self.retired_peak_values.max(ctx.pooled_values());
-        self.retired_peak_bytes = self.retired_peak_bytes.max(ctx.peak_bytes());
-        self.retired_semijoin_insets += ctx.semijoin_insets();
-        self.retired_semijoin_blooms += ctx.semijoin_blooms();
-        self.retired_resumed_scans += ctx.resumed_scans();
-        self.retired_resumed_rows += ctx.resumed_rows();
-        self.retired_full_scans += ctx.full_scans();
+        self.retired += ctx.counters();
         let ptr = Arc::as_ptr(ctx);
         self.live.retain(|weak| weak.as_ptr() != ptr);
     }
@@ -299,45 +263,35 @@ impl Drop for PooledCtx<'_> {
 
 /// Cross-query compiled-plan cache + pooled persistent execution contexts.
 ///
-/// Concurrency shape: the validity stamp is published as an atomic tag, so
-/// the common case — nothing changed since the last query — is a single
-/// atomic load with no lock. The plan map is sharded ([`PLAN_SHARDS`]
-/// mutexes, each held only for one lookup/insert, never during rewriting,
-/// compilation or execution), counters are atomics, and contexts come from
-/// a pool ([`CtxPool`]) so no two in-flight queries share mutable state.
-/// Flushes bump an epoch *before* clearing the shards; an insert re-checks
-/// the epoch under its shard lock and drops the plan if a flush slipped in
-/// while it compiled.
+/// Concurrency shape: one mutex over the plan map and its validity stamp
+/// ([`PlanCache`]), held for one lookup or one insert and never during
+/// rewriting, compilation or execution; counters are atomics; contexts come
+/// from a pool ([`CtxPool`]) so no two in-flight queries share mutable
+/// state. Lock order: the pool lock may be taken under the plan lock
+/// ([`ExecCache::revalidate`]), never the plan lock under the pool lock.
 struct ExecCache {
-    /// Tag of the validity the cache currently reflects (0 = never valid).
-    validity_tag: AtomicU64,
-    /// Bumped on every flush; plan inserts are stamped with the epoch read
-    /// at lookup time and discarded if it moved.
-    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Fresh compiles by planning kind (cache hits don't recount).
     cost_based_plans: AtomicU64,
     syntactic_plans: AtomicU64,
-    /// The full validity tuple behind the tag, for the core-vs-stats flush
-    /// decision. Locked only while flushing.
-    flush: Mutex<CacheValidity>,
-    shards: [Mutex<PlanShard>; PLAN_SHARDS],
+    plans: Mutex<PlanCache>,
     pool: Mutex<CtxPool>,
 }
 
 impl Default for ExecCache {
     fn default() -> Self {
         Self {
-            validity_tag: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             cost_based_plans: AtomicU64::new(0),
             syntactic_plans: AtomicU64::new(0),
-            // Never matches a real validity → first use flushes.
-            flush: Mutex::new((usize::MAX, u64::MAX, u64::MAX, u64::MAX)),
-            shards: std::array::from_fn(|_| Mutex::new(PlanShard::default())),
+            plans: Mutex::new(PlanCache {
+                // Never matches a real validity → first use flushes.
+                validity: (usize::MAX, u64::MAX, u64::MAX, u64::MAX),
+                tick: 0,
+                plans: HashMap::new(),
+            }),
             pool: Mutex::new(CtxPool::new(DEFAULT_CTX_VALUE_CAP)),
         }
     }
@@ -345,13 +299,8 @@ impl Default for ExecCache {
 
 impl std::fmt::Debug for ExecCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let entries: usize = self
-            .shards
-            .iter()
-            .map(|shard| shard.lock().expect(POISONED).plans.len())
-            .sum();
         f.debug_struct("ExecCache")
-            .field("entries", &entries)
+            .field("entries", &self.entries())
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
             .finish()
@@ -359,100 +308,89 @@ impl std::fmt::Debug for ExecCache {
 }
 
 impl ExecCache {
-    /// Brings the cache up to `validity`. The fast path — the tag already
-    /// matches — is one atomic load. On a mismatch, a change in the leading
-    /// triple (release registered, ontology edited, wrapper capabilities
-    /// moved) flushes the plans and retires the pooled contexts; a
-    /// **stats-epoch-only** change — wrapper data mutated — flushes just
-    /// the plans: cost-based join orders compiled from the old sketches may
-    /// no longer be the cheapest, but each context's cached scans are keyed
-    /// by live `data_version` one level down and stay valid for every
-    /// unmutated sibling wrapper.
-    fn ensure_valid(&self, validity: CacheValidity) {
-        let tag = validity_tag(&validity);
-        if self.validity_tag.load(Ordering::Acquire) == tag {
-            return;
+    /// Locks the plan cache and brings it up to `validity` — every request
+    /// does this, whether or not it goes on to use a cached plan. A change
+    /// in the leading triple (release registered, ontology edited, wrapper
+    /// capabilities moved) flushes the plans and retires the pooled
+    /// contexts; a **stats-epoch-only** change — wrapper data mutated —
+    /// flushes just the plans: cost-based join orders compiled from the old
+    /// sketches may no longer be the cheapest, but each context's cached
+    /// scans are keyed by live `data_version` one level down and stay valid
+    /// for every unmutated sibling wrapper.
+    fn revalidate(&self, validity: CacheValidity) -> MutexGuard<'_, PlanCache> {
+        let mut cache = self.plans.lock().expect(POISONED);
+        if cache.validity != validity {
+            let (old, new) = (cache.validity, validity);
+            cache.validity = validity;
+            cache.plans.clear();
+            if (old.0, old.1, old.2) != (new.0, new.1, new.2) {
+                self.pool.lock().expect(POISONED).retire_all();
+            }
         }
-        self.flush_to(validity, tag, false);
+        cache
     }
 
     /// Unconditionally flushes plans and retires contexts — for `&mut self`
     /// mutations ([`BdiSystem::register_release`],
     /// [`BdiSystem::set_release_log`]) whose effect may not register in the
     /// validity tuple (e.g. a restored release log of the same length).
-    fn invalidate(&self, validity: CacheValidity) {
-        self.flush_to(validity, validity_tag(&validity), true);
+    fn invalidate(&mut self, validity: CacheValidity) {
+        let cache = self.plans.get_mut().expect(POISONED);
+        cache.validity = validity;
+        cache.plans.clear();
+        self.pool.get_mut().expect(POISONED).retire_all();
     }
 
-    fn flush_to(&self, validity: CacheValidity, tag: u64, force_retire: bool) {
-        let mut current = self.flush.lock().expect(POISONED);
-        if !force_retire && *current == validity {
-            // Another caller installed this validity while we waited.
-            self.validity_tag.store(tag, Ordering::Release);
-            return;
-        }
-        let core_changed = force_retire
-            || (current.0, current.1, current.2) != (validity.0, validity.1, validity.2);
-        *current = validity;
-        // Epoch first, then clear: an insert that read the old epoch either
-        // lands before its shard is cleared (and is cleared with it) or
-        // re-reads the bumped epoch under its shard lock and drops itself.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        for shard in &self.shards {
-            shard.lock().expect(POISONED).plans.clear();
-        }
-        if core_changed {
-            self.pool.lock().expect(POISONED).retire_all();
-        }
-        self.validity_tag.store(tag, Ordering::Release);
-    }
-
-    /// The cached compiled query for `key`, if present, plus the flush
-    /// epoch the lookup ran under (to stamp a later insert). The caller
-    /// must have called [`ExecCache::ensure_valid`] first.
-    fn lookup(&self, key: &PlanKey) -> (Option<Arc<CompiledQuery>>, u64) {
-        let epoch = self.epoch.load(Ordering::Acquire);
+    /// The compiled query cached for `key` under `validity`, if any
+    /// (revalidating first, so a plan is never found under a validity other
+    /// than the one its compiler read).
+    fn lookup(&self, validity: CacheValidity, key: &PlanKey) -> Option<Arc<CompiledQuery>> {
         let hit = {
-            let mut shard = self.shards[shard_of(key)].lock().expect(POISONED);
-            shard.tick += 1;
-            let tick = shard.tick;
-            shard.plans.get_mut(key).map(|(compiled, last_used)| {
+            let mut cache = self.revalidate(validity);
+            cache.tick += 1;
+            let tick = cache.tick;
+            cache.plans.get_mut(key).map(|(compiled, last_used)| {
                 *last_used = tick;
                 compiled.clone()
             })
         };
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let counter = if hit.is_some() {
+            &self.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        (hit, epoch)
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Inserts a freshly compiled query, evicting the shard's
-    /// least-recently-hit entry at capacity. Racing compilers of the same
-    /// key both insert; the loser's entry simply replaces an identical one.
-    /// A flush that slipped in while compiling (epoch moved past
-    /// `at_epoch`) discards the plan instead — it was compiled against a
-    /// superseded system state.
-    fn insert(&self, at_epoch: u64, key: PlanKey, compiled: Arc<CompiledQuery>) {
-        let mut shard = self.shards[shard_of(&key)].lock().expect(POISONED);
-        if self.epoch.load(Ordering::Acquire) != at_epoch {
+    /// Inserts a freshly compiled query, evicting the least-recently-hit
+    /// entry at capacity. Racing compilers of the same key both insert; the
+    /// loser's entry simply replaces an identical one. `validity` is what
+    /// the compiler's [`ExecCache::lookup`] ran under: if the cache has
+    /// moved on since, the plan was compiled against a superseded system
+    /// state and is dropped instead.
+    fn insert(&self, validity: CacheValidity, key: PlanKey, compiled: Arc<CompiledQuery>) {
+        let mut cache = self.plans.lock().expect(POISONED);
+        if cache.validity != validity {
             return;
         }
-        if shard.plans.len() >= PLAN_SHARD_ENTRIES && !shard.plans.contains_key(&key) {
-            if let Some(oldest) = shard
+        if cache.plans.len() >= PLAN_CACHE_ENTRIES && !cache.plans.contains_key(&key) {
+            if let Some(oldest) = cache
                 .plans
                 .iter()
                 .min_by_key(|(_, (_, last_used))| *last_used)
                 .map(|(k, _)| k.clone())
             {
-                shard.plans.remove(&oldest);
+                cache.plans.remove(&oldest);
             }
         }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.plans.insert(key, (compiled, tick));
+        cache.tick += 1;
+        let tick = cache.tick;
+        cache.plans.insert(key, (compiled, tick));
+    }
+
+    fn entries(&self) -> usize {
+        self.plans.lock().expect(POISONED).plans.len()
     }
 
     /// Checks a persistent context out of the pool; the guard returns it on
@@ -476,6 +414,19 @@ impl ExecCache {
                 self.syntactic_plans.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Every live pooled context, and the lifetime counters: the retired
+    /// contexts' share with each live context's folded in.
+    fn pooled_counters(&self) -> (Vec<Arc<ExecContext>>, ContextCounters) {
+        let (contexts, mut counters) = {
+            let mut pool = self.pool.lock().expect(POISONED);
+            (pool.contexts(), pool.retired)
+        };
+        for ctx in &contexts {
+            counters += ctx.counters();
+        }
+        (contexts, counters)
     }
 }
 
@@ -746,14 +697,8 @@ impl BdiSystem {
     /// Plan-cache counters (entries reflect the current validity window;
     /// hits/misses accumulate over the system's lifetime).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        let entries = self
-            .cache
-            .shards
-            .iter()
-            .map(|shard| shard.lock().expect(POISONED).plans.len())
-            .sum();
         PlanCacheStats {
-            entries,
+            entries: self.cache.entries(),
             hits: self.cache.hits.load(Ordering::Relaxed),
             misses: self.cache.misses.load(Ordering::Relaxed),
         }
@@ -779,29 +724,21 @@ impl BdiSystem {
     /// retirement, so streaming (cursor-only) peaks are observable after
     /// the fact.
     pub fn context_stats(&self) -> ContextStats {
-        let (contexts, mut stats) = {
-            let mut pool = self.cache.pool.lock().expect(POISONED);
-            let stats = ContextStats {
-                pooled_values: 0,
-                approx_bytes: 0,
-                cached_scans: 0,
-                peak_bytes: pool.retired_peak_bytes,
-                peak_pooled_values: pool.retired_peak_values,
-                resumed_scans: pool.retired_resumed_scans,
-                resumed_rows: pool.retired_resumed_rows,
-                full_scans: pool.retired_full_scans,
-            };
-            (pool.contexts(), stats)
+        let (contexts, counters) = self.cache.pooled_counters();
+        let mut stats = ContextStats {
+            pooled_values: 0,
+            approx_bytes: 0,
+            cached_scans: 0,
+            peak_bytes: counters.peak_bytes,
+            peak_pooled_values: counters.peak_pooled_values,
+            resumed_scans: counters.resumed_scans,
+            resumed_rows: counters.resumed_rows,
+            full_scans: counters.full_scans,
         };
         for ctx in &contexts {
             stats.pooled_values += ctx.pooled_values();
             stats.approx_bytes += ctx.memory_estimate();
             stats.cached_scans += ctx.cached_scans();
-            stats.peak_bytes = stats.peak_bytes.max(ctx.peak_bytes());
-            stats.peak_pooled_values = stats.peak_pooled_values.max(ctx.pooled_values());
-            stats.resumed_scans += ctx.resumed_scans();
-            stats.resumed_rows += ctx.resumed_rows();
-            stats.full_scans += ctx.full_scans();
         }
         stats
     }
@@ -836,8 +773,8 @@ impl BdiSystem {
     /// Executes one [`AnswerRequest`] — the single entry point every query
     /// takes (the HTTP front end builds a request and calls this too).
     /// Takes `&self` and is safe to call from many threads at once:
-    /// concurrent callers share compiled plans through the sharded cache
-    /// but never an execution lock.
+    /// concurrent callers share compiled plans through the cache but never
+    /// an execution lock.
     ///
     /// Repeated queries skip the rewriting-to-plan pipeline entirely: the
     /// compiled form is cached under `(OMQ, scope, `[`PlanShape`]`)` and
@@ -861,12 +798,15 @@ impl BdiSystem {
             QueryText::Sparql(text) => Omq::parse(&text, self.ontology.prefixes())?,
             QueryText::Omq(omq) => omq,
         };
-        self.cache.ensure_valid(self.cache_validity());
+        let validity = self.cache_validity();
         let key = (omq, scope, shape);
-        let (cached, at_epoch) = if options.cache_plans {
-            self.cache.lookup(&key)
+        let cached = if options.cache_plans {
+            self.cache.lookup(validity, &key)
         } else {
-            (None, 0)
+            // Still revalidate: a request that bypasses the plan map must
+            // not run on a pooled context a release has retired.
+            drop(self.cache.revalidate(validity));
+            None
         };
         let compiled = match cached {
             Some(compiled) => compiled,
@@ -891,7 +831,7 @@ impl BdiSystem {
                 )?);
                 self.cache.record_compile(compiled.plan_notes());
                 if options.cache_plans {
-                    self.cache.insert(at_epoch, key.clone(), compiled.clone());
+                    self.cache.insert(validity, key, compiled.clone());
                 }
                 compiled
             }
@@ -932,25 +872,13 @@ impl BdiSystem {
     /// detail — the chosen join order and estimated-vs-actual rows — rides
     /// on each answer as [`Answer::plan_notes`].
     pub fn planner_stats(&self) -> PlannerStats {
-        let (contexts, retired_insets, retired_blooms) = {
-            let mut pool = self.cache.pool.lock().expect(POISONED);
-            (
-                pool.contexts(),
-                pool.retired_semijoin_insets,
-                pool.retired_semijoin_blooms,
-            )
-        };
-        let mut stats = PlannerStats {
+        let (_, counters) = self.cache.pooled_counters();
+        PlannerStats {
             cost_based_plans: self.cache.cost_based_plans.load(Ordering::Relaxed),
             syntactic_plans: self.cache.syntactic_plans.load(Ordering::Relaxed),
-            semijoin_insets: retired_insets,
-            semijoin_blooms: retired_blooms,
-        };
-        for ctx in &contexts {
-            stats.semijoin_insets += ctx.semijoin_insets();
-            stats.semijoin_blooms += ctx.semijoin_blooms();
+            semijoin_insets: counters.semijoin_insets,
+            semijoin_blooms: counters.semijoin_blooms,
         }
-        stats
     }
 
     /// Aggregated retry/fault counters across every registered wrapper that
@@ -960,5 +888,35 @@ impl BdiSystem {
     /// fault-tolerance layer, alongside [`BdiSystem::context_stats`].
     pub fn retry_stats(&self) -> bdi_wrappers::RetryStats {
         self.registry.retry_stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::supersede;
+
+    /// A plan is only ever cached under the validity its compiler read: one
+    /// whose validity the cache has moved past while it compiled is dropped.
+    #[test]
+    fn insert_under_a_superseded_validity_is_dropped() {
+        let system = supersede::build_running_example();
+        let omq = supersede::exemplary_omq();
+        let options = ExecOptions::default();
+        let key = (omq.clone(), VersionScope::All, options.split().0);
+        let read = system.cache_validity();
+        assert!(system.cache.lookup(read, &key).is_none());
+        let rewriting = system.rewrite(omq).unwrap();
+        let compiled = Arc::new(
+            exec::compile_query(system.ontology(), system.registry(), rewriting, &options).unwrap(),
+        );
+        // Meanwhile a wrapper push moved the stats epoch and another request
+        // brought the cache up to it.
+        let moved = (read.0, read.1, read.2, read.3.wrapping_add(1));
+        drop(system.cache.revalidate(moved));
+        system.cache.insert(read, key.clone(), compiled.clone());
+        assert_eq!(system.plan_cache_stats().entries, 0);
+        system.cache.insert(moved, key, compiled);
+        assert_eq!(system.plan_cache_stats().entries, 1);
     }
 }

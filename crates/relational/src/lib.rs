@@ -28,8 +28,8 @@ pub mod value;
 pub use algebra::{AlgebraError, RelExpr, SourceResolver};
 pub use expr::{Expr, ExprError};
 pub use plan::{
-    BatchIter, Bound, ColumnFilter, ExecContext, ExecPolicy, PhysicalPlan, PlanError, PlanSource,
-    Predicate, ScanMark, ScanRequest,
+    BatchIter, Bound, ColumnFilter, ContextCounters, ExecContext, ExecPolicy, PhysicalPlan,
+    PlanError, PlanSource, Predicate, ScanMark, ScanRequest,
 };
 pub use relation::{Relation, RelationError, Tuple};
 pub use schema::{Attribute, Schema, SchemaError};

@@ -5,7 +5,7 @@
 //! tuple-at-a-time, cloning every surviving row at every operator. This
 //! module is the engine production queries actually run on:
 //!
-//! * a [`PhysicalPlan`] of **scan / rename / project / hash-join / union**
+//! * a [`PhysicalPlan`] of **scan / project / filter / hash-join / union**
 //!   nodes, with attribute renames fused into the scans' [`ScanRequest`]s so
 //!   they cost nothing at run time;
 //! * a [`ValuePool`] interning every scalar once, so operators move rows of
@@ -790,11 +790,6 @@ pub enum PhysicalPlan {
         source: String,
         request: ScanRequest,
     },
-    /// Pure relabeling — free at run time (batches pass through untouched).
-    Rename {
-        input: Box<PhysicalPlan>,
-        schema: Schema,
-    },
     /// Positional projection.
     Project {
         input: Box<PhysicalPlan>,
@@ -829,35 +824,6 @@ impl PhysicalPlan {
             source: source.into(),
             request,
         }
-    }
-
-    /// Relabels attributes (`(from, to)` pairs), preserving ID flags.
-    pub fn rename(self, renames: &[(&str, &str)]) -> Result<Self, PlanError> {
-        for (from, _) in renames {
-            self.schema().require(from).map_err(RelationError::Schema)?;
-        }
-        let attrs = self
-            .schema()
-            .attributes()
-            .iter()
-            .map(|attr| {
-                let name = renames
-                    .iter()
-                    .find(|(from, _)| from == &attr.name())
-                    .map(|(_, to)| *to)
-                    .unwrap_or(attr.name());
-                if attr.is_id() {
-                    Attribute::id(name)
-                } else {
-                    Attribute::non_id(name)
-                }
-            })
-            .collect();
-        let schema = Schema::new(attrs).map_err(RelationError::Schema)?;
-        Ok(PhysicalPlan::Rename {
-            input: Box::new(self),
-            schema,
-        })
     }
 
     /// Projects `indices` of the input, labelling them with `schema`.
@@ -961,9 +927,7 @@ impl PhysicalPlan {
     pub fn schema(&self) -> &Schema {
         match self {
             PhysicalPlan::Scan { request, .. } => request.output(),
-            PhysicalPlan::Rename { schema, .. }
-            | PhysicalPlan::Project { schema, .. }
-            | PhysicalPlan::HashJoin { schema, .. } => schema,
+            PhysicalPlan::Project { schema, .. } | PhysicalPlan::HashJoin { schema, .. } => schema,
             PhysicalPlan::Filter { input, .. } => input.schema(),
             PhysicalPlan::Union { inputs } => inputs[0].schema(),
         }
@@ -991,7 +955,6 @@ impl fmt::Display for PhysicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PhysicalPlan::Scan { source, request } => write!(f, "scan {source} {request}"),
-            PhysicalPlan::Rename { input, schema } => write!(f, "ρ{schema}({input})"),
             PhysicalPlan::Project {
                 input,
                 indices,
@@ -1337,6 +1300,43 @@ impl JoinIndex {
 /// build sides) in an [`ExecContext`].
 pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
+/// One [`ExecContext`]'s lifetime counters and high-water marks as plain
+/// values ([`ExecContext::counters`]). An owner of many contexts folds them
+/// with `+=`: the five counts add, the two peaks take the maximum.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ContextCounters {
+    /// Semi-join sideways passes shipped as exact IN-set filters (see
+    /// [`ExecPolicy::semijoin_max_keys`]).
+    pub semijoin_insets: u64,
+    /// Semi-join sideways passes shipped as bloom filters.
+    pub semijoin_blooms: u64,
+    /// Scan-cache fills that resumed from an older data version's
+    /// [`ScanMark`] instead of re-reading their source.
+    pub resumed_scans: u64,
+    /// Rows those resumed fills read (and appended to the cached tables).
+    pub resumed_rows: u64,
+    /// Scan-cache fills that read their source from the first record (no
+    /// resumable predecessor, or the source declined).
+    pub full_scans: u64,
+    /// [`ExecContext::peak_bytes`].
+    pub peak_bytes: usize,
+    /// High-water mark of [`ExecContext::pooled_values`] (a pool never
+    /// shrinks, so one context's peak is its current size).
+    pub peak_pooled_values: usize,
+}
+
+impl std::ops::AddAssign for ContextCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.semijoin_insets += other.semijoin_insets;
+        self.semijoin_blooms += other.semijoin_blooms;
+        self.resumed_scans += other.resumed_scans;
+        self.resumed_rows += other.resumed_rows;
+        self.full_scans += other.full_scans;
+        self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
+        self.peak_pooled_values = self.peak_pooled_values.max(other.peak_pooled_values);
+    }
+}
+
 /// Shared state for executing plans: the value pool, the interned-scan
 /// cache and the hash-join build cache. `Sync` — walk plans for one
 /// rewriting run against a single shared context, possibly from scoped
@@ -1495,33 +1495,17 @@ impl ExecContext {
         self.value_cap
     }
 
-    /// Lifetime count of IN-set semi-join sideways passes executed through
-    /// this context (see [`ExecPolicy::semijoin_max_keys`]).
-    pub fn semijoin_insets(&self) -> u64 {
-        self.semijoin_insets.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of bloom semi-join sideways passes executed through
-    /// this context (see [`ExecPolicy::semijoin_max_keys`]).
-    pub fn semijoin_blooms(&self) -> u64 {
-        self.semijoin_blooms.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of scan-cache fills that resumed from an older data
-    /// version's [`ScanMark`] instead of re-reading their source.
-    pub fn resumed_scans(&self) -> u64 {
-        self.resumed_scans.load(Ordering::Relaxed)
-    }
-
-    /// Rows those resumed fills read (and appended to the cached tables).
-    pub fn resumed_rows(&self) -> u64 {
-        self.resumed_rows.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of scan-cache fills that read their source from the
-    /// first record (no resumable predecessor, or the source declined).
-    pub fn full_scans(&self) -> u64 {
-        self.full_scans.load(Ordering::Relaxed)
+    /// This context's lifetime counters and high-water marks, read now.
+    pub fn counters(&self) -> ContextCounters {
+        ContextCounters {
+            semijoin_insets: self.semijoin_insets.load(Ordering::Relaxed),
+            semijoin_blooms: self.semijoin_blooms.load(Ordering::Relaxed),
+            resumed_scans: self.resumed_scans.load(Ordering::Relaxed),
+            resumed_rows: self.resumed_rows.load(Ordering::Relaxed),
+            full_scans: self.full_scans.load(Ordering::Relaxed),
+            peak_bytes: self.peak_bytes(),
+            peak_pooled_values: self.pooled_values(),
+        }
     }
 
     /// Whether the shared pool has grown past the configured watermark.
@@ -1577,8 +1561,9 @@ impl ExecContext {
         self.scans.lock().expect("scan cache poisoned").len()
     }
 
-    /// Number of cached join build sides (diagnostics / eviction tests).
-    pub fn cached_builds(&self) -> usize {
+    /// Number of cached join build sides.
+    #[cfg(test)]
+    fn cached_builds(&self) -> usize {
         self.builds.lock().expect("build cache poisoned").len()
     }
 
@@ -1638,7 +1623,8 @@ impl ExecContext {
     }
 
     /// Interns an entire relation.
-    pub fn intern_relation(&self, relation: &Relation) -> Batch {
+    #[cfg(test)]
+    fn intern_relation(&self, relation: &Relation) -> Batch {
         let mut batch = Batch::new(relation.schema().len());
         for row in relation.rows() {
             batch.push(row.iter().map(|v| self.pool.intern(v)));
@@ -2217,7 +2203,7 @@ fn adaptive_batch_rows(
 }
 
 /// Estimated output rows of a plan subtree: defined for scan-leaf chains
-/// (Rename/Project/Filter over one Scan — none of which grow the row
+/// (Project/Filter over one Scan — none of which grow the row
 /// count), `None` for joins and unions.
 fn plan_hint(plan: &PhysicalPlan, source: &dyn PlanSource) -> Option<u64> {
     match plan {
@@ -2225,9 +2211,9 @@ fn plan_hint(plan: &PhysicalPlan, source: &dyn PlanSource) -> Option<u64> {
             source: name,
             request,
         } => source.scan_hint(name, request),
-        PhysicalPlan::Rename { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Filter { input, .. } => plan_hint(input, source),
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
+            plan_hint(input, source)
+        }
         _ => None,
     }
 }
@@ -2245,9 +2231,9 @@ fn plan_hint_is_estimate(plan: &PhysicalPlan, source: &dyn PlanSource) -> bool {
             source: name,
             request,
         } => !request.filters().is_empty() && source.stats(name).is_some(),
-        PhysicalPlan::Rename { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Filter { input, .. } => plan_hint_is_estimate(input, source),
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
+            plan_hint_is_estimate(input, source)
+        }
         _ => false,
     }
 }
@@ -2261,9 +2247,7 @@ fn plan_scan_site(plan: &PhysicalPlan, index: usize) -> Option<(&str, &str)> {
             source: name,
             request,
         } => Some((name.as_str(), request.columns().get(index)?.as_str())),
-        PhysicalPlan::Rename { input, .. } | PhysicalPlan::Filter { input, .. } => {
-            plan_scan_site(input, index)
-        }
+        PhysicalPlan::Filter { input, .. } => plan_scan_site(input, index),
         PhysicalPlan::Project { input, indices, .. } => plan_scan_site(input, *indices.get(index)?),
         _ => None,
     }
@@ -2405,9 +2389,6 @@ enum ScanState<'r> {
 
 enum OpNode<'r> {
     Scan(ScanOp<'r>),
-    Rename {
-        input: Box<OpNode<'r>>,
-    },
     Project {
         input: Box<OpNode<'r>>,
         indices: Vec<usize>,
@@ -2646,9 +2627,6 @@ impl<'r> OpNode<'r> {
                 semijoin_reduced: false,
                 state: ScanState::Pending,
             }),
-            PhysicalPlan::Rename { input, .. } => OpNode::Rename {
-                input: Box::new(OpNode::compile(input)),
-            },
             PhysicalPlan::Project { input, indices, .. } => OpNode::Project {
                 input: Box::new(OpNode::compile(input)),
                 indices: indices.clone(),
@@ -2686,7 +2664,6 @@ impl<'r> OpNode<'r> {
     fn arity(&self) -> usize {
         match self {
             OpNode::Scan(op) => op.request.output().len(),
-            OpNode::Rename { input } => input.arity(),
             OpNode::Project { indices, .. } => indices.len(),
             OpNode::Filter { input, .. } => input.arity(),
             OpNode::HashJoin { arity, .. } | OpNode::Union { arity, .. } => *arity,
@@ -2698,18 +2675,17 @@ impl<'r> OpNode<'r> {
     fn size_hint(&self, source: &dyn PlanSource) -> Option<u64> {
         match self {
             OpNode::Scan(op) => source.scan_hint(&op.source, &op.request),
-            OpNode::Rename { input } => input.size_hint(source),
             OpNode::Project { input, .. } | OpNode::Filter { input, .. } => input.size_hint(source),
             _ => None,
         }
     }
 
-    /// Maps output column `index` down a Rename/Project/Filter chain to the
+    /// Maps output column `index` down a Project/Filter chain to the
     /// scan leaf it originates from — the semi-join injection site.
     fn scan_site(&mut self, index: usize) -> Option<(usize, &mut ScanOp<'r>)> {
         match self {
             OpNode::Scan(op) => Some((index, op)),
-            OpNode::Rename { input } | OpNode::Filter { input, .. } => input.scan_site(index),
+            OpNode::Filter { input, .. } => input.scan_site(index),
             OpNode::Project { input, indices, .. } => {
                 let mapped = *indices.get(index)?;
                 input.scan_site(mapped)
@@ -2898,7 +2874,6 @@ impl<'r> OpNode<'r> {
     ) -> Result<Option<Batch>, PlanError> {
         match self {
             OpNode::Scan(op) => op.next_batch(ctx, plan_source, policy),
-            OpNode::Rename { input } => input.next_batch(ctx, plan_source, policy),
             OpNode::Project { input, indices } => {
                 let Some(batch) = input.next_batch(ctx, plan_source, policy)? else {
                     return Ok(None);
@@ -3120,9 +3095,7 @@ fn collect_prefetch_scans<'p>(
                 out.push((name, request, cached));
             }
         }
-        PhysicalPlan::Rename { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Filter { input, .. } => {
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
             collect_prefetch_scans(input, ctx, source, policy, out)
         }
         PhysicalPlan::HashJoin {
@@ -3501,7 +3474,7 @@ mod tests {
         let ctx = ExecContext::new();
         let scanned = run_in(&scan_all("w1", &w1()), &ctx, &counting).unwrap();
         assert_eq!(
-            (scanned.len(), ctx.full_scans(), ctx.cached_scans()),
+            (scanned.len(), ctx.counters().full_scans, ctx.cached_scans()),
             (3, 1, 1)
         );
         assert_eq!(counting.0.load(Ordering::SeqCst), 1);
@@ -3517,17 +3490,6 @@ mod tests {
         .unwrap();
         let batch = ctx.intern_relation(&rel);
         assert_eq!(batch.row(0), batch.row(1));
-    }
-
-    #[test]
-    fn rename_is_free_and_relabels() {
-        let plan = scan_all("w1", &w1())
-            .rename(&[("VoDmonitorId", "monitorId")])
-            .unwrap();
-        assert!(plan.schema().attribute("monitorId").unwrap().is_id());
-        let out = run(&plan, &source).unwrap();
-        assert_eq!(out.len(), 3);
-        assert!(scan_all("w1", &w1()).rename(&[("zz", "x")]).is_err());
     }
 
     #[test]
@@ -4068,7 +4030,7 @@ mod tests {
             .iter()
             .all(|r| r.filters().is_empty()));
         assert_eq!(ctx.cached_scans(), 2);
-        assert_eq!(ctx.semijoin_blooms(), 0);
+        assert_eq!(ctx.counters().semijoin_blooms, 0);
     }
 
     #[test]
@@ -4099,7 +4061,7 @@ mod tests {
             other => panic!("expected bloom injection, got {other:?}"),
         }
         assert_eq!(ctx.cached_scans(), 1);
-        assert_eq!(ctx.semijoin_blooms(), 1);
+        assert_eq!(ctx.counters().semijoin_blooms, 1);
     }
 
     #[test]
@@ -4430,8 +4392,11 @@ mod tests {
             bytes.push(ctx.memory_estimate());
             src.push(10 + step % 5, 100.0 + step as f64);
         }
-        assert_eq!(ctx.full_scans(), 2); // w3 and wgrow, once each
-        assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (39, 39));
+        assert_eq!(ctx.counters().full_scans, 2); // w3 and wgrow, once each
+        assert_eq!(
+            (ctx.counters().resumed_scans, ctx.counters().resumed_rows),
+            (39, 39)
+        );
         // Flat: what 40 rows and their values take, not 40 tables' worth.
         let growth = bytes[39] - bytes[0];
         assert!(growth < 8 * 1024, "estimate grew by {growth} bytes");
@@ -4458,7 +4423,10 @@ mod tests {
         src.epoch.fetch_add(1, Ordering::SeqCst);
         let refilled = run_in(&plan, &ctx, &src).unwrap();
         assert_eq!(refilled.rows(), src.relation(0).rows());
-        assert_eq!((ctx.resumed_scans(), ctx.full_scans()), (0, 2));
+        assert_eq!(
+            (ctx.counters().resumed_scans, ctx.counters().full_scans),
+            (0, 2)
+        );
         assert_eq!(ctx.cached_scans(), 1);
 
         // The source dies mid-read: the query fails, nothing is cached for
@@ -4473,8 +4441,11 @@ mod tests {
         src.push(31, 9.75);
         let healed = run_in(&plan, &ctx, &src).unwrap();
         assert_eq!(healed.rows(), src.relation(0).rows());
-        assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (1, 2));
-        assert_eq!(ctx.full_scans(), 2);
+        assert_eq!(
+            (ctx.counters().resumed_scans, ctx.counters().resumed_rows),
+            (1, 2)
+        );
+        assert_eq!(ctx.counters().full_scans, 2);
         assert_eq!(ctx.cached_scans(), 1);
     }
 
@@ -4496,13 +4467,16 @@ mod tests {
             .unwrap()
             .iter()
             .all(|r| r.filters().is_empty()));
-        assert_eq!((ctx.resumed_scans(), ctx.resumed_rows()), (1, 1));
-        assert_eq!(ctx.semijoin_insets(), 0);
+        assert_eq!(
+            (ctx.counters().resumed_scans, ctx.counters().resumed_rows),
+            (1, 1)
+        );
+        assert_eq!(ctx.counters().semijoin_insets, 0);
         // On a fresh context the same join does reduce its probe: 2 keys
         // against 13 rows, no sketches to say otherwise.
         let cold = ExecContext::new();
         run_in(&w3_wgrow_join(), &cold, &src).unwrap();
-        assert_eq!(cold.semijoin_insets(), 1);
+        assert_eq!(cold.counters().semijoin_insets, 1);
     }
 
     /// The gate compares build keys with the probe key column's distinct
@@ -4531,7 +4505,7 @@ mod tests {
                 let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
                 assert_eq!(out.rows(), eager.rows());
                 assert_eq!(
-                    ctx.semijoin_insets(),
+                    ctx.counters().semijoin_insets,
                     u64::from(injects),
                     "stats {with_stats}, prefetch {prefetch}"
                 );

@@ -11,8 +11,9 @@
 //!
 //! The server holds the [`BdiSystem`] behind an `Arc` and calls
 //! [`BdiSystem::serve`] concurrently from every connection thread — the
-//! sharded plan cache and pooled execution contexts underneath are what
-//! make that safe and non-convoying.
+//! plan cache (one lock, held for a probe or an insert, never across a
+//! request) and the pooled execution contexts underneath are what make
+//! that safe and non-convoying.
 //!
 //! # Endpoints
 //!

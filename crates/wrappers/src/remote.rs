@@ -24,6 +24,19 @@
 //!   with the mediator's execution and a stalled endpoint surfaces as a
 //!   transient timeout error instead of a hang. Retry activity is counted
 //!   in [`RetryStats`], surfaced through [`Wrapper::retry_stats`].
+//!
+//! This file is on the serving path — its pager thread feeds live queries —
+//! so it may not panic: the same six clippy lints the server crate denies
+//! in its manifest are denied here.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::wrapper::{RetryStats, RowBatches, Wrapper, WrapperError};
 use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest};
@@ -185,11 +198,6 @@ impl SimulatedEndpoint {
     /// hint).
     pub fn row_count(&self) -> u64 {
         self.data.len() as u64
-    }
-
-    /// Pages served successfully over the endpoint's lifetime.
-    pub fn pages_served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
     }
 
     /// Serves one page for a query string rendered by
@@ -806,6 +814,7 @@ impl Wrapper for RemoteWrapper {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub(crate) mod tests {
     use super::*;
     use crate::wrapper::{FailureKind, WrapperRegistry};

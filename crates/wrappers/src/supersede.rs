@@ -12,11 +12,9 @@
 //!   `w3(TargetApp, MonitorId, FeedbackId)`.
 
 use crate::json_wrapper::JsonWrapper;
-use crate::wrapper::WrapperRegistry;
 use bdi_docstore::{AggExpr, DocStore, Pipeline, Projection};
 use bdi_relational::Schema;
 use serde_json::json;
-use std::sync::Arc;
 
 /// Collection names for the three sources.
 pub const VOD_COLLECTION: &str = "d1/vod";
@@ -151,15 +149,6 @@ pub fn wrapper_w4(store: DocStore) -> JsonWrapper {
     .expect("static wrapper definition")
 }
 
-/// Builds the initial registry `{w1, w2, w3}` over the sample store.
-pub fn initial_registry(store: &DocStore) -> WrapperRegistry {
-    let mut registry = WrapperRegistry::new();
-    registry.register(Arc::new(wrapper_w1(store.clone())));
-    registry.register(Arc::new(wrapper_w2(store.clone())));
-    registry.register(Arc::new(wrapper_w3(store.clone())));
-    registry
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,12 +197,5 @@ mod tests {
         let rel = wrapper_w4(store).scan().unwrap();
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.value(0, "bufferingRatio").unwrap(), &Value::Float(0.42));
-    }
-
-    #[test]
-    fn initial_registry_has_three_wrappers() {
-        let registry = initial_registry(&sample_docstore());
-        assert_eq!(registry.len(), 3);
-        assert_eq!(registry.by_source(D1).len(), 1);
     }
 }

@@ -71,10 +71,6 @@ pub struct TableWrapper {
     claims_fp: u64,
     /// Per-column sketches, maintained incrementally at write time.
     stats: Mutex<StatsState>,
-    /// Multiplier applied to the published snapshot's row and distinct
-    /// counts (see [`TableWrapper::with_stats_distortion`]). `None`
-    /// publishes the sketches untouched.
-    stats_distortion: Option<f64>,
 }
 
 impl TableWrapper {
@@ -102,25 +98,11 @@ impl TableWrapper {
                 builder,
                 cached: None,
             }),
-            stats_distortion: None,
         };
         wrapper.claims_fp = crate::wrapper::probe_claims_fingerprint(&wrapper.schema, |f| {
             Wrapper::claims_filter(&wrapper, f)
         });
         Ok(wrapper)
-    }
-
-    /// Makes [`Wrapper::column_stats`] publish deliberately wrong
-    /// sketches: row and distinct counts multiplied by `factor`, bounds
-    /// and membership filters dropped — the shape of a stale snapshot
-    /// after the table grew (or shrank) by that factor. Only *estimates*
-    /// are distorted; scans, claims and the exact unfiltered
-    /// [`Wrapper::scan_hint`] are untouched, so plans may get slower but
-    /// answers (and row order) cannot change. Built for the misestimation
-    /// benchmarks and the adversarial differential tests.
-    pub fn with_stats_distortion(mut self, factor: f64) -> Self {
-        self.stats_distortion = Some(factor);
-        self
     }
 
     /// Appends a row (new source data arriving), bumps the data version
@@ -296,11 +278,7 @@ impl Wrapper for TableWrapper {
                 return Some(Arc::clone(snapshot));
             }
         }
-        let mut snapshot = stats.builder.snapshot(version);
-        if let Some(factor) = self.stats_distortion {
-            snapshot = snapshot.scaled(factor);
-        }
-        let snapshot = Arc::new(snapshot);
+        let snapshot = Arc::new(stats.builder.snapshot(version));
         stats.cached = Some((version, Arc::clone(&snapshot)));
         Some(snapshot)
     }

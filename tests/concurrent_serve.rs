@@ -159,3 +159,145 @@ fn pool_retires_contexts_after_release_between_concurrent_batches() {
     let second_misses = shared(&sys);
     assert!(second_misses >= 1);
 }
+
+/// Readers over mixed cache keys while a writer appends to one wrapper, so
+/// the stats epoch — the fourth member of the cache's validity stamp —
+/// moves under them. The mutated wrapper sits in exactly one walk of every
+/// variant, so each answer must equal the eager reference at *one* state
+/// between the pushes acknowledged before the request and those started by
+/// its end; the map never outgrows its cap and nothing poisons.
+#[test]
+fn readers_racing_a_stats_epoch_writer_answer_from_some_earlier_state() {
+    use bdi::core::exec::{Engine, FeatureFilter};
+    use bdi::relational::Predicate;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    const PUSHES: usize = 24;
+    const READERS: usize = 8;
+    let pushed = |k: usize| vec![Value::Int(100 + k as i64), Value::Float(1000.0 + k as f64)];
+    let build = || {
+        let mut sys = system(1, 3);
+        let grown = synthetic::register_extra_chain_wrapper_handle(&mut sys, 1, 4, rows(5, false));
+        (sys, grown)
+    };
+    let only = |names: &[&str]| {
+        VersionScope::Only(
+            names
+                .iter()
+                .map(|n| (*n).to_owned())
+                .collect::<BTreeSet<_>>(),
+        )
+    };
+    let variants: Vec<(VersionScope, ExecOptions)> = vec![
+        (VersionScope::All, ExecOptions::default()),
+        (VersionScope::Latest, ExecOptions::default()),
+        (only(&["w_1_4"]), ExecOptions::default()),
+        (only(&["w_1_2", "w_1_4"]), ExecOptions::default()),
+        (
+            VersionScope::All,
+            ExecOptions {
+                cost_based_joins: false,
+                ..ExecOptions::default()
+            },
+        ),
+        (
+            VersionScope::UpToRelease(3),
+            ExecOptions {
+                filters: vec![FeatureFilter::new(
+                    synthetic::chain_data_feature(1),
+                    Predicate::between(2.0, 1010.0),
+                )],
+                ..ExecOptions::default()
+            },
+        ),
+    ];
+    let request = |(scope, options): &(VersionScope, ExecOptions)| {
+        AnswerRequest::omq(synthetic::chain_query(1))
+            .scope(scope.clone())
+            .options(options.clone())
+    };
+
+    // reference[k][v]: the eager answer to variant v after k pushes, from a
+    // twin deployment driven serially.
+    let reference: Vec<Vec<_>> = {
+        let (twin, grown) = build();
+        (0..=PUSHES)
+            .map(|k| {
+                if k > 0 {
+                    grown.push(pushed(k - 1)).expect("twin push");
+                }
+                variants
+                    .iter()
+                    .map(|(scope, options)| {
+                        let eager = ExecOptions {
+                            engine: Engine::Eager,
+                            cache_plans: false,
+                            reuse_scans: false,
+                            ..options.clone()
+                        };
+                        twin.serve(request(&(scope.clone(), eager)))
+                            .expect("eager reference")
+                            .relation
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+
+    let (system, grown) = build();
+    let (started, acked, reads) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for k in 0..PUSHES {
+                // Each push waits for fresh reads since the last one, so
+                // pushes land between (and under) requests, not before them.
+                while reads.load(Ordering::SeqCst) < (k + 1) * READERS / 2 {
+                    std::thread::yield_now();
+                }
+                started.store(k + 1, Ordering::SeqCst);
+                grown.push(pushed(k)).expect("push");
+                acked.store(k + 1, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        for t in 0..READERS {
+            let (system, variants, reference) = (&system, &variants, &reference);
+            let (started, acked, reads, done) = (&started, &acked, &reads, &done);
+            scope.spawn(move || {
+                let mut i = t;
+                // Until the writer is through, then once more per variant
+                // at the end state.
+                let mut closing = 0;
+                while closing < variants.len() {
+                    if done.load(Ordering::SeqCst) {
+                        closing += 1;
+                    }
+                    let v = i % variants.len();
+                    i += 1;
+                    let lo = acked.load(Ordering::SeqCst);
+                    let answer = system.serve(request(&variants[v])).expect("racing serve");
+                    let hi = started.load(Ordering::SeqCst);
+                    reads.fetch_add(1, Ordering::SeqCst);
+                    assert!(
+                        (lo..=hi).any(|k| answer.relation.rows() == reference[k][v].rows()),
+                        "variant {v}: {} rows match no state in {lo}..={hi}",
+                        answer.relation.len()
+                    );
+                }
+            });
+        }
+    });
+
+    assert_eq!(acked.load(Ordering::SeqCst), PUSHES);
+    let stats = system.plan_cache_stats();
+    assert!(stats.entries <= 64 && stats.entries <= variants.len());
+    assert!(stats.misses >= variants.len() as u64);
+    let _ = system.context_stats();
+    let _ = system.planner_stats();
+}

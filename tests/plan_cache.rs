@@ -374,3 +374,47 @@ fn cached_and_uncached_answers_agree_on_filtered_queries() {
     // pair is a hit.
     assert!(sys.plan_cache_stats().hits >= 2);
 }
+
+/// The `i`-th of arbitrarily many distinct `(OMQ, scope)` cache keys over
+/// [`system`]`(2, 2)` (every scope admits all four wrappers).
+fn distinct_request(i: usize) -> AnswerRequest {
+    AnswerRequest::omq(synthetic::chain_query(1 + i % 2))
+        .scope(VersionScope::UpToRelease(3 + i / 2))
+}
+
+/// The cache holds as many plans as it says: 64 distinct keys all stay
+/// resident, so a second pass over them hits every time.
+#[test]
+fn a_64_entry_cache_holds_64_plans() {
+    let sys = system(2, 2);
+    for i in 0..64 {
+        sys.serve(distinct_request(i)).unwrap();
+    }
+    let first = sys.plan_cache_stats();
+    assert_eq!((first.entries, first.misses, first.hits), (64, 64, 0));
+    for i in 0..64 {
+        sys.serve(distinct_request(i)).unwrap();
+    }
+    let second = sys.plan_cache_stats();
+    assert_eq!((second.entries, second.misses, second.hits), (64, 64, 64));
+}
+
+/// Eviction is least-recently-*hit*, not oldest-inserted: a hit on the
+/// oldest entry saves it, and the 65th key pushes out the next-oldest.
+#[test]
+fn the_65th_key_evicts_the_least_recently_hit_entry() {
+    let sys = system(2, 2);
+    for i in 0..64 {
+        sys.serve(distinct_request(i)).unwrap();
+    }
+    sys.serve(distinct_request(0)).unwrap(); // hit: key 0 is now the newest
+    sys.serve(distinct_request(64)).unwrap(); // evicts key 1
+    let full = sys.plan_cache_stats();
+    assert_eq!((full.entries, full.misses, full.hits), (64, 65, 1));
+
+    sys.serve(distinct_request(0)).unwrap();
+    assert_eq!(sys.plan_cache_stats().hits, 2, "key 0 survived");
+    sys.serve(distinct_request(1)).unwrap();
+    let after = sys.plan_cache_stats();
+    assert_eq!((after.entries, after.misses, after.hits), (64, 66, 2));
+}

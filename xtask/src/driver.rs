@@ -3,7 +3,7 @@
 //! asserts every lint still flags its bad fixture.
 
 use crate::lexer::{self, Escape, Lexed};
-use crate::lints::{self, deadline, durability, lock_hold, no_panic, Diagnostic};
+use crate::lints::{self, deadline, durability, lock_hold, Diagnostic};
 use serde_json::json;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -38,10 +38,6 @@ const LOCK_HOLD_DIRS: &[&str] = &[
     "crates/docstore/src",
     "crates/server/src",
 ];
-
-/// Serving-path files where panics are banned.
-const NO_PANIC_DIRS: &[&str] = &["crates/server/src"];
-const NO_PANIC_FILES: &[&str] = &["crates/wrappers/src/remote.rs"];
 
 /// The durable tier, and the mutation entry points the `durability` lint
 /// holds to the WAL-append-before-apply contract. Adding a public
@@ -166,20 +162,6 @@ pub fn analyze(root: &Path) -> Report {
                 lints::ESCAPE,
                 format!("cannot read required file: {e}"),
             )),
-        }
-    }
-
-    // no_panic over the serving-path file set.
-    let mut no_panic_files: Vec<String> = Vec::new();
-    for dir in NO_PANIC_DIRS {
-        no_panic_files.extend(rust_files_under(&root.join(dir), root));
-    }
-    no_panic_files.extend(NO_PANIC_FILES.iter().map(|f| (*f).to_owned()));
-    no_panic_files.sort();
-    no_panic_files.dedup();
-    for rel in &no_panic_files {
-        if let Some((_, lexed)) = files.get(rel) {
-            diags.extend(no_panic::check(rel, lexed));
         }
     }
 
@@ -352,11 +334,6 @@ pub fn self_test() -> Vec<String> {
         }
     };
 
-    let bad = lexer::lex(include_str!("../fixtures/no_panic_bad.rs"));
-    let good = lexer::lex(include_str!("../fixtures/no_panic_good.rs"));
-    expect(lints::NO_PANIC, no_panic::check("fixture", &bad), true);
-    expect(lints::NO_PANIC, no_panic::check("fixture", &good), false);
-
     let bad = lexer::lex(include_str!("../fixtures/deadline_bad.rs"));
     let good = lexer::lex(include_str!("../fixtures/deadline_good.rs"));
     // Only functions the bad fixture has: an unmatched name is a diagnostic
@@ -393,9 +370,9 @@ pub fn self_test() -> Vec<String> {
 
     // The escape mechanism itself: a reasoned allow suppresses, a stale or
     // reasonless one is reported.
-    let escaped_src = "fn f(v: &[u32]) -> u32 {\n    // analyze: allow(no_panic, index 0 checked by caller)\n    v[0]\n}\n";
+    let escaped_src = "fn run(n: u32) {\n    // analyze: allow(deadline, n is bounded by the caller)\n    for _ in 0..n {\n        step();\n    }\n}\n";
     let lexed = lexer::lex(escaped_src);
-    let raw = no_panic::check("fixture", &lexed);
+    let raw = deadline::check("fixture", &lexed, &["run"]);
     let escapes: BTreeMap<String, Vec<Escape>> =
         [("fixture".to_owned(), lexer::escapes(&lexed.comments))].into();
     let (kept, used) = suppress(raw, &escapes);
@@ -404,7 +381,7 @@ pub fn self_test() -> Vec<String> {
             "escape: reasoned allow failed to suppress (kept={kept:?}, used={used:?})"
         ));
     }
-    let stale_src = "// analyze: allow(no_panic, nothing here to suppress)\nfn g() {}\n";
+    let stale_src = "// analyze: allow(deadline, nothing here to suppress)\nfn g() {}\n";
     let lexed = lexer::lex(stale_src);
     let escapes: BTreeMap<String, Vec<Escape>> =
         [("fixture".to_owned(), lexer::escapes(&lexed.comments))].into();
@@ -431,14 +408,14 @@ mod tests {
             "f".to_owned(),
             vec![Escape {
                 line: 10,
-                lint: "no_panic".to_owned(),
+                lint: "lock_hold".to_owned(),
                 reason: "why".to_owned(),
             }],
         )]
         .into();
         let raw = vec![
-            Diagnostic::new("f", 11, lints::NO_PANIC, "adjacent"),
-            Diagnostic::new("f", 13, lints::NO_PANIC, "too far"),
+            Diagnostic::new("f", 11, lints::LOCK_HOLD, "adjacent"),
+            Diagnostic::new("f", 13, lints::LOCK_HOLD, "too far"),
             Diagnostic::new("f", 11, lints::DEADLINE, "wrong lint"),
         ];
         let (kept, used) = suppress(raw, &escapes);

@@ -530,11 +530,11 @@ mod tests {
     #[test]
     fn escape_comments_parse() {
         let lexed = lex(
-            "// analyze: allow(no_panic, bounds checked two lines up)\nx[i];\n// analyze: allow(no_panic)\n",
+            "// analyze: allow(deadline, bounds checked two lines up)\nx[i];\n// analyze: allow(deadline)\n",
         );
         let escapes = escapes(&lexed.comments);
         assert_eq!(escapes.len(), 2);
-        assert_eq!(escapes[0].lint, "no_panic");
+        assert_eq!(escapes[0].lint, "deadline");
         assert_eq!(escapes[0].reason, "bounds checked two lines up");
         assert_eq!(escapes[0].line, 1);
         assert!(escapes[1].reason.is_empty());

@@ -5,19 +5,17 @@
 pub mod deadline;
 pub mod durability;
 pub mod lock_hold;
-pub mod no_panic;
 
 /// Lint names, as they appear in diagnostics and escape comments.
 pub const LOCK_HOLD: &str = "lock_hold";
 pub const DEADLINE: &str = "deadline";
-pub const NO_PANIC: &str = "no_panic";
 pub const DURABILITY: &str = "durability";
 /// Meta-lint for the escape mechanism itself (malformed/unknown/stale
 /// `// analyze: allow(...)` comments). Not escapable.
 pub const ESCAPE: &str = "escape";
 
 /// Every escapable lint (what an `allow(...)` may name).
-pub const ALL_LINTS: &[&str] = &[LOCK_HOLD, DEADLINE, NO_PANIC, DURABILITY];
+pub const ALL_LINTS: &[&str] = &[LOCK_HOLD, DEADLINE, DURABILITY];
 
 /// One finding: `file:line: [lint] message`.
 #[derive(Debug, Clone)]

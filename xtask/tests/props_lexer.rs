@@ -38,7 +38,7 @@ const FRAGMENTS: &[&str] = &[
     "1_000",
     "%",
     "é",
-    "analyze: allow(no_panic, reason)",
+    "analyze: allow(deadline, reason)",
 ];
 
 fn arb_source() -> impl Strategy<Value = String> {
