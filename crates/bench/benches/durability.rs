@@ -29,7 +29,6 @@ use bdi_docstore::DocStore;
 use bdi_rdf::model::{GraphName, Iri, Literal, Quad};
 use bdi_rdf::store::QuadStore;
 use serde_json::json;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Named graph the bulk quads land in (never the ontology's own graphs).
@@ -199,31 +198,17 @@ fn main() {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    // ---- Persist machine-readable results at the workspace root — but
-    // not from a smoke run, whose timings are meaningless.
-    if bdi_bench::fast_mode() {
-        println!("fast mode: skipping BENCH_durability.json");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_durability.json");
-    let mut out = String::from(
-        "{\n  \"bench\": \"durability\",\n  \"workload\": \"cold-start recovery + checkpoint at 100k quads / 50k docs, WAL write overhead vs volatile stores\",\n  \"results\": [\n",
+    bdi_bench::write_results(
+        "durability",
+        "cold-start recovery + checkpoint at 100k quads / 50k docs, WAL write overhead vs volatile stores",
+        &records,
+        "ratios",
+        &[
+            ("cold_start_replay_over_snapshot", cold_start_speedup),
+            ("checkpoint_ms", checkpoint_ns / 1e6),
+            ("wal_quad_overhead", quad_overhead),
+            ("wal_doc_overhead", doc_overhead),
+            ("wal_batched_quad_overhead", batch_overhead),
+        ],
     );
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
-            r.id,
-            r.ns_per_iter,
-            r.iters,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"ratios\": {{\"cold_start_replay_over_snapshot\": {cold_start_speedup:.2}, \"checkpoint_ms\": {:.2}, \"wal_quad_overhead\": {quad_overhead:.2}, \"wal_doc_overhead\": {doc_overhead:.2}, \"wal_batched_quad_overhead\": {batch_overhead:.2}}}\n}}\n",
-        checkpoint_ns / 1e6
-    ));
-    let mut f = std::fs::File::create(out_path).expect("write BENCH_durability.json");
-    f.write_all(out.as_bytes())
-        .expect("write BENCH_durability.json");
-    println!("wrote {out_path}");
 }

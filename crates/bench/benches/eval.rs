@@ -7,21 +7,16 @@
 //!   reference evaluator (the seed's architecture).
 //! * **Bulk load** — `QuadStore::extend` (one lock, sorted index build) vs.
 //!   per-quad `insert` for the same 100k quads.
-//! * **End-to-end rewrite** — the paper's chain worst case
-//!   (`build_chain_system`), whose cost is dominated by the small internal
-//!   SPARQL queries this PR moved into id space.
 //!
 //! Run with `cargo bench -p bdi_bench --bench eval`. Results are printed and
 //! written to `BENCH_eval.json` at the workspace root so future PRs can
 //! track the trajectory.
 
-use bdi_bench::synthetic;
 use bdi_bench::{measure, Measurement};
 use bdi_rdf::model::{GraphName, Iri, Quad, Term};
 use bdi_rdf::sparql::{self, EvalOptions, GraphSpec, SelectQuery, TermOrVar, Variable};
 use bdi_rdf::store::{GraphPattern, QuadStore};
 use std::collections::HashMap;
-use std::io::Write;
 
 // ---------------------------------------------------------------------------
 // Workload: n subjects × 5 predicates over 4 named graphs (100k quads).
@@ -191,41 +186,15 @@ fn main() {
     });
     let load_speedup = insert_ns / bulk_ns;
 
-    // ---- End-to-end rewrite: chain worst case (3 concepts × 4 wrappers).
-    measure("rewrite/chain_c3_w4", &mut records, || {
-        let system = synthetic::build_chain_system(3, 4, 0);
-        system
-            .rewrite(synthetic::chain_query(3))
-            .expect("rewrites")
-            .walks
-            .len()
-    });
-
     println!();
     println!("speedup: BGP matching (term-space / id-space) = {bgp_speedup:.2}x");
     println!("speedup: bulk load (insert-loop / extend)     = {load_speedup:.2}x");
 
-    // ---- Persist machine-readable results at the workspace root — but not
-    // from a smoke run, whose timings are meaningless.
-    if bdi_bench::fast_mode() {
-        println!("fast mode: skipping BENCH_eval.json");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");
-    let mut json = String::from("{\n  \"bench\": \"eval\",\n  \"workload\": \"100k quads (20k subjects x 5 predicates, 4 named graphs)\",\n  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
-            r.id,
-            r.ns_per_iter,
-            r.iters,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"speedups\": {{\"bgp_matching\": {bgp_speedup:.2}, \"bulk_load\": {load_speedup:.2}}}\n}}\n"
-    ));
-    let mut f = std::fs::File::create(out_path).expect("write BENCH_eval.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_eval.json");
-    println!("wrote {out_path}");
+    bdi_bench::write_results(
+        "eval",
+        "100k quads (20k subjects x 5 predicates, 4 named graphs)",
+        &records,
+        "speedups",
+        &[("bgp_matching", bgp_speedup), ("bulk_load", load_speedup)],
+    );
 }

@@ -66,7 +66,6 @@ use bdi_wrappers::{
     WrapperRegistry,
 };
 use serde_json::json;
-use std::io::Write;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -963,32 +962,27 @@ fn main() {
         "speedup: 4 contended cached-plan callers (whole-serve mutex / shared cache) = {contended_speedup:.2}x"
     );
 
-    // ---- Persist machine-readable results at the workspace root — but not
-    // from a smoke run, whose timings are meaningless.
-    if bdi_bench::fast_mode() {
-        println!("fast mode: skipping BENCH_exec.json");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_exec.json");
-    // Thread-dependent ratios (prefetch, parallel walks, contended serve)
-    // only compare between hosts of the same width.
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = format!(
-        "{{\n  \"bench\": \"exec\",\n  \"nproc\": {nproc},\n  \"workload\": \"walk execution: W wrappers x 10k rows x 10 cols (8 noise), 2-concept join, ID filter\",\n  \"results\": [\n",
+    bdi_bench::write_results(
+        "exec",
+        "walk execution: W wrappers x 10k rows x 10 cols (8 noise), 2-concept join, ID filter",
+        &records,
+        "speedups",
+        &[
+            ("union_16_wrappers", speedup_16),
+            ("union_16_wrappers_distinct_worst_case", distinct_speedup),
+            ("join_2x4", join_speedup),
+            ("id_filter", filter_speedup),
+            ("single_walk_prefetch", prefetch_speedup),
+            ("semijoin_selective_join", semijoin_speedup),
+            ("bloom_semijoin_50k_keys", bloom_speedup),
+            ("join_order_cost_based", order_speedup),
+            ("misestimate_overhead_100x", misestimate_overhead),
+            ("cursor_scan_peak_bytes_ratio", cursor_peak_ratio),
+            ("remote_latency_overlap", remote_overlap),
+            ("remote_retry_overhead_10pct", remote_retry_overhead),
+            ("contended_serve_4x", contended_speedup),
+            ("append_requery_json_10k", append_requery_speedup),
+            ("json_stats_fold_append_10k", stats_fold_speedup),
+        ],
     );
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
-            r.id,
-            r.ns_per_iter,
-            r.iters,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"speedups\": {{\"union_16_wrappers\": {speedup_16:.2}, \"union_16_wrappers_distinct_worst_case\": {distinct_speedup:.2}, \"join_2x4\": {join_speedup:.2}, \"id_filter\": {filter_speedup:.2}, \"single_walk_prefetch\": {prefetch_speedup:.2}, \"semijoin_selective_join\": {semijoin_speedup:.2}, \"bloom_semijoin_50k_keys\": {bloom_speedup:.2}, \"join_order_cost_based\": {order_speedup:.2}, \"misestimate_overhead_100x\": {misestimate_overhead:.2}, \"cursor_scan_peak_bytes_ratio\": {cursor_peak_ratio:.2}, \"remote_latency_overlap\": {remote_overlap:.2}, \"remote_retry_overhead_10pct\": {remote_retry_overhead:.2}, \"contended_serve_4x\": {contended_speedup:.2}, \"append_requery_json_10k\": {append_requery_speedup:.2}, \"json_stats_fold_append_10k\": {stats_fold_speedup:.2}}}\n}}\n"
-    ));
-    let mut f = std::fs::File::create(out_path).expect("write BENCH_exec.json");
-    f.write_all(json.as_bytes()).expect("write BENCH_exec.json");
-    println!("wrote {out_path}");
 }

@@ -30,7 +30,6 @@ use bdi_relational::{
     BatchIter, PlanSource, Predicate, Relation, RelationError, ScanMark, ScanRequest,
     SourceResolver, Value,
 };
-use std::io::Write;
 
 // ---------------------------------------------------------------------------
 // Workloads
@@ -243,35 +242,20 @@ fn main() {
     println!("speedup: plan cache (recompile / cached)                 = {cache_speedup:.2}x");
     println!("speedup: plan cache + scan reuse (recompile / reused)    = {reuse_speedup:.2}x");
 
-    // ---- Persist machine-readable results at the workspace root — but not
-    // from a smoke run, whose timings are meaningless.
-    if bdi_bench::fast_mode() {
-        println!("fast mode: skipping BENCH_pushdown.json");
-        return;
-    }
-    let out_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pushdown.json");
-    // Recorded so rows are only compared between hosts of the same width
-    // (walks execute on `nproc` threads), as BENCH_exec.json does.
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = format!(
-        "{{\n  \"bench\": \"pushdown\",\n  \"nproc\": {nproc},\n  \"workload\": \"range/IN predicate scans: 4 wrappers x 10k rows x 10 cols (~1% selectivity); plan cache: chain c3 w4 (64 walks) x 10 rows\",\n  \"results\": [\n",
-    );
-    for (i, r) in records.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"id\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}{}\n",
-            r.id,
-            r.ns_per_iter,
-            r.iters,
-            if i + 1 == records.len() { "" } else { "," }
-        ));
-    }
     let (range_eager, range_residual) = (scan_speedups[0].1, scan_speedups[0].2);
     let (in_eager, in_residual) = (scan_speedups[1].1, scan_speedups[1].2);
-    json.push_str(&format!(
-        "  ],\n  \"speedups\": {{\"pushed_range_scan_vs_eager\": {range_eager:.2}, \"pushed_range_scan_vs_residual\": {range_residual:.2}, \"pushed_in_scan_vs_eager\": {in_eager:.2}, \"pushed_in_scan_vs_residual\": {in_residual:.2}, \"cached_plan_vs_recompile\": {cache_speedup:.2}, \"cached_plan_and_scans_vs_recompile\": {reuse_speedup:.2}}}\n}}\n"
-    ));
-    let mut f = std::fs::File::create(out_path).expect("write BENCH_pushdown.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_pushdown.json");
-    println!("wrote {out_path}");
+    bdi_bench::write_results(
+        "pushdown",
+        "range/IN predicate scans: 4 wrappers x 10k rows x 10 cols (~1% selectivity); plan cache: chain c3 w4 (64 walks) x 10 rows",
+        &records,
+        "speedups",
+        &[
+            ("pushed_range_scan_vs_eager", range_eager),
+            ("pushed_range_scan_vs_residual", range_residual),
+            ("pushed_in_scan_vs_eager", in_eager),
+            ("pushed_in_scan_vs_residual", in_residual),
+            ("cached_plan_vs_recompile", cache_speedup),
+            ("cached_plan_and_scans_vs_recompile", reuse_speedup),
+        ],
+    );
 }

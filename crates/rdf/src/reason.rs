@@ -1,151 +1,17 @@
 //! RDFS entailment.
 //!
-//! The paper restricts reasoning to the **RDFS entailment regime** (§2, §8):
-//! subclass/subproperty transitivity, type propagation, and domain/range
-//! typing — enough for the ontology's feature taxonomy (`sup:monitorId
-//! rdfs:subClassOf sc:identifier`) to be queryable, and deliberately *not* a
-//! description-logic reasoner.
-//!
-//! Two access paths are provided:
-//!
-//! * [`materialize`] — forward-chaining fixpoint that adds all inferred quads
-//!   to the store (the classic pre-computation a triplestore like Jena TDB
-//!   performs). Inferred instance triples land in the graph of the instance
-//!   premise; inferred schema triples in the graph of their first premise.
-//! * [`is_subclass_of`] / [`subclass_closure`] — on-demand reachability
-//!   queries that do not mutate the store; the rewriting algorithms use these
-//!   so query answering works on non-materialized ontologies too (see the
-//!   `entailment` ablation bench for the trade-off).
+//! The paper restricts reasoning to the **RDFS entailment regime** (§2, §8),
+//! deliberately *not* a description-logic reasoner. Rewriting needs one
+//! consequence of it: `rdfs:subClassOf` reachability, which makes the
+//! feature taxonomy (`sup:monitorId rdfs:subClassOf sc:identifier`)
+//! queryable. [`is_subclass_of`] answers it on demand, in id space and
+//! without mutating the store, so the ontology never has to be
+//! materialized; `BdiOntology::is_id_feature` is its caller.
 
-#[cfg(test)]
-use crate::model::GraphName;
-use crate::model::{Iri, Quad, Term};
-use crate::store::{GraphPattern, IdGraph, IdPattern, QuadStore};
-use crate::vocab::{rdf, rdfs};
+use crate::model::Iri;
+use crate::store::{IdGraph, IdPattern, QuadStore};
+use crate::vocab::rdfs;
 use std::collections::{HashSet, VecDeque};
-
-/// Applies the RDFS rules to a fixpoint, returning the number of quads added.
-///
-/// Implemented rules (numbers from the RDF Semantics spec):
-/// * rdfs5 — `subPropertyOf` transitivity
-/// * rdfs7 — property inheritance: `(s p o), (p subPropertyOf q) ⟹ (s q o)`
-/// * rdfs9 — type propagation: `(s type C), (C subClassOf D) ⟹ (s type D)`
-/// * rdfs11 — `subClassOf` transitivity
-/// * rdfs2 — domain typing: `(p domain C), (s p o) ⟹ (s type C)`
-/// * rdfs3 — range typing: `(p range C), (s p o) ⟹ (o type C)` for non-literal `o`
-pub fn materialize(store: &QuadStore) -> usize {
-    let mut added_total = 0;
-    loop {
-        let mut new_quads: Vec<Quad> = Vec::new();
-
-        // Schema snapshot for this round.
-        let sub_class =
-            store.match_quads(None, Some(&rdfs::SUB_CLASS_OF), None, &GraphPattern::Any);
-        let sub_prop =
-            store.match_quads(None, Some(&rdfs::SUB_PROPERTY_OF), None, &GraphPattern::Any);
-        let domains = store.match_quads(None, Some(&rdfs::DOMAIN), None, &GraphPattern::Any);
-        let ranges = store.match_quads(None, Some(&rdfs::RANGE), None, &GraphPattern::Any);
-
-        // rdfs11: subClassOf transitivity.
-        for q1 in &sub_class {
-            for q2 in &sub_class {
-                if q1.object == q2.subject && q1.subject != q2.object {
-                    new_quads.push(Quad {
-                        subject: q1.subject.clone(),
-                        predicate: (*rdfs::SUB_CLASS_OF).clone(),
-                        object: q2.object.clone(),
-                        graph: q1.graph.clone(),
-                    });
-                }
-            }
-        }
-        // rdfs5: subPropertyOf transitivity.
-        for q1 in &sub_prop {
-            for q2 in &sub_prop {
-                if q1.object == q2.subject && q1.subject != q2.object {
-                    new_quads.push(Quad {
-                        subject: q1.subject.clone(),
-                        predicate: (*rdfs::SUB_PROPERTY_OF).clone(),
-                        object: q2.object.clone(),
-                        graph: q1.graph.clone(),
-                    });
-                }
-            }
-        }
-        // rdfs9: type propagation along subClassOf.
-        for sc in &sub_class {
-            for typed in store.match_quads(
-                None,
-                Some(&rdf::TYPE),
-                Some(&sc.subject),
-                &GraphPattern::Any,
-            ) {
-                new_quads.push(Quad {
-                    subject: typed.subject.clone(),
-                    predicate: (*rdf::TYPE).clone(),
-                    object: sc.object.clone(),
-                    graph: typed.graph.clone(),
-                });
-            }
-        }
-        // rdfs7: property inheritance.
-        for sp in &sub_prop {
-            let (Some(p), Some(q)) = (sp.subject.as_iri(), sp.object.as_iri()) else {
-                continue;
-            };
-            for stmt in store.match_quads(None, Some(p), None, &GraphPattern::Any) {
-                new_quads.push(Quad {
-                    subject: stmt.subject.clone(),
-                    predicate: q.clone(),
-                    object: stmt.object.clone(),
-                    graph: stmt.graph.clone(),
-                });
-            }
-        }
-        // rdfs2: domain typing.
-        for dom in &domains {
-            let Some(p) = dom.subject.as_iri() else {
-                continue;
-            };
-            for stmt in store.match_quads(None, Some(p), None, &GraphPattern::Any) {
-                new_quads.push(Quad {
-                    subject: stmt.subject.clone(),
-                    predicate: (*rdf::TYPE).clone(),
-                    object: dom.object.clone(),
-                    graph: stmt.graph.clone(),
-                });
-            }
-        }
-        // rdfs3: range typing (non-literal objects only).
-        for ran in &ranges {
-            let Some(p) = ran.subject.as_iri() else {
-                continue;
-            };
-            for stmt in store.match_quads(None, Some(p), None, &GraphPattern::Any) {
-                if stmt.object.is_literal() {
-                    continue;
-                }
-                new_quads.push(Quad {
-                    subject: stmt.object.clone(),
-                    predicate: (*rdf::TYPE).clone(),
-                    object: ran.object.clone(),
-                    graph: stmt.graph.clone(),
-                });
-            }
-        }
-
-        let mut added_this_round = 0;
-        for quad in new_quads {
-            if store.insert(&quad) {
-                added_this_round += 1;
-            }
-        }
-        added_total += added_this_round;
-        if added_this_round == 0 {
-            return added_total;
-        }
-    }
-}
 
 /// True when `sub rdfs:subClassOf* sup` holds under RDFS entailment
 /// (reflexive-transitive reachability), without materializing.
@@ -191,95 +57,10 @@ pub fn is_subclass_of(store: &QuadStore, sub: &Iri, sup: &Iri) -> bool {
     false
 }
 
-/// Direction of a [`closure_ids`] walk along `rdfs:subClassOf` edges.
-enum Walk {
-    /// Follow `sub → sup` (subject bound, objects discovered).
-    Up,
-    /// Follow `sup → sub` (object bound, subjects discovered).
-    Down,
-}
-
-/// Reflexive-transitive reachability along `rdfs:subClassOf`, computed
-/// entirely in id space under one read lock: the BFS frontier and seen-set
-/// hold `u32` ids, and terms decode once at the end. This runs per feature
-/// during query rewriting, so it is a measured hot path.
-///
-/// The walk traverses *through* non-IRI nodes (e.g. a blank node standing
-/// for a class expression) and only drops them from the decoded result —
-/// RDFS reachability does not stop at a blank intermediate.
-fn closure_ids(store: &QuadStore, class: &Iri, direction: Walk) -> HashSet<Iri> {
-    let reader = store.reader();
-    let (Some(start), Some(p)) = (reader.iri_id(class), reader.iri_id(&rdfs::SUB_CLASS_OF)) else {
-        // Nothing interned: the closure is the reflexive singleton.
-        return HashSet::from([class.clone()]);
-    };
-    let mut seen: HashSet<u32> = HashSet::from([start.raw()]);
-    let mut queue: VecDeque<u32> = VecDeque::from([start.raw()]);
-    while let Some(current) = queue.pop_front() {
-        let pattern = match direction {
-            Walk::Up => IdPattern {
-                s: Some(current),
-                p: Some(p.raw()),
-                o: None,
-                g: IdGraph::Any,
-            },
-            Walk::Down => IdPattern {
-                s: None,
-                p: Some(p.raw()),
-                o: Some(current),
-                g: IdGraph::Any,
-            },
-        };
-        reader.for_each_match(pattern, |[_, s, _, o]| {
-            let found = match direction {
-                Walk::Up => o,
-                Walk::Down => s,
-            };
-            if seen.insert(found) {
-                queue.push_back(found);
-            }
-        });
-    }
-    seen.into_iter()
-        .filter_map(
-            |id| match reader.resolve(crate::interner::TermId::from_raw(id)) {
-                Term::Iri(iri) => Some(iri.clone()),
-                _ => None,
-            },
-        )
-        .collect()
-}
-
-/// All (strict and reflexive) superclasses of `class` reachable through
-/// `rdfs:subClassOf` in any graph.
-pub fn subclass_closure(store: &QuadStore, class: &Iri) -> HashSet<Iri> {
-    closure_ids(store, class, Walk::Up)
-}
-
-/// All subclasses (inverse closure) of `class`, reflexive.
-pub fn superclass_of_closure(store: &QuadStore, class: &Iri) -> HashSet<Iri> {
-    closure_ids(store, class, Walk::Down)
-}
-
-/// Instances of `class` under RDFS entailment: subjects typed with `class`
-/// or any of its subclasses, in the given graph pattern.
-pub fn instances_of(store: &QuadStore, class: &Iri, graph: &GraphPattern) -> Vec<Term> {
-    let mut out = Vec::new();
-    let mut seen = HashSet::new();
-    for sub in superclass_of_closure(store, class) {
-        for subject in store.subjects(&rdf::TYPE, &Term::Iri(sub), graph) {
-            if seen.insert(subject.clone()) {
-                out.push(subject);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Literal;
+    use crate::model::{GraphName, Term};
 
     fn iri(s: &str) -> Iri {
         Iri::new(s)
@@ -325,150 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn materialize_adds_transitive_subclass_edges() {
-        let store = setup_taxonomy();
-        let added = materialize(&store);
-        assert!(added >= 1);
-        assert!(store.contains(&Quad::new(
-            iri("http://e/monitorId"),
-            (*rdfs::SUB_CLASS_OF).clone(),
-            iri("http://schema.org/identifier"),
-            GraphName::Default,
-        )));
-    }
-
-    #[test]
-    fn materialize_propagates_types() {
-        let store = setup_taxonomy();
-        store.insert_in(
-            &GraphName::Default,
-            iri("http://e/m1"),
-            (*rdf::TYPE).clone(),
-            iri("http://e/monitorId"),
-        );
-        materialize(&store);
-        assert!(store.contains(&Quad::new(
-            iri("http://e/m1"),
-            (*rdf::TYPE).clone(),
-            iri("http://schema.org/identifier"),
-            GraphName::Default,
-        )));
-    }
-
-    #[test]
-    fn materialize_is_idempotent() {
-        let store = setup_taxonomy();
-        store.insert_in(
-            &GraphName::Default,
-            iri("http://e/m1"),
-            (*rdf::TYPE).clone(),
-            iri("http://e/monitorId"),
-        );
-        materialize(&store);
-        let len = store.len();
-        assert_eq!(materialize(&store), 0);
-        assert_eq!(store.len(), len);
-    }
-
-    #[test]
-    fn domain_and_range_typing() {
-        let store = QuadStore::new();
-        let g = GraphName::Default;
-        store.insert_in(
-            &g,
-            iri("http://e/hasMonitor"),
-            (*rdfs::DOMAIN).clone(),
-            iri("http://e/App"),
-        );
-        store.insert_in(
-            &g,
-            iri("http://e/hasMonitor"),
-            (*rdfs::RANGE).clone(),
-            iri("http://e/Monitor"),
-        );
-        store.insert_in(
-            &g,
-            iri("http://e/a1"),
-            iri("http://e/hasMonitor"),
-            iri("http://e/m1"),
-        );
-        // Literal objects must not be range-typed.
-        store.insert_in(
-            &g,
-            iri("http://e/a1"),
-            iri("http://e/hasMonitor"),
-            Literal::string("oops"),
-        );
-        materialize(&store);
-        assert!(store.contains(&Quad::new(
-            iri("http://e/a1"),
-            (*rdf::TYPE).clone(),
-            iri("http://e/App"),
-            g.clone()
-        )));
-        assert!(store.contains(&Quad::new(
-            iri("http://e/m1"),
-            (*rdf::TYPE).clone(),
-            iri("http://e/Monitor"),
-            g.clone()
-        )));
-        let typed_literals = store.match_quads(
-            None,
-            Some(&rdf::TYPE),
-            Some(&Term::iri("http://e/Monitor")),
-            &GraphPattern::Any,
-        );
-        assert_eq!(typed_literals.len(), 1);
-    }
-
-    #[test]
-    fn subproperty_inheritance() {
-        let store = QuadStore::new();
-        let g = GraphName::Default;
-        store.insert_in(
-            &g,
-            iri("http://e/p"),
-            (*rdfs::SUB_PROPERTY_OF).clone(),
-            iri("http://e/q"),
-        );
-        store.insert_in(&g, iri("http://e/s"), iri("http://e/p"), iri("http://e/o"));
-        materialize(&store);
-        assert!(store.contains(&Quad::new(
-            iri("http://e/s"),
-            iri("http://e/q"),
-            iri("http://e/o"),
-            g
-        )));
-    }
-
-    #[test]
-    fn instances_of_covers_subclasses() {
-        let store = setup_taxonomy();
-        let g = GraphName::Default;
-        store.insert_in(
-            &g,
-            iri("http://e/x"),
-            (*rdf::TYPE).clone(),
-            iri("http://e/monitorId"),
-        );
-        store.insert_in(
-            &g,
-            iri("http://e/y"),
-            (*rdf::TYPE).clone(),
-            iri("http://e/toolId"),
-        );
-        let instances = instances_of(
-            &store,
-            &iri("http://schema.org/identifier"),
-            &GraphPattern::Any,
-        );
-        assert_eq!(instances.len(), 2);
-    }
-
-    #[test]
     fn closure_traverses_through_blank_intermediates() {
-        // A ⊑ _:b ⊑ C: reachability must pass through the blank node, and
-        // the blank node itself must not appear in the decoded closure.
+        // A ⊑ _:b ⊑ C: reachability must pass through the blank node.
         let store = QuadStore::new();
         let g = GraphName::Default;
         let blank = Term::Blank(crate::model::BlankNode::new("b0"));
@@ -484,9 +123,6 @@ mod tests {
             &iri("http://e/A"),
             &iri("http://e/C")
         ));
-        let closure = subclass_closure(&store, &iri("http://e/A"));
-        assert!(closure.contains(&iri("http://e/C")));
-        assert_eq!(closure.len(), 2); // A and C only; the blank is dropped
     }
 
     #[test]
@@ -505,7 +141,6 @@ mod tests {
             (*rdfs::SUB_CLASS_OF).clone(),
             iri("http://e/A"),
         );
-        materialize(&store);
         assert!(is_subclass_of(
             &store,
             &iri("http://e/A"),
