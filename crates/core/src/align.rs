@@ -161,23 +161,6 @@ pub fn suggest_mappings(
         .collect()
 }
 
-/// Convenience: the single best feature per attribute, when its score is at
-/// least `threshold` — the auto-accept path for obvious renames.
-pub fn best_mappings(
-    ontology: &BdiOntology,
-    schema: &Schema,
-    candidate_features: &[Iri],
-    threshold: f64,
-) -> Vec<(String, Iri, f64)> {
-    let kinds = vec![None; schema.len()];
-    suggest_mappings(ontology, schema, candidate_features, &kinds, 1)
-        .into_iter()
-        .filter_map(|mut v| v.pop())
-        .filter(|s| s.score >= threshold)
-        .map(|s| (s.attribute, s.feature, s.score))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,17 +229,5 @@ mod tests {
         );
         let without = suggest_mappings(system.ontology(), &schema, &candidates, &[None], 1);
         assert!(with_conflict[0][0].score < without[0][0].score);
-    }
-
-    #[test]
-    fn best_mappings_applies_threshold() {
-        let system = supersede::build_running_example();
-        let schema = Schema::from_parts(&["VoDmonitorId"], &["completelyUnrelated"]).unwrap();
-        let candidates = vec![features::monitor_id(), features::lag_ratio()];
-        let best = best_mappings(system.ontology(), &schema, &candidates, 0.5);
-        // Only the monitor ID clears the bar.
-        assert_eq!(best.len(), 1);
-        assert_eq!(best[0].0, "VoDmonitorId");
-        assert_eq!(best[0].1, features::monitor_id());
     }
 }

@@ -7,7 +7,7 @@
 //! the op is encoded, appended to the WAL and **fsynced before** it
 //! touches any in-memory state, so a mutation is acknowledged if and only
 //! if it is on stable storage. [`DurableSystem::checkpoint`] writes a
-//! [`DurableImage`] (the deployment snapshot *plus* every cache-validity
+//! `DurableImage` (the deployment snapshot *plus* every cache-validity
 //! counter) via tmp-file → fsync → atomic rename, then truncates the log;
 //! [`DurableSystem::open`] loads the image, restores the counters
 //! bit-exact, and replays only the log records with `seq` greater than
@@ -48,7 +48,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Store id journaled with every quad-store op.
-pub const STORE_QUAD: u32 = 1;
+pub(crate) const STORE_QUAD: u32 = 1;
 /// Store id journaled with every document-store op.
 pub const STORE_DOC: u32 = 2;
 /// Store id journaled with every table-wrapper op.
@@ -97,7 +97,7 @@ pub enum DurableError {
 /// The persisted image: the deployment snapshot plus everything the
 /// cache-validity scheme needs restored bit-exact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DurableImage {
+pub(crate) struct DurableImage {
     /// Image format version (currently 1).
     pub format: u32,
     /// The last WAL seq reflected in this image; recovery replays only
@@ -315,7 +315,7 @@ impl DurableSystem {
     }
 
     /// [`DurableSystem::create`] over an explicit [`Vfs`].
-    pub fn create_with(
+    pub(crate) fn create_with(
         dir: impl AsRef<Path>,
         vfs: Arc<dyn Vfs>,
         system: BdiSystem,

@@ -346,7 +346,7 @@ pub struct QueryAnswer {
 }
 
 /// How one walk was planned and how the estimate compared to reality.
-/// Compiled into the plan ([`CompiledQuery::plan_notes`]) with
+/// Compiled into the plan (`CompiledQuery::plan_notes`) with
 /// `actual_rows: None`; execution clones the notes into
 /// [`QueryAnswer::plan_notes`] with the actuals filled in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -452,7 +452,7 @@ fn resolve_filters(
 /// The original eager evaluation through [`bdi_relational::RelExpr`] and the
 /// §2.2 [`ops`]: every operator materializes a full relation. Kept as the
 /// executable reference the streaming engine is pinned against.
-pub fn execute_eager(
+pub(crate) fn execute_eager(
     ontology: &BdiOntology,
     resolver: &dyn SourceResolver,
     rewriting: &Rewriting,
@@ -874,7 +874,7 @@ impl CompiledQuery {
     /// Planner notes, one per walk (empty under [`Engine::Eager`]).
     /// `actual_rows` is `None` here — execution clones the notes into
     /// [`QueryAnswer::plan_notes`] with the actuals filled in.
-    pub fn plan_notes(&self) -> &[PlanNote] {
+    pub(crate) fn plan_notes(&self) -> &[PlanNote] {
         &self.plan_notes
     }
 }

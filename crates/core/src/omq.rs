@@ -52,7 +52,7 @@ impl Omq {
     }
 
     /// Interprets an already-parsed SPARQL query as an OMQ.
-    pub fn from_select(query: &SelectQuery) -> Result<Self, OmqError> {
+    pub(crate) fn from_select(query: &SelectQuery) -> Result<Self, OmqError> {
         let values = query.values.as_ref().ok_or(OmqError::MissingValues)?;
         let mut pi = Vec::new();
         for row in &values.rows {
@@ -92,7 +92,7 @@ impl Omq {
     }
 
     /// The vertex set `V(φ)`.
-    pub fn vertices(&self) -> BTreeSet<Term> {
+    pub(crate) fn vertices(&self) -> BTreeSet<Term> {
         let mut v = BTreeSet::new();
         for t in &self.phi {
             v.insert(t.subject.clone());
@@ -158,7 +158,7 @@ impl Omq {
 
     /// Kahn topological sort of `φ` viewed as a directed graph. Returns
     /// `None` when the pattern is cyclic (Algorithm 2 rejects such queries).
-    pub fn topological_sort(&self) -> Option<Vec<Term>> {
+    pub(crate) fn topological_sort(&self) -> Option<Vec<Term>> {
         let vertices = self.vertices();
         let mut in_degree: BTreeMap<&Term, usize> = vertices.iter().map(|v| (v, 0usize)).collect();
         let mut out_edges: BTreeMap<&Term, Vec<&Term>> = BTreeMap::new();
@@ -186,12 +186,15 @@ impl Omq {
     }
 
     /// All triples of `φ` with the given subject.
-    pub fn triples_from<'a>(&'a self, subject: &'a Term) -> impl Iterator<Item = &'a Triple> {
+    pub(crate) fn triples_from<'a>(
+        &'a self,
+        subject: &'a Term,
+    ) -> impl Iterator<Item = &'a Triple> {
         self.phi.iter().filter(move |t| &t.subject == subject)
     }
 
     /// Adds a triple to `φ` if absent (query expansion, Algorithm 3 l. 12).
-    pub fn extend_phi(&mut self, triple: Triple) -> bool {
+    pub(crate) fn extend_phi(&mut self, triple: Triple) -> bool {
         if self.phi.contains(&triple) {
             return false;
         }

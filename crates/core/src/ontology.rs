@@ -17,12 +17,11 @@
 use crate::vocab::{self, graphs};
 use bdi_rdf::model::{GraphName, Iri, Quad, Term, Triple};
 use bdi_rdf::reason;
-use bdi_rdf::sparql::{self, EvalOptions, Solutions};
 use bdi_rdf::store::{GraphPattern, QuadStore};
 use bdi_rdf::turtle::PrefixMap;
 use bdi_rdf::vocab::{owl, rdf, rdfs, sc};
 
-/// Errors raised by ontology authoring and queries.
+/// Errors raised by ontology authoring.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
 pub enum OntologyError {
     #[error("feature {feature} already belongs to concept {owner}; features belong to exactly one concept (§3.1)")]
@@ -31,8 +30,6 @@ pub enum OntologyError {
     NotAConcept(String),
     #[error("{0} is not a feature in G")]
     NotAFeature(String),
-    #[error("SPARQL error: {0}")]
-    Sparql(String),
 }
 
 /// The BDI ontology: one quad store holding `G`, `S`, `M` and the
@@ -53,7 +50,7 @@ impl BdiOntology {
     /// Creates the ontology with the metamodel triples of Codes 6 and 7
     /// preloaded, and the standard prefix table (`G:`, `S:`, `M:`, `rdf:`,
     /// `rdfs:`, `owl:`, `xsd:`, `sc:`).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let store = QuadStore::new();
         let mut prefixes = PrefixMap::with_common_vocabularies();
         prefixes.insert("G", vocab::g::NS);
@@ -136,7 +133,7 @@ impl BdiOntology {
         &self.prefixes
     }
 
-    pub fn prefixes_mut(&mut self) -> &mut PrefixMap {
+    pub(crate) fn prefixes_mut(&mut self) -> &mut PrefixMap {
         &mut self.prefixes
     }
 
@@ -215,7 +212,11 @@ impl BdiOntology {
     }
 
     /// Sets a feature's datatype (`G:hasDataType`, §3.1).
-    pub fn set_feature_datatype(&self, feature: &Iri, datatype: &Iri) -> Result<(), OntologyError> {
+    pub(crate) fn set_feature_datatype(
+        &self,
+        feature: &Iri,
+        datatype: &Iri,
+    ) -> Result<(), OntologyError> {
         if !self.is_feature(feature) {
             return Err(OntologyError::NotAFeature(feature.as_str().to_owned()));
         }
@@ -229,7 +230,7 @@ impl BdiOntology {
 
     /// Adds a feature-taxonomy edge `sub rdfs:subClassOf sup` (§3.1:
     /// "a taxonomy of features ... denote related semantic domains").
-    pub fn add_feature_subclass(&self, sub: &Iri, sup: &Iri) {
+    pub(crate) fn add_feature_subclass(&self, sub: &Iri, sup: &Iri) {
         self.store
             .insert_in(&graphs::global(), sub, &*rdfs::SUB_CLASS_OF, sup);
     }
@@ -239,7 +240,7 @@ impl BdiOntology {
     // ------------------------------------------------------------------
 
     /// True when `iri` is typed `G:Concept` in `G`.
-    pub fn is_concept(&self, iri: &Iri) -> bool {
+    pub(crate) fn is_concept(&self, iri: &Iri) -> bool {
         self.store.contains(&Quad::new(
             iri.clone(),
             (*rdf::TYPE).clone(),
@@ -249,7 +250,7 @@ impl BdiOntology {
     }
 
     /// True when `iri` is typed `G:Feature` in `G`.
-    pub fn is_feature(&self, iri: &Iri) -> bool {
+    pub(crate) fn is_feature(&self, iri: &Iri) -> bool {
         self.store.contains(&Quad::new(
             iri.clone(),
             (*rdf::TYPE).clone(),
@@ -260,7 +261,7 @@ impl BdiOntology {
 
     /// True when the feature reaches `sc:identifier` through
     /// `rdfs:subClassOf` (RDFS entailment, no materialization needed).
-    pub fn is_id_feature(&self, feature: &Iri) -> bool {
+    pub(crate) fn is_id_feature(&self, feature: &Iri) -> bool {
         feature != &*sc::IDENTIFIER && reason::is_subclass_of(&self.store, feature, &sc::IDENTIFIER)
     }
 
@@ -274,7 +275,7 @@ impl BdiOntology {
     }
 
     /// Features attached to a concept.
-    pub fn features_of(&self, concept: &Iri) -> Vec<Iri> {
+    pub(crate) fn features_of(&self, concept: &Iri) -> Vec<Iri> {
         self.store.iri_objects(
             concept,
             &vocab::g::HAS_FEATURE,
@@ -283,7 +284,7 @@ impl BdiOntology {
     }
 
     /// The concept's ID features (those subsumed by `sc:identifier`).
-    pub fn id_features_of(&self, concept: &Iri) -> Vec<Iri> {
+    pub(crate) fn id_features_of(&self, concept: &Iri) -> Vec<Iri> {
         self.features_of(concept)
             .into_iter()
             .filter(|f| self.is_id_feature(f))
@@ -292,7 +293,7 @@ impl BdiOntology {
 
     /// The unique concept owning a feature (enforced by
     /// [`BdiOntology::attach_feature`]).
-    pub fn concept_of(&self, feature: &Iri) -> Option<Iri> {
+    pub(crate) fn concept_of(&self, feature: &Iri) -> Option<Iri> {
         self.store
             .iri_subjects(
                 &vocab::g::HAS_FEATURE,
@@ -303,28 +304,12 @@ impl BdiOntology {
             .next()
     }
 
-    /// Object properties linking `from` to `to` in `G` (excluding
-    /// `G:hasFeature`).
-    pub fn properties_between(&self, from: &Iri, to: &Iri) -> Vec<Iri> {
-        self.store
-            .match_quads(
-                Some(&Term::Iri(from.clone())),
-                None,
-                Some(&Term::Iri(to.clone())),
-                &GraphPattern::Named((*graphs::GLOBAL).clone()),
-            )
-            .into_iter()
-            .map(|q| q.predicate)
-            .filter(|p| p != &*vocab::g::HAS_FEATURE)
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Source graph queries
     // ------------------------------------------------------------------
 
     /// True when `iri` is a registered wrapper instance in `S`.
-    pub fn is_wrapper(&self, iri: &Iri) -> bool {
+    pub(crate) fn is_wrapper(&self, iri: &Iri) -> bool {
         self.store.contains(&Quad::new(
             iri.clone(),
             (*rdf::TYPE).clone(),
@@ -334,7 +319,7 @@ impl BdiOntology {
     }
 
     /// True when `iri` is a registered data source in `S`.
-    pub fn is_data_source(&self, iri: &Iri) -> bool {
+    pub(crate) fn is_data_source(&self, iri: &Iri) -> bool {
         self.store.contains(&Quad::new(
             iri.clone(),
             (*rdf::TYPE).clone(),
@@ -373,7 +358,7 @@ impl BdiOntology {
 
     /// Algorithm 4, line 8: the wrappers whose LAV named graph contains
     /// `⟨concept, G:hasFeature, feature⟩`.
-    pub fn wrappers_providing_feature(&self, concept: &Iri, feature: &Iri) -> Vec<Iri> {
+    pub(crate) fn wrappers_providing_feature(&self, concept: &Iri, feature: &Iri) -> Vec<Iri> {
         self.named_wrapper_graphs_with(
             Some(&Term::Iri(concept.clone())),
             Some(&vocab::g::HAS_FEATURE),
@@ -383,7 +368,7 @@ impl BdiOntology {
 
     /// Algorithm 5, lines 9–10: wrappers whose LAV graph contains an edge
     /// `⟨from, ?x, to⟩` between two concepts.
-    pub fn wrappers_providing_edge(&self, from: &Iri, to: &Iri) -> Vec<Iri> {
+    pub(crate) fn wrappers_providing_edge(&self, from: &Iri, to: &Iri) -> Vec<Iri> {
         self.named_wrapper_graphs_with(
             Some(&Term::Iri(from.clone())),
             None,
@@ -413,7 +398,7 @@ impl BdiOntology {
 
     /// Algorithm 4, line 10: the physical attribute of `wrapper` that maps
     /// (via `owl:sameAs` in `M`) to `feature`.
-    pub fn attribute_for_feature(&self, wrapper_uri: &Iri, feature: &Iri) -> Option<Iri> {
+    pub(crate) fn attribute_for_feature(&self, wrapper_uri: &Iri, feature: &Iri) -> Option<Iri> {
         let candidates = self.store.subjects(
             &owl::SAME_AS,
             &Term::Iri(feature.clone()),
@@ -446,7 +431,7 @@ impl BdiOntology {
     }
 
     /// The LAV subgraph of `G` registered for a wrapper (its named graph).
-    pub fn lav_graph_of(&self, wrapper_uri: &Iri) -> Vec<Triple> {
+    pub(crate) fn lav_graph_of(&self, wrapper_uri: &Iri) -> Vec<Triple> {
         self.store
             .graph_quads(&GraphName::Named(wrapper_uri.clone()))
             .into_iter()
@@ -457,21 +442,6 @@ impl BdiOntology {
     // ------------------------------------------------------------------
     // SPARQL & serialization
     // ------------------------------------------------------------------
-
-    /// Evaluates a SPARQL query against the ontology. Queries without a
-    /// `FROM` clause range over the union of all graphs (the paper's
-    /// `FROM T`); `FROM <g>` scopes to one named graph.
-    pub fn sparql(&self, query: &str) -> Result<Solutions, OntologyError> {
-        let parsed = sparql::parse_query(query, &self.prefixes)
-            .map_err(|e| OntologyError::Sparql(e.to_string()))?;
-        Ok(sparql::evaluate(
-            &self.store,
-            &parsed,
-            &EvalOptions {
-                default_graph_as_union: true,
-            },
-        ))
-    }
 
     /// Serializes one graph of the ontology as Turtle.
     pub fn graph_turtle(&self, graph: &GraphName) -> String {
@@ -549,21 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn object_properties_create_navigation_edges() {
-        let o = ontology_with_monitor();
-        o.add_concept(&iri("App"));
-        o.add_object_property(&iri("hasMonitor"), &iri("App"), &iri("Monitor"))
-            .unwrap();
-        assert_eq!(
-            o.properties_between(&iri("App"), &iri("Monitor")),
-            vec![iri("hasMonitor")]
-        );
-        assert!(o
-            .properties_between(&iri("Monitor"), &iri("App"))
-            .is_empty());
-    }
-
-    #[test]
     fn id_taxonomy_via_subclass_chain() {
         let o = BdiOntology::new();
         o.add_concept(&iri("Monitor"));
@@ -579,20 +534,10 @@ mod tests {
         let o = ontology_with_monitor();
         o.set_feature_datatype(&iri("lagRatio"), &bdi_rdf::vocab::xsd::DOUBLE)
             .unwrap();
-        let sols = o
-            .sparql("SELECT ?dt WHERE { <http://e/lagRatio> G:hasDataType ?dt . }")
-            .unwrap();
         assert_eq!(
-            sols.iri_column("dt"),
-            vec![(*bdi_rdf::vocab::xsd::DOUBLE).clone()]
+            crate::typing::feature_datatype(&o, &iri("lagRatio")),
+            Some((*bdi_rdf::vocab::xsd::DOUBLE).clone())
         );
-    }
-
-    #[test]
-    fn sparql_ranges_over_union_by_default() {
-        let o = ontology_with_monitor();
-        let sols = o.sparql("SELECT ?c WHERE { ?c a G:Concept . }").unwrap();
-        assert_eq!(sols.iri_column("c"), vec![iri("Monitor")]);
     }
 
     #[test]

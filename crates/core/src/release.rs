@@ -4,7 +4,7 @@
 //! version of some source), the subgraph `G` of the Global graph the wrapper
 //! contributes to (its LAV mapping), and the function `F` mapping each of the
 //! wrapper's attributes to a feature. The data steward creates releases;
-//! [`apply_release`] adapts the ontology `T` — nothing else in the system
+//! `apply_release` adapts the ontology `T` — nothing else in the system
 //! (in particular no analyst query) has to change.
 
 use crate::ontology::BdiOntology;
@@ -74,7 +74,10 @@ pub struct ReleaseStats {
 }
 
 /// Validates a release against the current ontology without applying it.
-pub fn validate_release(ontology: &BdiOntology, release: &Release) -> Result<(), ReleaseError> {
+pub(crate) fn validate_release(
+    ontology: &BdiOntology,
+    release: &Release,
+) -> Result<(), ReleaseError> {
     let wrapper_name = release.wrapper.name();
     let schema = release.wrapper.schema();
 
@@ -133,7 +136,7 @@ pub fn validate_release(ontology: &BdiOntology, release: &Release) -> Result<(),
 /// reusing URIs within the same source (l. 9–15), record the LAV named graph
 /// in `M` (l. 16) and serialize `F` as `owl:sameAs` links (l. 17–21).
 /// Complexity is linear in `|R|`.
-pub fn apply_release(
+pub(crate) fn apply_release(
     ontology: &BdiOntology,
     registry: &mut WrapperRegistry,
     release: Release,

@@ -21,7 +21,10 @@ use crate::ontology::BdiOntology;
 use bdi_rdf::model::Iri;
 
 /// Algorithm 5 — `InterConceptGeneration(partialWalks, S, M)`.
-pub fn inter_concept_generation(ontology: &BdiOntology, partial_walks: &PartialWalks) -> Vec<Walk> {
+pub(crate) fn inter_concept_generation(
+    ontology: &BdiOntology,
+    partial_walks: &PartialWalks,
+) -> Vec<Walk> {
     let Some((_, first_walks)) = partial_walks.first() else {
         return Vec::new();
     };

@@ -20,7 +20,7 @@ use bdi_rdf::model::{Iri, Term};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Partial walks grouped by concept, in query order.
-pub type PartialWalks = Vec<(Iri, Vec<Walk>)>;
+pub(crate) type PartialWalks = Vec<(Iri, Vec<Walk>)>;
 
 /// Algorithm 4 — `IntraConceptGeneration(concepts, Q'_G, T)`.
 pub fn intra_concept_generation(

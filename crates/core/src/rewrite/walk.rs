@@ -24,7 +24,7 @@ pub struct JoinCondition {
 /// `tree ⋈̃[on = attribute] Π̃(wrapper)` — `on` is the attribute on the
 /// tree's side, `wrapper` the leaf being attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attach<'w> {
+pub(crate) struct Attach<'w> {
     pub on: &'w Iri,
     pub wrapper: &'w Iri,
     pub attribute: &'w Iri,
@@ -33,7 +33,7 @@ pub struct Attach<'w> {
 /// How a ⋈̃ condition relates to the wrappers a growing join tree already
 /// connects ([`JoinCondition::orient`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Orientation<'w> {
+pub(crate) enum Orientation<'w> {
     /// Both sides are in the tree: the condition is dropped.
     Connected,
     /// Exactly one side is in the tree: the other attaches through it.
@@ -45,7 +45,7 @@ pub enum Orientation<'w> {
 impl JoinCondition {
     /// Orients the condition against the wrappers a join tree connects so
     /// far: which side is inside, which leaf it would attach.
-    pub fn orient(&self, connected: &BTreeSet<&Iri>) -> Orientation<'_> {
+    pub(crate) fn orient(&self, connected: &BTreeSet<&Iri>) -> Orientation<'_> {
         let left_in = connected.contains(&self.left_wrapper);
         let right_in = connected.contains(&self.right_wrapper);
         match (left_in, right_in) {
@@ -81,7 +81,7 @@ pub struct Walk {
 
 impl Walk {
     /// A single-wrapper walk projecting the given attributes.
-    pub fn single(wrapper: Iri, attributes: impl IntoIterator<Item = Iri>) -> Self {
+    pub(crate) fn single(wrapper: Iri, attributes: impl IntoIterator<Item = Iri>) -> Self {
         let mut w = Walk::default();
         w.projections
             .insert(wrapper, attributes.into_iter().collect());
@@ -100,12 +100,12 @@ impl Walk {
     }
 
     /// The attributes projected from one wrapper.
-    pub fn projections_of(&self, wrapper: &Iri) -> Option<&BTreeSet<Iri>> {
+    pub(crate) fn projections_of(&self, wrapper: &Iri) -> Option<&BTreeSet<Iri>> {
         self.projections.get(wrapper)
     }
 
     /// All `(wrapper, attribute)` pairs.
-    pub fn all_projections(&self) -> impl Iterator<Item = (&Iri, &Iri)> {
+    pub(crate) fn all_projections(&self) -> impl Iterator<Item = (&Iri, &Iri)> {
         self.projections
             .iter()
             .flat_map(|(w, attrs)| attrs.iter().map(move |a| (w, a)))
@@ -117,7 +117,7 @@ impl Walk {
 
     /// Adds (or extends) a wrapper's projection set — the phase-2
     /// `MergeProjections` collapses here because projections are sets.
-    pub fn project(&mut self, wrapper: Iri, attribute: Iri) {
+    pub(crate) fn project(&mut self, wrapper: Iri, attribute: Iri) {
         self.projections
             .entry(wrapper)
             .or_default()
@@ -126,7 +126,7 @@ impl Walk {
 
     /// Merges another walk's projections and joins into this one
     /// (`MergeWalks`, Algorithm 5 step 8).
-    pub fn merge(&mut self, other: &Walk) {
+    pub(crate) fn merge(&mut self, other: &Walk) {
         for (w, attrs) in &other.projections {
             let entry = self.projections.entry(w.clone()).or_default();
             entry.extend(attrs.iter().cloned());
@@ -140,7 +140,7 @@ impl Walk {
 
     /// Records a ⋈̃ condition (Algorithm 5 line 17), ensuring both sides'
     /// join attributes are projected.
-    pub fn add_join(&mut self, condition: JoinCondition) {
+    pub(crate) fn add_join(&mut self, condition: JoinCondition) {
         self.project(
             condition.left_wrapper.clone(),
             condition.left_attribute.clone(),
@@ -156,7 +156,7 @@ impl Walk {
 
     /// True when this walk shares at least one wrapper with `other`
     /// (Algorithm 5 line 8's disjointness test, negated).
-    pub fn shares_wrapper_with(&self, other: &Walk) -> bool {
+    pub(crate) fn shares_wrapper_with(&self, other: &Walk) -> bool {
         other
             .projections
             .keys()
@@ -224,7 +224,7 @@ impl Walk {
     /// the projected attributes. Sufficient when unprojected ID names cannot
     /// collide; [`Walk::to_rel_expr_full`] renames every attribute using the
     /// Source graph and is what execution uses.
-    pub fn to_rel_expr(&self) -> RelExpr {
+    pub(crate) fn to_rel_expr(&self) -> RelExpr {
         self.build_rel_expr(|_wrapper, attrs| {
             attrs
                 .iter()
@@ -239,7 +239,7 @@ impl Walk {
     /// Compiles the walk, renaming **all** attributes of each wrapper to
     /// their source-prefixed forms (looked up in `S`), so join outputs can
     /// never collide on unprojected ID names.
-    pub fn to_rel_expr_full(&self, ontology: &BdiOntology) -> RelExpr {
+    pub(crate) fn to_rel_expr_full(&self, ontology: &BdiOntology) -> RelExpr {
         self.build_rel_expr(|wrapper, _attrs| {
             ontology
                 .attributes_of_wrapper(wrapper)
@@ -287,7 +287,7 @@ impl Walk {
     /// stops there rather than loop forever — such walks fail the coverage
     /// check upstream). Both the §2.2 [`RelExpr`] and the engine's physical
     /// plan are folds over this one sequence.
-    pub fn join_tree<'w>(
+    pub(crate) fn join_tree<'w>(
         &'w self,
         conditions: impl IntoIterator<Item = &'w JoinCondition>,
     ) -> (Option<&'w Iri>, Vec<Attach<'w>>) {
@@ -317,7 +317,7 @@ impl Walk {
 }
 
 /// The display/name form of an attribute URI: `D1/VoDmonitorId`.
-pub fn prefixed_attr_name(attr: &Iri) -> String {
+pub(crate) fn prefixed_attr_name(attr: &Iri) -> String {
     match vocab::attribute_parts_of(attr) {
         Some((source, local)) => format!("{source}/{local}"),
         None => attr.as_str().to_owned(),

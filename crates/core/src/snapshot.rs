@@ -9,7 +9,7 @@
 //! There are two persisted types, on purpose. `SystemSnapshot` is the
 //! *portable* one: what `mdm snapshot` / `mdm load` exchange between
 //! machines, holding nothing but the deployment. A
-//! [`crate::durable::DurableImage`] wraps one and adds what only makes
+//! `DurableImage` (in [`crate::durable`]) wraps one and adds what only makes
 //! sense next to the write-ahead log it was checkpointed beside — the WAL
 //! seq it covers and the cache-validity counters recovery restores
 //! bit-exact — so it is private to its data directory and is never the

@@ -19,10 +19,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The SUPERSEDE domain namespace (`sup:`).
-pub const SUP_NS: &str = "http://www.essi.upc.edu/~snadal/SUPERSEDE/";
+pub(crate) const SUP_NS: &str = "http://www.essi.upc.edu/~snadal/SUPERSEDE/";
 /// schema.org namespace, reused for `sc:SoftwareApplication` (§3.1 follows
 /// the Linked Data philosophy of reusing existing vocabularies).
-pub const SC_NS: &str = "http://schema.org/";
+pub(crate) const SC_NS: &str = "http://schema.org/";
 
 /// `sup:<name>`.
 pub fn sup(name: &str) -> Iri {
@@ -30,7 +30,7 @@ pub fn sup(name: &str) -> Iri {
 }
 
 /// `sc:<name>`.
-pub fn sc(name: &str) -> Iri {
+pub(crate) fn sc(name: &str) -> Iri {
     Iri::new(format!("{SC_NS}{name}"))
 }
 
@@ -75,7 +75,7 @@ pub mod features {
     /// The intermediate taxonomy node of Figure 3: `sup:toolId` — the UML
     /// `toolId` attribute, kept as a semantic domain above the per-concept
     /// IDs (`monitorId ⊑ toolId ⊑ sc:identifier`).
-    pub fn tool_id() -> Iri {
+    pub(crate) fn tool_id() -> Iri {
         sup("toolId")
     }
 }

@@ -83,8 +83,8 @@ const CTX_POOL_IDLE: usize = 16;
 /// What the compiled-plan cache (and the persistent contexts) are valid
 /// against: the release log length (bumped by every
 /// [`BdiSystem::register_release`]), the ontology store's monotonic
-/// mutation stamp (catching direct [`BdiSystem::ontology_mut`] edits,
-/// including count-neutral remove+insert pairs), and the registry's
+/// mutation stamp (catching edits through [`BdiSystem::ontology`]'s `&self`
+/// mutators, including count-neutral remove+insert pairs), and the registry's
 /// **capability fingerprint** — a hash of every wrapper's
 /// [`claims_filter`](bdi_wrappers::Wrapper::claims_filter) answers
 /// ([`bdi_wrappers::WrapperRegistry::capabilities_fingerprint`]). Plans
@@ -611,16 +611,6 @@ impl BdiSystem {
         Self::default()
     }
 
-    /// Opens (or cold-starts) a *durable* deployment persisted at `dir` —
-    /// a convenience for [`crate::durable::DurableSystem::open`], which
-    /// recovers the snapshot image, replays the WAL and restores every
-    /// cache-validity counter bit-exact.
-    pub fn open(
-        dir: impl AsRef<std::path::Path>,
-    ) -> Result<crate::durable::DurableSystem, crate::durable::DurableError> {
-        crate::durable::DurableSystem::open(dir)
-    }
-
     /// Builds from an existing ontology and registry. Wrappers already in
     /// the registry are entered into the release log in name order.
     pub fn from_parts(ontology: BdiOntology, registry: WrapperRegistry) -> Self {
@@ -658,10 +648,6 @@ impl BdiSystem {
         &self.ontology
     }
 
-    pub fn ontology_mut(&mut self) -> &mut BdiOntology {
-        &mut self.ontology
-    }
-
     pub fn registry(&self) -> &WrapperRegistry {
         &self.registry
     }
@@ -689,7 +675,7 @@ impl BdiSystem {
 
     /// Replaces the release log — used when restoring a persisted
     /// deployment whose log must survive verbatim.
-    pub fn set_release_log(&mut self, log: Vec<ReleaseLogEntry>) {
+    pub(crate) fn set_release_log(&mut self, log: Vec<ReleaseLogEntry>) {
         self.release_log = log;
         self.cache.invalidate(self.cache_validity());
     }

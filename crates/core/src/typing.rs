@@ -29,7 +29,7 @@ pub enum ExpectedKind {
 
 impl ExpectedKind {
     /// Maps an XSD datatype IRI to the relational kind it admits.
-    pub fn from_datatype(datatype: &Iri) -> ExpectedKind {
+    pub(crate) fn from_datatype(datatype: &Iri) -> ExpectedKind {
         match datatype.as_str() {
             s if s == xsd::INTEGER.as_str() => ExpectedKind::Integer,
             s if s == xsd::DOUBLE.as_str() => ExpectedKind::Double,
@@ -42,7 +42,7 @@ impl ExpectedKind {
 
     /// Whether a scalar value conforms. Nulls always conform — absence is a
     /// completeness concern, not a typing one.
-    pub fn admits(self, value: &Value) -> bool {
+    pub(crate) fn admits(self, value: &Value) -> bool {
         match (self, value) {
             (_, Value::Null) => true,
             (ExpectedKind::Any, _) => true,
@@ -83,7 +83,7 @@ pub enum TypingError {
 }
 
 /// The declared datatype of a feature, if any.
-pub fn feature_datatype(ontology: &BdiOntology, feature: &Iri) -> Option<Iri> {
+pub(crate) fn feature_datatype(ontology: &BdiOntology, feature: &Iri) -> Option<Iri> {
     ontology
         .store()
         .iri_objects(
@@ -97,7 +97,7 @@ pub fn feature_datatype(ontology: &BdiOntology, feature: &Iri) -> Option<Iri> {
 
 /// Validates one wrapper's *current* output against the datatypes of the
 /// features its attributes map to. Returns all violations (empty = clean).
-pub fn validate_wrapper(
+pub(crate) fn validate_wrapper(
     ontology: &BdiOntology,
     wrapper: &dyn Wrapper,
 ) -> Result<Vec<TypeViolation>, TypingError> {

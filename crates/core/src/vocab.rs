@@ -17,49 +17,49 @@ use bdi_rdf::vocab::LazyIri;
 /// `G:` namespace — the Global graph vocabulary (Code 6).
 pub mod g {
     use super::*;
-    pub const NS: &str = "http://www.essi.upc.edu/~snadal/BDIOntology/Global/";
+    pub(crate) const NS: &str = "http://www.essi.upc.edu/~snadal/BDIOntology/Global/";
     /// `G:Concept` — metaclass of domain concepts (UML classes).
-    pub static CONCEPT: LazyIri =
+    pub(crate) static CONCEPT: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Global/Concept");
     /// `G:Feature` — metaclass of features of analysis (UML attributes).
-    pub static FEATURE: LazyIri =
+    pub(crate) static FEATURE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Global/Feature");
     /// `G:hasFeature` — links a concept to one of its features.
     pub static HAS_FEATURE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Global/hasFeature");
     /// `G:hasDataType` — links a feature to an `rdfs:Datatype` (§3.1).
-    pub static HAS_DATA_TYPE: LazyIri =
+    pub(crate) static HAS_DATA_TYPE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Global/hasDataType");
 }
 
 /// `S:` namespace — the Source graph vocabulary (Code 7).
 pub mod s {
     use super::*;
-    pub const NS: &str = "http://www.essi.upc.edu/~snadal/BDIOntology/Source/";
+    pub(crate) const NS: &str = "http://www.essi.upc.edu/~snadal/BDIOntology/Source/";
     /// `S:DataSource`.
-    pub static DATA_SOURCE: LazyIri =
+    pub(crate) static DATA_SOURCE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Source/DataSource");
     /// `S:Wrapper` — one schema version of a data source.
-    pub static WRAPPER: LazyIri =
+    pub(crate) static WRAPPER: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Source/Wrapper");
     /// `S:Attribute` — an attribute projected by a wrapper.
-    pub static ATTRIBUTE: LazyIri =
+    pub(crate) static ATTRIBUTE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Source/Attribute");
     /// `S:hasWrapper`.
-    pub static HAS_WRAPPER: LazyIri =
+    pub(crate) static HAS_WRAPPER: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Source/hasWrapper");
     /// `S:hasAttribute`.
-    pub static HAS_ATTRIBUTE: LazyIri =
+    pub(crate) static HAS_ATTRIBUTE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Source/hasAttribute");
 }
 
 /// `M:` namespace — the Mapping graph vocabulary (§3.3).
 pub mod m {
     use super::*;
-    pub const NS: &str = "http://www.essi.upc.edu/~snadal/BDIOntology/Mapping/";
+    pub(crate) const NS: &str = "http://www.essi.upc.edu/~snadal/BDIOntology/Mapping/";
     /// `M:mapping` — links a wrapper to the named graph holding its LAV
     /// subgraph of `G`.
-    pub static MAPPING: LazyIri =
+    pub(crate) static MAPPING: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/Mapping/mapping");
 }
 
@@ -68,9 +68,9 @@ pub mod graphs {
     use super::*;
     pub static GLOBAL: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/graphs/G");
-    pub static SOURCE: LazyIri =
+    pub(crate) static SOURCE: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/graphs/S");
-    pub static MAPPING: LazyIri =
+    pub(crate) static MAPPING: LazyIri =
         LazyIri::new("http://www.essi.upc.edu/~snadal/BDIOntology/graphs/M");
 
     /// The Global graph's name.
@@ -90,7 +90,7 @@ pub mod graphs {
 }
 
 /// `"S:DataSource/" + source` — Algorithm 1, line 2.
-pub fn data_source_uri(source: &str) -> Iri {
+pub(crate) fn data_source_uri(source: &str) -> Iri {
     Iri::new(format!("{}DataSource/{}", s::NS, source))
 }
 
@@ -112,7 +112,7 @@ pub fn wrapper_name_of(uri: &Iri) -> Option<&str> {
 }
 
 /// Inverse of [`attribute_uri`]: `(source, attribute)` of an attribute URI.
-pub fn attribute_parts_of(uri: &Iri) -> Option<(&str, &str)> {
+pub(crate) fn attribute_parts_of(uri: &Iri) -> Option<(&str, &str)> {
     let rest = uri
         .as_str()
         .strip_prefix(&format!("{}DataSource/", s::NS))?;

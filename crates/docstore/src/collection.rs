@@ -21,7 +21,7 @@ pub enum StoreError {
 /// A single collection: an append-ordered list of JSON objects, carrying
 /// its own monotonic data-generation counter.
 #[derive(Debug, Default, Clone)]
-pub struct Collection {
+pub(crate) struct Collection {
     docs: Vec<Value>,
     /// Bumped by every write access to *this* collection (insert attempts,
     /// clears) — the per-collection granularity wrapper scan caches key on,
@@ -36,12 +36,8 @@ pub struct Collection {
 }
 
 impl Collection {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// This collection's data-generation counter.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.version
     }
 
@@ -49,7 +45,7 @@ impl Collection {
     /// every attempt, success or not — a rejected document proves a writer
     /// touched the collection, and a spurious bump only costs a cache
     /// re-scan, never correctness.
-    pub fn insert(&mut self, doc: Value) -> Result<(), StoreError> {
+    pub(crate) fn insert(&mut self, doc: Value) -> Result<(), StoreError> {
         self.version += 1;
         if !doc.is_object() {
             return Err(StoreError::NotAnObject(doc.to_string()));
@@ -58,20 +54,12 @@ impl Collection {
         Ok(())
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.docs.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
-    }
-
-    pub fn docs(&self) -> &[Value] {
-        &self.docs
-    }
-
     /// Runs an aggregation pipeline over the collection.
-    pub fn aggregate(&self, pipeline: &Pipeline) -> Result<Vec<Value>, PipelineError> {
+    pub(crate) fn aggregate(&self, pipeline: &Pipeline) -> Result<Vec<Value>, PipelineError> {
         pipeline.run(self.docs.iter())
     }
 }
@@ -252,11 +240,6 @@ impl DocStore {
             .ok_or_else(|| StoreError::UnknownCollection(collection.to_owned()))?;
         let end = coll.docs.len().min(start.saturating_add(max));
         Ok(coll.docs.get(start..end).unwrap_or(&[]).to_vec())
-    }
-
-    /// Names of all collections.
-    pub fn collection_names(&self) -> Vec<String> {
-        self.collections.read().keys().cloned().collect()
     }
 
     /// Dumps every collection's documents — the persistence image.

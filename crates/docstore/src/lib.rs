@@ -2,7 +2,7 @@
 //!
 //! The paper's wrappers query semi-structured JSON supplied by REST APIs,
 //! using MongoDB's aggregation framework (Code 2). This crate simulates that
-//! substrate: named [`collection::Collection`]s of JSON documents queried by
+//! substrate: named collections of JSON documents queried by
 //! [`pipeline::Pipeline`]s supporting `$match`, `$project` (with renames and
 //! computed fields: `$divide`, `$add`, `$subtract`, `$multiply`, `$concat`)
 //! and `$limit` — everything Code 2 needs, nothing it doesn't.
@@ -11,7 +11,7 @@ pub mod collection;
 pub mod path;
 pub mod pipeline;
 
-pub use collection::{Collection, DocStore, StoreError};
+pub use collection::{DocStore, StoreError};
 pub use pipeline::{
-    json_cmp, AggExpr, DocPredicate, Pipeline, PipelineError, PipelineRun, Projection, Stage,
+    AggExpr, DocPredicate, Pipeline, PipelineError, PipelineRun, Projection, Stage,
 };

@@ -4,7 +4,7 @@ use serde_json::Value;
 
 /// Resolves a dotted path inside a JSON value. Returns `None` when any
 /// segment is missing or traverses a non-object.
-pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
+pub(crate) fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     let mut current = doc;
     for segment in path.split('.') {
         match current {
@@ -19,25 +19,6 @@ pub fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
     Some(current)
 }
 
-/// Sets a dotted path inside a JSON object, creating intermediate objects.
-pub fn set_path(doc: &mut Value, path: &str, value: Value) {
-    let mut current = doc;
-    let segments: Vec<&str> = path.split('.').collect();
-    for (i, segment) in segments.iter().enumerate() {
-        if !current.is_object() {
-            *current = Value::Object(serde_json::Map::new());
-        }
-        let map = current.as_object_mut().expect("just ensured object");
-        if i + 1 == segments.len() {
-            map.insert((*segment).to_owned(), value);
-            return;
-        }
-        current = map
-            .entry((*segment).to_owned())
-            .or_insert_with(|| Value::Object(serde_json::Map::new()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,15 +31,6 @@ mod tests {
         assert_eq!(get_path(&doc, "monitor.metrics.1"), Some(&json!(2)));
         assert_eq!(get_path(&doc, "monitor.zzz"), None);
         assert_eq!(get_path(&doc, "monitor.id.deeper"), None);
-    }
-
-    #[test]
-    fn set_creates_intermediates() {
-        let mut doc = json!({});
-        set_path(&mut doc, "a.b.c", json!(5));
-        assert_eq!(doc, json!({"a": {"b": {"c": 5}}}));
-        set_path(&mut doc, "a.b.c", json!(6));
-        assert_eq!(get_path(&doc, "a.b.c"), Some(&json!(6)));
     }
 
     #[test]

@@ -38,39 +38,18 @@ pub enum AggExpr {
     Concat(Box<AggExpr>, Box<AggExpr>),
 }
 
-#[allow(clippy::should_implement_trait)] // mirrors MongoDB's $add/$divide naming
 impl AggExpr {
     pub fn field(path: impl Into<String>) -> Self {
         AggExpr::Field(path.into())
-    }
-
-    pub fn literal(value: impl Into<Value>) -> Self {
-        AggExpr::Literal(value.into())
     }
 
     pub fn divide(a: AggExpr, b: AggExpr) -> Self {
         AggExpr::Divide(Box::new(a), Box::new(b))
     }
 
-    pub fn add(a: AggExpr, b: AggExpr) -> Self {
-        AggExpr::Add(Box::new(a), Box::new(b))
-    }
-
-    pub fn subtract(a: AggExpr, b: AggExpr) -> Self {
-        AggExpr::Subtract(Box::new(a), Box::new(b))
-    }
-
-    pub fn multiply(a: AggExpr, b: AggExpr) -> Self {
-        AggExpr::Multiply(Box::new(a), Box::new(b))
-    }
-
-    pub fn concat(a: AggExpr, b: AggExpr) -> Self {
-        AggExpr::Concat(Box::new(a), Box::new(b))
-    }
-
     /// Evaluates against one document. Missing fields yield `Null` — evolved
     /// schemas must degrade, not crash (that is the point of the paper).
-    pub fn eval(&self, doc: &Value) -> Result<Value, PipelineError> {
+    pub(crate) fn eval(&self, doc: &Value) -> Result<Value, PipelineError> {
         match self {
             AggExpr::Field(path) => Ok(get_path(doc, path).cloned().unwrap_or(Value::Null)),
             AggExpr::Literal(v) => Ok(v.clone()),
@@ -156,7 +135,7 @@ fn arith(
 /// `i64`-representable numbers exactly, anything else as `f64` — exactly
 /// like the relational `Int`/`Float` comparison after JSON conversion.
 /// JSON numbers cannot be NaN, so the comparison is total.
-pub fn json_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
+pub(crate) fn json_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     fn rank(v: &Value) -> u8 {
         match v {
@@ -183,7 +162,7 @@ pub fn json_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
 }
 
 /// A per-field `$match` predicate over JSON values, compared through
-/// [`json_cmp`] — the fragment of MongoDB's `$eq`/`$in`/`$gte`/`$lt` family
+/// `json_cmp` — the fragment of MongoDB's `$eq`/`$in`/`$gte`/`$lt` family
 /// the mediator's predicate pushdown compiles to.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum DocPredicate {
@@ -201,7 +180,7 @@ pub enum DocPredicate {
 
 impl DocPredicate {
     /// Whether a field value satisfies the predicate.
-    pub fn matches(&self, value: &Value) -> bool {
+    pub(crate) fn matches(&self, value: &Value) -> bool {
         use std::cmp::Ordering;
         match self {
             DocPredicate::Eq(v) => json_cmp(value, v) == Ordering::Equal,
@@ -262,7 +241,7 @@ pub enum Stage {
     /// historical wrapper-authored form, kept verbatim for persisted specs.
     Match(Vec<(String, Value)>),
     /// `$match` with [`DocPredicate`]s (conjunctive), compared through
-    /// [`json_cmp`] with a missing field read as `Null` — the form predicate
+    /// `json_cmp` with a missing field read as `Null` — the form predicate
     /// pushdown appends, mirroring the mediator's relational semantics.
     MatchPred(Vec<(String, DocPredicate)>),
     /// `$project` producing exactly the listed fields.
@@ -280,16 +259,6 @@ pub struct Pipeline {
 impl Pipeline {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn match_eq(mut self, field: impl Into<String>, value: impl Into<Value>) -> Self {
-        match self.stages.last_mut() {
-            Some(Stage::Match(preds)) => preds.push((field.into(), value.into())),
-            _ => self
-                .stages
-                .push(Stage::Match(vec![(field.into(), value.into())])),
-        }
-        self
     }
 
     /// Appends a predicate `$match` conjunct (merged into a trailing
@@ -340,7 +309,7 @@ impl Pipeline {
     }
 
     /// Runs the pipeline over a document set.
-    pub fn run<'a, I>(&self, docs: I) -> Result<Vec<Value>, PipelineError>
+    pub(crate) fn run<'a, I>(&self, docs: I) -> Result<Vec<Value>, PipelineError>
     where
         I: IntoIterator<Item = &'a Value>,
     {
@@ -354,7 +323,7 @@ impl Pipeline {
 
     /// Starts an incremental, batch-at-a-time run of the pipeline —
     /// [`PipelineRun::push_batch`] feeds document chunks through the same
-    /// stages [`Pipeline::run`] applies eagerly, with `$limit` budgets
+    /// stages `Pipeline::run` applies eagerly, with `$limit` budgets
     /// carried across chunks, so concatenating the per-chunk outputs equals
     /// one eager run over the concatenated input. Takes the pipeline by
     /// value; callers batching a shared pipeline clone it once per run.
@@ -464,6 +433,10 @@ mod tests {
     use super::*;
     use serde_json::json;
 
+    fn field(path: &str) -> Box<AggExpr> {
+        Box::new(AggExpr::field(path))
+    }
+
     /// The exact VoD document of Code 1.
     fn vod_doc() -> Value {
         json!({
@@ -504,9 +477,12 @@ mod tests {
     #[test]
     fn match_filters_conjunctively() {
         let docs = vec![vod_doc(), json!({"monitorId": 18, "bitrate": 6})];
-        let p = Pipeline::new()
-            .match_eq("bitrate", 6)
-            .match_eq("monitorId", 12);
+        let p = Pipeline {
+            stages: vec![Stage::Match(vec![
+                ("bitrate".into(), json!(6)),
+                ("monitorId".into(), json!(12)),
+            ])],
+        };
         assert_eq!(p.run(&docs).unwrap().len(), 1);
     }
 
@@ -531,14 +507,8 @@ mod tests {
     fn arithmetic_preserves_integers() {
         let docs = vec![json!({"a": 2, "b": 3})];
         let p = Pipeline::new().project(vec![
-            Projection::computed(
-                "sum",
-                AggExpr::add(AggExpr::field("a"), AggExpr::field("b")),
-            ),
-            Projection::computed(
-                "prod",
-                AggExpr::multiply(AggExpr::field("a"), AggExpr::field("b")),
-            ),
+            Projection::computed("sum", AggExpr::Add(field("a"), field("b"))),
+            Projection::computed("prod", AggExpr::Multiply(field("a"), field("b"))),
         ]);
         let out = p.run(&docs).unwrap();
         assert_eq!(out[0], json!({"sum": 5, "prod": 6}));
@@ -549,7 +519,7 @@ mod tests {
         let docs = vec![json!({"name": "vod"})];
         let p = Pipeline::new().project(vec![Projection::computed(
             "tag",
-            AggExpr::concat(AggExpr::field("name"), AggExpr::literal("-v2")),
+            AggExpr::Concat(field("name"), Box::new(AggExpr::Literal(json!("-v2")))),
         )]);
         assert_eq!(p.run(&docs).unwrap()[0]["tag"], json!("vod-v2"));
     }
@@ -559,7 +529,7 @@ mod tests {
         let docs = vec![json!({"a": "x", "b": 1})];
         let p = Pipeline::new().project(vec![Projection::computed(
             "r",
-            AggExpr::add(AggExpr::field("a"), AggExpr::field("b")),
+            AggExpr::Add(field("a"), field("b")),
         )]);
         assert!(matches!(
             p.run(&docs),

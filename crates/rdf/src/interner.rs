@@ -9,8 +9,8 @@
 //! The table is open-addressed (linear probing over a power-of-two bucket
 //! array) rather than a `HashMap<Term, TermId>`: each distinct term is stored
 //! exactly once in the dense `terms` vector, so interning clones the term a
-//! single time, and IRI-only call sites ([`Interner::intern_iri`],
-//! [`Interner::get_iri`]) hash the IRI directly without materializing a
+//! single time, and IRI-only call sites (`Interner::intern_iri`,
+//! `Interner::get_iri`) hash the IRI directly without materializing a
 //! temporary `Term` wrapper.
 
 use crate::model::{Iri, Term};
@@ -22,7 +22,7 @@ pub struct TermId(pub(crate) u32);
 
 impl TermId {
     /// The raw index value.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 
@@ -33,7 +33,7 @@ impl TermId {
 
     /// Rebuilds an id from a raw index key component. The caller must have
     /// obtained the value from the same store's id space.
-    pub fn from_raw(raw: u32) -> Self {
+    pub(crate) fn from_raw(raw: u32) -> Self {
         TermId(raw)
     }
 }
@@ -111,7 +111,7 @@ fn hash_iri_term(iri: &Iri) -> u64 {
 /// in a single `parking_lot::RwLock`, following the guidance of keeping
 /// values accessed together under one lock.
 #[derive(Debug, Default)]
-pub struct Interner {
+pub(crate) struct Interner {
     terms: Vec<Term>,
     /// Cached hash of each interned term, index-aligned with `terms`.
     hashes: Vec<u64>,
@@ -121,10 +121,6 @@ pub struct Interner {
 }
 
 impl Interner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn mask(&self) -> usize {
         self.table.len() - 1
     }
@@ -179,7 +175,7 @@ impl Interner {
 
     /// Interns a term, returning its id. Idempotent. The term is cloned at
     /// most once (on first sight).
-    pub fn intern(&mut self, term: &Term) -> TermId {
+    pub(crate) fn intern(&mut self, term: &Term) -> TermId {
         if self.table.is_empty() {
             self.grow();
         }
@@ -192,7 +188,7 @@ impl Interner {
 
     /// Interns `Term::Iri(iri)` without materializing the wrapper on lookup —
     /// the hot path for predicates and graph names.
-    pub fn intern_iri(&mut self, iri: &Iri) -> TermId {
+    pub(crate) fn intern_iri(&mut self, iri: &Iri) -> TermId {
         if self.table.is_empty() {
             self.grow();
         }
@@ -204,7 +200,7 @@ impl Interner {
     }
 
     /// Looks up the id of an already-interned term.
-    pub fn get(&self, term: &Term) -> Option<TermId> {
+    pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
         if self.table.is_empty() {
             return None;
         }
@@ -212,7 +208,7 @@ impl Interner {
     }
 
     /// Looks up the id of `Term::Iri(iri)` without building the wrapper.
-    pub fn get_iri(&self, iri: &Iri) -> Option<TermId> {
+    pub(crate) fn get_iri(&self, iri: &Iri) -> Option<TermId> {
         if self.table.is_empty() {
             return None;
         }
@@ -227,18 +223,13 @@ impl Interner {
     ///
     /// # Panics
     /// Panics if the id was not produced by this interner.
-    pub fn resolve(&self, id: TermId) -> &Term {
+    pub(crate) fn resolve(&self, id: TermId) -> &Term {
         &self.terms[id.index()]
     }
 
     /// Number of distinct interned terms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.terms.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
     }
 }
 
@@ -249,7 +240,7 @@ mod tests {
 
     #[test]
     fn intern_is_idempotent() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let t = Term::iri("http://e/a");
         let a = i.intern(&t);
         let b = i.intern(&t);
@@ -259,7 +250,7 @@ mod tests {
 
     #[test]
     fn distinct_terms_get_distinct_ids() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let a = i.intern(&Term::iri("http://e/a"));
         let b = i.intern(&Term::iri("http://e/b"));
         let c = i.intern(&Term::Literal(Literal::string("http://e/a")));
@@ -270,7 +261,7 @@ mod tests {
 
     #[test]
     fn resolve_round_trips() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let term = Term::Iri(Iri::new("http://e/x"));
         let id = i.intern(&term);
         assert_eq!(i.resolve(id), &term);
@@ -278,14 +269,14 @@ mod tests {
 
     #[test]
     fn get_does_not_intern() {
-        let i = Interner::new();
+        let i = Interner::default();
         assert!(i.get(&Term::iri("http://e/a")).is_none());
-        assert!(i.is_empty());
+        assert_eq!(i.len(), 0);
     }
 
     #[test]
     fn iri_fast_path_agrees_with_term_path() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let iri = Iri::new("http://e/p");
         let via_iri = i.intern_iri(&iri);
         let via_term = i.intern(&Term::Iri(iri.clone()));
@@ -296,7 +287,7 @@ mod tests {
 
     #[test]
     fn survives_growth_with_many_terms() {
-        let mut i = Interner::new();
+        let mut i = Interner::default();
         let ids: Vec<TermId> = (0..10_000)
             .map(|n| i.intern(&Term::iri(format!("http://e/t/{n}"))))
             .collect();

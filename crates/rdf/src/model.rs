@@ -19,13 +19,14 @@ pub struct Iri(Arc<str>);
 
 impl Iri {
     /// Creates an IRI from a string, panicking on characters that can never
-    /// occur in a serialized IRI. Use [`Iri::try_new`] for fallible parsing.
+    /// occur in a serialized IRI (the crate's parsers validate through
+    /// `Iri::try_new` instead).
     pub fn new(value: impl AsRef<str>) -> Self {
         Self::try_new(value.as_ref()).expect("invalid IRI")
     }
 
     /// Fallible constructor rejecting whitespace, `<`, `>` and `"`.
-    pub fn try_new(value: &str) -> Result<Self, InvalidTerm> {
+    pub(crate) fn try_new(value: &str) -> Result<Self, InvalidTerm> {
         if value.is_empty() {
             return Err(InvalidTerm::EmptyIri);
         }
@@ -53,15 +54,6 @@ impl Iri {
             Some(idx) => &s[idx + 1..],
             None => s,
         }
-    }
-
-    /// Joins a namespace IRI with a suffix, inserting no separator: namespace
-    /// IRIs in this codebase always end in `/` or `#`.
-    pub fn join(&self, suffix: &str) -> Iri {
-        let mut s = String::with_capacity(self.0.len() + suffix.len());
-        s.push_str(&self.0);
-        s.push_str(suffix);
-        Iri::new(s)
     }
 }
 
@@ -146,16 +138,6 @@ impl Literal {
     /// An `xsd:integer` literal.
     pub fn integer(value: i64) -> Self {
         Self::typed(value.to_string(), crate::vocab::xsd::INTEGER.clone())
-    }
-
-    /// An `xsd:double` literal.
-    pub fn double(value: f64) -> Self {
-        Self::typed(value.to_string(), crate::vocab::xsd::DOUBLE.clone())
-    }
-
-    /// An `xsd:boolean` literal.
-    pub fn boolean(value: bool) -> Self {
-        Self::typed(value.to_string(), crate::vocab::xsd::BOOLEAN.clone())
     }
 
     /// The lexical form.
@@ -249,13 +231,8 @@ impl Term {
         }
     }
 
-    /// True when the term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
     /// True when the term is a literal.
-    pub fn is_literal(&self) -> bool {
+    pub(crate) fn is_literal(&self) -> bool {
         matches!(self, Term::Literal(_))
     }
 }
@@ -419,7 +396,7 @@ impl fmt::Display for Quad {
 
 /// Errors raised when constructing malformed terms.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub enum InvalidTerm {
+pub(crate) enum InvalidTerm {
     #[error("IRI must not be empty")]
     EmptyIri,
     #[error("IRI contains an illegal character: {0:?}")]
@@ -442,12 +419,6 @@ mod tests {
         assert!(Iri::try_new("http://ex.org/a b").is_err());
         assert!(Iri::try_new("http://ex.org/<x>").is_err());
         assert!(Iri::try_new("").is_err());
-    }
-
-    #[test]
-    fn iri_join_concatenates() {
-        let ns = Iri::new("http://ex.org/ns/");
-        assert_eq!(ns.join("Monitor").as_str(), "http://ex.org/ns/Monitor");
     }
 
     #[test]

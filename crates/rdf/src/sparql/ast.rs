@@ -42,14 +42,6 @@ pub enum TermOrVar {
 }
 
 impl TermOrVar {
-    pub fn iri(value: impl AsRef<str>) -> Self {
-        TermOrVar::Term(Term::iri(value))
-    }
-
-    pub fn var(name: impl AsRef<str>) -> Self {
-        TermOrVar::Var(Variable::new(name))
-    }
-
     /// Returns the constant term, if this position is bound.
     pub fn as_term(&self) -> Option<&Term> {
         match self {
@@ -59,7 +51,7 @@ impl TermOrVar {
     }
 
     /// Returns the variable, if this position is one.
-    pub fn as_var(&self) -> Option<&Variable> {
+    pub(crate) fn as_var(&self) -> Option<&Variable> {
         match self {
             TermOrVar::Var(v) => Some(v),
             TermOrVar::Term(_) => None,
@@ -103,18 +95,6 @@ pub struct TriplePattern {
 }
 
 impl TriplePattern {
-    pub fn new(
-        subject: impl Into<TermOrVar>,
-        predicate: impl Into<TermOrVar>,
-        object: impl Into<TermOrVar>,
-    ) -> Self {
-        Self {
-            subject: subject.into(),
-            predicate: predicate.into(),
-            object: object.into(),
-        }
-    }
-
     /// Number of constant positions — used for greedy join ordering.
     pub fn bound_count(&self) -> usize {
         [&self.subject, &self.predicate, &self.object]
@@ -124,7 +104,7 @@ impl TriplePattern {
     }
 
     /// All variables mentioned by the pattern.
-    pub fn variables(&self) -> Vec<&Variable> {
+    pub(crate) fn variables(&self) -> Vec<&Variable> {
         [&self.subject, &self.predicate, &self.object]
             .into_iter()
             .filter_map(|p| p.as_var())
@@ -157,15 +137,6 @@ pub struct QuadPattern {
     pub graph: GraphSpec,
 }
 
-impl QuadPattern {
-    pub fn in_active(pattern: TriplePattern) -> Self {
-        Self {
-            pattern,
-            graph: GraphSpec::Active,
-        }
-    }
-}
-
 /// A `VALUES (?v1 … ?vn) { (t11 … t1n) … }` clause.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ValuesClause {
@@ -189,7 +160,7 @@ pub struct SelectQuery {
 impl SelectQuery {
     /// All variables projected by the query; for `SELECT *`, every variable
     /// appearing in the pattern (in first-appearance order).
-    pub fn projection(&self) -> Vec<Variable> {
+    pub(crate) fn projection(&self) -> Vec<Variable> {
         if !self.select.is_empty() {
             return self.select.clone();
         }
@@ -225,11 +196,11 @@ mod tests {
 
     #[test]
     fn bound_count_counts_constants() {
-        let p = TriplePattern::new(
-            TermOrVar::iri("http://e/s"),
-            TermOrVar::var("p"),
-            TermOrVar::iri("http://e/o"),
-        );
+        let p = TriplePattern {
+            subject: Term::iri("http://e/s").into(),
+            predicate: Variable::new("p").into(),
+            object: Term::iri("http://e/o").into(),
+        };
         assert_eq!(p.bound_count(), 2);
         assert_eq!(p.variables(), vec![&Variable::new("p")]);
     }
@@ -241,17 +212,20 @@ mod tests {
             from: None,
             values: None,
             patterns: vec![
-                QuadPattern::in_active(TriplePattern::new(
-                    TermOrVar::var("a"),
-                    TermOrVar::iri("http://e/p"),
-                    TermOrVar::var("b"),
-                )),
                 QuadPattern {
-                    pattern: TriplePattern::new(
-                        TermOrVar::var("a"),
-                        TermOrVar::var("p2"),
-                        TermOrVar::iri("http://e/o"),
-                    ),
+                    pattern: TriplePattern {
+                        subject: Variable::new("a").into(),
+                        predicate: Term::iri("http://e/p").into(),
+                        object: Variable::new("b").into(),
+                    },
+                    graph: GraphSpec::Active,
+                },
+                QuadPattern {
+                    pattern: TriplePattern {
+                        subject: Variable::new("a").into(),
+                        predicate: Variable::new("p2").into(),
+                        object: Term::iri("http://e/o").into(),
+                    },
                     graph: GraphSpec::Var(Variable::new("g")),
                 },
             ],

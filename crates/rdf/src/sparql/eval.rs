@@ -36,7 +36,7 @@ pub struct Binding {
 }
 
 impl Binding {
-    pub fn get(&self, var: &Variable) -> Option<&Term> {
+    pub(crate) fn get(&self, var: &Variable) -> Option<&Term> {
         self.map.get(var)
     }
 
@@ -45,20 +45,12 @@ impl Binding {
         self.map.get(&Variable::new(name))
     }
 
-    pub fn set(&mut self, var: Variable, term: Term) {
+    pub(crate) fn set(&mut self, var: Variable, term: Term) {
         self.map.insert(var, term);
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&Variable, &Term)> {
         self.map.iter()
-    }
-
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -72,7 +64,7 @@ pub struct Solutions {
 impl Solutions {
     /// Terms bound to `var` across all solutions, deduplicated, in
     /// first-seen order.
-    pub fn column(&self, var: &str) -> Vec<Term> {
+    pub(crate) fn column(&self, var: &str) -> Vec<Term> {
         let v = Variable::new(var);
         let mut seen = HashSet::new();
         let mut out = Vec::new();

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub(crate) enum Token {
     /// `SELECT`, `FROM`, `WHERE`, `VALUES`, `PREFIX`, `GRAPH`, `DISTINCT` —
     /// matched case-insensitively and normalized to upper case.
     Keyword(String),
@@ -70,7 +70,7 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Tokenizes a query string.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
     let mut tokens = Vec::new();
     let bytes: Vec<char> = input.chars().collect();
     let mut i = 0;

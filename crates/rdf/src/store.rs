@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 
 /// Encoded graph component: `0` is the default graph, otherwise
 /// `TermId + 1` of the graph IRI.
-pub type GraphCode = u32;
+pub(crate) type GraphCode = u32;
 
 const DEFAULT_GRAPH: GraphCode = 0;
 
@@ -289,7 +289,7 @@ pub struct StoreReader<'a> {
 
 impl StoreReader<'_> {
     /// The id of an interned term, if it occurs in the store's vocabulary.
-    pub fn term_id(&self, term: &Term) -> Option<TermId> {
+    pub(crate) fn term_id(&self, term: &Term) -> Option<TermId> {
         self.inner.interner.get(term)
     }
 
@@ -298,29 +298,19 @@ impl StoreReader<'_> {
         self.inner.interner.get_iri(iri)
     }
 
-    /// The graph code of a graph name (`0` = default graph).
-    pub fn graph_code(&self, graph: &GraphName) -> Option<GraphCode> {
-        self.inner.graph_code_existing(graph)
-    }
-
     /// Decodes a term id.
-    pub fn resolve(&self, id: TermId) -> &Term {
+    pub(crate) fn resolve(&self, id: TermId) -> &Term {
         self.inner.interner.resolve(id)
-    }
-
-    /// Decodes a graph code.
-    pub fn resolve_graph(&self, code: GraphCode) -> GraphName {
-        self.inner.decode_graph(code)
     }
 
     /// Number of distinct interned terms; also the exclusive upper bound of
     /// the store's id space (ids are dense from 0).
-    pub fn term_count(&self) -> usize {
+    pub(crate) fn term_count(&self) -> usize {
         self.inner.interner.len()
     }
 
     /// Runs `f` over every key matching the pattern, in `[g, s, p, o]` order.
-    pub fn for_each_match(&self, pattern: IdPattern, f: impl FnMut([u32; 4])) {
+    pub(crate) fn for_each_match(&self, pattern: IdPattern, f: impl FnMut([u32; 4])) {
         self.inner.for_each_match(pattern, f)
     }
 
@@ -329,11 +319,6 @@ impl StoreReader<'_> {
         let mut n = 0;
         self.inner.for_each_match(pattern, |_| n += 1);
         n
-    }
-
-    /// Decodes one matched key back to a quad.
-    pub fn decode(&self, key: [u32; 4]) -> Quad {
-        self.inner.decode(key[0], key[1], key[2], key[3])
     }
 }
 
@@ -579,7 +564,7 @@ impl QuadStore {
     }
 
     /// All quads in the store.
-    pub fn iter_all(&self) -> Vec<Quad> {
+    pub(crate) fn iter_all(&self) -> Vec<Quad> {
         self.match_quads(None, None, None, &GraphPattern::Any)
     }
 
@@ -713,11 +698,6 @@ impl QuadStore {
         }
         self.bump_mutations(keys.len() as u64);
         keys.len()
-    }
-
-    /// Number of distinct interned terms (diagnostics / bench reporting).
-    pub fn term_count(&self) -> usize {
-        self.inner.read().interner.len()
     }
 }
 
@@ -1112,10 +1092,9 @@ mod tests {
             g: IdGraph::AnyNamed,
             ..pattern
         };
-        let mut decoded = Vec::new();
-        reader.for_each_match(pattern, |key| decoded.push(reader.decode(key)));
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].graph, g);
-        assert_eq!(reader.resolve_graph(reader.graph_code(&g).unwrap()), g);
+        let mut graphs = Vec::new();
+        reader.for_each_match(pattern, |[g, ..]| graphs.push(g));
+        assert_eq!(graphs.len(), 1);
+        assert_ne!(graphs[0], 0, "graph code 0 is the default graph");
     }
 }

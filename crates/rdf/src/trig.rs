@@ -82,7 +82,7 @@ fn strip_prefix_header(turtle: &str) -> String {
 }
 
 /// Parses a TriG document into quads.
-pub fn parse_trig(input: &str) -> Result<Vec<Quad>, TrigError> {
+pub(crate) fn parse_trig(input: &str) -> Result<Vec<Quad>, TrigError> {
     // Strategy: split the document into (graph, turtle-fragment) sections by
     // scanning for GRAPH blocks at brace level zero, then reuse the Turtle
     // parser per section with the shared prefix header.

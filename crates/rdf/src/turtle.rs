@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escapes a literal's lexical form for serialization.
-pub fn escape_literal(s: &str) -> String {
+pub(crate) fn escape_literal(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -100,7 +100,7 @@ impl PrefixMap {
     }
 
     /// Expands a prefixed name `pfx:local`.
-    pub fn expand(&self, prefixed: &str) -> Result<Iri, TurtleError> {
+    pub(crate) fn expand(&self, prefixed: &str) -> Result<Iri, TurtleError> {
         let (pfx, local) = prefixed
             .split_once(':')
             .ok_or_else(|| TurtleError::UnknownPrefix(prefixed.to_owned()))?;
@@ -113,7 +113,7 @@ impl PrefixMap {
 
     /// Compacts an IRI into `pfx:local` when a registered namespace prefixes
     /// it; otherwise returns the `<...>` form.
-    pub fn compact(&self, iri: &Iri) -> String {
+    pub(crate) fn compact(&self, iri: &Iri) -> String {
         let s = iri.as_str();
         for (pfx, ns) in &self.prefixes {
             if let Some(local) = s.strip_prefix(ns.as_str()) {

@@ -29,7 +29,7 @@ impl LazyIri {
     }
 
     /// The underlying IRI string.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         self.value
     }
 }
@@ -57,7 +57,7 @@ impl From<&LazyIri> for crate::model::Term {
 /// `rdf:` — the RDF syntax namespace.
 pub mod rdf {
     use super::*;
-    pub const NS: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
+    pub(crate) const NS: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
     iri_const!(
         /// `rdf:type`.
         TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -71,7 +71,7 @@ pub mod rdf {
 /// `rdfs:` — RDF Schema.
 pub mod rdfs {
     use super::*;
-    pub const NS: &str = "http://www.w3.org/2000/01/rdf-schema#";
+    pub(crate) const NS: &str = "http://www.w3.org/2000/01/rdf-schema#";
     iri_const!(
         /// `rdfs:Class`.
         CLASS = "http://www.w3.org/2000/01/rdf-schema#Class"
@@ -81,24 +81,12 @@ pub mod rdfs {
         SUB_CLASS_OF = "http://www.w3.org/2000/01/rdf-schema#subClassOf"
     );
     iri_const!(
-        /// `rdfs:subPropertyOf`.
-        SUB_PROPERTY_OF = "http://www.w3.org/2000/01/rdf-schema#subPropertyOf"
-    );
-    iri_const!(
         /// `rdfs:domain`.
         DOMAIN = "http://www.w3.org/2000/01/rdf-schema#domain"
     );
     iri_const!(
         /// `rdfs:range`.
         RANGE = "http://www.w3.org/2000/01/rdf-schema#range"
-    );
-    iri_const!(
-        /// `rdfs:label`.
-        LABEL = "http://www.w3.org/2000/01/rdf-schema#label"
-    );
-    iri_const!(
-        /// `rdfs:isDefinedBy`.
-        IS_DEFINED_BY = "http://www.w3.org/2000/01/rdf-schema#isDefinedBy"
     );
     iri_const!(
         /// `rdfs:Datatype`.
@@ -110,7 +98,7 @@ pub mod rdfs {
 /// function `F`).
 pub mod owl {
     use super::*;
-    pub const NS: &str = "http://www.w3.org/2002/07/owl#";
+    pub(crate) const NS: &str = "http://www.w3.org/2002/07/owl#";
     iri_const!(
         /// `owl:sameAs` — links a source attribute to the feature it maps to.
         SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
@@ -120,7 +108,7 @@ pub mod owl {
 /// `xsd:` — XML Schema datatypes used for feature typing (§3.1).
 pub mod xsd {
     use super::*;
-    pub const NS: &str = "http://www.w3.org/2001/XMLSchema#";
+    pub(crate) const NS: &str = "http://www.w3.org/2001/XMLSchema#";
     iri_const!(STRING = "http://www.w3.org/2001/XMLSchema#string");
     iri_const!(INTEGER = "http://www.w3.org/2001/XMLSchema#integer");
     iri_const!(DOUBLE = "http://www.w3.org/2001/XMLSchema#double");
@@ -131,24 +119,19 @@ pub mod xsd {
 
 /// `voaf:` — vocabulary-of-a-friend, used by the metamodel headers (Code 6/7).
 pub mod voaf {
-    use super::*;
-    pub const NS: &str = "http://purl.org/vocommons/voaf#";
-    iri_const!(VOCABULARY = "http://purl.org/vocommons/voaf#Vocabulary");
+    pub(crate) const NS: &str = "http://purl.org/vocommons/voaf#";
 }
 
 /// `vann:` — vocabulary annotation namespace (Code 6/7).
 pub mod vann {
-    use super::*;
-    pub const NS: &str = "http://purl.org/vocab/vann/";
-    iri_const!(PREFERRED_NAMESPACE_PREFIX = "http://purl.org/vocab/vann/preferredNamespacePrefix");
-    iri_const!(PREFERRED_NAMESPACE_URI = "http://purl.org/vocab/vann/preferredNamespaceUri");
+    pub(crate) const NS: &str = "http://purl.org/vocab/vann/";
 }
 
 /// `sc:` — schema.org, reused by the paper for `sc:identifier` (the feature
 /// taxonomy root marking ID semantics).
 pub mod sc {
     use super::*;
-    pub const NS: &str = "http://schema.org/";
+    pub(crate) const NS: &str = "http://schema.org/";
     iri_const!(
         /// `sc:identifier` — superclass of all ID features (§3.1, Alg. 2/3).
         IDENTIFIER = "http://schema.org/identifier"

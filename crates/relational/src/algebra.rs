@@ -89,10 +89,6 @@ impl RelExpr {
         }
     }
 
-    pub fn union(inputs: Vec<RelExpr>) -> Self {
-        RelExpr::Union { inputs }
-    }
-
     pub fn rename(self, renames: Vec<(String, String)>) -> Self {
         RelExpr::Rename {
             input: Box::new(self),
@@ -268,7 +264,7 @@ mod tests {
     #[test]
     fn empty_union_errors() {
         assert!(matches!(
-            RelExpr::union(vec![]).eval(&resolver),
+            RelExpr::Union { inputs: vec![] }.eval(&resolver),
             Err(AlgebraError::EmptyUnion)
         ));
     }

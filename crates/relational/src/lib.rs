@@ -5,8 +5,6 @@
 //! * [`Schema`]s partitioned into **ID** and **non-ID** attributes,
 //! * the restricted projection **Π̃** (never drops IDs) and ID-restricted
 //!   equi-join **⋈̃** ([`ops`]),
-//! * scalar [`expr`]essions for wrapper-computed attributes (`lagRatio =
-//!   waitTime / watchTime`),
 //! * the [`algebra::RelExpr`] expression tree that walks compile to, with a
 //!   paper-notation pretty printer and an evaluator,
 //! * the [`plan`] module: compiled [`plan::PhysicalPlan`]s and the streaming
@@ -17,7 +15,6 @@
 //!   estimates, bloom semi-joins and adaptive scan modes.
 
 pub mod algebra;
-pub mod expr;
 pub mod ops;
 pub mod plan;
 pub mod relation;
@@ -26,12 +23,11 @@ pub mod stats;
 pub mod value;
 
 pub use algebra::{AlgebraError, RelExpr, SourceResolver};
-pub use expr::{Expr, ExprError};
 pub use plan::{
     BatchIter, Bound, ColumnFilter, ContextCounters, ExecContext, ExecPolicy, PhysicalPlan,
     PlanError, PlanSource, Predicate, ScanMark, ScanRequest,
 };
 pub use relation::{Relation, RelationError, Tuple};
 pub use schema::{Attribute, Schema, SchemaError};
-pub use stats::{BloomFilter, ColumnStats, DistinctSketch, StatsBuilder, TableStats};
+pub use stats::{BloomFilter, ColumnStats, StatsBuilder, TableStats};
 pub use value::Value;

@@ -8,7 +8,7 @@
 //! * a [`PhysicalPlan`] of **scan / project / filter / hash-join / union**
 //!   nodes, with attribute renames fused into the scans' [`ScanRequest`]s so
 //!   they cost nothing at run time;
-//! * a [`ValuePool`] interning every scalar once, so operators move rows of
+//! * a `ValuePool` interning every scalar once, so operators move rows of
 //!   `u32` ids instead of cloning [`Value`]s — interning respects `Value`
 //!   equality (`Int(2)` and `Float(2.0)` share an id), which makes id
 //!   comparison exactly value comparison for joins and dedup;
@@ -503,7 +503,7 @@ impl ScanRequest {
     /// Appends a filter conjunct in place — the runtime form semi-join
     /// sideways passing uses to inject build-key IN-sets into an
     /// already-compiled probe scan.
-    pub fn add_column_filter(&mut self, filter: ColumnFilter) {
+    pub(crate) fn add_column_filter(&mut self, filter: ColumnFilter) {
         self.filters.push(filter);
     }
 
@@ -778,7 +778,7 @@ where
 /// A compiled physical query plan.
 ///
 /// Built through the checked constructors ([`PhysicalPlan::scan`],
-/// [`PhysicalPlan::project`], [`PhysicalPlan::hash_join`], …), which compute
+/// [`PhysicalPlan::project_columns`], [`PhysicalPlan::hash_join`], …), which compute
 /// and validate every node's output schema once, at compile time. The
 /// physical layer is deliberately more permissive than the §2.2 logical
 /// operators: Π̃/⋈̃ restrictions are enforced when walks are *built*, not
@@ -813,7 +813,10 @@ pub enum PhysicalPlan {
         schema: Schema,
     },
     /// Set union of schema-identical inputs; the executor deduplicates,
-    /// emitting rows in first-occurrence order.
+    /// emitting rows in first-occurrence order. Multi-walk unions run in
+    /// the layer above (one plan per walk, deduplicated there), so only unit
+    /// tests build this node today; it is kept because factorised rewriting
+    /// (`(⋃ Aᵢ) ⋈ (⋃ Bⱼ)`, a union under a hash join) is built on it.
     Union { inputs: Vec<PhysicalPlan> },
 }
 
@@ -827,7 +830,7 @@ impl PhysicalPlan {
     }
 
     /// Projects `indices` of the input, labelling them with `schema`.
-    pub fn project(self, indices: Vec<usize>, schema: Schema) -> Result<Self, PlanError> {
+    pub(crate) fn project(self, indices: Vec<usize>, schema: Schema) -> Result<Self, PlanError> {
         if indices.len() != schema.len() {
             return Err(PlanError::Relation(RelationError::Arity {
                 expected: schema.len(),
@@ -909,7 +912,7 @@ impl PhysicalPlan {
         })
     }
 
-    /// Set union of schema-identical plans.
+    /// Set union of schema-identical plans (see [`PhysicalPlan::Union`]).
     pub fn union(inputs: Vec<PhysicalPlan>) -> Result<Self, PlanError> {
         let first = inputs.first().ok_or(PlanError::EmptyUnion)?;
         for input in &inputs[1..] {
@@ -1001,7 +1004,7 @@ const POOL_SHARDS: usize = 1 << POOL_SHARD_BITS;
 /// The pool is sharded by value hash (an id is `local_index << 4 | shard`):
 /// interning takes `&self` and only locks one shard briefly, so parallel
 /// walk executors intern concurrently instead of serializing on one mutex.
-pub struct ValuePool {
+pub(crate) struct ValuePool {
     hasher: FnvBuild,
     shards: Vec<Mutex<PoolShard>>,
 }
@@ -1028,12 +1031,12 @@ impl Default for ValuePool {
 }
 
 impl ValuePool {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Interns a value (one clone on first occurrence only).
-    pub fn intern(&self, value: &Value) -> u32 {
+    pub(crate) fn intern(&self, value: &Value) -> u32 {
         let shard_index = (self.hasher.hash_one(value) as usize) & (POOL_SHARDS - 1);
         let mut shard = self.shards[shard_index]
             .lock()
@@ -1060,7 +1063,7 @@ impl ValuePool {
 
     /// Decodes one id, locking only its shard. Prefer [`ValuePool::reader`]
     /// for bulk decoding.
-    pub fn get(&self, id: u32) -> Value {
+    pub(crate) fn get(&self, id: u32) -> Value {
         let shard = (id as usize) & (POOL_SHARDS - 1);
         self.shards[shard]
             .lock()
@@ -1073,7 +1076,7 @@ impl ValuePool {
     /// locked in index order (the only multi-shard acquisition, so lock
     /// ordering is consistent); drop the reader before interning again on
     /// the same thread.
-    pub fn reader(&self) -> PoolReader<'_> {
+    pub(crate) fn reader(&self) -> PoolReader<'_> {
         PoolReader {
             guards: self
                 .shards
@@ -1084,15 +1087,11 @@ impl ValuePool {
     }
 
     /// Number of distinct interned values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.lock().expect("value pool poisoned").values.len())
             .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Rough resident-size estimate in bytes: the interned values (counted
@@ -1101,7 +1100,7 @@ impl ValuePool {
     /// allocator measurement. O(shards): the string heap is a running
     /// counter, so the batch-granular high-water mark can poll this without
     /// walking the pool.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         let value_size = std::mem::size_of::<Value>();
         self.shards
             .iter()
@@ -1116,13 +1115,13 @@ impl ValuePool {
 }
 
 /// A locked view of a [`ValuePool`] for bulk decoding.
-pub struct PoolReader<'a> {
+pub(crate) struct PoolReader<'a> {
     guards: Vec<MutexGuard<'a, PoolShard>>,
 }
 
 impl PoolReader<'_> {
     /// The value behind an id.
-    pub fn decode(&self, id: u32) -> &Value {
+    pub(crate) fn decode(&self, id: u32) -> &Value {
         let shard = (id as usize) & (POOL_SHARDS - 1);
         &self.guards[shard].values[(id >> POOL_SHARD_BITS) as usize]
     }
@@ -1139,7 +1138,7 @@ pub struct Batch {
 
 impl Batch {
     /// An empty batch of the given arity.
-    pub fn new(arity: usize) -> Self {
+    pub(crate) fn new(arity: usize) -> Self {
         Self {
             arity,
             len: 0,
@@ -1148,27 +1147,27 @@ impl Batch {
     }
 
     /// Appends one row; the iterator must yield exactly `arity` ids.
-    pub fn push(&mut self, row: impl IntoIterator<Item = u32>) {
+    pub(crate) fn push(&mut self, row: impl IntoIterator<Item = u32>) {
         let before = self.data.len();
         self.data.extend(row);
         debug_assert_eq!(self.data.len() - before, self.arity);
         self.len += 1;
     }
 
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.arity
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Row `i` as an id slice.
-    pub fn row(&self, i: usize) -> &[u32] {
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
         debug_assert!(i < self.len);
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
@@ -1179,7 +1178,7 @@ impl Batch {
     }
 
     /// Appends every row of `other` (equal arity).
-    pub fn append(&mut self, other: &Batch) {
+    pub(crate) fn append(&mut self, other: &Batch) {
         debug_assert_eq!(self.arity, other.arity);
         self.data.extend_from_slice(&other.data);
         self.len += other.len;
@@ -1195,7 +1194,7 @@ impl Batch {
     }
 
     /// Rough resident size of the id arena, in bytes.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.data.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -1264,7 +1263,7 @@ fn take_table(cell: ScanCell) -> Option<Batch> {
 /// order (so probe output preserves build insertion order, matching the
 /// eager join).
 #[derive(Debug, Default)]
-pub struct JoinIndex {
+pub(crate) struct JoinIndex {
     groups: HashMap<u32, Vec<u32>, FnvBuild>,
 }
 
@@ -1298,7 +1297,7 @@ impl JoinIndex {
 
 /// Default bound on cached scan entries (and, independently, cached join
 /// build sides) in an [`ExecContext`].
-pub const DEFAULT_CACHE_ENTRIES: usize = 1024;
+pub(crate) const DEFAULT_CACHE_ENTRIES: usize = 1024;
 
 /// One [`ExecContext`]'s lifetime counters and high-water marks as plain
 /// values ([`ExecContext::counters`]). An owner of many contexts folds them
@@ -1348,13 +1347,13 @@ impl std::ops::AddAssign for ContextCounters {
 /// them only while the underlying sources are known unchanged, and drop the
 /// context when they are not).
 ///
-/// Both caches are bounded ([`ExecContext::with_capacity`]); when full, the
+/// Both caches are bounded (`DEFAULT_CACHE_ENTRIES` each); when full, the
 /// least-recently-touched entry is evicted (an approximate LRU: each access
 /// stamps a monotonic tick, eviction removes the minimum).
 ///
 /// Scans go through [`PlanSource::scan_batches`]: the context pulls one
-/// value-space batch at a time ([`ExecContext::scan_batch_rows`] rows,
-/// [`BATCH_ROWS`] by default) and interns it before pulling the next, so a
+/// value-space batch at a time ([`BATCH_ROWS`] rows unless
+/// [`ExecContext::with_scan_batch_rows`] says otherwise) and interns it before pulling the next, so a
 /// scan's full `Vec<Tuple>` relation never exists here — peak value-space
 /// memory per scan is one batch. The cache stores only the interned result.
 pub struct ExecContext {
@@ -1446,7 +1445,7 @@ impl ExecContext {
 
     /// A context whose scan cache and build cache each hold at most
     /// `max_entries` entries (minimum 1).
-    pub fn with_capacity(max_entries: usize) -> Self {
+    pub(crate) fn with_capacity(max_entries: usize) -> Self {
         let pool = ValuePool::new();
         let null_id = pool.intern(&Value::Null);
         Self {
@@ -1486,7 +1485,7 @@ impl ExecContext {
     }
 
     /// Rows per batch this context pulls from sources.
-    pub fn scan_batch_rows(&self) -> usize {
+    pub(crate) fn scan_batch_rows(&self) -> usize {
         self.scan_batch_rows
     }
 
@@ -1552,7 +1551,7 @@ impl ExecContext {
     }
 
     /// The id `Value::Null` interns to (join keys equal to it never match).
-    pub fn null_id(&self) -> u32 {
+    pub(crate) fn null_id(&self) -> u32 {
         self.null_id
     }
 
@@ -1651,13 +1650,13 @@ impl ExecContext {
     }
 
     /// Decodes one id (locks a single pool shard briefly).
-    pub fn decode_value(&self, id: u32) -> Value {
+    pub(crate) fn decode_value(&self, id: u32) -> Value {
         self.pool.get(id)
     }
 
     /// Decodes a set of ids under one pool read handle (the semi-join pass
     /// decodes build-key sets through this).
-    pub fn decode_ids(&self, ids: impl IntoIterator<Item = u32>) -> Vec<Value> {
+    pub(crate) fn decode_ids(&self, ids: impl IntoIterator<Item = u32>) -> Vec<Value> {
         let reader = self.pool.reader();
         ids.into_iter()
             .map(|id| reader.decode(id).clone())
@@ -1665,7 +1664,7 @@ impl ExecContext {
     }
 
     /// Interns one value.
-    pub fn intern_value(&self, value: &Value) -> u32 {
+    pub(crate) fn intern_value(&self, value: &Value) -> u32 {
         self.pool.intern(value)
     }
 
@@ -2072,19 +2071,6 @@ impl RowSet {
             }
         }
     }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The unique rows, in first-insertion order.
-    pub fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.len).map(move |i| self.row(i))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2409,6 +2395,8 @@ enum OpNode<'r> {
         arity: usize,
         state: Option<JoinState>,
     },
+    /// Executes [`PhysicalPlan::Union`]: only unit tests reach it today,
+    /// and factorised rewriting builds its unions under joins on it.
     Union {
         inputs: Vec<OpNode<'r>>,
         current: usize,
@@ -3127,7 +3115,7 @@ fn collect_prefetch_scans<'p>(
 /// Batches a queued-scan producer may run ahead of its consumer: the
 /// bounded queue is the backpressure that keeps one slow (or huge) source
 /// from buffering unboundedly while siblings and the pipeline proceed.
-pub const PREFETCH_QUEUE_BATCHES: usize = 4;
+pub(crate) const PREFETCH_QUEUE_BATCHES: usize = 4;
 
 /// Threads one query execution may occupy — prefetch producers here, walk
 /// executors in the layer above: the machine's parallelism, capped at 16.
@@ -3159,7 +3147,7 @@ pub fn worker_budget() -> usize {
 /// * **Cursor-routed** scan leaves (scans kept out of the cache by the
 ///   context's value cap) each get a *dedicated* producer thread feeding
 ///   interned batches through a bounded queue of
-///   [`PREFETCH_QUEUE_BATCHES`] batches; the scan operator consumes the
+///   `PREFETCH_QUEUE_BATCHES` batches; the scan operator consumes the
 ///   queue instead of opening its own cursor. Source latency (a remote
 ///   source's page fetches) overlaps with execution, while the bounded
 ///   queue exerts backpressure — a slow source can stall only its own

@@ -17,7 +17,7 @@
 //!   [`Predicate::Bloom`], the compact
 //!   membership filter shipped to a probe-side source when the build
 //!   side's key set is too large for an `IN`-set;
-//! * **adaptive scan modes** — [`TableStats::avg_row_bytes`] sizes scan
+//! * **adaptive scan modes** — `TableStats::avg_row_bytes` sizes scan
 //!   batches by estimated row width instead of a flat row count.
 //!
 //! Estimates steer *plans only* — which side builds, which join runs
@@ -83,7 +83,7 @@ pub struct BloomFilter {
 impl BloomFilter {
     /// Creates an empty filter sized for `expected` keys (power-of-two
     /// bit count, clamped to `[64, 2^24]` bits).
-    pub fn with_capacity(expected: usize) -> Self {
+    pub(crate) fn with_capacity(expected: usize) -> Self {
         let bits = expected
             .max(1)
             .saturating_mul(BLOOM_BITS_PER_KEY)
@@ -97,7 +97,7 @@ impl BloomFilter {
     }
 
     /// Builds a filter over `values`, sized for their count.
-    pub fn from_values(values: &[Value]) -> Self {
+    pub(crate) fn from_values(values: &[Value]) -> Self {
         let mut filter = Self::with_capacity(values.len());
         for value in values {
             filter.insert(value);
@@ -114,7 +114,7 @@ impl BloomFilter {
     }
 
     /// Inserts a value.
-    pub fn insert(&mut self, value: &Value) {
+    pub(crate) fn insert(&mut self, value: &Value) {
         self.insert_hash(value_hash(value));
     }
 
@@ -129,7 +129,7 @@ impl BloomFilter {
 
     /// `false` means definitely absent; `true` means present or a false
     /// positive.
-    pub fn may_contain(&self, value: &Value) -> bool {
+    pub(crate) fn may_contain(&self, value: &Value) -> bool {
         let hash = value_hash(value);
         self.probe_bits(hash)
             .into_iter()
@@ -137,7 +137,7 @@ impl BloomFilter {
     }
 
     /// Number of insertions (not distinct keys; duplicates count).
-    pub fn items(&self) -> u64 {
+    pub(crate) fn items(&self) -> u64 {
         self.items
     }
 
@@ -173,7 +173,7 @@ const HLL_ALPHA: f64 = 0.709;
 /// membership snapshot becomes unavailable. Either way the estimate only
 /// steers plan choices, never row membership.
 #[derive(Debug, Clone)]
-pub struct DistinctSketch {
+pub(crate) struct DistinctSketch {
     /// Exact value hashes while small; `None` once degraded to HLL.
     small: Option<BTreeSet<u64>>,
     registers: [u8; HLL_REGISTERS],
@@ -189,13 +189,8 @@ impl Default for DistinctSketch {
 }
 
 impl DistinctSketch {
-    /// Creates an empty sketch in exact mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Observes one value occurrence.
-    pub fn observe(&mut self, value: &Value) {
+    pub(crate) fn observe(&mut self, value: &Value) {
         self.observe_hash(value_hash(value));
     }
 
@@ -217,7 +212,7 @@ impl DistinctSketch {
 
     /// Estimated number of distinct observed values (exact while in
     /// small-set mode).
-    pub fn estimate(&self) -> u64 {
+    pub(crate) fn estimate(&self) -> u64 {
         if let Some(small) = &self.small {
             return small.len() as u64;
         }
@@ -235,7 +230,7 @@ impl DistinctSketch {
 
     /// A membership filter over everything observed so far — available
     /// only while the sketch is still exact.
-    pub fn bloom(&self) -> Option<BloomFilter> {
+    pub(crate) fn bloom(&self) -> Option<BloomFilter> {
         let small = self.small.as_ref()?;
         let mut filter = BloomFilter::with_capacity(small.len());
         for &hash in small {
@@ -375,7 +370,7 @@ pub struct TableStats {
 
 impl TableStats {
     /// Assembles a snapshot from per-column stats.
-    pub fn new(rows: u64, data_version: u64, columns: Vec<(String, ColumnStats)>) -> Self {
+    pub(crate) fn new(rows: u64, data_version: u64, columns: Vec<(String, ColumnStats)>) -> Self {
         TableStats {
             rows,
             data_version,
@@ -423,7 +418,7 @@ impl TableStats {
 
     /// Estimated encoded width of one row restricted to `columns`, in
     /// bytes (8 per unknown column). Never returns 0.
-    pub fn avg_row_bytes(&self, columns: &[String]) -> u64 {
+    pub(crate) fn avg_row_bytes(&self, columns: &[String]) -> u64 {
         columns
             .iter()
             .map(|name| self.column(name).map(|c| c.avg_width).unwrap_or(8))
@@ -520,11 +515,6 @@ impl StatsBuilder {
         }
     }
 
-    /// Number of rows observed so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
     /// Freezes the current state into an immutable snapshot tagged with
     /// `data_version`.
     pub fn snapshot(&self, data_version: u64) -> TableStats {
@@ -595,7 +585,7 @@ mod tests {
 
     #[test]
     fn distinct_sketch_is_exact_while_small() {
-        let mut sketch = DistinctSketch::new();
+        let mut sketch = DistinctSketch::default();
         for i in 0..500 {
             sketch.observe(&Value::Int(i % 100));
         }
@@ -607,7 +597,7 @@ mod tests {
 
     #[test]
     fn distinct_sketch_degrades_within_tolerance() {
-        let mut sketch = DistinctSketch::new();
+        let mut sketch = DistinctSketch::default();
         for i in 0..50_000 {
             sketch.observe(&Value::Int(i));
         }

@@ -52,14 +52,6 @@ impl Value {
         }
     }
 
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     fn rank(&self) -> u8 {
         match self {
             Value::Null => 0,
@@ -251,7 +243,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
         assert_eq!(Value::Float(2.5).as_i64(), None);
-        assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert!(Value::Null.is_null());
     }
 

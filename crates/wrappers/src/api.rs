@@ -117,7 +117,7 @@ impl VersionSchema {
         }
     }
 
-    pub fn field(&self, name: &str) -> Option<&FieldSpec> {
+    pub(crate) fn field(&self, name: &str) -> Option<&FieldSpec> {
         self.fields.iter().find(|f| f.name == name)
     }
 
@@ -267,7 +267,7 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    pub fn new(api: impl Into<String>, method: impl Into<String>) -> Self {
+    pub(crate) fn new(api: impl Into<String>, method: impl Into<String>) -> Self {
         Self {
             api: api.into(),
             method: method.into(),
@@ -276,16 +276,12 @@ impl Endpoint {
     }
 
     /// The docstore collection holding one version's events.
-    pub fn collection(&self, version: &str) -> String {
+    pub(crate) fn collection(&self, version: &str) -> String {
         format!("{}/{}/{}", self.api, self.method, version)
     }
 
     pub fn version(&self, version: &str) -> Option<&VersionSchema> {
         self.versions.iter().find(|v| v.version == version)
-    }
-
-    pub fn latest(&self) -> Option<&VersionSchema> {
-        self.versions.last()
     }
 }
 
@@ -299,11 +295,6 @@ pub struct ApiSimulator {
 impl ApiSimulator {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The backing document store (shared handle).
-    pub fn store(&self) -> &DocStore {
-        &self.store
     }
 
     /// Registers a new endpoint (no versions yet).
@@ -336,10 +327,6 @@ impl ApiSimulator {
 
     pub fn endpoint(&self, api: &str, method: &str) -> Option<&Endpoint> {
         self.endpoints.get(&(api.to_owned(), method.to_owned()))
-    }
-
-    pub fn endpoints(&self) -> impl Iterator<Item = &Endpoint> {
-        self.endpoints.values()
     }
 
     /// Generates `count` deterministic events for a version (seeded), storing
@@ -408,7 +395,7 @@ impl ApiSimulator {
     /// the exposed relation (and every scan of it) never carries unused
     /// attributes. Field order is preserved; ID flags come from the version
     /// schema.
-    pub fn wrapper_for_projection(
+    pub(crate) fn wrapper_for_projection(
         &self,
         api: &str,
         method: &str,
@@ -496,7 +483,7 @@ mod tests {
         sim.release("vod", "GET/events", vod_v1()).unwrap();
         let n = sim.ingest("vod", "GET/events", "v1", 10, 42).unwrap();
         assert_eq!(n, 10);
-        assert_eq!(sim.store().count("vod/GET/events/v1"), 10);
+        assert_eq!(sim.store.count("vod/GET/events/v1"), 10);
     }
 
     #[test]
@@ -511,14 +498,8 @@ mod tests {
         sim_b.release("vod", "m", vod_v1()).unwrap();
         sim_b.ingest("vod", "m", "v1", 5, 7).unwrap();
 
-        let a = sim_a
-            .store()
-            .aggregate("vod/m/v1", &Pipeline::new())
-            .unwrap();
-        let b = sim_b
-            .store()
-            .aggregate("vod/m/v1", &Pipeline::new())
-            .unwrap();
+        let a = sim_a.store.aggregate("vod/m/v1", &Pipeline::new()).unwrap();
+        let b = sim_b.store.aggregate("vod/m/v1", &Pipeline::new()).unwrap();
         assert_eq!(a, b);
     }
 

@@ -153,7 +153,7 @@ impl JsonWrapper {
     }
 
     /// The backing collection's name.
-    pub fn collection(&self) -> &str {
+    pub(crate) fn collection(&self) -> &str {
         &self.collection
     }
 
@@ -448,7 +448,7 @@ impl Wrapper for JsonWrapper {
     /// the wrapper's pipeline, followed by a `$match` of every translatable
     /// predicate, so the document store never surfaces unused attributes or
     /// filtered-out documents. The docstore compares through
-    /// [`bdi_docstore::json_cmp`], which mirrors relational [`Value`]
+    /// `bdi_docstore`'s `json_cmp`, which mirrors relational [`Value`]
     /// ordering (cross-type numeric equality included) — the contract is
     /// relational. Untranslatable predicates are evaluated here after
     /// JSON→[`Value`] conversion, so the scan honours *any* request
@@ -571,7 +571,7 @@ impl Wrapper for JsonWrapper {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+pub mod tests {
     use super::*;
     use bdi_docstore::{AggExpr, Projection};
     use serde_json::json;

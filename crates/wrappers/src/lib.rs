@@ -29,9 +29,7 @@ pub mod wrapper;
 
 pub use api::{ApiError, ApiSimulator, Endpoint, FieldKind, FieldSpec, SchemaDelta, VersionSchema};
 pub use json_wrapper::JsonWrapper;
-pub use remote::{
-    FaultProfile, RemotePage, RemoteWrapper, RetryPolicy, SimulatedEndpoint, TransportError,
-};
+pub use remote::{FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint};
 pub use spec::WrapperSpec;
 pub use table_wrapper::TableWrapper;
 pub use wrapper::{FailureKind, RetryStats, Wrapper, WrapperError, WrapperRegistry};

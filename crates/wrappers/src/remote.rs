@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 /// Pages a [`RemoteWrapper`]'s producer thread may fetch ahead of its
 /// consumer: the bounded queue is the backpressure that keeps a fast
 /// endpoint from buffering an unbounded number of pages in the mediator.
-pub const REMOTE_QUEUE_PAGES: usize = 4;
+const REMOTE_QUEUE_PAGES: usize = 4;
 
 /// Retry behaviour for a fault-tolerant wrapper's page fetches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,7 +83,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// The backoff slept after failed attempt number `attempt` (1-based):
     /// `initial_backoff × 2^(attempt-1)`, capped at `max_backoff`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let doubled = self
             .initial_backoff
             .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
@@ -138,7 +138,7 @@ impl FaultProfile {
 
 /// One page of a [`SimulatedEndpoint`] response.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RemotePage {
+pub(crate) struct RemotePage {
     /// The page's rows, already projected and filtered server-side.
     pub rows: Vec<Tuple>,
     /// Whether this is the final page of the result.
@@ -148,7 +148,7 @@ pub struct RemotePage {
 /// A failure reported by the endpoint's transport, classified for the
 /// retry loop.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub enum TransportError {
+pub(crate) enum TransportError {
     /// Momentary — retrying the same fetch may succeed.
     #[error("transient transport error: {0}")]
     Transient(String),
@@ -158,7 +158,7 @@ pub enum TransportError {
 }
 
 /// An in-process paged "server" over a relation, reached only through the
-/// query-string protocol of [`SimulatedEndpoint::fetch`] and failing
+/// query-string protocol of its `fetch` method and failing
 /// according to its [`FaultProfile`]. Shared behind an [`Arc`] between the
 /// owning [`RemoteWrapper`] and its detached pager threads.
 pub struct SimulatedEndpoint {
@@ -190,13 +190,13 @@ impl SimulatedEndpoint {
     }
 
     /// The relation's schema (what a wrapper over this endpoint exposes).
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         self.data.schema()
     }
 
     /// Total rows behind the endpoint (the wrapper's unfiltered scan
     /// hint).
-    pub fn row_count(&self) -> u64 {
+    pub(crate) fn row_count(&self) -> u64 {
         self.data.len() as u64
     }
 
@@ -206,7 +206,7 @@ impl SimulatedEndpoint {
     /// [`Predicate::matches`] and slices the requested page out of the
     /// filtered result. Malformed or unknown-column queries fail
     /// permanently.
-    pub fn fetch(&self, params: &str) -> Result<RemotePage, TransportError> {
+    pub(crate) fn fetch(&self, params: &str) -> Result<RemotePage, TransportError> {
         if !self.profile.page_latency.is_zero() {
             std::thread::sleep(self.profile.page_latency);
         }
@@ -422,7 +422,7 @@ fn parse_bound(text: &str) -> Result<Option<Bound>, String> {
 /// `in:<col>=<lit>|<lit>…` or `rg:<col>=<bound>;<bound>` param per filter.
 /// Exposed (with [`SimulatedEndpoint::fetch`]) so tests can speak the
 /// protocol directly.
-pub fn render_params(request: &ScanRequest, page: u64, rows: usize) -> String {
+pub(crate) fn render_params(request: &ScanRequest, page: u64, rows: usize) -> String {
     let mut params = vec![
         format!(
             "cols={}",
@@ -604,7 +604,6 @@ pub struct RemoteWrapper {
     source: String,
     endpoint: Arc<SimulatedEndpoint>,
     retry: RetryPolicy,
-    queue_pages: usize,
     stats: Arc<SharedRetryStats>,
     claims_fp: u64,
 }
@@ -626,22 +625,9 @@ impl RemoteWrapper {
             source: source.into(),
             endpoint,
             retry,
-            queue_pages: REMOTE_QUEUE_PAGES,
             stats: Arc::new(SharedRetryStats::default()),
             claims_fp,
         }
-    }
-
-    /// Overrides how many pages the detached pager may run ahead of its
-    /// consumer (minimum 1; default [`REMOTE_QUEUE_PAGES`]).
-    pub fn with_queue_pages(mut self, pages: usize) -> Self {
-        self.queue_pages = pages.max(1);
-        self
-    }
-
-    /// The endpoint this wrapper fetches from.
-    pub fn endpoint(&self) -> &Arc<SimulatedEndpoint> {
-        &self.endpoint
     }
 }
 
@@ -757,10 +743,9 @@ impl Wrapper for RemoteWrapper {
     /// Streams pages through a detached producer thread and a bounded
     /// queue: the endpoint evaluates the projection and every filter
     /// server-side, page latency overlaps with the mediator's execution,
-    /// the queue's backpressure keeps at most
-    /// [`RemoteWrapper::with_queue_pages`] pages resident, and a consumer
-    /// that stops pulling (or drops the iterator) disconnects the producer
-    /// after its current page. Pages are requested at `batch_rows` rows, so
+    /// the queue's backpressure keeps at most `REMOTE_QUEUE_PAGES` pages
+    /// resident, and a consumer that stops pulling (or drops the iterator)
+    /// disconnects the producer after its current page. Pages are requested at `batch_rows` rows, so
     /// yielded batches respect the consumer's bound (the endpoint may serve
     /// less per page, never more). Unmarked: the wrapper cannot vouch for
     /// what a remote source did between two scans.
@@ -769,7 +754,7 @@ impl Wrapper for RemoteWrapper {
         request: &ScanRequest,
         batch_rows: usize,
     ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_pages);
+        let (tx, rx) = std::sync::mpsc::sync_channel(REMOTE_QUEUE_PAGES);
         let pager = Pager {
             name: self.name.clone(),
             endpoint: Arc::clone(&self.endpoint),
@@ -815,7 +800,7 @@ impl Wrapper for RemoteWrapper {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-pub(crate) mod tests {
+pub mod tests {
     use super::*;
     use crate::wrapper::{FailureKind, WrapperRegistry};
     use bdi_relational::plan::PlanSource;

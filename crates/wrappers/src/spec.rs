@@ -116,7 +116,7 @@ pub fn value_to_json(v: &Value) -> serde_json::Value {
 
 impl JsonWrapper {
     /// This wrapper's serializable definition.
-    pub fn spec(&self) -> WrapperSpec {
+    pub(crate) fn spec(&self) -> WrapperSpec {
         WrapperSpec::Json {
             name: self.name().to_owned(),
             source: self.source().to_owned(),
@@ -140,7 +140,7 @@ impl JsonWrapper {
 
 impl TableWrapper {
     /// This wrapper's serializable definition (rows inlined).
-    pub fn spec(&self) -> Result<WrapperSpec, WrapperError> {
+    pub(crate) fn spec(&self) -> Result<WrapperSpec, WrapperError> {
         let relation = self.scan()?;
         Ok(WrapperSpec::Table {
             name: self.name().to_owned(),

@@ -24,8 +24,8 @@ pub const RELATION_COLLECTION: &str = "d3/relations";
 
 /// Data source names, matching the paper's `D1..D3`.
 pub const D1: &str = "D1";
-pub const D2: &str = "D2";
-pub const D3: &str = "D3";
+pub(crate) const D2: &str = "D2";
+pub(crate) const D3: &str = "D3";
 
 /// Populates a fresh [`DocStore`] with the Table 1 sample data.
 ///

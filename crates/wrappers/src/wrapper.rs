@@ -45,7 +45,7 @@ pub enum FailureKind {
 
 impl FailureKind {
     /// `true` for [`FailureKind::Transient`].
-    pub fn is_transient(self) -> bool {
+    pub(crate) fn is_transient(self) -> bool {
         matches!(self, FailureKind::Transient)
     }
 }
@@ -86,7 +86,7 @@ impl WrapperError {
     }
 
     /// A permanent [`WrapperError::SourceQuery`].
-    pub fn permanent(source: impl Into<String>, cause: impl Into<String>) -> Self {
+    pub(crate) fn permanent(source: impl Into<String>, cause: impl Into<String>) -> Self {
         WrapperError::SourceQuery {
             source: source.into(),
             kind: FailureKind::Permanent,
@@ -116,7 +116,7 @@ pub struct RetryStats {
 
 impl RetryStats {
     /// Adds another wrapper's counters into this one.
-    pub fn merge(&mut self, other: &RetryStats) {
+    pub(crate) fn merge(&mut self, other: &RetryStats) {
         self.attempts += other.attempts;
         self.retries += other.retries;
         self.pages += other.pages;
@@ -248,7 +248,7 @@ pub trait Wrapper: Send + Sync {
     /// A fingerprint of the wrapper's [`Wrapper::claims_filter`] answers:
     /// every schema column probed with one canonical predicate per
     /// [`Predicate`] kind (equality, IN-set, range) — see
-    /// [`probe_claims_fingerprint`]. The system folds it into the
+    /// `probe_claims_fingerprint`. The system folds it into the
     /// plan-cache validity stamp, so a wrapper whose claim answers change
     /// at run time invalidates compiled plans — whose residual filter
     /// split was derived from the old answers. This default re-probes on
@@ -306,7 +306,10 @@ pub(crate) fn eager_batches<W: Wrapper + ?Sized>(
 /// column × one canonical predicate per [`Predicate`] kind, hashed with the
 /// claim answer. Exposed so wrapper kinds with static claims can compute it
 /// once at construction instead of re-probing per query.
-pub fn probe_claims_fingerprint(schema: &Schema, claims: impl Fn(&ColumnFilter) -> bool) -> u64 {
+pub(crate) fn probe_claims_fingerprint(
+    schema: &Schema,
+    claims: impl Fn(&ColumnFilter) -> bool,
+) -> u64 {
     let probes = [
         Predicate::eq(0),
         Predicate::in_set([Value::Int(0)]),
@@ -360,14 +363,6 @@ impl WrapperRegistry {
     /// All wrappers, in name order.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<dyn Wrapper>> {
         self.wrappers.values()
-    }
-
-    /// All wrappers belonging to `source` — the set `{w : source(w) = D}`.
-    pub fn by_source(&self, source: &str) -> Vec<&Arc<dyn Wrapper>> {
-        self.wrappers
-            .values()
-            .filter(|w| w.source() == source)
-            .collect()
     }
 
     /// Aggregated [`RetryStats`] across every registered wrapper that
@@ -597,24 +592,6 @@ mod tests {
     fn unknown_wrapper_resolution_fails() {
         let reg = WrapperRegistry::new();
         assert!(reg.resolve("zz").is_err());
-    }
-
-    #[test]
-    fn by_source_filters() {
-        let mut reg = WrapperRegistry::new();
-        reg.register(sample());
-        reg.register(Arc::new(
-            TableWrapper::new(
-                "w2",
-                "D2",
-                Schema::from_parts::<&str>(&["id"], &[]).unwrap(),
-                vec![],
-            )
-            .unwrap(),
-        ));
-        assert_eq!(reg.by_source("D1").len(), 1);
-        assert_eq!(reg.by_source("D2").len(), 1);
-        assert_eq!(reg.by_source("D3").len(), 0);
     }
 
     /// One wrapper kind under the scan contract.
