@@ -1,0 +1,284 @@
+use super::context::{adaptive_batch_rows, scan_uses_cache, versioned_scan_key, ExecContext};
+use super::operator::{semijoin_probe_plan, Operator};
+use super::physical::PhysicalPlan;
+use super::pool::Batch;
+use super::request::{PlanSource, ScanRequest};
+use super::{ExecPolicy, PlanError};
+use crate::relation::{Relation, Tuple};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::SyncSender;
+
+/// The plain pull loop: drains an [`Operator`] on the caller's thread,
+/// decoding each batch.
+pub(super) fn pull_plan(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    source: &dyn PlanSource,
+    policy: ExecPolicy,
+) -> Result<Relation, PlanError> {
+    let mut op = Operator::new(plan, ctx, source, policy);
+    let mut rows: Vec<Tuple> = Vec::new();
+    while let Some(batch) = op.next_batch()? {
+        rows.extend(ctx.decode_batch(&batch));
+    }
+    Ok(Relation::new(plan.schema().clone(), rows)?)
+}
+
+/// Collects the distinct scan leaves of a plan tree the prefetcher can
+/// work ahead on — each tagged with whether the executor will materialize
+/// it through the context cache (`true`: warm the shared cell) or pull it
+/// cursor-only (`false`: feed it through a bounded queue). Probe scans
+/// semi-join passing is about to reduce are skipped entirely (prefetching
+/// those would issue the full unreduced scan the sideways pass exists to
+/// avoid, *and* pollute the cache with it).
+fn collect_prefetch_scans<'p>(
+    plan: &'p PhysicalPlan,
+    ctx: &ExecContext,
+    source: &dyn PlanSource,
+    policy: &ExecPolicy,
+    out: &mut Vec<(&'p str, &'p ScanRequest, bool)>,
+) {
+    match plan {
+        PhysicalPlan::Scan {
+            source: name,
+            request,
+        } => {
+            if !out
+                .iter()
+                .any(|(s, r, _)| *s == name.as_str() && *r == request)
+            {
+                let cached = scan_uses_cache(ctx, source, name, request);
+                out.push((name, request, cached));
+            }
+        }
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
+            collect_prefetch_scans(input, ctx, source, policy, out)
+        }
+        PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+            ..
+        } => {
+            let probe = semijoin_probe_plan(left, right, *left_key, *right_key, source, policy);
+            for child in [&**left, &**right] {
+                if probe.is_some_and(|p| std::ptr::eq(p, child)) {
+                    // The probe chain holds exactly one scan (its injection
+                    // site); the executor issues it reduced or
+                    // cache-bypassed after the build completes.
+                    continue;
+                }
+                collect_prefetch_scans(child, ctx, source, policy, out);
+            }
+        }
+        PhysicalPlan::Union { inputs } => {
+            for input in inputs {
+                collect_prefetch_scans(input, ctx, source, policy, out);
+            }
+        }
+    }
+}
+
+/// Batches a queued-scan producer may run ahead of its consumer: the
+/// bounded queue is the backpressure that keeps one slow (or huge) source
+/// from buffering unboundedly while siblings and the pipeline proceed.
+pub(crate) const PREFETCH_QUEUE_BATCHES: usize = 4;
+
+/// Threads one query execution may occupy — prefetch producers here, walk
+/// executors in the layer above: the machine's parallelism, capped at 16.
+pub fn worker_budget() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(16)
+}
+
+/// Runs a plan to completion against a (possibly shared) context under a
+/// runtime [`ExecPolicy`], decoding the result — the one plan driver.
+/// ([`Operator::new`] + [`Operator::next_batch`] is the pull API for
+/// callers that consume interned batches themselves.)
+///
+/// Union nodes deduplicate (set semantics) and emit rows in first-occurrence
+/// order; every other operator preserves its input order. Callers wanting
+/// the canonical sorted form apply [`Relation::distinct`] themselves.
+///
+/// The pipeline pulls on the caller's thread; where there is something to
+/// work ahead on, `crossbeam` scoped prefetch threads — at most
+/// [`worker_budget`] of them — run ahead of it:
+///
+/// * **Cache-destined** scan leaves are warmed concurrently by a worker
+///   pool, so a plan over several sources overlaps their scans with each
+///   other — and with the join pipeline, which starts pulling immediately
+///   and blocks per scan only until *that* scan's shared cache cell is
+///   filled.
+/// * **Cursor-routed** scan leaves (scans kept out of the cache by the
+///   context's value cap) each get a *dedicated* producer thread feeding
+///   interned batches through a bounded queue of
+///   `PREFETCH_QUEUE_BATCHES` batches; the scan operator consumes the
+///   queue instead of opening its own cursor. Source latency (a remote
+///   source's page fetches) overlaps with execution, while the bounded
+///   queue exerts backpressure — a slow source can stall only its own
+///   producer, never a sibling's, and never buffers more than the queue
+///   holds. Producers beyond the worker budget are not spawned; the
+///   overflow scans just run as plain cursors.
+///
+/// Probe scans the semi-join pass is about to reduce are deliberately not
+/// prefetched on either path. Memory stays bounded: each in-flight
+/// prefetch streams through [`PlanSource::scan_batches`] and holds at most
+/// one value-space batch plus (for queued feeds) the bounded queue; what
+/// accumulates is the interned (4-bytes-per-cell) form in the shared scan
+/// cache, which the plan's operators would have materialized anyway.
+/// A single-core host, and a plan with nothing to work ahead on (fewer
+/// than two cold cache-destined scans and no cursor-routed one), skip the
+/// threads entirely.
+pub fn execute_plan(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    source: &dyn PlanSource,
+    policy: ExecPolicy,
+) -> Result<Relation, PlanError> {
+    execute_plan_with_workers(plan, ctx, source, policy, worker_budget())
+}
+
+/// [`execute_plan`] with the prefetch-thread budget as an argument.
+pub(super) fn execute_plan_with_workers(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    source: &dyn PlanSource,
+    policy: ExecPolicy,
+    max_workers: usize,
+) -> Result<Relation, PlanError> {
+    let mut scans = Vec::new();
+    collect_prefetch_scans(plan, ctx, source, &policy, &mut scans);
+    // Warm scans need no prefetch — on a persistent context a repeated
+    // query would otherwise spawn threads just to find every cell filled.
+    let cached: Vec<(&str, &ScanRequest)> = scans
+        .iter()
+        .filter(|(name, request, cached)| *cached && !ctx.scan_resolved(source, name, request))
+        .map(|(name, request, _)| (*name, *request))
+        .collect();
+    let mut queued: Vec<(&str, &ScanRequest)> = scans
+        .iter()
+        .filter(|(_, _, cached)| !cached)
+        .map(|(name, request, _)| (*name, *request))
+        .collect();
+    queued.truncate(max_workers);
+    if max_workers < 2 || (cached.len() < 2 && queued.is_empty()) {
+        return pull_plan(plan, ctx, source, policy);
+    }
+    let warm_workers = if cached.len() >= 2 {
+        cached.len().min(max_workers)
+    } else {
+        0
+    };
+    let next = AtomicU64::new(0);
+    let cached = &cached;
+    let next = &next;
+    let deadline = policy.deadline;
+    crossbeam::scope(|s| {
+        let mut queued_keys = Vec::new();
+        for (name, request) in &queued {
+            let key = versioned_scan_key(source, name, request);
+            let (tx, rx): (SyncSender<Result<Batch, PlanError>>, _) =
+                std::sync::mpsc::sync_channel(PREFETCH_QUEUE_BATCHES);
+            ctx.offer_queued_scan(key.clone(), rx);
+            queued_keys.push(key);
+            let (name, request) = (*name, *request);
+            s.spawn(move |_| {
+                let batch_rows = adaptive_batch_rows(ctx, source, name, request);
+                let batches = match source.scan_batches(name, request, batch_rows) {
+                    Ok((batches, _)) => batches,
+                    Err(e) => {
+                        let _ = tx.send(Err(e.into()));
+                        return;
+                    }
+                };
+                for message in ctx.interned(request, batches, deadline) {
+                    // A failed send means the consumer (or the cleanup
+                    // below) dropped the feed — stop fetching.
+                    if tx.send(message).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+        for _ in 0..warm_workers {
+            s.spawn(move |_| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed) as usize;
+                let Some((name, request)) = cached.get(index) else {
+                    break;
+                };
+                // Warm the shared cache cell; an error is re-surfaced
+                // (deterministically, from the same cell) when the plan's
+                // own scan operator pulls it.
+                let _ = ctx.scan(source, name, request, deadline);
+            });
+        }
+        let result = pull_plan(plan, ctx, source, policy);
+        // Feeds nobody claimed (a probe scan reduced after registration, an
+        // execution that errored before reaching its scan) would leave
+        // their producers blocked on a full queue: drop them so the
+        // senders disconnect before the scope joins.
+        ctx.drop_queued_scans(&queued_keys);
+        result
+    })
+    .expect("prefetch thread panicked")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ops;
+    use crate::plan::test_support::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn prefetched_execution_matches_plain_and_scans_once() {
+        let scans = AtomicUsize::new(0);
+        let counting = |name: &str, request: &ScanRequest| {
+            scans.fetch_add(1, Ordering::SeqCst);
+            source(name, request)
+        };
+        let plan = scan_all("w1", &w1())
+            .hash_join(scan_all("w3", &w3()), "VoDmonitorId", "MonitorId")
+            .unwrap();
+        let reference = run(&plan, &source).unwrap();
+        let ctx = ExecContext::new();
+        let out =
+            execute_plan_with_workers(&plan, &ctx, &counting, ExecPolicy::default(), 8).unwrap();
+        assert_eq!(out.rows(), reference.rows());
+        // Prefetch threads and the pulling pipeline share the cache cells:
+        // each distinct scan ran exactly once.
+        assert_eq!(scans.load(Ordering::SeqCst), 2);
+        // Errors surface through the shared cell, prefetched or not.
+        let bad = scan_all("w1", &w1())
+            .hash_join(scan_all("zz", &w3()), "VoDmonitorId", "MonitorId")
+            .unwrap();
+        assert!(execute_plan_with_workers(
+            &bad,
+            &ExecContext::new(),
+            &source,
+            ExecPolicy::default(),
+            8
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn semijoin_survives_prefetched_execution() {
+        // The prefetcher must not warm (and cache) the probe scan the
+        // sideways pass is about to reduce: wbig is scanned exactly once,
+        // already carrying the IN-set.
+        let src = Hinted::new(true);
+        let ctx = ExecContext::new();
+        let out = execute_plan_with_workers(&w3_wbig_join(), &ctx, &src, ExecPolicy::default(), 8)
+            .unwrap();
+        let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
+        assert_eq!(out.rows(), eager.rows());
+        let probe_requests = src.requests_for("wbig");
+        assert_eq!(probe_requests.len(), 1);
+        assert_eq!(probe_requests[0].filters().len(), 1);
+        assert_eq!(ctx.cached_scans(), 1);
+    }
+}

@@ -14,15 +14,14 @@ use std::path::Path;
 /// interns a source's batches (`InternedBatches::next`) with the
 /// scan-cache fill that drains it, and the pager producer and consumer.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
+    ("crates/relational/src/plan/operator.rs", &["next_batch"]),
     (
-        "crates/relational/src/plan.rs",
-        &[
-            "next_batch",
-            "execute_plan",
-            "execute_plan_with_workers",
-            "next",
-            "collect_scan",
-        ],
+        "crates/relational/src/plan/context.rs",
+        &["next", "collect_scan"],
+    ),
+    (
+        "crates/relational/src/plan/driver.rs",
+        &["execute_plan", "execute_plan_with_workers"],
     ),
     (
         "crates/wrappers/src/remote.rs",
