@@ -38,7 +38,9 @@
 //!   against (`tests/props_exec.rs`): the two produce identical rows in
 //!   identical order under `Value` equality (interning canonicalizes each
 //!   Eq class of numerics — where `Int(2)` and `Float(2.0)` both occur, the
-//!   streaming answer surfaces one representative of that equal pair).
+//!   streaming answer surfaces one representative of that equal pair; an
+//!   `Int` and a `Float` compare exactly, so a class never joins `Int(2⁵³)`
+//!   with `Int(2⁵³ + 1)` through `Float(2⁵³)`).
 //!
 //! Row-order contract (shared by both engines): a single-walk answer keeps
 //! the walk's natural evaluation order; a multi-walk answer is the canonical

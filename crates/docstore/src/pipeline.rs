@@ -131,10 +131,10 @@ fn arith(
 /// `Value` order, so `$match` predicates pushed down by wrappers agree with
 /// the mediator's reference semantics: `Null < Bool < Number < String`
 /// (< Array < Object, which wrappers reject as non-1NF but which stay
-/// ordered here for totality). Numbers compare cross-representation — two
-/// `i64`-representable numbers exactly, anything else as `f64` — exactly
-/// like the relational `Int`/`Float` comparison after JSON conversion.
-/// JSON numbers cannot be NaN, so the comparison is total.
+/// ordered here for totality). Numbers compare cross-representation and
+/// exactly — an `i64`-representable number against a double too, never by
+/// widening it to `f64` — like the relational `Int`/`Float` comparison after
+/// JSON conversion. JSON numbers cannot be NaN, so the comparison is total.
 pub(crate) fn json_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     fn rank(v: &Value) -> u8 {
@@ -150,15 +150,33 @@ pub(crate) fn json_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     match (a, b) {
         (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
         (Value::String(x), Value::String(y)) => x.cmp(y),
-        (Value::Number(x), Value::Number(y)) => match (x.as_i64(), y.as_i64()) {
-            (Some(i), Some(j)) => i.cmp(&j),
-            _ => {
-                let (fx, fy) = (x.as_f64().unwrap_or(0.0), y.as_f64().unwrap_or(0.0));
-                fx.partial_cmp(&fy).unwrap_or(Ordering::Equal)
+        (Value::Number(x), Value::Number(y)) => {
+            let (fx, fy) = (x.as_f64().unwrap_or(0.0), y.as_f64().unwrap_or(0.0));
+            match (x.as_i64(), y.as_i64()) {
+                (Some(i), Some(j)) => i.cmp(&j),
+                (Some(i), None) => int_float_cmp(i, fy),
+                (None, Some(j)) => int_float_cmp(j, fx).reverse(),
+                (None, None) => fx.partial_cmp(&fy).unwrap_or(Ordering::Equal),
             }
-        },
+        }
         _ => rank(a).cmp(&rank(b)),
     }
+}
+
+/// `i` against the finite `f` exactly (widening `i` would round past 2⁵³).
+fn int_float_cmp(i: i64, f: f64) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    // 2⁶³: every double in [-2⁶³, 2⁶³) truncates to an `i64` exactly.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64))
+        .then_with(|| 0.0.partial_cmp(&(f - whole)).unwrap_or(Ordering::Equal))
 }
 
 /// A per-field `$match` predicate over JSON values, compared through
@@ -574,6 +592,16 @@ mod tests {
         let big = i64::MAX - 1;
         assert_eq!(json_cmp(&json!(big), &json!(big + 1)), Ordering::Less);
         assert_eq!(json_cmp(&json!(2), &json!(2.0)), Ordering::Equal);
+        let two_53 = 1i64 << 53;
+        assert_eq!(
+            json_cmp(&json!(two_53), &json!(two_53 as f64)),
+            Ordering::Equal
+        );
+        assert_eq!(
+            json_cmp(&json!(two_53 as f64), &json!(two_53 + 1)),
+            Ordering::Less
+        );
+        assert_eq!(json_cmp(&json!(-2.5), &json!(-2)), Ordering::Less);
         assert_eq!(json_cmp(&json!(null), &json!(false)), Ordering::Less);
         assert_eq!(json_cmp(&json!(true), &json!(0)), Ordering::Less);
         assert_eq!(json_cmp(&json!(1e300), &json!("")), Ordering::Less);

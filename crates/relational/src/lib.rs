@@ -13,6 +13,14 @@
 //! * the [`stats`] module: per-column sketches ([`stats::TableStats`])
 //!   wrappers maintain at write time and the planner uses for selectivity
 //!   estimates, bloom semi-joins and adaptive scan modes.
+//!
+//! ## Files
+//!
+//! * `value.rs`, `schema.rs`, `relation.rs` — scalars, ID-partitioned
+//!   schemas, relations;
+//! * `ops.rs`, `algebra.rs` — the eager §2.2 operators and `RelExpr`;
+//! * `plan/` — the streaming executor, one file per seam (map in [`plan`]);
+//! * `stats.rs` — per-column sketches.
 
 pub mod algebra;
 pub mod ops;

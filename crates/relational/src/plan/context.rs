@@ -1255,7 +1255,7 @@ mod tests {
         );
     }
 
-    /// The stale-version satellite and the tentpole's cache half in one: N
+    /// Stale versions and resumed fills in one: N
     /// appends + N queries on a persistent context read each appended row
     /// once, keep one entry per scan (and per build side), keep the byte
     /// estimate flat, and answer exactly like a fresh context every time.

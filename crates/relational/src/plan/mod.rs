@@ -94,6 +94,19 @@
 //! cache — the mediator's resident footprint for such a scan is one batch,
 //! making sources larger than RAM (even in id space) queryable. An uncapped
 //! context, or a source that publishes no size hint, caches everything.
+//!
+//! ## Files
+//!
+//! * `request.rs` — what a scan asks for ([`ScanRequest`], [`Predicate`])
+//!   and the source contract ([`PlanSource`], [`ScanMark`]);
+//! * `physical.rs` — [`PhysicalPlan`] and its checked constructors;
+//! * `pool.rs` — interning (`ValuePool`) and id-space rows ([`Batch`],
+//!   [`RowSet`]);
+//! * `context.rs` — [`ExecContext`]: the pool, the scan and build caches,
+//!   and the per-scan decisions (cached or cursor-only, batch size);
+//! * `operator.rs` — the pull operators ([`Operator`]) and the semi-join
+//!   gate;
+//! * `driver.rs` — [`execute_plan`]: the pull loop and scan prefetch.
 
 mod context;
 mod driver;

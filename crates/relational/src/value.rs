@@ -3,8 +3,8 @@
 //! Wrappers expose flat first-normal-form relations (§2), so a small scalar
 //! algebra suffices: nulls, booleans, 64-bit integers, doubles and strings.
 //! `Value` implements a *total* order (`Null < Bool < Int/Float < Str`,
-//! numerics compared cross-type) so relations can be sorted and deduplicated
-//! deterministically.
+//! numerics compared cross-type and exactly) so relations can be sorted and
+//! deduplicated deterministically.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -83,17 +83,11 @@ impl Ord for Value {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            // Cross-type numerics compare as doubles; NaN sorts greatest.
-            (a, b) if a.rank() == 2 && b.rank() == 2 => {
-                let (x, y) = (a.as_f64().expect("rank 2"), b.as_f64().expect("rank 2"));
-                x.partial_cmp(&y)
-                    .unwrap_or_else(|| match (x.is_nan(), y.is_nan()) {
-                        (true, true) => Ordering::Equal,
-                        (true, false) => Ordering::Greater,
-                        (false, true) => Ordering::Less,
-                        (false, false) => unreachable!("non-NaN incomparable floats"),
-                    })
-            }
+            (Value::Float(x), Value::Float(y)) => x
+                .partial_cmp(y)
+                .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan())),
+            (Value::Int(i), Value::Float(f)) => cmp_int_float(*i, *f),
+            (Value::Float(f), Value::Int(i)) => cmp_int_float(*i, *f).reverse(),
             (a, b) => a.rank().cmp(&b.rank()),
         }
     }
@@ -109,12 +103,30 @@ impl std::hash::Hash for Value {
             // Eq class hashes equally: Int(2) with Float(2.0), -0.0 with
             // 0.0, and all NaN payloads with each other (Eq goes through the
             // total order, which unifies those pairs while raw to_bits does
-            // not). Hash-based dedup must agree with Eq.
+            // not). Hash-based dedup must agree with Eq; an `Int` equal to
+            // a `Float` is exactly that double, so it has the same bits.
             Value::Int(i) => normalized_bits(*i as f64).hash(state),
             Value::Float(f) => normalized_bits(*f).hash(state),
             Value::Str(s) => s.hash(state),
         }
     }
+}
+
+/// `i` against `f` as numbers, exactly; NaN sorts greatest. Widening `i`
+/// to `f64` instead would round past 2⁵³ and make `Int(2⁵³)`, `Float(2⁵³)`
+/// and `Int(2⁵³ + 1)` equal, equal and unequal — no order at all.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    // 2⁶³: every double in [-2⁶³, 2⁶³) truncates to an `i64` exactly.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64))
+        .then_with(|| 0.0.partial_cmp(&(f - whole)).expect("finite fraction"))
 }
 
 /// The f64 bit pattern with Eq-equal values collapsed: `-0.0` → `0.0`, any
@@ -213,6 +225,26 @@ mod tests {
             hash_of(&Value::Float(quiet)),
             hash_of(&Value::Float(payload))
         );
+    }
+
+    #[test]
+    fn int_float_order_is_exact_past_two_to_the_53() {
+        let two_53 = 1i64 << 53;
+        let (int, float, next) = (
+            Value::Int(two_53),
+            Value::Float(two_53 as f64),
+            Value::Int(two_53 + 1),
+        );
+        assert_eq!(int, float);
+        assert!(float < next && int < next);
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::Int(i64::MIN),
+            Value::Float(-9_223_372_036_854_775_808.0)
+        );
+        assert!(Value::Float(-2.5) < Value::Int(-2) && Value::Int(-3) < Value::Float(-2.5));
+        assert_eq!(Value::Float(-0.0), Value::Int(0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn match_addressable(column: &str) -> bool {
 
 /// Translates a relational predicate into its docstore `$match` form, or
 /// `None` when some constituent value has no JSON image. The docstore's
-/// [`bdi_docstore::json_cmp`] mirrors the relational total order, so the
+/// `json_cmp` mirrors the relational total order, so the
 /// translation preserves [`Predicate::matches`] semantics exactly for every
 /// value a JSON document can hold.
 fn to_doc_predicate(predicate: &Predicate) -> Option<DocPredicate> {

@@ -11,6 +11,26 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-20i64..20).prop_map(Value::Int),
         (-20i64..20).prop_map(|i| Value::Float(i as f64 / 4.0)),
         "[a-c]{1,3}".prop_map(Value::Str),
+        arb_extreme_number(),
+    ]
+}
+
+/// Numbers where widening an `i64` to `f64` rounds: ±2⁵³, ±(2⁵³ + 1),
+/// `i64::MIN` / `MAX`, and ±2⁵³, ±2⁶³ as floats.
+fn arb_extreme_number() -> impl Strategy<Value = Value> {
+    const TWO_53: i64 = 1 << 53;
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    prop_oneof![
+        Just(Value::Int(TWO_53)),
+        Just(Value::Int(-TWO_53)),
+        Just(Value::Int(TWO_53 + 1)),
+        Just(Value::Int(-TWO_53 - 1)),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
+        Just(Value::Float(TWO_53 as f64)),
+        Just(Value::Float(-TWO_53 as f64)),
+        Just(Value::Float(TWO_63)),
+        Just(Value::Float(-TWO_63)),
     ]
 }
 
@@ -129,6 +149,12 @@ proptest! {
             prop_assert_eq!(&row[1], rel.value(i, "id0").unwrap());
         }
     }
+}
+
+proptest! {
+    // A value comparison costs nanoseconds, and a non-transitive triple
+    // among the extreme numbers is one draw in ~20 000.
+    #![proptest_config(ProptestConfig::with_cases(1 << 16))]
 
     #[test]
     fn value_order_is_total_and_consistent(a in arb_value(), b in arb_value(), c in arb_value()) {
@@ -139,9 +165,19 @@ proptest! {
         } else {
             prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
         }
-        // Transitivity (of ≤).
-        if a <= b && b <= c {
-            prop_assert!(a <= c);
+        // Transitivity (of ≤), in every order of the three.
+        let orders = [
+            (&a, &b, &c),
+            (&a, &c, &b),
+            (&b, &a, &c),
+            (&b, &c, &a),
+            (&c, &a, &b),
+            (&c, &b, &a),
+        ];
+        for (x, y, z) in orders {
+            if x <= y && y <= z {
+                prop_assert!(x <= z, "{:?} <= {:?} <= {:?}", x, y, z);
+            }
         }
     }
 
