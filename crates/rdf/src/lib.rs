@@ -44,6 +44,7 @@ pub mod model;
 pub mod reason;
 pub mod sparql;
 pub mod store;
+mod syntax;
 pub mod trig;
 pub mod turtle;
 pub mod vocab;

@@ -8,7 +8,6 @@
 pub mod algebra;
 pub mod ast;
 pub mod eval;
-pub mod lexer;
 pub mod parser;
 
 pub use algebra::to_algebra;

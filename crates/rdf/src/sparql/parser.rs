@@ -4,38 +4,20 @@
 //!
 //! ```text
 //! query       := prefixDecl* SELECT DISTINCT? (var+ | '*') (FROM iri)? WHERE groupGraph
-//! prefixDecl  := PREFIX pname ':' iri        (also `pfx:` glued form)
 //! groupGraph  := '{' (valuesClause | graphBlock | triples)* '}'
 //! valuesClause:= VALUES '(' var* ')' '{' ('(' term* ')')* '}'
-//! graphBlock  := GRAPH (var | iri) '{' triples* '}'
-//! triples     := node verb node (',' node)* (';' verb node (',' node)*)* '.'?
 //! ```
 //!
-//! which covers Code 3 / Code 5 / Code 8 of the paper plus the internal
-//! queries of Algorithms 1–5 (variables, `GRAPH ?g { … }`).
+//! over the `prefixDecl`, `graphBlock` and `triples` productions of
+//! [`crate::syntax`], which covers Code 3 / Code 5 / Code 8 of the paper
+//! plus the internal queries of Algorithms 1–5 (variables,
+//! `GRAPH ?g { … }`).
 
 use super::ast::*;
-use super::lexer::{tokenize, LexError, Token};
-use crate::model::{Iri, Literal, Term};
+use crate::syntax::lexer::{tokenize, Token};
+pub use crate::syntax::ParseError;
+use crate::syntax::Parser;
 use crate::turtle::PrefixMap;
-
-/// Parse errors.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub enum ParseError {
-    #[error(transparent)]
-    Lex(#[from] LexError),
-    #[error("unexpected end of query while parsing {0}")]
-    UnexpectedEof(&'static str),
-    #[error("expected {expected}, found `{found}`")]
-    Unexpected {
-        expected: &'static str,
-        found: String,
-    },
-    #[error("unknown prefix in `{0}`")]
-    UnknownPrefix(String),
-    #[error("VALUES row has {found} terms but {expected} variables are declared")]
-    ValuesArity { expected: usize, found: usize },
-}
 
 /// Parses a SPARQL `SELECT` query. `base_prefixes` seeds the prefix table
 /// (queries may add their own `PREFIX` declarations on top).
@@ -49,51 +31,7 @@ pub fn parse_query(input: &str, base_prefixes: &PrefixMap) -> Result<SelectQuery
     parser.parse_query()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    prefixes: PrefixMap,
-}
-
 impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, expected: &Token, what: &'static str) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(t) if &t == expected => Ok(()),
-            Some(t) => Err(ParseError::Unexpected {
-                expected: what,
-                found: t.to_string(),
-            }),
-            None => Err(ParseError::UnexpectedEof(what)),
-        }
-    }
-
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(Token::Keyword(k)) if k == kw => Ok(()),
-            Some(t) => Err(ParseError::Unexpected {
-                expected: "keyword",
-                found: t.to_string(),
-            }),
-            None => Err(ParseError::UnexpectedEof("keyword")),
-        }
-    }
-
-    fn at_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Keyword(k)) if k == kw)
-    }
-
     fn parse_query(&mut self) -> Result<SelectQuery, ParseError> {
         while self.at_keyword("PREFIX") {
             self.parse_prefix_decl()?;
@@ -154,42 +92,6 @@ impl Parser {
         })
     }
 
-    fn parse_prefix_decl(&mut self) -> Result<(), ParseError> {
-        self.expect_keyword("PREFIX")?;
-        let name = match self.bump() {
-            // `pfx:` lexes as a prefixed name with an empty local part.
-            Some(Token::PrefixedName(p)) => p.trim_end_matches(':').to_owned(),
-            Some(t) => {
-                return Err(ParseError::Unexpected {
-                    expected: "prefix name",
-                    found: t.to_string(),
-                })
-            }
-            None => return Err(ParseError::UnexpectedEof("prefix name")),
-        };
-        let iri = self.parse_iri()?;
-        self.prefixes.insert(name, iri.as_str().to_owned());
-        Ok(())
-    }
-
-    fn parse_iri(&mut self) -> Result<Iri, ParseError> {
-        match self.bump() {
-            Some(Token::Iri(iri)) => Iri::try_new(&iri).map_err(|_| ParseError::Unexpected {
-                expected: "IRI",
-                found: iri,
-            }),
-            Some(Token::PrefixedName(name)) => self
-                .prefixes
-                .expand(&name)
-                .map_err(|_| ParseError::UnknownPrefix(name)),
-            Some(t) => Err(ParseError::Unexpected {
-                expected: "IRI",
-                found: t.to_string(),
-            }),
-            None => Err(ParseError::UnexpectedEof("IRI")),
-        }
-    }
-
     fn parse_values(&mut self) -> Result<ValuesClause, ParseError> {
         self.expect_keyword("VALUES")?;
         self.expect(&Token::LParen, "`(` after VALUES")?;
@@ -244,147 +146,12 @@ impl Parser {
         }
         Ok(ValuesClause { vars, rows })
     }
-
-    fn parse_graph_block(&mut self, patterns: &mut Vec<QuadPattern>) -> Result<(), ParseError> {
-        self.expect_keyword("GRAPH")?;
-        let spec = match self.peek() {
-            Some(Token::Var(_)) => {
-                let Some(Token::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
-                GraphSpec::Var(Variable::new(v))
-            }
-            _ => GraphSpec::Named(self.parse_iri()?),
-        };
-        self.expect(&Token::LBrace, "`{` opening GRAPH block")?;
-        loop {
-            match self.peek() {
-                Some(Token::RBrace) => {
-                    self.bump();
-                    return Ok(());
-                }
-                Some(_) => self.parse_triples(spec.clone(), patterns)?,
-                None => return Err(ParseError::UnexpectedEof("GRAPH block")),
-            }
-        }
-    }
-
-    fn parse_constant_term(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            Some(Token::Iri(iri)) => Ok(Term::Iri(Iri::try_new(&iri).map_err(|_| {
-                ParseError::Unexpected {
-                    expected: "IRI",
-                    found: iri.clone(),
-                }
-            })?)),
-            Some(Token::PrefixedName(name)) => Ok(Term::Iri(
-                self.prefixes
-                    .expand(&name)
-                    .map_err(|_| ParseError::UnknownPrefix(name))?,
-            )),
-            Some(Token::Literal(value)) => match self.peek() {
-                Some(Token::LangTag(_)) => {
-                    let Some(Token::LangTag(lang)) = self.bump() else {
-                        unreachable!()
-                    };
-                    Ok(Term::Literal(Literal::lang_string(value, lang)))
-                }
-                Some(Token::DatatypeMarker) => {
-                    self.bump();
-                    let dt = self.parse_iri()?;
-                    Ok(Term::Literal(Literal::typed(value, dt)))
-                }
-                _ => Ok(Term::Literal(Literal::string(value))),
-            },
-            Some(Token::Number(n)) => {
-                if n.contains('.') {
-                    Ok(Term::Literal(Literal::typed(
-                        n,
-                        (*crate::vocab::xsd::DOUBLE).clone(),
-                    )))
-                } else {
-                    Ok(Term::Literal(Literal::typed(
-                        n,
-                        (*crate::vocab::xsd::INTEGER).clone(),
-                    )))
-                }
-            }
-            Some(t) => Err(ParseError::Unexpected {
-                expected: "constant term",
-                found: t.to_string(),
-            }),
-            None => Err(ParseError::UnexpectedEof("constant term")),
-        }
-    }
-
-    fn parse_node(&mut self) -> Result<TermOrVar, ParseError> {
-        match self.peek() {
-            Some(Token::Var(_)) => {
-                let Some(Token::Var(v)) = self.bump() else {
-                    unreachable!()
-                };
-                Ok(TermOrVar::Var(Variable::new(v)))
-            }
-            Some(Token::PrefixedName(name)) if name == "a" => {
-                self.bump();
-                Ok(TermOrVar::Term(Term::Iri(
-                    (*crate::vocab::rdf::TYPE).clone(),
-                )))
-            }
-            _ => Ok(TermOrVar::Term(self.parse_constant_term()?)),
-        }
-    }
-
-    fn parse_triples(
-        &mut self,
-        graph: GraphSpec,
-        patterns: &mut Vec<QuadPattern>,
-    ) -> Result<(), ParseError> {
-        let subject = self.parse_node()?;
-        loop {
-            let predicate = self.parse_node()?;
-            loop {
-                let object = self.parse_node()?;
-                patterns.push(QuadPattern {
-                    pattern: TriplePattern {
-                        subject: subject.clone(),
-                        predicate: predicate.clone(),
-                        object,
-                    },
-                    graph: graph.clone(),
-                });
-                if matches!(self.peek(), Some(Token::Comma)) {
-                    self.bump();
-                    continue;
-                }
-                break;
-            }
-            match self.peek() {
-                Some(Token::Semicolon) => {
-                    self.bump();
-                    // Dangling `;` before `.` or `}`.
-                    if matches!(self.peek(), Some(Token::Dot)) {
-                        self.bump();
-                        return Ok(());
-                    }
-                    if matches!(self.peek(), Some(Token::RBrace) | None) {
-                        return Ok(());
-                    }
-                    continue;
-                }
-                Some(Token::Dot) => {
-                    self.bump();
-                    return Ok(());
-                }
-                _ => return Ok(()),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Term;
 
     fn prefixes() -> PrefixMap {
         let mut p = PrefixMap::with_common_vocabularies();
