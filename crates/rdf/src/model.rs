@@ -230,11 +230,6 @@ impl Term {
             _ => None,
         }
     }
-
-    /// True when the term is a literal.
-    pub(crate) fn is_literal(&self) -> bool {
-        matches!(self, Term::Literal(_))
-    }
 }
 
 impl fmt::Display for Term {

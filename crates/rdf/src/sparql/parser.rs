@@ -14,21 +14,33 @@
 //! `GRAPH ?g { … }`).
 
 use super::ast::*;
-use crate::syntax::lexer::{tokenize, Token};
+use crate::model::Term;
+use crate::syntax::lexer::Token;
 pub use crate::syntax::ParseError;
 use crate::syntax::Parser;
 use crate::turtle::PrefixMap;
 
 /// Parses a SPARQL `SELECT` query. `base_prefixes` seeds the prefix table
-/// (queries may add their own `PREFIX` declarations on top).
+/// (queries may add their own `PREFIX` declarations on top). Blank nodes
+/// are rejected: the evaluator has no semantics for them.
 pub fn parse_query(input: &str, base_prefixes: &PrefixMap) -> Result<SelectQuery, ParseError> {
-    let tokens = tokenize(input)?;
-    let mut parser = Parser {
-        tokens,
-        pos: 0,
-        prefixes: base_prefixes.clone(),
-    };
-    parser.parse_query()
+    let query = Parser::new(input, base_prefixes.clone())?.parse_query()?;
+    let pattern_terms = query.patterns.iter().flat_map(|qp| {
+        let p = &qp.pattern;
+        [&p.subject, &p.predicate, &p.object].map(TermOrVar::as_term)
+    });
+    let value_terms = query.values.iter().flat_map(|v| v.rows.iter().flatten());
+    if let Some(blank) = pattern_terms
+        .flatten()
+        .chain(value_terms)
+        .find(|t| matches!(t, Term::Blank(_)))
+    {
+        return Err(ParseError::Unexpected {
+            expected: "IRI, literal or variable",
+            found: blank.to_string(),
+        });
+    }
+    Ok(query)
 }
 
 impl Parser {
@@ -151,7 +163,6 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Term;
 
     fn prefixes() -> PrefixMap {
         let mut p = PrefixMap::with_common_vocabularies();
@@ -238,6 +249,14 @@ mod tests {
                 found: 1
             }
         ));
+    }
+
+    #[test]
+    fn blank_nodes_and_non_echar_escapes_are_rejected() {
+        let blank = parse_query("SELECT ?x WHERE { _:b sup:p ?x . }", &prefixes());
+        assert!(matches!(blank, Err(ParseError::Unexpected { found, .. }) if found == "_:b"));
+        let escape = parse_query(r#"SELECT ?x WHERE { ?x sup:p "a\qb" }"#, &prefixes());
+        assert!(matches!(escape, Err(ParseError::BadEscape('q', 30))));
     }
 
     #[test]

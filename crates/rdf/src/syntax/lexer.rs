@@ -1,5 +1,6 @@
-//! Tokenizer for the SPARQL subset.
+//! Tokenizer shared by SPARQL, Turtle and TriG.
 
+use super::ParseError;
 use std::fmt;
 
 /// A lexical token.
@@ -12,12 +13,12 @@ pub(crate) enum Token {
     Var(String),
     /// `<iri>` content, without brackets.
     Iri(String),
-    /// `prefix:local` (also bare `a`).
+    /// `prefix:local`, `_:label`, and bare `a`.
     PrefixedName(String),
     /// String literal content (unescaped) with optional language / datatype
     /// handled by the parser via following tokens.
     Literal(String),
-    /// `@lang` following a literal.
+    /// `@lang` following a literal; also Turtle's `@prefix`.
     LangTag(String),
     /// `^^` announcing a datatype.
     DatatypeMarker,
@@ -56,177 +57,141 @@ impl fmt::Display for Token {
     }
 }
 
-/// Lexer errors.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub enum LexError {
-    #[error("unexpected character {0:?} at offset {1}")]
-    UnexpectedChar(char, usize),
-    #[error("unterminated {0}")]
-    Unterminated(&'static str),
-}
-
 const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "VALUES", "PREFIX", "GRAPH", "DISTINCT",
 ];
 
-/// Tokenizes a query string.
-pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+/// Whether `c` can start a name. ASCII digits never reach this test: they
+/// start a number.
+fn starts_name(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Byte length of the name at the start of `s`. A name continues with
+/// letters, digits and `_ - : . / ~`, except that a `.` belongs to it only
+/// when a letter, digit, `_`, `-` or `/` follows: a trailing dot is
+/// statement punctuation.
+fn name_len(s: &str) -> usize {
+    let mut chars = s.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        let continues = match c {
+            '.' => chars
+                .peek()
+                .is_some_and(|&(_, n)| n.is_alphanumeric() || matches!(n, '_' | '-' | '/')),
+            _ => c.is_alphanumeric() || matches!(c, '_' | '-' | ':' | '/' | '~'),
+        };
+        if !continues {
+            return i;
+        }
+    }
+    s.len()
+}
+
+/// Whether `s` lexes back as exactly one prefixed name (`pfx:local`).
+pub(crate) fn is_prefixed_name(s: &str) -> bool {
+    s.starts_with(|c: char| starts_name(c) && !c.is_ascii_digit())
+        && !s.starts_with("_:")
+        && name_len(s) == s.len()
+}
+
+/// The character offset of byte offset `byte` in `input`.
+fn char_offset(input: &str, byte: usize) -> usize {
+    input[..byte].chars().count()
+}
+
+/// Reads the string literal opening at `input[start]`, resolving the
+/// SPARQL/Turtle `ECHAR` escapes; returns its value and byte length.
+fn string_literal(input: &str, start: usize) -> Result<(String, usize), ParseError> {
+    let mut value = String::new();
+    let mut chars = input[start..].char_indices().skip(1);
+    while let Some((i, c)) = chars.next() {
+        value.push(match c {
+            '"' => return Ok((value, i + 1)),
+            '\\' => match chars.next() {
+                Some((_, 't')) => '\t',
+                Some((_, 'b')) => '\u{8}',
+                Some((_, 'n')) => '\n',
+                Some((_, 'r')) => '\r',
+                Some((_, 'f')) => '\u{c}',
+                Some((_, e @ ('"' | '\'' | '\\'))) => e,
+                Some((j, e)) => {
+                    return Err(ParseError::BadEscape(e, char_offset(input, start + j)))
+                }
+                None => break,
+            },
+            c => c,
+        });
+    }
+    Err(ParseError::Unterminated("string literal"))
+}
+
+/// Tokenizes a SPARQL query or a Turtle / TriG document.
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
     let mut tokens = Vec::new();
-    let bytes: Vec<char> = input.chars().collect();
     let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            _ if c.is_whitespace() => i += 1,
+    while let Some(c) = input[i..].chars().next() {
+        let rest = &input[i..];
+        let next = rest[c.len_utf8()..].chars().next();
+        // Length of the run after a one-byte sigil (`?x`, `@en`).
+        let run = |more: fn(char) -> bool| rest[1..].find(|c| !more(c)).unwrap_or(rest.len() - 1);
+        let (token, len) = match c {
+            _ if c.is_whitespace() => {
+                i += c.len_utf8();
+                continue;
+            }
             '#' => {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
+                i += rest.find('\n').unwrap_or(rest.len());
+                continue;
             }
-            '{' => {
-                tokens.push(Token::LBrace);
-                i += 1;
-            }
-            '}' => {
-                tokens.push(Token::RBrace);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ';' => {
-                tokens.push(Token::Semicolon);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '.' => {
-                tokens.push(Token::Dot);
-                i += 1;
-            }
-            '?' | '$' => {
-                i += 1;
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                if start == i {
-                    return Err(LexError::UnexpectedChar('?', start));
-                }
-                tokens.push(Token::Var(bytes[start..i].iter().collect()));
-            }
+            '{' => (Token::LBrace, 1),
+            '}' => (Token::RBrace, 1),
+            '(' => (Token::LParen, 1),
+            ')' => (Token::RParen, 1),
+            ';' => (Token::Semicolon, 1),
+            ',' => (Token::Comma, 1),
+            '*' => (Token::Star, 1),
+            '.' => (Token::Dot, 1),
+            '?' | '$' => match run(|c| c.is_alphanumeric() || c == '_') {
+                0 => return Err(ParseError::UnexpectedChar(c, char_offset(input, i))),
+                n => (Token::Var(rest[1..=n].to_owned()), n + 1),
+            },
             '<' => {
-                i += 1;
-                let start = i;
-                while i < bytes.len() && bytes[i] != '>' {
-                    i += 1;
-                }
-                if i == bytes.len() {
-                    return Err(LexError::Unterminated("IRI"));
-                }
-                tokens.push(Token::Iri(bytes[start..i].iter().collect()));
-                i += 1;
+                let end = rest.find('>').ok_or(ParseError::Unterminated("IRI"))?;
+                (Token::Iri(rest[1..end].to_owned()), end + 1)
             }
             '"' => {
-                i += 1;
-                let mut value = String::new();
-                loop {
-                    if i >= bytes.len() {
-                        return Err(LexError::Unterminated("string literal"));
-                    }
-                    match bytes[i] {
-                        '\\' => {
-                            i += 1;
-                            if i >= bytes.len() {
-                                return Err(LexError::Unterminated("string literal"));
-                            }
-                            value.push(match bytes[i] {
-                                'n' => '\n',
-                                't' => '\t',
-                                'r' => '\r',
-                                other => other,
-                            });
-                            i += 1;
-                        }
-                        '"' => {
-                            i += 1;
-                            break;
-                        }
-                        other => {
-                            value.push(other);
-                            i += 1;
-                        }
-                    }
-                }
-                tokens.push(Token::Literal(value));
+                let (value, len) = string_literal(input, i)?;
+                (Token::Literal(value), len)
             }
             '@' => {
-                i += 1;
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '-') {
-                    i += 1;
-                }
-                tokens.push(Token::LangTag(bytes[start..i].iter().collect()));
+                let n = run(|c| c.is_alphanumeric() || c == '-');
+                (Token::LangTag(rest[1..=n].to_owned()), n + 1)
             }
-            '^' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == '^' {
-                    tokens.push(Token::DatatypeMarker);
-                    i += 2;
-                } else {
-                    return Err(LexError::UnexpectedChar('^', i));
-                }
-            }
-            _ if c.is_ascii_digit()
-                || (c == '-' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit()) =>
-            {
-                let start = i;
-                i += 1;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == '.') {
-                    // A trailing dot is statement punctuation.
-                    if bytes[i] == '.' && (i + 1 >= bytes.len() || !bytes[i + 1].is_ascii_digit()) {
-                        break;
-                    }
-                    i += 1;
-                }
-                tokens.push(Token::Number(bytes[start..i].iter().collect()));
-            }
-            _ if c.is_alphanumeric() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_alphanumeric()
-                        || matches!(bytes[i], '_' | '-' | ':' | '.' | '/' | '~'))
+            '^' if next == Some('^') => (Token::DatatypeMarker, 2),
+            _ if c.is_ascii_digit() || (c == '-' && next.is_some_and(|n| n.is_ascii_digit())) => {
+                let b = rest.as_bytes();
+                let mut n = 1;
+                // A dot belongs to the number only with a digit after it.
+                while b.get(n).is_some_and(|d| d.is_ascii_digit())
+                    || (b.get(n) == Some(&b'.') && b.get(n + 1).is_some_and(u8::is_ascii_digit))
                 {
-                    // A trailing dot is statement punctuation, not name.
-                    if bytes[i] == '.'
-                        && (i + 1 >= bytes.len()
-                            || !(bytes[i + 1].is_alphanumeric()
-                                || matches!(bytes[i + 1], '_' | '-' | '/')))
-                    {
-                        break;
-                    }
-                    i += 1;
+                    n += 1;
                 }
-                let word: String = bytes[start..i].iter().collect();
-                let upper = word.to_ascii_uppercase();
-                if KEYWORDS.contains(&upper.as_str()) {
-                    tokens.push(Token::Keyword(upper));
-                } else {
-                    tokens.push(Token::PrefixedName(word));
-                }
+                (Token::Number(rest[..n].to_owned()), n)
             }
-            other => return Err(LexError::UnexpectedChar(other, i)),
-        }
+            _ if starts_name(c) => {
+                let n = name_len(rest);
+                let word = &rest[..n];
+                let token = match KEYWORDS.iter().find(|k| k.eq_ignore_ascii_case(word)) {
+                    Some(k) => Token::Keyword((*k).to_owned()),
+                    None => Token::PrefixedName(word.to_owned()),
+                };
+                (token, n)
+            }
+            _ => return Err(ParseError::UnexpectedChar(c, char_offset(input, i))),
+        };
+        tokens.push(token);
+        i += len;
     }
     Ok(tokens)
 }
@@ -284,10 +249,24 @@ mod tests {
     }
 
     #[test]
+    fn one_name_rule_for_every_format() {
+        // Letters (any script), digits and `_ - : . / ~`; a dot only
+        // with a name character after it.
+        let toks = tokenize("e:a.b~c/d-é e:x. e:y..z").unwrap();
+        assert_eq!(toks[0], Token::PrefixedName("e:a.b~c/d-é".into()));
+        assert_eq!(toks[1..3], [Token::PrefixedName("e:x".into()), Token::Dot]);
+        assert_eq!(toks[3..5], [Token::PrefixedName("e:y".into()), Token::Dot]);
+        assert!(is_prefixed_name("e:a.b"));
+        assert!(!is_prefixed_name("e:a."));
+        assert!(!is_prefixed_name("_:b0"));
+        assert!(!is_prefixed_name("1e:a"));
+    }
+
+    #[test]
     fn unterminated_iri_is_an_error() {
         assert!(matches!(
             tokenize("<http://e/x"),
-            Err(LexError::Unterminated("IRI"))
+            Err(ParseError::Unterminated("IRI"))
         ));
     }
 
@@ -303,5 +282,28 @@ mod tests {
                 Token::Dot,
             ]
         );
+    }
+
+    #[test]
+    fn echar_escapes_decode_and_any_other_escape_is_an_error() {
+        let toks = tokenize(r#""\t\b\n\r\f\"\'\\""#).unwrap();
+        assert_eq!(toks, [Token::Literal("\t\u{8}\n\r\u{c}\"'\\".into())]);
+        assert_eq!(tokenize(r#"é "a\qb""#), Err(ParseError::BadEscape('q', 5)));
+    }
+
+    #[test]
+    fn comments_hide_braces_and_quotes() {
+        let toks = tokenize("{ # } \" {\n}").unwrap();
+        assert_eq!(toks, [Token::LBrace, Token::RBrace]);
+    }
+
+    #[test]
+    fn error_offsets_count_characters() {
+        assert_eq!(tokenize("éé ^"), Err(ParseError::UnexpectedChar('^', 3)));
+        assert_eq!(
+            tokenize("e:日本 $"),
+            Err(ParseError::UnexpectedChar('$', 5))
+        );
+        assert_eq!(tokenize("😀"), Err(ParseError::UnexpectedChar('😀', 0)));
     }
 }

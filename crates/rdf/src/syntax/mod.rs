@@ -1,24 +1,39 @@
-//! Tokens and productions shared by the RDF text formats.
+//! The one reader of RDF text: a tokenizer and the productions SPARQL,
+//! Turtle and TriG share.
 //!
 //! ```text
-//! prefixDecl  := PREFIX pname ':' iri        (also `pfx:` glued form)
-//! graphBlock  := GRAPH (var | iri) '{' triples* '}'
+//! prefixDecl  := PREFIX pname iri | '@prefix' pname iri '.'
+//! graphBlock  := GRAPH (var | iri) group
+//! group       := '{' triples* '}'
 //! triples     := node verb node (',' node)* (';' verb node (',' node)*)* '.'?
+//! document    := (prefixDecl | graphBlock | iri group | triples)*
 //! ```
+//!
+//! Three front doors sit on it, and each rejects what its format may not
+//! hold: [`crate::sparql::parse_query`] (no blank nodes),
+//! [`crate::turtle::parse_turtle`] and [`crate::trig::load_trig`] (no
+//! variables, no `GRAPH ?g`, no literal subjects, each top-level triples
+//! block ended by its `.`; Turtle also no graph blocks). Both document
+//! formats go through [`parse_document`].
 
 pub(crate) mod lexer;
 
-use crate::model::{Iri, Literal, Term};
+use crate::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
 use crate::sparql::ast::*;
 use crate::turtle::PrefixMap;
-use lexer::{LexError, Token};
+use lexer::{tokenize, Token};
 
-/// Parse errors.
+/// Errors raised while reading SPARQL, Turtle or TriG text. Offsets count
+/// characters.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
 pub enum ParseError {
-    #[error(transparent)]
-    Lex(#[from] LexError),
-    #[error("unexpected end of query while parsing {0}")]
+    #[error("unexpected character {0:?} at offset {1}")]
+    UnexpectedChar(char, usize),
+    #[error("invalid escape sequence \\{0} at offset {1}")]
+    BadEscape(char, usize),
+    #[error("unterminated {0}")]
+    Unterminated(&'static str),
+    #[error("unexpected end of input while parsing {0}")]
     UnexpectedEof(&'static str),
     #[error("expected {expected}, found `{found}`")]
     Unexpected {
@@ -32,12 +47,20 @@ pub enum ParseError {
 }
 
 pub(crate) struct Parser {
-    pub(crate) tokens: Vec<Token>,
-    pub(crate) pos: usize,
-    pub(crate) prefixes: PrefixMap,
+    tokens: Vec<Token>,
+    pos: usize,
+    prefixes: PrefixMap,
 }
 
 impl Parser {
+    pub(crate) fn new(input: &str, prefixes: PrefixMap) -> Result<Self, ParseError> {
+        Ok(Self {
+            tokens: tokenize(input)?,
+            pos: 0,
+            prefixes,
+        })
+    }
+
     pub(crate) fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -80,8 +103,17 @@ impl Parser {
         matches!(self.peek(), Some(Token::Keyword(k)) if k == kw)
     }
 
+    fn at_turtle_prefix(&self) -> bool {
+        matches!(self.peek(), Some(Token::LangTag(t)) if t == "prefix")
+    }
+
     pub(crate) fn parse_prefix_decl(&mut self) -> Result<(), ParseError> {
-        self.expect_keyword("PREFIX")?;
+        let turtle = self.at_turtle_prefix();
+        if turtle {
+            self.bump();
+        } else {
+            self.expect_keyword("PREFIX")?;
+        }
         let name = match self.bump() {
             // `pfx:` lexes as a prefixed name with an empty local part.
             Some(Token::PrefixedName(p)) => p.trim_end_matches(':').to_owned(),
@@ -95,6 +127,9 @@ impl Parser {
         };
         let iri = self.parse_iri()?;
         self.prefixes.insert(name, iri.as_str().to_owned());
+        if turtle {
+            self.expect(&Token::Dot, "`.` ending @prefix")?;
+        }
         Ok(())
     }
 
@@ -104,10 +139,7 @@ impl Parser {
                 expected: "IRI",
                 found: iri,
             }),
-            Some(Token::PrefixedName(name)) => self
-                .prefixes
-                .expand(&name)
-                .map_err(|_| ParseError::UnknownPrefix(name)),
+            Some(Token::PrefixedName(name)) => self.prefixes.expand(&name),
             Some(t) => Err(ParseError::Unexpected {
                 expected: "IRI",
                 found: t.to_string(),
@@ -130,6 +162,14 @@ impl Parser {
             }
             _ => GraphSpec::Named(self.parse_iri()?),
         };
+        self.parse_group(spec, patterns)
+    }
+
+    fn parse_group(
+        &mut self,
+        spec: GraphSpec,
+        patterns: &mut Vec<QuadPattern>,
+    ) -> Result<(), ParseError> {
         self.expect(&Token::LBrace, "`{` opening GRAPH block")?;
         loop {
             match self.peek() {
@@ -137,25 +177,27 @@ impl Parser {
                     self.bump();
                     return Ok(());
                 }
-                Some(_) => self.parse_triples(spec.clone(), patterns)?,
+                Some(_) => {
+                    self.parse_triples(spec.clone(), patterns)?;
+                }
                 None => return Err(ParseError::UnexpectedEof("GRAPH block")),
             }
         }
     }
 
     pub(crate) fn parse_constant_term(&mut self) -> Result<Term, ParseError> {
+        match self.peek() {
+            Some(Token::PrefixedName(name)) if name.starts_with("_:") => {
+                let blank = BlankNode::new(&name[2..]);
+                self.bump();
+                return Ok(Term::Blank(blank));
+            }
+            Some(Token::Iri(_) | Token::PrefixedName(_)) => {
+                return Ok(Term::Iri(self.parse_iri()?))
+            }
+            _ => {}
+        }
         match self.bump() {
-            Some(Token::Iri(iri)) => Ok(Term::Iri(Iri::try_new(&iri).map_err(|_| {
-                ParseError::Unexpected {
-                    expected: "IRI",
-                    found: iri.clone(),
-                }
-            })?)),
-            Some(Token::PrefixedName(name)) => Ok(Term::Iri(
-                self.prefixes
-                    .expand(&name)
-                    .map_err(|_| ParseError::UnknownPrefix(name))?,
-            )),
             Some(Token::Literal(value)) => match self.peek() {
                 Some(Token::LangTag(_)) => {
                     let Some(Token::LangTag(lang)) = self.bump() else {
@@ -171,17 +213,12 @@ impl Parser {
                 _ => Ok(Term::Literal(Literal::string(value))),
             },
             Some(Token::Number(n)) => {
-                if n.contains('.') {
-                    Ok(Term::Literal(Literal::typed(
-                        n,
-                        (*crate::vocab::xsd::DOUBLE).clone(),
-                    )))
+                let datatype = if n.contains('.') {
+                    &crate::vocab::xsd::DOUBLE
                 } else {
-                    Ok(Term::Literal(Literal::typed(
-                        n,
-                        (*crate::vocab::xsd::INTEGER).clone(),
-                    )))
-                }
+                    &crate::vocab::xsd::INTEGER
+                };
+                Ok(Term::Literal(Literal::typed(n, (**datatype).clone())))
             }
             Some(t) => Err(ParseError::Unexpected {
                 expected: "constant term",
@@ -209,12 +246,22 @@ impl Parser {
         }
     }
 
+    /// Parses one triples block; true when it ended with its `.`.
     pub(crate) fn parse_triples(
         &mut self,
         graph: GraphSpec,
         patterns: &mut Vec<QuadPattern>,
-    ) -> Result<(), ParseError> {
+    ) -> Result<bool, ParseError> {
         let subject = self.parse_node()?;
+        self.parse_predicate_objects(subject, graph, patterns)
+    }
+
+    fn parse_predicate_objects(
+        &mut self,
+        subject: TermOrVar,
+        graph: GraphSpec,
+        patterns: &mut Vec<QuadPattern>,
+    ) -> Result<bool, ParseError> {
         loop {
             let predicate = self.parse_node()?;
             loop {
@@ -239,19 +286,103 @@ impl Parser {
                     // Dangling `;` before `.` or `}`.
                     if matches!(self.peek(), Some(Token::Dot)) {
                         self.bump();
-                        return Ok(());
+                        return Ok(true);
                     }
                     if matches!(self.peek(), Some(Token::RBrace) | None) {
-                        return Ok(());
+                        return Ok(false);
                     }
                     continue;
                 }
                 Some(Token::Dot) => {
                     self.bump();
-                    return Ok(());
+                    return Ok(true);
                 }
-                _ => return Ok(()),
+                _ => return Ok(false),
             }
         }
     }
+}
+
+/// Parses a Turtle or TriG document into quads (triples outside a graph
+/// block land in the default graph) and the prefixes it declares.
+pub(crate) fn parse_document(input: &str) -> Result<(Vec<Quad>, PrefixMap), ParseError> {
+    let mut parser = Parser::new(input, PrefixMap::new())?;
+    let mut patterns = Vec::new();
+    while let Some(token) = parser.peek() {
+        match token {
+            Token::Keyword(k) if k == "PREFIX" => parser.parse_prefix_decl()?,
+            Token::LangTag(t) if t == "prefix" => parser.parse_prefix_decl()?,
+            Token::Keyword(k) if k == "GRAPH" => parser.parse_graph_block(&mut patterns)?,
+            _ => {
+                let node = parser.parse_node()?;
+                if parser.peek() == Some(&Token::LBrace) {
+                    let TermOrVar::Term(Term::Iri(name)) = node else {
+                        return Err(ParseError::Unexpected {
+                            expected: "graph IRI",
+                            found: node.to_string(),
+                        });
+                    };
+                    parser.parse_group(GraphSpec::Named(name), &mut patterns)?;
+                } else if !parser.parse_predicate_objects(node, GraphSpec::Active, &mut patterns)? {
+                    return Err(match parser.peek() {
+                        Some(t) => ParseError::Unexpected {
+                            expected: "`.` ending a triples block",
+                            found: t.to_string(),
+                        },
+                        None => ParseError::UnexpectedEof("triples block"),
+                    });
+                }
+            }
+        }
+    }
+    let quads = patterns
+        .into_iter()
+        .map(into_quad)
+        .collect::<Result<_, _>>()?;
+    Ok((quads, parser.prefixes))
+}
+
+/// Turns a parsed pattern into data, rejecting what RDF data cannot hold.
+fn into_quad(qp: QuadPattern) -> Result<Quad, ParseError> {
+    let term = |node: TermOrVar| match node {
+        TermOrVar::Term(t) => Ok(t),
+        TermOrVar::Var(v) => Err(ParseError::Unexpected {
+            expected: "RDF term",
+            found: v.to_string(),
+        }),
+    };
+    let subject = match term(qp.pattern.subject)? {
+        Term::Literal(l) => {
+            return Err(ParseError::Unexpected {
+                expected: "IRI or blank node subject",
+                found: l.to_string(),
+            })
+        }
+        s => s,
+    };
+    let predicate = match term(qp.pattern.predicate)? {
+        Term::Iri(p) => p,
+        other => {
+            return Err(ParseError::Unexpected {
+                expected: "predicate IRI",
+                found: other.to_string(),
+            })
+        }
+    };
+    let graph = match qp.graph {
+        GraphSpec::Active => GraphName::Default,
+        GraphSpec::Named(g) => GraphName::Named(g),
+        GraphSpec::Var(v) => {
+            return Err(ParseError::Unexpected {
+                expected: "graph IRI",
+                found: v.to_string(),
+            })
+        }
+    };
+    Ok(Quad {
+        subject,
+        predicate,
+        object: term(qp.pattern.object)?,
+        graph,
+    })
 }

@@ -1,13 +1,16 @@
 //! Turtle subset reader and writer.
 //!
 //! Supports the fragment of Turtle the paper's metamodels use (Codes 6–7):
-//! `@prefix` directives, IRIs (angle-bracketed or prefixed names), blank
-//! nodes, plain / language-tagged / typed literals, predicate lists (`;`),
-//! object lists (`,`) and comments. No collections, no `[ ... ]` anonymous
-//! blank-node property lists, no multiline strings — the vocabularies don't
-//! need them, and the parser rejects them loudly rather than mis-reading.
+//! `@prefix` / `PREFIX` directives, IRIs (angle-bracketed or prefixed
+//! names), blank nodes, plain / language-tagged / typed / numeric literals,
+//! predicate lists (`;`), object lists (`,`) and comments. No collections,
+//! no `[ ... ]` anonymous blank-node property lists, no multiline strings —
+//! the vocabularies don't need them, and the parser rejects them loudly
+//! rather than mis-reading. Reading goes through [`crate::syntax`], the
+//! tokenizer and triples grammar SPARQL and TriG use too.
 
-use crate::model::{BlankNode, GraphName, Iri, Literal, Quad, Term, Triple};
+use crate::model::{GraphName, Iri, Quad, Term, Triple};
+use crate::syntax::{lexer, parse_document, ParseError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -25,49 +28,6 @@ pub(crate) fn escape_literal(s: &str) -> String {
         }
     }
     out
-}
-
-fn unescape_literal(s: &str) -> Result<String, TurtleError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('"') => out.push('"'),
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some(other) => return Err(TurtleError::BadEscape(other)),
-            None => return Err(TurtleError::UnexpectedEof("escape sequence")),
-        }
-    }
-    Ok(out)
-}
-
-/// Errors produced while parsing Turtle.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub enum TurtleError {
-    #[error("unexpected end of input while parsing {0}")]
-    UnexpectedEof(&'static str),
-    #[error("unknown prefix: {0}")]
-    UnknownPrefix(String),
-    #[error("unexpected character {0:?} at offset {1}")]
-    UnexpectedChar(char, usize),
-    #[error("invalid escape sequence: \\{0}")]
-    BadEscape(char),
-    #[error("expected {expected} but found {found:?}")]
-    Expected {
-        expected: &'static str,
-        found: String,
-    },
-    #[error("literal is not a valid subject")]
-    LiteralSubject,
-    #[error("invalid IRI: {0}")]
-    BadIri(String),
 }
 
 /// A prefix table used by both the writer and the parser.
@@ -100,30 +60,33 @@ impl PrefixMap {
     }
 
     /// Expands a prefixed name `pfx:local`.
-    pub(crate) fn expand(&self, prefixed: &str) -> Result<Iri, TurtleError> {
-        let (pfx, local) = prefixed
-            .split_once(':')
-            .ok_or_else(|| TurtleError::UnknownPrefix(prefixed.to_owned()))?;
-        let ns = self
-            .prefixes
-            .get(pfx)
-            .ok_or_else(|| TurtleError::UnknownPrefix(pfx.to_owned()))?;
-        Iri::try_new(&format!("{ns}{local}")).map_err(|e| TurtleError::BadIri(e.to_string()))
+    pub(crate) fn expand(&self, prefixed: &str) -> Result<Iri, ParseError> {
+        let unknown = || ParseError::UnknownPrefix(prefixed.to_owned());
+        let (pfx, local) = prefixed.split_once(':').ok_or_else(unknown)?;
+        let ns = self.prefixes.get(pfx).ok_or_else(unknown)?;
+        Iri::try_new(&format!("{ns}{local}")).map_err(|_| ParseError::Unexpected {
+            expected: "IRI",
+            found: prefixed.to_owned(),
+        })
     }
 
     /// Compacts an IRI into `pfx:local` when a registered namespace prefixes
-    /// it; otherwise returns the `<...>` form.
+    /// it and the lexer reads the result back as one name; otherwise
+    /// returns the `<...>` form.
     pub(crate) fn compact(&self, iri: &Iri) -> String {
         let s = iri.as_str();
         for (pfx, ns) in &self.prefixes {
             if let Some(local) = s.strip_prefix(ns.as_str()) {
                 if !local.is_empty()
+                    && !pfx.contains(':')
                     && local
                         .chars()
-                        .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | '/'))
-                    && !local.contains('/')
+                        .all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
                 {
-                    return format!("{pfx}:{local}");
+                    let name = format!("{pfx}:{local}");
+                    if lexer::is_prefixed_name(&name) {
+                        return name;
+                    }
                 }
             }
         }
@@ -141,33 +104,46 @@ pub fn write_turtle<'a>(
     triples: impl IntoIterator<Item = &'a Triple>,
     prefixes: &PrefixMap,
 ) -> String {
-    let mut by_subject: BTreeMap<String, Vec<&Triple>> = BTreeMap::new();
-    let mut subject_terms: BTreeMap<String, &Term> = BTreeMap::new();
-    for t in triples {
-        let key = t.subject.to_string();
-        by_subject.entry(key.clone()).or_default().push(t);
-        subject_terms.entry(key).or_insert(&t.subject);
-    }
-
+    let triples: Vec<&Triple> = triples.into_iter().collect();
     let mut out = String::new();
+    write_prefixes(&mut out, prefixes);
+    if !triples.is_empty() {
+        out.push('\n');
+    }
+    write_triples(&mut out, triples, prefixes, "");
+    out
+}
+
+/// Writes one `@prefix` line per registered prefix.
+pub(crate) fn write_prefixes(out: &mut String, prefixes: &PrefixMap) {
     for (pfx, ns) in prefixes.iter() {
         let _ = writeln!(out, "@prefix {pfx}: <{ns}> .");
     }
-    if !by_subject.is_empty() {
-        out.push('\n');
+}
+
+/// Writes triples grouped by subject, each line starting with `indent`.
+pub(crate) fn write_triples<'a>(
+    out: &mut String,
+    triples: impl IntoIterator<Item = &'a Triple>,
+    prefixes: &PrefixMap,
+    indent: &str,
+) {
+    let mut by_subject: BTreeMap<String, Vec<&Triple>> = BTreeMap::new();
+    for t in triples {
+        by_subject.entry(t.subject.to_string()).or_default().push(t);
     }
-    for (key, triples) in &by_subject {
-        let subject = subject_terms[key];
-        let _ = write!(out, "{}", render_term(subject, prefixes));
-        let mut grouped: BTreeMap<String, Vec<&Triple>> = BTreeMap::new();
+    for triples in by_subject.values() {
+        let _ = write!(
+            out,
+            "{indent}{}",
+            render_term(&triples[0].subject, prefixes)
+        );
+        let mut grouped: BTreeMap<&str, Vec<&Triple>> = BTreeMap::new();
         for t in triples {
-            grouped
-                .entry(t.predicate.as_str().to_owned())
-                .or_default()
-                .push(t);
+            grouped.entry(t.predicate.as_str()).or_default().push(t);
         }
         let n = grouped.len();
-        for (i, (_, ts)) in grouped.iter().enumerate() {
+        for (i, ts) in grouped.values().enumerate() {
             let pred = &ts[0].predicate;
             let _ = write!(out, " {} ", render_predicate(pred, prefixes));
             for (j, t) in ts.iter().enumerate() {
@@ -176,10 +152,13 @@ pub fn write_turtle<'a>(
                 }
                 let _ = write!(out, "{}", render_term(&t.object, prefixes));
             }
-            out.push_str(if i + 1 == n { " .\n" } else { " ;\n   " });
+            if i + 1 == n {
+                out.push_str(" .\n");
+            } else {
+                let _ = write!(out, " ;\n{indent}   ");
+            }
         }
     }
-    out
 }
 
 fn render_predicate(pred: &Iri, prefixes: &PrefixMap) -> String {
@@ -207,11 +186,21 @@ fn render_term(term: &Term, prefixes: &PrefixMap) -> String {
 }
 
 /// Parses a Turtle document into triples, returning the triples and the
-/// prefix map declared by the document.
-pub fn parse_turtle(input: &str) -> Result<(Vec<Triple>, PrefixMap), TurtleError> {
-    let mut parser = Parser::new(input);
-    parser.parse_document()?;
-    Ok((parser.triples, parser.prefixes))
+/// prefix map declared by the document. A graph block is TriG, not Turtle,
+/// and is an error here.
+pub fn parse_turtle(input: &str) -> Result<(Vec<Triple>, PrefixMap), ParseError> {
+    let (quads, prefixes) = parse_document(input)?;
+    let triples = quads
+        .into_iter()
+        .map(|q| match q.graph {
+            GraphName::Default => Ok(q.into_triple()),
+            GraphName::Named(g) => Err(ParseError::Unexpected {
+                expected: "triples outside a graph block",
+                found: g.to_string(),
+            }),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((triples, prefixes))
 }
 
 /// Parses Turtle and loads the triples into `graph` of `store`.
@@ -219,7 +208,7 @@ pub fn load_turtle(
     store: &crate::store::QuadStore,
     graph: &GraphName,
     input: &str,
-) -> Result<usize, TurtleError> {
+) -> Result<usize, ParseError> {
     let (triples, _) = parse_turtle(input)?;
     Ok(store.extend(triples.into_iter().map(|t| Quad {
         subject: t.subject,
@@ -229,280 +218,10 @@ pub fn load_turtle(
     })))
 }
 
-struct Parser<'a> {
-    input: &'a str,
-    pos: usize,
-    prefixes: PrefixMap,
-    triples: Vec<Triple>,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Self {
-            input,
-            pos: 0,
-            prefixes: PrefixMap::new(),
-            triples: Vec::new(),
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('#') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn expect_char(&mut self, expected: char) -> Result<(), TurtleError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(c) if c == expected => {
-                self.bump();
-                Ok(())
-            }
-            Some(c) => Err(TurtleError::UnexpectedChar(c, self.pos)),
-            None => Err(TurtleError::UnexpectedEof("punctuation")),
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<(), TurtleError> {
-        loop {
-            self.skip_ws();
-            if self.rest().is_empty() {
-                return Ok(());
-            }
-            if self.rest().starts_with("@prefix") {
-                self.parse_prefix_directive()?;
-            } else {
-                self.parse_triple_block()?;
-            }
-        }
-    }
-
-    fn parse_prefix_directive(&mut self) -> Result<(), TurtleError> {
-        self.pos += "@prefix".len();
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == ':' {
-                break;
-            }
-            self.bump();
-        }
-        let prefix = self.input[start..self.pos].to_owned();
-        self.expect_char(':')?;
-        self.skip_ws();
-        let iri = self.parse_angle_iri()?;
-        self.expect_char('.')?;
-        self.prefixes.insert(prefix, iri.as_str().to_owned());
-        Ok(())
-    }
-
-    fn parse_angle_iri(&mut self) -> Result<Iri, TurtleError> {
-        self.expect_char('<')?;
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == '>' {
-                let iri = Iri::try_new(&self.input[start..self.pos])
-                    .map_err(|e| TurtleError::BadIri(e.to_string()))?;
-                self.bump();
-                return Ok(iri);
-            }
-            self.bump();
-        }
-        Err(TurtleError::UnexpectedEof("IRI"))
-    }
-
-    fn parse_prefixed_name(&mut self) -> Result<Iri, TurtleError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | ':' | '/') {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        // A trailing '.' is statement punctuation, not part of the name.
-        let mut name = &self.input[start..self.pos];
-        while name.ends_with('.') {
-            name = &name[..name.len() - 1];
-            self.pos -= 1;
-        }
-        if name.is_empty() {
-            return Err(TurtleError::Expected {
-                expected: "prefixed name",
-                found: self.rest().chars().take(10).collect(),
-            });
-        }
-        self.prefixes.expand(name)
-    }
-
-    fn parse_term(&mut self) -> Result<Term, TurtleError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('<') => Ok(Term::Iri(self.parse_angle_iri()?)),
-            Some('"') => self.parse_literal(),
-            Some('_') if self.rest().starts_with("_:") => {
-                self.pos += 2;
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_alphanumeric() || c == '_' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Ok(Term::Blank(BlankNode::new(&self.input[start..self.pos])))
-            }
-            Some(c) if c.is_alphanumeric() || c == '_' => {
-                // `a` keyword or prefixed name.
-                if self.rest().starts_with('a')
-                    && self
-                        .rest()
-                        .chars()
-                        .nth(1)
-                        .is_some_and(|c| c.is_whitespace())
-                {
-                    self.bump();
-                    return Ok(Term::Iri((*crate::vocab::rdf::TYPE).clone()));
-                }
-                Ok(Term::Iri(self.parse_prefixed_name()?))
-            }
-            Some(c) => Err(TurtleError::UnexpectedChar(c, self.pos)),
-            None => Err(TurtleError::UnexpectedEof("term")),
-        }
-    }
-
-    fn parse_literal(&mut self) -> Result<Term, TurtleError> {
-        self.expect_char('"')?;
-        let mut raw = String::new();
-        loop {
-            match self.bump() {
-                Some('\\') => {
-                    raw.push('\\');
-                    match self.bump() {
-                        Some(c) => raw.push(c),
-                        None => return Err(TurtleError::UnexpectedEof("literal escape")),
-                    }
-                }
-                Some('"') => break,
-                Some(c) => raw.push(c),
-                None => return Err(TurtleError::UnexpectedEof("literal")),
-            }
-        }
-        let lexical = unescape_literal(&raw)?;
-        match self.peek() {
-            Some('@') => {
-                self.bump();
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if c.is_alphanumeric() || c == '-' {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Ok(Term::Literal(Literal::lang_string(
-                    lexical,
-                    &self.input[start..self.pos],
-                )))
-            }
-            Some('^') if self.rest().starts_with("^^") => {
-                self.pos += 2;
-                let dt = if self.peek() == Some('<') {
-                    self.parse_angle_iri()?
-                } else {
-                    self.parse_prefixed_name()?
-                };
-                Ok(Term::Literal(Literal::typed(lexical, dt)))
-            }
-            _ => Ok(Term::Literal(Literal::string(lexical))),
-        }
-    }
-
-    fn parse_triple_block(&mut self) -> Result<(), TurtleError> {
-        let subject = self.parse_term()?;
-        if subject.is_literal() {
-            return Err(TurtleError::LiteralSubject);
-        }
-        loop {
-            self.skip_ws();
-            let predicate = match self.parse_term()? {
-                Term::Iri(iri) => iri,
-                other => {
-                    return Err(TurtleError::Expected {
-                        expected: "predicate IRI",
-                        found: other.to_string(),
-                    })
-                }
-            };
-            loop {
-                let object = self.parse_term()?;
-                self.triples.push(Triple {
-                    subject: subject.clone(),
-                    predicate: predicate.clone(),
-                    object,
-                });
-                self.skip_ws();
-                match self.peek() {
-                    Some(',') => {
-                        self.bump();
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(';') => {
-                    self.bump();
-                    // Allow a dangling `;` before `.`
-                    self.skip_ws();
-                    if self.peek() == Some('.') {
-                        self.bump();
-                        return Ok(());
-                    }
-                    continue;
-                }
-                Some('.') => {
-                    self.bump();
-                    return Ok(());
-                }
-                Some(c) => return Err(TurtleError::UnexpectedChar(c, self.pos)),
-                None => return Err(TurtleError::UnexpectedEof("statement terminator")),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{BlankNode, Literal};
 
     #[test]
     fn parse_simple_document() {
@@ -588,10 +307,17 @@ mod tests {
                 Iri::new("http://e/p"),
                 Literal::integer(5),
             ),
+            // `e:a.` would read back as `e:a` and a `.`.
+            Triple::new(
+                Iri::new("http://e/s"),
+                Iri::new("http://e/p"),
+                Iri::new("http://e/a."),
+            ),
         ];
         let mut prefixes = PrefixMap::with_common_vocabularies();
         prefixes.insert("e", "http://e/");
         let doc = write_turtle(&triples, &prefixes);
+        assert!(doc.contains("<http://e/a.>"));
         let (parsed, _) = parse_turtle(&doc).unwrap();
         let mut a: Vec<String> = triples.iter().map(|t| t.to_string()).collect();
         let mut b: Vec<String> = parsed.iter().map(|t| t.to_string()).collect();
@@ -603,7 +329,33 @@ mod tests {
     #[test]
     fn unknown_prefix_is_an_error() {
         let err = parse_turtle("zz:a zz:p zz:b .").unwrap_err();
-        assert!(matches!(err, TurtleError::UnknownPrefix(_)));
+        assert!(matches!(err, ParseError::UnknownPrefix(_)));
+    }
+
+    #[test]
+    fn sparql_prefix_and_numeric_literals() {
+        let doc = "PREFIX ex: <http://example.org/>\nex:a ex:n 7 ; ex:x 2.5 ; ex:t \"it\\'s\" .";
+        let (triples, _) = parse_turtle(doc).unwrap();
+        let lit = |i: usize| triples[i].object.as_literal().unwrap();
+        assert_eq!(lit(0).datatype(), Some(&*crate::vocab::xsd::INTEGER));
+        assert_eq!(lit(1).datatype(), Some(&*crate::vocab::xsd::DOUBLE));
+        assert_eq!(lit(2).lexical(), "it's");
+    }
+
+    #[test]
+    fn graph_blocks_and_unterminated_triples_are_not_turtle() {
+        let graph = "@prefix e: <http://e/> . e:g { e:a e:p e:b . }";
+        assert!(matches!(
+            parse_turtle(graph),
+            Err(ParseError::Unexpected { .. })
+        ));
+        let open = "@prefix e: <http://e/> . e:a e:p e:b";
+        assert_eq!(
+            parse_turtle(open).unwrap_err(),
+            ParseError::UnexpectedEof("triples block")
+        );
+        let literal_subject = "@prefix e: <http://e/> . \"s\" e:p e:b .";
+        assert!(parse_turtle(literal_subject).is_err());
     }
 
     #[test]
@@ -629,6 +381,9 @@ mod tests {
     fn escape_round_trip() {
         let original = "line1\nline2\t\"quoted\" back\\slash";
         let escaped = escape_literal(original);
-        assert_eq!(unescape_literal(&escaped).unwrap(), original);
+        assert_eq!(
+            lexer::tokenize(&format!("\"{escaped}\"")).unwrap(),
+            [lexer::Token::Literal(original.into())]
+        );
     }
 }
