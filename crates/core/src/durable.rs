@@ -953,6 +953,30 @@ mod tests {
     }
 
     #[test]
+    fn a_local_name_ending_in_a_dot_survives_checkpoint_and_reopen() {
+        // Compacted, `sup:lagRatio.` would read back as `sup:lagRatio` and
+        // a `.`, and the checkpoint image would not restore.
+        let dir = tmp("dotted");
+        let (system, store) = supersede::build_running_example_with_store();
+        let durable = DurableSystem::create(&dir, system, store).unwrap();
+        let dotted = Iri::new(format!("{}lagRatio.", supersede::SUP_NS));
+        let quad = Quad::new(
+            dotted.clone(),
+            Iri::new(format!("{}hasMonitor", supersede::SUP_NS)),
+            dotted,
+            GraphName::Default,
+        );
+        durable.insert_quad(&quad).unwrap();
+        durable.checkpoint().unwrap();
+        drop(durable);
+
+        let reopened = DurableSystem::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().replayed, 0);
+        assert!(reopened.system().ontology().store().contains(&quad));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn create_refuses_a_directory_with_journaled_records() {
         let dir = tmp("refuse-wal");
         // A never-checkpointed deployment: cold open + journaled writes,

@@ -5,11 +5,15 @@
 //! * a compact term model ([`model`]) with interning ([`interner`]),
 //! * six permutation indexes answering any quad pattern with one range scan
 //!   ([`store`]),
-//! * a Turtle subset reader/writer ([`turtle`]),
-//! * RDFS entailment — materialization and on-demand closure ([`reason`]),
+//! * Turtle and TriG subset readers/writers ([`turtle`], [`trig`]),
+//! * on-demand `rdfs:subClassOf` reachability under RDFS entailment
+//!   ([`reason`]),
 //! * a restricted SPARQL engine ([`sparql`]) covering the paper's accepted
-//!   query template (Code 3), its algebra (Code 4) and the internal queries
-//!   of Algorithms 1–5 (`GRAPH ?g { … }`, `VALUES`).
+//!   query template (Code 3) and its algebra (Code 4), plus variables and
+//!   `GRAPH ?g { … }` blocks.
+//!
+//! The three text formats share one tokenizer and one triples grammar;
+//! `parse_query`, `parse_turtle` and `load_trig` are its front doors.
 //!
 //! This crate is self-contained: it is the triplestore the paper assumes as
 //! its substrate (Jena + Jena TDB in the authors' implementation), built from

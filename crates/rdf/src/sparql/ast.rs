@@ -2,9 +2,9 @@
 //!
 //! The paper restricts OMQs to the template of Code 3: a `SELECT` over
 //! invited variables, a `VALUES` clause binding each variable to an attribute
-//! IRI, and a basic graph pattern of constant triples. Internally the
-//! algorithms also issue queries with variables and `GRAPH ?g { ... }`
-//! blocks (Algorithms 3–5), so the AST supports both.
+//! IRI, and a basic graph pattern of constant triples. The AST also holds
+//! variables and `GRAPH ?g { ... }` blocks, and the Turtle and TriG readers
+//! parse into its [`QuadPattern`]s before turning them into quads.
 
 use crate::model::{Iri, Term};
 use std::fmt;

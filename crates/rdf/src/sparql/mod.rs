@@ -1,9 +1,9 @@
-//! Restricted SPARQL engine: lexer, parser, algebra and evaluator.
+//! Restricted SPARQL engine: parser, algebra and evaluator.
 //!
-//! The supported fragment is exactly what the paper requires: `SELECT`
-//! queries over one `FROM` graph with a `VALUES` table and a basic graph
-//! pattern (Code 3), plus variables and `GRAPH ?g { … }` blocks for the
-//! internal queries of Algorithms 1–5.
+//! The supported fragment is what the paper's OMQs need: `SELECT` queries
+//! over one `FROM` graph with a `VALUES` table and a basic graph pattern
+//! (Code 3), plus variables and `GRAPH ?g { … }` blocks. The tokenizer and
+//! the triples grammar are the ones Turtle and TriG are read with.
 
 pub mod algebra;
 pub mod ast;

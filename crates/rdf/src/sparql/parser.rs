@@ -8,10 +8,9 @@
 //! valuesClause:= VALUES '(' var* ')' '{' ('(' term* ')')* '}'
 //! ```
 //!
-//! over the `prefixDecl`, `graphBlock` and `triples` productions of
-//! [`crate::syntax`], which covers Code 3 / Code 5 / Code 8 of the paper
-//! plus the internal queries of Algorithms 1–5 (variables,
-//! `GRAPH ?g { … }`).
+//! over the `prefixDecl`, `graphBlock` and `triples` productions shared
+//! with Turtle and TriG, which covers Code 3 / Code 5 / Code 8 of the
+//! paper plus variables and `GRAPH ?g { … }`.
 
 use super::ast::*;
 use crate::model::Term;

@@ -292,12 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn comments_hide_braces_and_quotes() {
-        let toks = tokenize("{ # } \" {\n}").unwrap();
-        assert_eq!(toks, [Token::LBrace, Token::RBrace]);
-    }
-
-    #[test]
     fn error_offsets_count_characters() {
         assert_eq!(tokenize("éé ^"), Err(ParseError::UnexpectedChar('^', 3)));
         assert_eq!(

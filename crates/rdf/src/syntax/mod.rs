@@ -103,12 +103,8 @@ impl Parser {
         matches!(self.peek(), Some(Token::Keyword(k)) if k == kw)
     }
 
-    fn at_turtle_prefix(&self) -> bool {
-        matches!(self.peek(), Some(Token::LangTag(t)) if t == "prefix")
-    }
-
     pub(crate) fn parse_prefix_decl(&mut self) -> Result<(), ParseError> {
-        let turtle = self.at_turtle_prefix();
+        let turtle = matches!(self.peek(), Some(Token::LangTag(t)) if t == "prefix");
         if turtle {
             self.bump();
         } else {
@@ -228,7 +224,7 @@ impl Parser {
         }
     }
 
-    pub(crate) fn parse_node(&mut self) -> Result<TermOrVar, ParseError> {
+    fn parse_node(&mut self) -> Result<TermOrVar, ParseError> {
         match self.peek() {
             Some(Token::Var(_)) => {
                 let Some(Token::Var(v)) = self.bump() else {

@@ -12,7 +12,7 @@
 //! ex:g2 { ex:c ex:p ex:d . }               # brace form without keyword
 //! ```
 //!
-//! Reading goes through [`crate::syntax`], as Turtle and SPARQL do.
+//! It is read with the tokenizer and triples grammar Turtle and SPARQL use.
 
 use crate::model::{GraphName, Quad, Triple};
 use crate::store::QuadStore;
@@ -136,11 +136,13 @@ mod tests {
     }
 
     #[test]
-    fn literals_with_braces_do_not_confuse_the_scanner() {
+    fn braces_in_literals_and_comments_do_not_end_a_block() {
         let doc = r#"
             @prefix e: <http://e/> .
             e:x e:p "contains { braces } and a dot ." .
-            GRAPH e:g { e:a e:p "also } here" . }
+            GRAPH e:g {
+                # a } and a " in a comment
+                e:a e:p "also } here" . }
         "#;
         let quads = parse_trig(doc).unwrap();
         assert_eq!(quads.len(), 2);
@@ -158,14 +160,6 @@ mod tests {
             parse_trig(doc),
             Err(ParseError::UnexpectedEof("GRAPH block"))
         );
-    }
-
-    #[test]
-    fn comments_may_hold_braces_and_quotes() {
-        let doc = "@prefix e: <http://e/> .\nGRAPH e:g {\n # a } and a \" here\n e:a e:p e:b .\n}";
-        let quads = parse_trig(doc).unwrap();
-        assert_eq!(quads.len(), 1);
-        assert_eq!(quads[0].graph, GraphName::Named(Iri::new("http://e/g")));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! predicate lists (`;`), object lists (`,`) and comments. No collections,
 //! no `[ ... ]` anonymous blank-node property lists, no multiline strings —
 //! the vocabularies don't need them, and the parser rejects them loudly
-//! rather than mis-reading. Reading goes through [`crate::syntax`], the
-//! tokenizer and triples grammar SPARQL and TriG use too.
+//! rather than mis-reading. It is read with the tokenizer and triples
+//! grammar SPARQL and TriG use.
 
 use crate::model::{GraphName, Iri, Quad, Term, Triple};
 use crate::syntax::{lexer, parse_document, ParseError};

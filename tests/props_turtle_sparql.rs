@@ -1,14 +1,22 @@
-//! Property-based tests for the Turtle serializer/parser round trip and the
-//! SPARQL evaluator against a naive reference implementation.
+//! Property-based tests for the Turtle and TriG serializer/parser round
+//! trips and the SPARQL evaluator against a naive reference implementation.
 
-use bdi::rdf::model::{GraphName, Iri, Literal, Term, Triple};
+use bdi::rdf::model::{GraphName, Iri, Literal, Quad, Term, Triple};
 use bdi::rdf::sparql::{self, EvalOptions};
-use bdi::rdf::store::QuadStore;
+use bdi::rdf::store::{GraphPattern, QuadStore};
+use bdi::rdf::trig::{load_trig, write_trig};
 use bdi::rdf::turtle::{parse_turtle, write_turtle, PrefixMap};
 use proptest::prelude::*;
 
+/// IRIs under no registered namespace, and IRIs under `sc:` that the
+/// writer compacts unless the local name would not read back whole (one
+/// ending in `.`, or holding `..`).
 fn arb_iri() -> impl Strategy<Value = Iri> {
-    (0u8..8).prop_map(|i| Iri::new(format!("http://t.example/r/{i}")))
+    prop_oneof![
+        (0u8..8).prop_map(|i| Iri::new(format!("http://t.example/r/{i}"))),
+        "[a-z0-9._é\\-]{1,6}".prop_map(|local| Iri::new(format!("http://schema.org/{local}"))),
+        "[a-zé]{1,3}\\.".prop_map(|local| Iri::new(format!("http://schema.org/{local}"))),
+    ]
 }
 
 fn arb_literal() -> impl Strategy<Value = Literal> {
@@ -49,6 +57,36 @@ proptest! {
             v
         };
         prop_assert_eq!(canon(&parsed), canon(&triples));
+    }
+
+    #[test]
+    fn trig_round_trips(
+        quads in prop::collection::vec((arb_triple(), 0u8..5), 0..40),
+    ) {
+        // Graph 0 is the default graph; 1–4 are named, two of them with
+        // names the writer must keep in brackets.
+        let graph = |g: u8| match g {
+            0 => GraphName::Default,
+            g => GraphName::Named(Iri::new(format!(
+                "http://schema.org/g{g}{}",
+                if g % 2 == 0 { "." } else { "" }
+            ))),
+        };
+        let store = QuadStore::new();
+        for (t, g) in &quads {
+            store.insert(&Quad::new(t.subject.clone(), t.predicate.clone(), t.object.clone(), graph(*g)));
+        }
+        let doc = write_trig(&store, &PrefixMap::with_common_vocabularies());
+        let reloaded = QuadStore::new();
+        load_trig(&reloaded, &doc).expect("serializer output must load");
+
+        let canon = |s: &QuadStore| {
+            let all = s.match_quads(None, None, None, &GraphPattern::Any);
+            let mut v: Vec<String> = all.iter().map(|q| q.to_string()).collect();
+            v.sort();
+            v
+        };
+        prop_assert_eq!(canon(&reloaded), canon(&store));
     }
 
     #[test]
