@@ -53,7 +53,13 @@ pub fn noise_feature(i: usize, k: usize) -> Iri {
 /// Builds the chain system: `concepts` concepts, `wrappers_per_concept`
 /// disjoint wrappers each. Every wrapper carries `rows` tuples of data.
 pub fn build_chain_system(concepts: usize, wrappers_per_concept: usize, rows: usize) -> BdiSystem {
-    build_chain_system_with(concepts, wrappers_per_concept, 0, |_, _, schema| {
+    build_chain_prefix(concepts, wrappers_per_concept, rows, usize::MAX)
+}
+
+/// [`build_chain_system`] after only its first `releases` registrations,
+/// which go concept by concept (`w_1_1 … w_1_W, w_2_1, …`).
+pub fn build_chain_prefix(c: usize, w: usize, rows: usize, releases: usize) -> BdiSystem {
+    build_chain(c, w, 0, releases, |_, _, schema| {
         let last = schema.index_of("next_id").is_none();
         (0..rows)
             .map(|r| {
@@ -82,6 +88,22 @@ pub fn build_chain_system_with(
     concepts: usize,
     wrappers_per_concept: usize,
     noise_columns: usize,
+    rows_for: impl FnMut(usize, usize, &Schema) -> Vec<Vec<Value>>,
+) -> BdiSystem {
+    build_chain(
+        concepts,
+        wrappers_per_concept,
+        noise_columns,
+        usize::MAX,
+        rows_for,
+    )
+}
+
+fn build_chain(
+    concepts: usize,
+    wrappers_per_concept: usize,
+    noise_columns: usize,
+    releases: usize,
     mut rows_for: impl FnMut(usize, usize, &Schema) -> Vec<Vec<Value>>,
 ) -> BdiSystem {
     assert!(concepts >= 1);
@@ -111,6 +133,9 @@ pub fn build_chain_system_with(
 
     for i in 1..=concepts {
         for j in 1..=wrappers_per_concept {
+            if system.release_log().len() == releases {
+                return system;
+            }
             let last = i == concepts;
             // Schema: own ID + own data feature (+ next concept's ID) plus
             // the noise columns.

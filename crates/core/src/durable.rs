@@ -554,7 +554,8 @@ impl DurableSystem {
     }
 
     /// Durably appends a row to a registered table wrapper. The wrapper
-    /// must exist, be a table, and the row must match its arity — all
+    /// must exist, be a table, the row must match its arity and hold no
+    /// NaN or infinite float (the journal's JSON has no such number) — all
     /// checked *before* journaling.
     pub fn push_row(
         &self,
@@ -575,6 +576,13 @@ impl DurableSystem {
                 })
                 .into(),
             );
+        }
+        let non_finite = |v: &_| matches!(v, bdi_relational::Value::Float(f) if !f.is_finite());
+        if let Some(k) = row.iter().position(non_finite) {
+            // Arity is checked above, so `k` names an attribute.
+            let attribute = table.schema().names()[k].to_owned();
+            let wrapper = wrapper.to_owned();
+            return Err(WrapperError::UnsupportedShape { wrapper, attribute }.into());
         }
         let op = Op::PushRow {
             w: wrapper.to_owned(),

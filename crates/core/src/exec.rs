@@ -851,12 +851,13 @@ fn compile_walk(
 // The streaming engine: compile once, execute many times
 // ---------------------------------------------------------------------------
 
-/// A query compiled once and executable many times: the (scope-filtered)
-/// rewriting, the target schema, the rendered walk algebra and — for the
-/// streaming engine — one physical plan per walk. Plans depend only on the
-/// ontology, the [`PlanShape`] and the sources' *capabilities* (never their
-/// data), so a `CompiledQuery` stays valid until the next release; the
-/// system's cross-query plan cache keys on exactly that.
+/// A query compiled once and executable many times: the rewriting over the
+/// wrappers its scope admits, the target schema, the rendered walk algebra
+/// and — for the streaming engine — one physical plan per walk. Plans
+/// depend only on the ontology, the [`PlanShape`] and the sources'
+/// *capabilities* (never their data), so a `CompiledQuery` stays valid
+/// until the next release; the system's cross-query plan cache keys on
+/// exactly that.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// The rewriting the plans were compiled from. Shared (`Arc`) so

@@ -374,9 +374,6 @@ impl BdiOntology {
             None,
             Some(&Term::Iri(to.clone())),
         )
-        .into_iter()
-        // hasFeature edges are not concept-to-concept navigation.
-        .collect()
     }
 
     fn named_wrapper_graphs_with(

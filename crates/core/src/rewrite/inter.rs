@@ -19,12 +19,21 @@ use super::intra::PartialWalks;
 use super::walk::{JoinCondition, Walk};
 use crate::ontology::BdiOntology;
 use bdi_rdf::model::Iri;
+use std::collections::BTreeSet;
 
-/// Algorithm 5 — `InterConceptGeneration(partialWalks, S, M)`.
+/// Algorithm 5 — `InterConceptGeneration(partialWalks, S, M)`. Only the
+/// `admitted` wrappers provide edges, so an out-of-scope provider never
+/// pre-empts the reverse direction or `join_through`'s second strategy.
 pub(crate) fn inter_concept_generation(
     ontology: &BdiOntology,
     partial_walks: &PartialWalks,
+    admitted: Option<&BTreeSet<Iri>>,
 ) -> Vec<Walk> {
+    let edge_providers = |from: &Iri, to: &Iri| -> Vec<Iri> {
+        let mut wrappers = ontology.wrappers_providing_edge(from, to);
+        wrappers.retain(|w| admitted.is_none_or(|a| a.contains(w)));
+        wrappers
+    };
     let Some((_, first_walks)) = partial_walks.first() else {
         return Vec::new();
     };
@@ -48,7 +57,7 @@ pub(crate) fn inter_concept_generation(
                 }
 
                 // Steps ⑨–⑩: discover join wrappers and attributes.
-                let ltr = ontology.wrappers_providing_edge(current_concept, next_concept);
+                let ltr = edge_providers(current_concept, next_concept);
                 if !ltr.is_empty() {
                     join_through(
                         ontology,
@@ -62,7 +71,7 @@ pub(crate) fn inter_concept_generation(
                     );
                     continue;
                 }
-                let rtl = ontology.wrappers_providing_edge(next_concept, current_concept);
+                let rtl = edge_providers(next_concept, current_concept);
                 if !rtl.is_empty() {
                     // Line 20: same process inverting left and right.
                     join_through(

@@ -22,11 +22,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Partial walks grouped by concept, in query order.
 pub(crate) type PartialWalks = Vec<(Iri, Vec<Walk>)>;
 
-/// Algorithm 4 — `IntraConceptGeneration(concepts, Q'_G, T)`.
+/// Algorithm 4 — `IntraConceptGeneration(concepts, Q'_G, T)`, over the
+/// `admitted` wrappers only.
 pub fn intra_concept_generation(
     ontology: &BdiOntology,
     concepts: &[Iri],
     expanded: &Omq,
+    admitted: Option<&BTreeSet<Iri>>,
 ) -> PartialWalks {
     let mut partial_walks = Vec::with_capacity(concepts.len());
 
@@ -42,6 +44,9 @@ pub fn intra_concept_generation(
         let mut per_wrapper: BTreeMap<Iri, Walk> = BTreeMap::new();
         for feature in &features {
             for wrapper in ontology.wrappers_providing_feature(concept, feature) {
+                if admitted.is_some_and(|a| !a.contains(&wrapper)) {
+                    continue;
+                }
                 if let Some(attribute) = ontology.attribute_for_feature(&wrapper, feature) {
                     per_wrapper
                         .entry(wrapper.clone())
@@ -254,7 +259,7 @@ mod tests {
             iri("Monitor"),
             iri("InfoMonitor"),
         ];
-        let partial = intra_concept_generation(&o, &concepts, &expanded_query());
+        let partial = intra_concept_generation(&o, &concepts, &expanded_query(), None);
 
         assert_eq!(partial.len(), 3);
         // SoftwareApplication → {Π D3/TargetApp (w3)}
@@ -332,7 +337,7 @@ mod tests {
             iri("monitorLabel"),
         ));
         let concepts = vec![iri("Monitor")];
-        let partial = intra_concept_generation(&o, &concepts, &q);
+        let partial = intra_concept_generation(&o, &concepts, &q, None);
         // Only w5 provides BOTH monitorId and monitorLabel.
         assert_eq!(partial[0].1.len(), 1);
         assert_eq!(
@@ -353,7 +358,7 @@ mod tests {
             (*vocab::g::HAS_FEATURE).clone(),
             iri("unmapped"),
         ));
-        let partial = intra_concept_generation(&o, &[iri("InfoMonitor")], &q);
+        let partial = intra_concept_generation(&o, &[iri("InfoMonitor")], &q, None);
         assert!(partial[0].1.is_empty());
     }
 }

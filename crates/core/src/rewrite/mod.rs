@@ -18,6 +18,7 @@ pub mod walk;
 use crate::omq::Omq;
 use crate::ontology::BdiOntology;
 use crate::wellformed::{self, WellFormedQuery};
+use bdi_rdf::model::Iri;
 use std::collections::BTreeSet;
 
 pub use expand::{ExpandError, ExpandedQuery};
@@ -46,21 +47,27 @@ pub struct Rewriting {
     pub walks: Vec<Walk>,
 }
 
-/// Rewrites an OMQ into a union of walks over the wrappers.
-pub fn rewrite(ontology: &BdiOntology, query: Omq) -> Result<Rewriting, RewriteError> {
+/// Rewrites an OMQ into a union of walks over the `admitted` wrapper URIs
+/// (`None`: every wrapper). Algorithms 4 and 5 never see another wrapper.
+pub fn rewrite(
+    ontology: &BdiOntology,
+    query: Omq,
+    admitted: Option<&BTreeSet<Iri>>,
+) -> Result<Rewriting, RewriteError> {
     // Phase 0 — Algorithm 2.
     let well_formed = wellformed::well_formed_query(ontology, query)?;
     // Phase 1 — Algorithm 3.
     let expanded = expand::query_expansion(ontology, &well_formed.omq)?;
     // Phase 2 — Algorithm 4.
-    let partial = intra::intra_concept_generation(ontology, &expanded.concepts, &expanded.query);
+    let partial =
+        intra::intra_concept_generation(ontology, &expanded.concepts, &expanded.query, admitted);
     // Phase 3 — Algorithm 5.
-    let candidates = inter::inter_concept_generation(ontology, &partial);
+    let candidates = inter::inter_concept_generation(ontology, &partial, admitted);
     let candidate_count = candidates.len();
 
     // §2.3 — coverage, minimality, same-source constraint, non-equivalence.
     let phi = &well_formed.omq.phi;
-    let mut seen_keys: BTreeSet<BTreeSet<bdi_rdf::model::Iri>> = BTreeSet::new();
+    let mut seen_keys: BTreeSet<BTreeSet<Iri>> = BTreeSet::new();
     let mut walks = Vec::new();
     for walk in candidates {
         if walk.violates_same_source(ontology) {

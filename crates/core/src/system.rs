@@ -55,9 +55,11 @@ pub struct ReleaseLogEntry {
 
 /// Which schema versions a query should range over.
 ///
-/// The rewriting always *finds* every wrapper that can answer; the scope
-/// then filters the union — this is how the paper's "correctness in
-/// historical queries" (§1) and most-recent-version queries coexist.
+/// The scope resolves to the wrappers it admits
+/// ([`BdiSystem::wrappers_in_scope`]), and the rewriting sees only those:
+/// a historical query is rewritten over the system as it stood at that
+/// release — this is how the paper's "correctness in historical queries"
+/// (§1) and most-recent-version queries coexist.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum VersionScope {
     /// All registered versions (the paper's default union semantics).
@@ -751,9 +753,9 @@ impl BdiSystem {
         }
     }
 
-    /// Rewrites an OMQ without executing it.
+    /// Rewrites an OMQ over every registered wrapper, without executing it.
     pub fn rewrite(&self, query: Omq) -> Result<Rewriting, SystemError> {
-        Ok(rewrite::rewrite(&self.ontology, query)?)
+        Ok(rewrite::rewrite(&self.ontology, query, None)?)
     }
 
     /// Executes one [`AnswerRequest`] — the single entry point every query
@@ -798,17 +800,16 @@ impl BdiSystem {
             Some(compiled) => compiled,
             None => {
                 let (omq, scope, _) = &key;
-                let mut rewriting = rewrite::rewrite(&self.ontology, omq.clone())?;
-                if !matches!(scope, VersionScope::All) {
-                    let allowed = self.wrappers_in_scope(scope);
-                    rewriting.walks.retain(|walk| {
-                        walk.wrappers().iter().all(|uri| {
-                            vocab::wrapper_name_of(uri)
-                                .map(|name| allowed.contains(name))
-                                .unwrap_or(false)
-                        })
-                    });
-                }
+                let admitted = match scope {
+                    VersionScope::All => None,
+                    scope => Some(
+                        self.wrappers_in_scope(scope)
+                            .iter()
+                            .map(|name| vocab::wrapper_uri(name))
+                            .collect(),
+                    ),
+                };
+                let rewriting = rewrite::rewrite(&self.ontology, omq.clone(), admitted.as_ref())?;
                 let compiled = Arc::new(exec::compile_query(
                     &self.ontology,
                     &self.registry,

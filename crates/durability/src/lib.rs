@@ -28,7 +28,7 @@ pub mod snapshot;
 pub mod vfs;
 pub mod wal;
 
-pub use snapshot::{Snapshotter, SNAPSHOT_FILE, SNAPSHOT_TMP_FILE};
+pub use snapshot::{Snapshotter, SNAPSHOT_FILE};
 pub use vfs::{CrashPlan, CrashyVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{LogRecord, Wal, WalOpen, WalStats, WAL_FILE};
 
@@ -45,9 +45,3 @@ pub fn env_crash_seed(default: u64) -> u64 {
 /// The sentinel message carried by every error the fault-injection layer
 /// raises, so tests can tell an injected crash from a real IO failure.
 pub const SIMULATED_CRASH: &str = "simulated crash";
-
-/// Whether `err` was raised by [`CrashyVfs`] fault injection (at any
-/// level of wrapping) rather than by the real filesystem.
-pub fn is_simulated_crash(err: &std::io::Error) -> bool {
-    err.to_string().contains(SIMULATED_CRASH)
-}

@@ -18,7 +18,7 @@ use std::sync::Arc;
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 
 /// The temporary file a new image is staged in before the atomic rename.
-pub const SNAPSHOT_TMP_FILE: &str = "snap.tmp";
+pub(crate) const SNAPSHOT_TMP_FILE: &str = "snap.tmp";
 
 /// Writes and reads atomic snapshot images inside one data directory.
 pub struct Snapshotter {

@@ -373,7 +373,7 @@ mod tests {
         let mut f = vfs.create(&path).unwrap();
         f.write_all(b"abcde").unwrap(); // 5 ≤ 7: fine
         let err = f.write_all(b"fghij").unwrap_err(); // crosses at 7
-        assert!(crate::is_simulated_crash(&err));
+        assert!(err.to_string().contains(crate::SIMULATED_CRASH));
         assert!(vfs.crashed());
         // The torn prefix reached the file; later ops all fail.
         assert_eq!(StdVfs.read(&path).unwrap(), b"abcdefg");

@@ -35,7 +35,7 @@ use std::sync::Arc;
 pub const WAL_FILE: &str = "wal.log";
 
 /// The 8-byte magic that starts every WAL file.
-pub const WAL_MAGIC: &[u8; 8] = b"BDIWAL01";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"BDIWAL01";
 
 /// Fixed payload header: seq (8) + store_id (4).
 const PAYLOAD_HEADER: usize = 12;
@@ -89,7 +89,7 @@ pub struct Wal {
 
 /// CRC-32 (IEEE 802.3, reflected). Bitwise — the op payloads here are
 /// small enough that a lookup table buys nothing worth the code.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
         crc ^= b as u32;

@@ -12,7 +12,7 @@ use crate::taxonomy::{ApiLevelChange, Change, Handler, MethodLevelChange, Parame
 
 /// One API's change history.
 #[derive(Debug, Clone)]
-pub struct ApiChangeProfile {
+pub(crate) struct ApiChangeProfile {
     pub name: &'static str,
     pub changes: Vec<Change>,
 }
@@ -34,15 +34,10 @@ impl AccommodationStats {
     pub fn total(&self) -> usize {
         self.wrapper_only + self.ontology_only + self.both
     }
-
-    /// Partially + fully accommodated share.
-    pub fn solved_pct(&self) -> f64 {
-        self.partially_pct + self.fully_pct
-    }
 }
 
 /// Classifies a profile's changes into a Table 6 row.
-pub fn accommodation(profile: &ApiChangeProfile) -> AccommodationStats {
+pub(crate) fn accommodation(profile: &ApiChangeProfile) -> AccommodationStats {
     let mut wrapper_only = 0;
     let mut ontology_only = 0;
     let mut both = 0;
@@ -83,7 +78,7 @@ pub struct AverageAccommodation {
 
 /// Aggregates per-API stats into the paper's overall averages (weighted by
 /// change count, which is how the reported 48.84/22.77/71.62 arise).
-pub fn weighted_average(stats: &[AccommodationStats]) -> AverageAccommodation {
+pub(crate) fn weighted_average(stats: &[AccommodationStats]) -> AverageAccommodation {
     let total: usize = stats.iter().map(AccommodationStats::total).sum();
     let both: usize = stats.iter().map(|s| s.both).sum();
     let ontology: usize = stats.iter().map(|s| s.ontology_only).sum();
@@ -108,7 +103,7 @@ fn repeat(groups: &[(Change, usize)]) -> Vec<Change> {
 /// The five-API dataset of Table 6, reconstructed from the paper's bucket
 /// counts with representative change kinds per bucket (the per-kind split
 /// within a bucket is not published; the bucket totals are).
-pub fn dataset() -> Vec<ApiChangeProfile> {
+pub(crate) fn dataset() -> Vec<ApiChangeProfile> {
     use Change::{Api, Method, Parameter};
     vec![
         // Google Calendar: 0 wrapper, 24 ontology, 23 both.

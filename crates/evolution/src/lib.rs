@@ -14,8 +14,8 @@ pub mod industrial;
 pub mod taxonomy;
 pub mod wordpress;
 
-pub use industrial::{accommodation, table6, AccommodationStats, ApiChangeProfile};
+pub use industrial::{table6, AccommodationStats};
 pub use taxonomy::{
     ApiLevelChange, Change, Handler, MethodLevelChange, OntologyAction, ParameterLevelChange,
 };
-pub use wordpress::{release_series, replay, ReleaseRecord};
+pub use wordpress::{replay, ReleaseRecord};

@@ -65,7 +65,7 @@ impl ApiLevelChange {
         }
     }
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ApiLevelChange::AddAuthenticationModel => "Add authentication model",
             ApiLevelChange::ChangeResourceUrl => "Change resource URL",
@@ -117,7 +117,7 @@ impl MethodLevelChange {
         }
     }
 
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MethodLevelChange::AddErrorCode => "Add error code",
             MethodLevelChange::ChangeRateLimit => "Change rate limit",
@@ -193,14 +193,6 @@ impl Change {
             Change::Api(c) => c.handler(),
             Change::Method(c) => c.handler(),
             Change::Parameter(c) => c.handler(),
-        }
-    }
-
-    pub fn level(self) -> &'static str {
-        match self {
-            Change::Api(_) => "API-level",
-            Change::Method(_) => "Method-level",
-            Change::Parameter(_) => "Parameter-level",
         }
     }
 

@@ -10,7 +10,7 @@
 //! API v1/v2 response schemas and the shape the paper reports: a big initial
 //! batch (v1), a steep major release reusing few attributes (v2), then
 //! small minor releases whose dominant cost is re-linking every attribute
-//! with `S:hasAttribute` edges. See DESIGN.md ("Substitutions").
+//! with `S:hasAttribute` edges.
 
 use crate::taxonomy::{classify_delta, ParameterLevelChange};
 use bdi_core::release::{Release, ReleaseStats};
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Namespace for the Wordpress domain ontology.
-pub const WP_NS: &str = "http://www.essi.upc.edu/~snadal/wordpress/";
+pub(crate) const WP_NS: &str = "http://www.essi.upc.edu/~snadal/wordpress/";
 
 fn wp(name: &str) -> Iri {
     Iri::new(format!("{WP_NS}{name}"))
@@ -35,7 +35,7 @@ fn str_field(name: &str) -> FieldSpec {
 }
 
 /// The Wordpress `GET Posts` v1 response schema (flattened).
-pub fn v1() -> VersionSchema {
+pub(crate) fn v1() -> VersionSchema {
     VersionSchema::new(
         "1",
         vec![
@@ -79,7 +79,7 @@ pub fn v1() -> VersionSchema {
 }
 
 /// The full reconstructed release series: v1, v2, 2.1 … 2.13.
-pub fn release_series() -> Vec<VersionSchema> {
+pub(crate) fn release_series() -> Vec<VersionSchema> {
     let v1 = v1();
     // Version 2 — the major rewrite: ID→id rename, timezone fields and
     // counters dropped, taxonomy/media fields added.

@@ -19,14 +19,14 @@ pub struct Iri(Arc<str>);
 
 impl Iri {
     /// Creates an IRI from a string, panicking on characters that can never
-    /// occur in a serialized IRI (the crate's parsers validate through
-    /// `Iri::try_new` instead).
+    /// occur in a serialized IRI (text from outside the program goes through
+    /// [`Iri::try_new`] instead).
     pub fn new(value: impl AsRef<str>) -> Self {
         Self::try_new(value.as_ref()).expect("invalid IRI")
     }
 
     /// Fallible constructor rejecting whitespace, `<`, `>` and `"`.
-    pub(crate) fn try_new(value: &str) -> Result<Self, InvalidTerm> {
+    pub fn try_new(value: &str) -> Result<Self, InvalidTerm> {
         if value.is_empty() {
             return Err(InvalidTerm::EmptyIri);
         }
@@ -391,7 +391,7 @@ impl fmt::Display for Quad {
 
 /// Errors raised when constructing malformed terms.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-pub(crate) enum InvalidTerm {
+pub enum InvalidTerm {
     #[error("IRI must not be empty")]
     EmptyIri,
     #[error("IRI contains an illegal character: {0:?}")]

@@ -12,7 +12,7 @@ const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     pub method: String,
     pub path: String,
     pub body: Vec<u8>,
@@ -25,7 +25,10 @@ pub struct Request {
 /// closed cleanly before a request started, or shutdown was requested —
 /// either way the caller should drop the connection. The stream must have
 /// a read timeout set; timeouts are used to poll `stop`.
-pub fn read_request(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Request>> {
+pub(crate) fn read_request(
+    stream: &mut TcpStream,
+    stop: &AtomicBool,
+) -> io::Result<Option<Request>> {
     let mut buf: Vec<u8> = Vec::new();
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
@@ -172,7 +175,7 @@ fn reason(status: u16) -> &'static str {
 /// Writes one JSON response, head and body in a single write: two writes
 /// on a keep-alive connection put the body behind Nagle's algorithm until
 /// the client's delayed ACK of the head arrives (~40 ms per response).
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,

@@ -54,7 +54,7 @@ const READ_POLL: Duration = Duration::from_millis(50);
 /// `POST /checkpoint` admin endpoint, a `durability` section to
 /// `GET /stats`, and a best-effort checkpoint on graceful shutdown.
 #[derive(Clone)]
-pub enum Backend {
+pub(crate) enum Backend {
     /// A volatile system (the pre-durability default).
     Plain(Arc<BdiSystem>),
     /// A durable deployment (see [`DurableSystem`]).
@@ -63,7 +63,7 @@ pub enum Backend {
 
 impl Backend {
     /// The query-serving system, whichever variant holds it.
-    pub fn system(&self) -> &BdiSystem {
+    pub(crate) fn system(&self) -> &BdiSystem {
         match self {
             Backend::Plain(system) => system,
             Backend::Durable(durable) => durable.system(),
@@ -71,7 +71,7 @@ impl Backend {
     }
 
     /// The durable deployment, when this backend has one.
-    pub fn durable(&self) -> Option<&DurableSystem> {
+    pub(crate) fn durable(&self) -> Option<&DurableSystem> {
         match self {
             Backend::Plain(_) => None,
             Backend::Durable(durable) => Some(durable),
@@ -161,7 +161,7 @@ pub fn start_durable(
 }
 
 /// Starts the server over an explicit [`Backend`].
-pub fn start_backend(
+pub(crate) fn start_backend(
     backend: Backend,
     addr: impl ToSocketAddrs,
     config: ServerConfig,

@@ -6,7 +6,7 @@ use crate::Backend;
 use serde_json::json;
 
 /// Renders the stats document.
-pub fn stats(backend: &Backend) -> String {
+pub(crate) fn stats(backend: &Backend) -> String {
     let system = backend.system();
     let plan_cache = system.plan_cache_stats();
     let contexts = system.context_stats();

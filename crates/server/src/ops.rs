@@ -141,11 +141,7 @@ fn parse_omq(value: &Value) -> Result<Omq, String> {
         .and_then(Value::as_array)
         .ok_or("\"omq.pi\" must be an array of IRI strings")?
         .iter()
-        .map(|v| {
-            v.as_str()
-                .map(Iri::new)
-                .ok_or("\"omq.pi\" entries must be strings".to_owned())
-        })
+        .map(|v| iri(v, "\"omq.pi\" entries must be IRI strings"))
         .collect::<Result<Vec<_>, _>>()?;
     let phi = object
         .get("phi")
@@ -159,15 +155,17 @@ fn parse_omq(value: &Value) -> Result<Omq, String> {
             let [s, p, o] = terms.as_slice() else {
                 return Err("\"omq.phi\" entries must be [s, p, o] arrays".to_owned());
             };
-            let iri = |t: &Value| {
-                t.as_str()
-                    .map(Iri::new)
-                    .ok_or("\"omq.phi\" terms must be IRI strings".to_owned())
-            };
-            Ok::<_, String>(Triple::new(iri(s)?, iri(p)?, iri(o)?))
+            let term = |t| iri(t, "\"omq.phi\" terms must be IRI strings");
+            Ok::<_, String>(Triple::new(term(s)?, term(p)?, term(o)?))
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Omq::new(pi, phi))
+}
+
+/// A JSON string that is a valid IRI; `expected` names the field otherwise.
+fn iri(value: &Value, expected: &str) -> Result<Iri, String> {
+    let text = value.as_str().ok_or(expected)?;
+    Iri::try_new(text).map_err(|e| format!("{expected}: {e}"))
 }
 
 fn parse_scope(value: &Value) -> Result<VersionScope, String> {
@@ -273,7 +271,7 @@ fn render_value(value: &RelValue) -> Value {
 /// nothing to persist to), 500 when the checkpoint itself fails (which
 /// also poisons the backend's write path — see
 /// `bdi_core::durable::DurableError::Poisoned`).
-pub fn checkpoint(backend: &crate::Backend) -> (u16, String) {
+pub(crate) fn checkpoint(backend: &crate::Backend) -> (u16, String) {
     match backend.durable() {
         None => (
             404,

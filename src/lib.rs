@@ -21,9 +21,6 @@
 //! let result = system.serve(request).unwrap();
 //! assert_eq!(result.relation.len(), 3);
 //! ```
-//!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every table and figure.
 
 pub use bdi_core as core;
 pub use bdi_docstore as docstore;

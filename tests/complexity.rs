@@ -45,8 +45,12 @@ fn phase2_is_linear_in_wrappers_per_concept() {
     let system = synthetic::build_chain_system(3, 7, 0);
     let wf = wellformed::well_formed_query(system.ontology(), synthetic::chain_query(3)).unwrap();
     let expanded = expand::query_expansion(system.ontology(), &wf.omq).unwrap();
-    let partial =
-        intra::intra_concept_generation(system.ontology(), &expanded.concepts, &expanded.query);
+    let partial = intra::intra_concept_generation(
+        system.ontology(),
+        &expanded.concepts,
+        &expanded.query,
+        None,
+    );
     assert_eq!(partial.len(), 3);
     for (concept, walks) in &partial {
         assert_eq!(walks.len(), 7, "concept {concept}");
@@ -68,8 +72,12 @@ fn running_example_phases_match_the_papers_trace() {
     assert_eq!(names, vec!["SoftwareApplication", "Monitor", "InfoMonitor"]);
 
     // Phase 2 trace: 1, 2 and 1 partial walks respectively.
-    let partial =
-        intra::intra_concept_generation(system.ontology(), &expanded.concepts, &expanded.query);
+    let partial = intra::intra_concept_generation(
+        system.ontology(),
+        &expanded.concepts,
+        &expanded.query,
+        None,
+    );
     let sizes: Vec<usize> = partial.iter().map(|(_, w)| w.len()).collect();
     assert_eq!(sizes, vec![1, 2, 1]);
 

@@ -1,14 +1,243 @@
 //! Versioned / historical query answering: the scope machinery on top of
 //! the union semantics (§1's "correctness in historical queries").
 
-use bdi::core::supersede;
-use bdi::core::system::{AnswerRequest, VersionScope};
-use std::collections::BTreeSet;
+use bdi::core::exec::{self, Engine, ExecOptions};
+use bdi::core::omq::Omq;
+use bdi::core::release::Release;
+use bdi::core::system::{AnswerRequest, BdiSystem, VersionScope};
+use bdi::core::{supersede, vocab, Rewriting, Walk};
+use bdi::rdf::model::{Iri, Triple};
+use bdi::relational::{Schema, Tuple, Value};
+use bdi::wrappers::TableWrapper;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 fn evolved() -> bdi::core::BdiSystem {
     let (mut system, store) = supersede::build_running_example_with_store();
     supersede::evolve_with_w4(&mut system, &store);
     system
+}
+
+fn eager() -> ExecOptions {
+    ExecOptions {
+        engine: Engine::Eager,
+        ..ExecOptions::default()
+    }
+}
+
+/// Each walk as its wrapper names, in walk order.
+fn walk_names(walks: &[Walk]) -> Vec<Vec<String>> {
+    walks
+        .iter()
+        .map(|walk| {
+            walk.wrappers()
+                .iter()
+                .map(|uri| vocab::wrapper_name_of(uri).unwrap().to_owned())
+                .collect()
+        })
+        .collect()
+}
+
+/// A rewriting's answer under the eager engine, rows sorted.
+fn eager_rows(system: &BdiSystem, rewriting: Rewriting) -> Vec<Tuple> {
+    let compiled =
+        exec::compile_query(system.ontology(), system.registry(), rewriting, &eager()).unwrap();
+    let answer =
+        exec::execute_compiled(system.ontology(), system.registry(), &compiled, None).unwrap();
+    let mut rows = answer.relation.into_rows();
+    rows.sort();
+    rows
+}
+
+/// A scoped query's walks and sorted rows under the eager engine.
+fn scoped(system: &BdiSystem, query: Omq, scope: VersionScope) -> (Vec<Vec<String>>, Vec<Tuple>) {
+    let answer = system
+        .serve(AnswerRequest::omq(query).scope(scope).options(eager()))
+        .unwrap();
+    let mut rows = answer.relation.into_rows();
+    rows.sort();
+    (walk_names(&answer.rewriting.walks), rows)
+}
+
+#[test]
+fn scoped_rewriting_matches_the_post_filter_on_supersede() {
+    let system = evolved();
+    let unscoped = system.rewrite(supersede::exemplary_omq()).unwrap();
+    let names = ["w1", "w2", "w3", "w4"];
+    let mut scopes = vec![VersionScope::All, VersionScope::Latest];
+    scopes.extend((0..names.len()).map(VersionScope::UpToRelease));
+    scopes.extend((0..1 << names.len()).map(|mask: usize| {
+        VersionScope::Only(
+            (0..names.len())
+                .filter(|k| mask >> k & 1 == 1)
+                .map(|k| names[k].to_owned())
+                .collect(),
+        )
+    }));
+    for scope in scopes {
+        // The reference: every wrapper's walks, then the scope's.
+        let allowed = system.wrappers_in_scope(&scope);
+        let mut reference = unscoped.clone();
+        reference.walks.retain(|walk| {
+            walk.wrappers()
+                .iter()
+                .all(|uri| allowed.contains(vocab::wrapper_name_of(uri).unwrap()))
+        });
+        let (walks, rows) = scoped(&system, supersede::exemplary_omq(), scope.clone());
+        assert_eq!(walks, walk_names(&reference.walks), "scope {scope:?}");
+        assert_eq!(rows, eager_rows(&system, reference), "scope {scope:?}");
+    }
+}
+
+#[test]
+fn up_to_release_two_is_the_unevolved_system() {
+    let past = supersede::build_running_example();
+    let then = past.rewrite(supersede::exemplary_omq()).unwrap();
+    let answer = evolved()
+        .serve(
+            AnswerRequest::omq(supersede::exemplary_omq())
+                .scope(VersionScope::UpToRelease(2))
+                .options(eager()),
+        )
+        .unwrap();
+    assert_eq!(answer.rewriting.candidates, then.candidates);
+    assert_eq!(walk_names(&answer.rewriting.walks), walk_names(&then.walks));
+    let mut rows = answer.relation.into_rows();
+    rows.sort();
+    assert_eq!(rows, eager_rows(&past, then));
+}
+
+fn iri(name: &str) -> Iri {
+    Iri::new(format!("http://example.org/fallback/{name}"))
+}
+
+fn has_feature(concept: &str, feature: &str) -> Triple {
+    Triple::new(iri(concept), (*vocab::g::HAS_FEATURE).clone(), iri(feature))
+}
+
+/// Two concepts `A → B`, each with an ID, and up to three releases:
+/// * `wa` — `A`'s ID and data;
+/// * `wb` — `B`'s ID and data, plus the edge and `A`'s ID as a foreign key;
+/// * `wx` — a link table holding the edge and both IDs.
+///
+/// Algorithm 5 joins `wa ⋈ wb` on `A`'s ID only when the first strategy
+/// (join on `B`'s ID through another edge provider) finds nothing; `wx`
+/// makes it find a connector walk that minimality then drops.
+fn fallback_deployment(with_wx: bool) -> BdiSystem {
+    let mut system = BdiSystem::new();
+    let ontology = system.ontology();
+    for (concept, id, data) in [("A", "aId", "fa"), ("B", "bId", "fb")] {
+        ontology.add_concept(&iri(concept));
+        ontology.add_id_feature(&iri(id));
+        ontology.add_feature(&iri(data));
+        ontology.attach_feature(&iri(concept), &iri(id)).unwrap();
+        ontology.attach_feature(&iri(concept), &iri(data)).unwrap();
+    }
+    ontology
+        .add_object_property(&iri("p"), &iri("A"), &iri("B"))
+        .unwrap();
+    let int = Value::Int;
+
+    let mut releases = vec![
+        (
+            TableWrapper::new(
+                "wa",
+                "DA",
+                Schema::from_parts(&["aId"], &["fa"]).unwrap(),
+                vec![vec![int(1), int(10)], vec![int(2), int(20)]],
+            ),
+            vec![has_feature("A", "aId"), has_feature("A", "fa")],
+            vec![("aId", "aId"), ("fa", "fa")],
+        ),
+        (
+            TableWrapper::new(
+                "wb",
+                "DB",
+                Schema::from_parts(&["bId", "aRef"], &["fb"]).unwrap(),
+                vec![vec![int(7), int(1), int(70)], vec![int(8), int(2), int(80)]],
+            ),
+            vec![
+                has_feature("B", "bId"),
+                has_feature("B", "fb"),
+                edge_triple(),
+                has_feature("A", "aId"),
+            ],
+            vec![("bId", "bId"), ("fb", "fb"), ("aRef", "aId")],
+        ),
+    ];
+    if with_wx {
+        releases.push((
+            TableWrapper::new(
+                "wx",
+                "DX",
+                Schema::from_parts::<&str>(&["a", "b"], &[]).unwrap(),
+                vec![vec![int(1), int(8)]],
+            ),
+            vec![
+                edge_triple(),
+                has_feature("A", "aId"),
+                has_feature("B", "bId"),
+            ],
+            vec![("a", "aId"), ("b", "bId")],
+        ));
+    }
+    for (wrapper, lav, mappings) in releases {
+        let mappings: BTreeMap<String, Iri> = mappings
+            .into_iter()
+            .map(|(attribute, feature)| (attribute.to_owned(), iri(feature)))
+            .collect();
+        system
+            .register_release(Release::new(Arc::new(wrapper.unwrap()), lav, mappings))
+            .unwrap();
+    }
+    system
+}
+
+fn fallback_query() -> Omq {
+    Omq::new(
+        vec![iri("fa"), iri("fb")],
+        vec![
+            has_feature("A", "fa"),
+            edge_triple(),
+            has_feature("B", "fb"),
+        ],
+    )
+}
+
+fn edge_triple() -> Triple {
+    Triple::new(iri("A"), iri("p"), iri("B"))
+}
+
+#[test]
+fn an_out_of_scope_edge_provider_does_not_preempt_the_fallback_join() {
+    let system = fallback_deployment(true);
+    let before_wx = fallback_deployment(false);
+    let expected = scoped(&before_wx, fallback_query(), VersionScope::All);
+    assert_eq!(expected.0, vec![vec!["wa".to_owned(), "wb".to_owned()]]);
+    assert_eq!(
+        expected.1,
+        vec![
+            vec![Value::Int(10), Value::Int(70)],
+            vec![Value::Int(20), Value::Int(80)]
+        ]
+    );
+
+    // Scopes that exclude `wx` answer as the system did before it landed;
+    // rewriting over `wx` and then dropping its walks would leave none.
+    let without_wx = [
+        VersionScope::UpToRelease(1),
+        VersionScope::Only(BTreeSet::from(["wa".to_owned(), "wb".to_owned()])),
+    ];
+    for scope in without_wx {
+        assert_eq!(
+            scoped(&system, fallback_query(), scope.clone()),
+            expected,
+            "{scope:?}"
+        );
+    }
+    // With `wx` in scope, the first strategy's connector walk pre-empts the
+    // fallback and minimality drops it, as it always has.
+    assert!(system.rewrite(fallback_query()).unwrap().walks.is_empty());
 }
 
 #[test]
