@@ -87,7 +87,7 @@ const NOISE: usize = 8;
 /// values is unique — the adversarial worst case for interning and dedup,
 /// reported separately.
 fn workload(concepts: usize, wrappers: usize, distinct: bool) -> BdiSystem {
-    synthetic::build_chain_system_with(concepts, wrappers, NOISE, |i, j, schema| {
+    synthetic::build_chain_system_with(concepts, wrappers, NOISE, usize::MAX, |i, j, schema| {
         let last = schema.index_of("next_id").is_none();
         (0..rows())
             .map(|r| {
@@ -260,7 +260,7 @@ fn main() {
     let build_rows = bdi_bench::scaled(100, 10);
     let probe_rows = bdi_bench::scaled(100_000, 500);
     let stride = (probe_rows / build_rows).max(1);
-    let semijoin_system = synthetic::build_chain_system_with(2, 1, 0, |i, _, _| {
+    let semijoin_system = synthetic::build_chain_system_with(2, 1, 0, usize::MAX, |i, _, _| {
         if i == 1 {
             (0..build_rows)
                 .map(|r| {
@@ -306,7 +306,7 @@ fn main() {
     let bloom_build = bdi_bench::scaled(50_000, 500);
     let bloom_probe = bdi_bench::scaled(500_000, 500);
     let bloom_stride = (bloom_probe / bloom_build).max(1);
-    let bloom_system = synthetic::build_chain_system_with(2, 1, 0, |i, _, _| {
+    let bloom_system = synthetic::build_chain_system_with(2, 1, 0, usize::MAX, |i, _, _| {
         if i == 1 {
             (0..bloom_build)
                 .map(|r| {
@@ -365,7 +365,7 @@ fn main() {
     let order_rows = bdi_bench::scaled(20_000, 100);
     let order_dup = 8;
     let order_keys = (order_rows / order_dup).max(1);
-    let order_system = synthetic::build_chain_system_with(4, 1, 0, |i, _, schema| {
+    let order_system = synthetic::build_chain_system_with(4, 1, 0, usize::MAX, |i, _, schema| {
         let last = schema.index_of("next_id").is_none();
         let rows = if i == 4 { 2 } else { order_rows };
         (0..rows)

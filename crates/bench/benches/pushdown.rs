@@ -44,7 +44,7 @@ const NOISE: usize = 8;
 /// sixteenths — a deterministic ramp, so the benchmark predicates hit a
 /// known ~1% slice at any `rows()` scale (fast mode included).
 fn scan_workload(wrappers: usize) -> BdiSystem {
-    synthetic::build_chain_system_with(1, wrappers, NOISE, |_i, _j, _schema| {
+    synthetic::build_chain_system_with(1, wrappers, NOISE, usize::MAX, |_i, _j, _schema| {
         (0..rows())
             .map(|r| {
                 let mut row = vec![Value::Int(r as i64)];

@@ -56,10 +56,10 @@ pub fn build_chain_system(concepts: usize, wrappers_per_concept: usize, rows: us
     build_chain_prefix(concepts, wrappers_per_concept, rows, usize::MAX)
 }
 
-/// [`build_chain_system`] after only its first `releases` registrations,
-/// which go concept by concept (`w_1_1 … w_1_W, w_2_1, …`).
+/// [`build_chain_system`] after only its first `releases` registrations
+/// (`w_1_1 … w_1_W, w_2_1, …`).
 pub fn build_chain_prefix(c: usize, w: usize, rows: usize, releases: usize) -> BdiSystem {
-    build_chain(c, w, 0, releases, |_, _, schema| {
+    build_chain_system_with(c, w, 0, releases, |_, _, schema| {
         let last = schema.index_of("next_id").is_none();
         (0..rows)
             .map(|r| {
@@ -80,26 +80,12 @@ pub fn build_chain_prefix(c: usize, w: usize, rows: usize, releases: usize) -> B
 /// Wrapper `j` of concept `i` exposes `id{i}` (+ `next_id` when `i` is not
 /// the last concept), the data column `f{i}`, and `noise_columns` extra
 /// columns `n0..` mapped to per-concept noise features no chain query ever
-/// requests — they exist so projection pushdown is measurable. `rows_for`
+/// requests — they exist so projection pushdown is measurable. Registration
+/// goes concept by concept and stops after `releases` wrappers. `rows_for`
 /// receives `(concept, wrapper, schema)` and must return rows matching the
 /// schema's arity; the differential property tests use it to feed randomized
 /// (null-bearing, cross-typed) data through both execution engines.
 pub fn build_chain_system_with(
-    concepts: usize,
-    wrappers_per_concept: usize,
-    noise_columns: usize,
-    rows_for: impl FnMut(usize, usize, &Schema) -> Vec<Vec<Value>>,
-) -> BdiSystem {
-    build_chain(
-        concepts,
-        wrappers_per_concept,
-        noise_columns,
-        usize::MAX,
-        rows_for,
-    )
-}
-
-fn build_chain(
     concepts: usize,
     wrappers_per_concept: usize,
     noise_columns: usize,

@@ -15,33 +15,49 @@
 //! pairs would produce disconnected expressions that its own
 //! coverage/minimality filter then has to discard.
 
+use super::admitted_only;
 use super::intra::PartialWalks;
 use super::walk::{JoinCondition, Walk};
 use crate::ontology::BdiOntology;
 use bdi_rdf::model::Iri;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// `BdiOntology::attribute_for_feature`, as the join discovery asks it.
+type AttributeOf<'a> = &'a dyn Fn(&Iri, &Iri) -> Option<Iri>;
 
 /// Algorithm 5 — `InterConceptGeneration(partialWalks, S, M)`. Only the
 /// `admitted` wrappers provide edges, so an out-of-scope provider never
-/// pre-empts the reverse direction or `join_through`'s second strategy.
+/// pre-empts the reverse direction or the source-ID strategy.
 pub(crate) fn inter_concept_generation(
     ontology: &BdiOntology,
     partial_walks: &PartialWalks,
     admitted: Option<&BTreeSet<Iri>>,
 ) -> Vec<Walk> {
-    let edge_providers = |from: &Iri, to: &Iri| -> Vec<Iri> {
-        let mut wrappers = ontology.wrappers_providing_edge(from, to);
-        wrappers.retain(|w| admitted.is_none_or(|a| a.contains(w)));
-        wrappers
+    let providers = |from, to| admitted_only(ontology.wrappers_providing_edge(from, to), admitted);
+    // Line 12: the ID feature a join on a concept keys on.
+    let id_of = |concept| ontology.id_features_of(concept).into_iter().next();
+    // Every walk pair of a step asks about the same few (wrapper, feature)
+    // pairs: look each up once.
+    let memo = RefCell::new(BTreeMap::new());
+    let attribute = |wrapper: &Iri, feature: &Iri| {
+        (memo.borrow_mut().entry((wrapper.clone(), feature.clone())))
+            .or_insert_with(|| ontology.attribute_for_feature(wrapper, feature))
+            .clone()
     };
-    let Some((_, first_walks)) = partial_walks.first() else {
+    let Some((first_concept, first_walks)) = partial_walks.first() else {
         return Vec::new();
     };
-    let mut current_concept = &partial_walks[0].0;
+    let mut current_concept = first_concept;
+    let mut current_id = id_of(first_concept);
     let mut current_walks: Vec<Walk> = first_walks.clone();
 
     for (next_concept, next_walks) in &partial_walks[1..] {
         let mut joined: Vec<Walk> = Vec::new();
+        let next_id = id_of(next_concept);
+        // Steps ⑨–⑩: the wrappers providing the edge, either way round.
+        let ltr = providers(current_concept, next_concept);
+        let rtl = providers(next_concept, current_concept);
 
         // Step ⑦: cartesian product of the two walk lists.
         for left in &current_walks {
@@ -56,108 +72,55 @@ pub(crate) fn inter_concept_generation(
                     continue;
                 }
 
-                // Steps ⑨–⑩: discover join wrappers and attributes.
-                let ltr = edge_providers(current_concept, next_concept);
-                if !ltr.is_empty() {
-                    join_through(
-                        ontology,
-                        &merged,
-                        left,
-                        right,
-                        current_concept,
-                        next_concept,
-                        &ltr,
-                        &mut joined,
-                    );
+                // Lines 12–18 over the edge `from → to`: `ltr`, else `rtl`
+                // with left and right inverted (line 20). No provider either
+                // way: the pair yields no walk.
+                let (edge_wrappers, from, to) = if !ltr.is_empty() {
+                    (&ltr, (current_id.as_ref(), left), (next_id.as_ref(), right))
+                } else if !rtl.is_empty() {
+                    (&rtl, (next_id.as_ref(), right), (current_id.as_ref(), left))
+                } else {
                     continue;
+                };
+                // Two strategies, in order: 1. **target ID** (the paper's
+                // lines 12–14), keyed on `to`'s ID feature; 2. **source ID**,
+                // when `to` has none — the running example's event-like
+                // `InfoMonitor` — keyed on `from`'s. This is how the paper's
+                // own output joins `w1 ⋈ w3` on `monitorId` although
+                // `InfoMonitor` carries no identifier.
+                for (key, anchor) in [(to, from), (from, to)] {
+                    if join_on_id(&attribute, &merged, key, anchor, edge_wrappers, &mut joined) {
+                        break;
+                    }
                 }
-                let rtl = edge_providers(next_concept, current_concept);
-                if !rtl.is_empty() {
-                    // Line 20: same process inverting left and right.
-                    join_through(
-                        ontology,
-                        &merged,
-                        right,
-                        left,
-                        next_concept,
-                        current_concept,
-                        &rtl,
-                        &mut joined,
-                    );
-                }
-                // No edge provider in either direction: the pair yields no
-                // walk (the sources cannot be joined for this query).
             }
         }
 
         current_concept = next_concept;
+        current_id = next_id;
         current_walks = joined;
     }
     current_walks
 }
 
-/// Lines 12–18 of Algorithm 5, for the edge `from → to`: joins each
-/// edge-providing wrapper `w` with the wrapper holding the join-key ID.
-///
-/// Two strategies, tried in order:
-/// 1. **target ID** (the paper's lines 12–14): join on `to`'s ID feature,
-///    held by a wrapper of `to_walk`;
-/// 2. **source ID** fallback: when `to` has no ID feature — the running
-///    example's event-like `InfoMonitor` — join on `from`'s ID instead,
-///    held by a wrapper of `from_walk`. This is exactly how the paper's own
-///    example output joins `w1 ⋈ w3` on `monitorId` even though the queried
-///    `InfoMonitor` concept carries no identifier.
-#[allow(clippy::too_many_arguments)]
-fn join_through(
-    ontology: &BdiOntology,
-    merged: &Walk,
-    from_walk: &Walk,
-    to_walk: &Walk,
-    from_concept: &Iri,
-    to_concept: &Iri,
-    edge_wrappers: &[Iri],
-    out: &mut Vec<Walk>,
-) {
-    let strategies: [(&Iri, &Walk, &Iri, &Walk); 2] = [
-        (to_concept, to_walk, from_concept, from_walk),
-        (from_concept, from_walk, to_concept, to_walk),
-    ];
-    for (key_concept, key_walk, anchor_concept, anchor_walk) in strategies {
-        let produced = join_on_concept_id(
-            ontology,
-            merged,
-            key_concept,
-            key_walk,
-            anchor_concept,
-            anchor_walk,
-            edge_wrappers,
-            out,
-        );
-        if produced {
-            return;
-        }
-    }
-}
+/// A concept's ID feature, and the walk holding that concept.
+type Side<'a> = (Option<&'a Iri>, &'a Walk);
 
-/// One join-discovery attempt keyed on `key_concept`'s ID (held by a wrapper
-/// of `key_walk`). Returns whether any walk was produced.
-#[allow(clippy::too_many_arguments)]
-fn join_on_concept_id(
-    ontology: &BdiOntology,
+/// Joins each of `edge_wrappers` with the wrapper of `key`'s walk holding
+/// `key`'s ID feature. Returns whether any walk was produced.
+fn join_on_id(
+    attribute: AttributeOf,
     merged: &Walk,
-    key_concept: &Iri,
-    key_walk: &Walk,
-    anchor_concept: &Iri,
-    anchor_walk: &Walk,
+    (key_id, key_walk): Side,
+    (anchor_id, anchor_walk): Side,
     edge_wrappers: &[Iri],
     out: &mut Vec<Walk>,
 ) -> bool {
-    // Line 12: the ID feature used as the join key.
-    let Some(f_id) = ontology.id_features_of(key_concept).into_iter().next() else {
+    let Some(f_id) = key_id else {
         return false;
     };
     // Lines 13–14: the wrapper holding that ID, with its physical attribute.
-    let Some((id_wrapper, id_attr)) = find_wrapper_with_id(ontology, key_walk, &f_id) else {
+    let Some((id_wrapper, id_attr)) = find_wrapper_with_id(attribute, key_walk, f_id) else {
         return false;
     };
 
@@ -167,7 +130,7 @@ fn join_on_concept_id(
     // at the §5.3 bound of Π(#W)_Ci generated walks.
     let direct: Vec<&Iri> = edge_wrappers
         .iter()
-        .filter(|w| *w != &id_wrapper && merged.wrappers().contains(*w))
+        .filter(|w| *w != &id_wrapper && merged.projections_of(w).is_some())
         .collect();
     let chosen: Vec<&Iri> = if direct.is_empty() {
         edge_wrappers.iter().filter(|w| *w != &id_wrapper).collect()
@@ -178,11 +141,11 @@ fn join_on_concept_id(
     // Lines 15–17: one candidate walk per edge-providing wrapper.
     let before = out.len();
     for w in chosen {
-        let Some(att_edge) = ontology.attribute_for_feature(w, &f_id) else {
+        let Some(att_edge) = attribute(w, f_id) else {
             continue;
         };
         let mut walk = merged.clone();
-        if merged.wrappers().contains(w) {
+        if merged.projections_of(w).is_some() {
             walk.add_join(JoinCondition {
                 left_wrapper: w.clone(),
                 left_attribute: att_edge,
@@ -194,14 +157,14 @@ fn join_on_concept_id(
         }
         // Connector case (generalization, see module docs): also anchor `w`
         // on the other concept's ID so the walk stays connected.
-        let Some(f_id_anchor) = ontology.id_features_of(anchor_concept).into_iter().next() else {
+        let Some(f_id_anchor) = anchor_id else {
             continue;
         };
-        let Some(att_w_anchor) = ontology.attribute_for_feature(w, &f_id_anchor) else {
+        let Some(att_w_anchor) = attribute(w, f_id_anchor) else {
             continue;
         };
         let Some((anchor_id_wrapper, anchor_id_attr)) =
-            find_wrapper_with_id(ontology, anchor_walk, &f_id_anchor)
+            find_wrapper_with_id(attribute, anchor_walk, f_id_anchor)
         else {
             continue;
         };
@@ -224,9 +187,9 @@ fn join_on_concept_id(
 
 /// `findWrapperWithID` (line 13): the wrapper of `walk` that provides the
 /// given ID feature, together with its physical attribute.
-fn find_wrapper_with_id(ontology: &BdiOntology, walk: &Walk, f_id: &Iri) -> Option<(Iri, Iri)> {
+fn find_wrapper_with_id(attribute: AttributeOf, walk: &Walk, f_id: &Iri) -> Option<(Iri, Iri)> {
     for wrapper in walk.wrappers() {
-        if let Some(attr) = ontology.attribute_for_feature(wrapper, f_id) {
+        if let Some(attr) = attribute(wrapper, f_id) {
             return Some((wrapper.clone(), attr));
         }
     }

@@ -43,10 +43,8 @@ pub fn intra_concept_generation(
         // Steps ④–⑤ (lines 7–13): per wrapper, the projected attributes.
         let mut per_wrapper: BTreeMap<Iri, Walk> = BTreeMap::new();
         for feature in &features {
-            for wrapper in ontology.wrappers_providing_feature(concept, feature) {
-                if admitted.is_some_and(|a| !a.contains(&wrapper)) {
-                    continue;
-                }
+            let providers = ontology.wrappers_providing_feature(concept, feature);
+            for wrapper in super::admitted_only(providers, admitted) {
                 if let Some(attribute) = ontology.attribute_for_feature(&wrapper, feature) {
                     per_wrapper
                         .entry(wrapper.clone())

@@ -22,7 +22,7 @@ use bdi_rdf::model::Iri;
 use std::collections::BTreeSet;
 
 pub use expand::{ExpandError, ExpandedQuery};
-pub use walk::{JoinCondition, Walk};
+pub use walk::{JoinCondition, Walk, WalkChecks};
 
 /// Errors raised by the rewriting pipeline.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
@@ -66,14 +66,11 @@ pub fn rewrite(
     let candidate_count = candidates.len();
 
     // §2.3 — coverage, minimality, same-source constraint, non-equivalence.
-    let phi = &well_formed.omq.phi;
+    let checks = walk::WalkChecks::new(ontology, &well_formed.omq.phi, &candidates);
     let mut seen_keys: BTreeSet<BTreeSet<Iri>> = BTreeSet::new();
     let mut walks = Vec::new();
     for walk in candidates {
-        if walk.violates_same_source(ontology) {
-            continue;
-        }
-        if !walk.is_minimal(ontology, phi) {
+        if checks.violates_same_source(&walk) || !checks.is_minimal(&walk) {
             continue;
         }
         if seen_keys.insert(walk.wrapper_key()) {
@@ -87,4 +84,11 @@ pub fn rewrite(
         candidates: candidate_count,
         walks,
     })
+}
+
+/// `wrappers` less those a request's `admitted` set (`None`: every wrapper)
+/// leaves out — the one scope check Algorithms 4 and 5 share.
+fn admitted_only(mut wrappers: Vec<Iri>, admitted: Option<&BTreeSet<Iri>>) -> Vec<Iri> {
+    wrappers.retain(|w| admitted.is_none_or(|a| a.contains(w)));
+    wrappers
 }

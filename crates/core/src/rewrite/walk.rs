@@ -7,7 +7,8 @@
 
 use crate::ontology::BdiOntology;
 use crate::vocab;
-use bdi_rdf::model::{Iri, Quad, Triple};
+use bdi_rdf::model::{GraphName, Iri, Quad, Triple};
+use bdi_rdf::store::GraphPattern;
 use bdi_relational::RelExpr;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,18 +66,90 @@ impl JoinCondition {
     }
 }
 
+/// The §2.3 checks over a set of walks. What they ask of each wrapper —
+/// which triples of `φ` its LAV graph holds, and the sources it belongs
+/// to — is looked up once, not once per walk.
+pub struct WalkChecks {
+    per_wrapper: BTreeMap<Iri, (Vec<bool>, Vec<Iri>)>,
+    phi_len: usize,
+}
+
+impl WalkChecks {
+    /// The checks against `φ` for `walks`, the only walks they accept.
+    pub fn new<'a>(
+        ontology: &BdiOntology,
+        phi: &[Triple],
+        walks: impl IntoIterator<Item = &'a Walk>,
+    ) -> Self {
+        let store = ontology.store();
+        let source_graph = GraphPattern::Named((*vocab::graphs::SOURCE).clone());
+        let mut per_wrapper = BTreeMap::new();
+        for wrapper in walks.into_iter().flat_map(|walk| walk.projections.keys()) {
+            if per_wrapper.contains_key(wrapper) {
+                continue;
+            }
+            let graph = GraphName::Named(wrapper.clone());
+            let holds = phi.iter().map(|t| {
+                store.contains(&Quad {
+                    subject: t.subject.clone(),
+                    predicate: t.predicate.clone(),
+                    object: t.object.clone(),
+                    graph: graph.clone(),
+                })
+            });
+            let owners = store.iri_subjects(&vocab::s::HAS_WRAPPER, wrapper, &source_graph);
+            per_wrapper.insert(wrapper.clone(), (holds.collect(), owners));
+        }
+        WalkChecks {
+            per_wrapper,
+            phi_len: phi.len(),
+        }
+    }
+
+    /// §2.3 **coverage**: the union of the walk's wrappers' LAV graphs
+    /// subsumes the query pattern `φ`.
+    pub fn covers(&self, walk: &Walk) -> bool {
+        self.covers_without(&self.rows(walk), None)
+    }
+
+    /// §2.3 **minimality**: the walk covers `φ` and no proper sub-walk does.
+    pub fn is_minimal(&self, walk: &Walk) -> bool {
+        let rows = self.rows(walk);
+        self.covers_without(&rows, None)
+            && (0..rows.len()).all(|k| !self.covers_without(&rows, Some(k)))
+    }
+
+    /// Violation of the same-source constraint: walks must never join two
+    /// schema versions of the same data source (§2.2).
+    pub fn violates_same_source(&self, walk: &Walk) -> bool {
+        let mut sources = BTreeSet::new();
+        let mut owners = (walk.projections.keys()).flat_map(|w| &self.per_wrapper[w].1);
+        owners.any(|source| !sources.insert(source))
+    }
+
+    /// Per wrapper of `walk`, which triples of `φ` it holds.
+    fn rows(&self, walk: &Walk) -> Vec<&[bool]> {
+        (walk.projections.keys())
+            .map(|w| self.per_wrapper[w].0.as_slice())
+            .collect()
+    }
+
+    /// Whether `rows`, less the one at `skip`, cover all of `φ`.
+    fn covers_without(&self, rows: &[&[bool]], skip: Option<usize>) -> bool {
+        let kept = |k: &usize| Some(*k) != skip;
+        (0..self.phi_len).all(|i| (0..rows.len()).filter(kept).any(|k| rows[k][i]))
+    }
+}
+
 /// A (partial or complete) walk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Walk {
     /// Wrapper URI → projected attribute URIs (Π̃ keeps IDs implicitly; the
     /// set here is what the phases explicitly projected).
     projections: BTreeMap<Iri, BTreeSet<Iri>>,
-    /// The ⋈̃ conditions, in discovery order.
+    /// The ⋈̃ conditions, in discovery order, without repeats (a walk has
+    /// a few, so a scan finds repeats faster than an index would).
     joins: Vec<JoinCondition>,
-    /// Membership index over `joins` — `merge`/`add_join` run once per
-    /// candidate walk pair during Algorithm 5, so the dedup check must not
-    /// be a linear scan.
-    join_set: BTreeSet<JoinCondition>,
 }
 
 impl Walk {
@@ -132,7 +205,7 @@ impl Walk {
             entry.extend(attrs.iter().cloned());
         }
         for j in &other.joins {
-            if self.join_set.insert(j.clone()) {
+            if !self.joins.contains(j) {
                 self.joins.push(j.clone());
             }
         }
@@ -149,7 +222,7 @@ impl Walk {
             condition.right_wrapper.clone(),
             condition.right_attribute.clone(),
         );
-        if self.join_set.insert(condition.clone()) {
+        if !self.joins.contains(&condition) {
             self.joins.push(condition);
         }
     }
@@ -161,63 +234,6 @@ impl Walk {
             .projections
             .keys()
             .any(|w| self.projections.contains_key(w))
-    }
-
-    /// §2.3 **coverage**: the union of the walk's wrappers' LAV graphs
-    /// subsumes the query pattern `φ`.
-    pub fn covers(&self, ontology: &BdiOntology, phi: &[Triple]) -> bool {
-        Self::union_covers(ontology, self.projections.keys(), phi)
-    }
-
-    /// §2.3 **minimality**: the walk covers `φ` and no proper sub-walk does.
-    pub fn is_minimal(&self, ontology: &BdiOntology, phi: &[Triple]) -> bool {
-        if !self.covers(ontology, phi) {
-            return false;
-        }
-        for removed in self.projections.keys() {
-            let rest = self.projections.keys().filter(|w| *w != removed);
-            if Self::union_covers(ontology, rest, phi) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn union_covers<'a>(
-        ontology: &BdiOntology,
-        wrappers: impl Iterator<Item = &'a Iri>,
-        phi: &[Triple],
-    ) -> bool {
-        let graphs: Vec<Iri> = wrappers.cloned().collect();
-        phi.iter().all(|t| {
-            graphs.iter().any(|g| {
-                ontology.store().contains(&Quad {
-                    subject: t.subject.clone(),
-                    predicate: t.predicate.clone(),
-                    object: t.object.clone(),
-                    graph: bdi_rdf::model::GraphName::Named(g.clone()),
-                })
-            })
-        })
-    }
-
-    /// Violation of the same-source constraint: walks must never join two
-    /// schema versions of the same data source (§2.2).
-    pub fn violates_same_source(&self, ontology: &BdiOntology) -> bool {
-        let mut sources = BTreeSet::new();
-        for wrapper in self.projections.keys() {
-            let owners = ontology.store().iri_subjects(
-                &vocab::s::HAS_WRAPPER,
-                wrapper,
-                &bdi_rdf::store::GraphPattern::Named((*vocab::graphs::SOURCE).clone()),
-            );
-            for src in owners {
-                if !sources.insert(src) {
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     /// Compiles the walk to a relational algebra expression, renaming only

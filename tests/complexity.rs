@@ -4,7 +4,7 @@
 //! * all final walks are covering and minimal;
 //! * per-phase behaviour on the running example matches the paper's traces.
 
-use bdi::core::rewrite::{expand, intra};
+use bdi::core::rewrite::{expand, intra, WalkChecks};
 use bdi::core::supersede;
 use bdi::core::wellformed;
 use bdi_bench::synthetic;
@@ -32,9 +32,10 @@ fn all_final_walks_are_covering_and_minimal() {
     let system = synthetic::build_chain_system(4, 3, 0);
     let rewriting = system.rewrite(synthetic::chain_query(4)).unwrap();
     let phi = &rewriting.well_formed.omq.phi;
+    let checks = WalkChecks::new(system.ontology(), phi, &rewriting.walks);
     for walk in &rewriting.walks {
-        assert!(walk.covers(system.ontology(), phi));
-        assert!(walk.is_minimal(system.ontology(), phi));
+        assert!(checks.covers(walk));
+        assert!(checks.is_minimal(walk));
     }
 }
 

@@ -23,7 +23,7 @@ fn rows(n: usize, with_next: bool) -> Vec<Vec<Value>> {
 }
 
 fn system(concepts: usize, wrappers: usize) -> bdi::core::system::BdiSystem {
-    synthetic::build_chain_system_with(concepts, wrappers, 0, |_, _, schema| {
+    synthetic::build_chain_system_with(concepts, wrappers, 0, usize::MAX, |_, _, schema| {
         rows(50, schema.index_of("next_id").is_some())
     })
 }

@@ -235,8 +235,10 @@ fn an_out_of_scope_edge_provider_does_not_preempt_the_fallback_join() {
             "{scope:?}"
         );
     }
-    // With `wx` in scope, the first strategy's connector walk pre-empts the
-    // fallback and minimality drops it, as it always has.
+    // A known defect, not a contract: with `wx` in scope the first
+    // strategy's connector walk pre-empts the fallback join and minimality
+    // then drops it, so the unscoped query loses every answer. A fix turns
+    // this into `expected`'s walks.
     assert!(system.rewrite(fallback_query()).unwrap().walks.is_empty());
 }
 

@@ -23,7 +23,7 @@ fn rows(n: usize, with_next: bool) -> Vec<Vec<Value>> {
 }
 
 fn system(concepts: usize, wrappers: usize) -> bdi::core::system::BdiSystem {
-    synthetic::build_chain_system_with(concepts, wrappers, 0, |_, _, schema| {
+    synthetic::build_chain_system_with(concepts, wrappers, 0, usize::MAX, |_, _, schema| {
         rows(50, schema.index_of("next_id").is_some())
     })
 }
@@ -93,7 +93,7 @@ fn register_release_invalidates_plans_and_scans() {
     let data = |_: usize, _: usize, schema: &bdi::relational::Schema| {
         rows(20, schema.index_of("next_id").is_some())
     };
-    let mut sys = synthetic::build_chain_system_with(1, 2, 0, data);
+    let mut sys = synthetic::build_chain_system_with(1, 2, 0, usize::MAX, data);
     let reuse = ExecOptions {
         reuse_scans: true,
         ..ExecOptions::default()
@@ -123,7 +123,7 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     let data = |_: usize, _: usize, schema: &bdi::relational::Schema| {
         rows(20, schema.index_of("next_id").is_some())
     };
-    let mut sys = synthetic::build_chain_system_with(1, 1, 0, data);
+    let mut sys = synthetic::build_chain_system_with(1, 1, 0, usize::MAX, data);
     let wrapper = synthetic::register_extra_chain_wrapper_handle(&mut sys, 1, 2, rows(5, false));
     let options = ExecOptions::default(); // reuse_scans: true
     let before = sys

@@ -107,7 +107,7 @@ fn build_system(
     wrappers: usize,
     data: &[Vec<RawRow>],
 ) -> bdi::core::system::BdiSystem {
-    synthetic::build_chain_system_with(concepts, wrappers, 0, |i, j, schema| {
+    synthetic::build_chain_system_with(concepts, wrappers, 0, usize::MAX, |i, j, schema| {
         let wrapper_index = (i - 1) * wrappers + (j - 1);
         let last = schema.index_of("next_id").is_none();
         data.get(wrapper_index)
@@ -1015,7 +1015,7 @@ fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
     // keys. With a key budget of 8 the IN-set is over budget (64 > 8) and
     // the bloom branch fires (64 distinct × selectivity gate 4 = 256 ≤ the
     // probe key column's 300 distinct values).
-    let system = synthetic::build_chain_system_with(2, 1, 0, |i, _, _| {
+    let system = synthetic::build_chain_system_with(2, 1, 0, usize::MAX, |i, _, _| {
         if i == 1 {
             (0..600)
                 .map(|r| vec![Value::Int(r), Value::Int(r % 300), Value::Float(r as f64)])
@@ -1078,7 +1078,7 @@ fn bloom_semijoin_fires_and_agrees_with_insets_and_eager() {
 /// eager reference.
 #[test]
 fn cost_based_ordering_reorders_and_reports_plan_notes() {
-    let system = synthetic::build_chain_system_with(3, 1, 0, |i, _, _| match i {
+    let system = synthetic::build_chain_system_with(3, 1, 0, usize::MAX, |i, _, _| match i {
         // c1, c2: 200 rows each with distinct join keys (estimate 200 for
         // c1 ⋈ c2); c3: 2 rows (estimate 2 for c2 ⋈ c3) — the greedy walk
         // must seed from (c2, c3) and attach c1 last.
@@ -1148,7 +1148,7 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
 #[test]
 fn data_version_bump_refreshes_sketches() {
     use bdi::wrappers::Wrapper;
-    let mut system = synthetic::build_chain_system_with(1, 1, 0, |_, _, _| {
+    let mut system = synthetic::build_chain_system_with(1, 1, 0, usize::MAX, |_, _, _| {
         vec![vec![Value::Int(0), Value::Float(0.0)]]
     });
     let wrapper = synthetic::register_extra_chain_wrapper_handle(

@@ -4,6 +4,7 @@
 //! must rewrite over exactly the wrappers it admits.
 
 use bdi::core::exec::{self, Engine, ExecOptions};
+use bdi::core::rewrite::WalkChecks;
 use bdi::core::system::{AnswerRequest, BdiSystem, VersionScope};
 use bdi::core::{vocab, Rewriting, Walk};
 use bdi::relational::Tuple;
@@ -72,17 +73,18 @@ proptest! {
         );
 
         let phi = &rewriting.well_formed.omq.phi;
+        let checks = WalkChecks::new(system.ontology(), phi, &rewriting.walks);
         let mut seen = BTreeSet::new();
         for walk in &rewriting.walks {
             // §2.3 coverage and minimality.
-            prop_assert!(walk.covers(system.ontology(), phi));
-            prop_assert!(walk.is_minimal(system.ontology(), phi));
+            prop_assert!(checks.covers(walk));
+            prop_assert!(checks.is_minimal(walk));
             // Exactly one wrapper per concept in the chain worst case.
             prop_assert_eq!(walk.wrappers().len(), concepts);
             // Non-equivalence: wrapper sets are pairwise distinct.
             prop_assert!(seen.insert(walk.wrapper_key()));
             // Same-source constraint.
-            prop_assert!(!walk.violates_same_source(system.ontology()));
+            prop_assert!(!checks.violates_same_source(walk));
         }
     }
 

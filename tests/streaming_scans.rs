@@ -20,7 +20,7 @@ fn rows(n: usize) -> Vec<Vec<Value>> {
 fn system_with_handle(
     data: Vec<Vec<Value>>,
 ) -> (BdiSystem, std::sync::Arc<bdi::wrappers::TableWrapper>) {
-    let mut system = synthetic::build_chain_system_with(1, 1, 0, |_, _, _| Vec::new());
+    let mut system = synthetic::build_chain_system_with(1, 1, 0, usize::MAX, |_, _, _| Vec::new());
     let wrapper = synthetic::register_extra_chain_wrapper_handle(&mut system, 1, 2, data);
     (system, wrapper)
 }
@@ -417,7 +417,7 @@ fn sibling_collection_scans_survive_inserts() {
 /// must never land in the persistent `reuse_scans` cache.
 #[test]
 fn semijoin_reduced_probe_scan_never_lands_in_the_reuse_cache() {
-    let system = synthetic::build_chain_system_with(2, 1, 0, |i, _, _| {
+    let system = synthetic::build_chain_system_with(2, 1, 0, usize::MAX, |i, _, _| {
         if i == 1 {
             // 2 rows → 2 distinct join keys, well under the threshold.
             (0..2)
