@@ -28,6 +28,8 @@ pub enum ReleaseError {
     FeatureNotInLavGraph(String),
     #[error("LAV triple `{0}` is not present in the Global graph; a wrapper's mapping must be a subgraph of G")]
     LavTripleNotInG(String),
+    #[error("wrapper {0} is already registered; a release must announce a new wrapper")]
+    WrapperExists(String),
 }
 
 /// A release `R = ⟨w, G, F⟩`.
@@ -73,13 +75,22 @@ pub struct ReleaseStats {
     pub attributes_reused: usize,
 }
 
-/// Validates a release against the current ontology without applying it.
+/// Validates a release against the current ontology and registry without
+/// applying it.
 pub(crate) fn validate_release(
     ontology: &BdiOntology,
+    registry: &WrapperRegistry,
     release: &Release,
 ) -> Result<(), ReleaseError> {
     let wrapper_name = release.wrapper.name();
     let schema = release.wrapper.schema();
+
+    // A wrapper name always denotes one wrapper: replacing it would change
+    // what the name's walks and cached scans read at an unchanged data
+    // version.
+    if registry.contains(wrapper_name) || ontology.is_wrapper(&vocab::wrapper_uri(wrapper_name)) {
+        return Err(ReleaseError::WrapperExists(wrapper_name.to_owned()));
+    }
 
     // F must be total on the wrapper's attributes and only mention them.
     for attr in schema.names() {
@@ -141,7 +152,7 @@ pub(crate) fn apply_release(
     registry: &mut WrapperRegistry,
     release: Release,
 ) -> Result<ReleaseStats, ReleaseError> {
-    validate_release(ontology, &release)?;
+    validate_release(ontology, registry, &release)?;
 
     let store = ontology.store();
     let s_graph = vocab::graphs::source();
@@ -397,14 +408,15 @@ mod tests {
     }
 
     #[test]
-    fn reapplying_a_release_is_idempotent_on_the_store() {
+    fn reapplying_a_release_is_refused_and_leaves_the_store_alone() {
         let o = ontology();
         let mut reg = WrapperRegistry::new();
         apply_release(&o, &mut reg, release("w1", "lagRatio")).unwrap();
         let len = o.store().len();
-        let stats = apply_release(&o, &mut reg, release("w1", "lagRatio")).unwrap();
-        assert_eq!(o.store().len(), len);
-        assert_eq!(stats.source_triples_added, 0);
-        assert_eq!(stats.mapping_triples_added, 0);
+        assert_eq!(
+            apply_release(&o, &mut reg, release("w1", "lagRatio")),
+            Err(ReleaseError::WrapperExists("w1".to_owned()))
+        );
+        assert_eq!((o.store().len(), reg.len()), (len, 1));
     }
 }

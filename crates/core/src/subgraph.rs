@@ -186,7 +186,8 @@ mod tests {
             supersede::sup("generatesQoS"),
             concepts::info_monitor()
         )));
-        // The suggested subgraph is accepted by release validation.
+        // The suggested subgraph is accepted by release validation (against
+        // G alone: the running example has registered `w1` already).
         let store = bdi_wrappers::supersede::sample_docstore();
         let release = crate::release::Release::new(
             std::sync::Arc::new(bdi_wrappers::supersede::wrapper_w1(store)),
@@ -196,7 +197,12 @@ mod tests {
                 ("lagRatio".to_owned(), features::lag_ratio()),
             ]),
         );
-        crate::release::validate_release(system.ontology(), &release).unwrap();
+        crate::release::validate_release(
+            &supersede::build_ontology(),
+            &bdi_wrappers::WrapperRegistry::new(),
+            &release,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! End-to-end reproduction of the paper's running example: Table 1 wrapper
 //! outputs, the Table 2 query answer, and the §2.1 evolution scenario.
 
+use bdi::core::release::ReleaseError;
 use bdi::core::supersede;
-use bdi::core::system::AnswerRequest;
+use bdi::core::system::{AnswerRequest, SystemError};
 use bdi::core::vocab;
 use bdi::relational::{SourceResolver, Value};
 
@@ -153,4 +154,35 @@ fn ontology_turtle_dumps_are_parseable() {
             .unwrap_or_else(|e| panic!("dump of {graph} must re-parse: {e}"));
         assert_eq!(triples.len(), system.ontology().store().graph_len(&graph));
     }
+}
+
+/// Algorithm 1 announces a *new* wrapper: a second release under a
+/// registered name is refused before it writes anything, so the name keeps
+/// meaning the wrapper that historical scopes read.
+#[test]
+fn a_release_reusing_a_wrapper_name_is_refused() {
+    let (mut system, store) = supersede::build_running_example_with_store();
+    supersede::evolve_with_w4(&mut system, &store);
+    let quads = system.ontology().store().len();
+    let log = system.release_log().to_vec();
+    let w4 = system.registry().get("w4").unwrap().clone();
+
+    let again = supersede::release_w4(std::sync::Arc::new(bdi::wrappers::supersede::wrapper_w4(
+        store.clone(),
+    )));
+    let refused = system.register_release(again);
+    assert!(
+        matches!(
+            refused,
+            Err(SystemError::Release(ReleaseError::WrapperExists(ref name))) if name == "w4"
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(system.ontology().store().len(), quads);
+    assert_eq!(system.release_log(), log.as_slice());
+    assert_eq!(system.registry().len(), 4);
+    assert!(std::sync::Arc::ptr_eq(
+        system.registry().get("w4").unwrap(),
+        &w4
+    ));
 }
