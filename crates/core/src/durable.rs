@@ -40,7 +40,7 @@ use bdi_docstore::{DocStore, StoreError};
 use bdi_durability::{Snapshotter, StdVfs, Vfs, Wal, WalStats};
 pub use bdi_durability::{SNAPSHOT_FILE, WAL_FILE};
 use bdi_rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
-use bdi_wrappers::spec::{json_to_value, value_to_json};
+use bdi_wrappers::spec::{json_to_value, row_to_json};
 use bdi_wrappers::{Wrapper, WrapperError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -289,7 +289,13 @@ impl DurableSystem {
                     seq: record.seq,
                     reason: e.to_string(),
                 })?;
-            durable.apply_op(&op)?;
+            durable.apply_op(&op).map_err(|e| match e {
+                DurableError::Corrupt { reason, .. } => DurableError::Corrupt {
+                    seq: record.seq,
+                    reason,
+                },
+                other => other,
+            })?;
         }
         let replayed = opened
             .records
@@ -456,7 +462,7 @@ impl DurableSystem {
                 Ok(self.system.ontology().store().extend(quads) as u64)
             }
             Op::ClearGraph { g } => {
-                let graph = decode_graph(g);
+                let graph = decode_graph(g).map_err(corrupt)?;
                 Ok(self.system.ontology().store().clear_graph(&graph) as u64)
             }
             Op::InsertDoc { c, d } => {
@@ -577,16 +583,9 @@ impl DurableSystem {
                 .into(),
             );
         }
-        let non_finite = |v: &_| matches!(v, bdi_relational::Value::Float(f) if !f.is_finite());
-        if let Some(k) = row.iter().position(non_finite) {
-            // Arity is checked above, so `k` names an attribute.
-            let attribute = table.schema().names()[k].to_owned();
-            let wrapper = wrapper.to_owned();
-            return Err(WrapperError::UnsupportedShape { wrapper, attribute }.into());
-        }
         let op = Op::PushRow {
             w: wrapper.to_owned(),
-            r: row.iter().map(value_to_json).collect(),
+            r: row_to_json(wrapper, table.schema(), &row)?,
         };
         self.log_then_apply(op).map(|_| ())
     }
@@ -681,6 +680,7 @@ impl DurableSystem {
     }
 }
 
+/// A decode failure; replay puts the failing record's seq on it.
 fn corrupt(reason: String) -> DurableError {
     DurableError::Corrupt { seq: 0, reason }
 }
@@ -726,7 +726,7 @@ fn decode_term(value: &serde_json::Value) -> Result<Term, String> {
         .as_object()
         .ok_or_else(|| format!("term not an object: {value}"))?;
     if let Some(iri) = obj.get("i").and_then(|v| v.as_str()) {
-        return Ok(Term::Iri(Iri::new(iri)));
+        return Ok(Term::Iri(decode_iri(iri)?));
     }
     if let Some(label) = obj.get("b").and_then(|v| v.as_str()) {
         return Ok(Term::Blank(BlankNode::new(label)));
@@ -740,7 +740,7 @@ fn decode_term(value: &serde_json::Value) -> Result<Term, String> {
             return Ok(Term::Literal(Literal::lang_string(lex, lang)));
         }
         if let Some(dt) = lit.get("dt").and_then(|v| v.as_str()) {
-            return Ok(Term::Literal(Literal::typed(lex, Iri::new(dt))));
+            return Ok(Term::Literal(Literal::typed(lex, decode_iri(dt)?)));
         }
         return Ok(Term::Literal(Literal::string(lex)));
     }
@@ -754,11 +754,17 @@ fn encode_graph(graph: &GraphName) -> Option<String> {
     }
 }
 
-fn decode_graph(graph: &Option<String>) -> GraphName {
-    match graph {
+/// An IRI read back from the log: bytes a CRC vouches for can still hold
+/// one no writer could have produced, and that is corruption, not a panic.
+fn decode_iri(iri: &str) -> Result<Iri, String> {
+    Iri::try_new(iri).map_err(|e| e.to_string())
+}
+
+fn decode_graph(graph: &Option<String>) -> Result<GraphName, String> {
+    Ok(match graph {
         None => GraphName::Default,
-        Some(iri) => GraphName::Named(Iri::new(iri)),
-    }
+        Some(iri) => GraphName::Named(decode_iri(iri)?),
+    })
 }
 
 fn encode_quad(quad: &Quad) -> serde_json::Value {
@@ -791,12 +797,12 @@ fn decode_quad(value: &serde_json::Value) -> Result<Quad, String> {
     let object = decode_term(obj.get("o").ok_or("quad missing object")?)?;
     let graph = match obj.get("g") {
         None | Some(serde_json::Value::Null) => GraphName::Default,
-        Some(serde_json::Value::String(iri)) => GraphName::Named(Iri::new(iri)),
+        Some(serde_json::Value::String(iri)) => GraphName::Named(decode_iri(iri)?),
         Some(other) => return Err(format!("bad graph encoding: {other}")),
     };
     Ok(Quad {
         subject,
-        predicate: Iri::new(predicate),
+        predicate: decode_iri(predicate)?,
         object,
         graph,
     })

@@ -30,6 +30,8 @@ use std::collections::BTreeMap;
 pub enum SnapshotError {
     #[error("wrapper {0} has no serializable definition; snapshot unsupported for its kind")]
     UnsupportedWrapper(String),
+    #[error("cannot capture wrapper data: {0}")]
+    Capture(String),
     #[error("TriG error: {0}")]
     Trig(String),
     #[error("JSON error: {0}")]
@@ -62,6 +64,7 @@ pub fn snapshot(system: &BdiSystem, store: &DocStore) -> Result<SystemSnapshot, 
     for wrapper in system.registry().iter() {
         let spec = wrapper
             .to_spec()
+            .map_err(|e| SnapshotError::Capture(e.to_string()))?
             .ok_or_else(|| SnapshotError::UnsupportedWrapper(wrapper.name().to_owned()))?;
         wrappers.push(spec);
     }

@@ -22,6 +22,7 @@ use bdi_core::system::{Answer, AnswerRequest, BdiSystem, SystemError, VersionSco
 use bdi_rdf::model::{Iri, Triple};
 use bdi_relational::plan::PlanError;
 use bdi_relational::Value as RelValue;
+use bdi_wrappers::spec::value_to_json;
 use serde_json::{json, Value};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -256,14 +257,7 @@ fn opt_u64(value: Option<u64>) -> Value {
 /// A relational value as JSON; non-finite floats (unrepresentable in JSON
 /// numbers) fall back to their string rendering.
 fn render_value(value: &RelValue) -> Value {
-    match value {
-        RelValue::Null => Value::Null,
-        RelValue::Bool(b) => Value::from(*b),
-        RelValue::Int(i) => Value::from(*i),
-        RelValue::Float(f) if f.is_finite() => Value::from(*f),
-        RelValue::Float(f) => Value::from(f.to_string()),
-        RelValue::Str(s) => Value::from(s.as_str()),
-    }
+    value_to_json(value).unwrap_or_else(|| Value::from(value.to_string()))
 }
 
 /// Executes `POST /checkpoint`: snapshots a durable backend's deployment

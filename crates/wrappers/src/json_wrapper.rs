@@ -4,25 +4,12 @@
 //! collection and flattens the resulting JSON objects into the flat 1NF
 //! relation the ontology layer expects.
 
+use crate::spec::value_to_json;
 use crate::wrapper::{eager_batches, RowBatches, Wrapper, WrapperError};
 use bdi_docstore::{DocPredicate, DocStore, Pipeline, Projection};
 use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest, BATCH_ROWS};
 use bdi_relational::{Relation, RelationError, Schema, StatsBuilder, TableStats, Tuple, Value};
 use std::sync::{Arc, Mutex};
-
-/// Converts a relational [`Value`] to its JSON image, or `None` when JSON
-/// cannot represent it faithfully (NaN and infinite floats — JSON numbers
-/// are finite). Predicates containing unrepresentable values are simply not
-/// claimed, so they fall back to the mediator's residual filter.
-fn to_json(value: &Value) -> Option<serde_json::Value> {
-    Some(match value {
-        Value::Null => serde_json::Value::Null,
-        Value::Bool(b) => serde_json::Value::Bool(*b),
-        Value::Int(i) => serde_json::Value::Number((*i).into()),
-        Value::Float(f) => serde_json::Value::Number(serde_json::Number::from_f64(*f)?),
-        Value::Str(s) => serde_json::Value::String(s.clone()),
-    })
-}
 
 /// Whether a filter column can be addressed by a `$match` stage appended
 /// after the wrapper's `$project`: the projected output holds the column
@@ -37,8 +24,11 @@ fn match_addressable(column: &str) -> bool {
 /// `None` when some constituent value has no JSON image. The docstore's
 /// `json_cmp` mirrors the relational total order, so the
 /// translation preserves [`Predicate::matches`] semantics exactly for every
-/// value a JSON document can hold.
+/// value a JSON document can hold. A predicate holding a value without a
+/// JSON image is not claimed, so it falls back to the mediator's residual
+/// filter.
 fn to_doc_predicate(predicate: &Predicate) -> Option<DocPredicate> {
+    let to_json = value_to_json;
     let bound = |b: &Bound| to_json(&b.value).map(|v| (v, b.inclusive));
     Some(match predicate {
         // Bloom filters probe hashed Values, not JSON documents — no
@@ -404,8 +394,8 @@ impl Wrapper for JsonWrapper {
         &self.schema
     }
 
-    fn to_spec(&self) -> Option<crate::spec::WrapperSpec> {
-        Some(self.spec())
+    fn to_spec(&self) -> Result<Option<crate::spec::WrapperSpec>, WrapperError> {
+        Ok(Some(self.spec()))
     }
 
     fn scan(&self) -> Result<Relation, WrapperError> {

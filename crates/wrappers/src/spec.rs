@@ -103,15 +103,39 @@ pub fn json_to_value(v: &serde_json::Value) -> Value {
     }
 }
 
-/// Encodes a relational [`Value`] as JSON — see [`json_to_value`].
-pub fn value_to_json(v: &Value) -> serde_json::Value {
-    match v {
+/// Encodes a relational [`Value`] as JSON — see [`json_to_value`] — or
+/// `None` when JSON cannot represent it (NaN and infinite floats: JSON
+/// numbers are finite). Each caller decides what an unrepresentable value
+/// means for it: a row capture refuses ([`row_to_json`]), a pushdown
+/// declines, an answer renders it as text.
+pub fn value_to_json(v: &Value) -> Option<serde_json::Value> {
+    Some(match v {
         Value::Null => serde_json::Value::Null,
         Value::Bool(b) => serde_json::Value::Bool(*b),
-        Value::Int(i) => serde_json::json!(i),
-        Value::Float(f) => serde_json::json!(f),
+        Value::Int(i) => serde_json::Value::Number((*i).into()),
+        Value::Float(f) => serde_json::Value::Number(serde_json::Number::from_f64(*f)?),
         Value::Str(s) => serde_json::Value::String(s.clone()),
-    }
+    })
+}
+
+/// Encodes one row of `wrapper` as JSON for a snapshot image or the
+/// journal, refusing a value JSON cannot represent with an error naming
+/// its attribute: written as `null`, it would come back as a different
+/// value.
+pub fn row_to_json(
+    wrapper: &str,
+    schema: &Schema,
+    row: &[Value],
+) -> Result<Vec<serde_json::Value>, WrapperError> {
+    row.iter()
+        .zip(schema.names())
+        .map(|(value, attribute)| {
+            value_to_json(value).ok_or_else(|| WrapperError::UnsupportedShape {
+                wrapper: wrapper.to_owned(),
+                attribute: attribute.to_owned(),
+            })
+        })
+        .collect()
 }
 
 impl JsonWrapper {
@@ -160,8 +184,8 @@ impl TableWrapper {
             rows: relation
                 .rows()
                 .iter()
-                .map(|row| row.iter().map(value_to_json).collect())
-                .collect(),
+                .map(|row| row_to_json(self.name(), self.schema(), row))
+                .collect::<Result<_, _>>()?,
         })
     }
 }

@@ -288,8 +288,8 @@ impl Wrapper for TableWrapper {
         self.claims_fp
     }
 
-    fn to_spec(&self) -> Option<crate::spec::WrapperSpec> {
-        self.spec().ok()
+    fn to_spec(&self) -> Result<Option<crate::spec::WrapperSpec>, WrapperError> {
+        self.spec().map(Some)
     }
 
     fn as_table(&self) -> Option<&TableWrapper> {

@@ -263,10 +263,11 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// The wrapper's serializable definition, when it has one (used by
-    /// deployment snapshots). Defaults to `None` for wrapper kinds that
-    /// cannot be persisted.
-    fn to_spec(&self) -> Option<crate::spec::WrapperSpec> {
-        None
+    /// deployment snapshots). Defaults to `Ok(None)` for wrapper kinds that
+    /// cannot be persisted; an error means this wrapper's current data
+    /// cannot be captured.
+    fn to_spec(&self) -> Result<Option<crate::spec::WrapperSpec>, WrapperError> {
+        Ok(None)
     }
 
     /// Retry-loop counters for wrapper kinds that talk to fallible sources

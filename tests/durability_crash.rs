@@ -27,7 +27,7 @@ use bdi::rdf::model::{GraphName, Iri, Literal, Quad};
 use bdi::relational::{Schema, Value};
 use bdi::wrappers::supersede::VOD_COLLECTION;
 use bdi::wrappers::TableWrapper;
-use bdi_durability::{env_crash_seed, CrashPlan, CrashyVfs, StdVfs};
+use bdi_durability::{env_crash_seed, CrashPlan, CrashyVfs, StdVfs, Wal};
 use serde_json::json;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -460,6 +460,46 @@ fn garbage_wal_tail_is_truncated_not_panicked() {
     }
 }
 
+/// A record whose frame and CRC are intact but whose quad holds an IRI no
+/// writer could produce is corruption at that record's seq, not a panic.
+#[test]
+fn a_crc_valid_record_with_an_invalid_iri_is_reported_corrupt() {
+    let dir = tmp_dir("invalid-iri");
+    drop(seed_deployment(&dir));
+    let covered = DurableSystem::open(&dir)
+        .expect("clean reopen")
+        .recovery()
+        .snapshot_seq;
+    let seq = {
+        let mut wal = Wal::open(
+            Arc::new(StdVfs),
+            dir.join(bdi::core::durable::WAL_FILE),
+            covered,
+        )
+        .expect("wal opens")
+        .wal;
+        let op = json!({"InsertQuad": {"q": {
+            "s": {"i": ""},
+            "p": "http://example.org/p",
+            "o": {"i": "http://example.org/o"},
+            "g": null
+        }}});
+        // Store id 1 journals quad-store ops.
+        let seq = wal.append(1, op.to_string().as_bytes()).expect("append");
+        wal.commit().expect("commit");
+        seq
+    };
+    match DurableSystem::open(&dir) {
+        Err(DurableError::Corrupt { seq: at, reason }) => {
+            assert_eq!(at, seq);
+            assert!(reason.contains("empty"), "{reason}");
+        }
+        Err(other) => panic!("expected a corrupt record, got {other}"),
+        Ok(_) => panic!("expected a corrupt record, recovery succeeded"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Poisoning
 // ---------------------------------------------------------------------------
@@ -552,4 +592,33 @@ fn pushed_rows_recover_as_the_variants_written() {
     assert_eq!(restored.recovery().replayed, 0);
     assert_eq!(exact(&restored), written);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot image holds no NaN or ±∞: JSON would write `null`, and the
+/// cell would come back as a different value. Capture refuses, naming the
+/// wrapper and the attribute, as the journal does for a pushed row.
+#[test]
+fn a_snapshot_refuses_a_non_finite_table_cell() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let (mut system, store) = supersede::build_running_example_with_store();
+        let table = TableWrapper::new(
+            "w5",
+            "D1",
+            Schema::from_parts(&["VoDmonitorId"], &["lagRatio"]).expect("static schema"),
+            vec![vec![Value::Int(1), Value::Float(bad)]],
+        )
+        .expect("static wrapper");
+        system
+            .register_release(supersede::release_w1(Arc::new(table)))
+            .expect("release");
+        let refused = bdi::core::snapshot::snapshot(&system, &store).unwrap_err();
+        let message = refused.to_string();
+        assert!(
+            message.contains("w5") && message.contains("lagRatio"),
+            "{message}"
+        );
+        let dir = tmp_dir("non-finite");
+        assert!(DurableSystem::create(&dir, system, store).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
