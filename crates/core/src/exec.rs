@@ -24,7 +24,7 @@
 //!   streaming batch-scan contract
 //!   ([`bdi_relational::plan::PlanSource::scan_batches`]) — interned one
 //!   bounded batch at a time, never materialized as a whole value-space
-//!   relation. The per-walk plans execute in parallel on `crossbeam` scoped
+//!   relation. The per-walk plans execute in parallel on scoped
 //!   threads against one shared [`ExecContext`] (so wrappers appearing in
 //!   many walks are scanned and interned once, and hash-join build sides are
 //!   reused per ID attribute); each walk emits a deduplicated *sorted run*
@@ -1158,10 +1158,10 @@ where
         let plans_ref = &plans;
         let next_ref = &next;
         let seen_ref = &global_seen;
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                s.spawn(move |_| loop {
+                s.spawn(move || loop {
                     let index = next_ref.fetch_add(1, Ordering::Relaxed);
                     if index >= plans_ref.len() {
                         break;
@@ -1183,8 +1183,7 @@ where
             for (index, message) in rx {
                 settle(&mut runs, &mut first_error, &mut dropped, index, message);
             }
-        })
-        .expect("walk executor thread panicked");
+        });
     }
 
     if let Some((_, e)) = first_error {

@@ -12,8 +12,9 @@
 //! keeps once it holds it, so the only thing that has to be atomic is
 //! installing stamp and map together — which one lock over both gives
 //! directly (the publish-a-consistent-version discipline of the NVRAM tree
-//! literature; see PAPERS.md). Each query that reuses scans checks a
-//! persistent [`ExecContext`] out of a pool instead of sharing one context.
+//! literature; see PAPERS.md). The same discipline holds the system's one
+//! persistent [`ExecContext`]: each query that reuses scans pins the current
+//! `Arc`, and a replacement swaps it in without touching queries in flight.
 
 use crate::exec::{
     self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanShape, QueryAnswer, SourceFailure,
@@ -27,7 +28,7 @@ use bdi_relational::{ContextCounters, ExecContext};
 use bdi_wrappers::WrapperRegistry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Errors surfaced by the system facade.
@@ -78,13 +79,8 @@ pub enum VersionScope {
 /// least-recently-hit entry.
 const PLAN_CACHE_ENTRIES: usize = 64;
 
-/// Idle contexts the pool keeps warm; a context returning to a full pool is
-/// retired instead (its peaks fold into the lifetime counters).
-const CTX_POOL_IDLE: usize = 16;
-
-/// What the compiled-plan cache (and the persistent contexts) are valid
-/// against: the release log length (bumped by every
-/// [`BdiSystem::register_release`]), the ontology store's monotonic
+/// What the compiled-plan cache is valid against: the release log length
+/// (bumped by every [`BdiSystem::register_release`]), the ontology store's monotonic
 /// mutation stamp (catching edits through [`BdiSystem::ontology`]'s `&self`
 /// mutators, including count-neutral remove+insert pairs), and the registry's
 /// **capability fingerprint** — a hash of every wrapper's
@@ -101,21 +97,21 @@ const CTX_POOL_IDLE: usize = 16;
 ///
 /// The tuple is stored whole beside the map it stamps ([`PlanCache`]) and
 /// compared whole under the map's lock — no digest of it is published
-/// anywhere. The two halves invalidate differently
-/// ([`ExecCache::revalidate`]): a change in the leading triple flushes the
-/// plans **and** retires the pooled contexts, while a stats-epoch-only
-/// change flushes just the plans — every cached scan is keyed by its
-/// wrapper's live [`data_version`](bdi_wrappers::Wrapper::data_version) at
-/// scan time, so a mutation makes the stale entry unreachable and the next
-/// query brings just the mutated wrapper's scans up to date — by the
-/// appended rows when the wrapper can resume, by a re-scan otherwise;
-/// sibling wrappers' (and sibling docstore collections') cached scans
-/// survive. The superseded entry is retired by the fill that replaces it,
-/// and the value-cap watermark retires a context whose pool has outgrown
-/// its bound ([`BdiSystem::set_context_value_cap`] — the
-/// context-retirement tier). This is what lets
-/// [`ExecOptions::reuse_scans`] default on without one wrapper's appends
-/// flushing every other wrapper's interned scans.
+/// anywhere. Any change flushes the plans and nothing else
+/// ([`ExecCache::revalidate`]). The persistent context's cached scans need
+/// no flush: each is keyed by its wrapper's name, columns, filters and live
+/// [`data_version`](bdi_wrappers::Wrapper::data_version) at scan time. A
+/// release adds a wrapper under a name never registered before (Algorithm 1
+/// refuses a registered one), and an ontology edit or capability change
+/// alters only which scans a plan asks for, so no key can come to denote
+/// different rows. A data mutation makes the stale entry unreachable, and the
+/// next query brings just the mutated wrapper's scans up to date — by the
+/// appended rows when the wrapper can resume, by a re-scan otherwise. The
+/// superseded entry is retired by the fill that replaces it, and the
+/// value-cap watermark replaces a context whose pool has outgrown its bound
+/// ([`BdiSystem::set_context_value_cap`]). This is what lets
+/// [`ExecOptions::reuse_scans`] default on without a release or one
+/// wrapper's appends flushing every other wrapper's interned scans.
 ///
 /// The release log only changes through `&mut self` methods, which call
 /// [`ExecCache::invalidate`] and cannot race a `&self` query; ontology
@@ -130,8 +126,8 @@ const CTX_POOL_IDLE: usize = 16;
 /// `data_version` keying one level down.
 type CacheValidity = (usize, u64, u64, u64);
 
-/// Default watermark on each pooled context's interned-value pool; past it
-/// the context is retired when checked back in (see
+/// Default watermark on the persistent context's interned-value pool; past
+/// it the context is replaced after the query that crossed it (see
 /// [`BdiSystem::set_context_value_cap`]).
 const DEFAULT_CTX_VALUE_CAP: usize = 1 << 20;
 
@@ -150,127 +146,55 @@ struct PlanCache {
     plans: HashMap<PlanKey, (Arc<CompiledQuery>, u64)>,
 }
 
-/// The pool of persistent execution contexts. A query that reuses scans
-/// checks a context out ([`ExecCache::checkout`]) and its guard checks it
-/// back in on drop; sequential queries therefore keep hitting the same
-/// warm context (interned scans, join build sides), while concurrent
-/// queries each get their own and none serializes behind another's
-/// execution.
-struct CtxPool {
-    /// Pool watermark handed to every fresh context (see
-    /// [`BdiSystem::set_context_value_cap`]).
-    value_cap: usize,
-    /// Bumped by [`CtxPool::retire_all`]; a context checked out under an
-    /// older generation is retired when it returns instead of rejoining the
-    /// idle list.
-    generation: u64,
-    idle: Vec<Arc<ExecContext>>,
-    /// Every non-retired context (idle or checked out), for stats
-    /// aggregation. Dead weaks are pruned opportunistically.
-    live: Vec<Weak<ExecContext>>,
-    /// Counters and high-water marks folded out of retired contexts, so
+/// The system's one persistent execution context, and the lifetime counters
+/// of the contexts it replaced.
+struct SharedContext {
+    current: Arc<ExecContext>,
+    /// Counters and high-water marks folded out of replaced contexts, so
     /// [`BdiSystem::context_stats`] and [`BdiSystem::planner_stats`] report
-    /// lifetime figures even after the watermark (or a release) retired the
-    /// context they occurred in.
+    /// lifetime figures after the watermark replaced the context they
+    /// occurred in.
     retired: ContextCounters,
 }
 
-impl CtxPool {
+impl SharedContext {
+    fn fresh(value_cap: usize) -> Arc<ExecContext> {
+        Arc::new(ExecContext::new().with_value_cap(value_cap))
+    }
+
     fn new(value_cap: usize) -> Self {
         Self {
-            value_cap,
-            generation: 0,
-            idle: Vec::new(),
-            live: Vec::new(),
+            current: Self::fresh(value_cap),
             retired: ContextCounters::default(),
         }
     }
 
-    /// Folds a retiring context's peaks and counters into the lifetime
-    /// totals and forgets it.
-    fn retire(&mut self, ctx: &Arc<ExecContext>) {
-        self.retired += ctx.counters();
-        let ptr = Arc::as_ptr(ctx);
-        self.live.retain(|weak| weak.as_ptr() != ptr);
+    /// Installs a fresh context under `value_cap`. Queries that pinned the
+    /// old one finish on it.
+    fn replace(&mut self, value_cap: usize) {
+        let old = std::mem::replace(&mut self.current, Self::fresh(value_cap));
+        self.fold(old);
     }
 
-    /// Retires every idle context now and marks checked-out ones (if any)
-    /// for retirement on return, by bumping the pool generation.
-    fn retire_all(&mut self) {
-        self.generation += 1;
-        let idle = std::mem::take(&mut self.idle);
-        for ctx in &idle {
-            self.retire(ctx);
-        }
-    }
-
-    fn checkout(&mut self) -> (Arc<ExecContext>, u64) {
-        let ctx = self.idle.pop().unwrap_or_else(|| {
-            let ctx = Arc::new(ExecContext::new().with_value_cap(self.value_cap));
-            self.live.push(Arc::downgrade(&ctx));
-            ctx
-        });
-        (ctx, self.generation)
-    }
-
-    /// Returns a context to the idle list — unless the pool moved on
-    /// (generation bump, watermark change) or the context outgrew its
-    /// value-cap watermark, in which case it is retired: queries in flight
-    /// elsewhere keep their own contexts, and the next checkout starts
-    /// fresh. This is the per-handle successor of the old shared-context
-    /// `recycle_if_over_cap`.
-    fn check_in(&mut self, ctx: Arc<ExecContext>, generation: u64) {
-        let stale = generation != self.generation
-            || ctx.value_cap() != Some(self.value_cap)
-            || ctx.over_value_cap()
-            || self.idle.len() >= CTX_POOL_IDLE;
-        if stale {
-            self.retire(&ctx);
-        } else {
-            self.idle.push(ctx);
-        }
-    }
-
-    /// Upgraded handles to every live (non-retired) context.
-    fn contexts(&mut self) -> Vec<Arc<ExecContext>> {
-        self.live.retain(|weak| weak.strong_count() > 0);
-        self.live.iter().filter_map(Weak::upgrade).collect()
-    }
-}
-
-/// A checked-out pooled context; checks itself back in on drop.
-struct PooledCtx<'a> {
-    pool: &'a Mutex<CtxPool>,
-    generation: u64,
-    ctx: Option<Arc<ExecContext>>,
-}
-
-impl PooledCtx<'_> {
-    fn get(&self) -> &ExecContext {
-        self.ctx
-            .as_deref()
-            .expect("pooled context already returned")
-    }
-}
-
-impl Drop for PooledCtx<'_> {
-    fn drop(&mut self) {
-        if let Some(ctx) = self.ctx.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.check_in(ctx, self.generation);
-            }
+    /// Drops one handle to a context, folding its counters into the
+    /// lifetime totals when that was the last handle — which happens exactly
+    /// once per context, and never for the current one.
+    fn fold(&mut self, ctx: Arc<ExecContext>) {
+        if let Some(ctx) = Arc::into_inner(ctx) {
+            self.retired += ctx.counters();
         }
     }
 }
 
-/// Cross-query compiled-plan cache + pooled persistent execution contexts.
+/// Cross-query compiled-plan cache + the persistent execution context.
 ///
 /// Concurrency shape: one mutex over the plan map and its validity stamp
 /// ([`PlanCache`]), held for one lookup or one insert and never during
-/// rewriting, compilation or execution; counters are atomics; contexts come
-/// from a pool ([`CtxPool`]) so no two in-flight queries share mutable
-/// state. Lock order: the pool lock may be taken under the plan lock
-/// ([`ExecCache::revalidate`]), never the plan lock under the pool lock.
+/// rewriting, compilation or execution; counters are atomics. Another mutex
+/// guards the context handle ([`SharedContext`]), held only to pin, swap or
+/// fold. Concurrent queries share the pinned context, whose scan fills are
+/// single-flight, so a scan two of them need is read once. Neither lock is
+/// taken under the other.
 struct ExecCache {
     hits: AtomicU64,
     misses: AtomicU64,
@@ -278,7 +202,7 @@ struct ExecCache {
     cost_based_plans: AtomicU64,
     syntactic_plans: AtomicU64,
     plans: Mutex<PlanCache>,
-    pool: Mutex<CtxPool>,
+    context: Mutex<SharedContext>,
 }
 
 impl Default for ExecCache {
@@ -294,7 +218,7 @@ impl Default for ExecCache {
                 tick: 0,
                 plans: HashMap::new(),
             }),
-            pool: Mutex::new(CtxPool::new(DEFAULT_CTX_VALUE_CAP)),
+            context: Mutex::new(SharedContext::new(DEFAULT_CTX_VALUE_CAP)),
         }
     }
 }
@@ -310,37 +234,27 @@ impl std::fmt::Debug for ExecCache {
 }
 
 impl ExecCache {
-    /// Locks the plan cache and brings it up to `validity` — every request
-    /// does this, whether or not it goes on to use a cached plan. A change
-    /// in the leading triple (release registered, ontology edited, wrapper
-    /// capabilities moved) flushes the plans and retires the pooled
-    /// contexts; a **stats-epoch-only** change — wrapper data mutated —
-    /// flushes just the plans: cost-based join orders compiled from the old
-    /// sketches may no longer be the cheapest, but each context's cached
-    /// scans are keyed by live `data_version` one level down and stay valid
-    /// for every unmutated sibling wrapper.
+    /// Locks the plan cache and brings it up to `validity`, flushing the
+    /// plans on any change. Every lookup does this. Cost-based join orders
+    /// compiled from old sketches may no longer be the cheapest after a
+    /// data mutation, so a stats-epoch change flushes too.
     fn revalidate(&self, validity: CacheValidity) -> MutexGuard<'_, PlanCache> {
         let mut cache = self.plans.lock().expect(POISONED);
         if cache.validity != validity {
-            let (old, new) = (cache.validity, validity);
             cache.validity = validity;
             cache.plans.clear();
-            if (old.0, old.1, old.2) != (new.0, new.1, new.2) {
-                self.pool.lock().expect(POISONED).retire_all();
-            }
         }
         cache
     }
 
-    /// Unconditionally flushes plans and retires contexts — for `&mut self`
-    /// mutations ([`BdiSystem::register_release`],
-    /// [`BdiSystem::set_release_log`]) whose effect may not register in the
-    /// validity tuple (e.g. a restored release log of the same length).
+    /// Unconditionally flushes plans — for `&mut self` mutations
+    /// ([`BdiSystem::register_release`], [`BdiSystem::set_release_log`])
+    /// whose effect may not register in the validity tuple (e.g. a restored
+    /// release log of the same length).
     fn invalidate(&mut self, validity: CacheValidity) {
         let cache = self.plans.get_mut().expect(POISONED);
         cache.validity = validity;
         cache.plans.clear();
-        self.pool.get_mut().expect(POISONED).retire_all();
     }
 
     /// The compiled query cached for `key` under `validity`, if any
@@ -395,15 +309,20 @@ impl ExecCache {
         self.plans.lock().expect(POISONED).plans.len()
     }
 
-    /// Checks a persistent context out of the pool; the guard returns it on
-    /// drop.
-    fn checkout(&self) -> PooledCtx<'_> {
-        let (ctx, generation) = self.pool.lock().expect(POISONED).checkout();
-        PooledCtx {
-            pool: &self.pool,
-            generation,
-            ctx: Some(ctx),
+    /// Pins the persistent context for one query.
+    fn pin(&self) -> Arc<ExecContext> {
+        self.context.lock().expect(POISONED).current.clone()
+    }
+
+    /// Ends a query's pin. A query that left the current context past its
+    /// value cap replaces it, so the next query starts fresh.
+    fn unpin(&self, ctx: Arc<ExecContext>) {
+        let mut shared = self.context.lock().expect(POISONED);
+        if ctx.over_value_cap() && Arc::ptr_eq(&ctx, &shared.current) {
+            let cap = ctx.value_cap().unwrap_or(DEFAULT_CTX_VALUE_CAP);
+            shared.replace(cap);
         }
+        shared.fold(ctx);
     }
 
     /// Tallies a fresh compile's planning kinds (one count per walk) for
@@ -418,17 +337,15 @@ impl ExecCache {
         }
     }
 
-    /// Every live pooled context, and the lifetime counters: the retired
-    /// contexts' share with each live context's folded in.
-    fn pooled_counters(&self) -> (Vec<Arc<ExecContext>>, ContextCounters) {
-        let (contexts, mut counters) = {
-            let mut pool = self.pool.lock().expect(POISONED);
-            (pool.contexts(), pool.retired)
+    /// The current context, and the lifetime counters: the replaced
+    /// contexts' share with the current one's folded in.
+    fn context_counters(&self) -> (Arc<ExecContext>, ContextCounters) {
+        let (ctx, mut counters) = {
+            let shared = self.context.lock().expect(POISONED);
+            (shared.current.clone(), shared.retired)
         };
-        for ctx in &contexts {
-            counters += ctx.counters();
-        }
-        (contexts, counters)
+        counters += ctx.counters();
+        (ctx, counters)
     }
 }
 
@@ -451,7 +368,7 @@ pub struct PlannerStats {
     /// walk, or a wrapper without estimates).
     pub syntactic_plans: u64,
     /// Semi-join reductions shipped as exact IN-set filters, through the
-    /// pooled persistent contexts (queries run with
+    /// persistent context (queries run with
     /// [`ExecOptions::reuse_scans`]` = false` execute against a private
     /// context and don't register).
     pub semijoin_insets: u64,
@@ -460,15 +377,15 @@ pub struct PlannerStats {
     pub semijoin_blooms: u64,
 }
 
-/// Pooled-context size observability (see [`BdiSystem::context_stats`]).
-/// Current figures sum over every live pooled context (idle or serving a
-/// query right now); peaks fold retired contexts in.
+/// Persistent-context size observability (see [`BdiSystem::context_stats`]).
+/// Current figures describe the current context; peaks and lifetime counts
+/// fold in the contexts the value cap replaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextStats {
-    /// Distinct values interned, summed across live pooled contexts.
+    /// Distinct values interned in the current context.
     pub pooled_values: usize,
-    /// Rough resident bytes: pools + cached interned scans + cached join
-    /// build sides, summed across live pooled contexts.
+    /// Rough resident bytes of the current context: pool + cached interned
+    /// scans + cached join build sides.
     pub approx_bytes: usize,
     /// Cached interned-scan entries currently held, one per distinct
     /// `(wrapper, columns, filters)` at its newest data version — a fill
@@ -655,10 +572,11 @@ impl BdiSystem {
     }
 
     /// Applies Algorithm 1 for a new release and registers its wrapper.
-    /// Every registration bumps the release sequence, which invalidates the
-    /// cross-query plan cache and retires the pooled execution contexts —
-    /// the new wrapper changes what queries rewrite to, and its data was
-    /// never scanned.
+    /// A release under a wrapper name already registered is refused before
+    /// anything is written ([`ReleaseError::WrapperExists`]). Every
+    /// registration flushes the cross-query plan cache, since the new
+    /// wrapper changes what queries rewrite to. The persistent context
+    /// keeps its cached scans: none of them can read the new wrapper.
     pub fn register_release(&mut self, release: Release) -> Result<ReleaseStats, SystemError> {
         let stats = release::apply_release(&self.ontology, &mut self.registry, release)?;
         self.release_log.push(ReleaseLogEntry {
@@ -692,43 +610,39 @@ impl BdiSystem {
         }
     }
 
-    /// Sets the watermark on each pooled execution context's
+    /// Sets the watermark on the persistent execution context's
     /// interned-value pool (default 2²⁰ distinct values). When a query
-    /// leaves its context's pool above the watermark the context is retired
-    /// at check-in and the next query starts against a fresh one, so a
-    /// long-lived system's memory stays bounded however much distinct data
-    /// flows through it. Takes effect immediately: idle contexts are
-    /// retired now, checked-out ones when their query finishes (cached
-    /// scans flush; compiled plans survive).
+    /// leaves the pool above the watermark the context is replaced and the
+    /// next query starts against a fresh one, so a long-lived system's
+    /// memory stays bounded however much distinct data flows through it. A
+    /// new cap takes effect immediately: the context is replaced now
+    /// (cached scans flush; compiled plans survive), and queries in flight
+    /// finish on the old one.
     pub fn set_context_value_cap(&self, cap: usize) {
-        let mut pool = self.cache.pool.lock().expect(POISONED);
-        pool.value_cap = cap.max(1);
-        pool.retire_all();
+        let cap = cap.max(1);
+        let mut shared = self.cache.context.lock().expect(POISONED);
+        if shared.current.value_cap() != Some(cap) {
+            shared.replace(cap);
+        }
     }
 
-    /// Size diagnostics of the pooled execution contexts (pools +
+    /// Size diagnostics of the persistent execution context (pool +
     /// scan/build caches) — what [`BdiSystem::set_context_value_cap`]
-    /// bounds — plus lifetime high-water marks that survive context
-    /// retirement, so streaming (cursor-only) peaks are observable after
-    /// the fact.
+    /// bounds — plus lifetime counts and high-water marks that survive the
+    /// context's replacement, so streaming (cursor-only) peaks are
+    /// observable after the fact.
     pub fn context_stats(&self) -> ContextStats {
-        let (contexts, counters) = self.cache.pooled_counters();
-        let mut stats = ContextStats {
-            pooled_values: 0,
-            approx_bytes: 0,
-            cached_scans: 0,
+        let (ctx, counters) = self.cache.context_counters();
+        ContextStats {
+            pooled_values: ctx.pooled_values(),
+            approx_bytes: ctx.memory_estimate(),
+            cached_scans: ctx.cached_scans(),
             peak_bytes: counters.peak_bytes,
             peak_pooled_values: counters.peak_pooled_values,
             resumed_scans: counters.resumed_scans,
             resumed_rows: counters.resumed_rows,
             full_scans: counters.full_scans,
-        };
-        for ctx in &contexts {
-            stats.pooled_values += ctx.pooled_values();
-            stats.approx_bytes += ctx.memory_estimate();
-            stats.cached_scans += ctx.cached_scans();
         }
-        stats
     }
 
     /// The wrapper names admitted by a scope.
@@ -768,9 +682,9 @@ impl BdiSystem {
     /// compiled form is cached under `(OMQ, scope, `[`PlanShape`]`)` and
     /// stays valid until the next [`BdiSystem::register_release`] (or other
     /// visible metadata change). With [`ExecOptions::reuse_scans`] the
-    /// query also checks a persistent [`ExecContext`] out of the system's
-    /// pool, carrying interned wrapper scans and join build sides across
-    /// queries within that validity window.
+    /// query also pins the system's persistent [`ExecContext`], which
+    /// carries interned wrapper scans and join build sides across queries
+    /// and is shared by the queries running at the same time.
     pub fn serve(&self, request: AnswerRequest) -> Result<Answer, SystemError> {
         let AnswerRequest {
             query,
@@ -788,14 +702,10 @@ impl BdiSystem {
         };
         let validity = self.cache_validity();
         let key = (omq, scope, shape);
-        let cached = if options.cache_plans {
-            self.cache.lookup(validity, &key)
-        } else {
-            // Still revalidate: a request that bypasses the plan map must
-            // not run on a pooled context a release has retired.
-            drop(self.cache.revalidate(validity));
-            None
-        };
+        let cached = options
+            .cache_plans
+            .then(|| self.cache.lookup(validity, &key))
+            .flatten();
         let compiled = match cached {
             Some(compiled) => compiled,
             None => {
@@ -823,24 +733,26 @@ impl BdiSystem {
                 compiled
             }
         };
-        // A context from the pool (checked back in when `pooled` drops,
-        // including on error), or none: `reuse_scans: false` executes
+        // The persistent context, or none: `reuse_scans: false` executes
         // against a fresh private context inside the executor.
-        let pooled = options.reuse_scans.then(|| self.cache.checkout());
+        let pinned = options.reuse_scans.then(|| self.cache.pin());
+        let result = exec::execute_compiled_with(
+            &self.ontology,
+            &self.registry,
+            &compiled,
+            pinned.as_deref(),
+            runtime,
+        );
+        if let Some(ctx) = pinned {
+            self.cache.unpin(ctx);
+        }
         let QueryAnswer {
             relation,
             walk_exprs,
             source_failures,
             plan_notes,
             truncated,
-        } = exec::execute_compiled_with(
-            &self.ontology,
-            &self.registry,
-            &compiled,
-            pooled.as_ref().map(|p| p.get()),
-            runtime,
-        )?;
-        drop(pooled);
+        } = result?;
         Ok(Answer {
             relation,
             rewriting: compiled.rewriting.clone(),
@@ -853,13 +765,13 @@ impl BdiSystem {
 
     /// Planner observability: walks compiled cost-based vs. syntactically
     /// (lifetime, fresh compiles only) and semi-join reductions shipped as
-    /// IN-sets vs. Bloom filters through the pooled persistent contexts
-    /// (retired contexts' counts are folded in; `reuse_scans: false`
-    /// queries run on private contexts and don't register). Per-query
+    /// IN-sets vs. Bloom filters through the persistent context (replaced
+    /// contexts' counts are folded in; `reuse_scans: false` queries run on
+    /// private contexts and don't register). Per-query
     /// detail — the chosen join order and estimated-vs-actual rows — rides
     /// on each answer as [`Answer::plan_notes`].
     pub fn planner_stats(&self) -> PlannerStats {
-        let (_, counters) = self.cache.pooled_counters();
+        let (_, counters) = self.cache.context_counters();
         PlannerStats {
             cost_based_plans: self.cache.cost_based_plans.load(Ordering::Relaxed),
             syntactic_plans: self.cache.syntactic_plans.load(Ordering::Relaxed),

@@ -24,17 +24,16 @@ fn concurrent_writers_lose_nothing() {
     const PER_WRITER: usize = 500;
     let store = QuadStore::new();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for writer in 0..WRITERS {
             let store = &store;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..PER_WRITER {
                     assert!(store.insert(&quad(writer, i)));
                 }
             });
         }
-    })
-    .expect("no writer panicked");
+    });
 
     assert_eq!(store.len(), WRITERS * PER_WRITER);
     for writer in 0..WRITERS {
@@ -53,9 +52,9 @@ fn readers_see_consistent_snapshots_during_writes() {
     let stable_graph = GraphName::Named(Iri::new("http://c.example/g/99"));
     let done = AtomicBool::new(false);
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // One writer mutating a different graph.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             for i in 0..2_000 {
                 store.insert(&quad(1, i));
             }
@@ -64,7 +63,7 @@ fn readers_see_consistent_snapshots_during_writes() {
         // Readers must always see the stable region intact and never a
         // torn state (graph_len is index-derived, so tearing would show).
         for _ in 0..4 {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 while !done.load(Ordering::Acquire) {
                     assert_eq!(store.graph_len(&stable_graph), 200);
                     let p = Iri::new("http://c.example/p/3");
@@ -78,8 +77,7 @@ fn readers_see_consistent_snapshots_during_writes() {
                 }
             });
         }
-    })
-    .expect("no thread panicked");
+    });
 
     assert_eq!(store.len(), 2_200);
 }
@@ -92,10 +90,10 @@ fn concurrent_identical_inserts_are_idempotent() {
     const THREADS: usize = 8;
     const QUADS: usize = 100;
     let store = QuadStore::new();
-    let fresh_counts: Vec<usize> = crossbeam::scope(|scope| {
+    let fresh_counts: Vec<usize> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut fresh = 0;
                     for i in 0..QUADS {
                         if store.insert(&quad(42, i)) {
@@ -110,8 +108,7 @@ fn concurrent_identical_inserts_are_idempotent() {
             .into_iter()
             .map(|h| h.join().expect("joins"))
             .collect()
-    })
-    .expect("no thread panicked");
+    });
 
     assert_eq!(store.len(), QUADS);
     assert_eq!(fresh_counts.iter().sum::<usize>(), QUADS);
@@ -123,13 +120,13 @@ fn concurrent_removals_and_queries() {
     for i in 0..1_000 {
         store.insert(&quad(7, i));
     }
-    crossbeam::scope(|scope| {
-        scope.spawn(|_| {
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
             for i in 0..500 {
                 assert!(store.remove(&quad(7, i)));
             }
         });
-        scope.spawn(|_| {
+        scope.spawn(|| {
             // Reads interleave with removals; every returned quad must be
             // structurally valid (decode panics would fail the test).
             for _ in 0..50 {
@@ -140,8 +137,7 @@ fn concurrent_removals_and_queries() {
                 }
             }
         });
-    })
-    .expect("no thread panicked");
+    });
     assert_eq!(store.len(), 500);
 }
 
@@ -151,11 +147,11 @@ fn term_lookup_is_stable_across_threads() {
     // in matches.
     let store = QuadStore::new();
     let shared_object = Term::Iri(Iri::new("http://c.example/shared"));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..6 {
             let store = &store;
             let shared = shared_object.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..200 {
                     store.insert(&Quad::new(
                         Iri::new(format!("http://c.example/s/{t}/{i}")),
@@ -166,8 +162,7 @@ fn term_lookup_is_stable_across_threads() {
                 }
             });
         }
-    })
-    .expect("no thread panicked");
+    });
     let hits = store.match_quads(None, None, Some(&shared_object), &GraphPattern::Any);
     assert_eq!(hits.len(), 6 * 200);
 }

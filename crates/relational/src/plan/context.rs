@@ -10,7 +10,6 @@ use crate::relation::{RelationError, Tuple};
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -158,9 +157,11 @@ impl std::ops::AddAssign for ContextCounters {
 ///
 /// The context does **not** hold the [`PlanSource`]; execution entry points
 /// take both, so a context can outlive any single source borrow and serve
-/// as a cross-query cache (the scans it holds are data snapshots — reuse
-/// them only while the underlying sources are known unchanged, and drop the
-/// context when they are not).
+/// as a cross-query cache, concurrent queries included. Every cached scan is
+/// keyed by its source name, columns, filters and the source's
+/// [`PlanSource::data_version`] at scan time, so a context stays valid for
+/// as long as a source name keeps denoting the same data at the same
+/// version.
 ///
 /// Both caches are bounded (`DEFAULT_CACHE_ENTRIES` each); when full, the
 /// least-recently-touched entry is evicted (an approximate LRU: each access
@@ -208,17 +209,7 @@ pub struct ExecContext {
     full_scans: AtomicU64,
     scans: Mutex<HashMap<ScanKey, Stamped<ScanSlot>>>,
     builds: Mutex<BuildCache>,
-    /// Bounded batch feeds registered by the prefetcher for cursor-routed
-    /// scans (see [`execute_plan`]): the scan operator that
-    /// owns the matching request takes its feed here instead of opening a
-    /// second source cursor. Feeds are per-execution and always drained or
-    /// dropped before the prefetch scope joins.
-    queued: Mutex<HashMap<ScanKey, QueuedFeed>>,
 }
-
-/// The receiving end of a bounded queue of interned batches produced by a
-/// dedicated prefetch thread for one cursor-routed scan.
-pub(super) type QueuedFeed = Receiver<Result<Batch, PlanError>>;
 
 /// `(scan, key column)` → stamped shared build index.
 type BuildCache = HashMap<(ScanKey, usize), Stamped<Arc<JoinIndex>>>;
@@ -280,7 +271,6 @@ impl ExecContext {
             full_scans: AtomicU64::new(0),
             scans: Mutex::new(HashMap::new()),
             builds: Mutex::new(HashMap::new()),
-            queued: Mutex::new(HashMap::new()),
         }
     }
 
@@ -385,35 +375,6 @@ impl ExecContext {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Registers a prefetch feed for a cursor-routed scan. At most one feed
-    /// per key; a duplicate registration is dropped (its producer exits on
-    /// the first failed send).
-    pub(super) fn offer_queued_scan(&self, key: ScanKey, feed: QueuedFeed) {
-        self.queued
-            .lock()
-            .expect("queued-scan registry poisoned")
-            .entry(key)
-            .or_insert(feed);
-    }
-
-    /// Claims the prefetch feed registered for a scan, if any. The feed
-    /// leaves the registry so exactly one operator consumes it.
-    pub(super) fn take_queued_scan(&self, key: &ScanKey) -> Option<QueuedFeed> {
-        self.queued
-            .lock()
-            .expect("queued-scan registry poisoned")
-            .remove(key)
-    }
-
-    /// Drops any still-unclaimed feeds among `keys`, disconnecting their
-    /// producers (which would otherwise block forever on a full queue).
-    pub(super) fn drop_queued_scans(&self, keys: &[ScanKey]) {
-        let mut queued = self.queued.lock().expect("queued-scan registry poisoned");
-        for key in keys {
-            queued.remove(key);
-        }
-    }
-
     /// Interns one value-space scan batch, enforcing the scan-shape
     /// contract (every row must have the request's output arity). Called
     /// from [`InternedBatches`] alone, so no consumer of a scan can
@@ -492,6 +453,11 @@ impl ExecContext {
     /// stamp it with *this* version, not a re-read one, or a mutation
     /// landing between the scan and the derivation would cache old-batch
     /// state under the new version.
+    ///
+    /// Concurrent callers single-flight on one fill. A source failure
+    /// reaches every caller waiting on the fill; an expired deadline reaches
+    /// only callers whose own deadline has passed — any other waiter fills
+    /// again under its own.
     pub(super) fn scan(
         &self,
         source: &dyn PlanSource,
@@ -500,55 +466,61 @@ impl ExecContext {
         deadline: Option<Instant>,
     ) -> Result<(Arc<Batch>, u64), PlanError> {
         let key = versioned_scan_key(source, name, request);
-        let data_version = key.data_version;
-        let cell = {
-            let mut scans = self.scans.lock().expect("scan cache poisoned");
-            if let Some(evicted) = evict_for(&mut scans, &key, self.max_entries) {
-                self.scan_cache_bytes
-                    .fetch_sub(evicted.bytes, Ordering::Relaxed);
-            }
-            let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-            let entry = scans.entry(key.clone()).or_insert_with(|| Stamped {
-                value: ScanSlot {
-                    cell: ScanCell::default(),
-                    bytes: 0,
-                },
-                last_used: tick,
-            });
-            entry.last_used = tick;
-            entry.value.cell.clone()
-        };
-        // Concurrent callers single-flight on the cell; only the one whose
-        // closure ran publishes the fill.
-        let mut filled_here = false;
-        let result = cell
-            .get_or_init(|| {
-                filled_here = true;
-                self.fill_scan(source, name, request, &key, deadline)
-            })
-            .clone();
-        match &result {
-            Ok(cached) if filled_here => {
-                self.publish_scan(&key, &cell, cached.table.approx_bytes());
-            }
-            Ok(_) => {}
-            Err(_) => {
-                // Failures are never cached: a transient source error or an
-                // expired per-query deadline must not poison the cell for
-                // later queries, which should retry the scan from scratch.
-                // Remove the entry only if it still holds this very cell —
-                // a concurrent eviction/refill may have already replaced it.
+        loop {
+            let cell = {
                 let mut scans = self.scans.lock().expect("scan cache poisoned");
-                if scans
-                    .get(&key)
-                    .is_some_and(|stamped| Arc::ptr_eq(&stamped.value.cell, &cell))
-                {
-                    scans.remove(&key);
+                if let Some(evicted) = evict_for(&mut scans, &key, self.max_entries) {
+                    self.scan_cache_bytes
+                        .fetch_sub(evicted.bytes, Ordering::Relaxed);
+                }
+                let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+                let entry = scans.entry(key.clone()).or_insert_with(|| Stamped {
+                    value: ScanSlot {
+                        cell: ScanCell::default(),
+                        bytes: 0,
+                    },
+                    last_used: tick,
+                });
+                entry.last_used = tick;
+                entry.value.cell.clone()
+            };
+            // Only the caller whose closure ran publishes the fill.
+            let mut filled_here = false;
+            let result = cell
+                .get_or_init(|| {
+                    filled_here = true;
+                    self.fill_scan(source, name, request, &key, deadline)
+                })
+                .clone();
+            match &result {
+                Ok(cached) if filled_here => {
+                    self.publish_scan(&key, &cell, cached.table.approx_bytes());
+                }
+                Ok(_) => {}
+                Err(e) => {
+                    // Failures are never cached: a transient source error or
+                    // an expired deadline must not poison the cell for later
+                    // queries, which retry the scan from scratch. Remove the
+                    // entry only if it still holds this very cell — a
+                    // concurrent eviction/refill may have replaced it.
+                    let mut scans = self.scans.lock().expect("scan cache poisoned");
+                    if scans
+                        .get(&key)
+                        .is_some_and(|stamped| Arc::ptr_eq(&stamped.value.cell, &cell))
+                    {
+                        scans.remove(&key);
+                    }
+                    let foreign_expiry = !filled_here
+                        && matches!(e, PlanError::DeadlineExceeded)
+                        && deadline.is_none_or(|d| Instant::now() < d);
+                    if foreign_expiry {
+                        continue;
+                    }
                 }
             }
+            self.note_high_water(0);
+            return result.map(|cached| (cached.table, key.data_version));
         }
-        self.note_high_water(0);
-        result.map(|cached| (cached.table, data_version))
     }
 
     /// Computes the cache entry for `key`: by upgrading an older version's
@@ -844,14 +816,10 @@ fn resumable_predecessor<'m>(
         .max_by_key(|(old, ..)| old.data_version)
 }
 
-/// The cache/registry key of a scan against the source's *current* data
-/// version — the single place the key is assembled, shared by the scan
-/// cache, the warm check and the queued-feed registry.
-pub(super) fn versioned_scan_key(
-    source: &dyn PlanSource,
-    name: &str,
-    request: &ScanRequest,
-) -> ScanKey {
+/// The cache key of a scan against the source's *current* data version —
+/// the single place the key is assembled, shared by the scan cache and the
+/// warm check.
+fn versioned_scan_key(source: &dyn PlanSource, name: &str, request: &ScanRequest) -> ScanKey {
     ScanKey {
         source: name.to_owned(),
         columns: request.columns.clone(),

@@ -1,5 +1,5 @@
-use super::context::{adaptive_batch_rows, scan_uses_cache, versioned_scan_key, ExecContext};
-use super::operator::{semijoin_probe_plan, Operator};
+use super::context::{adaptive_batch_rows, scan_uses_cache, ExecContext};
+use super::operator::{semijoin_probe_plan, Operator, ScanFeeds};
 use super::physical::PhysicalPlan;
 use super::pool::Batch;
 use super::request::{PlanSource, ScanRequest};
@@ -16,7 +16,16 @@ pub(super) fn pull_plan(
     source: &dyn PlanSource,
     policy: ExecPolicy,
 ) -> Result<Relation, PlanError> {
-    let mut op = Operator::new(plan, ctx, source, policy);
+    drain(plan, Operator::new(plan, ctx, source, policy), ctx)
+}
+
+/// Pulls an operator tree to exhaustion and drops it, with any prefetch
+/// feeds it still holds.
+fn drain(
+    plan: &PhysicalPlan,
+    mut op: Operator<'_>,
+    ctx: &ExecContext,
+) -> Result<Relation, PlanError> {
     let mut rows: Vec<Tuple> = Vec::new();
     while let Some(batch) = op.next_batch()? {
         rows.extend(ctx.decode_batch(&batch));
@@ -104,7 +113,7 @@ pub fn worker_budget() -> usize {
 /// the canonical sorted form apply [`Relation::distinct`] themselves.
 ///
 /// The pipeline pulls on the caller's thread; where there is something to
-/// work ahead on, `crossbeam` scoped prefetch threads — at most
+/// work ahead on, scoped prefetch threads — at most
 /// [`worker_budget`] of them — run ahead of it:
 ///
 /// * **Cache-destined** scan leaves are warmed concurrently by a worker
@@ -115,8 +124,11 @@ pub fn worker_budget() -> usize {
 /// * **Cursor-routed** scan leaves (scans kept out of the cache by the
 ///   context's value cap) each get a *dedicated* producer thread feeding
 ///   interned batches through a bounded queue of
-///   `PREFETCH_QUEUE_BATCHES` batches; the scan operator consumes the
-///   queue instead of opening its own cursor. Source latency (a remote
+///   `PREFETCH_QUEUE_BATCHES` batches. The feed belongs to this
+///   execution's operator tree, whose scan leaf consumes it instead of
+///   opening its own cursor; dropping the tree disconnects the producer.
+///   Concurrent executions on one context never see each other's feeds.
+///   Source latency (a remote
 ///   source's page fetches) overlaps with execution, while the bounded
 ///   queue exerts backpressure — a slow source can stall only its own
 ///   producer, never a sibling's, and never buffers more than the queue
@@ -176,16 +188,13 @@ pub(super) fn execute_plan_with_workers(
     let cached = &cached;
     let next = &next;
     let deadline = policy.deadline;
-    crossbeam::scope(|s| {
-        let mut queued_keys = Vec::new();
-        for (name, request) in &queued {
-            let key = versioned_scan_key(source, name, request);
+    std::thread::scope(|s| {
+        let mut feeds: ScanFeeds<'_> = Vec::with_capacity(queued.len());
+        for &(name, request) in &queued {
             let (tx, rx): (SyncSender<Result<Batch, PlanError>>, _) =
                 std::sync::mpsc::sync_channel(PREFETCH_QUEUE_BATCHES);
-            ctx.offer_queued_scan(key.clone(), rx);
-            queued_keys.push(key);
-            let (name, request) = (*name, *request);
-            s.spawn(move |_| {
+            feeds.push((name, request, rx));
+            s.spawn(move || {
                 let batch_rows = adaptive_batch_rows(ctx, source, name, request);
                 let batches = match source.scan_batches(name, request, batch_rows) {
                     Ok((batches, _)) => batches,
@@ -195,8 +204,8 @@ pub(super) fn execute_plan_with_workers(
                     }
                 };
                 for message in ctx.interned(request, batches, deadline) {
-                    // A failed send means the consumer (or the cleanup
-                    // below) dropped the feed — stop fetching.
+                    // A failed send means the operator tree dropped the
+                    // feed — stop fetching.
                     if tx.send(message).is_err() {
                         return;
                     }
@@ -204,7 +213,7 @@ pub(super) fn execute_plan_with_workers(
             });
         }
         for _ in 0..warm_workers {
-            s.spawn(move |_| loop {
+            s.spawn(move || loop {
                 let index = next.fetch_add(1, Ordering::Relaxed) as usize;
                 let Some((name, request)) = cached.get(index) else {
                     break;
@@ -215,15 +224,14 @@ pub(super) fn execute_plan_with_workers(
                 let _ = ctx.scan(source, name, request, deadline);
             });
         }
-        let result = pull_plan(plan, ctx, source, policy);
-        // Feeds nobody claimed (a probe scan reduced after registration, an
-        // execution that errored before reaching its scan) would leave
-        // their producers blocked on a full queue: drop them so the
-        // senders disconnect before the scope joins.
-        ctx.drop_queued_scans(&queued_keys);
-        result
+        // The tree is dropped before the scope joins, so no producer stays
+        // blocked on a full queue nobody reads.
+        drain(
+            plan,
+            Operator::with_feeds(plan, ctx, source, policy, feeds),
+            ctx,
+        )
     })
-    .expect("prefetch thread panicked")
 }
 
 #[cfg(test)]
@@ -263,6 +271,67 @@ mod tests {
             8
         )
         .is_err());
+    }
+
+    /// Concurrent executions on one context each own their prefetch feeds:
+    /// two runs of one over-cap (cursor-routed) scan, whose producers are
+    /// held until both have opened the source, each get every row.
+    #[test]
+    fn concurrent_executions_over_one_cursor_routed_scan_get_every_row() {
+        struct Rendezvous {
+            inner: Hinted,
+            opened: std::sync::Mutex<usize>,
+            both: std::sync::Condvar,
+        }
+
+        impl PlanSource for Rendezvous {
+            fn scan_batches<'a>(
+                &'a self,
+                name: &str,
+                request: &ScanRequest,
+                rows: usize,
+            ) -> Scanned<'a> {
+                let mut opened = self.opened.lock().unwrap();
+                *opened += 1;
+                self.both.notify_all();
+                // Bounded, so a run that opens the source only once cannot
+                // hang the test.
+                let _ = self
+                    .both
+                    .wait_timeout_while(opened, std::time::Duration::from_secs(2), |n| *n < 2)
+                    .unwrap();
+                self.inner.scan_batches(name, request, rows)
+            }
+
+            fn scan_hint(&self, name: &str, request: &ScanRequest) -> Option<u64> {
+                self.inner.scan_hint(name, request)
+            }
+        }
+
+        let src = Rendezvous {
+            inner: Hinted::new(true),
+            opened: std::sync::Mutex::new(0),
+            both: std::sync::Condvar::new(),
+        };
+        let plan = scan_all("big", &Hinted::relation("big"));
+        let expected = run(&plan, &Hinted::new(true)).unwrap();
+        let ctx = ExecContext::new().with_value_cap(1024);
+        let outs: Vec<Relation> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        execute_plan_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 2)
+                            .unwrap()
+                    })
+                })
+                .collect();
+            runs.into_iter().map(|run| run.join().unwrap()).collect()
+        });
+        for out in &outs {
+            assert_eq!(out.rows(), expected.rows());
+        }
+        assert_eq!(ctx.cached_scans(), 0);
+        assert_eq!(src.inner.requests_for("big").len(), 2);
     }
 
     #[test]

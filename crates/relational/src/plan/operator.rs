@@ -1,6 +1,5 @@
 use super::context::{
-    adaptive_batch_rows, scan_uses_cache, versioned_scan_key, ExecContext, InternedBatches,
-    JoinIndex, QueuedFeed, ScanKey,
+    adaptive_batch_rows, scan_uses_cache, ExecContext, InternedBatches, JoinIndex, ScanKey,
 };
 use super::physical::PhysicalPlan;
 use super::pool::{Batch, FnvBuild, RowSet};
@@ -10,7 +9,7 @@ use crate::stats::BloomFilter;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::RecvTimeoutError;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -177,6 +176,16 @@ pub struct Operator<'r> {
     node: OpNode<'r>,
 }
 
+/// The receiving end of a bounded queue of interned batches produced by a
+/// dedicated prefetch thread for one cursor-routed scan.
+pub(super) type QueuedFeed = Receiver<Result<Batch, PlanError>>;
+
+/// One execution's prefetch feeds, each with the scan leaf it was opened
+/// for (source name, request). [`Operator::with_feeds`] hands each feed to
+/// the first leaf of its scan, so the operator tree owns every feed and
+/// dropping the tree disconnects every producer.
+pub(super) type ScanFeeds<'p> = Vec<(&'p str, &'p ScanRequest, QueuedFeed)>;
+
 /// A scan leaf's execution state.
 struct ScanOp<'r> {
     source: String,
@@ -184,6 +193,9 @@ struct ScanOp<'r> {
     /// Set when the semi-join pass injected a build-key IN-set: the scan is
     /// query-specific and must bypass (not pollute) the shared scan cache.
     semijoin_reduced: bool,
+    /// The prefetch feed opened for this leaf, until the first pull uses or
+    /// drops it.
+    feed: Option<QueuedFeed>,
     state: ScanState<'r>,
 }
 
@@ -333,11 +345,23 @@ impl<'r> Operator<'r> {
         source: &'r dyn PlanSource,
         policy: ExecPolicy,
     ) -> Self {
+        Self::with_feeds(plan, ctx, source, policy, Vec::new())
+    }
+
+    /// [`Operator::new`], consuming the prefetch feeds opened for this
+    /// execution's cursor-routed scans.
+    pub(super) fn with_feeds(
+        plan: &PhysicalPlan,
+        ctx: &'r ExecContext,
+        source: &'r dyn PlanSource,
+        policy: ExecPolicy,
+        mut feeds: ScanFeeds<'_>,
+    ) -> Self {
         Self {
             ctx,
             source,
             policy,
-            node: OpNode::compile(plan),
+            node: OpNode::compile(plan, &mut feeds),
         }
     }
 
@@ -363,23 +387,22 @@ impl<'r> ScanOp<'r> {
             source: name,
             request,
             semijoin_reduced,
+            feed,
             state,
         } = self;
         if matches!(state, ScanState::Pending) {
+            // A feed that goes unused is dropped here, which stops its
+            // producer. The prefetcher opens none for a probe scan the
+            // semi-join pass reduces: the feed would carry unreduced rows.
+            let feed = feed.take().filter(|_| !*semijoin_reduced);
             *state = if !*semijoin_reduced && scan_uses_cache(ctx, source, name, request) {
                 ScanState::Cached {
                     table: ctx.scan(source, name, request, policy.deadline)?.0,
                     cursor: 0,
                 }
-            } else if let Some(feed) = (!*semijoin_reduced)
-                .then(|| ctx.take_queued_scan(&versioned_scan_key(source, name, request)))
-                .flatten()
-            {
-                // The prefetcher registered a bounded feed for this scan —
-                // consume it instead of opening a second source cursor. A
-                // semi-join-reduced request never matches a registered key
-                // (the injected IN-set changes the key), and is skipped
-                // outright for clarity.
+            } else if let Some(feed) = feed {
+                // Consume the prefetcher's bounded feed instead of opening a
+                // second source cursor.
                 ScanState::Queued { feed, done: false }
             } else {
                 let batch_rows = adaptive_batch_rows(ctx, source, name, request);
@@ -437,20 +460,24 @@ impl<'r> ScanOp<'r> {
 }
 
 impl<'r> OpNode<'r> {
-    fn compile(plan: &PhysicalPlan) -> OpNode<'r> {
+    fn compile(plan: &PhysicalPlan, feeds: &mut ScanFeeds<'_>) -> OpNode<'r> {
         match plan {
             PhysicalPlan::Scan { source, request } => OpNode::Scan(ScanOp {
                 source: source.clone(),
                 request: request.clone(),
                 semijoin_reduced: false,
+                feed: feeds
+                    .iter()
+                    .position(|(name, fed, _)| *name == source.as_str() && *fed == request)
+                    .map(|i| feeds.swap_remove(i).2),
                 state: ScanState::Pending,
             }),
             PhysicalPlan::Project { input, indices, .. } => OpNode::Project {
-                input: Box::new(OpNode::compile(input)),
+                input: Box::new(OpNode::compile(input, feeds)),
                 indices: indices.clone(),
             },
             PhysicalPlan::Filter { input, predicates } => OpNode::Filter {
-                input: Box::new(OpNode::compile(input)),
+                input: Box::new(OpNode::compile(input, feeds)),
                 predicates: predicates.clone(),
                 compiled: None,
             },
@@ -463,8 +490,8 @@ impl<'r> OpNode<'r> {
             } => OpNode::HashJoin {
                 left_scan: left.scan_key(),
                 right_scan: right.scan_key(),
-                left: Box::new(OpNode::compile(left)),
-                right: Box::new(OpNode::compile(right)),
+                left: Box::new(OpNode::compile(left, feeds)),
+                right: Box::new(OpNode::compile(right, feeds)),
                 left_key: *left_key,
                 right_key: *right_key,
                 arity: schema.len(),
@@ -472,7 +499,10 @@ impl<'r> OpNode<'r> {
             },
             PhysicalPlan::Union { inputs } => OpNode::Union {
                 arity: inputs[0].schema().len(),
-                inputs: inputs.iter().map(OpNode::compile).collect(),
+                inputs: inputs
+                    .iter()
+                    .map(|input| OpNode::compile(input, feeds))
+                    .collect(),
                 current: 0,
                 seen: RowSet::new(inputs[0].schema().len()),
             },

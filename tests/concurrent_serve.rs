@@ -1,13 +1,17 @@
 //! Concurrency stress for the shared-read answer path: many threads
 //! hammering [`BdiSystem::serve`] through one shared system must produce
 //! exactly the rows serial execution produces, share compiled plans
-//! (cache hits), and never poison or panic a worker.
+//! (cache hits) and scans (one persistent context), and never poison or
+//! panic a worker.
 
-use bdi::core::exec::ExecOptions;
-use bdi::core::system::{AnswerRequest, VersionScope};
-use bdi::relational::Value;
+use bdi::core::exec::{ExecError, ExecOptions};
+use bdi::core::system::{AnswerRequest, BdiSystem, SystemError, VersionScope};
+use bdi::relational::{ColumnFilter, PlanError, Relation, ScanRequest, Schema, Value};
+use bdi::wrappers::wrapper::RowBatches;
+use bdi::wrappers::{TableWrapper, Wrapper, WrapperError};
 use bdi_bench::synthetic;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 fn rows(n: usize, with_next: bool) -> Vec<Vec<Value>> {
     (0..n)
@@ -136,7 +140,7 @@ fn concurrent_serve_under_row_limits_and_uncached_plans() {
 }
 
 #[test]
-fn pool_retires_contexts_after_release_between_concurrent_batches() {
+fn a_release_between_concurrent_batches_flushes_plans() {
     let mut sys = system(2, 2);
     let shared = |sys: &bdi::core::system::BdiSystem| {
         let stats_before = sys.plan_cache_stats();
@@ -152,8 +156,8 @@ fn pool_retires_contexts_after_release_between_concurrent_batches() {
     };
     let first_misses = shared(&sys);
     assert!(first_misses >= 1);
-    // A release between batches: plans flush, pooled contexts retire, and
-    // the next batch recompiles exactly once more.
+    // A release between batches: plans flush, and the next batch
+    // recompiles.
     synthetic::register_extra_chain_wrapper(&mut sys, 1, 3, rows(20, false));
     assert_eq!(sys.plan_cache_stats().entries, 0);
     let second_misses = shared(&sys);
@@ -300,4 +304,168 @@ fn readers_racing_a_stats_epoch_writer_answer_from_some_earlier_state() {
     assert!(stats.misses >= variants.len() as u64);
     let _ = system.context_stats();
     let _ = system.planner_stats();
+}
+
+/// A gate every scan of a [`Gated`] wrapper passes. It opens once `quorum`
+/// scans have arrived, once `patience` has passed since a scan arrived, or
+/// when the test opens it, and stays open.
+struct Gate {
+    state: Mutex<(usize, bool)>,
+    opened: Condvar,
+    quorum: usize,
+    patience: Duration,
+}
+
+impl Gate {
+    fn new(quorum: usize, patience: Duration) -> Arc<Self> {
+        Arc::new(Self {
+            state: Mutex::new((0, false)),
+            opened: Condvar::new(),
+            quorum,
+            patience,
+        })
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.0 += 1;
+        if state.0 >= self.quorum {
+            state.1 = true;
+        }
+        let (mut state, _) = self
+            .opened
+            .wait_timeout_while(state, self.patience, |(_, open)| !*open)
+            .unwrap();
+        state.1 = true;
+        self.opened.notify_all();
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.opened.notify_all();
+    }
+
+    fn arrived(&self) -> usize {
+        self.state.lock().unwrap().0
+    }
+}
+
+/// A table wrapper whose scans wait at a [`Gate`] first.
+struct Gated {
+    inner: TableWrapper,
+    gate: Arc<Gate>,
+}
+
+impl Wrapper for Gated {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn source(&self) -> &str {
+        self.inner.source()
+    }
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+    fn scan(&self) -> Result<Relation, WrapperError> {
+        self.inner.scan()
+    }
+    fn scan_batches<'a>(
+        &'a self,
+        request: &ScanRequest,
+        batch_rows: usize,
+    ) -> Result<(RowBatches<'a>, Option<bdi::relational::ScanMark>), WrapperError> {
+        self.gate.pass();
+        self.inner.scan_batches(request, batch_rows)
+    }
+    fn data_version(&self) -> u64 {
+        self.inner.data_version()
+    }
+    fn claims_filter(&self, filter: &ColumnFilter) -> bool {
+        self.inner.claims_filter(filter)
+    }
+}
+
+/// One concept served by `wrappers` gated table wrappers of 50 rows each:
+/// `chain_query(1)` unions one single-scan walk per wrapper.
+fn gated_system(wrappers: usize, gate: &Arc<Gate>) -> BdiSystem {
+    let mut system = synthetic::build_chain_system_with(1, 0, 0, usize::MAX, |_, _, _| Vec::new());
+    for j in 1..=wrappers {
+        let schema = Schema::from_parts(&["id1".to_owned()], &["f1".to_owned()]).unwrap();
+        let inner = TableWrapper::new(
+            format!("w_1_{j}"),
+            format!("D_1_{j}"),
+            schema,
+            rows(50, false),
+        )
+        .unwrap();
+        let gated = Gated {
+            inner,
+            gate: gate.clone(),
+        };
+        synthetic::register_extra_chain_wrapper_of(&mut system, 1, Arc::new(gated));
+    }
+    system
+}
+
+/// Concurrent callers of one cold query share the system's context, so
+/// each distinct scan is read from its wrapper once, however many callers
+/// need it at the same time. The gate holds every scan until four have
+/// arrived (or a while has passed), so callers that each read their own
+/// copy would all be reading at once.
+#[test]
+fn concurrent_cold_queries_fill_each_scan_once() {
+    const CALLERS: usize = 4;
+    let gate = Gate::new(CALLERS, Duration::from_millis(300));
+    let system = gated_system(2, &gate);
+    let request = AnswerRequest::omq(synthetic::chain_query(1));
+    let start = std::sync::Barrier::new(CALLERS);
+    let answers: Vec<Relation> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    system.serve(request.clone()).expect("answers").relation
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for answer in &answers {
+        assert_eq!(answer.rows(), answers[0].rows());
+    }
+    assert_eq!(answers[0].len(), 50);
+    let stats = system.context_stats();
+    assert_eq!((stats.full_scans, stats.cached_scans), (2, 2));
+}
+
+/// A query whose deadline expires during a fill another query waits on
+/// fails alone: the waiter, which has no deadline, fills again and answers
+/// in full.
+#[test]
+fn a_deadline_expiring_in_a_shared_fill_fails_only_its_own_query() {
+    let gate = Gate::new(usize::MAX, Duration::from_secs(30));
+    let system = gated_system(1, &gate);
+    let request = AnswerRequest::omq(synthetic::chain_query(1));
+    let budget = Duration::from_millis(100);
+    std::thread::scope(|scope| {
+        let armed = Instant::now();
+        let hasty = scope.spawn(|| system.serve(request.clone().deadline(budget)));
+        // The hasty query is filling the scan, held at the gate.
+        while gate.arrived() == 0 {
+            std::thread::yield_now();
+        }
+        let patient = scope.spawn(|| system.serve(request.clone()));
+        // Open the gate only once the hasty query's deadline has passed, so
+        // its fill fails on it.
+        std::thread::sleep((budget + Duration::from_millis(100)).saturating_sub(armed.elapsed()));
+        gate.open();
+        assert!(matches!(
+            hasty.join().unwrap(),
+            Err(SystemError::Exec(ExecError::Plan(
+                PlanError::DeadlineExceeded
+            )))
+        ));
+        let answer = patient.join().unwrap().expect("no deadline, full answer");
+        assert_eq!(answer.relation.len(), 50);
+    });
 }

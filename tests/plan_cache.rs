@@ -1,6 +1,6 @@
 //! The cross-query plan cache: repeated analyst queries skip the
-//! rewriting-to-plan pipeline (hits), `register_release` invalidates both
-//! the cached plans and the persistent scan context, and answers are
+//! rewriting-to-plan pipeline (hits), `register_release` invalidates the
+//! cached plans but keeps the persistent scan context, and answers are
 //! identical cached or not — with and without `reuse_scans`.
 
 use bdi::core::exec::{Engine, ExecError, ExecOptions, FeatureFilter, SourceFailurePolicy};
@@ -109,13 +109,30 @@ fn register_release_invalidates_plans_and_scans() {
     let stats = sys.plan_cache_stats();
     assert_eq!(stats.entries, 0);
 
-    // …and the next answer sees the new wrapper's rows (a fresh context —
-    // no stale interned scans) under a recompiled three-walk rewriting.
+    // …and the next answer sees the new wrapper's rows under a recompiled
+    // three-walk rewriting.
     let after = sys
         .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(reuse.clone()))
         .unwrap();
     assert_eq!(after.rewriting.walks.len(), 3);
     assert!(after.relation.len() >= before.relation.len());
+}
+
+/// Algorithm 1 leaves every registered wrapper alone, and so does the
+/// scan cache: after the §2.1 evolution only the new wrapper is read.
+#[test]
+fn a_release_scans_only_the_new_wrapper() {
+    let (mut system, store) = bdi::core::supersede::build_running_example_with_store();
+    let query = bdi::core::supersede::exemplary_query();
+    system.serve(AnswerRequest::sparql(&query)).unwrap();
+    let before = system.context_stats();
+
+    bdi::core::supersede::evolve_with_w4(&mut system, &store);
+    let after = system.serve(AnswerRequest::sparql(&query)).unwrap();
+    assert_eq!(after.rewriting.walks.len(), 2);
+    let stats = system.context_stats();
+    assert_eq!(stats.full_scans, before.full_scans + 1);
+    assert_eq!(stats.cached_scans, before.cached_scans + 1);
 }
 
 #[test]
@@ -148,11 +165,10 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     assert_eq!(stats.entries, 1);
     assert_eq!(after.relation.len(), before.relation.len() + 1);
 
-    // …but the persistent scan context survives (unlike ontology/release
-    // invalidation, which replaces it): the untouched sibling's interned
-    // scan is still resident, and the mutated wrapper's was brought up to
-    // its bumped data_version by the one pushed row, replacing the entry
-    // it superseded.
+    // …but the persistent scan context survives: the untouched sibling's
+    // interned scan is still resident, and the mutated wrapper's was
+    // brought up to its bumped data_version by the one pushed row,
+    // replacing the entry it superseded.
     let contexts = sys.context_stats();
     assert_eq!(contexts.cached_scans, scans_before);
     assert_eq!((contexts.resumed_scans, contexts.resumed_rows), (1, 1));
