@@ -50,7 +50,7 @@ pub fn scaled(n: usize, divisor: usize) -> usize {
 }
 
 /// Compiles `rewriting` against `source` and executes it once on a fresh
-/// (uncapped) context under `options` — no plan cache, no pooled scans.
+/// (uncapped) context under `options` — no plan cache, no reused scans.
 /// For benches and differential tests that run a query against a source
 /// other than a system's own registry, or must not touch its caches.
 pub fn compile_and_execute<S>(

@@ -150,7 +150,7 @@ pub struct SourceFailure {
 }
 
 /// How one query is executed. [`ExecOptions::default`] — the streaming
-/// engine, cached plans, pooled scans — is what a request runs under unless
+/// engine, cached plans, reused scans — is what a request runs under unless
 /// it says otherwise:
 ///
 /// | field | set by | kind |
@@ -265,7 +265,7 @@ impl ExecOptions {
             cost_based_joins,
             // Whether `serve` consults the plan cache at all.
             cache_plans: _,
-            // Whether `serve` executes on a pooled context or a private one.
+            // Whether `serve` executes on the persistent context or a private one.
             reuse_scans: _,
             // Sizes the sideways pass while the plan executes.
             semijoin_max_keys,

@@ -12,8 +12,8 @@
 //! The server holds the [`BdiSystem`] behind an `Arc` and calls
 //! [`BdiSystem::serve`] concurrently from every connection thread — the
 //! plan cache (one lock, held for a probe or an insert, never across a
-//! request) and the pooled execution contexts underneath are what make
-//! that safe and non-convoying.
+//! request) and the shared execution context underneath, whose scan fills
+//! are single-flight, are what make that safe and non-convoying.
 //!
 //! # Endpoints
 //!

@@ -127,15 +127,18 @@ pub fn row_to_json(
     schema: &Schema,
     row: &[Value],
 ) -> Result<Vec<serde_json::Value>, WrapperError> {
-    row.iter()
-        .zip(schema.names())
-        .map(|(value, attribute)| {
-            value_to_json(value).ok_or_else(|| WrapperError::UnsupportedShape {
+    // Sized up front: a snapshot image holds every row at once.
+    let mut json = Vec::with_capacity(row.len());
+    for (value, attribute) in row.iter().zip(schema.attributes()) {
+        let Some(value) = value_to_json(value) else {
+            return Err(WrapperError::UnsupportedShape {
                 wrapper: wrapper.to_owned(),
-                attribute: attribute.to_owned(),
-            })
-        })
-        .collect()
+                attribute: attribute.name().to_owned(),
+            });
+        };
+        json.push(value);
+    }
+    Ok(json)
 }
 
 impl JsonWrapper {
