@@ -863,7 +863,8 @@ fn main() {
 
     // ---- Contended-callers workload: 4 threads answering the same cached
     // plan through `serve` at once. The shared plan cache (one lock, held
-    // for the probe only) and the context pool let the callers execute in
+    // for the probe only) and the one shared context (single-flight scan
+    // fills, no execution lock) let the callers execute in
     // parallel; the baseline holds one global mutex across each whole
     // `serve`, so callers run one at a time. On a single-CPU host both
     // shapes serialize anyway and the ratio records ~1x; nothing gates on
