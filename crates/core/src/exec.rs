@@ -62,7 +62,7 @@ use bdi_relational::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Errors raised during execution.
@@ -174,9 +174,10 @@ pub struct ExecOptions {
     pub engine: Engine,
     /// Selections pushed into the scans (conjunction; empty = unfiltered).
     pub filters: Vec<FeatureFilter>,
-    /// Reuse compiled plans across queries through the system's release-seq
-    /// keyed cache (default on; plans never depend on wrapper data, so this
-    /// is always sound).
+    /// Reuse compiled plans across queries through the system's plan cache
+    /// (default on; an entry is re-planned when wrapper capabilities or
+    /// statistics move and flushed when the ontology or release log does,
+    /// so this is always sound).
     pub cache_plans: bool,
     /// Reuse the system's persistent [`ExecContext`] — interned scans and
     /// join build sides — across queries. On by default: cached scans are
@@ -851,21 +852,69 @@ fn compile_walk(
 // The streaming engine: compile once, execute many times
 // ---------------------------------------------------------------------------
 
-/// A query compiled once and executable many times: the rewriting over the
+/// The ontology-side half of a [`CompiledQuery`]: the rewriting over the
 /// wrappers its scope admits, the target schema, the rendered walk algebra
-/// and — for the streaming engine — one physical plan per walk. Plans
-/// depend only on the ontology, the [`PlanShape`] and the sources'
-/// *capabilities* (never their data), so a `CompiledQuery` stays valid
-/// until the next release; the system's cross-query plan cache keys on
-/// exactly that.
+/// and each walk's column alignment. All of it reads the ontology and the
+/// release log alone — Algorithms 2–5 never look at wrapper data or
+/// capabilities — so a capability or statistics change recompiles the plans
+/// over the same frame ([`CompiledQuery::replan`]).
+#[derive(Debug)]
+struct QueryFrame {
+    rewriting: Arc<Rewriting>,
+    schema: Schema,
+    /// Rendered walk algebra, one per walk (left empty under
+    /// [`Engine::Eager`], which renders its own while interpreting).
+    walk_exprs: Vec<String>,
+    /// Per walk, the physical column providing each π feature, in π order
+    /// (empty under [`Engine::Eager`], like `walk_exprs`).
+    columns: Vec<Vec<String>>,
+}
+
+impl QueryFrame {
+    /// Validates π and the shape's filters against the rewriting, and — for
+    /// the streaming engine — renders and aligns every walk.
+    fn compile(
+        ontology: &BdiOntology,
+        rewriting: Rewriting,
+        shape: &PlanShape,
+    ) -> Result<Self, ExecError> {
+        let features = &rewriting.well_formed.omq.pi;
+        let schema = target_schema(ontology, features)?;
+        resolve_filters(features, &shape.filters)?;
+        let mut walk_exprs = Vec::new();
+        let mut columns = Vec::new();
+        // The eager engine renders its own walk_exprs while interpreting the
+        // walks (`execute_eager`), so compiling them here would be wasted work.
+        if matches!(shape.engine, Engine::Streaming) {
+            walk_exprs.reserve(rewriting.walks.len());
+            columns.reserve(rewriting.walks.len());
+            for walk in &rewriting.walks {
+                walk_exprs.push(walk.to_rel_expr_full(ontology).to_string());
+                columns.push(walk_columns(ontology, walk, features)?);
+            }
+        }
+        Ok(Self {
+            rewriting: Arc::new(rewriting),
+            schema,
+            walk_exprs,
+            columns,
+        })
+    }
+}
+
+/// A query compiled once and executable many times, in two halves. An
+/// `Arc`'d frame holds what depends on the ontology alone: the
+/// rewriting, the target schema, the rendered walk algebra and the column
+/// alignment. The plans hold what also depends on the sources: for the
+/// streaming engine one physical plan per walk, with the pushed-vs-residual
+/// filter split their *capabilities* decide and the join order their
+/// statistics price. The system's cross-query plan cache keeps an entry
+/// across a data-side change and rebuilds only its plans over the same
+/// frame.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
-    /// The rewriting the plans were compiled from. Shared (`Arc`) so
-    /// cache-hit answers hand it out without deep-cloning the walks.
-    pub rewriting: std::sync::Arc<Rewriting>,
+    frame: Arc<QueryFrame>,
     shape: PlanShape,
-    schema: Schema,
-    walk_exprs: Vec<String>,
     /// One plan per walk (left empty under [`Engine::Eager`], which
     /// interprets the walks directly).
     plans: Vec<PhysicalPlan>,
@@ -874,11 +923,28 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
+    /// The rewriting the plans were compiled from. Shared (`Arc`) so
+    /// cache-hit answers hand it out without deep-cloning the walks.
+    pub fn rewriting(&self) -> &Arc<Rewriting> {
+        &self.frame.rewriting
+    }
+
     /// Planner notes, one per walk (empty under [`Engine::Eager`]).
     /// `actual_rows` is `None` here — execution clones the notes into
     /// [`QueryAnswer::plan_notes`] with the actuals filled in.
     pub(crate) fn plan_notes(&self) -> &[PlanNote] {
         &self.plan_notes
+    }
+
+    /// Recompiles the plans against `source`'s current capabilities and
+    /// statistics over this query's frame, which is shared, not rebuilt:
+    /// the rewriting stays the same `Arc`.
+    pub(crate) fn replan(
+        &self,
+        ontology: &BdiOntology,
+        source: &dyn PlanSource,
+    ) -> Result<CompiledQuery, ExecError> {
+        compile_plans(ontology, source, self.frame.clone(), self.shape.clone())
     }
 }
 
@@ -897,36 +963,38 @@ where
     S: SourceResolver + PlanSource,
 {
     let (shape, _) = options.split();
-    let features = &rewriting.well_formed.omq.pi;
-    let schema = target_schema(ontology, features)?;
-    resolve_filters(features, &shape.filters)?;
+    let frame = Arc::new(QueryFrame::compile(ontology, rewriting, &shape)?);
+    compile_plans(ontology, source, frame, shape)
+}
 
-    let mut walk_exprs = Vec::with_capacity(rewriting.walks.len());
-    let mut plans = Vec::with_capacity(rewriting.walks.len());
-    let mut plan_notes = Vec::with_capacity(rewriting.walks.len());
-    // The eager engine renders its own walk_exprs while interpreting the
-    // walks (`execute_eager`), so compiling them here would be wasted work.
-    if matches!(shape.engine, Engine::Streaming) {
-        // Join reordering is invisible exactly where the row-order contract
-        // already sorts the answer: multi-walk unions and filtered queries.
-        // A single unfiltered walk keeps its natural (syntactic) order.
-        let order_safe = rewriting.walks.len() > 1 || !shape.filters.is_empty();
-        for (walk_index, walk) in rewriting.walks.iter().enumerate() {
-            walk_exprs.push(walk.to_rel_expr_full(ontology).to_string());
-            let columns = walk_columns(ontology, walk, features)?;
-            let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-            let (joined, note) = compile_walk(
-                ontology, source, walk, walk_index, features, &shape, order_safe,
-            )?;
-            plans.push(joined.project_columns(&column_refs, schema.clone())?);
-            plan_notes.push(note);
-        }
+/// The data-side half of compilation: one physical plan per walk of
+/// `frame`, each topped by the projection aligning it to the target schema.
+fn compile_plans(
+    ontology: &BdiOntology,
+    source: &dyn PlanSource,
+    frame: Arc<QueryFrame>,
+    shape: PlanShape,
+) -> Result<CompiledQuery, ExecError> {
+    let walks = &frame.rewriting.walks;
+    let features = &frame.rewriting.well_formed.omq.pi;
+    let mut plans = Vec::with_capacity(frame.columns.len());
+    let mut plan_notes = Vec::with_capacity(frame.columns.len());
+    // Join reordering is invisible exactly where the row-order contract
+    // already sorts the answer: multi-walk unions and filtered queries.
+    // A single unfiltered walk keeps its natural (syntactic) order.
+    let order_safe = walks.len() > 1 || !shape.filters.is_empty();
+    // `columns` is empty under the eager engine, which compiles no plans.
+    for (walk_index, (walk, columns)) in walks.iter().zip(&frame.columns).enumerate() {
+        let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let (joined, note) = compile_walk(
+            ontology, source, walk, walk_index, features, &shape, order_safe,
+        )?;
+        plans.push(joined.project_columns(&column_refs, frame.schema.clone())?);
+        plan_notes.push(note);
     }
     Ok(CompiledQuery {
-        rewriting: std::sync::Arc::new(rewriting),
+        frame,
         shape,
-        schema,
-        walk_exprs,
         plans,
         plan_notes,
     })
@@ -970,7 +1038,7 @@ where
         Engine::Eager => execute_eager(
             ontology,
             source,
-            &compiled.rewriting,
+            &compiled.frame.rewriting,
             &compiled.shape.filters,
         ),
         Engine::Streaming => run_streaming(
@@ -1039,8 +1107,8 @@ where
     S: PlanSource,
 {
     let degrade = matches!(on_source_failure, SourceFailurePolicy::Degrade);
-    let schema = compiled.schema.clone();
-    let walk_exprs = compiled.walk_exprs.clone();
+    let schema = compiled.frame.schema.clone();
+    let walk_exprs = compiled.frame.walk_exprs.clone();
     let plans = &compiled.plans;
     let filtered = !compiled.shape.filters.is_empty();
     let src: &dyn PlanSource = source;

@@ -9,10 +9,11 @@
 //! request. The compiled-plan cache is one mutex over *(validity stamp, LRU
 //! map)*, held for one lookup or one insert and never across rewriting,
 //! compilation or execution; a compiled plan is an immutable `Arc` a reader
-//! keeps once it holds it, so the only thing that has to be atomic is
-//! installing stamp and map together — which one lock over both gives
-//! directly (the publish-a-consistent-version discipline of the NVRAM tree
-//! literature; see PAPERS.md). The same discipline holds the system's one
+//! keeps once it holds it, stamped with the validity it was compiled under,
+//! so the only thing that has to be atomic is installing stamp and map
+//! together — which one lock over both gives directly (the
+//! publish-a-consistent-version discipline of the NVRAM tree literature;
+//! see PAPERS.md). The same discipline holds the system's one
 //! persistent [`ExecContext`]: each query that reuses scans pins the current
 //! `Arc`, and a replacement swaps it in without touching queries in flight.
 
@@ -95,11 +96,19 @@ const PLAN_CACHE_ENTRIES: usize = 64;
 /// must recompile plans even though their answers would still be correct
 /// (only possibly slower).
 ///
-/// The tuple is stored whole beside the map it stamps ([`PlanCache`]) and
-/// compared whole under the map's lock — no digest of it is published
-/// anywhere. Any change flushes the plans and nothing else
-/// ([`ExecCache::revalidate`]). The persistent context's cached scans need
-/// no flush: each is keyed by its wrapper's name, columns, filters and live
+/// The stamps split along the same seam as a [`CompiledQuery`]. The first
+/// two are **ontology-side**: the rewriting, target schema, rendered walks
+/// and column alignment read the ontology and the release log alone
+/// (Algorithms 2–5 never see wrapper data). The last two are **data-side**:
+/// only the plans read them. The cache keeps its current tuple beside the
+/// map ([`PlanCache`]) and every entry keeps the tuple it was compiled
+/// under, all compared under the map's lock — no digest of either is
+/// published anywhere. An ontology-side change flushes the plans and
+/// nothing else; a data-side-only change keeps the entries, and each is
+/// re-planned over its own rewriting when next asked for
+/// ([`ExecCache::revalidate`], [`ExecCache::lookup`]). The persistent
+/// context's cached scans need no flush: each is keyed by its wrapper's
+/// name, columns, filters and live
 /// [`data_version`](bdi_wrappers::Wrapper::data_version) at scan time. A
 /// release adds a wrapper under a name never registered before (Algorithm 1
 /// refuses a registered one), and an ontology edit or capability change
@@ -117,14 +126,21 @@ const PLAN_CACHE_ENTRIES: usize = 64;
 /// [`ExecCache::invalidate`] and cannot race a `&self` query; ontology
 /// writes, capability flips and wrapper-data mutations go through shared
 /// handles and *can*. What the one lock guarantees then: stamp and map
-/// only ever change together, so a plan is found only under the validity
-/// its compiler read before compiling, and a plan whose validity moved
-/// while it compiled is dropped at insert. A request that read its validity
-/// just before such a write may still run the pre-write plan — the two
-/// were concurrent — and the next request flushes it; a stats-epoch race
-/// is performance-only either way, answers staying correct through the
-/// `data_version` keying one level down.
+/// only ever change together, so a plan is served as a hit only under the
+/// validity its compiler read before compiling, a rewriting is reused only
+/// under the ontology-side stamps it was compiled under, and a plan whose
+/// validity moved while it compiled is dropped at insert. A request that
+/// read its validity just before such a write may still run the pre-write
+/// plan — the two were concurrent — and the next request replaces it; a
+/// stats-epoch race is performance-only either way, answers staying
+/// correct through the `data_version` keying one level down.
 type CacheValidity = (usize, u64, u64, u64);
+
+/// The ontology-side stamps of a validity — release seq and ontology
+/// mutations — which a rewriting depends on.
+fn ontology_side(validity: &CacheValidity) -> (usize, u64) {
+    (validity.0, validity.1)
+}
 
 /// Default watermark on the persistent context's interned-value pool; past
 /// it the context is replaced after the query that crossed it (see
@@ -138,12 +154,32 @@ type PlanKey = (Omq, VersionScope, PlanShape);
 const POISONED: &str = "plan cache poisoned";
 
 /// The compiled-plan map and the validity it reflects, under one lock
-/// ([`ExecCache::plans`]) so the two can only change together.
+/// ([`ExecCache::plans`]) so the two can only change together. Every entry
+/// shares the map's ontology-side stamps; its data-side ones may lag.
 struct PlanCache {
     validity: CacheValidity,
     /// LRU clock: bumped by every lookup and insert.
     tick: u64,
-    plans: HashMap<PlanKey, (Arc<CompiledQuery>, u64)>,
+    plans: HashMap<PlanKey, CacheEntry>,
+}
+
+/// One cached compiled query, the validity it was compiled under, and the
+/// LRU tick of its last use.
+struct CacheEntry {
+    compiled: Arc<CompiledQuery>,
+    validity: CacheValidity,
+    last_used: u64,
+}
+
+/// What a plan-cache lookup found.
+enum Cached {
+    /// An entry compiled under the current validity: execute it.
+    Hit(Arc<CompiledQuery>),
+    /// An entry compiled under the current ontology-side stamps only: its
+    /// rewriting still holds, its plans must be rebuilt
+    /// ([`CompiledQuery::replan`]).
+    Stale(Arc<CompiledQuery>),
+    Miss,
 }
 
 /// The system's one persistent execution context, and the lifetime counters
@@ -197,7 +233,11 @@ impl SharedContext {
 /// taken under the other.
 struct ExecCache {
     hits: AtomicU64,
+    /// Lookups that found no entry compiled under the current validity —
+    /// stale entries included.
     misses: AtomicU64,
+    /// The misses that found a stale entry and reused its rewriting.
+    rewrite_hits: AtomicU64,
     /// Fresh compiles by planning kind (cache hits don't recount).
     cost_based_plans: AtomicU64,
     syntactic_plans: AtomicU64,
@@ -210,6 +250,7 @@ impl Default for ExecCache {
         Self {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            rewrite_hits: AtomicU64::new(0),
             cost_based_plans: AtomicU64::new(0),
             syntactic_plans: AtomicU64::new(0),
             plans: Mutex::new(PlanCache {
@@ -229,21 +270,23 @@ impl std::fmt::Debug for ExecCache {
             .field("entries", &self.entries())
             .field("hits", &self.hits.load(Ordering::Relaxed))
             .field("misses", &self.misses.load(Ordering::Relaxed))
+            .field("rewrite_hits", &self.rewrite_hits.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl ExecCache {
-    /// Locks the plan cache and brings it up to `validity`, flushing the
-    /// plans on any change. Every lookup does this. Cost-based join orders
-    /// compiled from old sketches may no longer be the cheapest after a
-    /// data mutation, so a stats-epoch change flushes too.
+    /// Locks the plan cache and brings it up to `validity`. Every lookup
+    /// does this. An ontology-side change flushes the plans: their
+    /// rewritings may no longer hold. A data-side-only change keeps them:
+    /// each entry still carries the validity it was compiled under, so
+    /// [`ExecCache::lookup`] finds it stale rather than a hit.
     fn revalidate(&self, validity: CacheValidity) -> MutexGuard<'_, PlanCache> {
         let mut cache = self.plans.lock().expect(POISONED);
-        if cache.validity != validity {
-            cache.validity = validity;
+        if ontology_side(&cache.validity) != ontology_side(&validity) {
             cache.plans.clear();
         }
+        cache.validity = validity;
         cache
     }
 
@@ -257,34 +300,44 @@ impl ExecCache {
         cache.plans.clear();
     }
 
-    /// The compiled query cached for `key` under `validity`, if any
-    /// (revalidating first, so a plan is never found under a validity other
-    /// than the one its compiler read).
-    fn lookup(&self, validity: CacheValidity, key: &PlanKey) -> Option<Arc<CompiledQuery>> {
-        let hit = {
+    /// What the cache holds for `key` under `validity` (revalidating first,
+    /// so a plan is a hit only under the validity its compiler read). A
+    /// stale entry counts as a miss and as a rewrite hit.
+    fn lookup(&self, validity: CacheValidity, key: &PlanKey) -> Cached {
+        let found = {
             let mut cache = self.revalidate(validity);
             cache.tick += 1;
             let tick = cache.tick;
-            cache.plans.get_mut(key).map(|(compiled, last_used)| {
-                *last_used = tick;
-                compiled.clone()
-            })
+            match cache.plans.get_mut(key) {
+                Some(entry) if entry.validity == validity => {
+                    entry.last_used = tick;
+                    Cached::Hit(entry.compiled.clone())
+                }
+                // `revalidate` left only entries under the current
+                // ontology-side stamps: this one's rewriting holds.
+                Some(entry) => Cached::Stale(entry.compiled.clone()),
+                None => Cached::Miss,
+            }
         };
-        let counter = if hit.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        hit
+        match found {
+            Cached::Hit(_) => &self.hits,
+            Cached::Stale(_) => {
+                self.rewrite_hits.fetch_add(1, Ordering::Relaxed);
+                &self.misses
+            }
+            Cached::Miss => &self.misses,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Inserts a freshly compiled query, evicting the least-recently-hit
-    /// entry at capacity. Racing compilers of the same key both insert; the
-    /// loser's entry simply replaces an identical one. `validity` is what
-    /// the compiler's [`ExecCache::lookup`] ran under: if the cache has
-    /// moved on since, the plan was compiled against a superseded system
-    /// state and is dropped instead.
+    /// entry at capacity; a re-planned stale entry is replaced in place.
+    /// Racing compilers of the same key both insert; the loser's entry
+    /// simply replaces an identical one. `validity` is what the compiler's
+    /// [`ExecCache::lookup`] ran under: if the cache has moved on since, the
+    /// plan was compiled against a superseded system state and is dropped
+    /// instead.
     fn insert(&self, validity: CacheValidity, key: PlanKey, compiled: Arc<CompiledQuery>) {
         let mut cache = self.plans.lock().expect(POISONED);
         if cache.validity != validity {
@@ -294,7 +347,7 @@ impl ExecCache {
             if let Some(oldest) = cache
                 .plans
                 .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
+                .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(k, _)| k.clone())
             {
                 cache.plans.remove(&oldest);
@@ -302,7 +355,14 @@ impl ExecCache {
         }
         cache.tick += 1;
         let tick = cache.tick;
-        cache.plans.insert(key, (compiled, tick));
+        cache.plans.insert(
+            key,
+            CacheEntry {
+                compiled,
+                validity,
+                last_used: tick,
+            },
+        );
     }
 
     fn entries(&self) -> usize {
@@ -353,8 +413,14 @@ impl ExecCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanCacheStats {
     pub entries: usize,
+    /// Lookups served a plan compiled under the current validity.
     pub hits: u64,
+    /// Lookups that had to compile, stale entries included.
     pub misses: u64,
+    /// The misses that found an entry compiled under the current
+    /// ontology-side stamps, and re-planned it over its rewriting instead of
+    /// rewriting again.
+    pub rewrite_hits: u64,
 }
 
 /// Planner observability (see [`BdiSystem::planner_stats`]): how walks were
@@ -600,13 +666,15 @@ impl BdiSystem {
         self.cache.invalidate(self.cache_validity());
     }
 
-    /// Plan-cache counters (entries reflect the current validity window;
-    /// hits/misses accumulate over the system's lifetime).
+    /// Plan-cache counters (entries reflect the current ontology-side
+    /// validity window; hits, misses and rewrite hits accumulate over the
+    /// system's lifetime).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             entries: self.cache.entries(),
             hits: self.cache.hits.load(Ordering::Relaxed),
             misses: self.cache.misses.load(Ordering::Relaxed),
+            rewrite_hits: self.cache.rewrite_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -681,10 +749,12 @@ impl BdiSystem {
     /// Repeated queries skip the rewriting-to-plan pipeline entirely: the
     /// compiled form is cached under `(OMQ, scope, `[`PlanShape`]`)` and
     /// stays valid until the next [`BdiSystem::register_release`] (or other
-    /// visible metadata change). With [`ExecOptions::reuse_scans`] the
-    /// query also pins the system's persistent [`ExecContext`], which
-    /// carries interned wrapper scans and join build sides across queries
-    /// and is shared by the queries running at the same time.
+    /// visible metadata change). After a wrapper-data or capability change
+    /// the entry's rewriting is reused and only its plans are rebuilt. With
+    /// [`ExecOptions::reuse_scans`] the query also pins the system's
+    /// persistent [`ExecContext`], which carries interned wrapper scans and
+    /// join build sides across queries and is shared by the queries running
+    /// at the same time.
     pub fn serve(&self, request: AnswerRequest) -> Result<Answer, SystemError> {
         let AnswerRequest {
             query,
@@ -702,30 +772,18 @@ impl BdiSystem {
         };
         let validity = self.cache_validity();
         let key = (omq, scope, shape);
-        let cached = options
-            .cache_plans
-            .then(|| self.cache.lookup(validity, &key))
-            .flatten();
+        let cached = if options.cache_plans {
+            self.cache.lookup(validity, &key)
+        } else {
+            Cached::Miss
+        };
         let compiled = match cached {
-            Some(compiled) => compiled,
-            None => {
-                let (omq, scope, _) = &key;
-                let admitted = match scope {
-                    VersionScope::All => None,
-                    scope => Some(
-                        self.wrappers_in_scope(scope)
-                            .iter()
-                            .map(|name| vocab::wrapper_uri(name))
-                            .collect(),
-                    ),
-                };
-                let rewriting = rewrite::rewrite(&self.ontology, omq.clone(), admitted.as_ref())?;
-                let compiled = Arc::new(exec::compile_query(
-                    &self.ontology,
-                    &self.registry,
-                    rewriting,
-                    &options,
-                )?);
+            Cached::Hit(compiled) => compiled,
+            cached => {
+                let compiled = Arc::new(match cached {
+                    Cached::Stale(stale) => stale.replan(&self.ontology, &self.registry)?,
+                    _ => self.compile(&key, &options)?,
+                });
                 self.cache.record_compile(compiled.plan_notes());
                 if options.cache_plans {
                     self.cache.insert(validity, key, compiled.clone());
@@ -755,12 +813,37 @@ impl BdiSystem {
         } = result?;
         Ok(Answer {
             relation,
-            rewriting: compiled.rewriting.clone(),
+            rewriting: compiled.rewriting().clone(),
             walk_exprs,
             source_failures,
             plan_notes,
             truncated,
         })
+    }
+
+    /// Rewrites `(omq, scope)` over the wrappers the scope admits and
+    /// compiles it under `options`' plan shape.
+    fn compile(
+        &self,
+        (omq, scope, _): &PlanKey,
+        options: &ExecOptions,
+    ) -> Result<CompiledQuery, SystemError> {
+        let admitted = match scope {
+            VersionScope::All => None,
+            scope => Some(
+                self.wrappers_in_scope(scope)
+                    .iter()
+                    .map(|name| vocab::wrapper_uri(name))
+                    .collect(),
+            ),
+        };
+        let rewriting = rewrite::rewrite(&self.ontology, omq.clone(), admitted.as_ref())?;
+        Ok(exec::compile_query(
+            &self.ontology,
+            &self.registry,
+            rewriting,
+            options,
+        )?)
     }
 
     /// Planner observability: walks compiled cost-based vs. syntactically
@@ -804,7 +887,7 @@ mod tests {
         let options = ExecOptions::default();
         let key = (omq.clone(), VersionScope::All, options.split().0);
         let read = system.cache_validity();
-        assert!(system.cache.lookup(read, &key).is_none());
+        assert!(matches!(system.cache.lookup(read, &key), Cached::Miss));
         let rewriting = system.rewrite(omq).unwrap();
         let compiled = Arc::new(
             exec::compile_query(system.ontology(), system.registry(), rewriting, &options).unwrap(),
@@ -817,5 +900,42 @@ mod tests {
         assert_eq!(system.plan_cache_stats().entries, 0);
         system.cache.insert(moved, key, compiled);
         assert_eq!(system.plan_cache_stats().entries, 1);
+    }
+
+    /// A data-side move keeps an entry but never serves it as a hit: each
+    /// lookup finds it stale until a re-planned entry replaces it, and an
+    /// ontology-side move drops it.
+    #[test]
+    fn a_data_side_move_leaves_the_entry_stale_never_a_hit() {
+        let system = supersede::build_running_example();
+        let omq = supersede::exemplary_omq();
+        let options = ExecOptions::default();
+        let key = (omq.clone(), VersionScope::All, options.split().0);
+        let read = system.cache_validity();
+        assert!(matches!(system.cache.lookup(read, &key), Cached::Miss));
+        let rewriting = system.rewrite(omq).unwrap();
+        let compiled = Arc::new(
+            exec::compile_query(system.ontology(), system.registry(), rewriting, &options).unwrap(),
+        );
+        system.cache.insert(read, key.clone(), compiled);
+        assert!(matches!(system.cache.lookup(read, &key), Cached::Hit(_)));
+
+        let capability_moved = (read.0, read.1, read.2.wrapping_add(1), read.3);
+        for _ in 0..2 {
+            assert!(matches!(
+                system.cache.lookup(capability_moved, &key),
+                Cached::Stale(_)
+            ));
+        }
+        let ontology_moved = (read.0, read.1 + 1, read.2, read.3);
+        assert!(matches!(
+            system.cache.lookup(ontology_moved, &key),
+            Cached::Miss
+        ));
+        let stats = system.plan_cache_stats();
+        assert_eq!(
+            (stats.entries, stats.hits, stats.misses, stats.rewrite_hits),
+            (0, 1, 4, 2)
+        );
     }
 }

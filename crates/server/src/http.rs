@@ -1,6 +1,7 @@
 //! The HTTP/1.1 wire layer: just enough of RFC 7230 for a JSON API —
-//! request-line + headers + `Content-Length` bodies, keep-alive, and a
-//! blocking [`client`] the integration tests and the CI smoke job use.
+//! request-line + headers + `Content-Length` bodies, keep-alive with
+//! pipelining, and a blocking [`client`] the integration tests and the CI
+//! smoke job use.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -21,17 +22,34 @@ pub(crate) struct Request {
     pub keep_alive: bool,
 }
 
-/// Reads one request off the stream. `Ok(None)` means the connection
-/// closed cleanly before a request started, or shutdown was requested —
-/// either way the caller should drop the connection. The stream must have
-/// a read timeout set; timeouts are used to poll `stop`.
+/// What [`read_request`] found on a connection.
+#[derive(Debug)]
+pub(crate) enum Incoming {
+    Request(Request),
+    /// A request whose body cannot be delimited safely: answer `status`
+    /// with `error` and close, since where the next request would start is
+    /// unknown.
+    Refused {
+        status: u16,
+        error: &'static str,
+    },
+    /// The connection closed cleanly before a request started, or shutdown
+    /// was requested: drop it.
+    Closed,
+}
+
+/// Reads one request off the stream. `buf` is the connection's read
+/// buffer, carried from one call to the next: bytes read past the end of
+/// this request — a pipelining client's next request — stay in it for the
+/// next call. The stream must have a read timeout set; timeouts are used
+/// to poll `stop`.
 pub(crate) fn read_request(
     stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
     stop: &AtomicBool,
-) -> io::Result<Option<Request>> {
-    let mut buf: Vec<u8> = Vec::new();
+) -> io::Result<Incoming> {
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head_end(buf) {
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
@@ -40,32 +58,25 @@ pub(crate) fn read_request(
                 "request head too large",
             ));
         }
-        match read_some(stream, &mut buf, stop)? {
+        match read_some(stream, buf, stop)? {
             ReadStep::Data => {}
-            ReadStep::Eof if buf.is_empty() => return Ok(None),
+            ReadStep::Eof if buf.is_empty() => return Ok(Incoming::Closed),
             ReadStep::Eof => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-request",
                 ))
             }
-            ReadStep::Stopped => return Ok(None),
+            ReadStep::Stopped => return Ok(Incoming::Closed),
         }
     };
 
-    // `find_head_end` located `\r\n\r\n` inside `buf`, so both ranges are
-    // in bounds; checked access keeps the serving path panic-free anyway.
-    let (head_bytes, body_start) = match (buf.get(..head_end), buf.get(head_end + 4..)) {
-        (Some(head), Some(body)) => (head, body),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "malformed request head",
-            ))
-        }
-    };
-    let head = std::str::from_utf8(head_bytes)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 request head"))?;
+    // `find_head_end` located `\r\n\r\n` inside `buf`, so the range is in
+    // bounds; checked access keeps the serving path panic-free anyway.
+    let head = buf
+        .get(..head_end)
+        .and_then(|head| std::str::from_utf8(head).ok())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 request head"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
@@ -78,7 +89,8 @@ pub(crate) fn read_request(
         ));
     }
 
-    let mut content_length = 0usize;
+    let refuse = |status, error| Ok(Incoming::Refused { status, error });
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = true;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
@@ -86,13 +98,25 @@ pub(crate) fn read_request(
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length"))?;
+            // Two lengths that disagree leave the body's end — and so the
+            // next request's start — to whoever reads them: refused, as
+            // RFC 7230 §3.3.3 asks, instead of letting the last one win.
+            match (value.parse(), content_length) {
+                (Err(_), _) => return refuse(400, "bad Content-Length"),
+                (Ok(length), Some(earlier)) if length != earlier => {
+                    return refuse(400, "conflicting Content-Length headers")
+                }
+                (Ok(length), _) => content_length = Some(length),
+            }
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            // No transfer coding is decoded here; reading a chunked body
+            // as length 0 would serve its chunks as the next request.
+            return refuse(501, "Transfer-Encoding is not supported");
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -100,9 +124,10 @@ pub(crate) fn read_request(
         ));
     }
 
-    let mut body: Vec<u8> = body_start.to_vec();
-    while body.len() < content_length {
-        match read_some(stream, &mut body, stop)? {
+    let body_start = head_end + 4;
+    let request_end = body_start + content_length;
+    while buf.len() < request_end {
+        match read_some(stream, buf, stop)? {
             ReadStep::Data => {}
             ReadStep::Eof => {
                 return Err(io::Error::new(
@@ -110,12 +135,16 @@ pub(crate) fn read_request(
                     "connection closed mid-body",
                 ))
             }
-            ReadStep::Stopped => return Ok(None),
+            ReadStep::Stopped => return Ok(Incoming::Closed),
         }
     }
-    body.truncate(content_length);
+    let body = buf
+        .get(body_start..request_end)
+        .unwrap_or_default()
+        .to_vec();
+    buf.drain(..request_end);
 
-    Ok(Some(Request {
+    Ok(Incoming::Request(Request {
         method,
         path,
         body,
@@ -167,6 +196,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         504 => "Gateway Timeout",
         _ => "Unknown",
     }

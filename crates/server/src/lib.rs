@@ -22,14 +22,18 @@
 //!   `"scope"`, `"deadline_ms"`, `"max_rows"`, `"on_source_failure"`.
 //!   Answers `{"columns", "rows", "row_count", "truncated", "walks",
 //!   "plan_notes", "source_failures"}`.
-//! * `GET /stats` — plan-cache, context-pool, planner and retry counters
-//!   (plus a `durability` section when serving a durable backend).
+//! * `GET /stats` — plan-cache (`entries`, `hits`, `misses`, and
+//!   `rewrite_hits`: the misses that re-planned over a cached rewriting),
+//!   context-pool, planner and retry counters (plus a `durability` section
+//!   when serving a durable backend).
 //! * `POST /checkpoint` — snapshots a durable backend's deployment image
 //!   and truncates its WAL; 404 on a volatile backend.
 //!
 //! Status mapping: 400 for malformed bodies and ill-posed queries, 404/405
 //! for unknown routes, 504 when a per-request deadline expires, 500 for
-//! internal execution errors.
+//! internal execution errors. A request whose body cannot be delimited —
+//! conflicting `Content-Length` headers (400) or any `Transfer-Encoding`
+//! (501) — is answered and its connection closed.
 
 use bdi_core::durable::DurableSystem;
 use bdi_core::system::BdiSystem;
@@ -227,7 +231,7 @@ fn accept_loop(
 }
 
 /// One connection: keep-alive request loop until the client closes, an
-/// error occurs, or shutdown is requested.
+/// error occurs, a request is refused, or shutdown is requested.
 fn serve_connection(
     mut stream: TcpStream,
     backend: &Backend,
@@ -236,15 +240,25 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL))?;
     stream.set_nodelay(true)?;
-    while let Some(request) = http::read_request(&mut stream, stop)? {
+    // One read buffer for the connection's life: a pipelining client's next
+    // request may already sit behind the one being answered.
+    let mut buf = Vec::new();
+    loop {
+        let request = match http::read_request(&mut stream, &mut buf, stop)? {
+            http::Incoming::Request(request) => request,
+            http::Incoming::Refused { status, error } => {
+                let body = serde_json::json!({ "error": error }).to_string();
+                return http::write_response(&mut stream, status, &body, false);
+            }
+            http::Incoming::Closed => return Ok(()),
+        };
         let (status, body) = route(backend, config, &request);
         let keep_alive = request.keep_alive && !stop.load(Ordering::Acquire);
         http::write_response(&mut stream, status, &body, keep_alive)?;
         if !keep_alive {
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Dispatches one parsed request to its op.

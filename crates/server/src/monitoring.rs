@@ -31,6 +31,7 @@ pub(crate) fn stats(backend: &Backend) -> String {
             "entries": (plan_cache.entries),
             "hits": (plan_cache.hits),
             "misses": (plan_cache.misses),
+            "rewrite_hits": (plan_cache.rewrite_hits),
         },
         "contexts": {
             "pooled_values": (contexts.pooled_values),

@@ -70,6 +70,10 @@ fn stats_scrape_reports_all_surfaces() {
     let (status, stats) = client::get_stats(&addr).expect("stats");
     assert_eq!(status, 200);
     assert!(stats["plan_cache"]["misses"].as_u64().expect("misses") >= 1);
+    assert!(
+        stats["plan_cache"]["rewrite_hits"].as_u64().is_some(),
+        "{stats}"
+    );
     for surface in ["plan_cache", "contexts", "planner", "retries"] {
         assert!(stats[surface].is_object(), "missing {surface}: {stats}");
     }
@@ -127,6 +131,91 @@ fn keep_alive_responses_are_not_stalled() {
         median < Duration::from_millis(10),
         "keep-alive median round trip {median:?} (all: {round_trips:?})"
     );
+}
+
+/// Writes `raw` to a fresh connection in one write and reads until the
+/// server closes it. A server that stops answering leaves the read to time
+/// out, which fails the calling test instead of hanging it.
+fn exchange(addr: &str, raw: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .expect("read timeout");
+    stream.write_all(raw).expect("request");
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("the server answers and closes");
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// Statuses of the responses in a raw reply, in order.
+fn statuses(reply: &str) -> Vec<&str> {
+    reply
+        .match_indices("HTTP/1.1 ")
+        .map(|(at, prefix)| &reply[at + prefix.len()..at + prefix.len() + 3])
+        .collect()
+}
+
+/// Requests pipelined in one write are each answered, in order: the bytes
+/// read past the first request are the start of the second.
+#[test]
+fn pipelined_requests_on_one_connection_are_all_answered() {
+    let (_server, addr) = started();
+    let reply = exchange(
+        &addr,
+        b"GET /stats HTTP/1.1\r\nHost: pipe\r\n\r\n\
+          GET /stats HTTP/1.1\r\nHost: pipe\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(statuses(&reply), ["200", "200"], "reply: {reply}");
+
+    // A body is cut at its Content-Length; what follows is the next request.
+    let query = json!({"sparql": (supersede::exemplary_query())}).to_string();
+    let raw = format!(
+        "POST /query HTTP/1.1\r\nHost: pipe\r\nContent-Length: {}\r\n\r\n{query}\
+         GET /stats HTTP/1.1\r\nHost: pipe\r\nConnection: close\r\n\r\n",
+        query.len()
+    );
+    let reply = exchange(&addr, raw.as_bytes());
+    assert_eq!(statuses(&reply), ["200", "200"], "reply: {reply}");
+}
+
+/// Two `Content-Length`s that disagree leave the next request's start
+/// ambiguous: the request is refused and the connection closed, so nothing
+/// behind it is served. Agreeing duplicates are one length.
+#[test]
+fn conflicting_content_lengths_are_refused_and_closed() {
+    let (_server, addr) = started();
+    let reply = exchange(
+        &addr,
+        b"POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\n{}\
+          GET /stats HTTP/1.1\r\n\r\n",
+    );
+    assert_eq!(statuses(&reply), ["400"], "reply: {reply}");
+    assert!(reply.contains("Connection: close"), "reply: {reply}");
+
+    let reply = exchange(
+        &addr,
+        b"POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\nConnection: close\r\n\r\n{}",
+    );
+    // Parsed as one body, `{}`: a well-delimited request without a query.
+    assert_eq!(statuses(&reply), ["400"], "reply: {reply}");
+    assert!(reply.contains("needs a"), "reply: {reply}");
+}
+
+/// No transfer coding is decoded, so a chunked body is refused rather than
+/// read as empty with its chunks served as the next request.
+#[test]
+fn transfer_encoding_is_refused_and_closed() {
+    let (_server, addr) = started();
+    let reply = exchange(
+        &addr,
+        b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+          2\r\n{}\r\n0\r\n\r\n",
+    );
+    assert_eq!(statuses(&reply), ["501"], "reply: {reply}");
+    assert!(reply.contains("Connection: close"), "reply: {reply}");
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! The cross-query plan cache: repeated analyst queries skip the
 //! rewriting-to-plan pipeline (hits), `register_release` invalidates the
-//! cached plans but keeps the persistent scan context, and answers are
-//! identical cached or not — with and without `reuse_scans`.
+//! cached plans but keeps the persistent scan context, a data or capability
+//! change re-plans over the cached rewriting, and answers are identical
+//! cached or not — with and without `reuse_scans`.
 
 use bdi::core::exec::{Engine, ExecError, ExecOptions, FeatureFilter, SourceFailurePolicy};
 use bdi::core::system::{AnswerRequest, SystemError, VersionScope};
 use bdi::relational::{PlanError, Predicate, Value};
 use bdi_bench::synthetic;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn rows(n: usize, with_next: bool) -> Vec<Vec<Value>> {
@@ -116,6 +118,8 @@ fn register_release_invalidates_plans_and_scans() {
         .unwrap();
     assert_eq!(after.rewriting.walks.len(), 3);
     assert!(after.relation.len() >= before.relation.len());
+    assert!(!Arc::ptr_eq(&before.rewriting, &after.rewriting));
+    assert_eq!(sys.plan_cache_stats().rewrite_hits, 0);
 }
 
 /// Algorithm 1 leaves every registered wrapper alone, and so does the
@@ -152,7 +156,8 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     assert_eq!(scans_before, 2); // one interned scan per wrapper
 
     // A wrapper push moves the registry's stats epoch: cached plans were
-    // priced against the old sketches, so the next answer must recompile…
+    // priced against the old sketches, so the next answer must re-plan —
+    // a miss, never a hit — over the rewriting the entry already holds.
     wrapper
         .push(vec![Value::Int(99), Value::Float(9.9)])
         .unwrap();
@@ -161,9 +166,11 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
         .unwrap();
     let stats = sys.plan_cache_stats();
     assert_eq!(stats.misses, baseline.misses + 1);
+    assert_eq!(stats.rewrite_hits, baseline.rewrite_hits + 1);
     assert_eq!(stats.hits, baseline.hits);
     assert_eq!(stats.entries, 1);
     assert_eq!(after.relation.len(), before.relation.len() + 1);
+    assert!(Arc::ptr_eq(&before.rewriting, &after.rewriting));
 
     // …but the persistent scan context survives: the untouched sibling's
     // interned scan is still resident, and the mutated wrapper's was
@@ -174,10 +181,13 @@ fn wrapper_pushes_flush_plans_but_keep_the_scan_context() {
     assert_eq!((contexts.resumed_scans, contexts.resumed_rows), (1, 1));
     assert_eq!(contexts.full_scans, 2);
 
-    // Repeats without further mutation hit the recompiled plan again.
+    // Repeats without further mutation hit the re-planned entry, which
+    // replaced the stale one.
     sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
-    assert_eq!(sys.plan_cache_stats().hits, baseline.hits + 1);
+    let repeat = sys.plan_cache_stats();
+    assert_eq!(repeat.hits, baseline.hits + 1);
+    assert_eq!(repeat.rewrite_hits, stats.rewrite_hits);
 }
 
 #[test]
@@ -187,7 +197,8 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     let options = ExecOptions::default();
     sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
-    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
+    let before = sys
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
     assert_eq!(sys.plan_cache_stats().hits, 1);
 
@@ -206,9 +217,110 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     assert_eq!(sys.ontology().store().len(), len_before);
 
     let misses_before = sys.plan_cache_stats().misses;
-    sys.serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
+    let after = sys
+        .serve(AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone()))
         .unwrap();
-    assert_eq!(sys.plan_cache_stats().misses, misses_before + 1); // recompiled
+    let stats = sys.plan_cache_stats();
+    assert_eq!(stats.misses, misses_before + 1); // recompiled…
+    assert_eq!(stats.rewrite_hits, 0); // …from a fresh rewriting
+    assert!(!Arc::ptr_eq(&before.rewriting, &after.rewriting));
+}
+
+/// A capability flip moves only data-side stamps: the next answer keeps the
+/// cached rewriting, and its re-planned scan carries the filter the wrapper
+/// now claims where the old plan kept it as a mediator-side residue.
+#[test]
+fn a_capability_flip_keeps_the_rewriting_and_moves_the_pushdown() {
+    use bdi::relational::plan::{ColumnFilter, ScanMark, ScanRequest};
+    use bdi::relational::{Relation, Schema};
+    use bdi::wrappers::wrapper::RowBatches;
+    use bdi::wrappers::{TableWrapper, Wrapper, WrapperError};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    /// Claims filters only while `claiming`; records how many filters the
+    /// last scan request carried.
+    struct Flipping {
+        inner: TableWrapper,
+        claiming: AtomicBool,
+        pushed: AtomicUsize,
+    }
+
+    impl Wrapper for Flipping {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn source(&self) -> &str {
+            self.inner.source()
+        }
+
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn scan(&self) -> Result<Relation, WrapperError> {
+            self.inner.scan()
+        }
+
+        fn scan_batches<'a>(
+            &'a self,
+            request: &ScanRequest,
+            batch_rows: usize,
+        ) -> Result<(RowBatches<'a>, Option<ScanMark>), WrapperError> {
+            self.pushed.store(request.filters().len(), Ordering::SeqCst);
+            self.inner.scan_batches(request, batch_rows)
+        }
+
+        fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
+            self.claiming.load(Ordering::SeqCst)
+        }
+    }
+
+    let mut sys = system(1, 1);
+    let flipping = Arc::new(Flipping {
+        inner: TableWrapper::new(
+            "w_flip",
+            "D_flip",
+            Schema::from_parts(&["id1"], &["f1"]).unwrap(),
+            rows(20, false),
+        )
+        .unwrap(),
+        claiming: AtomicBool::new(false),
+        pushed: AtomicUsize::new(usize::MAX),
+    });
+    synthetic::register_extra_chain_wrapper_of(&mut sys, 1, flipping.clone());
+    let options = ExecOptions {
+        filters: vec![FeatureFilter::new(
+            synthetic::chain_data_feature(1),
+            Predicate::between(0.0, 0.5),
+        )],
+        // Every answer scans, so each plan's scan request reaches the wrapper.
+        reuse_scans: false,
+        ..ExecOptions::default()
+    };
+    let request = || AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone());
+
+    let before = sys.serve(request()).unwrap();
+    assert_eq!(
+        flipping.pushed.load(Ordering::SeqCst),
+        0,
+        "kept as a residue"
+    );
+    let baseline = sys.plan_cache_stats();
+
+    flipping.claiming.store(true, Ordering::SeqCst);
+    let after = sys.serve(request()).unwrap();
+    assert_eq!(
+        flipping.pushed.load(Ordering::SeqCst),
+        1,
+        "pushed to the scan"
+    );
+    assert_eq!(after.relation.rows(), before.relation.rows());
+    assert!(Arc::ptr_eq(&before.rewriting, &after.rewriting));
+    let stats = sys.plan_cache_stats();
+    assert_eq!(stats.rewrite_hits, baseline.rewrite_hits + 1);
+    assert_eq!(stats.misses, baseline.misses + 1);
+    assert_eq!(stats.hits, baseline.hits);
 }
 
 /// The key contract, field by field: a request differing from the default
