@@ -32,6 +32,22 @@
 //! divergent, so it *poisons* the handle: every further mutation fails
 //! with [`DurableError::Poisoned`] until the directory is reopened (which
 //! recovers from what actually reached the disk). Reads keep working.
+//!
+//! # One codec
+//!
+//! Quads reach the log as TriG through [`bdi_rdf::trig`]'s one writer and
+//! reader, as the image's ontology does, so the image holds every quad
+//! the log accepted. Documents and rows go as the JSON `WrapperSpec` uses.
+
+// Recovery reads bytes from disk: a bad byte is an `Err`, never a panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::release::{Release, ReleaseStats};
 use crate::snapshot::{SnapshotError, SystemSnapshot};
@@ -39,7 +55,9 @@ use crate::system::{Answer, AnswerRequest, BdiSystem, SystemError};
 use bdi_docstore::{DocStore, StoreError};
 use bdi_durability::{Snapshotter, StdVfs, Vfs, Wal, WalStats};
 pub use bdi_durability::{SNAPSHOT_FILE, WAL_FILE};
-use bdi_rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
+use bdi_rdf::model::{GraphName, Iri, Quad, Term};
+use bdi_rdf::trig::{parse_trig, write_trig};
+use bdi_rdf::turtle::PrefixMap;
 use bdi_wrappers::spec::{json_to_value, row_to_json};
 use bdi_wrappers::{Wrapper, WrapperError};
 use serde::{Deserialize, Serialize};
@@ -76,8 +94,9 @@ pub enum DurableError {
     /// A release registration failure (surfaced before checkpointing).
     #[error("system error: {0}")]
     System(#[from] SystemError),
-    /// A WAL record that decoded to nonsense — disk corruption beyond
-    /// what the CRC framing already amputates.
+    /// A WAL record (or, at seq 0, the snapshot image) that decoded to
+    /// nonsense — disk corruption beyond what the CRC framing already
+    /// amputates.
     #[error("corrupt log record at seq {seq}: {reason}")]
     Corrupt {
         /// The corrupt record's sequence number.
@@ -92,13 +111,25 @@ pub enum DurableError {
     /// (or has as a non-table kind).
     #[error("unknown table wrapper: {0}")]
     UnknownWrapper(String),
+    /// The snapshot image declares a format (`found`) other than the one
+    /// this build writes and reads (`expected`, [`IMAGE_FORMAT`]).
+    #[error("snapshot image format {found} is not supported; this build reads format {expected}")]
+    UnsupportedFormat { found: u32, expected: u32 },
+    /// A quad with a literal subject: the model can build one, RDF data
+    /// cannot hold it, so it is refused before journaling.
+    #[error("a literal cannot be a quad's subject: {0}")]
+    LiteralSubject(String),
 }
+
+/// The image format [`DurableSystem::checkpoint`] writes and
+/// [`DurableSystem::open`] reads. Format 2 journals quads as TriG.
+pub const IMAGE_FORMAT: u32 = 2;
 
 /// The persisted image: the deployment snapshot plus everything the
 /// cache-validity scheme needs restored bit-exact.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct DurableImage {
-    /// Image format version (currently 1).
+    /// Image format version ([`IMAGE_FORMAT`]).
     pub format: u32,
     /// The last WAL seq reflected in this image; recovery replays only
     /// records with a greater seq.
@@ -143,19 +174,19 @@ pub struct DurabilityStats {
     pub poisoned: bool,
 }
 
-/// The journaled mutation ops. Quads and rows are carried through the
-/// same JSON value mapping `WrapperSpec` uses, so the encoding has one
-/// source of truth.
+/// The journaled mutation ops. Quads are carried as TriG text (see the
+/// module docs); documents and rows through the JSON value mapping
+/// `WrapperSpec` uses, so each encoding has one source of truth.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Op {
     InsertQuad {
-        q: serde_json::Value,
+        q: String,
     },
     RemoveQuad {
-        q: serde_json::Value,
+        q: String,
     },
     ExtendQuads {
-        qs: Vec<serde_json::Value>,
+        qs: String,
     },
     ClearGraph {
         g: Option<String>,
@@ -229,14 +260,17 @@ impl DurableSystem {
         let mut recovery = RecoveryInfo::default();
         let (system, store) = match snapshotter.load()? {
             Some(bytes) => {
-                let image: DurableImage = serde_json::from_str(
-                    std::str::from_utf8(&bytes).unwrap_or_default(),
-                )
-                .map_err(|e| DurableError::Corrupt {
-                    seq: 0,
-                    reason: format!("snapshot image: {e}"),
-                })?;
-                let (system, store) = crate::snapshot::restore(&image.snapshot)?;
+                let image: DurableImage =
+                    serde_json::from_str(utf8(&bytes).map_err(image_corrupt)?)
+                        .map_err(image_corrupt)?;
+                if image.format != IMAGE_FORMAT {
+                    return Err(DurableError::UnsupportedFormat {
+                        found: image.format,
+                        expected: IMAGE_FORMAT,
+                    });
+                }
+                let (system, store) =
+                    crate::snapshot::restore(&image.snapshot).map_err(image_corrupt)?;
                 // Counters first, replay second: the bumps replay performs
                 // on top of these exact values reproduce the pre-crash
                 // stamps (see the module docs).
@@ -267,44 +301,50 @@ impl DurableSystem {
         let opened = Wal::open(Arc::clone(&vfs), dir.join(WAL_FILE), recovery.snapshot_seq)?;
         recovery.wal_truncated_at = opened.truncated_at;
 
-        let durable = DurableSystem {
+        let mut durable = Self::assemble(system, store, dir, snapshotter, opened.wal, recovery);
+        let covered = durable.recovery.snapshot_seq;
+        for record in opened.records.iter().filter(|r| r.seq > covered) {
+            let at_seq = |reason| DurableError::Corrupt {
+                seq: record.seq,
+                reason,
+            };
+            let op: Op = serde_json::from_str(utf8(&record.op).map_err(at_seq)?)
+                .map_err(|e| at_seq(e.to_string()))?;
+            // Ops are validated before journaling, so a record that does
+            // not apply is a corrupt log, whatever the apply said.
+            durable.apply_op(&op).map_err(|e| {
+                at_seq(match e {
+                    DurableError::Corrupt { reason, .. } => reason,
+                    other => other.to_string(),
+                })
+            })?;
+            durable.recovery.replayed += 1;
+        }
+        Ok(durable)
+    }
+
+    /// A handle over a recovered (or adopted) deployment and its open log.
+    fn assemble(
+        system: BdiSystem,
+        store: DocStore,
+        dir: PathBuf,
+        snapshotter: Snapshotter,
+        wal: Wal,
+        recovery: RecoveryInfo,
+    ) -> Self {
+        DurableSystem {
             system,
             store,
             dir,
             snapshotter,
             journal: Mutex::new(Journal {
-                wal: opened.wal,
+                wal,
                 poisoned: None,
                 checkpoints: 0,
                 crash_before_apply: None,
             }),
             recovery,
-        };
-        for record in &opened.records {
-            if record.seq <= durable.recovery.snapshot_seq {
-                continue; // already inside the image
-            }
-            let op: Op = serde_json::from_str(std::str::from_utf8(&record.op).unwrap_or_default())
-                .map_err(|e| DurableError::Corrupt {
-                    seq: record.seq,
-                    reason: e.to_string(),
-                })?;
-            durable.apply_op(&op).map_err(|e| match e {
-                DurableError::Corrupt { reason, .. } => DurableError::Corrupt {
-                    seq: record.seq,
-                    reason,
-                },
-                other => other,
-            })?;
         }
-        let replayed = opened
-            .records
-            .iter()
-            .filter(|r| r.seq > durable.recovery.snapshot_seq)
-            .count() as u64;
-        let mut durable = durable;
-        durable.recovery.replayed = replayed;
-        Ok(durable)
     }
 
     /// Adopts an already-built in-memory deployment as the initial state
@@ -347,19 +387,14 @@ impl DurableSystem {
                 opened.records.len()
             )));
         }
-        let durable = DurableSystem {
+        let durable = Self::assemble(
             system,
             store,
             dir,
             snapshotter,
-            journal: Mutex::new(Journal {
-                wal: opened.wal,
-                poisoned: None,
-                checkpoints: 0,
-                crash_before_apply: None,
-            }),
-            recovery: RecoveryInfo::default(),
-        };
+            opened.wal,
+            RecoveryInfo::default(),
+        );
         durable.checkpoint()?;
         Ok(durable)
     }
@@ -446,23 +481,22 @@ impl DurableSystem {
     fn apply_op(&self, op: &Op) -> Result<u64, DurableError> {
         match op {
             Op::InsertQuad { q } => {
-                let quad = decode_quad(q).map_err(corrupt)?;
+                let quad = one_quad(q)?;
                 Ok(u64::from(self.system.ontology().store().insert(&quad)))
             }
             Op::RemoveQuad { q } => {
-                let quad = decode_quad(q).map_err(corrupt)?;
+                let quad = one_quad(q)?;
                 Ok(u64::from(self.system.ontology().store().remove(&quad)))
             }
             Op::ExtendQuads { qs } => {
-                let quads = qs
-                    .iter()
-                    .map(decode_quad)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(corrupt)?;
+                let quads = parse_trig(qs).map_err(corrupt)?;
                 Ok(self.system.ontology().store().extend(quads) as u64)
             }
             Op::ClearGraph { g } => {
-                let graph = decode_graph(g).map_err(corrupt)?;
+                let graph = match g {
+                    None => GraphName::Default,
+                    Some(iri) => GraphName::Named(Iri::try_new(iri).map_err(corrupt)?),
+                };
                 Ok(self.system.ontology().store().clear_graph(&graph) as u64)
             }
             Op::InsertDoc { c, d } => {
@@ -488,7 +522,7 @@ impl DurableSystem {
     /// it was new (duplicates are journaled and replay as the same no-op).
     pub fn insert_quad(&self, quad: &Quad) -> Result<bool, DurableError> {
         let op = Op::InsertQuad {
-            q: encode_quad(quad),
+            q: encode_quads(std::slice::from_ref(quad))?,
         };
         Ok(self.log_then_apply(op)? != 0)
     }
@@ -496,7 +530,7 @@ impl DurableSystem {
     /// Durably removes a quad. Returns whether it was present.
     pub fn remove_quad(&self, quad: &Quad) -> Result<bool, DurableError> {
         let op = Op::RemoveQuad {
-            q: encode_quad(quad),
+            q: encode_quads(std::slice::from_ref(quad))?,
         };
         Ok(self.log_then_apply(op)? != 0)
     }
@@ -505,7 +539,7 @@ impl DurableSystem {
     /// many were new.
     pub fn extend_quads(&self, quads: &[Quad]) -> Result<usize, DurableError> {
         let op = Op::ExtendQuads {
-            qs: quads.iter().map(encode_quad).collect(),
+            qs: encode_quads(quads)?,
         };
         Ok(self.log_then_apply(op)? as usize)
     }
@@ -513,7 +547,7 @@ impl DurableSystem {
     /// Durably clears a graph, returning how many quads it held.
     pub fn clear_graph(&self, graph: &GraphName) -> Result<usize, DurableError> {
         let op = Op::ClearGraph {
-            g: encode_graph(graph),
+            g: graph.as_iri().map(|iri| iri.as_str().to_owned()),
         };
         Ok(self.log_then_apply(op)? as usize)
     }
@@ -624,7 +658,7 @@ impl DurableSystem {
         }
         let seq = journal.wal.last_seq();
         let image = DurableImage {
-            format: 1,
+            format: IMAGE_FORMAT,
             seq,
             snapshot: crate::snapshot::snapshot(&self.system, &self.store)?,
             quad_mutations: self.system.ontology().store().mutation_count(),
@@ -681,137 +715,47 @@ impl DurableSystem {
 }
 
 /// A decode failure; replay puts the failing record's seq on it.
-fn corrupt(reason: String) -> DurableError {
-    DurableError::Corrupt { seq: 0, reason }
-}
-
-// ---------------------------------------------------------------------------
-// Term/quad JSON encoding
-// ---------------------------------------------------------------------------
-
-fn one_key(key: &str, value: serde_json::Value) -> serde_json::Value {
-    let mut m = serde_json::Map::new();
-    m.insert(key.to_owned(), value);
-    serde_json::Value::Object(m)
-}
-
-fn encode_term(term: &Term) -> serde_json::Value {
-    match term {
-        Term::Iri(iri) => one_key("i", serde_json::Value::String(iri.as_str().to_owned())),
-        Term::Blank(b) => one_key("b", serde_json::Value::String(b.label().to_owned())),
-        Term::Literal(l) => {
-            let mut m = serde_json::Map::new();
-            m.insert(
-                "lex".to_owned(),
-                serde_json::Value::String(l.lexical().to_owned()),
-            );
-            if let Some(lang) = l.lang() {
-                m.insert(
-                    "lang".to_owned(),
-                    serde_json::Value::String(lang.to_owned()),
-                );
-            } else if let Some(dt) = l.datatype() {
-                m.insert(
-                    "dt".to_owned(),
-                    serde_json::Value::String(dt.as_str().to_owned()),
-                );
-            }
-            one_key("l", serde_json::Value::Object(m))
-        }
+fn corrupt(reason: impl std::fmt::Display) -> DurableError {
+    DurableError::Corrupt {
+        seq: 0,
+        reason: reason.to_string(),
     }
 }
 
-fn decode_term(value: &serde_json::Value) -> Result<Term, String> {
-    let obj = value
-        .as_object()
-        .ok_or_else(|| format!("term not an object: {value}"))?;
-    if let Some(iri) = obj.get("i").and_then(|v| v.as_str()) {
-        return Ok(Term::Iri(decode_iri(iri)?));
+/// A snapshot image that does not decode or restore.
+fn image_corrupt(reason: impl std::fmt::Display) -> DurableError {
+    corrupt(format_args!("snapshot image: {reason}"))
+}
+
+/// Bytes read back from disk as text: invalid UTF-8 says so, rather than
+/// surfacing as a JSON syntax error.
+fn utf8(bytes: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))
+}
+
+/// A batch of quads as the TriG the log carries. A literal subject, the
+/// one quad the model builds that TriG cannot hold, never reaches the log.
+fn encode_quads(quads: &[Quad]) -> Result<String, DurableError> {
+    if let Some(quad) = quads.iter().find(|q| matches!(q.subject, Term::Literal(_))) {
+        return Err(DurableError::LiteralSubject(quad.to_string()));
     }
-    if let Some(label) = obj.get("b").and_then(|v| v.as_str()) {
-        return Ok(Term::Blank(BlankNode::new(label)));
-    }
-    if let Some(lit) = obj.get("l").and_then(|v| v.as_object()) {
-        let lex = lit
-            .get("lex")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("literal without lexical form: {value}"))?;
-        if let Some(lang) = lit.get("lang").and_then(|v| v.as_str()) {
-            return Ok(Term::Literal(Literal::lang_string(lex, lang)));
-        }
-        if let Some(dt) = lit.get("dt").and_then(|v| v.as_str()) {
-            return Ok(Term::Literal(Literal::typed(lex, decode_iri(dt)?)));
-        }
-        return Ok(Term::Literal(Literal::string(lex)));
-    }
-    Err(format!("unrecognised term encoding: {value}"))
+    Ok(write_trig(quads, &PrefixMap::new()))
 }
 
-fn encode_graph(graph: &GraphName) -> Option<String> {
-    match graph {
-        GraphName::Default => None,
-        GraphName::Named(iri) => Some(iri.as_str().to_owned()),
-    }
-}
-
-/// An IRI read back from the log: bytes a CRC vouches for can still hold
-/// one no writer could have produced, and that is corruption, not a panic.
-fn decode_iri(iri: &str) -> Result<Iri, String> {
-    Iri::try_new(iri).map_err(|e| e.to_string())
-}
-
-fn decode_graph(graph: &Option<String>) -> Result<GraphName, String> {
-    Ok(match graph {
-        None => GraphName::Default,
-        Some(iri) => GraphName::Named(decode_iri(iri)?),
-    })
-}
-
-fn encode_quad(quad: &Quad) -> serde_json::Value {
-    let mut m = serde_json::Map::new();
-    m.insert("s".to_owned(), encode_term(&quad.subject));
-    m.insert(
-        "p".to_owned(),
-        serde_json::Value::String(quad.predicate.as_str().to_owned()),
-    );
-    m.insert("o".to_owned(), encode_term(&quad.object));
-    m.insert(
-        "g".to_owned(),
-        match encode_graph(&quad.graph) {
-            Some(iri) => serde_json::Value::String(iri),
-            None => serde_json::Value::Null,
-        },
-    );
-    serde_json::Value::Object(m)
-}
-
-fn decode_quad(value: &serde_json::Value) -> Result<Quad, String> {
-    let obj = value
-        .as_object()
-        .ok_or_else(|| format!("quad not an object: {value}"))?;
-    let subject = decode_term(obj.get("s").ok_or("quad missing subject")?)?;
-    let predicate = obj
-        .get("p")
-        .and_then(|v| v.as_str())
-        .ok_or("quad missing predicate")?;
-    let object = decode_term(obj.get("o").ok_or("quad missing object")?)?;
-    let graph = match obj.get("g") {
-        None | Some(serde_json::Value::Null) => GraphName::Default,
-        Some(serde_json::Value::String(iri)) => GraphName::Named(decode_iri(iri)?),
-        Some(other) => return Err(format!("bad graph encoding: {other}")),
-    };
-    Ok(Quad {
-        subject,
-        predicate: decode_iri(predicate)?,
-        object,
-        graph,
-    })
+/// The single quad an insert or remove record carries.
+fn one_quad(text: &str) -> Result<Quad, DurableError> {
+    let quads = parse_trig(text).map_err(corrupt)?;
+    <[Quad; 1]>::try_from(quads)
+        .map(|[quad]| quad)
+        .map_err(|quads| corrupt(format!("expected one quad, found {}", quads.len())))
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::supersede;
+    use bdi_rdf::model::Literal;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -833,35 +777,6 @@ mod tests {
             )),
             GraphName::Named(Iri::new("http://example.org/data/graph")),
         )
-    }
-
-    #[test]
-    fn term_and_quad_encoding_round_trips() {
-        let terms = [
-            Term::Iri(Iri::new("http://example.org/x")),
-            Term::Blank(BlankNode::new("b0")),
-            Term::Literal(Literal::string("plain")),
-            Term::Literal(Literal::lang_string("hola", "es")),
-            Term::Literal(Literal::typed(
-                "4.2",
-                Iri::new("http://www.w3.org/2001/XMLSchema#double"),
-            )),
-        ];
-        for term in &terms {
-            assert_eq!(&decode_term(&encode_term(term)).unwrap(), term);
-        }
-        let quad = probe_quad(7);
-        assert_eq!(decode_quad(&encode_quad(&quad)).unwrap(), quad);
-        let default_graph = Quad::new(
-            Iri::new("http://example.org/s"),
-            Iri::new("http://example.org/p"),
-            Term::Iri(Iri::new("http://example.org/o")),
-            GraphName::Default,
-        );
-        assert_eq!(
-            decode_quad(&encode_quad(&default_graph)).unwrap(),
-            default_graph
-        );
     }
 
     #[test]

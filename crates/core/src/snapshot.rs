@@ -69,7 +69,10 @@ pub fn snapshot(system: &BdiSystem, store: &DocStore) -> Result<SystemSnapshot, 
         wrappers.push(spec);
     }
     Ok(SystemSnapshot {
-        ontology_trig: trig::write_trig(system.ontology().store(), system.ontology().prefixes()),
+        ontology_trig: trig::write_trig(
+            &system.ontology().store().quads(),
+            system.ontology().prefixes(),
+        ),
         prefixes: system
             .ontology()
             .prefixes()

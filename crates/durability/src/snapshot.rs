@@ -60,6 +60,12 @@ impl Snapshotter {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use crate::vfs::{CrashPlan, CrashyVfs, StdVfs};

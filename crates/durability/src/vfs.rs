@@ -215,9 +215,9 @@ impl Write for CrashyFile {
                 state.crashed = true;
                 state.written = limit;
                 drop(state);
-                let keep = remaining as usize;
-                if keep > 0 {
-                    self.inner.write_all(&buf[..keep])?;
+                let torn = buf.get(..remaining as usize).unwrap_or_default();
+                if !torn.is_empty() {
+                    self.inner.write_all(torn)?;
                 }
                 return Err(crash_err());
             }
@@ -321,6 +321,12 @@ impl Vfs for CrashyVfs {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use std::path::PathBuf;

@@ -118,7 +118,7 @@ impl Wal {
 
         if vfs.exists(&path) {
             let bytes = vfs.read(&path)?;
-            if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+            if !bytes.starts_with(WAL_MAGIC) {
                 // Damaged/torn header: reset to an empty log.
                 truncated_at = Some(0);
                 let mut file = vfs.create(&path)?;
@@ -249,37 +249,44 @@ enum FrameResult {
 /// Decodes the frame at `off`, distinguishing a clean end of log from a
 /// torn/corrupt tail.
 fn read_frame(bytes: &[u8], off: usize) -> FrameResult {
-    if off == bytes.len() {
+    let frame = bytes.get(off..).unwrap_or_default();
+    if frame.is_empty() {
         return FrameResult::End;
     }
-    let Some(header) = bytes.get(off..off + FRAME_HEADER) else {
+    let Some((&[l0, l1, l2, l3, c0, c1, c2, c3], rest)) = frame.split_first_chunk::<FRAME_HEADER>()
+    else {
         return FrameResult::Torn; // partial frame header
     };
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len < PAYLOAD_HEADER {
-        return FrameResult::Torn; // impossible length: corrupt
-    }
-    let start = off + FRAME_HEADER;
-    let Some(payload) = bytes.get(start..start + len) else {
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let Some(payload) = rest.get(..len) else {
         return FrameResult::Torn; // length runs past EOF
     };
-    if crc32(payload) != crc {
+    if crc32(payload) != u32::from_le_bytes([c0, c1, c2, c3]) {
         return FrameResult::Torn;
     }
-    let seq = u64::from_le_bytes(payload[..8].try_into().expect("12-byte header checked"));
-    let store_id = u32::from_le_bytes(payload[8..12].try_into().expect("12-byte header checked"));
+    let Some((seq, body)) = payload.split_first_chunk::<8>() else {
+        return FrameResult::Torn; // impossible length: corrupt
+    };
+    let Some((store_id, op)) = body.split_first_chunk::<4>() else {
+        return FrameResult::Torn;
+    };
     FrameResult::Record(
         LogRecord {
-            seq,
-            store_id,
-            op: payload[PAYLOAD_HEADER..].to_vec(),
+            seq: u64::from_le_bytes(*seq),
+            store_id: u32::from_le_bytes(*store_id),
+            op: op.to_vec(),
         },
-        start + len,
+        off + FRAME_HEADER + len,
     )
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use crate::vfs::StdVfs;

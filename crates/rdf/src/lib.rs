@@ -13,7 +13,7 @@
 //!   `GRAPH ?g { … }` blocks.
 //!
 //! The three text formats share one tokenizer and one triples grammar;
-//! `parse_query`, `parse_turtle` and `load_trig` are its front doors.
+//! `parse_query`, `parse_turtle` and `parse_trig` are its front doors.
 //!
 //! This crate is self-contained: it is the triplestore the paper assumes as
 //! its substrate (Jena + Jena TDB in the authors' implementation), built from

@@ -80,9 +80,19 @@ impl From<&Iri> for Iri {
 pub struct BlankNode(Arc<str>);
 
 impl BlankNode {
-    /// Creates a blank node with the given label (no leading `_:`).
+    /// Creates a blank node with the given label (no leading `_:`),
+    /// panicking where [`BlankNode::try_new`] refuses.
     pub fn new(label: impl AsRef<str>) -> Self {
-        Self(Arc::from(label.as_ref()))
+        Self::try_new(label.as_ref()).expect("invalid blank node label")
+    }
+
+    /// Fallible constructor: the label must read back after `_:` as one
+    /// name — letters, digits and `_ - : . / ~`, no trailing `.`.
+    pub fn try_new(label: &str) -> Result<Self, InvalidTerm> {
+        if !crate::syntax::lexer::is_name(label) {
+            return Err(InvalidTerm::BlankLabel(label.to_owned()));
+        }
+        Ok(Self(Arc::from(label)))
     }
 
     /// The label, without the `_:` prefix.
@@ -117,13 +127,23 @@ impl Literal {
         }
     }
 
-    /// A language-tagged literal (`"chat"@en`).
+    /// A language-tagged literal (`"chat"@en`), panicking where
+    /// [`Literal::try_lang_string`] refuses.
     pub fn lang_string(value: impl AsRef<str>, lang: impl AsRef<str>) -> Self {
-        Self {
-            lexical: Arc::from(value.as_ref()),
-            lang: Some(Arc::from(lang.as_ref().to_ascii_lowercase().as_str())),
-            datatype: None,
+        Self::try_lang_string(value.as_ref(), lang.as_ref()).expect("invalid language tag")
+    }
+
+    /// Fallible constructor: the tag must read back after `@` — letters,
+    /// digits and `-`.
+    pub fn try_lang_string(value: &str, lang: &str) -> Result<Self, InvalidTerm> {
+        if !crate::syntax::lexer::is_lang_tag(lang) {
+            return Err(InvalidTerm::LangTag(lang.to_owned()));
         }
+        Ok(Self {
+            lexical: Arc::from(value),
+            lang: Some(Arc::from(lang.to_ascii_lowercase().as_str())),
+            datatype: None,
+        })
     }
 
     /// A typed literal (`"12"^^xsd:integer`).
@@ -396,6 +416,10 @@ pub enum InvalidTerm {
     EmptyIri,
     #[error("IRI contains an illegal character: {0:?}")]
     IllegalIriChar(String),
+    #[error("blank node label {0:?} does not read back after `_:`")]
+    BlankLabel(String),
+    #[error("language tag {0:?} does not read back after `@`")]
+    LangTag(String),
 }
 
 #[cfg(test)]

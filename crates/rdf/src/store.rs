@@ -563,9 +563,16 @@ impl QuadStore {
         out
     }
 
-    /// All quads in the store.
-    pub(crate) fn iter_all(&self) -> Vec<Quad> {
-        self.match_quads(None, None, None, &GraphPattern::Any)
+    /// All quads in the store, graph by graph: the default graph first,
+    /// then each named graph's quads in one run (the order
+    /// [`crate::trig::write_trig`] writes one block per graph from).
+    pub fn quads(&self) -> Vec<Quad> {
+        let inner = self.inner.read();
+        let mut out = Vec::with_capacity(inner.gspo.len());
+        scan_prefix(&inner.gspo, &[], |[g, s, p, o]| {
+            out.push(inner.decode(g, s, p, o))
+        });
+        out
     }
 
     /// All quads of one graph.
@@ -707,7 +714,7 @@ impl Clone for QuadStore {
     /// harness).
     fn clone(&self) -> Self {
         let store = QuadStore::new();
-        store.extend(self.iter_all());
+        store.extend(self.quads());
         store
     }
 }
@@ -1019,8 +1026,8 @@ mod tests {
         }
         assert_eq!(added_bulk, added_incr);
         assert_eq!(bulk.len(), incr.len());
-        let mut a = bulk.iter_all();
-        let mut b = incr.iter_all();
+        let mut a = bulk.quads();
+        let mut b = incr.quads();
         a.sort();
         b.sort();
         assert_eq!(a, b);

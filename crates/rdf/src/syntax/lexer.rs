@@ -87,6 +87,21 @@ fn name_len(s: &str) -> usize {
     s.len()
 }
 
+/// Whether `s` is one name to the lexer: what a blank node label must be.
+pub(crate) fn is_name(s: &str) -> bool {
+    !s.is_empty() && name_len(s) == s.len()
+}
+
+/// Whether a language tag character continues the run after `@`.
+fn lang_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '-'
+}
+
+/// Whether `s` lexes back whole after `@`.
+pub(crate) fn is_lang_tag(s: &str) -> bool {
+    !s.is_empty() && s.chars().all(lang_char)
+}
+
 /// Whether `s` lexes back as exactly one prefixed name (`pfx:local`).
 pub(crate) fn is_prefixed_name(s: &str) -> bool {
     s.starts_with(|c: char| starts_name(c) && !c.is_ascii_digit())
@@ -164,7 +179,7 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
                 (Token::Literal(value), len)
             }
             '@' => {
-                let n = run(|c| c.is_alphanumeric() || c == '-');
+                let n = run(lang_char);
                 (Token::LangTag(rest[1..=n].to_owned()), n + 1)
             }
             '^' if next == Some('^') => (Token::DatatypeMarker, 2),

@@ -11,14 +11,14 @@
 //!
 //! Three front doors sit on it, and each rejects what its format may not
 //! hold: [`crate::sparql::parse_query`] (no blank nodes),
-//! [`crate::turtle::parse_turtle`] and [`crate::trig::load_trig`] (no
+//! [`crate::turtle::parse_turtle`] and [`crate::trig::parse_trig`] (no
 //! variables, no `GRAPH ?g`, no literal subjects, each top-level triples
 //! block ended by its `.`; Turtle also no graph blocks). Both document
 //! formats go through [`parse_document`].
 
 pub(crate) mod lexer;
 
-use crate::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
+use crate::model::{BlankNode, GraphName, InvalidTerm, Iri, Literal, Quad, Term};
 use crate::sparql::ast::*;
 use crate::turtle::PrefixMap;
 use lexer::{tokenize, Token};
@@ -44,6 +44,8 @@ pub enum ParseError {
     UnknownPrefix(String),
     #[error("VALUES row has {found} terms but {expected} variables are declared")]
     ValuesArity { expected: usize, found: usize },
+    #[error("invalid term: {0}")]
+    InvalidTerm(#[from] InvalidTerm),
 }
 
 pub(crate) struct Parser {
@@ -131,10 +133,7 @@ impl Parser {
 
     pub(crate) fn parse_iri(&mut self) -> Result<Iri, ParseError> {
         match self.bump() {
-            Some(Token::Iri(iri)) => Iri::try_new(&iri).map_err(|_| ParseError::Unexpected {
-                expected: "IRI",
-                found: iri,
-            }),
+            Some(Token::Iri(iri)) => Ok(Iri::try_new(&iri)?),
             Some(Token::PrefixedName(name)) => self.prefixes.expand(&name),
             Some(t) => Err(ParseError::Unexpected {
                 expected: "IRI",
@@ -184,7 +183,7 @@ impl Parser {
     pub(crate) fn parse_constant_term(&mut self) -> Result<Term, ParseError> {
         match self.peek() {
             Some(Token::PrefixedName(name)) if name.starts_with("_:") => {
-                let blank = BlankNode::new(&name[2..]);
+                let blank = BlankNode::try_new(&name[2..])?;
                 self.bump();
                 return Ok(Term::Blank(blank));
             }
@@ -199,7 +198,7 @@ impl Parser {
                     let Some(Token::LangTag(lang)) = self.bump() else {
                         unreachable!()
                     };
-                    Ok(Term::Literal(Literal::lang_string(value, lang)))
+                    Ok(Term::Literal(Literal::try_lang_string(&value, &lang)?))
                 }
                 Some(Token::DatatypeMarker) => {
                     self.bump();

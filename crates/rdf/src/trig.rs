@@ -14,54 +14,54 @@
 //!
 //! It is read with the tokenizer and triples grammar Turtle and SPARQL use.
 
-use crate::model::{GraphName, Quad, Triple};
+use crate::model::{GraphName, Quad};
 use crate::store::QuadStore;
 use crate::syntax::{parse_document, ParseError};
 use crate::turtle::{write_prefixes, write_triples, PrefixMap};
 use std::fmt::Write as _;
 
-/// Serializes an entire store (default graph + all named graphs) as TriG.
-pub fn write_trig(store: &QuadStore, prefixes: &PrefixMap) -> String {
-    let triples = |graph: &GraphName| -> Vec<Triple> {
-        store
-            .graph_quads(graph)
-            .into_iter()
-            .map(Quad::into_triple)
-            .collect()
-    };
+/// Serializes quads as TriG: each run of quads sharing a graph becomes
+/// plain triples (the default graph) or one `GRAPH` block.
+/// [`QuadStore::quads`] yields one run per graph; any other order still
+/// reads back as the same quads.
+pub fn write_trig(quads: &[Quad], prefixes: &PrefixMap) -> String {
     let mut out = String::new();
     write_prefixes(&mut out, prefixes);
     out.push('\n');
-
-    // Default graph first, as plain triples.
-    let default_triples = triples(&GraphName::Default);
-    if !default_triples.is_empty() {
-        write_triples(&mut out, &default_triples, prefixes, "");
-        out.push('\n');
-    }
-
-    for graph in store.named_graphs() {
-        let _ = writeln!(out, "GRAPH {} {{", prefixes.compact(&graph));
-        write_triples(&mut out, &triples(&GraphName::Named(graph)), prefixes, "  ");
-        out.push_str("}\n\n");
+    for run in quads.chunk_by(|a, b| a.graph == b.graph) {
+        let Some(first) = run.first() else { continue };
+        let triples = run.iter().map(|q| (&q.subject, &q.predicate, &q.object));
+        match &first.graph {
+            GraphName::Default => {
+                write_triples(&mut out, triples, prefixes, "");
+                out.push('\n');
+            }
+            GraphName::Named(graph) => {
+                let _ = writeln!(out, "GRAPH {} {{", prefixes.compact(graph));
+                write_triples(&mut out, triples, prefixes, "  ");
+                out.push_str("}\n\n");
+            }
+        }
     }
     out
 }
 
+/// Reads a TriG document into quads (triples outside a graph block land
+/// in the default graph) — the reader [`write_trig`]'s output goes back
+/// through.
+pub fn parse_trig(input: &str) -> Result<Vec<Quad>, ParseError> {
+    parse_document(input).map(|(quads, _)| quads)
+}
+
 /// Loads a TriG document into a store, returning how many quads were new.
 pub fn load_trig(store: &QuadStore, input: &str) -> Result<usize, ParseError> {
-    let (quads, _) = parse_document(input)?;
-    Ok(store.extend(quads))
+    Ok(store.extend(parse_trig(input)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::Iri;
-
-    fn parse_trig(doc: &str) -> Result<Vec<Quad>, ParseError> {
-        parse_document(doc).map(|(quads, _)| quads)
-    }
 
     fn sample_store() -> QuadStore {
         let store = QuadStore::new();
@@ -91,13 +91,13 @@ mod tests {
         let store = sample_store();
         let mut prefixes = PrefixMap::new();
         prefixes.insert("e", "http://e/");
-        let doc = write_trig(&store, &prefixes);
+        let doc = write_trig(&store.quads(), &prefixes);
 
         let reloaded = QuadStore::new();
         let n = load_trig(&reloaded, &doc).unwrap();
         assert_eq!(n, 3);
-        let mut a: Vec<String> = store.iter_all().iter().map(|q| q.to_string()).collect();
-        let mut b: Vec<String> = reloaded.iter_all().iter().map(|q| q.to_string()).collect();
+        let mut a: Vec<String> = store.quads().iter().map(|q| q.to_string()).collect();
+        let mut b: Vec<String> = reloaded.quads().iter().map(|q| q.to_string()).collect();
         a.sort();
         b.sort();
         assert_eq!(a, b);

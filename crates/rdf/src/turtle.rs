@@ -110,7 +110,14 @@ pub fn write_turtle<'a>(
     if !triples.is_empty() {
         out.push('\n');
     }
-    write_triples(&mut out, triples, prefixes, "");
+    write_triples(
+        &mut out,
+        triples
+            .into_iter()
+            .map(|t| (&t.subject, &t.predicate, &t.object)),
+        prefixes,
+        "",
+    );
     out
 }
 
@@ -121,43 +128,36 @@ pub(crate) fn write_prefixes(out: &mut String, prefixes: &PrefixMap) {
     }
 }
 
-/// Writes triples grouped by subject, each line starting with `indent`.
+/// Writes `(subject, predicate, object)` triples grouped by subject, each
+/// line starting with `indent`.
 pub(crate) fn write_triples<'a>(
     out: &mut String,
-    triples: impl IntoIterator<Item = &'a Triple>,
+    triples: impl IntoIterator<Item = (&'a Term, &'a Iri, &'a Term)>,
     prefixes: &PrefixMap,
     indent: &str,
 ) {
-    let mut by_subject: BTreeMap<String, Vec<&Triple>> = BTreeMap::new();
-    for t in triples {
-        by_subject.entry(t.subject.to_string()).or_default().push(t);
+    let mut by_subject: BTreeMap<String, (&Term, BTreeMap<&Iri, Vec<&Term>>)> = BTreeMap::new();
+    for (s, p, o) in triples {
+        let (_, predicates) = by_subject
+            .entry(s.to_string())
+            .or_insert_with(|| (s, BTreeMap::new()));
+        predicates.entry(p).or_default().push(o);
     }
-    for triples in by_subject.values() {
-        let _ = write!(
-            out,
-            "{indent}{}",
-            render_term(&triples[0].subject, prefixes)
-        );
-        let mut grouped: BTreeMap<&str, Vec<&Triple>> = BTreeMap::new();
-        for t in triples {
-            grouped.entry(t.predicate.as_str()).or_default().push(t);
-        }
-        let n = grouped.len();
-        for (i, ts) in grouped.values().enumerate() {
-            let pred = &ts[0].predicate;
+    for (subject, predicates) in by_subject.values() {
+        let _ = write!(out, "{indent}{}", render_term(subject, prefixes));
+        for (i, (pred, objects)) in predicates.iter().enumerate() {
+            if i > 0 {
+                let _ = write!(out, " ;\n{indent}   ");
+            }
             let _ = write!(out, " {} ", render_predicate(pred, prefixes));
-            for (j, t) in ts.iter().enumerate() {
+            for (j, object) in objects.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "{}", render_term(&t.object, prefixes));
-            }
-            if i + 1 == n {
-                out.push_str(" .\n");
-            } else {
-                let _ = write!(out, " ;\n{indent}   ");
+                out.push_str(&render_term(object, prefixes));
             }
         }
+        out.push_str(" .\n");
     }
 }
 

@@ -156,7 +156,10 @@ fn dump(evolved: bool) {
     let system = build(evolved);
     println!(
         "{}",
-        trig::write_trig(system.ontology().store(), system.ontology().prefixes())
+        trig::write_trig(
+            &system.ontology().store().quads(),
+            system.ontology().prefixes()
+        )
     );
 }
 

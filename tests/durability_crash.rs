@@ -20,10 +20,10 @@
 //! Crash points derive from `BDI_CRASH_SEED` (see
 //! [`bdi_durability::env_crash_seed`]); CI sweeps several seeds.
 
-use bdi::core::durable::{DurableError, DurableSystem};
+use bdi::core::durable::{DurableError, DurableSystem, IMAGE_FORMAT, SNAPSHOT_FILE};
 use bdi::core::supersede;
 use bdi::core::system::AnswerRequest;
-use bdi::rdf::model::{GraphName, Iri, Literal, Quad};
+use bdi::rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
 use bdi::relational::{Schema, Value};
 use bdi::wrappers::supersede::VOD_COLLECTION;
 use bdi::wrappers::TableWrapper;
@@ -478,12 +478,7 @@ fn a_crc_valid_record_with_an_invalid_iri_is_reported_corrupt() {
         )
         .expect("wal opens")
         .wal;
-        let op = json!({"InsertQuad": {"q": {
-            "s": {"i": ""},
-            "p": "http://example.org/p",
-            "o": {"i": "http://example.org/o"},
-            "g": null
-        }}});
+        let op = json!({"InsertQuad": {"q": "<> <http://example.org/p> <http://example.org/o> ."}});
         // Store id 1 journals quad-store ops.
         let seq = wal.append(1, op.to_string().as_bytes()).expect("append");
         wal.commit().expect("commit");
@@ -496,6 +491,149 @@ fn a_crc_valid_record_with_an_invalid_iri_is_reported_corrupt() {
         }
         Err(other) => panic!("expected a corrupt record, got {other}"),
         Ok(_) => panic!("expected a corrupt record, recovery succeeded"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// One codec: what the log accepts, the image holds
+// ---------------------------------------------------------------------------
+
+/// Every term kind with awkward content, in both graph kinds: IRIs with
+/// `{}|\^` and a backtick, a blank node label full of name punctuation,
+/// literals with quotes, control characters, newlines and multibyte text,
+/// a region-subtagged language tag and an odd datatype.
+fn awkward_quads() -> Vec<Quad> {
+    let odd = |tail: &str| Iri::new(format!("http://example.org/odd/{tail}"));
+    let blank = BlankNode::new("b0.x-y:z/~é");
+    let objects = [
+        Term::Iri(odd("{a}|b\\c^d`e")),
+        Term::Blank(blank.clone()),
+        Term::Literal(Literal::string(
+            "q\"uote\\ new\nline\ttab\r\u{0}\u{1}\u{7f} é日😀 #{}",
+        )),
+        Term::Literal(Literal::lang_string("chat \"é\"\n", "en-US")),
+        Term::Literal(Literal::typed("4.2", odd("type{x}"))),
+    ];
+    let mut quads = Vec::new();
+    for graph in [GraphName::Default, GraphName::Named(odd("graph|`g`"))] {
+        for subject in [Term::Iri(odd("s^1")), Term::Blank(blank.clone())] {
+            for object in &objects {
+                quads.push(Quad::new(
+                    subject.clone(),
+                    odd("p\\`"),
+                    object.clone(),
+                    graph.clone(),
+                ));
+            }
+        }
+    }
+    quads
+}
+
+/// An acknowledged quad survives both recovery routes: replay of the log
+/// alone, and a checkpoint followed by a reopen. Before quads went through
+/// the TriG codec, a blank node `a b` or `b.` and a tag `en us` replayed
+/// but left an image that no open could read.
+#[test]
+fn every_term_kind_survives_replay_and_checkpoint() {
+    let dir = tmp_dir("awkward");
+    let quads = awkward_quads();
+    let (half, rest) = quads.split_at(quads.len() / 2);
+    {
+        let d = seed_deployment(&dir);
+        for quad in half {
+            assert!(d.insert_quad(quad).expect("insert acknowledged"));
+        }
+        assert_eq!(
+            d.extend_quads(rest).expect("extend acknowledged"),
+            rest.len()
+        );
+    }
+    let contains_all = |d: &DurableSystem| {
+        let store = d.system().ontology().store();
+        quads.iter().all(|q| store.contains(q))
+    };
+
+    let replayed = DurableSystem::open(&dir).expect("replay the log");
+    assert_eq!(replayed.recovery().replayed, half.len() as u64 + 1);
+    assert!(contains_all(&replayed));
+    replayed.checkpoint().expect("checkpoint");
+    drop(replayed);
+
+    let restored = DurableSystem::open(&dir).expect("restore the image");
+    assert_eq!(restored.recovery().replayed, 0);
+    assert!(contains_all(&restored));
+    // A removal replays through the same codec.
+    assert!(restored
+        .remove_quad(&quads[0])
+        .expect("remove acknowledged"));
+    drop(restored);
+    let again = DurableSystem::open(&dir).expect("replay the removal");
+    assert!(!again.system().ontology().store().contains(&quads[0]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The terms the parent's probe broke the image with cannot be built, and
+/// the one quad the model builds that TriG cannot hold — a literal
+/// subject — is refused before it reaches the log.
+#[test]
+fn terms_that_would_not_read_back_are_refused() {
+    for label in ["a b", "b.", "", "a#b", "a\"b"] {
+        assert!(BlankNode::try_new(label).is_err(), "{label:?}");
+    }
+    for tag in ["en us", "", "en.", "en_us"] {
+        assert!(Literal::try_lang_string("x", tag).is_err(), "{tag:?}");
+    }
+    assert!(BlankNode::try_new("b0.x").is_ok());
+    assert!(Literal::try_lang_string("x", "en-US").is_ok());
+
+    let dir = tmp_dir("refused-terms");
+    let d = seed_deployment(&dir);
+    let before = d.durability_stats().wal.records_appended;
+    let literal_subject = Quad::new(
+        Literal::string("not a subject"),
+        Iri::new("http://example.org/p"),
+        Iri::new("http://example.org/o"),
+        GraphName::Default,
+    );
+    assert!(matches!(
+        d.insert_quad(&literal_subject),
+        Err(DurableError::LiteralSubject(_))
+    ));
+    assert!(matches!(
+        d.extend_quads(&[probe_quad(1), literal_subject]),
+        Err(DurableError::LiteralSubject(_))
+    ));
+    assert_eq!(d.durability_stats().wal.records_appended, before);
+    assert!(!d.durability_stats().poisoned);
+    drop(d);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An image of another format is refused up front, naming both formats,
+/// instead of replaying a log this build cannot decode.
+#[test]
+fn an_image_of_another_format_is_refused() {
+    let dir = tmp_dir("format");
+    drop(seed_deployment(&dir));
+    let path = dir.join(SNAPSHOT_FILE);
+    let text = std::fs::read_to_string(&path).expect("image exists");
+    let field = format!("\"format\": {IMAGE_FORMAT},");
+    assert!(text.contains(&field), "the image declares its format");
+    std::fs::write(&path, text.replacen(&field, "\"format\": 1,", 1)).expect("hand-edit the image");
+
+    match DurableSystem::open(&dir) {
+        Err(e @ DurableError::UnsupportedFormat { found: 1, expected }) => {
+            assert_eq!(expected, IMAGE_FORMAT);
+            let message = e.to_string();
+            assert!(
+                message.contains("format 1") && message.contains("format 2"),
+                "{message}"
+            );
+        }
+        Err(other) => panic!("expected an unsupported format, got {other}"),
+        Ok(_) => panic!("expected an unsupported format, recovery succeeded"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

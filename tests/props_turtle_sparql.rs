@@ -1,32 +1,48 @@
 //! Property-based tests for the Turtle and TriG serializer/parser round
 //! trips and the SPARQL evaluator against a naive reference implementation.
 
-use bdi::rdf::model::{GraphName, Iri, Literal, Quad, Term, Triple};
+use bdi::rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Term, Triple};
 use bdi::rdf::sparql::{self, EvalOptions};
-use bdi::rdf::store::{GraphPattern, QuadStore};
-use bdi::rdf::trig::{load_trig, write_trig};
+use bdi::rdf::store::QuadStore;
+use bdi::rdf::trig::{parse_trig, write_trig};
 use bdi::rdf::turtle::{parse_turtle, write_turtle, PrefixMap};
 use proptest::prelude::*;
 
-/// IRIs under no registered namespace, and IRIs under `sc:` that the
-/// writer compacts unless the local name would not read back whole (one
-/// ending in `.`, or holding `..`).
+/// Every kind of character `Iri::try_new` admits: URI punctuation,
+/// `{}|\^` and the backtick, control characters and multibyte text.
+const IRI_TAIL: &str = "[a-z0-9{}|\\\\^`~!$&'()*+,;=:/?#@%._\\-\\[\\]é日😀\u{1}\u{7f}]{1,8}";
+
+/// IRIs under no registered namespace, IRIs under `sc:` that the writer
+/// compacts unless the local name would not read back whole (one ending
+/// in `.`, or holding `..`), and IRIs over every admitted character.
 fn arb_iri() -> impl Strategy<Value = Iri> {
     prop_oneof![
         (0u8..8).prop_map(|i| Iri::new(format!("http://t.example/r/{i}"))),
         "[a-z0-9._é\\-]{1,6}".prop_map(|local| Iri::new(format!("http://schema.org/{local}"))),
         "[a-zé]{1,3}\\.".prop_map(|local| Iri::new(format!("http://schema.org/{local}"))),
+        IRI_TAIL.prop_map(|tail| Iri::new(format!("http://schema.org/{tail}"))),
     ]
 }
 
 fn arb_literal() -> impl Strategy<Value = Literal> {
+    // Escapable and control characters, quotes, newlines and multibyte
+    // text are deliberately frequent.
+    let text = "[a-z\"'\\\\\n\t\r\u{0}\u{1}\u{8}\u{c}\u{7f}#{}<>@^.é日😀 ]{0,10}";
     prop_oneof![
-        // Escapable characters are deliberately frequent.
-        "[a-z\"\\\\\n\t]{0,8}".prop_map(Literal::string),
+        text.prop_map(Literal::string),
         (-100i64..100).prop_map(Literal::integer),
-        ("[a-z]{1,5}", prop_oneof![Just("en"), Just("fr")])
-            .prop_map(|(s, l)| Literal::lang_string(s, l)),
+        (text, "[a-zA-Z0-9\\-é ._]{1,6}").prop_map(|(s, tag)| {
+            Literal::try_lang_string(&s, &tag).unwrap_or_else(|_| Literal::lang_string(s, "en"))
+        }),
+        (text, arb_iri()).prop_map(|(s, dt)| Literal::typed(s, dt)),
     ]
+}
+
+/// Labels over the name characters and a few the lexer stops at; those
+/// `try_new` refuses fall back to `b0`.
+fn arb_blank() -> impl Strategy<Value = BlankNode> {
+    "[a-zA-Z0-9_.:/~\\-é #]{1,5}"
+        .prop_map(|label| BlankNode::try_new(&label).unwrap_or_else(|_| BlankNode::new("b0")))
 }
 
 fn arb_triple() -> impl Strategy<Value = Triple> {
@@ -61,32 +77,29 @@ proptest! {
 
     #[test]
     fn trig_round_trips(
-        quads in prop::collection::vec((arb_triple(), 0u8..5), 0..40),
+        quads in prop::collection::vec(
+            (
+                prop_oneof![arb_iri().prop_map(Term::Iri), arb_blank().prop_map(Term::Blank)],
+                arb_iri(),
+                prop_oneof![
+                    arb_iri().prop_map(Term::Iri),
+                    arb_blank().prop_map(Term::Blank),
+                    arb_literal().prop_map(Term::Literal)
+                ],
+                prop::option::of(arb_iri()),
+            ),
+            0..40,
+        ),
     ) {
-        // Graph 0 is the default graph; 1–4 are named, two of them with
-        // names the writer must keep in brackets.
-        let graph = |g: u8| match g {
-            0 => GraphName::Default,
-            g => GraphName::Named(Iri::new(format!(
-                "http://schema.org/g{g}{}",
-                if g % 2 == 0 { "." } else { "" }
-            ))),
-        };
-        let store = QuadStore::new();
-        for (t, g) in &quads {
-            store.insert(&Quad::new(t.subject.clone(), t.predicate.clone(), t.object.clone(), graph(*g)));
-        }
-        let doc = write_trig(&store, &PrefixMap::with_common_vocabularies());
-        let reloaded = QuadStore::new();
-        load_trig(&reloaded, &doc).expect("serializer output must load");
-
-        let canon = |s: &QuadStore| {
-            let all = s.match_quads(None, None, None, &GraphPattern::Any);
-            let mut v: Vec<String> = all.iter().map(|q| q.to_string()).collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(canon(&reloaded), canon(&store));
+        let mut quads: Vec<Quad> = quads
+            .into_iter()
+            .map(|(s, p, o, g)| Quad::new(s, p, o, g.map_or(GraphName::Default, GraphName::Named)))
+            .collect();
+        let doc = write_trig(&quads, &PrefixMap::with_common_vocabularies());
+        let mut parsed = parse_trig(&doc).expect("serializer output must parse");
+        parsed.sort();
+        quads.sort();
+        prop_assert_eq!(parsed, quads);
     }
 
     #[test]

@@ -101,7 +101,10 @@ fn typing_catches_unannounced_format_changes() {
 fn full_ontology_trig_round_trip() {
     let (mut system, store) = supersede::build_running_example_with_store();
     supersede::evolve_with_w4(&mut system, &store);
-    let doc = trig::write_trig(system.ontology().store(), system.ontology().prefixes());
+    let doc = trig::write_trig(
+        &system.ontology().store().quads(),
+        system.ontology().prefixes(),
+    );
 
     let reloaded = bdi::rdf::QuadStore::new();
     trig::load_trig(&reloaded, &doc).unwrap();
