@@ -58,7 +58,7 @@ pub fn compile_and_execute<S>(
     source: &S,
     rewriting: &bdi_core::rewrite::Rewriting,
     options: &bdi_core::exec::ExecOptions,
-) -> Result<bdi_core::exec::QueryAnswer, bdi_core::exec::ExecError>
+) -> Result<bdi_core::Answer, bdi_core::exec::ExecError>
 where
     S: bdi_relational::SourceResolver + bdi_relational::PlanSource,
 {

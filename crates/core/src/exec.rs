@@ -28,10 +28,10 @@
 //!   threads against one shared [`ExecContext`] (so wrappers appearing in
 //!   many walks are scanned and interned once, and hash-join build sides are
 //!   reused per ID attribute); each walk emits a deduplicated *sorted run*
-//!   and the runs are k-way merged into the canonical union. A single-walk
-//!   query prefetches its scans concurrently
-//!   ([`bdi_relational::plan::execute_plan`]) so source reads overlap each
-//!   other and the join pipeline.
+//!   and the runs are k-way merged into the canonical union. Each walk
+//!   gets an equal share of the worker budget to prefetch its scans
+//!   ([`bdi_relational::plan::drive_plan`]), so a lone walk's source reads
+//!   overlap each other and its join pipeline.
 //! * **Eager** ([`Engine::Eager`]): the original §2.2 operator-at-a-time
 //!   evaluation through [`bdi_relational::RelExpr`] / [`ops`]. It stays as
 //!   the executable reference the streaming engine is differentially tested
@@ -42,19 +42,20 @@
 //!   `Int` and a `Float` compare exactly, so a class never joins `Int(2⁵³)`
 //!   with `Int(2⁵³ + 1)` through `Float(2⁵³)`).
 //!
-//! Row-order contract (shared by both engines): a single-walk answer keeps
-//! the walk's natural evaluation order; a multi-walk answer is the canonical
-//! set form — deduplicated and sorted; any answer produced under a
-//! [`FeatureFilter`] is always sorted (pushing σ below a join legitimately
-//! changes join build-side choices, so natural order is not stable there).
+//! Row-order contract (shared by both engines): every answer is the §2.2
+//! union of its walks' rows under set semantics — deduplicated and in
+//! canonical sorted order, whatever the number of walks or filters. So a
+//! release that adds a walk never changes a row's multiplicity, and join
+//! order is never visible in an answer.
 
 use crate::ontology::BdiOntology;
 use crate::rewrite::walk::{prefixed_attr_name, Attach, JoinCondition, Orientation};
 use crate::rewrite::{Rewriting, Walk};
+use crate::system::Answer;
 use bdi_rdf::model::Iri;
 use bdi_relational::plan::{
-    self, ColumnFilter, ExecContext, ExecPolicy, Operator, PhysicalPlan, PlanError, Predicate,
-    RowSet, DEFAULT_SEMIJOIN_MAX_KEYS,
+    self, ColumnFilter, ExecContext, ExecPolicy, PhysicalPlan, PlanError, Predicate, RowSet,
+    DEFAULT_SEMIJOIN_MAX_KEYS,
 };
 use bdi_relational::{
     ops, AlgebraError, Attribute, PlanSource, Relation, RelationError, ScanRequest, Schema,
@@ -128,7 +129,7 @@ pub enum SourceFailurePolicy {
     Fail,
     /// Drop every walk that touches the failed source and answer from the
     /// surviving walks, reporting the degradation through
-    /// [`QueryAnswer::source_failures`] — graceful, never silent. Only
+    /// [`Answer::source_failures`] — graceful, never silent. Only
     /// source failures degrade; plan bugs, arity violations and deadline
     /// expiry still abort.
     Degrade,
@@ -203,11 +204,9 @@ pub struct ExecOptions {
     pub semijoin_max_keys: usize,
     /// Order each walk's joins by estimated output cardinality (from the
     /// wrappers' column sketches, [`bdi_wrappers::Wrapper::column_stats`])
-    /// instead of their syntactic order. Only engaged where the row-order
-    /// contract already sorts the answer (multi-walk rewritings or filtered
-    /// queries — a single unfiltered walk keeps its natural order and its
-    /// syntactic join tree), and only when every wrapper in the walk offers
-    /// a row estimate; otherwise the syntactic order is kept.
+    /// instead of their syntactic order. Engaged only when every wrapper in
+    /// the walk offers a row estimate; otherwise the syntactic order is
+    /// kept. Answers are sorted sets, so the order never shows in one.
     pub cost_based_joins: bool,
     /// Per-query wall-clock budget, measured from when the request is
     /// accepted: [`crate::system::BdiSystem::serve`] arms it first thing
@@ -225,8 +224,8 @@ pub struct ExecOptions {
     /// ignores it.
     pub on_source_failure: SourceFailurePolicy,
     /// Per-query row limit: an answer holding more rows than this is
-    /// truncated to the first `max_rows` (in the answer's contractual row
-    /// order) and flagged [`QueryAnswer::truncated`]. `None` (the default)
+    /// truncated to the first `max_rows` (in canonical sorted order) and
+    /// flagged [`Answer::truncated`]. `None` (the default)
     /// never truncates. Honoured by *both* engines — truncation happens
     /// after the answer relation is assembled, so it can never change which
     /// rows exist, only how many are returned.
@@ -324,34 +323,10 @@ pub struct ExecRuntime {
     pub max_rows: Option<usize>,
 }
 
-/// The answer to an OMQ.
-#[derive(Debug, Clone)]
-pub struct QueryAnswer {
-    /// The result relation; columns are the requested features, in π order,
-    /// named by their local names.
-    pub relation: Relation,
-    /// Rendered relational algebra of each executed walk (diagnostics).
-    pub walk_exprs: Vec<String>,
-    /// Sources the answer degraded around, one report per failed wrapper
-    /// (empty unless the query ran under [`SourceFailurePolicy::Degrade`]
-    /// and a source failed). A non-empty list means the relation is a
-    /// *partial* answer: exactly the surviving walks' rows.
-    pub source_failures: Vec<SourceFailure>,
-    /// One planner note per walk (streaming engine only; empty under
-    /// [`Engine::Eager`]): the join order chosen, whether it was
-    /// cost-based, and the estimated vs. actual row counts — the
-    /// observability surface for the statistics layer.
-    pub plan_notes: Vec<PlanNote>,
-    /// Whether [`QueryAnswer::relation`] was cut down to
-    /// [`ExecOptions::max_rows`] rows. `false` means the relation is the
-    /// complete answer (of the surviving walks, under a degraded answer).
-    pub truncated: bool,
-}
-
 /// How one walk was planned and how the estimate compared to reality.
 /// Compiled into the plan (`CompiledQuery::plan_notes`) with
 /// `actual_rows: None`; execution clones the notes into
-/// [`QueryAnswer::plan_notes`] with the actuals filled in.
+/// [`Answer::plan_notes`] with the actuals filled in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNote {
     /// Index of the walk within the rewriting.
@@ -365,10 +340,9 @@ pub struct PlanNote {
     /// Estimated output rows of the walk's join tree (`None` when the
     /// walk was planned syntactically without estimates).
     pub estimated_rows: Option<u64>,
-    /// Rows the walk actually contributed at run time: the answer's row
-    /// count for a single-walk query, the walk's novel (pre-merge) row
-    /// count for a multi-walk union. `None` until executed, and for walks
-    /// dropped by a degraded answer.
+    /// Rows the walk actually contributed at run time: its novel rows, those
+    /// no earlier-finishing walk of the union already produced. `None`
+    /// until executed, and for walks dropped by a degraded answer.
     pub actual_rows: Option<u64>,
 }
 
@@ -458,22 +432,12 @@ fn resolve_filters(
 pub(crate) fn execute_eager(
     ontology: &BdiOntology,
     resolver: &dyn SourceResolver,
-    rewriting: &Rewriting,
+    rewriting: &Arc<Rewriting>,
     filters: &[FeatureFilter],
-) -> Result<QueryAnswer, ExecError> {
+) -> Result<Answer, ExecError> {
     let features = &rewriting.well_formed.omq.pi;
     let schema = target_schema(ontology, features)?;
     let filters = resolve_filters(features, filters)?;
-
-    if rewriting.walks.is_empty() {
-        return Ok(QueryAnswer {
-            relation: Relation::empty(schema),
-            walk_exprs: Vec::new(),
-            source_failures: Vec::new(),
-            plan_notes: Vec::new(),
-            truncated: false,
-        });
-    }
 
     let mut walk_exprs = Vec::with_capacity(rewriting.walks.len());
     let mut aligned_walks = Vec::with_capacity(rewriting.walks.len());
@@ -490,20 +454,9 @@ pub(crate) fn execute_eager(
         aligned_walks.push(aligned);
     }
 
-    let mut relation = if aligned_walks.len() == 1 {
-        aligned_walks.pop().expect("walks is non-empty")
-    } else {
-        ops::union_all(&schema, &aligned_walks)?
-    };
-    if !filters.is_empty() {
-        // Filtered answers are always canonical-sorted (see the module docs'
-        // row-order contract): pushing σ below a join legitimately changes
-        // build-side choices and thus natural row order, so the order-stable
-        // form is the sorted one.
-        relation.sort_rows();
-    }
-    Ok(QueryAnswer {
-        relation,
+    Ok(Answer {
+        relation: ops::union_all(&schema, &aligned_walks)?,
+        rewriting: rewriting.clone(),
         walk_exprs,
         source_failures: Vec::new(),
         plan_notes: Vec::new(),
@@ -733,13 +686,11 @@ fn order_joins<'w>(
 
 /// Compiles a walk to its physical join tree: pushdown-aware scans with
 /// fused renames, joined by the walk's ⋈̃ conditions as hash joins — a fold
-/// over the same [`Walk::join_tree`] steps as [`Walk::to_rel_expr_full`], so
-/// row order matches the eager engine unless cost-based ordering is engaged
-/// (see [`ExecOptions::cost_based_joins`]). The caller tops it with the
+/// over the same [`Walk::join_tree`] steps as [`Walk::to_rel_expr_full`],
+/// reordered by estimated cardinality where
+/// [`ExecOptions::cost_based_joins`] engages. The caller tops it with the
 /// projection aligning it to the target schema. Also returns the walk's
-/// [`PlanNote`] (with `actual_rows` unset). `order_safe` says whether the
-/// answer's row-order contract already sorts this walk's output, making
-/// join reordering invisible.
+/// [`PlanNote`] (with `actual_rows` unset).
 fn compile_walk(
     ontology: &BdiOntology,
     source: &dyn PlanSource,
@@ -747,7 +698,6 @@ fn compile_walk(
     walk_index: usize,
     features: &[Iri],
     shape: &PlanShape,
-    order_safe: bool,
 ) -> Result<(PhysicalPlan, PlanNote), ExecError> {
     // Each filter lands on the (wrapper, attribute) providing its feature
     // in this walk — the same choice `walk_columns` aligns on.
@@ -787,11 +737,9 @@ fn compile_walk(
         costs.insert(wrapper, cost);
     }
 
-    // Cost-based ordering engages when the knob is on, the answer's
-    // row-order contract already sorts this walk (`order_safe`) and every
-    // wrapper offers a row estimate; otherwise the syntactic order stands.
+    // Cost-based ordering engages when the knob is on and every wrapper
+    // offers a row estimate; otherwise the syntactic order stands.
     let engage = shape.cost_based_joins
-        && order_safe
         && !walk.joins().is_empty()
         && costs.values().all(|c| c.rows.is_some());
     let ordered = engage.then(|| order_joins(walk, &costs)).flatten();
@@ -931,7 +879,7 @@ impl CompiledQuery {
 
     /// Planner notes, one per walk (empty under [`Engine::Eager`]).
     /// `actual_rows` is `None` here — execution clones the notes into
-    /// [`QueryAnswer::plan_notes`] with the actuals filled in.
+    /// [`Answer::plan_notes`] with the actuals filled in.
     pub(crate) fn plan_notes(&self) -> &[PlanNote] {
         &self.plan_notes
     }
@@ -979,16 +927,10 @@ fn compile_plans(
     let features = &frame.rewriting.well_formed.omq.pi;
     let mut plans = Vec::with_capacity(frame.columns.len());
     let mut plan_notes = Vec::with_capacity(frame.columns.len());
-    // Join reordering is invisible exactly where the row-order contract
-    // already sorts the answer: multi-walk unions and filtered queries.
-    // A single unfiltered walk keeps its natural (syntactic) order.
-    let order_safe = walks.len() > 1 || !shape.filters.is_empty();
     // `columns` is empty under the eager engine, which compiles no plans.
     for (walk_index, (walk, columns)) in walks.iter().zip(&frame.columns).enumerate() {
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let (joined, note) = compile_walk(
-            ontology, source, walk, walk_index, features, &shape, order_safe,
-        )?;
+        let (joined, note) = compile_walk(ontology, source, walk, walk_index, features, &shape)?;
         plans.push(joined.project_columns(&column_refs, frame.schema.clone())?);
         plan_notes.push(note);
     }
@@ -1011,7 +953,7 @@ pub fn execute_compiled<S>(
     source: &S,
     compiled: &CompiledQuery,
     ctx: Option<&ExecContext>,
-) -> Result<QueryAnswer, ExecError>
+) -> Result<Answer, ExecError>
 where
     S: SourceResolver + PlanSource,
 {
@@ -1022,15 +964,15 @@ where
 /// [`execute_compiled`] under the caller's [`ExecRuntime`] — how
 /// [`crate::system::BdiSystem::serve`] runs a cached plan for whoever is
 /// asking now. Row-limit truncation is applied here, after the answer
-/// relation is assembled, so both engines honour it identically and the
-/// kept prefix respects the answer's contractual row order.
+/// relation is assembled, so both engines honour it identically and keep
+/// the same sorted prefix.
 pub fn execute_compiled_with<S>(
     ontology: &BdiOntology,
     source: &S,
     compiled: &CompiledQuery,
     ctx: Option<&ExecContext>,
     runtime: ExecRuntime,
-) -> Result<QueryAnswer, ExecError>
+) -> Result<Answer, ExecError>
 where
     S: SourceResolver + PlanSource,
 {
@@ -1102,26 +1044,14 @@ fn run_streaming<S>(
     external: Option<&ExecContext>,
     policy: ExecPolicy,
     on_source_failure: SourceFailurePolicy,
-) -> Result<QueryAnswer, ExecError>
+) -> Result<Answer, ExecError>
 where
     S: PlanSource,
 {
     let degrade = matches!(on_source_failure, SourceFailurePolicy::Degrade);
     let schema = compiled.frame.schema.clone();
-    let walk_exprs = compiled.frame.walk_exprs.clone();
     let plans = &compiled.plans;
-    let filtered = !compiled.shape.filters.is_empty();
     let src: &dyn PlanSource = source;
-
-    if plans.is_empty() {
-        return Ok(QueryAnswer {
-            relation: Relation::empty(schema),
-            walk_exprs,
-            source_failures: Vec::new(),
-            plan_notes: compiled.plan_notes.clone(),
-            truncated: false,
-        });
-    }
 
     let owned;
     let ctx: &ExecContext = match external {
@@ -1132,57 +1062,17 @@ where
         }
     };
 
-    // A single walk keeps its natural evaluation order (no union → no set
-    // canonicalization), exactly like the eager engine — except under a
-    // pushed-down filter, where both engines emit the canonical sorted
-    // order (σ below a join changes build-side choices and thus the
-    // natural order). The driver prefetches the walk's scans concurrently
-    // ahead of the pulling join pipeline where the machine and the plan
-    // leave something to work ahead on.
-    if plans.len() == 1 {
-        let mut relation = match plan::execute_plan(&plans[0], ctx, src, policy) {
-            Ok(relation) => relation,
-            // A one-walk query degrading around its only source is an
-            // empty (but honest) answer: the report says what was lost.
-            Err(e) if degrade && source_failure_of(&e).is_some() => {
-                return Ok(QueryAnswer {
-                    relation: Relation::empty(schema),
-                    walk_exprs,
-                    source_failures: source_failure_of(&e).into_iter().collect(),
-                    // The walk was dropped: its actual stays unset.
-                    plan_notes: compiled.plan_notes.clone(),
-                    truncated: false,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if filtered {
-            relation.sort_rows();
-        }
-        let mut plan_notes = compiled.plan_notes.clone();
-        if let Some(note) = plan_notes.first_mut() {
-            note.actual_rows = Some(relation.len() as u64);
-        }
-        return Ok(QueryAnswer {
-            relation,
-            walk_exprs,
-            source_failures: Vec::new(),
-            plan_notes,
-            truncated: false,
-        });
-    }
-
-    // Multi-walk: each walk streams into its own id-space dedup set, claims
-    // the rows no earlier-finishing walk already produced (one shared
-    // id-space set — so every duplicate dies as a u32-row hash probe, never
-    // as a decoded-value comparison), then decodes and sorts only its
-    // *novel* rows into a sorted run. The value-disjoint runs are k-way
-    // merged into the canonical sorted set form. Compared to one global set
-    // plus one big final sort, the per-walk sorts are smaller
-    // (cache-friendlier) and run on the worker threads, so sorting overlaps
-    // with other walks' scans and joins instead of serializing after them —
-    // the all-distinct worst case, where the final sort used to dominate,
-    // is exactly what this buys back.
+    // Each walk streams into its own id-space dedup set, claims the rows
+    // no earlier-finishing walk already produced (one shared id-space set
+    // — so every duplicate dies as a u32-row hash probe, never as a
+    // decoded-value comparison), then decodes and sorts only its *novel*
+    // rows into a sorted run. The value-disjoint runs are k-way merged
+    // into the canonical sorted set form; a lone walk is a one-run union.
+    // Compared to one global set plus one big final sort, the per-walk
+    // sorts are smaller (cache-friendlier) and run on the worker threads,
+    // so sorting overlaps with other walks' scans and joins instead of
+    // serializing after them — the all-distinct worst case, where the
+    // final sort used to dominate, is exactly what this buys back.
     let global_seen = std::sync::Mutex::new(RowSet::new(schema.len()));
     let mut runs: Vec<Vec<Tuple>> = Vec::with_capacity(plans.len());
     runs.resize_with(plans.len(), Vec::new);
@@ -1208,11 +1098,16 @@ where
         },
     };
 
-    let workers = plan::worker_budget().min(plans.len());
+    // The budget is split: walk threads, and an equal share of prefetch
+    // threads per walk — all of it for a lone walk.
+    let budget = plan::worker_budget();
+    let workers = budget.min(plans.len());
+    let prefetch = budget / plans.len().max(1);
 
     if workers <= 1 {
         for (index, walk_plan) in plans.iter().enumerate() {
-            let result = walk_sorted_run(walk_plan, ctx, src, policy, &global_seen, degrade);
+            let result =
+                walk_sorted_run(walk_plan, ctx, src, policy, prefetch, &global_seen, degrade);
             settle(&mut runs, &mut first_error, &mut dropped, index, result);
         }
     } else {
@@ -1239,6 +1134,7 @@ where
                         ctx_ref,
                         src_ref,
                         policy,
+                        prefetch,
                         seen_ref,
                         degrade,
                     );
@@ -1258,9 +1154,9 @@ where
         return Err(e.into());
     }
 
-    // A multi-walk actual is the walk's *novel* (pre-merge) contribution:
-    // rows an earlier-finishing walk already claimed count for that walk,
-    // not this one. Dropped walks keep an unset actual.
+    // An actual is the walk's *novel* (pre-merge) contribution: rows an
+    // earlier-finishing walk already claimed count for that walk, not this
+    // one. Dropped walks keep an unset actual.
     let mut plan_notes = compiled.plan_notes.clone();
     let dropped_walks: BTreeSet<usize> = dropped.iter().map(|(index, _)| *index).collect();
     for (index, note) in plan_notes.iter_mut().enumerate() {
@@ -1269,24 +1165,24 @@ where
         }
     }
 
-    Ok(QueryAnswer {
+    Ok(Answer {
         relation: Relation::new(schema, merge_sorted_runs(runs))?,
-        walk_exprs,
+        rewriting: compiled.rewriting().clone(),
+        walk_exprs: compiled.frame.walk_exprs.clone(),
         source_failures: aggregate_failures(dropped.into_iter().map(|(_, f)| f).collect()),
         plan_notes,
         truncated: false,
     })
 }
 
-/// Runs one walk's plan to exhaustion, claiming each batch's rows against
-/// the cross-walk `global_seen` set — every duplicate, intra- or
-/// cross-walk, dies as a single `u32`-row hash probe before any value is
-/// decoded — and returns the walk's *novel* rows decoded and sorted: one
-/// sorted run of the streamed union. Batches are bounded, so the set is
-/// locked in short holds (and the claim work it serializes is exactly what
-/// the previous design serialized on the coordinator thread). Interning
-/// canonicalizes `Value`-equal rows to identical ids, so id-disjoint runs
-/// are value-disjoint too.
+/// Runs one walk's plan to exhaustion through the prefetching driver (with
+/// `prefetch` threads), claiming each batch's rows against the cross-walk
+/// `global_seen` set — every duplicate, intra- or cross-walk, dies as a
+/// single `u32`-row hash probe before any value is decoded — and returns
+/// the walk's *novel* rows decoded and sorted: one sorted run of the
+/// streamed union. Batches are bounded, so the set is locked in short
+/// holds. Interning canonicalizes `Value`-equal rows to identical ids, so
+/// id-disjoint runs are value-disjoint too.
 ///
 /// `claim_late` (the Degrade mode): the walk dedups against a *local* set
 /// while streaming and claims against the shared set only once its plan ran
@@ -1300,46 +1196,49 @@ fn walk_sorted_run(
     ctx: &ExecContext,
     src: &dyn PlanSource,
     policy: ExecPolicy,
+    prefetch: usize,
     global_seen: &std::sync::Mutex<RowSet>,
     claim_late: bool,
 ) -> Result<Vec<Tuple>, PlanError> {
     let arity = walk_plan.schema().len();
-    let mut op = Operator::new(walk_plan, ctx, src, policy);
-    let mut novel: Vec<u32> = Vec::new();
-    let mut count = 0usize;
-    if claim_late {
-        let mut local_seen = RowSet::new(arity);
-        let mut staged: Vec<u32> = Vec::new();
-        let mut staged_count = 0usize;
-        while let Some(batch) = op.next_batch()? {
-            for row in batch.rows() {
-                if local_seen.insert(row) {
-                    staged.extend_from_slice(row);
-                    staged_count += 1;
+    let (novel, count) = plan::drive_plan(walk_plan, ctx, src, policy, prefetch, |mut op| {
+        let mut novel: Vec<u32> = Vec::new();
+        let mut count = 0usize;
+        if claim_late {
+            let mut local_seen = RowSet::new(arity);
+            let mut staged: Vec<u32> = Vec::new();
+            let mut staged_count = 0usize;
+            while let Some(batch) = op.next_batch()? {
+                for row in batch.rows() {
+                    if local_seen.insert(row) {
+                        staged.extend_from_slice(row);
+                        staged_count += 1;
+                    }
                 }
             }
-        }
-        // The walk is known good past this point; only now may its rows
-        // suppress other walks' duplicates.
-        let mut seen = global_seen.lock().expect("union dedup set poisoned");
-        for i in 0..staged_count {
-            let row = &staged[i * arity..(i + 1) * arity];
-            if seen.insert(row) {
-                novel.extend_from_slice(row);
-                count += 1;
-            }
-        }
-    } else {
-        while let Some(batch) = op.next_batch()? {
+            // The walk is known good past this point; only now may its rows
+            // suppress other walks' duplicates.
             let mut seen = global_seen.lock().expect("union dedup set poisoned");
-            for row in batch.rows() {
+            for i in 0..staged_count {
+                let row = &staged[i * arity..(i + 1) * arity];
                 if seen.insert(row) {
                     novel.extend_from_slice(row);
                     count += 1;
                 }
             }
+        } else {
+            while let Some(batch) = op.next_batch()? {
+                let mut seen = global_seen.lock().expect("union dedup set poisoned");
+                for row in batch.rows() {
+                    if seen.insert(row) {
+                        novel.extend_from_slice(row);
+                        count += 1;
+                    }
+                }
+            }
         }
-    }
+        Ok((novel, count))
+    })?;
     // Decode in bounded chunks: `decode_rows` holds every pool shard for
     // the duration of a call, so one walk decoding a huge novel set must
     // not starve the other workers' interning for the whole decode.

@@ -42,7 +42,7 @@ pub mod vocab;
 pub mod wellformed;
 
 pub use durable::{DurabilityStats, DurableError, DurableSystem, RecoveryInfo};
-pub use exec::{Engine, ExecError, ExecOptions, FeatureFilter, QueryAnswer};
+pub use exec::{Engine, ExecError, ExecOptions, FeatureFilter};
 pub use omq::{Omq, OmqError};
 pub use ontology::{BdiOntology, OntologyError};
 pub use release::{Release, ReleaseError, ReleaseStats};

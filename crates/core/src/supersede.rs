@@ -459,8 +459,11 @@ mod tests {
         );
         let answer = system.serve(AnswerRequest::omq(q)).unwrap();
         assert_eq!(answer.relation.len(), 2);
+        let row = (0..answer.relation.len())
+            .find(|&i| answer.relation.value(i, "feedbackGatheringId") == Some(&Value::Int(77)))
+            .expect("feedback gathering 77 is answered");
         assert_eq!(
-            answer.relation.value(0, "description"),
+            answer.relation.value(row, "description"),
             Some(&Value::Str("I continuously see the loading symbol".into()))
         );
     }

@@ -18,7 +18,7 @@
 //! `Arc`, and a replacement swaps it in without touching queries in flight.
 
 use crate::exec::{
-    self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanShape, QueryAnswer, SourceFailure,
+    self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanShape, SourceFailure,
 };
 use crate::omq::{Omq, OmqError};
 use crate::ontology::BdiOntology;
@@ -485,10 +485,12 @@ pub struct BdiSystem {
     cache: ExecCache,
 }
 
-/// A query answer together with the rewriting that produced it.
+/// The answer to an OMQ, together with the rewriting that produced it.
 #[derive(Debug, Clone)]
 pub struct Answer {
-    /// The result relation (feature-named columns, π order).
+    /// The result relation: columns are the requested features, in π order,
+    /// named by their local names; rows are the walks' union as a set, in
+    /// canonical sorted order.
     pub relation: bdi_relational::Relation,
     /// The rewriting artefacts (walks, expansion, candidates). Shared with
     /// the plan cache, so repeated queries don't deep-clone the walks.
@@ -498,12 +500,11 @@ pub struct Answer {
     /// Sources degraded around under
     /// [`crate::exec::SourceFailurePolicy::Degrade`], one report per failed
     /// wrapper. Non-empty means [`Answer::relation`] is a partial answer —
-    /// exactly the surviving walks' rows (see
-    /// [`crate::exec::QueryAnswer::source_failures`]).
+    /// exactly the surviving walks' rows.
     pub source_failures: Vec<SourceFailure>,
-    /// One planner note per walk — chosen join order, whether it was
-    /// cost-based, estimated vs. actual rows (see
-    /// [`crate::exec::QueryAnswer::plan_notes`]).
+    /// One planner note per walk (streaming engine only; empty under
+    /// [`crate::exec::Engine::Eager`]): the join order chosen, whether it
+    /// was cost-based, and the estimated vs. actual row counts.
     pub plan_notes: Vec<PlanNote>,
     /// Whether [`Answer::relation`] was cut down to the request's
     /// [`ExecOptions::max_rows`] row limit. `false` means the relation is
@@ -804,21 +805,7 @@ impl BdiSystem {
         if let Some(ctx) = pinned {
             self.cache.unpin(ctx);
         }
-        let QueryAnswer {
-            relation,
-            walk_exprs,
-            source_failures,
-            plan_notes,
-            truncated,
-        } = result?;
-        Ok(Answer {
-            relation,
-            rewriting: compiled.rewriting().clone(),
-            walk_exprs,
-            source_failures,
-            plan_notes,
-            truncated,
-        })
+        Ok(result?)
     }
 
     /// Rewrites `(omq, scope)` over the wrappers the scope admits and

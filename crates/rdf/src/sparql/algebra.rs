@@ -9,9 +9,10 @@
 //!     (bgp (triple s1 p1 attr1) … )))
 //! ```
 //!
-//! [`to_algebra`] produces that s-expression for any supported query; it is
-//! what `bdi-core` hands to the rewriting pipeline (and what tests assert
-//! against to demonstrate fidelity with the ARQ output shown in the paper).
+//! [`to_algebra`] produces that s-expression for any supported query. It is
+//! a rendering only: the rewriting pipeline reads the parsed query, and the
+//! unit tests assert against this form to show fidelity with the ARQ
+//! output shown in the paper.
 
 use super::ast::*;
 use std::fmt::Write as _;

@@ -12,6 +12,17 @@
 //! with Turtle and TriG, which covers Code 3 / Code 5 / Code 8 of the
 //! paper plus variables and `GRAPH ?g { … }`.
 
+// Parses text from outside the process: a bad byte is an `Err`, never a
+// panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use super::ast::*;
 use crate::model::Term;
 use crate::syntax::lexer::Token;
@@ -160,6 +171,12 @@ impl Parser {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
 

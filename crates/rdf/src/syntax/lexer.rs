@@ -212,6 +212,12 @@ pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
 

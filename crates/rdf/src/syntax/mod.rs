@@ -16,6 +16,17 @@
 //! block ended by its `.`; Turtle also no graph blocks). Both document
 //! formats go through [`parse_document`].
 
+// Parses text from outside the process: a bad byte is an `Err`, never a
+// panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 pub(crate) mod lexer;
 
 use crate::model::{BlankNode, GraphName, InvalidTerm, Iri, Literal, Quad, Term};

@@ -913,7 +913,6 @@ pub(super) fn adaptive_batch_rows(
 mod tests {
     use super::*;
     use crate::ops;
-    use crate::plan::driver::pull_plan;
     use crate::plan::test_support::*;
     use crate::plan::{ExecPolicy, PhysicalPlan};
     use crate::schema::Schema;

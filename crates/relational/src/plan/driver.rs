@@ -8,20 +8,9 @@ use crate::relation::{Relation, Tuple};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 
-/// The plain pull loop: drains an [`Operator`] on the caller's thread,
-/// decoding each batch.
-pub(super) fn pull_plan(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    source: &dyn PlanSource,
-    policy: ExecPolicy,
-) -> Result<Relation, PlanError> {
-    drain(plan, Operator::new(plan, ctx, source, policy), ctx)
-}
-
-/// Pulls an operator tree to exhaustion and drops it, with any prefetch
-/// feeds it still holds.
-fn drain(
+/// Pulls an operator tree to exhaustion, decoding each batch, and drops
+/// it, with any prefetch feeds it still holds.
+pub(super) fn drain(
     plan: &PhysicalPlan,
     mut op: Operator<'_>,
     ctx: &ExecContext,
@@ -104,17 +93,27 @@ pub fn worker_budget() -> usize {
 }
 
 /// Runs a plan to completion against a (possibly shared) context under a
-/// runtime [`ExecPolicy`], decoding the result — the one plan driver.
-/// ([`Operator::new`] + [`Operator::next_batch`] is the pull API for
-/// callers that consume interned batches themselves.)
+/// runtime [`ExecPolicy`], decoding the result: [`drive_plan`] with the
+/// full [`worker_budget`], consumed by the plain pull loop.
 ///
 /// Union nodes deduplicate (set semantics) and emit rows in first-occurrence
 /// order; every other operator preserves its input order. Callers wanting
 /// the canonical sorted form apply [`Relation::distinct`] themselves.
-///
-/// The pipeline pulls on the caller's thread; where there is something to
-/// work ahead on, scoped prefetch threads — at most
-/// [`worker_budget`] of them — run ahead of it:
+pub fn execute_plan(
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+    source: &dyn PlanSource,
+    policy: ExecPolicy,
+) -> Result<Relation, PlanError> {
+    drive_plan(plan, ctx, source, policy, worker_budget(), |op| {
+        drain(plan, op, ctx)
+    })
+}
+
+/// The one plan driver: builds the plan's [`Operator`] tree and hands it to
+/// `consume`, which pulls it on the caller's thread. Where there is
+/// something to work ahead on, scoped prefetch threads — at most
+/// `max_workers` of them — run ahead of the pull:
 ///
 /// * **Cache-destined** scan leaves are warmed concurrently by a worker
 ///   pool, so a plan over several sources overlaps their scans with each
@@ -141,26 +140,17 @@ pub fn worker_budget() -> usize {
 /// one value-space batch plus (for queued feeds) the bounded queue; what
 /// accumulates is the interned (4-bytes-per-cell) form in the shared scan
 /// cache, which the plan's operators would have materialized anyway.
-/// A single-core host, and a plan with nothing to work ahead on (fewer
+/// A budget below two, and a plan with nothing to work ahead on (fewer
 /// than two cold cache-destined scans and no cursor-routed one), skip the
 /// threads entirely.
-pub fn execute_plan(
-    plan: &PhysicalPlan,
-    ctx: &ExecContext,
-    source: &dyn PlanSource,
-    policy: ExecPolicy,
-) -> Result<Relation, PlanError> {
-    execute_plan_with_workers(plan, ctx, source, policy, worker_budget())
-}
-
-/// [`execute_plan`] with the prefetch-thread budget as an argument.
-pub(super) fn execute_plan_with_workers(
+pub fn drive_plan<T>(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
     source: &dyn PlanSource,
     policy: ExecPolicy,
     max_workers: usize,
-) -> Result<Relation, PlanError> {
+    consume: impl for<'o> FnOnce(Operator<'o>) -> Result<T, PlanError>,
+) -> Result<T, PlanError> {
     let mut scans = Vec::new();
     collect_prefetch_scans(plan, ctx, source, &policy, &mut scans);
     // Warm scans need no prefetch — on a persistent context a repeated
@@ -177,7 +167,7 @@ pub(super) fn execute_plan_with_workers(
         .collect();
     queued.truncate(max_workers);
     if max_workers < 2 || (cached.len() < 2 && queued.is_empty()) {
-        return pull_plan(plan, ctx, source, policy);
+        return consume(Operator::new(plan, ctx, source, policy));
     }
     let warm_workers = if cached.len() >= 2 {
         cached.len().min(max_workers)
@@ -224,13 +214,10 @@ pub(super) fn execute_plan_with_workers(
                 let _ = ctx.scan(source, name, request, deadline);
             });
         }
-        // The tree is dropped before the scope joins, so no producer stays
+        // `consume` cannot return the tree (`T` outlives no `'o`), so the
+        // tree is dropped before the scope joins and no producer stays
         // blocked on a full queue nobody reads.
-        drain(
-            plan,
-            Operator::with_feeds(plan, ctx, source, policy, feeds),
-            ctx,
-        )
+        consume(Operator::with_feeds(plan, ctx, source, policy, feeds))
     })
 }
 
@@ -253,8 +240,7 @@ mod tests {
             .unwrap();
         let reference = run(&plan, &source).unwrap();
         let ctx = ExecContext::new();
-        let out =
-            execute_plan_with_workers(&plan, &ctx, &counting, ExecPolicy::default(), 8).unwrap();
+        let out = execute_with_workers(&plan, &ctx, &counting, ExecPolicy::default(), 8).unwrap();
         assert_eq!(out.rows(), reference.rows());
         // Prefetch threads and the pulling pipeline share the cache cells:
         // each distinct scan ran exactly once.
@@ -263,14 +249,10 @@ mod tests {
         let bad = scan_all("w1", &w1())
             .hash_join(scan_all("zz", &w3()), "VoDmonitorId", "MonitorId")
             .unwrap();
-        assert!(execute_plan_with_workers(
-            &bad,
-            &ExecContext::new(),
-            &source,
-            ExecPolicy::default(),
-            8
-        )
-        .is_err());
+        assert!(
+            execute_with_workers(&bad, &ExecContext::new(), &source, ExecPolicy::default(), 8)
+                .is_err()
+        );
     }
 
     /// Concurrent executions on one context each own their prefetch feeds:
@@ -320,8 +302,7 @@ mod tests {
             let runs: Vec<_> = (0..2)
                 .map(|_| {
                     s.spawn(|| {
-                        execute_plan_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 2)
-                            .unwrap()
+                        execute_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 2).unwrap()
                     })
                 })
                 .collect();
@@ -341,8 +322,8 @@ mod tests {
         // already carrying the IN-set.
         let src = Hinted::new(true);
         let ctx = ExecContext::new();
-        let out = execute_plan_with_workers(&w3_wbig_join(), &ctx, &src, ExecPolicy::default(), 8)
-            .unwrap();
+        let out =
+            execute_with_workers(&w3_wbig_join(), &ctx, &src, ExecPolicy::default(), 8).unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         let probe_requests = src.requests_for("wbig");

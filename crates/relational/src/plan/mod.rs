@@ -43,7 +43,7 @@
 //! materializes in the mediator. [`PlanSource::data_version`] stamps each
 //! scan with the source's data generation — the [`ExecContext`] scan cache
 //! keys on it, so contexts reused across queries can never serve rows
-//! scanned before a source mutation. [`execute_plan`] issues a plan's scans
+//! scanned before a source mutation. [`drive_plan`] issues a plan's scans
 //! concurrently on scoped threads ahead of the pulling pipeline.
 //!
 //! ## Append-aware scans
@@ -106,7 +106,8 @@
 //!   and the per-scan decisions (cached or cursor-only, batch size);
 //! * `operator.rs` — the pull operators ([`Operator`]) and the semi-join
 //!   gate;
-//! * `driver.rs` — [`execute_plan`]: the pull loop and scan prefetch.
+//! * `driver.rs` — [`drive_plan`]: scan prefetch around a pulled operator
+//!   tree, and [`execute_plan`], which decodes what it pulls.
 
 mod context;
 mod driver;
@@ -116,7 +117,7 @@ mod pool;
 mod request;
 
 pub use context::{ContextCounters, ExecContext};
-pub use driver::{execute_plan, worker_budget};
+pub use driver::{drive_plan, execute_plan, worker_budget};
 pub use operator::Operator;
 pub use physical::PhysicalPlan;
 pub use pool::{Batch, RowSet};
@@ -227,7 +228,7 @@ pub enum PlanError {
 
 #[cfg(test)]
 mod test_support {
-    use super::driver::pull_plan;
+    use super::driver::{drain, drive_plan};
     use super::*;
     use crate::relation::{Relation, Tuple};
     use crate::schema::Schema;
@@ -247,6 +248,29 @@ mod test_support {
         source: &dyn PlanSource,
     ) -> Result<Relation, PlanError> {
         pull_plan(plan, ctx, source, ExecPolicy::default())
+    }
+
+    /// The plain pull loop: drains a plan on the caller's thread.
+    pub(super) fn pull_plan(
+        plan: &PhysicalPlan,
+        ctx: &ExecContext,
+        source: &dyn PlanSource,
+        policy: ExecPolicy,
+    ) -> Result<Relation, PlanError> {
+        drain(plan, Operator::new(plan, ctx, source, policy), ctx)
+    }
+
+    /// [`drive_plan`] with `workers` prefetch threads, decoding the result.
+    pub(super) fn execute_with_workers(
+        plan: &PhysicalPlan,
+        ctx: &ExecContext,
+        source: &dyn PlanSource,
+        policy: ExecPolicy,
+        workers: usize,
+    ) -> Result<Relation, PlanError> {
+        drive_plan(plan, ctx, source, policy, workers, |op| {
+            drain(plan, op, ctx)
+        })
     }
 
     pub(super) fn w1() -> Relation {

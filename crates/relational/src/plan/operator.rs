@@ -904,7 +904,6 @@ impl<'r> OpNode<'r> {
 mod tests {
     use super::*;
     use crate::ops;
-    use crate::plan::driver::{execute_plan_with_workers, pull_plan};
     use crate::plan::test_support::*;
     use crate::relation::{Relation, RelationError, Tuple};
     use crate::schema::Schema;
@@ -1219,7 +1218,7 @@ mod tests {
             for prefetch in [false, true] {
                 let ctx = ExecContext::new();
                 let out = if prefetch {
-                    execute_plan_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 4).unwrap()
+                    execute_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 4).unwrap()
                 } else {
                     run_in(&plan, &ctx, &src).unwrap()
                 };

@@ -128,12 +128,6 @@ impl Relation {
         self.rows.dedup();
     }
 
-    /// Sorts rows into the canonical total order **without** deduplicating
-    /// (bag semantics preserved).
-    pub fn sort_rows(&mut self) {
-        self.rows.sort();
-    }
-
     /// Returns a sorted/deduplicated copy.
     pub fn to_distinct(&self) -> Relation {
         let mut copy = self.clone();

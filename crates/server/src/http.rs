@@ -7,13 +7,18 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Caps on hostile input.
-const MAX_HEAD_BYTES: usize = 64 * 1024;
-const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// Caps on hostile input: the request line and headers, terminator
+/// included, and the body.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+/// The most one read appends to a connection's buffer. With the caps it
+/// bounds the buffer: [`read_request`] never holds more than
+/// `MAX_HEAD_BYTES + MAX_BODY_BYTES + READ_BYTES` bytes.
+pub const READ_BYTES: usize = 4096;
 
 /// One parsed request.
 #[derive(Debug)]
-pub(crate) struct Request {
+pub struct Request {
     pub method: String,
     pub path: String,
     pub body: Vec<u8>,
@@ -24,7 +29,7 @@ pub(crate) struct Request {
 
 /// What [`read_request`] found on a connection.
 #[derive(Debug)]
-pub(crate) enum Incoming {
+pub enum Incoming {
     Request(Request),
     /// A request whose body cannot be delimited safely: answer `status`
     /// with `error` and close, since where the next request would start is
@@ -41,17 +46,21 @@ pub(crate) enum Incoming {
 /// Reads one request off the stream. `buf` is the connection's read
 /// buffer, carried from one call to the next: bytes read past the end of
 /// this request — a pipelining client's next request — stay in it for the
-/// next call. The stream must have a read timeout set; timeouts are used
-/// to poll `stop`.
-pub(crate) fn read_request(
-    stream: &mut TcpStream,
+/// next call. A read that times out (or would block) polls `stop`, so the
+/// server's `TcpStream`s carry a read timeout.
+pub fn read_request(
+    stream: &mut impl Read,
     buf: &mut Vec<u8>,
     stop: &AtomicBool,
 ) -> io::Result<Incoming> {
+    // Bytes already searched for the terminator: a head trickled in one
+    // byte per read costs a linear scan, not a quadratic one.
+    let mut searched = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(buf) {
+        if let Some(pos) = find_head_end(buf, searched) {
             break pos;
         }
+        searched = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEAD_BYTES {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -70,6 +79,14 @@ pub(crate) fn read_request(
             ReadStep::Stopped => return Ok(Incoming::Closed),
         }
     };
+    // The read that found the terminator may have carried the head past
+    // the cap.
+    if head_end + 4 > MAX_HEAD_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "request head too large",
+        ));
+    }
 
     // `find_head_end` located `\r\n\r\n` inside `buf`, so the range is in
     // bounds; checked access keeps the serving path panic-free anyway.
@@ -160,8 +177,8 @@ enum ReadStep {
 
 /// One poll-aware read: appends available bytes, reports EOF, or — on a
 /// timeout with shutdown requested — asks the caller to bail out.
-fn read_some(stream: &mut TcpStream, buf: &mut Vec<u8>, stop: &AtomicBool) -> io::Result<ReadStep> {
-    let mut chunk = [0u8; 4096];
+fn read_some(stream: &mut impl Read, buf: &mut Vec<u8>, stop: &AtomicBool) -> io::Result<ReadStep> {
+    let mut chunk = [0u8; READ_BYTES];
     loop {
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(ReadStep::Eof),
@@ -185,8 +202,10 @@ fn read_some(stream: &mut TcpStream, buf: &mut Vec<u8>, stop: &AtomicBool) -> io
     }
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Where `\r\n\r\n` starts in `buf`, searching from `from` on.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let pos = buf.get(from..)?.windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + pos)
 }
 
 fn reason(status: u16) -> &'static str {

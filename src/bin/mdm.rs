@@ -20,7 +20,7 @@
 
 use bdi::core::supersede;
 use bdi::core::system::{AnswerRequest, BdiSystem};
-use bdi::core::{typing, validate, vocab};
+use bdi::core::{typing, validate};
 use bdi::evolution::{industrial, wordpress};
 use bdi::rdf::trig;
 use std::process::ExitCode;
@@ -281,5 +281,4 @@ fn audit() {
         "  weighted: {:.2}% + {:.2}% = {:.2}% solved",
         avg.partially_pct, avg.fully_pct, avg.solved_pct
     );
-    let _ = vocab::graphs::global(); // keep the vocab crate linked in docs
 }

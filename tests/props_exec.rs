@@ -458,15 +458,6 @@ proptest! {
             streamed.rewriting.walks.len(),
             reference.rewriting.walks.len()
         );
-        // Multi-walk answers are sets: no Eq-duplicate rows may survive
-        // (an oracle independent of the engine comparison, since both
-        // engines share the hash-based dedup machinery).
-        if streamed.rewriting.walks.len() > 1 {
-            let rows = streamed.relation.rows();
-            for pair in rows.windows(2) {
-                prop_assert!(pair[0] != pair[1], "duplicate row {:?}", &pair[0]);
-            }
-        }
 
         // The streaming batch-scan path at adversarial batch sizes —
         // one-row batches, tiny batches, one giant batch — pinned to the
@@ -498,6 +489,47 @@ proptest! {
                 streamed.relation.rows(),
                 all_scope_reference.relation.rows()
             );
+        }
+    }
+
+    // The row-order contract, an oracle independent of the engine
+    // comparison: every answer of either engine, under every scope — lone
+    // walks included — and with or without a filter, is a set in canonical
+    // order, each row strictly greater than the one before.
+    #[test]
+    fn every_answer_is_a_sorted_set(
+        concepts in 1usize..4,
+        wrappers in 1usize..4,
+        data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..10),
+        upto in 0usize..6,
+        predicate in arb_predicate(),
+    ) {
+        let system = build_system(concepts, wrappers, &data);
+        let filter = FeatureFilter::new(synthetic::chain_data_feature(1), predicate);
+        for scope_seed in 0..4 {
+            let scope = scope_for(scope_seed, upto, concepts, wrappers, &system);
+            for filters in [Vec::new(), vec![filter.clone()]] {
+                for options in [eager(), streaming()] {
+                    let options = ExecOptions { filters: filters.clone(), ..options };
+                    let answer = system
+                        .serve(
+                            AnswerRequest::omq(synthetic::chain_query(concepts))
+                                .scope(scope.clone())
+                                .options(options.clone()),
+                        )
+                        .unwrap();
+                    let rows = answer.relation.rows();
+                    prop_assert!(
+                        rows.windows(2).all(|pair| pair[0] < pair[1]),
+                        "not a sorted set ({:?}, {} walks, {:?} filters {:?}): {:?}",
+                        &scope,
+                        answer.rewriting.walks.len(),
+                        options.engine,
+                        &filters,
+                        rows
+                    );
+                }
+            }
         }
     }
 
@@ -847,8 +879,8 @@ proptest! {
     // (which upgrades its cached scans by what was appended), a fresh
     // context and the eager engine agree row for row, order included:
     // unfiltered and under a pushed predicate, through the union of all
-    // three versions and through each version's single walk (natural
-    // order), the `$limit` one included — which must never resume.
+    // three versions and through each version's lone walk, the `$limit`
+    // one included — which must never resume.
     #[test]
     fn persistent_context_matches_fresh_and_eager_after_every_step(
         first in prop::collection::vec(arb_raw_row(), 0..8),
@@ -1089,34 +1121,19 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
             .map(|r| vec![Value::Int(r), Value::Float(r as f64)])
             .collect(),
     });
-    // A pass-everything filter makes the answer order-contract sorted, which
-    // is what licenses reordering in the first place (single-walk unfiltered
-    // answers keep natural order and stay syntactic).
-    let filters = vec![FeatureFilter::new(
-        synthetic::chain_data_feature(1),
-        Predicate::range(None, None),
-    )];
+    // A lone unfiltered walk is reordered too: every answer is a sorted
+    // set, so the join order never shows in one.
     let reference = system
-        .serve(
-            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
-                filters: filters.clone(),
-                ..eager()
-            }),
-        )
+        .serve(AnswerRequest::omq(synthetic::chain_query(3)).options(eager()))
         .unwrap();
 
     let ordered = system
-        .serve(
-            AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
-                filters: filters.clone(),
-                ..streaming()
-            }),
-        )
+        .serve(AnswerRequest::omq(synthetic::chain_query(3)).options(streaming()))
         .unwrap();
     assert_eq!(ordered.relation.rows(), reference.relation.rows());
     assert_eq!(ordered.plan_notes.len(), 1);
     let note = &ordered.plan_notes[0];
-    assert!(note.cost_based, "stats present, order-safe: {note:?}");
+    assert!(note.cost_based, "stats present: {note:?}");
     assert_eq!(note.join_order.len(), 3);
     assert_eq!(note.join_order.last().map(String::as_str), Some("w_1_1"));
     assert_ne!(note.join_order[0], "w_1_1");
@@ -1126,7 +1143,6 @@ fn cost_based_ordering_reorders_and_reports_plan_notes() {
     let syntactic = system
         .serve(
             AnswerRequest::omq(synthetic::chain_query(3)).options(ExecOptions {
-                filters,
                 cost_based_joins: false,
                 ..streaming()
             }),

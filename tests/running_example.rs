@@ -1,9 +1,10 @@
 //! End-to-end reproduction of the paper's running example: Table 1 wrapper
 //! outputs, the Table 2 query answer, and the §2.1 evolution scenario.
 
+use bdi::core::exec::{Engine, ExecOptions};
 use bdi::core::release::ReleaseError;
 use bdi::core::supersede;
-use bdi::core::system::{AnswerRequest, SystemError};
+use bdi::core::system::{AnswerRequest, SystemError, VersionScope};
 use bdi::core::vocab;
 use bdi::relational::{SourceResolver, Value};
 
@@ -99,6 +100,50 @@ fn evolution_preserves_the_analysts_query() {
             after.relation.rows().contains(row),
             "historical row {row:?} lost after evolution"
         );
+    }
+}
+
+/// §2.2 answers an OMQ as the union of its walks under set semantics, so
+/// a row's multiplicity does not depend on how many walks a scope admits:
+/// projecting only `applicationId`, the lone walk w1 ⋈ w3 (whose join
+/// yields application 1 twice) answers the same two rows as the two-walk
+/// union after the VoD release, on both engines and under every scope.
+#[test]
+fn application_ids_are_a_set_whatever_the_walk_count() {
+    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut omq = supersede::exemplary_omq();
+    omq.pi = vec![supersede::features::application_id()];
+    let ids = |system: &bdi::core::system::BdiSystem, scope: VersionScope, engine| {
+        let options = ExecOptions {
+            engine,
+            ..ExecOptions::default()
+        };
+        let answer = system
+            .serve(
+                AnswerRequest::omq(omq.clone())
+                    .scope(scope)
+                    .options(options),
+            )
+            .unwrap();
+        answer.relation.rows().to_vec()
+    };
+    let expected = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
+    for engine in [Engine::Streaming, Engine::Eager] {
+        assert_eq!(ids(&system, VersionScope::All, engine), expected);
+    }
+    supersede::evolve_with_w4(&mut system, &store);
+    for engine in [Engine::Streaming, Engine::Eager] {
+        for scope in [
+            VersionScope::All,
+            VersionScope::Latest,
+            VersionScope::UpToRelease(2),
+        ] {
+            assert_eq!(
+                ids(&system, scope.clone(), engine),
+                expected,
+                "{scope:?} under {engine:?}"
+            );
+        }
     }
 }
 

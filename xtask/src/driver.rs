@@ -9,8 +9,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Files the `deadline` lint covers, with the functions whose loops must
-/// stay cancellable: the operator pull path, the plan driver (its
-/// worker-count body holds the prefetch producers), the one loop that
+/// stay cancellable: the operator pull path, the plan driver
+/// (`drive_plan` holds the prefetch producers), the one loop that
 /// interns a source's batches (`InternedBatches::next`) with the
 /// scan-cache fill that drains it, and the pager producer and consumer.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
@@ -21,7 +21,7 @@ const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     ),
     (
         "crates/relational/src/plan/driver.rs",
-        &["execute_plan", "execute_plan_with_workers"],
+        &["execute_plan", "drive_plan"],
     ),
     (
         "crates/wrappers/src/remote.rs",
