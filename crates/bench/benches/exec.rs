@@ -11,9 +11,9 @@
 //!   context's caches.
 //! * **Filter workload** — a pushed-down ID-equality selection vs. the
 //!   eager post-selection.
-//! * **Prefetch workload** — ONE walk joining 4 wrappers (the common
-//!   analyst query): eager vs streaming with the walk's scans prefetched
-//!   concurrently through the batch-scan contract.
+//! * **Single-walk workload** — ONE walk joining 4 wrappers (the common
+//!   analyst query): eager vs streaming, the walk's operator tree pulled
+//!   on one thread through the batch-scan contract.
 //! * **Semi-join workload** — a selective join (100-key build × 100k-row
 //!   probe): semi-join sideways passing on vs off, i.e. whether the build
 //!   keys reach the probe wrapper as an IN-set before its scan is issued.
@@ -30,10 +30,9 @@
 //!   watermark: cached (an uncapped context) vs cursor-only (a capped
 //!   one), comparing both time and the batch-granular resident peak.
 //! * **Paged-remote workload** — a hash join whose both sides are
-//!   [`bdi_wrappers::RemoteWrapper`]s over 50 ms/page simulated endpoints:
-//!   a plain operator pull (one scan's pages after the other's) vs the
-//!   driver's prefetcher overlapping both sources' page latency with the join, and
-//!   the retry overhead of the same join at a 10% injected transient-fault
+//!   [`bdi_wrappers::RemoteWrapper`]s over 50 ms/page simulated endpoints,
+//!   pulled on one thread (one scan's pages after the other's), and the
+//!   retry overhead of the same join at a 10% injected transient-fault
 //!   rate vs fault-free.
 //! * **Append-requery workload** — the SUPERSEDE running example over two
 //!   10k-document VoD collections: one document inserted into the v2
@@ -57,10 +56,8 @@ use bdi_bench::synthetic;
 use bdi_bench::{compile_and_execute, measure, Measurement};
 use bdi_core::exec::{Engine, ExecOptions, FeatureFilter};
 use bdi_core::system::{AnswerRequest, BdiSystem};
-use bdi_relational::plan::{execute_plan, ExecPolicy, Operator};
-use bdi_relational::{
-    Attribute, ExecContext, PhysicalPlan, PlanSource, Relation, ScanRequest, Schema, Value,
-};
+use bdi_relational::plan::{execute_plan, ExecPolicy};
+use bdi_relational::{Attribute, ExecContext, PhysicalPlan, Relation, ScanRequest, Schema, Value};
 use bdi_wrappers::{
     FaultProfile, RemoteWrapper, RetryPolicy, SimulatedEndpoint, TableWrapper, Wrapper,
     WrapperRegistry,
@@ -127,17 +124,6 @@ fn answer_len(system: &BdiSystem, concepts: usize, opts: &ExecOptions) -> usize 
         .expect("benchmark query answers")
         .relation
         .len()
-}
-
-/// The plain pull loop over the public operator API: no prefetch threads,
-/// every scan issued when the pipeline first pulls it.
-fn pull(plan: &PhysicalPlan, ctx: &ExecContext, source: &dyn PlanSource) -> Relation {
-    let mut op = Operator::new(plan, ctx, source, ExecPolicy::default());
-    let mut rows = Vec::new();
-    while let Some(batch) = op.next_batch().expect("plan executes") {
-        rows.extend(ctx.decode_batch(&batch));
-    }
-    Relation::new(plan.schema().clone(), rows).expect("rows match the plan's schema")
 }
 
 fn main() {
@@ -233,24 +219,23 @@ fn main() {
     );
     let filter_speedup = filter_eager_ns / filter_stream_ns;
 
-    // ---- Prefetch workload: ONE walk joining 4 wrappers (1 per concept) —
-    // the common analyst query. The driver prefetches the walk's 4 scans
-    // concurrently on scoped threads through the streaming batch contract
-    // before (and while) the join pipeline pulls.
-    let prefetch_system = workload(4, 1, false);
-    let expected = answer_len(&prefetch_system, 4, &eager);
-    assert_eq!(answer_len(&prefetch_system, 4, &stream_full), expected);
-    let prefetch_eager_ns = measure(
+    // ---- Single-walk workload: ONE walk joining 4 wrappers (1 per
+    // concept) — the common analyst query. Its operator tree is pulled on
+    // one thread, each scan issued when the join pipeline first pulls it.
+    let single_walk_system = workload(4, 1, false);
+    let expected = answer_len(&single_walk_system, 4, &eager);
+    assert_eq!(answer_len(&single_walk_system, 4, &stream_full), expected);
+    let single_walk_eager_ns = measure(
         "exec/single_walk_c4_10k/eager".to_owned(),
         &mut records,
-        || answer_len(&prefetch_system, 4, &eager),
+        || answer_len(&single_walk_system, 4, &eager),
     );
-    let prefetch_ns = measure(
-        "exec/single_walk_c4_10k/stream_prefetch".to_owned(),
+    let single_walk_ns = measure(
+        "exec/single_walk_c4_10k/stream".to_owned(),
         &mut records,
-        || answer_len(&prefetch_system, 4, &stream_full),
+        || answer_len(&single_walk_system, 4, &stream_full),
     );
-    let prefetch_speedup = prefetch_eager_ns / prefetch_ns;
+    let single_walk_speedup = single_walk_eager_ns / single_walk_ns;
 
     // ---- Semi-join workload: selective join — a 100-key build side whose
     // distinct keys reduce a 100k-row probe scan to the ~100 rows that
@@ -574,11 +559,14 @@ fn main() {
     // source routes it cursor-only.
     let uncapped = || ExecContext::new().with_scan_batch_rows(scan_batch);
     let capped = || uncapped().with_value_cap(cap);
+    let scan_big = |ctx: &ExecContext| {
+        execute_plan(&big_plan, ctx, &registry, ExecPolicy::default()).expect("big scan answers")
+    };
     let cached_ctx = uncapped();
-    let cached_rows = pull(&big_plan, &cached_ctx, &registry);
+    let cached_rows = scan_big(&cached_ctx);
     assert_eq!(cached_ctx.cached_scans(), 1);
     let cursor_ctx = capped();
-    let cursor_rows = pull(&big_plan, &cursor_ctx, &registry);
+    let cursor_rows = scan_big(&cursor_ctx);
     assert_eq!(cursor_ctx.cached_scans(), 0, "cached an over-cap source");
     assert_eq!(cursor_rows.rows(), cached_rows.rows());
     let (cached_peak, cursor_peak) = (cached_ctx.peak_bytes(), cursor_ctx.peak_bytes());
@@ -590,22 +578,20 @@ fn main() {
     let cursor_cached_ns = measure(
         "exec/cursor_scan_10x_cap/cached".to_owned(),
         &mut records,
-        || pull(&big_plan, &uncapped(), &registry).len(),
+        || scan_big(&uncapped()).len(),
     );
     let cursor_only_ns = measure(
         "exec/cursor_scan_10x_cap/cursor_only".to_owned(),
         &mut records,
-        || pull(&big_plan, &capped(), &registry).len(),
+        || scan_big(&capped()).len(),
     );
 
     // ---- Paged-remote workload: a hash join whose BOTH sides are remote
-    // wrappers over 50 ms/page endpoints. Pulled plainly, one source's pages
-    // are fetched after the other's; the driver's prefetcher fetches both
-    // concurrently
-    // and the join pulls as pages land, so wall-clock approaches the slower
-    // single source instead of the sum. The 10% variant re-runs the
-    // prefetched join against endpoints injecting seeded transient faults,
-    // isolating what the retry loop costs when it has work to do.
+    // wrappers over 50 ms/page endpoints. Pulled on one thread, one
+    // source's pages are fetched after the other's, so wall-clock is the
+    // sum of both sources' page latency. The 10% variant re-runs the join
+    // against endpoints injecting seeded transient faults, isolating what
+    // the retry loop costs when it has work to do.
     let page_ms = if bdi_bench::fast_mode() { 2 } else { 50 };
     let remote_rows = bdi_bench::scaled(1024, 16);
     let remote_relation = |side: u64| {
@@ -659,38 +645,31 @@ fn main() {
             .hash_join(PhysicalPlan::scan("rb", side_request("b")), "a_id", "b_id")
             .unwrap()
     };
-    let remote_run = |registry: &WrapperRegistry, prefetch: bool| {
-        let ctx = ExecContext::new();
-        let relation = if prefetch {
-            execute_plan(&remote_plan, &ctx, registry, ExecPolicy::default())
-                .expect("remote join answers")
-        } else {
-            pull(&remote_plan, &ctx, registry)
-        };
-        relation.len()
+    let remote_run = |registry: &WrapperRegistry| {
+        execute_plan(
+            &remote_plan,
+            &ExecContext::new(),
+            registry,
+            ExecPolicy::default(),
+        )
+        .expect("remote join answers")
+        .len()
     };
     let clean_registry = remote_registry(0.0);
     let faulty_registry = remote_registry(0.1);
-    assert_eq!(remote_run(&clean_registry, false), remote_rows);
-    assert_eq!(remote_run(&clean_registry, true), remote_rows);
-    assert_eq!(remote_run(&faulty_registry, true), remote_rows);
-    let remote_serial_ns = measure(
-        format!("exec/remote_join_{page_ms}ms_page/serial"),
+    assert_eq!(remote_run(&clean_registry), remote_rows);
+    assert_eq!(remote_run(&faulty_registry), remote_rows);
+    let remote_pull_ns = measure(
+        format!("exec/remote_join_{page_ms}ms_page/pull"),
         &mut records,
-        || remote_run(&clean_registry, false),
-    );
-    let remote_overlap_ns = measure(
-        format!("exec/remote_join_{page_ms}ms_page/prefetch_overlap"),
-        &mut records,
-        || remote_run(&clean_registry, true),
+        || remote_run(&clean_registry),
     );
     let remote_fault_ns = measure(
-        format!("exec/remote_join_{page_ms}ms_page/prefetch_fault10"),
+        format!("exec/remote_join_{page_ms}ms_page/fault10"),
         &mut records,
-        || remote_run(&faulty_registry, true),
+        || remote_run(&faulty_registry),
     );
-    let remote_overlap = remote_serial_ns / remote_overlap_ns;
-    let remote_retry_overhead = remote_fault_ns / remote_overlap_ns;
+    let remote_retry_overhead = remote_fault_ns / remote_pull_ns;
 
     // ---- Append-requery workload: SUPERSEDE (§2.1) with 64 applications,
     // 10k VoD documents in each of D1's two versions, and a source that
@@ -929,7 +908,7 @@ fn main() {
         "speedup: ID filter (eager post-select / pushed-down)             = {filter_speedup:.2}x"
     );
     println!(
-        "speedup: single walk x 4 scans (eager / streaming+prefetch)      = {prefetch_speedup:.2}x"
+        "speedup: single walk x 4 scans (eager / streaming)               = {single_walk_speedup:.2}x"
     );
     println!(
         "speedup: selective join 100x100k (semi-join off / on)            = {semijoin_speedup:.2}x"
@@ -946,9 +925,6 @@ fn main() {
     println!(
         "cursor-only scan 10x value cap: peak {cursor_peak} B vs cached {cached_peak} B ({cursor_peak_ratio:.2}x smaller), {:.2}x slower",
         cursor_only_ns / cursor_cached_ns
-    );
-    println!(
-        "speedup: remote join, {page_ms}ms pages (plain pull / prefetch overlap) = {remote_overlap:.2}x"
     );
     println!(
         "overhead: remote join at 10% transient faults (vs fault-free)    = {remote_retry_overhead:.2}x"
@@ -973,13 +949,12 @@ fn main() {
             ("union_16_wrappers_distinct_worst_case", distinct_speedup),
             ("join_2x4", join_speedup),
             ("id_filter", filter_speedup),
-            ("single_walk_prefetch", prefetch_speedup),
+            ("single_walk", single_walk_speedup),
             ("semijoin_selective_join", semijoin_speedup),
             ("bloom_semijoin_50k_keys", bloom_speedup),
             ("join_order_cost_based", order_speedup),
             ("misestimate_overhead_100x", misestimate_overhead),
             ("cursor_scan_peak_bytes_ratio", cursor_peak_ratio),
-            ("remote_latency_overlap", remote_overlap),
             ("remote_retry_overhead_10pct", remote_retry_overhead),
             ("contended_serve_4x", contended_speedup),
             ("append_requery_json_10k", append_requery_speedup),

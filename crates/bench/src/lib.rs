@@ -211,7 +211,7 @@ pub fn write_results(
         return;
     }
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    // Thread-dependent rows (parallel walks, prefetch, contended serve)
+    // Thread-dependent rows (parallel walks, contended serve)
     // only compare between hosts of the same width.
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let commit = std::process::Command::new("git")

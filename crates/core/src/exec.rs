@@ -28,10 +28,10 @@
 //!   threads against one shared [`ExecContext`] (so wrappers appearing in
 //!   many walks are scanned and interned once, and hash-join build sides are
 //!   reused per ID attribute); each walk emits a deduplicated *sorted run*
-//!   and the runs are k-way merged into the canonical union. Each walk
-//!   gets an equal share of the worker budget to prefetch its scans
-//!   ([`bdi_relational::plan::drive_plan`]), so a lone walk's source reads
-//!   overlap each other and its join pipeline.
+//!   and the runs are k-way merged into the canonical union. The walk pool
+//!   is the engine's only parallelism: each walk's operator tree is pulled
+//!   on its worker's thread, issuing each scan when the pipeline first
+//!   pulls it.
 //! * **Eager** ([`Engine::Eager`]): the original §2.2 operator-at-a-time
 //!   evaluation through [`bdi_relational::RelExpr`] / [`ops`]. It stays as
 //!   the executable reference the streaming engine is differentially tested
@@ -211,8 +211,8 @@ pub struct ExecOptions {
     /// Per-query wall-clock budget, measured from when the request is
     /// accepted: [`crate::system::BdiSystem::serve`] arms it first thing
     /// (through [`ExecOptions::split`]), so on a plan-cache miss rewriting
-    /// and compilation spend it too. Every operator, scan fill and prefetch
-    /// queue wait checks it, so a stalled source aborts the query with
+    /// and compilation spend it too. Every operator pull and scan fill
+    /// checks it, so a stalled source aborts the query with
     /// [`bdi_relational::plan::PlanError::DeadlineExceeded`] within one
     /// page-fetch budget of the deadline instead of hanging. `None` (the
     /// default) never expires. The eager reference engine ignores it.
@@ -1098,16 +1098,11 @@ where
         },
     };
 
-    // The budget is split: walk threads, and an equal share of prefetch
-    // threads per walk — all of it for a lone walk.
-    let budget = plan::worker_budget();
-    let workers = budget.min(plans.len());
-    let prefetch = budget / plans.len().max(1);
+    let workers = plan::worker_budget().min(plans.len());
 
     if workers <= 1 {
         for (index, walk_plan) in plans.iter().enumerate() {
-            let result =
-                walk_sorted_run(walk_plan, ctx, src, policy, prefetch, &global_seen, degrade);
+            let result = walk_sorted_run(walk_plan, ctx, src, policy, &global_seen, degrade);
             settle(&mut runs, &mut first_error, &mut dropped, index, result);
         }
     } else {
@@ -1134,7 +1129,6 @@ where
                         ctx_ref,
                         src_ref,
                         policy,
-                        prefetch,
                         seen_ref,
                         degrade,
                     );
@@ -1175,14 +1169,14 @@ where
     })
 }
 
-/// Runs one walk's plan to exhaustion through the prefetching driver (with
-/// `prefetch` threads), claiming each batch's rows against the cross-walk
-/// `global_seen` set — every duplicate, intra- or cross-walk, dies as a
-/// single `u32`-row hash probe before any value is decoded — and returns
-/// the walk's *novel* rows decoded and sorted: one sorted run of the
-/// streamed union. Batches are bounded, so the set is locked in short
-/// holds. Interning canonicalizes `Value`-equal rows to identical ids, so
-/// id-disjoint runs are value-disjoint too.
+/// Pulls one walk's plan to exhaustion on the caller's thread, claiming
+/// each batch's rows against the cross-walk `global_seen` set — every
+/// duplicate, intra- or cross-walk, dies as a single `u32`-row hash probe
+/// before any value is decoded — and returns the walk's *novel* rows
+/// decoded and sorted: one sorted run of the streamed union. Batches are
+/// bounded, so the set is locked in short holds. Interning canonicalizes
+/// `Value`-equal rows to identical ids, so id-disjoint runs are
+/// value-disjoint too.
 ///
 /// `claim_late` (the Degrade mode): the walk dedups against a *local* set
 /// while streaming and claims against the shared set only once its plan ran
@@ -1196,49 +1190,48 @@ fn walk_sorted_run(
     ctx: &ExecContext,
     src: &dyn PlanSource,
     policy: ExecPolicy,
-    prefetch: usize,
     global_seen: &std::sync::Mutex<RowSet>,
     claim_late: bool,
 ) -> Result<Vec<Tuple>, PlanError> {
     let arity = walk_plan.schema().len();
-    let (novel, count) = plan::drive_plan(walk_plan, ctx, src, policy, prefetch, |mut op| {
-        let mut novel: Vec<u32> = Vec::new();
-        let mut count = 0usize;
-        if claim_late {
-            let mut local_seen = RowSet::new(arity);
-            let mut staged: Vec<u32> = Vec::new();
-            let mut staged_count = 0usize;
-            while let Some(batch) = op.next_batch()? {
-                for row in batch.rows() {
-                    if local_seen.insert(row) {
-                        staged.extend_from_slice(row);
-                        staged_count += 1;
-                    }
+    let mut op = plan::Operator::new(walk_plan, ctx, src, policy);
+    let mut novel: Vec<u32> = Vec::new();
+    let mut count = 0usize;
+    if claim_late {
+        let mut local_seen = RowSet::new(arity);
+        let mut staged: Vec<u32> = Vec::new();
+        let mut staged_count = 0usize;
+        while let Some(batch) = op.next_batch()? {
+            for row in batch.rows() {
+                if local_seen.insert(row) {
+                    staged.extend_from_slice(row);
+                    staged_count += 1;
                 }
             }
-            // The walk is known good past this point; only now may its rows
-            // suppress other walks' duplicates.
+        }
+        // The walk is known good past this point; only now may its rows
+        // suppress other walks' duplicates.
+        let mut seen = global_seen.lock().expect("union dedup set poisoned");
+        for i in 0..staged_count {
+            let row = &staged[i * arity..(i + 1) * arity];
+            if seen.insert(row) {
+                novel.extend_from_slice(row);
+                count += 1;
+            }
+        }
+    } else {
+        while let Some(batch) = op.next_batch()? {
             let mut seen = global_seen.lock().expect("union dedup set poisoned");
-            for i in 0..staged_count {
-                let row = &staged[i * arity..(i + 1) * arity];
+            for row in batch.rows() {
                 if seen.insert(row) {
                     novel.extend_from_slice(row);
                     count += 1;
                 }
             }
-        } else {
-            while let Some(batch) = op.next_batch()? {
-                let mut seen = global_seen.lock().expect("union dedup set poisoned");
-                for row in batch.rows() {
-                    if seen.insert(row) {
-                        novel.extend_from_slice(row);
-                        count += 1;
-                    }
-                }
-            }
         }
-        Ok((novel, count))
-    })?;
+    }
+    // Release the tree's build tables and source cursors before decoding.
+    drop(op);
     // Decode in bounded chunks: `decode_rows` holds every pool shard for
     // the duration of a call, so one walk decoding a huge novel set must
     // not starve the other workers' interning for the whole decode.

@@ -603,7 +603,7 @@ impl ExecContext {
     }
 
     /// A source's batch stream, interned: what every consumer of a scan —
-    /// the cache fill, a cursor-only scan, a prefetch producer — pulls.
+    /// the cache fill or a cursor-only scan — pulls.
     pub(super) fn interned<'a>(
         &'a self,
         request: &ScanRequest,
@@ -684,10 +684,8 @@ impl ExecContext {
 
     /// Whether a scan is warm for the source's current data version: its
     /// cache cell is already filled, or an older version's is and carries a
-    /// mark to resume from (an O(appended) upgrade). The prefetcher skips
-    /// spawning threads for warm scans (a repeated query on a persistent
-    /// context would otherwise pay thread spawns just to find every cell
-    /// filled), and the semi-join pass prefers them to a reduced re-read.
+    /// mark to resume from (an O(appended) upgrade). The semi-join pass
+    /// prefers a warm scan to a reduced re-read.
     pub(super) fn scan_resolved(
         &self,
         source: &dyn PlanSource,
@@ -756,9 +754,9 @@ impl ExecContext {
 /// The one consumer loop between a source and the executor
 /// ([`ExecContext::interned`]): pull a source batch, check the deadline,
 /// intern the rows, note the high-water mark. The scan cache's fill appends
-/// what it yields, a cursor-only scan hands it on, a prefetch producer
-/// sends it. Batches a filter emptied are skipped; the first error (the
-/// deadline's included) ends the stream.
+/// what it yields and a cursor-only scan hands it on. Batches a filter
+/// emptied are skipped; the first error (the deadline's included) ends the
+/// stream.
 pub(super) struct InternedBatches<'a> {
     ctx: &'a ExecContext,
     batches: BatchIter<'a>,
@@ -828,12 +826,12 @@ fn versioned_scan_key(source: &dyn PlanSource, name: &str, request: &ScanRequest
     }
 }
 
-/// Whether a scan materializes through the context cache. The prefetcher
-/// and the scan operator must agree on this, so it is the single decision
-/// point: a scan is cached unless its estimated interned size exceeds the
-/// context's value-cap watermark — then it runs cursor-only rather than
-/// blow the memory bound the cap promises. An uncapped context caches
-/// everything, as does a source that publishes neither stats nor a hint.
+/// Whether a scan materializes through the context cache, decided by the
+/// scan operator alone: a scan is cached unless its estimated interned size
+/// exceeds the context's value-cap watermark — then it runs cursor-only
+/// rather than blow the memory bound the cap promises. An uncapped context
+/// caches everything, as does a source that publishes neither stats nor a
+/// hint.
 ///
 /// The estimate prefers the source's [`PlanSource::stats`] snapshot when
 /// one exists: the cached table's cell count is post-filter rows × arity,
@@ -914,7 +912,7 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::plan::test_support::*;
-    use crate::plan::{ExecPolicy, PhysicalPlan};
+    use crate::plan::{execute_plan, ExecPolicy, PhysicalPlan};
     use crate::schema::Schema;
 
     #[test]
@@ -1241,10 +1239,10 @@ mod tests {
         let scan_plan = scan_all("wgrow", &wbig());
         let mut bytes = Vec::new();
         for step in 0..40 {
-            let persistent = pull_plan(&plan, &ctx, &src, policy).unwrap();
-            let fresh = pull_plan(&plan, &ExecContext::new(), &src, policy).unwrap();
+            let persistent = execute_plan(&plan, &ctx, &src, policy).unwrap();
+            let fresh = execute_plan(&plan, &ExecContext::new(), &src, policy).unwrap();
             assert_eq!(persistent.rows(), fresh.rows(), "step {step}");
-            let scanned = pull_plan(&scan_plan, &ctx, &src, policy).unwrap();
+            let scanned = execute_plan(&scan_plan, &ctx, &src, policy).unwrap();
             assert_eq!(scanned.rows(), src.relation(0).rows(), "step {step}");
             assert_eq!(ctx.cached_scans(), 2, "step {step}: w3 + one wgrow version");
             assert_eq!(ctx.cached_builds(), 1, "step {step}");
@@ -1262,7 +1260,7 @@ mod tests {
         // A third of the estimate, at most, is the cached table's doubling
         // slack; the running counter matches what the map really holds.
         let fresh = ExecContext::new();
-        pull_plan(&plan, &fresh, &src, policy).unwrap();
+        execute_plan(&plan, &fresh, &src, policy).unwrap();
         assert!(ctx.memory_estimate() <= fresh.memory_estimate() + growth);
     }
 

@@ -36,15 +36,16 @@
 //! [`PhysicalPlan::Filter`] above the scan, so answers are identical
 //! whatever a source can natively honour.
 //!
-//! Whatever consumes a scan — the scan cache's fill, a cursor-only scan, a
-//! prefetch producer — pulls it through one loop (`InternedBatches`): one
-//! source batch at a time, the deadline checked and the rows interned
-//! before the next is pulled, so no whole value-space relation ever
-//! materializes in the mediator. [`PlanSource::data_version`] stamps each
-//! scan with the source's data generation — the [`ExecContext`] scan cache
-//! keys on it, so contexts reused across queries can never serve rows
-//! scanned before a source mutation. [`drive_plan`] issues a plan's scans
-//! concurrently on scoped threads ahead of the pulling pipeline.
+//! Whatever consumes a scan — the scan cache's fill or a cursor-only scan
+//! — pulls it through one loop (`InternedBatches`): one source batch at a
+//! time, the deadline checked and the rows interned before the next is
+//! pulled, so no whole value-space relation ever materializes in the
+//! mediator. [`PlanSource::data_version`] stamps each scan with the
+//! source's data generation — the [`ExecContext`] scan cache keys on it, so
+//! contexts reused across queries can never serve rows scanned before a
+//! source mutation. Every plan is pulled on its caller's thread: a scan is
+//! issued when the pipeline first pulls it, and the only parallelism is
+//! the caller's (the walk pool of `bdi_core::exec`).
 //!
 //! ## Append-aware scans
 //!
@@ -106,8 +107,8 @@
 //!   and the per-scan decisions (cached or cursor-only, batch size);
 //! * `operator.rs` — the pull operators ([`Operator`]) and the semi-join
 //!   gate;
-//! * `driver.rs` — [`drive_plan`]: scan prefetch around a pulled operator
-//!   tree, and [`execute_plan`], which decodes what it pulls.
+//! * `driver.rs` — [`execute_plan`], which pulls a plan's operator tree
+//!   and decodes what it pulls, and the [`worker_budget`].
 
 mod context;
 mod driver;
@@ -117,7 +118,7 @@ mod pool;
 mod request;
 
 pub use context::{ContextCounters, ExecContext};
-pub use driver::{drive_plan, execute_plan, worker_budget};
+pub use driver::{execute_plan, worker_budget};
 pub use operator::Operator;
 pub use physical::PhysicalPlan;
 pub use pool::{Batch, RowSet};
@@ -184,12 +185,11 @@ pub struct ExecPolicy {
     /// and the hint-driven build scheduling that enables it.
     pub semijoin_max_keys: usize,
     /// Absolute wall-clock deadline for the execution. Checked at every
-    /// batch boundary (operator pulls, scan-cache fills, cursor pulls) and
-    /// while waiting on a queued prefetch feed, so a stalled or slow source
-    /// surfaces [`PlanError::DeadlineExceeded`] instead of hanging the
-    /// query. The worst-case overshoot is one source batch fetch — the
-    /// executor never cancels a fetch already in flight. `None` (the
-    /// default) never times out.
+    /// batch boundary (operator pulls, scan-cache fills, cursor pulls), so
+    /// a stalled or slow source surfaces [`PlanError::DeadlineExceeded`]
+    /// instead of hanging the query. The worst-case overshoot is one source
+    /// batch fetch — the executor never cancels a fetch already in flight.
+    /// `None` (the default) never times out.
     pub deadline: Option<Instant>,
 }
 
@@ -228,7 +228,6 @@ pub enum PlanError {
 
 #[cfg(test)]
 mod test_support {
-    use super::driver::{drain, drive_plan};
     use super::*;
     use crate::relation::{Relation, Tuple};
     use crate::schema::Schema;
@@ -237,7 +236,7 @@ mod test_support {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    /// The plain pull loop under the default policy, on a fresh context.
+    /// [`execute_plan`] under the default policy, on a fresh context.
     pub(super) fn run(plan: &PhysicalPlan, source: &dyn PlanSource) -> Result<Relation, PlanError> {
         run_in(plan, &ExecContext::new(), source)
     }
@@ -247,30 +246,7 @@ mod test_support {
         ctx: &ExecContext,
         source: &dyn PlanSource,
     ) -> Result<Relation, PlanError> {
-        pull_plan(plan, ctx, source, ExecPolicy::default())
-    }
-
-    /// The plain pull loop: drains a plan on the caller's thread.
-    pub(super) fn pull_plan(
-        plan: &PhysicalPlan,
-        ctx: &ExecContext,
-        source: &dyn PlanSource,
-        policy: ExecPolicy,
-    ) -> Result<Relation, PlanError> {
-        drain(plan, Operator::new(plan, ctx, source, policy), ctx)
-    }
-
-    /// [`drive_plan`] with `workers` prefetch threads, decoding the result.
-    pub(super) fn execute_with_workers(
-        plan: &PhysicalPlan,
-        ctx: &ExecContext,
-        source: &dyn PlanSource,
-        policy: ExecPolicy,
-        workers: usize,
-    ) -> Result<Relation, PlanError> {
-        drive_plan(plan, ctx, source, policy, workers, |op| {
-            drain(plan, op, ctx)
-        })
+        execute_plan(plan, ctx, source, ExecPolicy::default())
     }
 
     pub(super) fn w1() -> Relation {

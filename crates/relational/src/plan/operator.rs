@@ -6,73 +6,17 @@ use super::pool::{Batch, FnvBuild, RowSet};
 use super::request::{ColumnFilter, PlanSource, Predicate, ScanRequest};
 use super::{ExecPolicy, PlanError, BATCH_ROWS, BLOOM_SEMIJOIN_MAX_KEYS, SEMIJOIN_SELECTIVITY};
 use crate::stats::BloomFilter;
-use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Operators
 // ---------------------------------------------------------------------------
 
-/// Estimated output rows of a plan subtree: defined for scan-leaf chains
-/// (Project/Filter over one Scan — none of which grow the row
-/// count), `None` for joins and unions.
-fn plan_hint(plan: &PhysicalPlan, source: &dyn PlanSource) -> Option<u64> {
-    match plan {
-        PhysicalPlan::Scan {
-            source: name,
-            request,
-        } => source.scan_hint(name, request),
-        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
-            plan_hint(input, source)
-        }
-        _ => None,
-    }
-}
-
-/// Whether [`plan_hint`] for this subtree may be a statistics *estimate*
-/// that under-counts the scan's rows: the scan leaf carries claimed
-/// filters and its source publishes sketches, so the hint routed through
-/// [`PlanSource::stats`] selectivity estimation. An unfiltered hint is
-/// exact (or `None`), and a filtered hint from a sketch-less source is
-/// the unfiltered count — an upper bound; only the sketch estimate can
-/// land *below* the live count.
-fn plan_hint_is_estimate(plan: &PhysicalPlan, source: &dyn PlanSource) -> bool {
-    match plan {
-        PhysicalPlan::Scan {
-            source: name,
-            request,
-        } => !request.filters().is_empty() && source.stats(name).is_some(),
-        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => {
-            plan_hint_is_estimate(input, source)
-        }
-        _ => false,
-    }
-}
-
-/// Maps output column `index` of a scan-leaf chain down to its scan:
-/// `(source name, source-local column)` — the site a semi-join IN-set
-/// would be injected at. `None` when the subtree is not such a chain.
-fn plan_scan_site(plan: &PhysicalPlan, index: usize) -> Option<(&str, &str)> {
-    match plan {
-        PhysicalPlan::Scan {
-            source: name,
-            request,
-        } => Some((name.as_str(), request.columns().get(index)?.as_str())),
-        PhysicalPlan::Filter { input, .. } => plan_scan_site(input, index),
-        PhysicalPlan::Project { input, indices, .. } => plan_scan_site(input, *indices.get(index)?),
-        _ => None,
-    }
-}
-
 /// Whether injecting `keys` distinct build keys into the probe scan of
-/// `probe_column` promises a [`SEMIJOIN_SELECTIVITY`]-fold reduction — the
-/// one gate behind both the executor's injection (`OpNode::init_join`, with
-/// the build index's live key count) and the prefetcher's mirror
-/// ([`semijoin_probe_plan`], with the build's row hint as its upper bound).
+/// `probe_column` promises a [`SEMIJOIN_SELECTIVITY`]-fold reduction,
+/// checked by `OpNode::init_join` with the build index's live key count.
 ///
 /// A key set keeps about `keys / distinct(probe key column)` of the probe's
 /// rows, so when the probe source publishes [`TableStats`] the keys are
@@ -98,73 +42,6 @@ fn semijoin_pays(
             .is_none_or(|distinct| needed <= distinct)
 }
 
-/// The probe-side subtree of a hash join that semi-join sideways passing
-/// would reduce (both children hinted, probe key maps to a scan site).
-/// Mirrored by the prefetcher so it never warms — and caches — a scan the
-/// executor is about to issue reduced or cache-bypassed.
-pub(super) fn semijoin_probe_plan<'p>(
-    left: &'p PhysicalPlan,
-    right: &'p PhysicalPlan,
-    left_key: usize,
-    right_key: usize,
-    source: &dyn PlanSource,
-    policy: &ExecPolicy,
-) -> Option<&'p PhysicalPlan> {
-    if policy.semijoin_max_keys == 0 {
-        return None;
-    }
-    let left_hint = plan_hint(left, source)?;
-    let right_hint = plan_hint(right, source)?;
-    let (build, probe, probe_key, build_hint, probe_hint) = if left_hint <= right_hint {
-        (left, right, right_key, left_hint, right_hint)
-    } else {
-        (right, left, left_key, right_hint, left_hint)
-    };
-    let (scan_name, column) = plan_scan_site(probe, probe_key)?;
-    // The operator's selectivity gate, approximated with the build *row*
-    // hint (an upper bound on its distinct keys): the probe is only
-    // skipped here when the operator will certainly reduce it. A
-    // duplicate-heavy build may still reduce a probe the prefetcher
-    // warmed — a wasted warm, never a wrong answer.
-    if !semijoin_pays(source, build_hint, probe_hint, scan_name, column) {
-        return None;
-    }
-    // Distinct build keys never exceed the build's *exact* row hint, so a
-    // hint under the IN-set threshold makes an IN-set injection certain; a
-    // hint between the IN-set and bloom thresholds makes *some* injection
-    // (IN-set for a duplicate-heavy build, bloom otherwise) certain. Past
-    // the bloom cap the probe runs unreduced and must keep its prefetch. A
-    // source that declines the pass will also be scanned unreduced, so
-    // probe the claim with the matching canonical filter. A
-    // sketch-*estimated* build hint (see [`plan_hint_is_estimate`])
-    // can land on either side of the IN-set threshold, so the executor may
-    // pick either kind — require both canonical claims then. A
-    // value-sensitive claimer may still diverge from the real injected set;
-    // either way the cost is one wasted (or missed) warm, never a wrong
-    // answer.
-    let estimate = plan_hint_is_estimate(build, source);
-    let in_set = ColumnFilter::new(column, Predicate::in_set([Value::Int(0)]));
-    let bloom = ColumnFilter::new(column, Predicate::Bloom(BloomFilter::claims_probe()));
-    if build_hint <= policy.semijoin_max_keys as u64 {
-        if !source.claims(scan_name, &in_set) {
-            return None;
-        }
-        if estimate && !source.claims(scan_name, &bloom) {
-            return None;
-        }
-    } else if build_hint <= BLOOM_SEMIJOIN_MAX_KEYS as u64 {
-        if !source.claims(scan_name, &bloom) {
-            return None;
-        }
-        if estimate && !source.claims(scan_name, &in_set) {
-            return None;
-        }
-    } else {
-        return None;
-    }
-    Some(probe)
-}
-
 /// A pull-based streaming operator tree compiled from a [`PhysicalPlan`],
 /// bound to the context and source it executes against (cursor-only scans
 /// hold live source batch iterators, so the borrow lives in the operator).
@@ -176,16 +53,6 @@ pub struct Operator<'r> {
     node: OpNode<'r>,
 }
 
-/// The receiving end of a bounded queue of interned batches produced by a
-/// dedicated prefetch thread for one cursor-routed scan.
-pub(super) type QueuedFeed = Receiver<Result<Batch, PlanError>>;
-
-/// One execution's prefetch feeds, each with the scan leaf it was opened
-/// for (source name, request). [`Operator::with_feeds`] hands each feed to
-/// the first leaf of its scan, so the operator tree owns every feed and
-/// dropping the tree disconnects every producer.
-pub(super) type ScanFeeds<'p> = Vec<(&'p str, &'p ScanRequest, QueuedFeed)>;
-
 /// A scan leaf's execution state.
 struct ScanOp<'r> {
     source: String,
@@ -193,9 +60,6 @@ struct ScanOp<'r> {
     /// Set when the semi-join pass injected a build-key IN-set: the scan is
     /// query-specific and must bypass (not pollute) the shared scan cache.
     semijoin_reduced: bool,
-    /// The prefetch feed opened for this leaf, until the first pull uses or
-    /// drops it.
-    feed: Option<QueuedFeed>,
     state: ScanState<'r>,
 }
 
@@ -208,11 +72,6 @@ enum ScanState<'r> {
     /// Cursor-only: interned batches pulled straight from the source, one
     /// at a time — nothing is cached, peak residency is one batch.
     Cursor { batches: InternedBatches<'r> },
-    /// Cursor-only through a prefetch feed: a dedicated producer thread
-    /// pulls and interns source batches into a bounded queue
-    /// ([`PREFETCH_QUEUE_BATCHES`]), overlapping source latency with the
-    /// pipeline while backpressure keeps residency bounded.
-    Queued { feed: QueuedFeed, done: bool },
 }
 
 enum OpNode<'r> {
@@ -345,23 +204,11 @@ impl<'r> Operator<'r> {
         source: &'r dyn PlanSource,
         policy: ExecPolicy,
     ) -> Self {
-        Self::with_feeds(plan, ctx, source, policy, Vec::new())
-    }
-
-    /// [`Operator::new`], consuming the prefetch feeds opened for this
-    /// execution's cursor-routed scans.
-    pub(super) fn with_feeds(
-        plan: &PhysicalPlan,
-        ctx: &'r ExecContext,
-        source: &'r dyn PlanSource,
-        policy: ExecPolicy,
-        mut feeds: ScanFeeds<'_>,
-    ) -> Self {
         Self {
             ctx,
             source,
             policy,
-            node: OpNode::compile(plan, &mut feeds),
+            node: OpNode::compile(plan),
         }
     }
 
@@ -387,23 +234,14 @@ impl<'r> ScanOp<'r> {
             source: name,
             request,
             semijoin_reduced,
-            feed,
             state,
         } = self;
         if matches!(state, ScanState::Pending) {
-            // A feed that goes unused is dropped here, which stops its
-            // producer. The prefetcher opens none for a probe scan the
-            // semi-join pass reduces: the feed would carry unreduced rows.
-            let feed = feed.take().filter(|_| !*semijoin_reduced);
             *state = if !*semijoin_reduced && scan_uses_cache(ctx, source, name, request) {
                 ScanState::Cached {
                     table: ctx.scan(source, name, request, policy.deadline)?.0,
                     cursor: 0,
                 }
-            } else if let Some(feed) = feed {
-                // Consume the prefetcher's bounded feed instead of opening a
-                // second source cursor.
-                ScanState::Queued { feed, done: false }
             } else {
                 let batch_rows = adaptive_batch_rows(ctx, source, name, request);
                 let (batches, _) = source.scan_batches(name, request, batch_rows)?;
@@ -424,60 +262,25 @@ impl<'r> ScanOp<'r> {
                 Ok(Some(out))
             }
             ScanState::Cursor { batches } => batches.next().transpose(),
-            ScanState::Queued { feed, done } => {
-                if *done {
-                    return Ok(None);
-                }
-                // A sender dropping without an error message is the normal
-                // end of stream; an expired deadline surfaces here rather
-                // than blocking on a stalled producer.
-                let message = match policy.deadline {
-                    Some(d) => {
-                        let wait = d.saturating_duration_since(Instant::now());
-                        match feed.recv_timeout(wait) {
-                            Ok(message) => Some(message),
-                            Err(RecvTimeoutError::Timeout) => {
-                                Some(Err(PlanError::DeadlineExceeded))
-                            }
-                            Err(RecvTimeoutError::Disconnected) => None,
-                        }
-                    }
-                    None => feed.recv().ok(),
-                };
-                match message {
-                    Some(Ok(batch)) => {
-                        ctx.note_high_water(batch.approx_bytes());
-                        Ok(Some(batch))
-                    }
-                    ended => {
-                        *done = true;
-                        ended.transpose()
-                    }
-                }
-            }
         }
     }
 }
 
 impl<'r> OpNode<'r> {
-    fn compile(plan: &PhysicalPlan, feeds: &mut ScanFeeds<'_>) -> OpNode<'r> {
+    fn compile(plan: &PhysicalPlan) -> OpNode<'r> {
         match plan {
             PhysicalPlan::Scan { source, request } => OpNode::Scan(ScanOp {
                 source: source.clone(),
                 request: request.clone(),
                 semijoin_reduced: false,
-                feed: feeds
-                    .iter()
-                    .position(|(name, fed, _)| *name == source.as_str() && *fed == request)
-                    .map(|i| feeds.swap_remove(i).2),
                 state: ScanState::Pending,
             }),
             PhysicalPlan::Project { input, indices, .. } => OpNode::Project {
-                input: Box::new(OpNode::compile(input, feeds)),
+                input: Box::new(OpNode::compile(input)),
                 indices: indices.clone(),
             },
             PhysicalPlan::Filter { input, predicates } => OpNode::Filter {
-                input: Box::new(OpNode::compile(input, feeds)),
+                input: Box::new(OpNode::compile(input)),
                 predicates: predicates.clone(),
                 compiled: None,
             },
@@ -490,8 +293,8 @@ impl<'r> OpNode<'r> {
             } => OpNode::HashJoin {
                 left_scan: left.scan_key(),
                 right_scan: right.scan_key(),
-                left: Box::new(OpNode::compile(left, feeds)),
-                right: Box::new(OpNode::compile(right, feeds)),
+                left: Box::new(OpNode::compile(left)),
+                right: Box::new(OpNode::compile(right)),
                 left_key: *left_key,
                 right_key: *right_key,
                 arity: schema.len(),
@@ -499,10 +302,7 @@ impl<'r> OpNode<'r> {
             },
             PhysicalPlan::Union { inputs } => OpNode::Union {
                 arity: inputs[0].schema().len(),
-                inputs: inputs
-                    .iter()
-                    .map(|input| OpNode::compile(input, feeds))
-                    .collect(),
+                inputs: inputs.iter().map(OpNode::compile).collect(),
                 current: 0,
                 seen: RowSet::new(inputs[0].schema().len()),
             },
@@ -518,8 +318,9 @@ impl<'r> OpNode<'r> {
         }
     }
 
-    /// Estimated output rows of the subtree (mirror of [`plan_hint`] over
-    /// the compiled tree).
+    /// Estimated output rows of the subtree: defined for scan-leaf chains
+    /// (Project/Filter over one Scan — none of which grow the row count),
+    /// `None` for joins and unions.
     fn size_hint(&self, source: &dyn PlanSource) -> Option<u64> {
         match self {
             OpNode::Scan(op) => source.scan_hint(&op.source, &op.request),
@@ -904,9 +705,11 @@ impl<'r> OpNode<'r> {
 mod tests {
     use super::*;
     use crate::ops;
+    use crate::plan::execute_plan;
     use crate::plan::test_support::*;
     use crate::relation::{Relation, RelationError, Tuple};
     use crate::schema::Schema;
+    use crate::value::Value;
 
     #[test]
     fn streamed_join_matches_eager_join_byte_for_byte() {
@@ -1057,7 +860,7 @@ mod tests {
             semijoin_max_keys: 0,
             ..ExecPolicy::default()
         };
-        let out = pull_plan(&w3_wbig_join(), &ctx, &src, policy).unwrap();
+        let out = execute_plan(&w3_wbig_join(), &ctx, &src, policy).unwrap();
         assert_eq!(out.rows(), eager.rows());
         assert!(src
             .requests_for("wbig")
@@ -1079,7 +882,7 @@ mod tests {
             semijoin_max_keys: 1,
             ..ExecPolicy::default()
         };
-        let out = pull_plan(&w3_wbig_join(), &ctx, &src, policy).unwrap();
+        let out = execute_plan(&w3_wbig_join(), &ctx, &src, policy).unwrap();
         let eager = ops::join(&w3(), &wbig(), "MonitorId", "BigId").unwrap();
         assert_eq!(out.rows(), eager.rows());
         let probe_requests = src.requests_for("wbig");
@@ -1214,27 +1017,19 @@ mod tests {
             (wgrow_rows(60), true, true),
         ] {
             let src = Growing::new(rows, with_stats);
-            let plan = w3_wgrow_join();
-            for prefetch in [false, true] {
-                let ctx = ExecContext::new();
-                let out = if prefetch {
-                    execute_with_workers(&plan, &ctx, &src, ExecPolicy::default(), 4).unwrap()
-                } else {
-                    run_in(&plan, &ctx, &src).unwrap()
-                };
-                let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
-                assert_eq!(out.rows(), eager.rows());
-                assert_eq!(
-                    ctx.counters().semijoin_insets,
-                    u64::from(injects),
-                    "stats {with_stats}, prefetch {prefetch}"
-                );
-                // An unreduced probe is cached for the next query; a
-                // reduced one never is. Either way wgrow was read once —
-                // the prefetcher made the same call the operator did.
-                assert_eq!(ctx.cached_scans(), if injects { 1 } else { 2 });
-                assert_eq!(src.full_reads.swap(0, Ordering::SeqCst), 1);
-            }
+            let ctx = ExecContext::new();
+            let out = run_in(&w3_wgrow_join(), &ctx, &src).unwrap();
+            let eager = ops::join(&w3(), &src.relation(0), "MonitorId", "BigId").unwrap();
+            assert_eq!(out.rows(), eager.rows());
+            assert_eq!(
+                ctx.counters().semijoin_insets,
+                u64::from(injects),
+                "stats {with_stats}"
+            );
+            // An unreduced probe is cached for the next query; a reduced
+            // one never is. Either way wgrow was read once.
+            assert_eq!(ctx.cached_scans(), if injects { 1 } else { 2 });
+            assert_eq!(src.full_reads.load(Ordering::SeqCst), 1);
         }
     }
 }

@@ -9,20 +9,17 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Files the `deadline` lint covers, with the functions whose loops must
-/// stay cancellable: the operator pull path, the plan driver
-/// (`drive_plan` holds the prefetch producers), the one loop that
-/// interns a source's batches (`InternedBatches::next`) with the
-/// scan-cache fill that drains it, and the pager producer and consumer.
+/// stay cancellable: the operator pull path, the plan driver's entry
+/// point (`execute_plan`), the one loop that interns a source's batches
+/// (`InternedBatches::next`) with the scan-cache fill that drains it, and
+/// the pager producer and consumer.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     ("crates/relational/src/plan/operator.rs", &["next_batch"]),
     (
         "crates/relational/src/plan/context.rs",
         &["next", "collect_scan"],
     ),
-    (
-        "crates/relational/src/plan/driver.rs",
-        &["execute_plan", "drive_plan"],
-    ),
+    ("crates/relational/src/plan/driver.rs", &["execute_plan"]),
     (
         "crates/wrappers/src/remote.rs",
         &["run", "fetch_page_with_retry", "next"],

@@ -1,4 +1,4 @@
-//! `deadline`: operator pull loops and producer (prefetch/pager) loops
+//! `deadline`: operator pull loops and the pager's producer loops
 //! must stay cancellable — a stalled source may not hang a query past its
 //! deadline. Every `loop`/`while`/`for` body inside the registered
 //! functions must contain *cancellation evidence*: a deadline or timeout
