@@ -531,10 +531,8 @@ fn main() {
     // cursor's single in-flight batch IS the whole table and the peaks tie.
     let cap = bdi_bench::scaled(50_000, 100);
     let source_rows = cap * 10;
-    // Pin the interning batch size explicitly: adaptive sizing would batch
-    // the whole fast-mode source in one go and the peaks would trivially
-    // tie. Eight in-flight batches keeps the cursor peak meaningful at
-    // every scale.
+    // Pin the interning batch size explicitly: eight in-flight batches
+    // keep the cursor peak meaningful at every scale.
     let scan_batch = (source_rows / 8).max(1);
     let big_schema = Schema::from_parts(&["id"], &["x"]).unwrap();
     let mut registry = WrapperRegistry::new();

@@ -340,9 +340,10 @@ pub struct PlanNote {
     /// Estimated output rows of the walk's join tree (`None` when the
     /// walk was planned syntactically without estimates).
     pub estimated_rows: Option<u64>,
-    /// Rows the walk actually contributed at run time: its novel rows, those
-    /// no earlier-finishing walk of the union already produced. `None`
-    /// until executed, and for walks dropped by a degraded answer.
+    /// Rows the walk's plan emitted at run time, before any dedup — the
+    /// quantity `estimated_rows` estimates. It depends on the data and the
+    /// plan only, never on which walk finished first. `None` until
+    /// executed, and for walks dropped by a degraded answer.
     pub actual_rows: Option<u64>,
 }
 
@@ -572,7 +573,7 @@ fn leaf_plan(
             let mut est = stats.estimate_rows(request.filters()) as f64;
             for (local, predicate) in &residue_cost {
                 if let Some(column) = stats.column(local) {
-                    est *= column.selectivity(predicate, stats.rows());
+                    est *= column.selectivity(predicate);
                 }
             }
             for (local, prefixed) in &col_pairs {
@@ -1074,8 +1075,8 @@ where
     // serializing after them — the all-distinct worst case, where the
     // final sort used to dominate, is exactly what this buys back.
     let global_seen = std::sync::Mutex::new(RowSet::new(schema.len()));
-    let mut runs: Vec<Vec<Tuple>> = Vec::with_capacity(plans.len());
-    runs.resize_with(plans.len(), Vec::new);
+    let mut runs: Vec<Option<WalkRun>> = Vec::with_capacity(plans.len());
+    runs.resize_with(plans.len(), || None);
     let mut first_error: Option<(usize, PlanError)> = None;
     let record_error = |slot: &mut Option<(usize, PlanError)>, index: usize, e: PlanError| {
         if slot.as_ref().is_none_or(|(i, _)| index < *i) {
@@ -1084,16 +1085,15 @@ where
     };
     // Under Degrade a failed walk becomes a dropped-walk report instead of
     // a query error; anything that is not a source failure still aborts.
-    // The walk index rides along so its planner note keeps an unset actual.
-    let mut dropped: Vec<(usize, SourceFailure)> = Vec::new();
-    let settle = |runs: &mut Vec<Vec<Tuple>>,
+    let mut dropped: Vec<SourceFailure> = Vec::new();
+    let settle = |runs: &mut Vec<Option<WalkRun>>,
                   first_error: &mut Option<(usize, PlanError)>,
-                  dropped: &mut Vec<(usize, SourceFailure)>,
+                  dropped: &mut Vec<SourceFailure>,
                   index: usize,
-                  result: Result<Vec<Tuple>, PlanError>| match result {
-        Ok(run) => runs[index] = run,
+                  result: Result<WalkRun, PlanError>| match result {
+        Ok(run) => runs[index] = Some(run),
         Err(e) => match source_failure_of(&e) {
-            Some(failure) if degrade => dropped.push((index, failure)),
+            Some(failure) if degrade => dropped.push(failure),
             _ => record_error(first_error, index, e),
         },
     };
@@ -1110,7 +1110,7 @@ where
         // One message per walk; the channel is a completion queue, not a
         // row pipe — per-walk memory is bounded by that walk's distinct
         // output, which the merged answer holds anyway.
-        let (tx, rx) = mpsc::sync_channel::<(usize, Result<Vec<Tuple>, PlanError>)>(workers);
+        let (tx, rx) = mpsc::sync_channel::<(usize, Result<WalkRun, PlanError>)>(workers);
         let ctx_ref = ctx;
         let src_ref = src;
         let plans_ref = &plans;
@@ -1148,33 +1148,41 @@ where
         return Err(e.into());
     }
 
-    // An actual is the walk's *novel* (pre-merge) contribution: rows an
-    // earlier-finishing walk already claimed count for that walk, not this
-    // one. Dropped walks keep an unset actual.
+    // A walk's actual is the rows its plan emitted; a dropped walk keeps an
+    // unset one.
     let mut plan_notes = compiled.plan_notes.clone();
-    let dropped_walks: BTreeSet<usize> = dropped.iter().map(|(index, _)| *index).collect();
-    for (index, note) in plan_notes.iter_mut().enumerate() {
-        if !dropped_walks.contains(&index) {
-            note.actual_rows = Some(runs.get(index).map_or(0, Vec::len) as u64);
+    let mut sorted_runs = Vec::with_capacity(runs.len());
+    for (note, run) in plan_notes.iter_mut().zip(runs) {
+        if let Some(run) = run {
+            note.actual_rows = Some(run.emitted);
+            sorted_runs.push(run.rows);
         }
     }
 
     Ok(Answer {
-        relation: Relation::new(schema, merge_sorted_runs(runs))?,
+        relation: Relation::new(schema, merge_sorted_runs(sorted_runs))?,
         rewriting: compiled.rewriting().clone(),
         walk_exprs: compiled.frame.walk_exprs.clone(),
-        source_failures: aggregate_failures(dropped.into_iter().map(|(_, f)| f).collect()),
+        source_failures: aggregate_failures(dropped),
         plan_notes,
         truncated: false,
     })
+}
+
+/// One walk's share of a streamed union: its novel rows, decoded and
+/// sorted, and how many rows its plan emitted before any dedup.
+struct WalkRun {
+    rows: Vec<Tuple>,
+    emitted: u64,
 }
 
 /// Pulls one walk's plan to exhaustion on the caller's thread, claiming
 /// each batch's rows against the cross-walk `global_seen` set — every
 /// duplicate, intra- or cross-walk, dies as a single `u32`-row hash probe
 /// before any value is decoded — and returns the walk's *novel* rows
-/// decoded and sorted: one sorted run of the streamed union. Batches are
-/// bounded, so the set is locked in short holds. Interning canonicalizes
+/// decoded and sorted (one sorted run of the streamed union) with the
+/// count of rows its plan emitted, counted per batch before the claim.
+/// Batches are bounded, so the set is locked in short holds. Interning canonicalizes
 /// `Value`-equal rows to identical ids, so id-disjoint runs are
 /// value-disjoint too.
 ///
@@ -1192,16 +1200,19 @@ fn walk_sorted_run(
     policy: ExecPolicy,
     global_seen: &std::sync::Mutex<RowSet>,
     claim_late: bool,
-) -> Result<Vec<Tuple>, PlanError> {
+) -> Result<WalkRun, PlanError> {
     let arity = walk_plan.schema().len();
     let mut op = plan::Operator::new(walk_plan, ctx, src, policy);
     let mut novel: Vec<u32> = Vec::new();
     let mut count = 0usize;
+    let mut emitted = 0u64;
     if claim_late {
         let mut local_seen = RowSet::new(arity);
         let mut staged: Vec<u32> = Vec::new();
         let mut staged_count = 0usize;
         while let Some(batch) = op.next_batch()? {
+            emitted += batch.len() as u64;
+            // analyze: allow(deadline, walks one batch already pulled; the next pull checks)
             for row in batch.rows() {
                 if local_seen.insert(row) {
                     staged.extend_from_slice(row);
@@ -1212,6 +1223,7 @@ fn walk_sorted_run(
         // The walk is known good past this point; only now may its rows
         // suppress other walks' duplicates.
         let mut seen = global_seen.lock().expect("union dedup set poisoned");
+        // analyze: allow(deadline, walks rows already staged; no source is pulled)
         for i in 0..staged_count {
             let row = &staged[i * arity..(i + 1) * arity];
             if seen.insert(row) {
@@ -1221,7 +1233,9 @@ fn walk_sorted_run(
         }
     } else {
         while let Some(batch) = op.next_batch()? {
+            emitted += batch.len() as u64;
             let mut seen = global_seen.lock().expect("union dedup set poisoned");
+            // analyze: allow(deadline, walks one batch already pulled; the next pull checks)
             for row in batch.rows() {
                 if seen.insert(row) {
                     novel.extend_from_slice(row);
@@ -1238,13 +1252,14 @@ fn walk_sorted_run(
     const DECODE_CHUNK_ROWS: usize = 16 * 1024;
     let mut rows: Vec<Tuple> = Vec::with_capacity(count);
     let mut start = 0usize;
+    // analyze: allow(deadline, decodes rows already claimed; no source is pulled)
     while start < count {
         let end = count.min(start + DECODE_CHUNK_ROWS);
         rows.extend(ctx.decode_rows((start..end).map(|i| &novel[i * arity..(i + 1) * arity])));
         start = end;
     }
     rows.sort_unstable();
-    Ok(rows)
+    Ok(WalkRun { rows, emitted })
 }
 
 /// K-way merge of the per-walk sorted runs into the canonical sorted set

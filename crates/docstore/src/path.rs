@@ -20,6 +20,12 @@ pub(crate) fn get_path<'a>(doc: &'a Value, path: &str) -> Option<&'a Value> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use serde_json::json;

@@ -374,8 +374,9 @@ fn limit_budgets(stages: &[Stage]) -> Vec<Option<usize>> {
 }
 
 /// One pass of a document set through the stages, decrementing `$limit`
-/// budgets in `limits` — the shared core of the eager [`Pipeline::run`] and
-/// the chunked [`PipelineRun`]. `$match` and `$project` are per-document
+/// budgets in `limits` (one per stage, as [`limit_budgets`] builds them) —
+/// the shared core of the eager [`Pipeline::run`] and the chunked
+/// [`PipelineRun`]. `$match` and `$project` are per-document
 /// (stateless), so chunking cannot change their output; `$limit` is the one
 /// stage whose state must span chunks.
 fn apply_stages(
@@ -383,7 +384,7 @@ fn apply_stages(
     limits: &mut [Option<usize>],
     mut current: Vec<Value>,
 ) -> Result<Vec<Value>, PipelineError> {
-    for (stage_index, stage) in stages.iter().enumerate() {
+    for (stage, limit) in stages.iter().zip(limits.iter_mut()) {
         current = match stage {
             Stage::Match(preds) => current
                 .into_iter()
@@ -412,10 +413,8 @@ fn apply_stages(
                 }
                 out
             }
-            Stage::Limit(_) => {
-                let budget = limits[stage_index]
-                    .as_mut()
-                    .expect("limit budget aligned with stage");
+            Stage::Limit(n) => {
+                let budget = limit.get_or_insert(*n);
                 current.truncate(*budget);
                 *budget -= current.len();
                 current
@@ -447,6 +446,12 @@ impl PipelineRun {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use serde_json::json;

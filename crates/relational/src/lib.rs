@@ -11,8 +11,8 @@
 //!   batch executor over interned values — the engine production queries run
 //!   on, with the eager [`ops`] kept as its executable reference,
 //! * the [`stats`] module: per-column sketches ([`stats::TableStats`])
-//!   wrappers maintain at write time and the planner uses for selectivity
-//!   estimates, bloom semi-joins and adaptive scan modes.
+//!   wrappers maintain at write time and the planner uses for cardinality
+//!   estimates and bloom semi-joins.
 //!
 //! ## Files
 //!

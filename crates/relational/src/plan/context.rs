@@ -1,9 +1,6 @@
 use super::pool::{Batch, FnvBuild, ValuePool};
 use super::request::{BatchIter, ColumnFilter, PlanSource, ScanMark, ScanRequest};
-use super::{
-    PlanError, ADAPTIVE_BATCH_BYTES, ADAPTIVE_BATCH_MAX_ROWS, ADAPTIVE_BATCH_MIN_ROWS, BATCH_ROWS,
-    SCAN_CACHE_ID_CELLS_PER_VALUE,
-};
+use super::{PlanError, BATCH_ROWS, SCAN_CACHE_ID_CELLS_PER_VALUE};
 #[cfg(test)]
 use crate::relation::Relation;
 use crate::relation::{RelationError, Tuple};
@@ -536,7 +533,7 @@ impl ExecContext {
         key: &ScanKey,
         deadline: Option<Instant>,
     ) -> Result<CachedScan, PlanError> {
-        let batch_rows = adaptive_batch_rows(self, source, name, request);
+        let batch_rows = self.scan_batch_rows();
         match self.resume_scan(source, name, request, batch_rows, key, deadline) {
             Ok(Some(upgraded)) => return Ok(upgraded),
             Err(PlanError::DeadlineExceeded) => return Err(PlanError::DeadlineExceeded),
@@ -878,32 +875,6 @@ pub(super) fn scan_uses_cache(
             cells <= cap as u64
         }
         None => true,
-    }
-}
-
-/// Rows per batch for one scan: the context's configured batch size,
-/// unless it is the untouched default *and* the source publishes
-/// row-width statistics — then the batch is sized to roughly
-/// [`ADAPTIVE_BATCH_BYTES`] of value payload (clamped), so wide rows
-/// batch smaller and narrow rows batch larger. An explicit
-/// [`ExecContext::with_scan_batch_rows`] override always wins.
-pub(super) fn adaptive_batch_rows(
-    ctx: &ExecContext,
-    source: &dyn PlanSource,
-    name: &str,
-    request: &ScanRequest,
-) -> usize {
-    let configured = ctx.scan_batch_rows();
-    if configured != BATCH_ROWS {
-        return configured;
-    }
-    match source.stats(name) {
-        Some(stats) => {
-            let width = stats.avg_row_bytes(request.columns());
-            ((ADAPTIVE_BATCH_BYTES / width) as usize)
-                .clamp(ADAPTIVE_BATCH_MIN_ROWS, ADAPTIVE_BATCH_MAX_ROWS)
-        }
-        None => configured,
     }
 }
 

@@ -5,20 +5,6 @@ use super::request::PlanSource;
 use super::{ExecPolicy, PlanError};
 use crate::relation::{Relation, Tuple};
 
-/// Pulls an operator tree to exhaustion on the caller's thread, decoding
-/// each batch; every pull checks the policy's deadline.
-fn drain(
-    plan: &PhysicalPlan,
-    mut op: Operator<'_>,
-    ctx: &ExecContext,
-) -> Result<Relation, PlanError> {
-    let mut rows: Vec<Tuple> = Vec::new();
-    while let Some(batch) = op.next_batch()? {
-        rows.extend(ctx.decode_batch(&batch));
-    }
-    Ok(Relation::new(plan.schema().clone(), rows)?)
-}
-
 /// Threads one query execution may occupy — its walk executors: the
 /// machine's parallelism, capped at 16.
 pub fn worker_budget() -> usize {
@@ -30,7 +16,8 @@ pub fn worker_budget() -> usize {
 
 /// Runs a plan to completion against a (possibly shared) context under a
 /// runtime [`ExecPolicy`], decoding the result: the plan's [`Operator`]
-/// tree, pulled on the caller's thread.
+/// tree, pulled on the caller's thread. Every pull checks the policy's
+/// deadline.
 ///
 /// Union nodes deduplicate (set semantics) and emit rows in first-occurrence
 /// order; every other operator preserves its input order. Callers wanting
@@ -41,7 +28,12 @@ pub fn execute_plan(
     source: &dyn PlanSource,
     policy: ExecPolicy,
 ) -> Result<Relation, PlanError> {
-    drain(plan, Operator::new(plan, ctx, source, policy), ctx)
+    let mut op = Operator::new(plan, ctx, source, policy);
+    let mut rows: Vec<Tuple> = Vec::new();
+    while let Some(batch) = op.next_batch()? {
+        rows.extend(ctx.decode_batch(&batch));
+    }
+    Ok(Relation::new(plan.schema().clone(), rows)?)
 }
 
 #[cfg(test)]

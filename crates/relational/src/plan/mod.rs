@@ -149,17 +149,6 @@ const SEMIJOIN_SELECTIVITY: u64 = 4;
 /// past that, shipping and probing the filter stops paying for itself.
 pub const BLOOM_SEMIJOIN_MAX_KEYS: usize = 1 << 20;
 
-/// Target interned payload per adaptively-sized scan batch, in bytes.
-/// When a source publishes [`TableStats`] with row-width estimates, scans
-/// size their batches as `target / row width` (clamped) instead of the
-/// flat [`BATCH_ROWS`] — wide rows batch smaller (bounding resident
-/// memory), narrow rows batch larger (fewer lock acquisitions per row).
-const ADAPTIVE_BATCH_BYTES: u64 = 256 * 1024;
-
-/// Clamp bounds for adaptively-sized scan batches, in rows.
-const ADAPTIVE_BATCH_MIN_ROWS: usize = 256;
-const ADAPTIVE_BATCH_MAX_ROWS: usize = 8 * 1024;
-
 /// Row-id cells a stats-gated cache admission may store per value-cap
 /// unit. The stats path of `scan_uses_cache` bounds *pool* growth by
 /// per-column distinct counts, but the cached [`Batch`] itself stores

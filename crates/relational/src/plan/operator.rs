@@ -1,6 +1,4 @@
-use super::context::{
-    adaptive_batch_rows, scan_uses_cache, ExecContext, InternedBatches, JoinIndex, ScanKey,
-};
+use super::context::{scan_uses_cache, ExecContext, InternedBatches, JoinIndex, ScanKey};
 use super::physical::PhysicalPlan;
 use super::pool::{Batch, FnvBuild, RowSet};
 use super::request::{ColumnFilter, PlanSource, Predicate, ScanRequest};
@@ -243,8 +241,7 @@ impl<'r> ScanOp<'r> {
                     cursor: 0,
                 }
             } else {
-                let batch_rows = adaptive_batch_rows(ctx, source, name, request);
-                let (batches, _) = source.scan_batches(name, request, batch_rows)?;
+                let (batches, _) = source.scan_batches(name, request, ctx.scan_batch_rows())?;
                 ScanState::Cursor {
                     batches: ctx.interned(request, batches, policy.deadline),
                 }

@@ -220,11 +220,13 @@ impl Batch {
         self.arity
     }
 
-    pub(crate) fn len(&self) -> usize {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    /// Whether the batch holds no rows.
+    pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 

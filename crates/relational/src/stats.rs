@@ -7,31 +7,31 @@
 //! snapshot taken under version *v* describes exactly the rows visible at
 //! version *v*.
 //!
-//! The planner consumes the snapshots through
-//! [`PlanSource::stats`](crate::plan::PlanSource::stats) in three places:
+//! A snapshot holds a row count and, per column, a distinct count: all the
+//! planner reads. It consumes the snapshots through
+//! [`PlanSource::stats`](crate::plan::PlanSource::stats) in two places:
 //!
-//! * **selectivity estimation** — [`TableStats::estimate_rows`] turns a
-//!   filtered scan's raw row count into a post-filter cardinality, which
-//!   makes `scan_hint` predicate-aware and drives join ordering;
-//! * **bloom semi-joins** — [`BloomFilter`] is the payload of
-//!   [`Predicate::Bloom`], the compact
+//! * **cardinality estimation** — [`TableStats::estimate_rows`] turns a
+//!   filtered scan's raw row count into a post-filter cardinality by
+//!   per-column distinct counts, which makes `scan_hint` predicate-aware,
+//!   drives join ordering and gates scan-cache admission;
+//! * **semi-joins** — distinct counts gate the sideways pass, and
+//!   [`BloomFilter`] is the payload of [`Predicate::Bloom`], the compact
 //!   membership filter shipped to a probe-side source when the build
-//!   side's key set is too large for an `IN`-set;
-//! * **adaptive scan modes** — `TableStats::avg_row_bytes` sizes scan
-//!   batches by estimated row width instead of a flat row count.
+//!   side's key set is too large for an `IN`-set.
 //!
 //! Estimates steer *plans only* — which side builds, which join runs
-//! first, how scans batch. No estimate ever decides whether a row appears
-//! in an answer, so adversarially wrong sketches can slow a query down
-//! but can never corrupt it. The one sketch that does touch row flow, the
-//! bloom filter inside a semi-join, is one-sided by construction: it is
-//! built from the *live* build-side keys (never from a sketch) and false
-//! positives only admit extra probe rows that the join discards.
+//! first, which scans are cached. No estimate ever decides whether a row
+//! appears in an answer, so adversarially wrong sketches can slow a query
+//! down but can never corrupt it. The one sketch that does touch row flow,
+//! the bloom filter inside a semi-join, is one-sided by construction: it
+//! is built from the *live* build-side keys (never from a sketch) and
+//! false positives only admit extra probe rows that the join discards.
 
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
-use crate::plan::{Bound, ColumnFilter, Predicate};
+use crate::plan::{ColumnFilter, Predicate};
 use crate::value::Value;
 
 /// Deterministic 64-bit hash of a [`Value`].
@@ -115,13 +115,7 @@ impl BloomFilter {
 
     /// Inserts a value.
     pub(crate) fn insert(&mut self, value: &Value) {
-        self.insert_hash(value_hash(value));
-    }
-
-    /// Inserts a pre-computed [`value_hash`] (used by [`DistinctSketch`]
-    /// to snapshot its stored hashes without re-hashing values).
-    fn insert_hash(&mut self, hash: u64) {
-        for bit in self.probe_bits(hash) {
+        for bit in self.probe_bits(value_hash(value)) {
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
         self.items += 1;
@@ -156,8 +150,7 @@ impl BloomFilter {
 }
 
 /// Row-hash budget below which a [`DistinctSketch`] stays exact. Past it
-/// the sketch degrades to a fixed-size probabilistic counter and stops
-/// offering a membership snapshot.
+/// the sketch degrades to a fixed-size probabilistic counter.
 const SMALL_SET_CAP: usize = 1024;
 
 /// HyperLogLog register count (and its bias constant for `m = 64`).
@@ -167,11 +160,11 @@ const HLL_ALPHA: f64 = 0.709;
 /// Distinct-count estimator with an exact small-set mode.
 ///
 /// Up to `SMALL_SET_CAP` distinct values the sketch stores the exact
-/// set of value hashes — the count is exact and [`DistinctSketch::bloom`]
-/// can snapshot the set as a membership filter. Past the cap it degrades
-/// to a 64-register HyperLogLog (a few percent relative error) and the
-/// membership snapshot becomes unavailable. Either way the estimate only
-/// steers plan choices, never row membership.
+/// set of value hashes, so the count is exact. Past the cap it degrades
+/// to a 64-register HyperLogLog (about 13 % standard error). The exact
+/// mode keeps small-domain plan gates exact: the HyperLogLog alone counts
+/// 300 values as 242, which flips the semi-join gate's 4 × 64 test.
+/// Either way the estimate only steers plan choices, never row membership.
 #[derive(Debug, Clone)]
 pub(crate) struct DistinctSketch {
     /// Exact value hashes while small; `None` once degraded to HLL.
@@ -227,71 +220,33 @@ impl DistinctSketch {
             raw.round() as u64
         }
     }
-
-    /// A membership filter over everything observed so far — available
-    /// only while the sketch is still exact.
-    pub(crate) fn bloom(&self) -> Option<BloomFilter> {
-        let small = self.small.as_ref()?;
-        let mut filter = BloomFilter::with_capacity(small.len());
-        for &hash in small {
-            filter.insert_hash(hash);
-        }
-        Some(filter)
-    }
 }
 
 /// The neutral selectivity assumed for a predicate the sketches cannot
-/// price (non-numeric range, unknown column).
+/// price: every range, and any filter on an unknown column.
 const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
 
-/// One column's sketch snapshot: distinct count, null count, value
-/// bounds, average encoded width, and (for small domains) an exact
-/// membership filter.
+/// One column's sketch snapshot: its distinct count.
 #[derive(Debug, Clone)]
 pub struct ColumnStats {
     /// Estimated distinct non-null values (exact below the small-set
     /// cap).
     pub distinct: u64,
-    /// Number of null cells observed.
-    pub nulls: u64,
-    /// Smallest non-null value, by the total `Value` order.
-    pub min: Option<Value>,
-    /// Largest non-null value, by the total `Value` order.
-    pub max: Option<Value>,
-    /// Exact membership filter over the column's values, available only
-    /// while the domain stayed below the small-set cap.
-    pub bloom: Option<BloomFilter>,
-    /// Average encoded width of a cell, in bytes (used to size scan
-    /// batches).
-    pub avg_width: u64,
 }
 
 impl ColumnStats {
-    /// Estimated fraction of the table's `rows` a predicate on this
-    /// column retains, in `[0, 1]`.
+    /// Estimated fraction of the table's rows a predicate on this column
+    /// retains, in `[0, 1]`.
     ///
-    /// Equality and `IN` divide by the distinct count (pruning keys the
-    /// membership filter rules out entirely), ranges intersect numeric
-    /// bounds, and a shipped bloom filter retains roughly its key count
-    /// over this column's domain. Anything unpriceable falls back to the
-    /// neutral 1/3.
-    pub fn selectivity(&self, predicate: &Predicate, _rows: u64) -> f64 {
+    /// Equality and `IN` divide by the distinct count, and a shipped bloom
+    /// filter retains roughly its key count over this column's domain. A
+    /// range gets the neutral 1/3.
+    pub fn selectivity(&self, predicate: &Predicate) -> f64 {
         let distinct = self.distinct.max(1) as f64;
         match predicate {
-            Predicate::Eq(value) => {
-                if self.excludes(value) {
-                    0.0
-                } else {
-                    1.0 / distinct
-                }
-            }
-            Predicate::In(values) => {
-                let surviving = values.iter().filter(|v| !self.excludes(v)).count() as f64;
-                (surviving / distinct).min(1.0)
-            }
-            Predicate::Range { min, max } => self
-                .range_fraction(min.as_ref(), max.as_ref())
-                .unwrap_or(DEFAULT_SELECTIVITY),
+            Predicate::Eq(_) => 1.0 / distinct,
+            Predicate::In(values) => (values.len() as f64 / distinct).min(1.0),
+            Predicate::Range { .. } => DEFAULT_SELECTIVITY,
             Predicate::Bloom(filter) => {
                 // A semi-join filter retains about one build key's worth
                 // of rows per distinct probe value, plus the filter's
@@ -299,56 +254,6 @@ impl ColumnStats {
                 (filter.items() as f64 / distinct + 0.02).min(1.0)
             }
         }
-        .clamp(0.0, 1.0)
-    }
-
-    /// `true` when the column's sketches *prove* the value cannot occur:
-    /// the exact membership filter excludes it, or it falls outside the
-    /// observed bounds.
-    fn excludes(&self, value: &Value) -> bool {
-        if let Some(bloom) = &self.bloom {
-            if !bloom.may_contain(value) {
-                return true;
-            }
-        }
-        match (&self.min, &self.max) {
-            (Some(min), Some(max)) => value < min || value > max,
-            _ => false,
-        }
-    }
-
-    /// Overlap fraction of a numeric range predicate against the
-    /// column's observed `[min, max]`; `None` when either side is
-    /// non-numeric or unbounded in a way the sketch cannot price.
-    fn range_fraction(&self, min: Option<&Bound>, max: Option<&Bound>) -> Option<f64> {
-        let lo = numeric(self.min.as_ref()?)?;
-        let hi = numeric(self.max.as_ref()?)?;
-        let pred_lo = match min {
-            Some(bound) => numeric(&bound.value)?,
-            None => lo,
-        };
-        let pred_hi = match max {
-            Some(bound) => numeric(&bound.value)?,
-            None => hi,
-        };
-        if pred_hi < lo || pred_lo > hi {
-            return Some(0.0);
-        }
-        let span = hi - lo;
-        if span <= 0.0 {
-            // Single-point column inside the range.
-            return Some(1.0);
-        }
-        let overlap = pred_hi.min(hi) - pred_lo.max(lo);
-        Some((overlap / span).clamp(0.0, 1.0))
-    }
-}
-
-fn numeric(value: &Value) -> Option<f64> {
-    match value {
-        Value::Int(i) => Some(*i as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
     }
 }
 
@@ -409,27 +314,16 @@ impl TableStats {
         for filter in filters {
             let selectivity = self
                 .column(&filter.column)
-                .map(|column| column.selectivity(&filter.predicate, self.rows))
+                .map(|column| column.selectivity(&filter.predicate))
                 .unwrap_or(DEFAULT_SELECTIVITY);
             estimate *= selectivity;
         }
         estimate.round() as u64
     }
 
-    /// Estimated encoded width of one row restricted to `columns`, in
-    /// bytes (8 per unknown column). Never returns 0.
-    pub(crate) fn avg_row_bytes(&self, columns: &[String]) -> u64 {
-        columns
-            .iter()
-            .map(|name| self.column(name).map(|c| c.avg_width).unwrap_or(8))
-            .sum::<u64>()
-            .max(1)
-    }
-
     /// A copy with row and distinct counts multiplied by `factor` —
-    /// deliberately wrong stats for misestimation testing. Bounds and
-    /// membership filters are dropped (a stale snapshot would not have
-    /// them for new data either). Only estimates change; the wrapper's
+    /// deliberately wrong stats for misestimation testing. Only estimates
+    /// change; the wrapper's
     /// exact unfiltered `scan_hint` is never distorted, so row order and
     /// answers are unaffected.
     pub fn scaled(&self, factor: f64) -> TableStats {
@@ -445,11 +339,6 @@ impl TableStats {
                         name.clone(),
                         ColumnStats {
                             distinct: scale(stats.distinct),
-                            nulls: stats.nulls,
-                            min: None,
-                            max: None,
-                            bloom: None,
-                            avg_width: stats.avg_width,
                         },
                     )
                 })
@@ -473,10 +362,6 @@ pub struct StatsBuilder {
 #[derive(Debug, Clone, Default)]
 struct ColumnBuilder {
     sketch: DistinctSketch,
-    nulls: u64,
-    min: Option<Value>,
-    max: Option<Value>,
-    width_sum: u64,
 }
 
 impl StatsBuilder {
@@ -500,17 +385,8 @@ impl StatsBuilder {
     pub fn observe_row(&mut self, row: &[Value]) {
         self.rows += 1;
         for ((_, column), value) in self.columns.iter_mut().zip(row) {
-            column.width_sum += value_width(value);
-            if matches!(value, Value::Null) {
-                column.nulls += 1;
-                continue;
-            }
-            column.sketch.observe(value);
-            if column.min.as_ref().is_none_or(|min| value < min) {
-                column.min = Some(value.clone());
-            }
-            if column.max.as_ref().is_none_or(|max| value > max) {
-                column.max = Some(value.clone());
+            if !matches!(value, Value::Null) {
+                column.sketch.observe(value);
             }
         }
     }
@@ -526,25 +402,11 @@ impl StatsBuilder {
                     name.clone(),
                     ColumnStats {
                         distinct: column.sketch.estimate(),
-                        nulls: column.nulls,
-                        min: column.min.clone(),
-                        max: column.max.clone(),
-                        bloom: column.sketch.bloom(),
-                        avg_width: column.width_sum / self.rows.max(1),
                     },
                 )
             })
             .collect();
         TableStats::new(self.rows, data_version, columns)
-    }
-}
-
-/// Approximate encoded width of one cell, in bytes.
-fn value_width(value: &Value) -> u64 {
-    match value {
-        Value::Null | Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) => 8,
-        Value::Str(s) => s.len() as u64 + 4,
     }
 }
 
@@ -590,9 +452,6 @@ mod tests {
             sketch.observe(&Value::Int(i % 100));
         }
         assert_eq!(sketch.estimate(), 100);
-        let bloom = sketch.bloom().expect("small sketch offers a bloom");
-        assert!(bloom.may_contain(&Value::Int(42)));
-        assert!(!bloom.may_contain(&Value::Str("absent".into())));
     }
 
     #[test]
@@ -601,7 +460,6 @@ mod tests {
         for i in 0..50_000 {
             sketch.observe(&Value::Int(i));
         }
-        assert!(sketch.bloom().is_none(), "degraded sketch has no bloom");
         let estimate = sketch.estimate() as f64;
         let error = (estimate - 50_000.0).abs() / 50_000.0;
         assert!(error < 0.35, "HLL estimate off by {error:.2}: {estimate}");
@@ -625,28 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn estimate_rows_proves_absent_keys_empty() {
-        let stats = snapshot(1_000);
-        let filter = ColumnFilter::new("k", Predicate::eq(5_000));
-        assert_eq!(stats.estimate_rows(&[filter]), 0);
-    }
-
-    #[test]
-    fn estimate_rows_prices_ranges_by_overlap() {
-        let stats = snapshot(1_000);
-        let filter = ColumnFilter::new("v", Predicate::between(0, 99));
-        let estimate = stats.estimate_rows(&[filter]);
-        assert!(
-            (80..=120).contains(&estimate),
-            "10% range estimated {estimate}"
-        );
-    }
-
-    #[test]
     fn scaled_stats_distort_counts_only() {
         let stats = snapshot(1_000).scaled(0.01);
         assert_eq!(stats.rows(), 10);
         assert_eq!(stats.data_version(), 7);
-        assert!(stats.column("k").unwrap().bloom.is_none());
     }
 }

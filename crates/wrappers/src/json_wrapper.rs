@@ -3,13 +3,26 @@
 //! A [`JsonWrapper`] runs an aggregation pipeline against a [`DocStore`]
 //! collection and flattens the resulting JSON objects into the flat 1NF
 //! relation the ontology layer expects.
+//!
+//! It handles bytes from outside (snapshot files, the durable tier's log),
+//! so it may not panic: the server crate's six clippy denies hold here.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::spec::value_to_json;
 use crate::wrapper::{eager_batches, RowBatches, Wrapper, WrapperError};
 use bdi_docstore::{DocPredicate, DocStore, Pipeline, Projection};
 use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest, BATCH_ROWS};
 use bdi_relational::{Relation, RelationError, Schema, StatsBuilder, TableStats, Tuple, Value};
-use std::sync::{Arc, Mutex};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// Whether a filter column can be addressed by a `$match` stage appended
 /// after the wrapper's `$project`: the projected output holds the column
@@ -51,10 +64,9 @@ fn to_doc_predicate(predicate: &Predicate) -> Option<DocPredicate> {
 }
 
 /// Most documents the scan cursor pulls from the store at once. The caller's
-/// `batch_rows` is sized from the *output* row width (two numeric columns
-/// ask for 8 192 rows), but a chunk's footprint is its source documents —
-/// cloned whole, then re-materialized by every `$project` stage — at
-/// hundreds of bytes each: an 8 192-document chunk is megabytes of
+/// `batch_rows` counts *output* rows, but a chunk's footprint is its source
+/// documents — cloned whole, then re-materialized by every `$project`
+/// stage — at hundreds of bytes each: an 8 192-document chunk is megabytes of
 /// short-lived buffers per stage, several times a core's L2, and a scan
 /// that follows lighter work pays for every one of them cold (measured on
 /// the SUPERSEDE collections: 17.0 ms against 20.2 ms for a cold 2 × 10k
@@ -350,7 +362,11 @@ impl JsonWrapper {
             let json_value = doc.get(column).unwrap_or(&serde_json::Value::Null);
             row.push(self.convert(column, json_value)?);
         }
-        if !residual.iter().all(|(idx, p)| p.matches(&row[*idx])) {
+        // Every index points into `fetch`, so `get` always finds the cell.
+        if !residual
+            .iter()
+            .all(|(idx, p)| row.get(*idx).is_some_and(|value| p.matches(value)))
+        {
             return Ok(None);
         }
         row.truncate(arity);
@@ -532,7 +548,7 @@ impl Wrapper for JsonWrapper {
     fn column_stats(&self) -> Option<Arc<TableStats>> {
         let version = self.data_version();
         let folded = {
-            let mut state = self.stats.lock().expect("stats lock poisoned");
+            let mut state = self.stats.lock();
             if let Some((cached_version, snapshot)) = state.cached.as_ref() {
                 if *cached_version == version {
                     return Some(Arc::clone(snapshot));
@@ -551,7 +567,7 @@ impl Wrapper for JsonWrapper {
             .as_ref()
             .filter(|_| self.data_version() == version)
             .map(|(builder, _)| Arc::new(builder.snapshot(version)));
-        let mut state = self.stats.lock().expect("stats lock poisoned");
+        let mut state = self.stats.lock();
         state.rebuilding = false;
         state.folded = caught_up.and_then(|(builder, mark)| Some((builder, mark?)));
         let snapshot = snapshot?;
@@ -561,6 +577,12 @@ impl Wrapper for JsonWrapper {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 pub mod tests {
     use super::*;
     use bdi_docstore::{AggExpr, Projection};
@@ -829,7 +851,7 @@ pub mod tests {
                 )
                 .unwrap();
             agree(&w);
-            let folded_to = w.stats.lock().unwrap().folded.as_ref().map(|(_, m)| *m);
+            let folded_to = w.stats.lock().folded.as_ref().map(|(_, m)| *m);
             assert_eq!(folded_to.map(|m| m.consumed()), Some(4 + i as u64));
         }
         store.clear("vod");

@@ -5,6 +5,18 @@
 //! must survive. A [`WrapperSpec`] is the JSON-serializable description of
 //! a wrapper; [`WrapperSpec::instantiate`] rebuilds the live wrapper over a
 //! [`DocStore`].
+//!
+//! It handles bytes from outside (snapshot files, the durable tier's log),
+//! so it may not panic: the server crate's six clippy denies hold here.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use crate::json_wrapper::JsonWrapper;
 use crate::table_wrapper::TableWrapper;
@@ -194,6 +206,12 @@ impl TableWrapper {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 mod tests {
     use super::*;
     use crate::supersede;

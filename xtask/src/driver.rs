@@ -11,8 +11,9 @@ use std::path::Path;
 /// Files the `deadline` lint covers, with the functions whose loops must
 /// stay cancellable: the operator pull path, the plan driver's entry
 /// point (`execute_plan`), the one loop that interns a source's batches
-/// (`InternedBatches::next`) with the scan-cache fill that drains it, and
-/// the pager producer and consumer.
+/// (`InternedBatches::next`) with the scan-cache fill that drains it, a
+/// query's per-walk pull loop (`walk_sorted_run`), and the pager producer
+/// and consumer.
 const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
     ("crates/relational/src/plan/operator.rs", &["next_batch"]),
     (
@@ -20,11 +21,17 @@ const DEADLINE_TARGETS: &[(&str, &[&str])] = &[
         &["next", "collect_scan"],
     ),
     ("crates/relational/src/plan/driver.rs", &["execute_plan"]),
+    ("crates/core/src/exec.rs", &["walk_sorted_run"]),
     (
         "crates/wrappers/src/remote.rs",
         &["run", "fetch_page_with_retry", "next"],
     ),
 ];
+
+/// Functions a call to which is deadline evidence for the loop making it.
+/// Each must also be a registered target above, so the lint itself proves
+/// its loops check. `next` is not eligible: every iterator has one.
+const CHECKING_CALLS: &[&str] = &["next_batch", "collect_scan"];
 
 /// Directories whose sources the `lock_hold` lint walks.
 const LOCK_HOLD_DIRS: &[&str] = &[
@@ -161,10 +168,21 @@ pub fn analyze(root: &Path) -> Report {
         }
     }
 
-    // deadline over the registered operator/pager functions.
+    // deadline over the registered operator/pager functions; a checking
+    // call that is not itself registered would be evidence nobody checks.
+    for call in CHECKING_CALLS {
+        if !DEADLINE_TARGETS.iter().any(|(_, fns)| fns.contains(call)) {
+            diags.push(Diagnostic::new(
+                "xtask/src/driver.rs",
+                1,
+                lints::DEADLINE,
+                format!("checking call `{call}` is not a registered deadline target"),
+            ));
+        }
+    }
     for (rel, fn_names) in DEADLINE_TARGETS {
         if let Some((_, lexed)) = files.get(*rel) {
-            diags.extend(deadline::check(rel, lexed, fn_names));
+            diags.extend(deadline::check(rel, lexed, fn_names, CHECKING_CALLS));
         }
     }
 
@@ -336,12 +354,31 @@ pub fn self_test() -> Vec<String> {
     // of its own and would flag the fixture whatever its loops look like.
     expect(
         lints::DEADLINE,
-        deadline::check("fixture", &bad, &["next_batch", "run"]),
+        deadline::check("fixture", &bad, &["next_batch", "run"], &[]),
         true,
     );
     expect(
         lints::DEADLINE,
-        deadline::check("fixture", &good, &["next_batch", "run", "collect_scan"]),
+        deadline::check(
+            "fixture",
+            &good,
+            &["next_batch", "run", "collect_scan"],
+            &[],
+        ),
+        false,
+    );
+    // A loop whose one piece of evidence is a call: to a listed checking
+    // function it passes, to an unlisted helper it fails.
+    let bad = lexer::lex(include_str!("../fixtures/deadline_call_bad.rs"));
+    let good = lexer::lex(include_str!("../fixtures/deadline_call_good.rs"));
+    expect(
+        lints::DEADLINE,
+        deadline::check("fixture", &bad, &["drain"], CHECKING_CALLS),
+        true,
+    );
+    expect(
+        lints::DEADLINE,
+        deadline::check("fixture", &good, &["drain"], CHECKING_CALLS),
         false,
     );
 
@@ -368,7 +405,7 @@ pub fn self_test() -> Vec<String> {
     // reasonless one is reported.
     let escaped_src = "fn run(n: u32) {\n    // analyze: allow(deadline, n is bounded by the caller)\n    for _ in 0..n {\n        step();\n    }\n}\n";
     let lexed = lexer::lex(escaped_src);
-    let raw = deadline::check("fixture", &lexed, &["run"]);
+    let raw = deadline::check("fixture", &lexed, &["run"], &[]);
     let escapes: BTreeMap<String, Vec<Escape>> =
         [("fixture".to_owned(), lexer::escapes(&lexed.comments))].into();
     let (kept, used) = suppress(raw, &escapes);

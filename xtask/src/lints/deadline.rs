@@ -5,10 +5,13 @@
 //! consultation (`deadline`, `deadline_passed`, `DeadlineExceeded`,
 //! `recv_timeout`, any `*timeout*` identifier) or a bounded-channel
 //! send (`send`/`try_send` — a disconnected or full channel is how a
-//! producer learns its consumer gave up). Loops that are genuinely bounded
-//! another way carry `// analyze: allow(deadline, <reason>)`. Every
-//! registered function must exist: a rename that silently drops a loop out
-//! of the contract is flagged at the top of the file.
+//! producer learns its consumer gave up), or a call to a *checking
+//! function* — one listed in `CHECKING_CALLS` because it is itself a
+//! registered target whose loops check, such as `next_batch`. Loops that are
+//! genuinely bounded another way carry
+//! `// analyze: allow(deadline, <reason>)`. Every registered function must
+//! exist: a rename that silently drops a loop out of the contract is
+//! flagged at the top of the file.
 
 use super::{Diagnostic, DEADLINE};
 use crate::lexer::{Kind, Lexed, Tok};
@@ -29,8 +32,22 @@ fn is_evidence(tok: &Tok) -> bool {
         || text.contains("cancel")
 }
 
-/// Checks every loop body inside functions of `lexed` named in `fn_names`.
-pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
+/// Whether the tokens at `k` are a call to one of `checking_calls`:
+/// the name followed by `(`.
+fn is_checking_call(tokens: &[Tok], k: usize, checking_calls: &[&str]) -> bool {
+    tokens[k].kind == Kind::Ident
+        && checking_calls.contains(&tokens[k].text.as_str())
+        && tokens.get(k + 1).is_some_and(|t| t.is_punct('('))
+}
+
+/// Checks every loop body inside functions of `lexed` named in `fn_names`;
+/// a call to one of `checking_calls` counts as evidence.
+pub fn check(
+    file: &str,
+    lexed: &Lexed,
+    fn_names: &[&str],
+    checking_calls: &[&str],
+) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
     let fns = functions(tokens);
     let mut out = Vec::new();
@@ -74,10 +91,11 @@ pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
                 }
                 if let Some(open) = open {
                     if let Some(close) = matching_brace(tokens, open) {
-                        let covered = (open..=close).any(|k| is_evidence(&tokens[k]))
-                            // Evidence in the header counts too:
-                            // `while deadline_ok() { … }`.
-                            || (i..open).any(|k| is_evidence(&tokens[k]));
+                        // Evidence in the header counts too:
+                        // `while deadline_ok() { … }`.
+                        let covered = (i..=close).any(|k| {
+                            is_evidence(&tokens[k]) || is_checking_call(tokens, k, checking_calls)
+                        });
                         if !covered {
                             out.push(Diagnostic::new(
                                 file,
@@ -85,7 +103,8 @@ pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
                                 DEADLINE,
                                 format!(
                                     "loop in `{}` has no deadline/cancellation check \
-                                     (deadline/timeout consult, recv_timeout, or bounded send)",
+                                     (deadline/timeout consult, recv_timeout, bounded send, \
+                                     or a call to a checking function)",
                                     span.name
                                 ),
                             ));
@@ -112,7 +131,7 @@ mod tests {
 
     #[test]
     fn bad_fixture_is_flagged() {
-        let diags = check("fixture", &lex(BAD), &["next_batch", "run"]);
+        let diags = check("fixture", &lex(BAD), &["next_batch", "run"], &[]);
         assert!(diags.len() >= 2, "got {diags:?}");
         assert!(diags.iter().all(|d| d.lint == DEADLINE));
     }
@@ -123,6 +142,7 @@ mod tests {
             "fixture",
             &lex(GOOD),
             &["next_batch", "run", "collect_scan"],
+            &[],
         );
         assert!(diags.is_empty(), "got {diags:?}");
     }
@@ -130,13 +150,13 @@ mod tests {
     #[test]
     fn unregistered_functions_are_ignored() {
         let src = "fn helper() { loop { spin(); } } fn next_batch() {}";
-        assert!(check("f", &lex(src), &["next_batch"]).is_empty());
+        assert!(check("f", &lex(src), &["next_batch"], &[]).is_empty());
     }
 
     #[test]
     fn missing_target_is_reported_even_in_clean_files() {
         let src = "fn next_batch() { while !policy.deadline_passed() { step(); } }";
-        let diags = check("f", &lex(src), &["next_batch", "execute_plan"]);
+        let diags = check("f", &lex(src), &["next_batch", "execute_plan"], &[]);
         assert_eq!(diags.len(), 1, "got {diags:?}");
         assert!(diags[0].message.contains("`execute_plan` not found"));
     }
@@ -144,6 +164,15 @@ mod tests {
     #[test]
     fn evidence_in_header_counts() {
         let src = "fn next_batch() { while !policy.deadline_passed() { step(); } }";
-        assert!(check("f", &lex(src), &["next_batch"]).is_empty());
+        assert!(check("f", &lex(src), &["next_batch"], &[]).is_empty());
+    }
+
+    #[test]
+    fn only_a_call_to_a_checking_function_counts() {
+        let src = "fn drain() { while let Some(b) = op.next_batch()? { keep(b); } }";
+        assert!(check("f", &lex(src), &["drain"], &["next_batch"]).is_empty());
+        // The name alone, not called, is no evidence.
+        let src = "fn drain() { loop { let f = next_batch; keep(f); } }";
+        assert_eq!(check("f", &lex(src), &["drain"], &["next_batch"]).len(), 1);
     }
 }
