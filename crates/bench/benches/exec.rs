@@ -9,8 +9,6 @@
 //! * **Join workload** — two concepts × 4 wrappers × 10k rows → 16 two-way
 //!   hash-join walks sharing scans and build sides through the execution
 //!   context's caches.
-//! * **Filter workload** — a pushed-down ID-equality selection vs. the
-//!   eager post-selection.
 //! * **Single-walk workload** — ONE walk joining 4 wrappers (the common
 //!   analyst query): eager vs streaming, the walk's operator tree pulled
 //!   on one thread through the batch-scan contract.
@@ -54,7 +52,7 @@
 
 use bdi_bench::synthetic;
 use bdi_bench::{compile_and_execute, measure, Measurement};
-use bdi_core::exec::{Engine, ExecOptions, FeatureFilter};
+use bdi_core::exec::{Engine, ExecOptions};
 use bdi_core::system::{AnswerRequest, BdiSystem};
 use bdi_relational::plan::{execute_plan, ExecPolicy};
 use bdi_relational::{Attribute, ExecContext, PhysicalPlan, Relation, ScanRequest, Schema, Value};
@@ -185,40 +183,6 @@ fn main() {
     );
     let join_speedup = join_eager_ns / join_stream_ns;
 
-    // ---- Filter workload: pushed-down ID-equality selection, 4 wrappers.
-    let filter_system = workload(1, 4, false);
-    let filters = vec![FeatureFilter::eq(
-        synthetic::chain_id_feature(1),
-        Value::Int(7),
-    )];
-    let filtered = |opts: &ExecOptions| {
-        filter_system
-            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(opts.clone()))
-            .expect("filtered query answers")
-            .relation
-            .len()
-    };
-    let eager_filtered = ExecOptions {
-        filters: filters.clone(),
-        ..eager.clone()
-    };
-    let stream_filtered = ExecOptions {
-        filters: filters.clone(),
-        ..stream_full.clone()
-    };
-    assert_eq!(filtered(&eager_filtered), filtered(&stream_filtered));
-    let filter_eager_ns = measure(
-        "exec/filter_w4_10k/eager_postselect".to_owned(),
-        &mut records,
-        || filtered(&eager_filtered),
-    );
-    let filter_stream_ns = measure(
-        "exec/filter_w4_10k/stream_pushdown".to_owned(),
-        &mut records,
-        || filtered(&stream_filtered),
-    );
-    let filter_speedup = filter_eager_ns / filter_stream_ns;
-
     // ---- Single-walk workload: ONE walk joining 4 wrappers (1 per
     // concept) — the common analyst query. Its operator tree is pulled on
     // one thread, each scan issued when the join pipeline first pulls it.
@@ -343,10 +307,8 @@ fn main() {
     // inputs (160k rows) and drag through a second 20k-row join before the
     // 2-row tail concept kills almost everything. Cost-based ordering
     // seeds from the (c3, c4) pair the sketches price at 2 rows and keeps
-    // every intermediate single-digit. The pass-everything filter puts the
-    // answer under the sorted-order contract, which is what licenses
-    // reordering; semi-joins are off so the measurement isolates join
-    // order.
+    // every intermediate single-digit. Semi-joins are off so the
+    // measurement isolates join order.
     let order_rows = bdi_bench::scaled(20_000, 100);
     let order_dup = 8;
     let order_keys = (order_rows / order_dup).max(1);
@@ -367,13 +329,8 @@ fn main() {
             })
             .collect()
     });
-    let order_filters = vec![FeatureFilter::new(
-        synthetic::chain_data_feature(1),
-        bdi_relational::plan::Predicate::range(None, None),
-    )];
     let order_answer = |cost_based: bool| {
         let opts = ExecOptions {
-            filters: order_filters.clone(),
             semijoin_max_keys: 0,
             cost_based_joins: cost_based,
             ..stream_full.clone()
@@ -384,12 +341,8 @@ fn main() {
             .relation
             .len()
     };
-    let order_eager = ExecOptions {
-        filters: order_filters.clone(),
-        ..eager.clone()
-    };
     let expected = order_system
-        .serve(AnswerRequest::omq(synthetic::chain_query(4)).options(order_eager.clone()))
+        .serve(AnswerRequest::omq(synthetic::chain_query(4)).options(eager.clone()))
         .expect("ordering query answers")
         .relation
         .len();
@@ -483,7 +436,6 @@ fn main() {
         .rewrite(synthetic::chain_query(4))
         .expect("ordering query rewrites");
     let order_opts = ExecOptions {
-        filters: order_filters.clone(),
         semijoin_max_keys: 0,
         ..stream_full.clone()
     };
@@ -903,9 +855,6 @@ fn main() {
         "speedup: join 2x4 wrappers (eager / streaming)                   = {join_speedup:.2}x"
     );
     println!(
-        "speedup: ID filter (eager post-select / pushed-down)             = {filter_speedup:.2}x"
-    );
-    println!(
         "speedup: single walk x 4 scans (eager / streaming)               = {single_walk_speedup:.2}x"
     );
     println!(
@@ -939,14 +888,13 @@ fn main() {
 
     bdi_bench::write_results(
         "exec",
-        "walk execution: W wrappers x 10k rows x 10 cols (8 noise), 2-concept join, ID filter",
+        "walk execution: W wrappers x 10k rows x 10 cols (8 noise), 2-concept join",
         &records,
         "speedups",
         &[
             ("union_16_wrappers", speedup_16),
             ("union_16_wrappers_distinct_worst_case", distinct_speedup),
             ("join_2x4", join_speedup),
-            ("id_filter", filter_speedup),
             ("single_walk", single_walk_speedup),
             ("semijoin_selective_join", semijoin_speedup),
             ("bloom_semijoin_50k_keys", bloom_speedup),

@@ -238,26 +238,9 @@ pub fn chain_query(concepts: usize) -> Omq {
     Omq::new(pi, phi)
 }
 
-/// [`chain_query`] with the first concept's **ID feature** also projected —
-/// the shape pushed-down ID-equality filters need (the filtered feature must
-/// be in π).
-pub fn chain_query_with_id(concepts: usize) -> Omq {
-    let mut omq = chain_query(concepts);
-    omq.pi.insert(0, id_feature(1));
-    omq.phi.push(has_feature(&concept(1), &id_feature(1)));
-    omq
-}
-
-/// The URI of concept `i`'s ID feature (for building
-/// [`bdi_core::exec::FeatureFilter`]s against chain systems).
+/// The URI of concept `i`'s ID feature.
 pub fn chain_id_feature(i: usize) -> Iri {
     id_feature(i)
-}
-
-/// The URI of concept `i`'s data feature (for predicate filters on non-ID
-/// features).
-pub fn chain_data_feature(i: usize) -> Iri {
-    data_feature(i)
 }
 
 /// `W^C` — the §5.3 prediction for the number of generated walks.

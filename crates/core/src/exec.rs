@@ -11,14 +11,13 @@
 //!
 //! * **Streaming** (the default, [`Engine::Streaming`]): every walk compiles
 //!   to a [`PhysicalPlan`] — projection pushdown computed from the walk's
-//!   projection sets, renames fused into the [`bdi_relational::ScanRequest`]s,
-//!   and each [`FeatureFilter`] predicate (equality, IN-set, range) pushed
-//!   to the providing wrapper's scan when the wrapper claims it, or kept as
-//!   a mediator-side residual filter directly above that scan when it does
-//!   not. At run time, hash joins pass information sideways: a small,
+//!   projection sets and renames fused into the
+//!   [`bdi_relational::ScanRequest`]s. A query is ⟨π, φ⟩, a projection over
+//!   a graph pattern with no selection, so a compiled plan carries no
+//!   filters. At run time, hash joins pass information sideways: a small,
 //!   selective build-side key set is injected into the probe wrapper's
-//!   scan as an IN-set before that scan is issued
-//!   ([`ExecOptions::semijoin_max_keys`]), and a scan whose estimated size
+//!   scan as an IN-set before that scan is issued, when the wrapper claims
+//!   it ([`ExecOptions::semijoin_max_keys`]), and a scan whose estimated size
 //!   exceeds the context's value cap runs cursor-only instead of
 //!   materializing in the scan cache. Wrapper rows arrive through the
 //!   streaming batch-scan contract
@@ -44,7 +43,7 @@
 //!
 //! Row-order contract (shared by both engines): every answer is the §2.2
 //! union of its walks' rows under set semantics — deduplicated and in
-//! canonical sorted order, whatever the number of walks or filters. So a
+//! canonical sorted order, whatever the number of walks. So a
 //! release that adds a walk never changes a row's multiplicity, and join
 //! order is never visible in an answer.
 
@@ -54,12 +53,11 @@ use crate::rewrite::{Rewriting, Walk};
 use crate::system::Answer;
 use bdi_rdf::model::Iri;
 use bdi_relational::plan::{
-    self, ColumnFilter, ExecContext, ExecPolicy, PhysicalPlan, PlanError, Predicate, RowSet,
-    DEFAULT_SEMIJOIN_MAX_KEYS,
+    self, ExecContext, ExecPolicy, PhysicalPlan, PlanError, RowSet, DEFAULT_SEMIJOIN_MAX_KEYS,
 };
 use bdi_relational::{
     ops, AlgebraError, Attribute, PlanSource, Relation, RelationError, ScanRequest, Schema,
-    SourceResolver, Tuple, Value,
+    SourceResolver, Tuple,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,8 +77,6 @@ pub enum ExecError {
     MissingFeature { wrappers: String, feature: String },
     #[error("query projects no features")]
     EmptyProjection,
-    #[error("filter feature {0} is not in the query's projection π")]
-    FilterNotProjected(String),
 }
 
 /// Which execution engine answers the query.
@@ -91,31 +87,6 @@ pub enum Engine {
     Streaming,
     /// The §2.2 eager operator evaluation — the reference implementation.
     Eager,
-}
-
-/// A selection `predicate(feature)`, pushed down to the wrapper providing
-/// the feature in each walk (when that wrapper claims it — otherwise it
-/// runs as a mediator-side residual filter directly above the scan). The
-/// feature must appear in the query's π; any feature qualifies, ID or not,
-/// and any [`Predicate`] (equality, IN-set, range).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct FeatureFilter {
-    pub feature: Iri,
-    pub predicate: Predicate,
-}
-
-impl FeatureFilter {
-    pub fn new(feature: Iri, predicate: Predicate) -> Self {
-        Self { feature, predicate }
-    }
-
-    /// Equality sugar — the PR 2 `FeatureFilter` shape.
-    pub fn eq(feature: Iri, value: Value) -> Self {
-        Self {
-            feature,
-            predicate: Predicate::Eq(value),
-        }
-    }
 }
 
 /// What to do when a source fails permanently mid-query (its wrapper's
@@ -157,7 +128,6 @@ pub struct SourceFailure {
 /// | field | set by | kind |
 /// |---|---|---|
 /// | `engine` | the benchmark's reference path, differential suites | plan-shaping |
-/// | `filters` | library callers (a capability: σ pushed to the wrappers) | plan-shaping |
 /// | `cost_based_joins` | A/B bench rows, differential suites | plan-shaping |
 /// | `cache_plans` | the benchmark's reference/cold path | run-time (steers `serve`) |
 /// | `reuse_scans` | the benchmark's reference/cold path | run-time (steers `serve`) |
@@ -173,12 +143,10 @@ pub struct SourceFailure {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecOptions {
     pub engine: Engine,
-    /// Selections pushed into the scans (conjunction; empty = unfiltered).
-    pub filters: Vec<FeatureFilter>,
     /// Reuse compiled plans across queries through the system's plan cache
-    /// (default on; an entry is re-planned when wrapper capabilities or
-    /// statistics move and flushed when the ontology or release log does,
-    /// so this is always sound).
+    /// (default on; an entry is re-planned when wrapper statistics move and
+    /// flushed when the ontology or release log does, so this is always
+    /// sound).
     pub cache_plans: bool,
     /// Reuse the system's persistent [`ExecContext`] — interned scans and
     /// join build sides — across queries. On by default: cached scans are
@@ -236,7 +204,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         Self {
             engine: Engine::Streaming,
-            filters: Vec::new(),
             cache_plans: true,
             reuse_scans: true,
             semijoin_max_keys: DEFAULT_SEMIJOIN_MAX_KEYS,
@@ -261,7 +228,6 @@ impl ExecOptions {
     pub fn split(&self) -> (PlanShape, ExecRuntime) {
         let ExecOptions {
             engine,
-            filters,
             cost_based_joins,
             // Whether `serve` consults the plan cache at all.
             cache_plans: _,
@@ -279,7 +245,6 @@ impl ExecOptions {
         } = self;
         let shape = PlanShape {
             engine: *engine,
-            filters: filters.clone(),
             cost_based_joins: *cost_based_joins,
         };
         let runtime = ExecRuntime {
@@ -303,8 +268,6 @@ impl ExecOptions {
 pub struct PlanShape {
     /// Which engine interprets the walks (the eager one compiles no plans).
     pub engine: Engine,
-    /// Compiled into the scans (claimed) or into residual filters above them.
-    pub filters: Vec<FeatureFilter>,
     /// Decides each walk's join order.
     pub cost_based_joins: bool,
 }
@@ -394,8 +357,8 @@ fn walk_columns(
 }
 
 /// The `(wrapper, attribute)` of a walk that provides `feature` — the same
-/// choice [`walk_columns`] aligns on, so pushed-down filters land on exactly
-/// the column the final answer surfaces.
+/// choice [`walk_columns`] aligns on, so each wrapper's scan surfaces
+/// exactly the column the final answer does.
 fn walk_feature_attr<'w>(
     ontology: &BdiOntology,
     walk: &'w Walk,
@@ -403,24 +366,6 @@ fn walk_feature_attr<'w>(
 ) -> Option<(&'w Iri, &'w Iri)> {
     walk.all_projections()
         .find(|(_, attr)| ontology.feature_of_attribute(attr).as_ref() == Some(feature))
-}
-
-/// Validates [`FeatureFilter`]s against π, resolving each to the π position
-/// it selects on.
-fn resolve_filters(
-    features: &[Iri],
-    filters: &[FeatureFilter],
-) -> Result<Vec<(usize, FeatureFilter)>, ExecError> {
-    filters
-        .iter()
-        .map(|filter| {
-            let index = features
-                .iter()
-                .position(|f| f == &filter.feature)
-                .ok_or_else(|| ExecError::FilterNotProjected(filter.feature.as_str().to_owned()))?;
-            Ok((index, filter.clone()))
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -434,11 +379,9 @@ pub(crate) fn execute_eager(
     ontology: &BdiOntology,
     resolver: &dyn SourceResolver,
     rewriting: &Arc<Rewriting>,
-    filters: &[FeatureFilter],
 ) -> Result<Answer, ExecError> {
     let features = &rewriting.well_formed.omq.pi;
     let schema = target_schema(ontology, features)?;
-    let filters = resolve_filters(features, filters)?;
 
     let mut walk_exprs = Vec::with_capacity(rewriting.walks.len());
     let mut aligned_walks = Vec::with_capacity(rewriting.walks.len());
@@ -448,11 +391,7 @@ pub(crate) fn execute_eager(
         let rel = expr.eval(resolver)?;
         let columns = walk_columns(ontology, walk, features)?;
         let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let mut aligned = ops::align_to(&rel, &column_refs, &schema)?;
-        if !filters.is_empty() {
-            aligned = select_where(&aligned, &filters)?;
-        }
-        aligned_walks.push(aligned);
+        aligned_walks.push(ops::align_to(&rel, &column_refs, &schema)?);
     }
 
     Ok(Answer {
@@ -465,31 +404,12 @@ pub(crate) fn execute_eager(
     })
 }
 
-/// Reference semantics of the pushed-down filters: σ over the answer's π
-/// columns (conjunction), preserving row order.
-fn select_where(
-    input: &Relation,
-    filters: &[(usize, FeatureFilter)],
-) -> Result<Relation, RelationError> {
-    let rows: Vec<Tuple> = input
-        .rows()
-        .iter()
-        .filter(|row| {
-            filters
-                .iter()
-                .all(|(index, f)| f.predicate.matches(&row[*index]))
-        })
-        .cloned()
-        .collect();
-    Relation::new(input.schema().clone(), rows)
-}
-
 // ---------------------------------------------------------------------------
 // Walk → physical plan compilation
 // ---------------------------------------------------------------------------
 
 /// Cost facts gathered while compiling a leaf: the estimated row count of
-/// its (filtered) scan and the distinct-count estimate per output column,
+/// its scan and the distinct-count estimate per output column,
 /// keyed by the *prefixed* attribute name the walk's join conditions use.
 /// `rows: None` means the source offered neither sketches nor a hint —
 /// cost-based ordering stands down for the walk.
@@ -498,16 +418,13 @@ struct LeafCost {
     distinct: BTreeMap<String, u64>,
 }
 
-/// Compiles one wrapper of a walk to its (pushdown-aware) scan leaf —
-/// possibly topped by a residual [`PhysicalPlan::Filter`] holding the
-/// predicates the source did not claim — plus the [`LeafCost`] facts the
-/// walk's join ordering consumes.
+/// Compiles one wrapper of a walk to its projection-pushdown scan leaf,
+/// plus the [`LeafCost`] facts the walk's join ordering consumes.
 fn leaf_plan(
     ontology: &BdiOntology,
     source: &dyn PlanSource,
     wrapper: &Iri,
     needed: &BTreeSet<&Iri>,
-    filter_targets: &[(&Iri, &Iri, &Predicate)],
 ) -> Result<(PhysicalPlan, LeafCost), ExecError> {
     let wrapper_name = crate::vocab::wrapper_name_of(wrapper)
         .unwrap_or_else(|| wrapper.as_str())
@@ -539,62 +456,23 @@ fn leaf_plan(
         });
     }
     let schema = Schema::new(out_attrs).map_err(RelationError::Schema)?;
-    let mut request = ScanRequest::new(columns, schema)?;
-    // Filters on this wrapper: claimed ones ride inside the scan request,
-    // the residue becomes a mediator-side Filter over the scan's (prefixed)
-    // output columns. Either way the wrapper's answer contribution is
-    // identical — only the evaluation site moves.
-    let mut residue: Vec<(String, Predicate)> = Vec::new();
-    // Residues again under their *local* names, for estimation only.
-    let mut residue_cost: Vec<(String, Predicate)> = Vec::new();
-    for (target_wrapper, target_attr, predicate) in filter_targets {
-        if target_wrapper != &wrapper {
-            continue;
-        }
-        let local = crate::vocab::attribute_parts_of(target_attr)
-            .map(|(_, local)| local)
-            .unwrap_or_else(|| target_attr.as_str());
-        let filter = ColumnFilter::new(local, (*predicate).clone());
-        if source.claims(&wrapper_name, &filter) {
-            request = request.with_column_filter(filter);
-        } else {
-            residue_cost.push((local.to_owned(), (*predicate).clone()));
-            residue.push((prefixed_attr_name(target_attr), (*predicate).clone()));
-        }
-    }
-    // Cost facts: sketch-estimated rows (claimed filters through
-    // `TableStats::estimate_rows`, residues by per-column selectivity —
-    // both filter the same rows, only the evaluation site differs), or the
-    // source's scan hint when it keeps no sketches.
-    let stats = source.stats(&wrapper_name);
+    let request = ScanRequest::new(columns, schema)?;
+    // Cost facts: the sketches' row count, or the source's scan hint when
+    // it keeps no sketches.
     let mut distinct = BTreeMap::new();
-    let est_rows = match &stats {
+    let est_rows = match source.stats(&wrapper_name) {
         Some(stats) => {
-            let mut est = stats.estimate_rows(request.filters()) as f64;
-            for (local, predicate) in &residue_cost {
-                if let Some(column) = stats.column(local) {
-                    est *= column.selectivity(predicate);
-                }
-            }
             for (local, prefixed) in &col_pairs {
                 if let Some(column) = stats.column(local) {
                     distinct.insert(prefixed.clone(), column.distinct);
                 }
             }
-            Some(est.round() as u64)
+            Some(stats.rows())
         }
         None => source.scan_hint(&wrapper_name, &request),
     };
-    let mut plan = PhysicalPlan::scan(wrapper_name, request);
-    if !residue.is_empty() {
-        let predicates: Vec<(&str, Predicate)> = residue
-            .iter()
-            .map(|(column, p)| (column.as_str(), p.clone()))
-            .collect();
-        plan = plan.filter(predicates)?;
-    }
     Ok((
-        plan,
+        PhysicalPlan::scan(wrapper_name, request),
         LeafCost {
             rows: est_rows,
             distinct,
@@ -700,15 +578,6 @@ fn compile_walk(
     features: &[Iri],
     shape: &PlanShape,
 ) -> Result<(PhysicalPlan, PlanNote), ExecError> {
-    // Each filter lands on the (wrapper, attribute) providing its feature
-    // in this walk — the same choice `walk_columns` aligns on.
-    let filter_targets: Vec<(&Iri, &Iri, &Predicate)> = shape
-        .filters
-        .iter()
-        .filter_map(|f| {
-            walk_feature_attr(ontology, walk, &f.feature).map(|(w, a)| (w, a, &f.predicate))
-        })
-        .collect();
     // Per wrapper, the columns the plan actually consumes: the attribute
     // chosen for each requested feature (the one `walk_columns` aligns on)
     // plus both sides of every ⋈̃ condition.
@@ -733,7 +602,7 @@ fn compile_walk(
     let mut costs: BTreeMap<&Iri, LeafCost> = BTreeMap::new();
     for wrapper in walk.wrappers() {
         let wrapper_needed = needed.get(wrapper).unwrap_or(&empty);
-        let (plan, cost) = leaf_plan(ontology, source, wrapper, wrapper_needed, &filter_targets)?;
+        let (plan, cost) = leaf_plan(ontology, source, wrapper, wrapper_needed)?;
         leaves.insert(wrapper, plan);
         costs.insert(wrapper, cost);
     }
@@ -804,9 +673,9 @@ fn compile_walk(
 /// The ontology-side half of a [`CompiledQuery`]: the rewriting over the
 /// wrappers its scope admits, the target schema, the rendered walk algebra
 /// and each walk's column alignment. All of it reads the ontology and the
-/// release log alone — Algorithms 2–5 never look at wrapper data or
-/// capabilities — so a capability or statistics change recompiles the plans
-/// over the same frame ([`CompiledQuery::replan`]).
+/// release log alone — Algorithms 2–5 never look at wrapper data — so a
+/// statistics change recompiles the plans over the same frame
+/// ([`CompiledQuery::replan`]).
 #[derive(Debug)]
 struct QueryFrame {
     rewriting: Arc<Rewriting>,
@@ -820,8 +689,8 @@ struct QueryFrame {
 }
 
 impl QueryFrame {
-    /// Validates π and the shape's filters against the rewriting, and — for
-    /// the streaming engine — renders and aligns every walk.
+    /// Validates π against the rewriting, and — for the streaming engine —
+    /// renders and aligns every walk.
     fn compile(
         ontology: &BdiOntology,
         rewriting: Rewriting,
@@ -829,7 +698,6 @@ impl QueryFrame {
     ) -> Result<Self, ExecError> {
         let features = &rewriting.well_formed.omq.pi;
         let schema = target_schema(ontology, features)?;
-        resolve_filters(features, &shape.filters)?;
         let mut walk_exprs = Vec::new();
         let mut columns = Vec::new();
         // The eager engine renders its own walk_exprs while interpreting the
@@ -855,10 +723,9 @@ impl QueryFrame {
 /// `Arc`'d frame holds what depends on the ontology alone: the
 /// rewriting, the target schema, the rendered walk algebra and the column
 /// alignment. The plans hold what also depends on the sources: for the
-/// streaming engine one physical plan per walk, with the pushed-vs-residual
-/// filter split their *capabilities* decide and the join order their
+/// streaming engine one physical plan per walk, with the join order their
 /// statistics price. The system's cross-query plan cache keeps an entry
-/// across a data-side change and rebuilds only its plans over the same
+/// across a statistics change and rebuilds only its plans over the same
 /// frame.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
@@ -885,8 +752,8 @@ impl CompiledQuery {
         &self.plan_notes
     }
 
-    /// Recompiles the plans against `source`'s current capabilities and
-    /// statistics over this query's frame, which is shared, not rebuilt:
+    /// Recompiles the plans against `source`'s current statistics over
+    /// this query's frame, which is shared, not rebuilt:
     /// the rewriting stays the same `Arc`.
     pub(crate) fn replan(
         &self,
@@ -897,11 +764,9 @@ impl CompiledQuery {
     }
 }
 
-/// Compiles a rewriting into an executable [`CompiledQuery`]: validates π
-/// and the filters, renders the walk algebra, and (streaming engine) builds
-/// each walk's physical plan with claimed filters pushed into the scans and
-/// unclaimed residues kept as mediator-side filters. Of `options` only the
-/// [`PlanShape`] is read.
+/// Compiles a rewriting into an executable [`CompiledQuery`]: validates π,
+/// renders the walk algebra, and (streaming engine) builds each walk's
+/// physical plan. Of `options` only the [`PlanShape`] is read.
 pub fn compile_query<S>(
     ontology: &BdiOntology,
     source: &S,
@@ -978,12 +843,7 @@ where
     S: SourceResolver + PlanSource,
 {
     let mut answer = match compiled.shape.engine {
-        Engine::Eager => execute_eager(
-            ontology,
-            source,
-            &compiled.frame.rewriting,
-            &compiled.shape.filters,
-        ),
+        Engine::Eager => execute_eager(ontology, source, &compiled.frame.rewriting),
         Engine::Streaming => run_streaming(
             source,
             compiled,

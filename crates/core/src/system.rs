@@ -80,27 +80,26 @@ pub enum VersionScope {
 /// least-recently-hit entry.
 const PLAN_CACHE_ENTRIES: usize = 64;
 
-/// What the compiled-plan cache is valid against: the release log length
-/// (bumped by every [`BdiSystem::register_release`]), the ontology store's monotonic
-/// mutation stamp (catching edits through [`BdiSystem::ontology`]'s `&self`
-/// mutators, including count-neutral remove+insert pairs), and the registry's
-/// **capability fingerprint** — a hash of every wrapper's
-/// [`claims_filter`](bdi_wrappers::Wrapper::claims_filter) answers
-/// ([`bdi_wrappers::WrapperRegistry::capabilities_fingerprint`]). Plans
-/// depend on the ontology and wrapper *capabilities* (claims decide the
-/// pushed-vs-residual filter split compiled into each plan) — never on
-/// wrapper data — plus, fourth, the registry's **stats epoch**
+/// What the compiled-plan cache is valid against, three stamps: the release
+/// log length (bumped by every [`BdiSystem::register_release`]), the
+/// ontology store's monotonic mutation stamp (catching edits through
+/// [`BdiSystem::ontology`]'s `&self` mutators, including count-neutral
+/// remove+insert pairs), and the registry's **stats epoch**
 /// ([`bdi_wrappers::WrapperRegistry::stats_epoch`], a digest of every
 /// wrapper's `data_version`): since cost-based join ordering compiles
 /// sketch-derived estimates *into* the plan shape, a wrapper-data mutation
 /// must recompile plans even though their answers would still be correct
-/// (only possibly slower).
+/// (only possibly slower). Wrapper capabilities are not stamped: a compiled
+/// plan carries no filters, and the semi-join pass asks a wrapper's
+/// [`claims_filter`](bdi_wrappers::Wrapper::claims_filter) at run time, so
+/// a claim that flips between two requests changes what the second
+/// injects, never the plan it runs.
 ///
 /// The stamps split along the same seam as a [`CompiledQuery`]. The first
 /// two are **ontology-side**: the rewriting, target schema, rendered walks
 /// and column alignment read the ontology and the release log alone
-/// (Algorithms 2–5 never see wrapper data). The last two are **data-side**:
-/// only the plans read them. The cache keeps its current tuple beside the
+/// (Algorithms 2–5 never see wrapper data). The stats epoch is
+/// **data-side**: only the plans read it. The cache keeps its current tuple beside the
 /// map ([`PlanCache`]) and every entry keeps the tuple it was compiled
 /// under, all compared under the map's lock — no digest of either is
 /// published anywhere. An ontology-side change flushes the plans and
@@ -111,8 +110,8 @@ const PLAN_CACHE_ENTRIES: usize = 64;
 /// name, columns, filters and live
 /// [`data_version`](bdi_wrappers::Wrapper::data_version) at scan time. A
 /// release adds a wrapper under a name never registered before (Algorithm 1
-/// refuses a registered one), and an ontology edit or capability change
-/// alters only which scans a plan asks for, so no key can come to denote
+/// refuses a registered one), and an ontology edit alters only which scans
+/// a plan asks for, so no key can come to denote
 /// different rows. A data mutation makes the stale entry unreachable, and the
 /// next query brings just the mutated wrapper's scans up to date — by the
 /// appended rows when the wrapper can resume, by a re-scan otherwise. The
@@ -124,7 +123,7 @@ const PLAN_CACHE_ENTRIES: usize = 64;
 ///
 /// The release log only changes through `&mut self` methods, which call
 /// [`ExecCache::invalidate`] and cannot race a `&self` query; ontology
-/// writes, capability flips and wrapper-data mutations go through shared
+/// writes and wrapper-data mutations go through shared
 /// handles and *can*. What the one lock guarantees then: stamp and map
 /// only ever change together, so a plan is served as a hit only under the
 /// validity its compiler read before compiling, a rewriting is reused only
@@ -134,7 +133,7 @@ const PLAN_CACHE_ENTRIES: usize = 64;
 /// plan — the two were concurrent — and the next request replaces it; a
 /// stats-epoch race is performance-only either way, answers staying
 /// correct through the `data_version` keying one level down.
-type CacheValidity = (usize, u64, u64, u64);
+type CacheValidity = (usize, u64, u64);
 
 /// The ontology-side stamps of a validity — release seq and ontology
 /// mutations — which a rewriting depends on.
@@ -255,7 +254,7 @@ impl Default for ExecCache {
             syntactic_plans: AtomicU64::new(0),
             plans: Mutex::new(PlanCache {
                 // Never matches a real validity → first use flushes.
-                validity: (usize::MAX, u64::MAX, u64::MAX, u64::MAX),
+                validity: (usize::MAX, u64::MAX, u64::MAX),
                 tick: 0,
                 plans: HashMap::new(),
             }),
@@ -430,8 +429,8 @@ pub struct PlannerStats {
     /// Walks whose join order was chosen by estimated cardinality
     /// (fresh compiles only — plan-cache hits don't recount).
     pub cost_based_plans: u64,
-    /// Walks planned in syntactic join order (knob off, single unfiltered
-    /// walk, or a wrapper without estimates).
+    /// Walks planned in syntactic join order (knob off, a walk without
+    /// joins, or a wrapper without estimates).
     pub syntactic_plans: u64,
     /// Semi-join reductions shipped as exact IN-set filters, through the
     /// persistent context (queries run with
@@ -569,7 +568,7 @@ impl AnswerRequest {
         self
     }
 
-    /// Replaces the execution options wholesale (engine, filters, …).
+    /// Replaces the execution options wholesale (engine, join ordering, …).
     /// Compose with the shortcuts below by calling this first.
     pub fn options(mut self, options: ExecOptions) -> Self {
         self.options = options;
@@ -618,14 +617,12 @@ impl BdiSystem {
     }
 
     /// The cache validity stamp for the system's current state: release
-    /// seq, ontology mutation stamp, the registry's wrapper-capability
-    /// fingerprint, and the registry's stats epoch (see [`CacheValidity`]
-    /// for how the halves invalidate differently).
+    /// seq, ontology mutation stamp and the registry's stats epoch (see
+    /// [`CacheValidity`] for how the halves invalidate differently).
     fn cache_validity(&self) -> CacheValidity {
         (
             self.release_log.len(),
             self.ontology.store().mutation_count(),
-            self.registry.capabilities_fingerprint(),
             self.registry.stats_epoch(),
         )
     }
@@ -750,8 +747,8 @@ impl BdiSystem {
     /// Repeated queries skip the rewriting-to-plan pipeline entirely: the
     /// compiled form is cached under `(OMQ, scope, `[`PlanShape`]`)` and
     /// stays valid until the next [`BdiSystem::register_release`] (or other
-    /// visible metadata change). After a wrapper-data or capability change
-    /// the entry's rewriting is reused and only its plans are rebuilt. With
+    /// visible metadata change). After a wrapper-data change the entry's
+    /// rewriting is reused and only its plans are rebuilt. With
     /// [`ExecOptions::reuse_scans`] the query also pins the system's
     /// persistent [`ExecContext`], which carries interned wrapper scans and
     /// join build sides across queries and is shared by the queries running
@@ -881,7 +878,7 @@ mod tests {
         );
         // Meanwhile a wrapper push moved the stats epoch and another request
         // brought the cache up to it.
-        let moved = (read.0, read.1, read.2, read.3.wrapping_add(1));
+        let moved = (read.0, read.1, read.2.wrapping_add(1));
         drop(system.cache.revalidate(moved));
         system.cache.insert(read, key.clone(), compiled.clone());
         assert_eq!(system.plan_cache_stats().entries, 0);
@@ -907,14 +904,14 @@ mod tests {
         system.cache.insert(read, key.clone(), compiled);
         assert!(matches!(system.cache.lookup(read, &key), Cached::Hit(_)));
 
-        let capability_moved = (read.0, read.1, read.2.wrapping_add(1), read.3);
+        let stats_moved = (read.0, read.1, read.2.wrapping_add(1));
         for _ in 0..2 {
             assert!(matches!(
-                system.cache.lookup(capability_moved, &key),
+                system.cache.lookup(stats_moved, &key),
                 Cached::Stale(_)
             ));
         }
-        let ontology_moved = (read.0, read.1 + 1, read.2, read.3);
+        let ontology_moved = (read.0, read.1 + 1, read.2);
         assert!(matches!(
             system.cache.lookup(ontology_moved, &key),
             Cached::Miss

@@ -422,11 +422,6 @@ impl ExecContext {
             .collect()
     }
 
-    /// Decodes one id (locks a single pool shard briefly).
-    pub(crate) fn decode_value(&self, id: u32) -> Value {
-        self.pool.get(id)
-    }
-
     /// Decodes a set of ids under one pool read handle (the semi-join pass
     /// decodes build-key sets through this).
     pub(crate) fn decode_ids(&self, ids: impl IntoIterator<Item = u32>) -> Vec<Value> {
@@ -434,11 +429,6 @@ impl ExecContext {
         ids.into_iter()
             .map(|id| reader.decode(id).clone())
             .collect()
-    }
-
-    /// Interns one value.
-    pub(crate) fn intern_value(&self, value: &Value) -> u32 {
-        self.pool.intern(value)
     }
 
     /// The interned rows of a scan, computed once per distinct
@@ -883,7 +873,7 @@ mod tests {
     use super::*;
     use crate::ops;
     use crate::plan::test_support::*;
-    use crate::plan::{execute_plan, ExecPolicy, PhysicalPlan};
+    use crate::plan::{execute_plan, ExecPolicy, PhysicalPlan, Predicate};
     use crate::schema::Schema;
 
     #[test]
@@ -902,7 +892,8 @@ mod tests {
         // A different request (a filter) is a different cache entry.
         let filtered = PhysicalPlan::scan(
             "w1",
-            ScanRequest::full(w1().schema()).with_filter("VoDmonitorId", Value::Int(18)),
+            ScanRequest::full(w1().schema())
+                .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(18)])),
         );
         let out = run_in(&filtered, &ctx, &counting).unwrap();
         assert_eq!(out.len(), 1);
@@ -961,7 +952,8 @@ mod tests {
         let w3_plan = scan_all("w3", &w3());
         let filtered = PhysicalPlan::scan(
             "w1",
-            ScanRequest::full(w1().schema()).with_filter("VoDmonitorId", Value::Int(18)),
+            ScanRequest::full(w1().schema())
+                .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(18)])),
         );
         run_in(&w1_plan, &ctx, &counting).unwrap(); // cache: w1
         run_in(&w3_plan, &ctx, &counting).unwrap(); // cache: w1, w3
@@ -1122,7 +1114,7 @@ mod tests {
         assert_eq!(ctx.value_cap(), Some(4));
         assert!(!ctx.over_value_cap());
         for i in 0..8 {
-            ctx.intern_value(&Value::Int(i));
+            ctx.pool.intern(&Value::Int(i));
         }
         assert!(ctx.over_value_cap());
         assert!(ctx.pooled_values() >= 8);

@@ -5,7 +5,7 @@
 //! tuple-at-a-time, cloning every surviving row at every operator. This
 //! module is the engine production queries actually run on:
 //!
-//! * a [`PhysicalPlan`] of **scan / project / filter / hash-join / union**
+//! * a [`PhysicalPlan`] of **scan / project / hash-join / union**
 //!   nodes, with attribute renames fused into the scans' [`ScanRequest`]s so
 //!   they cost nothing at run time;
 //! * a `ValuePool` interning every scalar once, so operators move rows of
@@ -30,11 +30,12 @@
 //! [`ScanRequest::apply`] is its reference semantics, what a source
 //! without native pushdown does to its full relation.
 //!
-//! Sources advertise per-filter capability through [`PlanSource::claims`]:
-//! plan compilers hand a source only the filters it claims, and evaluate
-//! the *residue* — whatever was not claimed — in a mediator-side
-//! [`PhysicalPlan::Filter`] above the scan, so answers are identical
-//! whatever a source can natively honour.
+//! Scan filters come from one producer, the semi-join pass below, and a
+//! source advertises which of them it evaluates natively through
+//! [`PlanSource::claims`]. A filter the source does not claim is never
+//! injected; the join's hash probe then does its work, so answers are
+//! identical whatever a source can natively honour. Compiled plans carry
+//! no filters, so nothing a source claims is ever compiled into one.
 //!
 //! Whatever consumes a scan — the scan cache's fill or a cursor-only scan
 //! — pulls it through one loop (`InternedBatches`): one source batch at a
@@ -123,8 +124,7 @@ pub use operator::Operator;
 pub use physical::PhysicalPlan;
 pub use pool::{Batch, RowSet};
 pub use request::{
-    batches_from_relation, BatchIter, Bound, ColumnFilter, PlanSource, Predicate, ScanMark,
-    ScanRequest,
+    batches_from_relation, BatchIter, ColumnFilter, PlanSource, Predicate, ScanMark, ScanRequest,
 };
 
 use crate::relation::RelationError;

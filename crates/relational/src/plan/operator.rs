@@ -1,10 +1,9 @@
 use super::context::{scan_uses_cache, ExecContext, InternedBatches, JoinIndex, ScanKey};
 use super::physical::PhysicalPlan;
-use super::pool::{Batch, FnvBuild, RowSet};
+use super::pool::{Batch, RowSet};
 use super::request::{ColumnFilter, PlanSource, Predicate, ScanRequest};
 use super::{ExecPolicy, PlanError, BATCH_ROWS, BLOOM_SEMIJOIN_MAX_KEYS, SEMIJOIN_SELECTIVITY};
 use crate::stats::BloomFilter;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -78,12 +77,6 @@ enum OpNode<'r> {
         input: Box<OpNode<'r>>,
         indices: Vec<usize>,
     },
-    Filter {
-        input: Box<OpNode<'r>>,
-        predicates: Vec<(usize, Predicate)>,
-        /// Id-space forms of `predicates`, interned lazily on first pull.
-        compiled: Option<Vec<(usize, CompiledPredicate)>>,
-    },
     HashJoin {
         left: Box<OpNode<'r>>,
         right: Box<OpNode<'r>>,
@@ -148,47 +141,6 @@ fn join_emit(
                 (probe_row, build_row)
             };
             out.push(l.iter().chain(r.iter()).copied());
-        }
-    }
-}
-
-/// A residual predicate lowered into interned-id space.
-enum CompiledPredicate {
-    /// Eq / IN: the interned ids of the predicate values — id equality *is*
-    /// value equality, so membership is an integer compare.
-    Ids(Vec<u32>),
-    /// Range / bloom: evaluated on the decoded value, memoized per id (each
-    /// distinct id is decoded and compared — or bloom-probed — at most once
-    /// per operator).
-    Range {
-        predicate: Predicate,
-        memo: HashMap<u32, bool, FnvBuild>,
-    },
-}
-
-impl CompiledPredicate {
-    fn compile(predicate: &Predicate, ctx: &ExecContext) -> Self {
-        match predicate {
-            Predicate::Eq(v) => CompiledPredicate::Ids(vec![ctx.intern_value(v)]),
-            Predicate::In(vs) => {
-                let mut ids: Vec<u32> = vs.iter().map(|v| ctx.intern_value(v)).collect();
-                ids.sort_unstable();
-                ids.dedup();
-                CompiledPredicate::Ids(ids)
-            }
-            decoded @ (Predicate::Range { .. } | Predicate::Bloom(_)) => CompiledPredicate::Range {
-                predicate: decoded.clone(),
-                memo: HashMap::default(),
-            },
-        }
-    }
-
-    fn matches(&mut self, id: u32, ctx: &ExecContext) -> bool {
-        match self {
-            CompiledPredicate::Ids(ids) => ids.binary_search(&id).is_ok(),
-            CompiledPredicate::Range { predicate, memo } => *memo
-                .entry(id)
-                .or_insert_with(|| predicate.matches(&ctx.decode_value(id))),
         }
     }
 }
@@ -276,11 +228,6 @@ impl<'r> OpNode<'r> {
                 input: Box::new(OpNode::compile(input)),
                 indices: indices.clone(),
             },
-            PhysicalPlan::Filter { input, predicates } => OpNode::Filter {
-                input: Box::new(OpNode::compile(input)),
-                predicates: predicates.clone(),
-                compiled: None,
-            },
             PhysicalPlan::HashJoin {
                 left,
                 right,
@@ -310,28 +257,26 @@ impl<'r> OpNode<'r> {
         match self {
             OpNode::Scan(op) => op.request.output().len(),
             OpNode::Project { indices, .. } => indices.len(),
-            OpNode::Filter { input, .. } => input.arity(),
             OpNode::HashJoin { arity, .. } | OpNode::Union { arity, .. } => *arity,
         }
     }
 
     /// Estimated output rows of the subtree: defined for scan-leaf chains
-    /// (Project/Filter over one Scan — none of which grow the row count),
+    /// (Project over one Scan — which never grows the row count),
     /// `None` for joins and unions.
     fn size_hint(&self, source: &dyn PlanSource) -> Option<u64> {
         match self {
             OpNode::Scan(op) => source.scan_hint(&op.source, &op.request),
-            OpNode::Project { input, .. } | OpNode::Filter { input, .. } => input.size_hint(source),
+            OpNode::Project { input, .. } => input.size_hint(source),
             _ => None,
         }
     }
 
-    /// Maps output column `index` down a Project/Filter chain to the
+    /// Maps output column `index` down a Project chain to the
     /// scan leaf it originates from — the semi-join injection site.
     fn scan_site(&mut self, index: usize) -> Option<(usize, &mut ScanOp<'r>)> {
         match self {
             OpNode::Scan(op) => Some((index, op)),
-            OpNode::Filter { input, .. } => input.scan_site(index),
             OpNode::Project { input, indices, .. } => {
                 let mapped = *indices.get(index)?;
                 input.scan_site(mapped)
@@ -530,42 +475,6 @@ impl<'r> OpNode<'r> {
                     out.push(indices.iter().map(|&i| row[i]));
                 }
                 Ok(Some(out))
-            }
-            OpNode::Filter {
-                input,
-                predicates,
-                compiled,
-            } => {
-                let compiled = compiled.get_or_insert_with(|| {
-                    predicates
-                        .iter()
-                        .map(|(index, p)| (*index, CompiledPredicate::compile(p, ctx)))
-                        .collect()
-                });
-                loop {
-                    // A predicate that rejects everything would otherwise
-                    // spin through an entire cached table between leaf-level
-                    // deadline checks.
-                    if policy.deadline_passed() {
-                        return Err(PlanError::DeadlineExceeded);
-                    }
-                    let Some(batch) = input.next_batch(ctx, plan_source, policy)? else {
-                        return Ok(None);
-                    };
-                    let mut out = Batch::new(batch.arity());
-                    // analyze: allow(deadline, per-row filter of one batch — bounded by BATCH_ROWS)
-                    for row in batch.rows() {
-                        if compiled
-                            .iter_mut()
-                            .all(|(index, p)| p.matches(row[*index], ctx))
-                        {
-                            out.push(row.iter().copied());
-                        }
-                    }
-                    if !out.is_empty() {
-                        return Ok(Some(out));
-                    }
-                }
             }
             OpNode::HashJoin {
                 left,
@@ -795,31 +704,6 @@ mod tests {
             sizes.push(batch.len());
         }
         assert_eq!(sizes, vec![1024, 1024, 952]);
-    }
-
-    #[test]
-    fn residual_filter_operator_matches_reference_apply() {
-        // The same predicates, once pushed into the scan request (claimed)
-        // and once as a mediator-side Filter residue, agree byte-for-byte.
-        let predicates = vec![
-            ("VoDmonitorId", Predicate::in_set([Value::Int(12)])),
-            ("lagRatio", Predicate::at_most(0.8)),
-        ];
-        let pushed = PhysicalPlan::scan(
-            "w1",
-            ScanRequest::full(w1().schema())
-                .with_predicate("VoDmonitorId", predicates[0].1.clone())
-                .with_predicate("lagRatio", predicates[1].1.clone()),
-        );
-        let residual = scan_all("w1", &w1()).filter(predicates).unwrap();
-        let a = run(&pushed, &source).unwrap();
-        let b = run(&residual, &source).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
-        // Unknown filter columns are rejected at build time.
-        assert!(scan_all("w1", &w1())
-            .filter(vec![("zz", Predicate::eq(1))])
-            .is_err());
     }
 
     #[test]

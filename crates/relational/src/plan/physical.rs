@@ -1,5 +1,5 @@
 use super::context::ScanKey;
-use super::request::{Predicate, ScanRequest};
+use super::request::ScanRequest;
 use super::PlanError;
 use crate::relation::RelationError;
 use crate::schema::{Attribute, Schema};
@@ -29,12 +29,6 @@ pub enum PhysicalPlan {
         input: Box<PhysicalPlan>,
         indices: Vec<usize>,
         schema: Schema,
-    },
-    /// Residual selection: predicates a source did not claim, evaluated in
-    /// the mediator over the input's columns (by position).
-    Filter {
-        input: Box<PhysicalPlan>,
-        predicates: Vec<(usize, Predicate)>,
     },
     /// Equi-join; the executor builds a hash table over the smaller input
     /// (matching the eager [`crate::ops::join`] ordering contract) and
@@ -83,23 +77,6 @@ impl PhysicalPlan {
             input: Box::new(self),
             indices,
             schema,
-        })
-    }
-
-    /// Filters by named-column predicates (conjunction), resolving the
-    /// names against the input schema at build time.
-    pub fn filter(self, predicates: Vec<(&str, Predicate)>) -> Result<Self, PlanError> {
-        let mut resolved = Vec::with_capacity(predicates.len());
-        for (column, predicate) in predicates {
-            let index = self
-                .schema()
-                .require(column)
-                .map_err(RelationError::Schema)?;
-            resolved.push((index, predicate));
-        }
-        Ok(PhysicalPlan::Filter {
-            input: Box::new(self),
-            predicates: resolved,
         })
     }
 
@@ -165,7 +142,6 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::Scan { request, .. } => request.output(),
             PhysicalPlan::Project { schema, .. } | PhysicalPlan::HashJoin { schema, .. } => schema,
-            PhysicalPlan::Filter { input, .. } => input.schema(),
             PhysicalPlan::Union { inputs } => inputs[0].schema(),
         }
     }
@@ -198,16 +174,6 @@ impl fmt::Display for PhysicalPlan {
                 schema,
             } => {
                 write!(f, "Π{schema}#{indices:?}({input})")
-            }
-            PhysicalPlan::Filter { input, predicates } => {
-                f.write_str("σ̂[")?;
-                for (i, (index, predicate)) in predicates.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(" ∧ ")?;
-                    }
-                    write!(f, "#{index}{predicate}")?;
-                }
-                write!(f, "]({input})")
             }
             PhysicalPlan::HashJoin {
                 left,

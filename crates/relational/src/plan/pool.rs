@@ -123,17 +123,6 @@ impl ValuePool {
         (local << POOL_SHARD_BITS) | shard_index as u32
     }
 
-    /// Decodes one id, locking only its shard. Prefer [`ValuePool::reader`]
-    /// for bulk decoding.
-    pub(crate) fn get(&self, id: u32) -> Value {
-        let shard = (id as usize) & (POOL_SHARDS - 1);
-        self.shards[shard]
-            .lock()
-            .expect("value pool poisoned")
-            .values[(id >> POOL_SHARD_BITS) as usize]
-            .clone()
-    }
-
     /// A read handle decoding ids without re-locking per value. Shards are
     /// locked in index order (the only multi-shard acquisition, so lock
     /// ordering is consistent); drop the reader before interning again on
@@ -214,10 +203,6 @@ impl Batch {
         self.data.extend(row);
         debug_assert_eq!(self.data.len() - before, self.arity);
         self.len += 1;
-    }
-
-    pub(crate) fn arity(&self) -> usize {
-        self.arity
     }
 
     /// Number of rows.

@@ -6,67 +6,31 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// One endpoint of a [`Predicate::Range`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Bound {
-    pub value: Value,
-    /// Whether the endpoint itself is admitted (`>=`/`<=` vs `>`/`<`).
-    pub inclusive: bool,
-}
-
-impl Bound {
-    pub fn inclusive(value: Value) -> Self {
-        Self {
-            value,
-            inclusive: true,
-        }
-    }
-
-    pub fn exclusive(value: Value) -> Self {
-        Self {
-            value,
-            inclusive: false,
-        }
-    }
-}
-
-/// A per-column selection predicate a scan can push down.
+/// A per-column selection predicate a scan can push down: the semi-join
+/// pass's form of a build side's key set.
 ///
-/// All comparisons go through [`Value`]'s *total* order, so the semantics
-/// are uniform across kinds: cross-type numerics compare as numbers
-/// (`Int(2)` = `Float(2.0)`), `-0.0` = `0.0`, NaN is self-equal and sorts
-/// greatest, and `Null < Bool < numerics < Str`. An empty IN-set matches
-/// nothing. [`Predicate::matches`] is the normative semantics every
-/// pushdown implementation must reproduce.
+/// Membership goes through [`Value`] equality: cross-type numerics
+/// compare as numbers (`Int(2)` = `Float(2.0)`), `-0.0` = `0.0`, and NaN
+/// is self-equal. An empty IN-set matches nothing. [`Predicate::matches`]
+/// is the normative semantics every pushdown implementation must
+/// reproduce.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Predicate {
-    /// `column = value` (Value equality).
-    Eq(Value),
     /// `column ∈ set`. Kept sorted and deduplicated (see
     /// [`Predicate::in_set`]) so equal sets compare and hash equal.
     In(Vec<Value>),
-    /// `column` within an (optionally half-open) interval of the total
-    /// order.
-    Range {
-        min: Option<Bound>,
-        max: Option<Bound>,
-    },
     /// `column` *probably* in a key set: a one-sided [`BloomFilter`]
-    /// membership test. Unlike the other kinds this predicate is
+    /// membership test. Unlike an IN-set this predicate is
     /// intentionally approximate — `matches` admits every inserted key
     /// plus a tunable fraction of false positives — so it is only ever
     /// generated where over-admission is harmless: the semi-join sideways
-    /// pass, whose downstream join discards the extras. Sources that
-    /// cannot evaluate it natively simply decline the claim and the
-    /// mediator evaluates it as a residual filter.
+    /// pass, whose downstream join discards the extras. A source that
+    /// cannot evaluate it natively declines the claim, and the pass then
+    /// does not inject it.
     Bloom(BloomFilter),
 }
 
 impl Predicate {
-    pub fn eq(value: impl Into<Value>) -> Self {
-        Predicate::Eq(value.into())
-    }
-
     /// Builds a canonical IN-set: sorted, deduplicated.
     pub fn in_set(values: impl IntoIterator<Item = Value>) -> Self {
         let mut values: Vec<Value> = values.into_iter().collect();
@@ -75,59 +39,13 @@ impl Predicate {
         Predicate::In(values)
     }
 
-    pub fn range(min: Option<Bound>, max: Option<Bound>) -> Self {
-        Predicate::Range { min, max }
-    }
-
-    /// `column >= value`.
-    pub fn at_least(value: impl Into<Value>) -> Self {
-        Predicate::Range {
-            min: Some(Bound::inclusive(value.into())),
-            max: None,
-        }
-    }
-
-    /// `column <= value`.
-    pub fn at_most(value: impl Into<Value>) -> Self {
-        Predicate::Range {
-            min: None,
-            max: Some(Bound::inclusive(value.into())),
-        }
-    }
-
-    /// `low <= column <= high`.
-    pub fn between(low: impl Into<Value>, high: impl Into<Value>) -> Self {
-        Predicate::Range {
-            min: Some(Bound::inclusive(low.into())),
-            max: Some(Bound::inclusive(high.into())),
-        }
-    }
-
     /// Whether a value satisfies the predicate — the reference semantics.
     pub fn matches(&self, value: &Value) -> bool {
         match self {
-            Predicate::Eq(v) => value == v,
             // Linear membership: IN-sets are small, and the variant is
             // public — a directly-built (unsorted) vec must match the same
             // rows as the canonical [`Predicate::in_set`] form.
             Predicate::In(vs) => vs.contains(value),
-            Predicate::Range { min, max } => {
-                if let Some(b) = min {
-                    match value.cmp(&b.value) {
-                        std::cmp::Ordering::Less => return false,
-                        std::cmp::Ordering::Equal if !b.inclusive => return false,
-                        _ => {}
-                    }
-                }
-                if let Some(b) = max {
-                    match value.cmp(&b.value) {
-                        std::cmp::Ordering::Greater => return false,
-                        std::cmp::Ordering::Equal if !b.inclusive => return false,
-                        _ => {}
-                    }
-                }
-                true
-            }
             Predicate::Bloom(filter) => filter.may_contain(value),
         }
     }
@@ -136,7 +54,6 @@ impl Predicate {
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Predicate::Eq(v) => write!(f, "={v}"),
             Predicate::In(vs) => {
                 f.write_str("∈{")?;
                 for (i, v) in vs.iter().enumerate() {
@@ -146,21 +63,6 @@ impl fmt::Display for Predicate {
                     write!(f, "{v}")?;
                 }
                 f.write_str("}")
-            }
-            Predicate::Range { min, max } => {
-                if let Some(b) = min {
-                    write!(f, "{}{}", if b.inclusive { "≥" } else { ">" }, b.value)?;
-                }
-                if min.is_some() && max.is_some() {
-                    f.write_str(" ")?;
-                }
-                if let Some(b) = max {
-                    write!(f, "{}{}", if b.inclusive { "≤" } else { "<" }, b.value)?;
-                }
-                if min.is_none() && max.is_none() {
-                    f.write_str("∈(-∞,∞)")?;
-                }
-                Ok(())
             }
             Predicate::Bloom(filter) => write!(f, "∈bloom({} keys)", filter.items()),
         }
@@ -232,24 +134,12 @@ impl ScanRequest {
         }
     }
 
-    /// Appends an equality conjunct (sugar for
-    /// [`ScanRequest::with_predicate`] with [`Predicate::Eq`]).
-    pub fn with_filter(self, column: impl Into<String>, value: Value) -> Self {
-        self.with_predicate(column, Predicate::Eq(value))
-    }
-
     /// Appends a predicate conjunct on a source-local column.
     pub fn with_predicate(mut self, column: impl Into<String>, predicate: Predicate) -> Self {
         self.filters.push(ColumnFilter {
             column: column.into(),
             predicate,
         });
-        self
-    }
-
-    /// Appends an already-built filter conjunct.
-    pub fn with_column_filter(mut self, filter: ColumnFilter) -> Self {
-        self.filters.push(filter);
         self
     }
 
@@ -463,11 +353,12 @@ pub trait PlanSource: Sync {
 
     /// Whether the source natively honours `filter` on scans of `source`.
     ///
-    /// Plan compilers put only *claimed* filters into [`ScanRequest`]s;
-    /// unclaimed predicates stay in the mediator as a post-scan
-    /// [`PhysicalPlan::Filter`](super::PhysicalPlan::Filter) residue, so answers never depend on what a
-    /// source can or cannot evaluate. The default claims everything — the
-    /// [`ScanRequest::apply`] fallback evaluates any predicate.
+    /// The semi-join pass asks this at run time, before it injects a
+    /// build side's key set into a probe scan, and injects only what the
+    /// source claims; otherwise the join's hash probe does the filtering,
+    /// so answers never depend on what a source can or cannot evaluate.
+    /// The default claims everything — the [`ScanRequest::apply`] fallback
+    /// evaluates any predicate.
     fn claims(&self, _source: &str, _filter: &ColumnFilter) -> bool {
         true
     }
@@ -542,7 +433,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap()
-        .with_filter("VoDmonitorId", Value::Int(12));
+        .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(12)]));
         let out = request.apply(&w1()).unwrap();
         assert_eq!(out.schema().names(), vec!["D1/lagRatio", "D1/VoDmonitorId"]);
         assert_eq!(out.len(), 2);
@@ -550,9 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_matches_follow_the_total_order() {
-        // Cross-type numeric equality.
-        assert!(Predicate::eq(2).matches(&Value::Float(2.0)));
+    fn predicate_matches_follow_value_equality() {
         // Empty IN-set matches nothing — not even null.
         let empty = Predicate::in_set([]);
         assert!(!empty.matches(&Value::Null));
@@ -562,39 +451,23 @@ mod tests {
             Predicate::in_set([Value::Int(3), Value::Int(1), Value::Int(3)]),
             Predicate::in_set([Value::Int(1), Value::Int(3)])
         );
+        // Cross-type numeric equality.
         assert!(Predicate::in_set([Value::Int(1), Value::Int(3)]).matches(&Value::Float(3.0)));
         // A directly-built (unsorted) In variant matches the same rows as
         // the canonical form — the variant is public, so `matches` must not
         // assume sortedness.
         assert!(Predicate::In(vec![Value::Int(3), Value::Int(1)]).matches(&Value::Int(3)));
         assert!(Predicate::In(vec![Value::Int(3), Value::Int(1)]).matches(&Value::Float(1.0)));
-        // Ranges: inclusive/exclusive endpoints.
-        let r = Predicate::range(
-            Some(Bound::inclusive(Value::Int(1))),
-            Some(Bound::exclusive(Value::Int(5))),
-        );
-        assert!(r.matches(&Value::Int(1)));
-        assert!(r.matches(&Value::Float(4.999)));
-        assert!(!r.matches(&Value::Int(5)));
-        assert!(!r.matches(&Value::Int(0)));
-        // Null sorts below numerics: excluded by any numeric lower bound.
-        assert!(!r.matches(&Value::Null));
-        // Strings sort above numerics: a min-only numeric range admits them
-        // (total-order semantics — documented, and pinned differentially).
-        assert!(Predicate::at_least(5).matches(&Value::Str("x".into())));
-        // NaN is greatest and self-equal; -0.0 equals 0.0.
-        assert!(Predicate::at_least(5).matches(&Value::Float(f64::NAN)));
-        assert!(!Predicate::at_most(1e308).matches(&Value::Float(f64::NAN)));
-        assert!(Predicate::between(f64::NAN, f64::NAN).matches(&Value::Float(f64::NAN)));
-        assert!(Predicate::eq(Value::Float(-0.0)).matches(&Value::Int(0)));
-        assert!(Predicate::between(Value::Float(-0.0), Value::Float(0.0)).matches(&Value::Int(0)));
+        // NaN is self-equal; -0.0 equals 0.0.
+        assert!(Predicate::in_set([Value::Float(f64::NAN)]).matches(&Value::Float(f64::NAN)));
+        assert!(Predicate::in_set([Value::Float(-0.0)]).matches(&Value::Int(0)));
     }
 
     #[test]
     fn scan_request_applies_conjunctions() {
         let request = ScanRequest::full(w1().schema())
-            .with_predicate("VoDmonitorId", Predicate::at_least(12))
-            .with_predicate("lagRatio", Predicate::between(0.5, 0.8));
+            .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(12)]))
+            .with_predicate("lagRatio", Predicate::in_set([Value::Float(0.75)]));
         let out = request.apply(&w1()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.value(0, "lagRatio"), Some(&Value::Float(0.75)));
@@ -611,7 +484,7 @@ mod tests {
             Schema::from_parts::<&str>(&[], &["lagRatio"]).unwrap(),
         )
         .unwrap()
-        .with_predicate("VoDmonitorId", Predicate::between(12, 17));
+        .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(12)]));
         let reference = request.apply(&w1()).unwrap();
         assert_eq!(reference.schema().names(), vec!["lagRatio"]);
         assert_eq!(reference.len(), 2); // both monitor-12 rows, not monitor-18
@@ -645,37 +518,5 @@ mod tests {
         let plan = scan_all("w1", &w1()); // requests w1's 2-column shape
         let err = run(&plan, &misshapen);
         assert!(err.is_err(), "empty wrong-shape scan was silently accepted");
-    }
-
-    /// A plan source that claims nothing — used to pin the full-residue path.
-    struct NoClaims;
-
-    impl PlanSource for NoClaims {
-        fn scan_batches<'a>(
-            &'a self,
-            name: &str,
-            request: &ScanRequest,
-            rows: usize,
-        ) -> Scanned<'a> {
-            // A claims-nothing source must never be handed a filter.
-            assert!(request.filters().is_empty());
-            source.scan_batches(name, request, rows)
-        }
-
-        fn claims(&self, _source: &str, _filter: &ColumnFilter) -> bool {
-            false
-        }
-    }
-
-    #[test]
-    fn claims_defaults_to_true_and_can_be_declined() {
-        assert!(source.claims("w1", &ColumnFilter::new("x", Predicate::eq(1))));
-        assert!(!NoClaims.claims("w1", &ColumnFilter::new("x", Predicate::eq(1))));
-        // Residual filtering over an unclaimed source still selects.
-        let plan = scan_all("w1", &w1())
-            .filter(vec![("VoDmonitorId", Predicate::eq(12))])
-            .unwrap();
-        let out = run(&plan, &NoClaims).unwrap();
-        assert_eq!(out.len(), 2);
     }
 }

@@ -11,10 +11,11 @@
 //! planner reads. It consumes the snapshots through
 //! [`PlanSource::stats`](crate::plan::PlanSource::stats) in two places:
 //!
-//! * **cardinality estimation** — [`TableStats::estimate_rows`] turns a
-//!   filtered scan's raw row count into a post-filter cardinality by
-//!   per-column distinct counts, which makes `scan_hint` predicate-aware,
-//!   drives join ordering and gates scan-cache admission;
+//! * **cardinality estimation** — join ordering reads the row and
+//!   distinct counts, and [`TableStats::estimate_rows`] turns a
+//!   semi-join-reduced scan's raw row count into a post-filter
+//!   cardinality by per-column distinct counts, which makes `scan_hint`
+//!   predicate-aware and gates scan-cache admission;
 //! * **semi-joins** — distinct counts gate the sideways pass, and
 //!   [`BloomFilter`] is the payload of [`Predicate::Bloom`], the compact
 //!   membership filter shipped to a probe-side source when the build
@@ -222,8 +223,8 @@ impl DistinctSketch {
     }
 }
 
-/// The neutral selectivity assumed for a predicate the sketches cannot
-/// price: every range, and any filter on an unknown column.
+/// The neutral selectivity assumed for a filter on a column the sketches
+/// do not know.
 const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
 
 /// One column's sketch snapshot: its distinct count.
@@ -238,15 +239,12 @@ impl ColumnStats {
     /// Estimated fraction of the table's rows a predicate on this column
     /// retains, in `[0, 1]`.
     ///
-    /// Equality and `IN` divide by the distinct count, and a shipped bloom
-    /// filter retains roughly its key count over this column's domain. A
-    /// range gets the neutral 1/3.
+    /// `IN` divides by the distinct count, and a shipped bloom filter
+    /// retains roughly its key count over this column's domain.
     pub fn selectivity(&self, predicate: &Predicate) -> f64 {
         let distinct = self.distinct.max(1) as f64;
         match predicate {
-            Predicate::Eq(_) => 1.0 / distinct,
             Predicate::In(values) => (values.len() as f64 / distinct).min(1.0),
-            Predicate::Range { .. } => DEFAULT_SELECTIVITY,
             Predicate::Bloom(filter) => {
                 // A semi-join filter retains about one build key's worth
                 // of rows per distinct probe value, plus the filter's
@@ -474,11 +472,11 @@ mod tests {
     }
 
     #[test]
-    fn estimate_rows_prices_equality_by_distinct_count() {
+    fn estimate_rows_prices_in_sets_by_distinct_count() {
         let stats = snapshot(1_000);
         assert_eq!(stats.rows(), 1_000);
         assert_eq!(stats.data_version(), 7);
-        let filter = ColumnFilter::new("k", Predicate::eq(5));
+        let filter = ColumnFilter::new("k", Predicate::in_set([Value::Int(5)]));
         assert_eq!(stats.estimate_rows(&[filter]), 10);
     }
 

@@ -49,11 +49,7 @@ fn status_of(error: &SystemError) -> u16 {
     match error {
         SystemError::Omq(_) | SystemError::Rewrite(_) => 400,
         SystemError::Exec(ExecError::Plan(PlanError::DeadlineExceeded)) => 504,
-        SystemError::Exec(
-            ExecError::EmptyProjection
-            | ExecError::FilterNotProjected(_)
-            | ExecError::MissingFeature { .. },
-        ) => 400,
+        SystemError::Exec(ExecError::EmptyProjection | ExecError::MissingFeature { .. }) => 400,
         _ => 500,
     }
 }

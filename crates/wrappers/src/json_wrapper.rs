@@ -19,7 +19,7 @@
 use crate::spec::value_to_json;
 use crate::wrapper::{eager_batches, RowBatches, Wrapper, WrapperError};
 use bdi_docstore::{DocPredicate, DocStore, Pipeline, Projection};
-use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest, BATCH_ROWS};
+use bdi_relational::plan::{ColumnFilter, Predicate, ScanMark, ScanRequest, BATCH_ROWS};
 use bdi_relational::{Relation, RelationError, Schema, StatsBuilder, TableStats, Tuple, Value};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -35,32 +35,20 @@ fn match_addressable(column: &str) -> bool {
 
 /// Translates a relational predicate into its docstore `$match` form, or
 /// `None` when some constituent value has no JSON image. The docstore's
-/// `json_cmp` mirrors the relational total order, so the
-/// translation preserves [`Predicate::matches`] semantics exactly for every
-/// value a JSON document can hold. A predicate holding a value without a
-/// JSON image is not claimed, so it falls back to the mediator's residual
-/// filter.
+/// `json_cmp` mirrors relational [`Value`] equality, so the translation
+/// preserves [`Predicate::matches`] semantics exactly for every value a
+/// JSON document can hold. A key set holding a value without a JSON image
+/// is not claimed, so the semi-join pass does not inject it.
 fn to_doc_predicate(predicate: &Predicate) -> Option<DocPredicate> {
-    let to_json = value_to_json;
-    let bound = |b: &Bound| to_json(&b.value).map(|v| (v, b.inclusive));
-    Some(match predicate {
+    match predicate {
         // Bloom filters probe hashed Values, not JSON documents — no
         // `$match` translation exists. Claimed blooms are evaluated in the
         // wrapper's residual path instead (see `claims_filter`).
-        Predicate::Bloom(_) => return None,
-        Predicate::Eq(v) => DocPredicate::Eq(to_json(v)?),
-        Predicate::In(vs) => DocPredicate::In(vs.iter().map(to_json).collect::<Option<_>>()?),
-        Predicate::Range { min, max } => DocPredicate::Range {
-            min: match min {
-                Some(b) => Some(bound(b)?),
-                None => None,
-            },
-            max: match max {
-                Some(b) => Some(bound(b)?),
-                None => None,
-            },
-        },
-    })
+        Predicate::Bloom(_) => None,
+        Predicate::In(vs) => Some(DocPredicate::In(
+            vs.iter().map(value_to_json).collect::<Option<_>>()?,
+        )),
+    }
 }
 
 /// Most documents the scan cursor pulls from the store at once. The caller's
@@ -84,7 +72,8 @@ pub struct JsonWrapper {
     pipeline: Pipeline,
     /// Capability fingerprint, computed once — this wrapper's claims
     /// depend only on its immutable schema (column presence, dotted
-    /// names) and the predicate shape.
+    /// names) and the predicate shape. Read by nothing but
+    /// [`Wrapper::claims_fingerprint`], and goes with it.
     claims_fp: u64,
     /// Column sketches: the memoized snapshot, keyed by the
     /// [`Wrapper::data_version`] it describes, and the builder it was taken
@@ -434,8 +423,8 @@ impl Wrapper for JsonWrapper {
     /// The wrapper claims every filter it can translate into the docstore
     /// pipeline: the column must exist, be addressable by a `$match` stage
     /// (no dots in the name), and each predicate value must have a faithful
-    /// JSON image (NaN range bounds, for instance, do not — those filters
-    /// stay in the mediator as residues). Bloom filters have no pipeline
+    /// JSON image (a NaN key, for instance, has none — such a key set is
+    /// never injected). Bloom filters have no pipeline
     /// translation but are still claimed: they ride the wrapper's residual
     /// path (`JsonWrapper::convert_row`), so filtered-out documents never
     /// cross the wrapper boundary.
@@ -682,39 +671,39 @@ pub mod tests {
             )
             .unwrap();
         let w = code2_wrapper(store);
-        let eq = ScanRequest::new(
+        let by_monitor = ScanRequest::new(
             vec!["lagRatio".into()],
             Schema::from_parts::<&str>(&[], &["D1/lagRatio"]).unwrap(),
         )
         .unwrap()
-        .with_filter("VoDmonitorId", Value::Int(12));
-        let native = scanned(&w, &eq);
-        assert_eq!(native, eq.apply(&w.scan().unwrap()).unwrap());
+        .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(12)]));
+        let native = scanned(&w, &by_monitor);
+        assert_eq!(native, by_monitor.apply(&w.scan().unwrap()).unwrap());
         assert_eq!(native.len(), 3); // both Int(12) docs and the Float(12.0) doc
 
-        let range = ScanRequest::full(w.schema())
-            .with_predicate("lagRatio", Predicate::between(0.1, 0.8))
+        let conjunction = ScanRequest::full(w.schema())
+            .with_predicate("lagRatio", Predicate::in_set([Value::Float(0.75)]))
             .with_predicate(
                 "VoDmonitorId",
                 Predicate::in_set([Value::Int(12), Value::Int(18)]),
             );
-        assert!(w.claims_filter(&range.filters()[0]));
-        let native = scanned(&w, &range);
-        assert_eq!(native, range.apply(&w.scan().unwrap()).unwrap());
+        assert!(w.claims_filter(&conjunction.filters()[0]));
+        let native = scanned(&w, &conjunction);
+        assert_eq!(native, conjunction.apply(&w.scan().unwrap()).unwrap());
     }
 
     #[test]
-    fn nan_bounds_are_not_claimed_but_still_honoured() {
+    fn nan_keys_are_not_claimed_but_still_honoured() {
         let w = code2_wrapper(vod_store());
         // NaN has no JSON image: the wrapper declines the claim…
-        let filter = ColumnFilter::new("lagRatio", Predicate::at_most(f64::NAN));
-        assert!(!w.claims_filter(&filter));
-        assert!(!w.claims_filter(&ColumnFilter::new(
+        let filter = ColumnFilter::new(
             "lagRatio",
-            Predicate::in_set([Value::Float(f64::NAN)])
-        )));
+            Predicate::in_set([Value::Float(f64::NAN), Value::Float(0.75)]),
+        );
+        assert!(!w.claims_filter(&filter));
         // …and unknown columns are never claimed.
-        assert!(!w.claims_filter(&ColumnFilter::new("zz", Predicate::eq(1))));
+        let one = || Predicate::in_set([Value::Int(1)]);
+        assert!(!w.claims_filter(&ColumnFilter::new("zz", one())));
         // Dotted column names are not $match-addressable after $project (a
         // $match would traverse the path while the projected doc holds the
         // literal key): declined, evaluated residually — and the residual
@@ -738,9 +727,8 @@ pub mod tests {
             Pipeline::new().project(vec![Projection::field("a.b", "a.b")]),
         )
         .unwrap();
-        let dotted_filter = ColumnFilter::new("a.b", Predicate::eq(1));
-        assert!(!dotted.claims_filter(&dotted_filter));
-        let dotted_request = ScanRequest::full(dotted.schema()).with_column_filter(dotted_filter);
+        assert!(!dotted.claims_filter(&ColumnFilter::new("a.b", one())));
+        let dotted_request = ScanRequest::full(dotted.schema()).with_predicate("a.b", one());
         let dotted_native = scanned(&dotted, &dotted_request);
         assert_eq!(
             dotted_native,
@@ -748,11 +736,11 @@ pub mod tests {
         );
         assert_eq!(dotted_native.len(), 1);
         // …but a request carrying one anyway is evaluated residually, with
-        // reference semantics (everything is ≤ NaN: it sorts greatest).
-        let request = ScanRequest::full(w.schema()).with_column_filter(filter);
+        // reference semantics.
+        let request = ScanRequest::full(w.schema()).with_predicate(filter.column, filter.predicate);
         let native = scanned(&w, &request);
         assert_eq!(native, request.apply(&w.scan().unwrap()).unwrap());
-        assert_eq!(native.len(), 3);
+        assert_eq!(native.len(), 1);
     }
 
     #[test]

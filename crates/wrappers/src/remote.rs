@@ -39,7 +39,7 @@
 )]
 
 use crate::wrapper::{RetryStats, RowBatches, Wrapper, WrapperError};
-use bdi_relational::plan::{Bound, ColumnFilter, Predicate, ScanMark, ScanRequest};
+use bdi_relational::plan::{ColumnFilter, Predicate, ScanMark, ScanRequest};
 use bdi_relational::{Relation, Schema, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -386,40 +386,9 @@ fn parse_value(text: &str) -> Result<Value, String> {
     }
 }
 
-/// One range bound → wire form: empty (absent), `i<lit>` (inclusive) or
-/// `x<lit>` (exclusive).
-fn render_bound(bound: &Option<Bound>) -> String {
-    match bound {
-        None => String::new(),
-        Some(b) => format!(
-            "{}{}",
-            if b.inclusive { 'i' } else { 'x' },
-            render_value(&b.value)
-        ),
-    }
-}
-
-fn parse_bound(text: &str) -> Result<Option<Bound>, String> {
-    if text.is_empty() {
-        return Ok(None);
-    }
-    let (flag, rest) = text
-        .split_at_checked(1)
-        .ok_or_else(|| format!("bad bound flag in {text:?}"))?;
-    let inclusive = match flag {
-        "i" => true,
-        "x" => false,
-        other => return Err(format!("bad bound flag {other:?}")),
-    };
-    Ok(Some(Bound {
-        value: parse_value(rest)?,
-        inclusive,
-    }))
-}
-
 /// Renders a [`ScanRequest`] page fetch as the endpoint's query string:
-/// `cols=<c1>,<c2>&page=<n>&rows=<m>` plus one `eq:<col>=<lit>`,
-/// `in:<col>=<lit>|<lit>…` or `rg:<col>=<bound>;<bound>` param per filter.
+/// `cols=<c1>,<c2>&page=<n>&rows=<m>` plus one `in:<col>=<lit>|<lit>…`
+/// param per filter.
 /// Exposed (with [`SimulatedEndpoint::fetch`]) so tests can speak the
 /// protocol directly.
 pub(crate) fn render_params(request: &ScanRequest, page: u64, rows: usize) -> String {
@@ -439,14 +408,10 @@ pub(crate) fn render_params(request: &ScanRequest, page: u64, rows: usize) -> St
     for filter in request.filters() {
         let column = escape(&filter.column);
         params.push(match &filter.predicate {
-            Predicate::Eq(v) => format!("eq:{column}={}", render_value(v)),
             Predicate::In(vs) => format!(
                 "in:{column}={}",
                 vs.iter().map(render_value).collect::<Vec<_>>().join("|")
             ),
-            Predicate::Range { min, max } => {
-                format!("rg:{column}={};{}", render_bound(min), render_bound(max))
-            }
             // Never claimed by the remote wrapper ([`Wrapper::claims_filter`]),
             // so a Bloom reaching the wire is a planner bug: render a param
             // kind the endpoint rejects, surfacing it as a loud query error
@@ -492,7 +457,6 @@ fn parse_params(params: &str, schema: &Schema) -> Result<EndpointQuery, String> 
                     return Err(format!("unknown filter column {column:?}"));
                 }
                 let predicate = match kind {
-                    "eq" => Predicate::Eq(parse_value(value)?),
                     "in" => Predicate::in_set(
                         value
                             .split('|')
@@ -500,15 +464,6 @@ fn parse_params(params: &str, schema: &Schema) -> Result<EndpointQuery, String> 
                             .map(parse_value)
                             .collect::<Result<Vec<_>, _>>()?,
                     ),
-                    "rg" => {
-                        let (min, max) = value
-                            .split_once(';')
-                            .ok_or_else(|| format!("bad range {value:?}"))?;
-                        Predicate::Range {
-                            min: parse_bound(min)?,
-                            max: parse_bound(max)?,
-                        }
-                    }
                     other => return Err(format!("unknown filter kind {other:?}")),
                 };
                 filters.push(ColumnFilter::new(column, predicate));
@@ -605,6 +560,8 @@ pub struct RemoteWrapper {
     endpoint: Arc<SimulatedEndpoint>,
     retry: RetryPolicy,
     stats: Arc<SharedRetryStats>,
+    /// Capability fingerprint, computed once. Read by nothing but
+    /// [`Wrapper::claims_fingerprint`], and goes with it.
     claims_fp: u64,
 }
 
@@ -779,12 +736,12 @@ impl Wrapper for RemoteWrapper {
         Some(self.endpoint.row_count())
     }
 
-    /// The endpoint translates every *value-listing* predicate kind into
-    /// query params, so those are all claimed (the fingerprint is
-    /// precomputed). Bloom filters are declined: a bit-set has no query-
-    /// string rendering, and shipping megabit filters over a paged wire
-    /// protocol would defeat their purpose — the mediator keeps them as
-    /// residues instead.
+    /// The endpoint translates IN-sets into query params, so those are
+    /// claimed (the fingerprint is precomputed). Bloom filters are
+    /// declined: a bit-set has no query-string rendering, and shipping
+    /// megabit filters over a paged wire protocol would defeat their
+    /// purpose — the semi-join pass does not inject them here, and the
+    /// join's hash probe filters instead.
     fn claims_filter(&self, filter: &ColumnFilter) -> bool {
         !matches!(filter.predicate, Predicate::Bloom(_))
     }
@@ -822,14 +779,13 @@ pub mod tests {
         let schema = Schema::from_parts(&["id"], &["x"]).unwrap();
         let request = ScanRequest::full(&schema)
             .with_predicate("id", Predicate::in_set([Value::Int(1), Value::Null]))
-            .with_predicate("x", Predicate::eq(Value::Str("a&b=c|d;e,f%g".into())))
-            .with_predicate("id", Predicate::between(0, 5));
+            .with_predicate("x", Predicate::in_set([Value::Str("a&b=c|d;e,f%g".into())]));
         let params = render_params(&request, 3, 64);
         let query = parse_params(&params, &schema).unwrap();
         assert_eq!(query.page, 3);
         assert_eq!(query.rows, 64);
         assert_eq!(query.columns, vec![0, 1]);
-        assert_eq!(query.filters.len(), 3);
+        assert_eq!(query.filters.len(), 2);
         assert_eq!(query.filters, request.filters().to_vec());
     }
 

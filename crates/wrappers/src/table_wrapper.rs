@@ -67,7 +67,8 @@ pub struct TableWrapper {
     /// [`Wrapper::data_version`].
     version: AtomicU64,
     /// Capability fingerprint, computed once — this wrapper's claims
-    /// depend only on its immutable schema.
+    /// depend only on its immutable schema. Read by nothing but
+    /// [`Wrapper::claims_fingerprint`], and goes with it.
     claims_fp: u64,
     /// Per-column sketches, maintained incrementally at write time.
     stats: Mutex<StatsState>,

@@ -209,12 +209,12 @@ pub trait Wrapper: Send + Sync {
     }
 
     /// Whether the wrapper natively honours `filter` inside
-    /// [`Wrapper::scan_batches`]. Plan compilers push only claimed filters
-    /// into the scan request; unclaimed predicates are re-applied in the
-    /// mediator as a residual selection, so declining never changes
-    /// answers — only where the work happens. The default claims
-    /// everything, which is correct for any wrapper whose `scan_batches`
-    /// falls back to [`ScanRequest::apply`].
+    /// [`Wrapper::scan_batches`]. The semi-join pass asks at run time and
+    /// injects a build side's key set only when it is claimed; otherwise
+    /// the join's hash probe filters, so declining never changes answers —
+    /// only where the work happens. The default claims everything, which is
+    /// correct for any wrapper whose `scan_batches` falls back to
+    /// [`ScanRequest::apply`].
     fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
         true
     }
@@ -247,17 +247,14 @@ pub trait Wrapper: Send + Sync {
 
     /// A fingerprint of the wrapper's [`Wrapper::claims_filter`] answers:
     /// every schema column probed with one canonical predicate per
-    /// [`Predicate`] kind (equality, IN-set, range) — see
-    /// `probe_claims_fingerprint`. The system folds it into the
-    /// plan-cache validity stamp, so a wrapper whose claim answers change
-    /// at run time invalidates compiled plans — whose residual filter
-    /// split was derived from the old answers. This default re-probes on
-    /// every call (correct for any claims behaviour); the built-in wrapper
-    /// kinds, whose claims depend only on their immutable schema and the
-    /// predicate shape, override it with a value computed once at
-    /// construction so the per-query validity stamp costs a load. Wrapper
-    /// kinds whose claims depend on predicate *values* beyond the
-    /// canonical probes should override this to reflect those dynamics.
+    /// [`Predicate`] kind (IN-set, bloom) — see `probe_claims_fingerprint`.
+    /// No plan depends on it any more: compiled plans carry no filters, and
+    /// the semi-join pass asks `claims_filter` at run time. It stays only
+    /// because [`WrapperRegistry::capabilities_fingerprint`] is still
+    /// called by the serve benchmark's trace of the validity stage; both go
+    /// once that call does. This default re-probes on every call; the
+    /// built-in wrapper kinds return a value computed once at
+    /// construction.
     fn claims_fingerprint(&self) -> u64 {
         probe_claims_fingerprint(self.schema(), |filter| self.claims_filter(filter))
     }
@@ -306,15 +303,13 @@ pub(crate) fn eager_batches<W: Wrapper + ?Sized>(
 /// The probe-hash behind [`Wrapper::claims_fingerprint`]: every schema
 /// column × one canonical predicate per [`Predicate`] kind, hashed with the
 /// claim answer. Exposed so wrapper kinds with static claims can compute it
-/// once at construction instead of re-probing per query.
+/// once at construction; it goes with `claims_fingerprint`.
 pub(crate) fn probe_claims_fingerprint(
     schema: &Schema,
     claims: impl Fn(&ColumnFilter) -> bool,
 ) -> u64 {
     let probes = [
-        Predicate::eq(0),
         Predicate::in_set([Value::Int(0)]),
-        Predicate::between(0, 1),
         Predicate::Bloom(BloomFilter::claims_probe()),
     ];
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -380,7 +375,9 @@ impl WrapperRegistry {
 
     /// Order-independent combination of every wrapper's name and
     /// [`Wrapper::claims_fingerprint`] — the registry-wide capability
-    /// fingerprint the system folds into its plan-cache validity stamp.
+    /// fingerprint. The plan cache no longer reads it (no compiled plan
+    /// depends on claims); it stays while the serve benchmark's trace of
+    /// the validity stage still calls it, and goes with that call.
     pub fn capabilities_fingerprint(&self) -> u64 {
         self.wrappers.values().fold(0u64, |acc, w| {
             let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -643,7 +640,7 @@ mod tests {
             let output = Schema::from_parts::<&str>(&[], &[&format!("D1/{column}")]).unwrap();
             ScanRequest::new(vec![column.into()], output)
                 .unwrap()
-                .with_filter("VoDmonitorId", Value::Int(12))
+                .with_predicate("VoDmonitorId", Predicate::in_set([Value::Int(12)]))
         };
         let store = vod_store();
         let (inserted_into, cleared) = (store.clone(), store.clone());
@@ -670,7 +667,7 @@ mod tests {
                     Schema::new(vec![Attribute::non_id("D/x"), Attribute::id("D/id")]).unwrap(),
                 )
                 .unwrap()
-                .with_predicate("id", Predicate::between(1, 2))
+                .with_predicate("id", Predicate::in_set([Value::Int(1), Value::Int(2)]))
                 .with_predicate(
                     "x",
                     Predicate::in_set((0..20).map(|i| Value::Float(i as f64))),
@@ -707,7 +704,7 @@ mod tests {
                 filtered: ScanRequest::full(
                     &Schema::from_parts::<&str>(&[], &["monitorId"]).unwrap(),
                 )
-                .with_predicate("monitorId", Predicate::eq(12)),
+                .with_predicate("monitorId", Predicate::in_set([Value::Int(12)])),
                 marks: true,
                 append: None,
                 clear: None,
@@ -715,7 +712,7 @@ mod tests {
             Case {
                 label: "json dotted",
                 filtered: ScanRequest::full(dotted.schema())
-                    .with_predicate("a.b", Predicate::eq(1)),
+                    .with_predicate("a.b", Predicate::in_set([Value::Int(1)])),
                 wrapper: dotted,
                 marks: false,
                 append: None,
@@ -724,7 +721,7 @@ mod tests {
             Case {
                 label: "remote",
                 filtered: ScanRequest::full(remote.schema())
-                    .with_predicate("id", Predicate::at_least(4)),
+                    .with_predicate("id", Predicate::in_set((4..10).map(Value::Int))),
                 wrapper: Arc::new(remote),
                 marks: false,
                 append: None,

@@ -165,15 +165,14 @@ fn a_release_between_concurrent_batches_flushes_plans() {
 }
 
 /// Readers over mixed cache keys while a writer appends to one wrapper, so
-/// the stats epoch — the fourth member of the cache's validity stamp —
+/// the stats epoch — the third member of the cache's validity stamp —
 /// moves under them. The mutated wrapper sits in exactly one walk of every
 /// variant, so each answer must equal the eager reference at *one* state
 /// between the pushes acknowledged before the request and those started by
 /// its end; the map never outgrows its cap and nothing poisons.
 #[test]
 fn readers_racing_a_stats_epoch_writer_answer_from_some_earlier_state() {
-    use bdi::core::exec::{Engine, FeatureFilter};
-    use bdi::relational::Predicate;
+    use bdi::core::exec::Engine;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -205,16 +204,7 @@ fn readers_racing_a_stats_epoch_writer_answer_from_some_earlier_state() {
                 ..ExecOptions::default()
             },
         ),
-        (
-            VersionScope::UpToRelease(3),
-            ExecOptions {
-                filters: vec![FeatureFilter::new(
-                    synthetic::chain_data_feature(1),
-                    Predicate::between(2.0, 1010.0),
-                )],
-                ..ExecOptions::default()
-            },
-        ),
+        (VersionScope::UpToRelease(3), ExecOptions::default()),
     ];
     let request = |(scope, options): &(VersionScope, ExecOptions)| {
         AnswerRequest::omq(synthetic::chain_query(1))

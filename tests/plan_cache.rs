@@ -1,12 +1,13 @@
 //! The cross-query plan cache: repeated analyst queries skip the
 //! rewriting-to-plan pipeline (hits), `register_release` invalidates the
-//! cached plans but keeps the persistent scan context, a data or capability
-//! change re-plans over the cached rewriting, and answers are identical
-//! cached or not — with and without `reuse_scans`.
+//! cached plans but keeps the persistent scan context, a data change
+//! re-plans over the cached rewriting, a capability flip re-plans nothing,
+//! and answers are identical cached or not — with and without
+//! `reuse_scans`.
 
-use bdi::core::exec::{Engine, ExecError, ExecOptions, FeatureFilter, SourceFailurePolicy};
+use bdi::core::exec::{Engine, ExecError, ExecOptions, SourceFailurePolicy};
 use bdi::core::system::{AnswerRequest, SystemError, VersionScope};
-use bdi::relational::{PlanError, Predicate, Value};
+use bdi::relational::{PlanError, Value};
 use bdi_bench::synthetic;
 use std::sync::Arc;
 use std::time::Duration;
@@ -226,15 +227,35 @@ fn count_neutral_ontology_mutations_invalidate_the_cache() {
     assert!(!Arc::ptr_eq(&before.rewriting, &after.rewriting));
 }
 
-/// A capability flip moves only data-side stamps: the next answer keeps the
-/// cached rewriting, and its re-planned scan carries the filter the wrapper
-/// now claims where the old plan kept it as a mediator-side residue.
+/// The `POST /query` body for `omq`.
+fn query_body(omq: &bdi::core::omq::Omq) -> Vec<u8> {
+    let iri = |term: &bdi::rdf::model::Term| term.as_iri().unwrap().as_str().to_owned();
+    let pi: Vec<&str> = omq.pi.iter().map(|f| f.as_str()).collect();
+    let phi: Vec<Vec<String>> = omq
+        .phi
+        .iter()
+        .map(|t| {
+            let predicate = t.predicate.as_str().to_owned();
+            vec![iri(&t.subject), predicate, iri(&t.object)]
+        })
+        .collect();
+    serde_json::json!({"omq": {"pi": pi, "phi": phi}})
+        .to_string()
+        .into_bytes()
+}
+
+/// No compiled plan depends on what a wrapper claims: the semi-join pass
+/// asks at run time. So when the probe wrapper of a semi-join-shaped query
+/// stops claiming filters, the next request is a plan-cache hit with the
+/// same answer bytes, and only the run-time reduction of its probe scan
+/// stops.
 #[test]
-fn a_capability_flip_keeps_the_rewriting_and_moves_the_pushdown() {
+fn a_capability_flip_replans_nothing_and_moves_only_the_semijoin() {
     use bdi::relational::plan::{ColumnFilter, ScanMark, ScanRequest};
     use bdi::relational::{Relation, Schema};
     use bdi::wrappers::wrapper::RowBatches;
     use bdi::wrappers::{TableWrapper, Wrapper, WrapperError};
+    use bdi_server::{ops, ServerConfig};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// Claims filters only while `claiming`; records how many filters the
@@ -274,53 +295,62 @@ fn a_capability_flip_keeps_the_rewriting_and_moves_the_pushdown() {
         fn claims_filter(&self, _filter: &ColumnFilter) -> bool {
             self.claiming.load(Ordering::SeqCst)
         }
+
+        fn scan_hint(&self, request: &ScanRequest) -> Option<u64> {
+            self.inner.scan_hint(request)
+        }
     }
 
-    let mut sys = system(1, 1);
+    // One walk: c_1's 2-row wrapper builds, and its 2 keys reduce the
+    // 64-row probe scan of c_2's flipping wrapper.
+    let mut sys = synthetic::build_chain_system_with(2, 1, 0, 1, |_, _, _| rows(2, true));
     let flipping = Arc::new(Flipping {
         inner: TableWrapper::new(
             "w_flip",
             "D_flip",
-            Schema::from_parts(&["id1"], &["f1"]).unwrap(),
-            rows(20, false),
+            Schema::from_parts(&["id2"], &["f2"]).unwrap(),
+            rows(64, false),
         )
         .unwrap(),
-        claiming: AtomicBool::new(false),
+        claiming: AtomicBool::new(true),
         pushed: AtomicUsize::new(usize::MAX),
     });
-    synthetic::register_extra_chain_wrapper_of(&mut sys, 1, flipping.clone());
-    let options = ExecOptions {
-        filters: vec![FeatureFilter::new(
-            synthetic::chain_data_feature(1),
-            Predicate::between(0.0, 0.5),
-        )],
-        // Every answer scans, so each plan's scan request reaches the wrapper.
-        reuse_scans: false,
-        ..ExecOptions::default()
+    synthetic::register_extra_chain_wrapper_of(&mut sys, 2, flipping.clone());
+    let body = query_body(&synthetic::chain_query(2));
+    let serve = || {
+        let (status, answer) = ops::query(&sys, &ServerConfig::default(), &body);
+        assert_eq!(status, 200, "{answer}");
+        answer
     };
-    let request = || AnswerRequest::omq(synthetic::chain_query(1)).options(options.clone());
 
-    let before = sys.serve(request()).unwrap();
-    assert_eq!(
-        flipping.pushed.load(Ordering::SeqCst),
-        0,
-        "kept as a residue"
-    );
-    let baseline = sys.plan_cache_stats();
+    // While the wrapper claims, every request reduces the probe scan.
+    let first = serve();
+    assert_eq!(flipping.pushed.load(Ordering::SeqCst), 1, "reduced");
+    assert_eq!(serve(), first);
+    assert_eq!(sys.planner_stats().semijoin_insets, 2);
+    let cache = sys.plan_cache_stats();
+    let planner = sys.planner_stats();
+    assert_eq!((cache.misses, cache.hits), (1, 1));
 
-    flipping.claiming.store(true, Ordering::SeqCst);
-    let after = sys.serve(request()).unwrap();
+    // It stops claiming: the cached plan still serves, and the probe scan
+    // runs unreduced.
+    flipping.claiming.store(false, Ordering::SeqCst);
+    for _ in 0..2 {
+        assert_eq!(serve(), first);
+    }
+    assert_eq!(flipping.pushed.load(Ordering::SeqCst), 0, "unreduced");
+    let after = sys.plan_cache_stats();
     assert_eq!(
-        flipping.pushed.load(Ordering::SeqCst),
-        1,
-        "pushed to the scan"
+        (after.misses, after.hits, after.rewrite_hits),
+        (cache.misses, cache.hits + 2, cache.rewrite_hits),
+        "the flip re-planned"
     );
-    assert_eq!(after.relation.rows(), before.relation.rows());
-    assert!(Arc::ptr_eq(&before.rewriting, &after.rewriting));
-    let stats = sys.plan_cache_stats();
-    assert_eq!(stats.rewrite_hits, baseline.rewrite_hits + 1);
-    assert_eq!(stats.misses, baseline.misses + 1);
-    assert_eq!(stats.hits, baseline.hits);
+    let replanned = sys.planner_stats();
+    assert_eq!(
+        (replanned.cost_based_plans, replanned.syntactic_plans),
+        (planner.cost_based_plans, planner.syntactic_plans)
+    );
+    assert_eq!(replanned.semijoin_insets, planner.semijoin_insets);
 }
 
 /// The key contract, field by field: a request differing from the default
@@ -388,16 +418,6 @@ fn execution_only_options_share_one_cache_entry() {
 
     let shaping = [
         (
-            "filters",
-            ExecOptions {
-                filters: vec![FeatureFilter::new(
-                    synthetic::chain_data_feature(1),
-                    Predicate::between(0.0, 5.0),
-                )],
-                ..base()
-            },
-        ),
-        (
             "engine",
             ExecOptions {
                 engine: Engine::Eager,
@@ -463,44 +483,39 @@ fn a_cached_plan_carries_no_run_time_values() {
     assert_eq!(full.relation.len(), 50);
 }
 
+/// Filtered by the semi-join: each walk's small c_1 build side reduces its
+/// probe scan, so cached plans and cached scans meet reduced requests.
 #[test]
 fn cached_and_uncached_answers_agree_on_filtered_queries() {
-    let sys = system(2, 2);
-    let filters = vec![
-        FeatureFilter::eq(synthetic::chain_id_feature(1), Value::Int(7)),
-        FeatureFilter::new(
-            synthetic::chain_data_feature(1),
-            Predicate::between(0.0, 5.0),
-        ),
-    ];
+    let sys = synthetic::build_chain_system_with(2, 2, 0, usize::MAX, |i, _, schema| {
+        rows(
+            if i == 1 { 4 } else { 50 },
+            schema.index_of("next_id").is_some(),
+        )
+    });
+    let query = || AnswerRequest::omq(synthetic::chain_query(2));
     let eager = ExecOptions {
         engine: Engine::Eager,
-        filters: filters.clone(),
         ..ExecOptions::default()
     };
-    let reference = sys
-        .serve(AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(eager.clone()))
-        .unwrap();
+    let reference = sys.serve(query().options(eager)).unwrap();
+    assert_eq!(reference.relation.len(), 4);
     for reuse_scans in [false, true] {
         let options = ExecOptions {
-            filters: filters.clone(),
             reuse_scans,
             ..ExecOptions::default()
         };
         // Twice: the second run executes the cached plan (and, with
-        // reuse_scans, the cached interned scans).
+        // reuse_scans, the cached interned build-side scans).
         for _ in 0..2 {
-            let answer = sys
-                .serve(
-                    AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(options.clone()),
-                )
-                .unwrap();
+            let answer = sys.serve(query().options(options.clone())).unwrap();
             assert_eq!(answer.relation.rows(), reference.relation.rows());
         }
     }
-    // Each reuse_scans value is its own cache entry; the second run of each
-    // pair is a hit.
-    assert!(sys.plan_cache_stats().hits >= 2);
+    // reuse_scans is run-time: one streaming entry, hit by three runs.
+    assert_eq!(sys.plan_cache_stats().hits, 3);
+    // The reuse_scans runs count their reductions: one per walk per run.
+    assert_eq!(sys.planner_stats().semijoin_insets, 8);
 }
 
 /// The `i`-th of arbitrarily many distinct `(OMQ, scope)` cache keys over

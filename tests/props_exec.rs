@@ -3,17 +3,19 @@
 //! — same rows, same order — to the eager `ops::*` reference engine
 //! (`Engine::Eager`), over
 //! randomized chain systems with randomized wrapper data (null join keys,
-//! cross-typed numerics, duplicate rows) and every `VersionScope`, with and
-//! without pushed-down predicate filters — randomized equality, IN-set and
-//! range conjunctions over the same hazard-laden value domain, including the
-//! full-residue path of a source that claims no filters at all. The same
-//! reference pins the append-aware scan cache: after every step of a random
-//! sequence of appends, clears and queries over table and document
-//! wrappers, a persistent context answers exactly like a fresh one.
+//! cross-typed numerics, duplicate rows) and every `VersionScope`, with the
+//! semi-join pass injecting its key sets into the probe scans or not —
+//! including the path of a source that claims no filters at all. Every
+//! wrapper kind's native scan honours random IN-set conjunctions over the
+//! same hazard-laden value domain exactly like the reference
+//! `ScanRequest::apply`. The same reference pins the append-aware scan
+//! cache: after every step of a random sequence of appends, clears and
+//! queries over table and document wrappers, a persistent context answers
+//! exactly like a fresh one.
 
-use bdi::core::exec::{self, Engine, ExecOptions, FeatureFilter};
+use bdi::core::exec::{self, Engine, ExecOptions};
 use bdi::core::system::{AnswerRequest, VersionScope};
-use bdi::relational::plan::{Bound, ColumnFilter, Predicate};
+use bdi::relational::plan::{ColumnFilter, Predicate};
 use bdi::relational::{
     BatchIter, PlanSource, Relation, RelationError, ScanMark, ScanRequest, SourceResolver, Value,
 };
@@ -53,48 +55,11 @@ fn datum(selector: u8) -> Value {
     }
 }
 
-/// Random predicates over the same hazard domain the data is drawn from, so
-/// every filter kind collides with NaN, signed zero, nulls and cross-typed
-/// numerics: equalities, IN-sets (possibly empty), and ranges with random
-/// open/closed/missing bounds.
+/// Random IN-sets (possibly empty) over the same hazard domain the data is
+/// drawn from, so every key set collides with NaN, signed zero, nulls and
+/// cross-typed numerics.
 fn arb_predicate() -> impl Strategy<Value = Predicate> {
-    prop_oneof![
-        (0u8..9).prop_map(|s| Predicate::Eq(datum(s))),
-        prop::collection::vec(0u8..9, 0..4)
-            .prop_map(|ss| Predicate::in_set(ss.into_iter().map(datum))),
-        (
-            prop::option::of((0u8..9, any::<bool>())),
-            prop::option::of((0u8..9, any::<bool>())),
-        )
-            .prop_map(|(min, max)| {
-                let bound = |(s, inclusive): (u8, bool)| Bound {
-                    value: datum(s),
-                    inclusive,
-                };
-                Predicate::range(min.map(bound), max.map(bound))
-            }),
-    ]
-}
-
-/// Predicates over the (integer, sometimes-null) ID domain.
-fn arb_id_predicate() -> impl Strategy<Value = Predicate> {
-    prop_oneof![
-        (0i64..6).prop_map(Predicate::eq),
-        prop::collection::vec(0i64..6, 0..4)
-            .prop_map(|is| Predicate::in_set(is.into_iter().map(Value::Int))),
-        ((0i64..6, any::<bool>()), (0i64..6, any::<bool>())).prop_map(|((lo, li), (hi, hi_i))| {
-            Predicate::range(
-                Some(Bound {
-                    value: Value::Int(lo),
-                    inclusive: li,
-                }),
-                Some(Bound {
-                    value: Value::Int(hi),
-                    inclusive: hi_i,
-                }),
-            )
-        }),
-    ]
+    prop::collection::vec(0u8..9, 0..4).prop_map(|ss| Predicate::in_set(ss.into_iter().map(datum)))
 }
 
 fn id_value(id: Option<i64>) -> Value {
@@ -193,13 +158,14 @@ macro_rules! forward_scans {
 }
 
 /// A plan source over the system's registry that claims **no** filters, so
-/// every predicate survives only as a mediator-side residual `Filter` — the
-/// worst-capability wrapper a deployment could contain.
+/// the semi-join pass never reduces a probe scan and every join's hash
+/// probe does the filtering — the worst-capability wrapper a deployment
+/// could contain.
 struct NoClaims<'a>(&'a bdi_wrappers::WrapperRegistry);
 
 impl PlanSource for NoClaims<'_> {
     forward_scans!(|request| {
-        // The compiler must never hand a claims-nothing source a filter.
+        // The executor must never hand a claims-nothing source a filter.
         assert!(
             request.filters().is_empty(),
             "unclaimed filter reached the source: {request}"
@@ -293,135 +259,103 @@ impl SourceResolver for WrongStats<'_> {
     }
 }
 
-/// Regression: pushing σ below a join can flip the hash-join build side
-/// (the filtered side shrinks), so filtered answers follow the canonical
-/// sorted-order contract — both engines must emit identical rows anyway.
+/// Regression: the hash-join build side follows the sides' sizes, so a
+/// push that makes the other side the smaller one flips it, and answers
+/// follow the canonical sorted-order contract — both engines must emit
+/// identical rows before and after the flip.
 #[test]
 fn filtered_join_build_side_flip_is_order_stable() {
-    // w1: 3 rows, two with id1=1, all joining both w2 rows via next_id=0.
-    // Unfiltered the join builds on w2 (2 < 3); with σ[id1=1] pushed down,
-    // w1 shrinks to 2 rows and the tie builds on w1 — different natural
+    // w1: 2 rows joining both w2 rows via next_id=0. The tie builds on w1;
+    // one more w1 row makes w2 the smaller side — different natural
     // orders, same multiset.
     let data = vec![
-        vec![
-            (Some(1), Some(0), 0u8),
-            (Some(2), Some(0), 4),
-            (Some(1), Some(0), 8),
-        ],
+        vec![(Some(1), Some(0), 0u8), (Some(1), Some(0), 8)],
         vec![(Some(0), Some(0), 3), (Some(0), Some(0), 5)],
     ];
     let system = build_system(2, 1, &data);
-    let filters = vec![FeatureFilter::eq(
-        synthetic::chain_id_feature(1),
-        Value::Int(1),
-    )];
-    let reference = system
-        .serve(
-            AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(ExecOptions {
-                filters: filters.clone(),
-                ..eager()
-            }),
-        )
-        .unwrap();
-    assert_eq!(reference.relation.len(), 4); // 2 filtered w1 rows × 2 w2 rows
-    let streamed = system
-        .serve(
-            AnswerRequest::omq(synthetic::chain_query_with_id(2)).options(ExecOptions {
-                filters: filters.clone(),
+    let w1 = system.registry().get("w_1_1").unwrap().as_table().unwrap();
+    let answer = |options: ExecOptions| {
+        system
+            .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options))
+            .unwrap()
+            .relation
+    };
+    for rows in [4, 6] {
+        let reference = answer(eager());
+        assert_eq!(reference.len(), rows); // w1 rows × 2 w2 rows
+        for semijoin_max_keys in [0, usize::MAX] {
+            let streamed = answer(ExecOptions {
+                semijoin_max_keys,
                 ..streaming()
-            }),
-        )
-        .unwrap();
-    assert_eq!(streamed.relation.rows(), reference.relation.rows());
+            });
+            assert_eq!(streamed.rows(), reference.rows());
+        }
+        w1.push(vec![Value::Int(2), Value::Int(0), datum(4)])
+            .unwrap();
+    }
 }
 
-/// An empty IN-set matches nothing: the answer is empty however the data
-/// looks, on every engine.
+/// An empty build side injects the canonical empty IN-set into the probe
+/// scan, which then selects nothing: the answer is empty however the probe
+/// data looks, on every engine.
 #[test]
 fn empty_in_set_selects_nothing() {
-    let data = vec![vec![(Some(1), None, 0u8), (Some(2), None, 3)]];
-    let system = build_system(1, 1, &data);
-    let filters = vec![FeatureFilter::new(
-        synthetic::chain_id_feature(1),
-        Predicate::in_set([]),
-    )];
-    for options in [
-        ExecOptions {
-            filters: filters.clone(),
-            ..eager()
-        },
-        ExecOptions {
-            filters: filters.clone(),
-            ..streaming()
-        },
-    ] {
+    let probe: Vec<RawRow> = (0..8).map(|i| (Some(i), None, 0u8)).collect();
+    let system = build_system(2, 1, &[Vec::new(), probe]);
+    for options in [eager(), streaming()] {
         let answer = system
-            .serve(AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(options.clone()))
+            .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options))
             .unwrap();
         assert!(answer.relation.is_empty());
     }
+    assert_eq!(system.planner_stats().semijoin_insets, 1);
 }
 
-/// NaN bounds follow the total order (NaN sorts greatest, self-equal): a
-/// `≤ NaN` range admits everything non-null-ranked, `≥ NaN` admits only
-/// NaN — and both engines agree, including through `JsonWrapper`-style
-/// unclaimed residues (NaN has no JSON image).
+/// NaN and signed zero as join keys: interning puts `-0.0`, `0.0` and
+/// `Int(0)` in one Eq class and NaN in its own, self-equal one, so the
+/// key set the semi-join injects into the probe scan keeps exactly the
+/// rows the eager join matches — on and off, the engines agree.
 #[test]
-fn nan_and_signed_zero_range_bounds_agree_across_engines() {
-    let data = vec![vec![
-        (Some(0), None, 5u8), // -0.0
-        (Some(1), None, 6),   // 0.0
-        (Some(2), None, 7),   // NaN
-        (Some(3), None, 0),   // Int(2)
-        (Some(4), None, 3),   // "x"
-    ]];
-    let system = build_system(1, 1, &data);
-    let nan_cases = vec![
-        Predicate::at_most(f64::NAN),
-        Predicate::at_least(f64::NAN),
-        Predicate::between(f64::NAN, f64::NAN),
-        // Signed zero: the [-0.0, 0.0] interval is the single Eq class of 0.
-        Predicate::between(Value::Float(-0.0), Value::Float(0.0)),
-        Predicate::range(
-            Some(Bound::exclusive(Value::Float(-0.0))),
-            Some(Bound::inclusive(Value::Float(0.0))),
-        ),
+fn nan_and_signed_zero_join_keys_agree_across_engines() {
+    let build = |next: Value, d: u8| vec![Value::Int(0), next, datum(d)];
+    let build_rows = vec![
+        build(Value::Float(-0.0), 0),
+        build(Value::Float(f64::NAN), 1),
+        build(Value::Int(2), 3),
     ];
-    for predicate in nan_cases {
-        let filters = vec![FeatureFilter::new(
-            synthetic::chain_data_feature(1),
-            predicate.clone(),
-        )];
-        let reference = system
-            .serve(
-                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
-                    filters: filters.clone(),
-                    ..eager()
-                }),
-            )
-            .unwrap();
-        let streamed = system
-            .serve(
-                AnswerRequest::omq(synthetic::chain_query(1)).options(ExecOptions {
-                    filters,
-                    ..streaming()
-                }),
-            )
-            .unwrap();
-        assert_eq!(
-            streamed.relation.rows(),
-            reference.relation.rows(),
-            "predicate {predicate:?}"
-        );
+    // 16 probe rows with distinct ids: the 3 build keys promise a 4-fold
+    // reduction, so the pass fires.
+    let mut probe_rows = vec![
+        vec![Value::Int(0), datum(4)],
+        vec![Value::Float(f64::NAN), datum(5)],
+        vec![Value::Float(2.0), datum(6)],
+    ];
+    probe_rows.extend((3..16).map(|i| vec![Value::Int(i), datum(8)]));
+    let system = synthetic::build_chain_system_with(2, 1, 0, usize::MAX, |i, _, _| {
+        if i == 1 {
+            build_rows.clone()
+        } else {
+            probe_rows.clone()
+        }
+    });
+    let answer = |options: ExecOptions| {
+        system
+            .serve(AnswerRequest::omq(synthetic::chain_query(2)).options(options))
+            .unwrap()
+            .relation
+    };
+    let reference = answer(eager());
+    assert_eq!(reference.len(), 3, "each build key matches one probe row");
+    // Reduced first: an unreduced run would leave the probe scan warm in
+    // the persistent context, and the pass stands down for a warm scan.
+    for semijoin_max_keys in [usize::MAX, 0] {
+        let streamed = answer(ExecOptions {
+            semijoin_max_keys,
+            ..streaming()
+        });
+        assert_eq!(streamed.rows(), reference.rows(), "{semijoin_max_keys}");
     }
-    // Sanity on the semantics themselves: [-0.0, 0.0] admits both zeros,
-    // (-0.0, 0.0] admits neither (the interval is empty past the Eq class).
-    assert!(Predicate::between(Value::Float(-0.0), Value::Float(0.0)).matches(&Value::Float(0.0)));
-    assert!(!Predicate::range(
-        Some(Bound::exclusive(Value::Float(-0.0))),
-        Some(Bound::inclusive(Value::Float(0.0))),
-    )
-    .matches(&Value::Float(0.0)));
+    assert_eq!(system.planner_stats().semijoin_insets, 1);
 }
 
 proptest! {
@@ -494,23 +428,21 @@ proptest! {
 
     // The row-order contract, an oracle independent of the engine
     // comparison: every answer of either engine, under every scope — lone
-    // walks included — and with or without a filter, is a set in canonical
-    // order, each row strictly greater than the one before.
+    // walks included — and with the semi-join pass on or off, is a set in
+    // canonical order, each row strictly greater than the one before.
     #[test]
     fn every_answer_is_a_sorted_set(
         concepts in 1usize..4,
         wrappers in 1usize..4,
         data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..10),
         upto in 0usize..6,
-        predicate in arb_predicate(),
     ) {
         let system = build_system(concepts, wrappers, &data);
-        let filter = FeatureFilter::new(synthetic::chain_data_feature(1), predicate);
         for scope_seed in 0..4 {
             let scope = scope_for(scope_seed, upto, concepts, wrappers, &system);
-            for filters in [Vec::new(), vec![filter.clone()]] {
+            for semijoin_max_keys in [0, usize::MAX] {
                 for options in [eager(), streaming()] {
-                    let options = ExecOptions { filters: filters.clone(), ..options };
+                    let options = ExecOptions { semijoin_max_keys, ..options };
                     let answer = system
                         .serve(
                             AnswerRequest::omq(synthetic::chain_query(concepts))
@@ -521,11 +453,11 @@ proptest! {
                     let rows = answer.relation.rows();
                     prop_assert!(
                         rows.windows(2).all(|pair| pair[0] < pair[1]),
-                        "not a sorted set ({:?}, {} walks, {:?} filters {:?}): {:?}",
+                        "not a sorted set ({:?}, {} walks, {:?}, semijoin {}): {:?}",
                         &scope,
                         answer.rewriting.walks.len(),
                         options.engine,
-                        &filters,
+                        semijoin_max_keys,
                         rows
                     );
                 }
@@ -533,52 +465,42 @@ proptest! {
         }
     }
 
-    // The widened pushdown suite: random conjunctions of an ID predicate
-    // and a data-feature predicate (equality / IN / range, hazard-laden
-    // value domain), on every scope — streaming must match the eager
-    // post-selection byte for byte.
+    // The pushdown the semi-join pass relies on: a random conjunction of
+    // IN-sets over an ID column and a data column (hazard-laden value
+    // domain), pushed into the native scan of every wrapper kind — tables,
+    // documents, a `$limit` pipeline — yields exactly the rows the eager
+    // reference `ScanRequest::apply` keeps of the full scan, at any batch
+    // size, claimed or not.
     #[test]
     fn randomized_predicate_conjunctions_match_eager(
-        concepts in 1usize..3,
-        wrappers in 1usize..4,
-        data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..8),
-        id_pred in prop::option::of(arb_id_predicate()),
+        first in prop::collection::vec(arb_raw_row(), 0..8),
+        second in prop::collection::vec(arb_raw_row(), 0..8),
+        docs in prop::collection::vec((arb_id(), 0u8..9), 0..8),
+        id_pred in prop::option::of(arb_predicate()),
         data_pred in prop::option::of(arb_predicate()),
-        scope_seed in 0usize..4,
-        upto in 0usize..6,
+        batch_rows in 1usize..4,
     ) {
-        let system = build_system(concepts, wrappers, &data);
-        let scope = scope_for(scope_seed, upto, concepts, wrappers, &system);
-        let mut filters = Vec::new();
-        if let Some(p) = id_pred {
-            filters.push(FeatureFilter::new(synthetic::chain_id_feature(1), p));
-        }
-        if let Some(p) = data_pred {
-            filters.push(FeatureFilter::new(synthetic::chain_data_feature(1), p));
-        }
-
-        let request =
-            AnswerRequest::omq(synthetic::chain_query_with_id(concepts)).scope(scope.clone());
-        let reference = system
-            .serve(request.clone().options(ExecOptions { filters: filters.clone(), ..eager() }))
-            .unwrap();
-        let streamed = system
-            .serve(request.options(ExecOptions { filters: filters.clone(), ..streaming() }))
-            .unwrap();
-        prop_assert!(
-            streamed.relation.rows() == reference.relation.rows(),
-            "mismatch (scope={:?} filters={:?}):\n streamed {:?}\n reference {:?}",
-            &scope,
-            &filters,
-            streamed.relation.rows(),
-            reference.relation.rows()
-        );
-        // Every surviving row satisfies the conjunction on its π columns.
-        for row in streamed.relation.rows() {
-            for f in &filters {
-                let idx = if f.feature == synthetic::chain_id_feature(1) { 0 } else { 1 };
-                prop_assert!(f.predicate.matches(&row[idx]));
+        let (system, _store) = append_fixture(&first, &second, &docs);
+        for wrapper in system.registry().iter() {
+            let names = wrapper.schema().names();
+            let mut request = ScanRequest::full(wrapper.schema());
+            if let Some(p) = &id_pred {
+                request = request.with_predicate(names[0], p.clone());
             }
+            if let Some(p) = &data_pred {
+                request = request.with_predicate(names[names.len() - 1], p.clone());
+            }
+            let reference = request.apply(&wrapper.scan().unwrap()).unwrap();
+            let (batches, _) = wrapper.scan_batches(&request, batch_rows).unwrap();
+            let native: Vec<_> = batches.flat_map(|batch| batch.unwrap()).collect();
+            prop_assert!(
+                native == reference.rows(),
+                "{} under {}:\n native {:?}\n reference {:?}",
+                wrapper.name(),
+                request,
+                native,
+                reference.rows()
+            );
         }
     }
 
@@ -642,47 +564,32 @@ proptest! {
         }
     }
 
-    // The full-residue path: a source claiming no filters receives none —
-    // every predicate is evaluated by the mediator's residual `Filter`
-    // operator — and the answer still matches the eager reference exactly.
+    // The residue path: a source claiming no filters receives none — the
+    // semi-join pass stands down and each join's hash probe does the
+    // filtering — and the answer still matches the eager reference exactly,
+    // as it does against the registry, which claims the key sets.
     #[test]
     fn claims_nothing_source_takes_the_residue_path(
-        wrappers in 1usize..4,
-        data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..4),
-        id_pred in arb_id_predicate(),
-        data_pred in arb_predicate(),
+        concepts in 2usize..4,
+        wrappers in 1usize..3,
+        data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..10),
     ) {
-        let system = build_system(1, wrappers, &data);
-        let rewriting = system.rewrite(synthetic::chain_query_with_id(1)).unwrap();
-        let filters = vec![
-            FeatureFilter::new(synthetic::chain_id_feature(1), id_pred),
-            FeatureFilter::new(synthetic::chain_data_feature(1), data_pred),
-        ];
+        let system = build_system(concepts, wrappers, &data);
+        let rewriting = system.rewrite(synthetic::chain_query(concepts)).unwrap();
         let no_claims = NoClaims(system.registry());
         let reference = compile_and_execute(
             system.ontology(),
             &no_claims,
             &rewriting,
-            &ExecOptions { filters: filters.clone(), ..eager() },
+            &eager(),
         )
         .unwrap();
-        // Against the claims-nothing source *and* the normal registry (which
-        // claims everything): three ways to evaluate, one answer.
         for source_claims in [false, true] {
+            let options = ExecOptions { semijoin_max_keys: usize::MAX, ..streaming() };
             let streamed = if source_claims {
-                compile_and_execute(
-                    system.ontology(),
-                    system.registry(),
-                    &rewriting,
-                    &ExecOptions { filters: filters.clone(), ..streaming() },
-                )
+                compile_and_execute(system.ontology(), system.registry(), &rewriting, &options)
             } else {
-                compile_and_execute(
-                    system.ontology(),
-                    &no_claims,
-                    &rewriting,
-                    &ExecOptions { filters: filters.clone(), ..streaming() },
-                )
+                compile_and_execute(system.ontology(), &no_claims, &rewriting, &options)
             }
             .unwrap();
             prop_assert!(
@@ -697,8 +604,7 @@ proptest! {
 
     // The stats-quality sweep: sketches {exact, absent, adversarially wrong
     // by 1000x either way} × semi-join key budgets {tiny (bloom-degraded),
-    // small, unbounded}, filtered and unfiltered, over random
-    // join shapes. Statistics feed *planning only* — plans may differ under
+    // small, unbounded}, over random join shapes. Statistics feed *planning only* — plans may differ under
     // every combination, but each answer must match the eager reference byte
     // for byte.
     #[test]
@@ -706,32 +612,18 @@ proptest! {
         concepts in 1usize..4,
         wrappers in 1usize..3,
         data in prop::collection::vec(prop::collection::vec(arb_raw_row(), 0..10), 1..10),
-        filtered in any::<bool>(),
-        id_pred in arb_id_predicate(),
         distortion_seed in 0usize..3,
     ) {
         let system = build_system(concepts, wrappers, &data);
-        let rewriting = system
-            .rewrite(synthetic::chain_query_with_id(concepts))
-            .unwrap();
-        let filters = if filtered {
-            vec![FeatureFilter::new(synthetic::chain_id_feature(1), id_pred)]
-        } else {
-            Vec::new()
-        };
-        let reference = compile_and_execute(
-            system.ontology(),
-            system.registry(),
-            &rewriting,
-            &ExecOptions { filters: filters.clone(), ..eager() },
-        )
-        .unwrap();
+        let rewriting = system.rewrite(synthetic::chain_query(concepts)).unwrap();
+        let reference =
+            compile_and_execute(system.ontology(), system.registry(), &rewriting, &eager())
+                .unwrap();
         let distortion = [0.001, 0.5, 1000.0][distortion_seed];
         let no_stats = NoStats(system.registry());
         let wrong_stats = WrongStats(system.registry(), distortion);
         for semijoin_max_keys in [1usize, 2, usize::MAX] {
             let options = ExecOptions {
-                filters: filters.clone(),
                 semijoin_max_keys,
                 ..streaming()
             };
@@ -878,8 +770,7 @@ proptest! {
     // pushes, clear + refill, plain repeats — the pooled persistent context
     // (which upgrades its cached scans by what was appended), a fresh
     // context and the eager engine agree row for row, order included:
-    // unfiltered and under a pushed predicate, through the union of all
-    // three versions and through each version's lone walk, the `$limit`
+    // through the union of all three versions and through each version's lone walk, the `$limit`
     // one included — which must never resume.
     #[test]
     fn persistent_context_matches_fresh_and_eager_after_every_step(
@@ -887,7 +778,6 @@ proptest! {
         second in prop::collection::vec(arb_raw_row(), 0..8),
         docs in prop::collection::vec((arb_id(), 0u8..9), 0..8),
         steps in prop::collection::vec(arb_step(), 1..8),
-        predicate in arb_predicate(),
     ) {
         let (system, store) = append_fixture(&first, &second, &docs);
         let walk_through = |version: &str| {
@@ -899,40 +789,34 @@ proptest! {
             walk_through("w_2_2"),
             walk_through("w_2_3"),
         ];
-        let filters = [
-            Vec::new(),
-            vec![FeatureFilter::new(synthetic::chain_data_feature(2), predicate)],
-        ];
         let check = |label: &str| -> Result<(), TestCaseError> {
             for scope in &scopes {
-                for filters in &filters {
-                    let answer = |options: ExecOptions| {
-                        system
-                            .serve(AnswerRequest::omq(synthetic::chain_query(2)).scope(scope.clone()).options(ExecOptions { filters: filters.clone(), ..options }))
-                            .unwrap()
-                            .relation
-                    };
-                    let reference = answer(eager());
-                    let fresh = answer(ExecOptions { reuse_scans: false, ..ExecOptions::default() });
+                let answer = |options: ExecOptions| {
+                    system
+                        .serve(AnswerRequest::omq(synthetic::chain_query(2)).scope(scope.clone()).options(options))
+                        .unwrap()
+                        .relation
+                };
+                let reference = answer(eager());
+                let fresh = answer(ExecOptions { reuse_scans: false, ..ExecOptions::default() });
+                prop_assert!(
+                    fresh.rows() == reference.rows(),
+                    "{}: fresh context diverged from eager ({:?})",
+                    label, scope
+                );
+                // Default options, and with the sideways pass off so every
+                // probe scan goes through the cache.
+                for semijoin_max_keys in [ExecOptions::default().semijoin_max_keys, 0] {
+                    let persistent = answer(ExecOptions {
+                        semijoin_max_keys,
+                        ..ExecOptions::default()
+                    });
                     prop_assert!(
-                        fresh.rows() == reference.rows(),
-                        "{}: fresh context diverged from eager ({:?}, {:?})",
-                        label, scope, filters
+                        persistent.rows() == reference.rows(),
+                        "{}: persistent context diverged ({:?}, semijoin {}):\n {:?}\n {:?}",
+                        label, scope, semijoin_max_keys,
+                        persistent.rows(), reference.rows()
                     );
-                    // Default options, and with the sideways pass off so
-                    // every probe scan goes through the cache.
-                    for semijoin_max_keys in [ExecOptions::default().semijoin_max_keys, 0] {
-                        let persistent = answer(ExecOptions {
-                            semijoin_max_keys,
-                            ..ExecOptions::default()
-                        });
-                        prop_assert!(
-                            persistent.rows() == reference.rows(),
-                            "{}: persistent context diverged ({:?}, {:?}, semijoin {}):\n {:?}\n {:?}",
-                            label, scope, filters, semijoin_max_keys,
-                            persistent.rows(), reference.rows()
-                        );
-                    }
                 }
             }
             Ok(())
@@ -1185,26 +1069,9 @@ fn data_version_bump_refreshes_sketches() {
     assert_ne!(after.data_version(), before.data_version());
 
     // Differential requery: the new row reaches both engines identically.
-    let filters = vec![FeatureFilter::new(
-        synthetic::chain_id_feature(1),
-        Predicate::in_set([Value::Int(1), Value::Int(7)]),
-    )];
-    let reference = system
-        .serve(
-            AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(ExecOptions {
-                filters: filters.clone(),
-                ..eager()
-            }),
-        )
-        .unwrap();
-    let streamed = system
-        .serve(
-            AnswerRequest::omq(synthetic::chain_query_with_id(1)).options(ExecOptions {
-                filters,
-                ..streaming()
-            }),
-        )
-        .unwrap();
+    let request = || AnswerRequest::omq(synthetic::chain_query(1));
+    let reference = system.serve(request().options(eager())).unwrap();
+    let streamed = system.serve(request().options(streaming())).unwrap();
     assert_eq!(streamed.relation.rows(), reference.relation.rows());
-    assert_eq!(streamed.relation.len(), 2);
+    assert_eq!(streamed.relation.len(), 3);
 }
