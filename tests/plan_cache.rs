@@ -250,7 +250,7 @@ fn query_body(omq: &bdi::core::omq::Omq) -> Vec<u8> {
 /// same answer bytes, and only the run-time reduction of its probe scan
 /// stops.
 #[test]
-fn a_capability_flip_replans_nothing_and_moves_only_the_semijoin() {
+fn a_capability_flip_keeps_the_rewriting_and_moves_the_pushdown() {
     use bdi::relational::plan::{ColumnFilter, ScanMark, ScanRequest};
     use bdi::relational::{Relation, Schema};
     use bdi::wrappers::wrapper::RowBatches;
