@@ -1,6 +1,6 @@
 //! Durable-tier benchmarks (PR 10): what the WAL + snapshot cycle costs.
 //!
-//! * **Cold-start recovery** — `DurableSystem::open` over a data directory
+//! * **Cold-start recovery** — `BdiSystem::open` over a data directory
 //!   holding 100k quads + 50k documents (scaled under fast mode), seeded
 //!   two ways:
 //!   - *replay-heavy*: the bulk load lives entirely in the WAL (only the
@@ -13,18 +13,20 @@
 //!   `POST /checkpoint` before shutdown buys.
 //! * **Checkpoint cost** — one `checkpoint()` call at the loaded size (the
 //!   price paid to earn that boot speedup).
-//! * **WAL write overhead** — single-op durable writes (`insert_quad`,
-//!   `insert_doc`: one append + fsync each) against the volatile stores'
-//!   raw inserts, plus the batched `extend_quads` path that amortises the
-//!   fsync over 1000 quads.
+//! * **WAL write overhead** — single-op journaled writes through
+//!   `BdiSystem::apply` (`Write::InsertQuad`, `Write::InsertDoc`: one
+//!   append + fsync each) against the volatile stores' raw inserts, plus
+//!   the batched `Write::ExtendQuads` that amortises the fsync over 1000
+//!   quads.
 //!
 //! Run with `cargo bench -p bdi_bench --bench durability`. Results are
 //! printed and written to `BENCH_durability.json` at the workspace root
 //! unless `BDI_BENCH_FAST` is set (smoke timings are meaningless).
 
 use bdi_bench::{measure, Measurement};
-use bdi_core::durable::DurableSystem;
+use bdi_core::durable::Write;
 use bdi_core::supersede;
+use bdi_core::system::BdiSystem;
 use bdi_docstore::DocStore;
 use bdi_rdf::model::{GraphName, Iri, Literal, Quad};
 use bdi_rdf::store::QuadStore;
@@ -70,28 +72,34 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// With `tail = None` everything after the seed snapshot stays in the WAL;
 /// with `tail = Some(t)` the load is checkpointed and `t` single-quad ops
 /// are appended on top. Returns the loaded handle.
-fn seed_dir(dir: &Path, quads: usize, docs: usize, tail: Option<usize>) -> DurableSystem {
+fn seed_dir(dir: &Path, quads: usize, docs: usize, tail: Option<usize>) -> BdiSystem {
     let _ = std::fs::remove_dir_all(dir);
-    let (system, store) = supersede::build_running_example_with_store();
-    let durable = DurableSystem::create(dir, system, store).expect("create bench data dir");
+    let durable =
+        BdiSystem::create(dir, supersede::build_running_example()).expect("create bench data dir");
     let mut n = 0;
     while n < quads {
         let hi = (n + BATCH).min(quads);
         let batch: Vec<Quad> = (n..hi).map(quad).collect();
-        durable.extend_quads(&batch).expect("bulk quad load");
+        durable
+            .apply(Write::ExtendQuads(batch))
+            .expect("bulk quad load");
         n = hi;
     }
     let mut n = 0;
     while n < docs {
         let hi = (n + BATCH).min(docs);
         let batch: Vec<serde_json::Value> = (n..hi).map(doc).collect();
-        durable.insert_docs(DOCS, batch).expect("bulk doc load");
+        durable
+            .apply(Write::InsertDocs(DOCS.into(), batch))
+            .expect("bulk doc load");
         n = hi;
     }
     if let Some(tail) = tail {
         durable.checkpoint().expect("checkpoint after bulk load");
         for t in 0..tail {
-            durable.insert_quad(&quad(quads + t)).expect("tail op");
+            durable
+                .apply(Write::InsertQuad(quad(quads + t)))
+                .expect("tail op");
         }
     }
     durable
@@ -109,13 +117,13 @@ fn main() {
     drop(seed_dir(&replay_dir, quads, docs, None));
     drop(seed_dir(&snap_dir, quads, docs, Some(tail)));
 
-    let probe = DurableSystem::open(&replay_dir).expect("open replay-heavy dir");
-    let replayed = probe.recovery().replayed;
+    let probe = BdiSystem::open(&replay_dir).expect("open replay-heavy dir");
+    let replayed = probe.recovery().expect("journaled").replayed;
     drop(probe);
-    let probe = DurableSystem::open(&snap_dir).expect("open snapshot dir");
-    let snap_tail = probe.recovery().replayed;
+    let probe = BdiSystem::open(&snap_dir).expect("open snapshot dir");
+    let snap_tail = probe.recovery().expect("journaled").replayed;
     assert!(
-        probe.recovery().snapshot_loaded,
+        probe.recovery().expect("journaled").snapshot_loaded,
         "checkpointed dir loads its image"
     );
     drop(probe);
@@ -127,18 +135,18 @@ fn main() {
     let replay_ns = measure(
         format!("cold_start/replay_heavy/{quads}q+{docs}d"),
         &mut records,
-        || DurableSystem::open(&replay_dir).expect("recover from WAL"),
+        || BdiSystem::open(&replay_dir).expect("recover from WAL"),
     );
     let snapshot_ns = measure(
         format!("cold_start/snapshot+{tail}_tail/{quads}q+{docs}d"),
         &mut records,
-        || DurableSystem::open(&snap_dir).expect("recover from snapshot"),
+        || BdiSystem::open(&snap_dir).expect("recover from snapshot"),
     );
     let cold_start_speedup = replay_ns / snapshot_ns;
 
     // ---- Checkpoint cost at the loaded size (re-snapshots the same
     // state each iteration; the image is rewritten whole every time).
-    let loaded = DurableSystem::open(&snap_dir).expect("open for checkpoint bench");
+    let loaded = BdiSystem::open(&snap_dir).expect("open for checkpoint bench");
     let checkpoint_ns = measure(format!("checkpoint/{quads}q+{docs}d"), &mut records, || {
         loaded.checkpoint().expect("checkpoint loaded state")
     });
@@ -152,12 +160,16 @@ fn main() {
     let mut n = 0;
     let wal_quad_ns = measure("write/insert_quad/wal", &mut records, || {
         n += 1;
-        durable.insert_quad(&quad(n)).expect("durable quad write")
+        durable
+            .apply(Write::InsertQuad(quad(n)))
+            .expect("durable quad write")
     });
     let mut n = 0;
     let wal_doc_ns = measure("write/insert_doc/wal", &mut records, || {
         n += 1;
-        durable.insert_doc(DOCS, doc(n)).expect("durable doc write")
+        durable
+            .apply(Write::InsertDoc(DOCS.into(), doc(n)))
+            .expect("durable doc write")
     });
     let mut n = 0;
     let wal_batch_ns = measure(
@@ -166,7 +178,9 @@ fn main() {
         || {
             let batch: Vec<Quad> = (n..n + BATCH).map(quad).collect();
             n += BATCH;
-            durable.extend_quads(&batch).expect("durable batch write")
+            durable
+                .apply(Write::ExtendQuads(batch))
+                .expect("durable batch write")
         },
     ) / BATCH as f64;
     drop(durable);

@@ -89,7 +89,7 @@ fn reference_evaluate(
                     }
                 };
                 if let TermOrVar::Var(v) = &qp.pattern.subject {
-                    ok &= bind(&mut b, v, quad.subject.clone());
+                    ok &= bind(&mut b, v, quad.subject.clone().into());
                 }
                 if let TermOrVar::Var(v) = &qp.pattern.predicate {
                     ok &= bind(&mut b, v, Term::Iri(quad.predicate.clone()));

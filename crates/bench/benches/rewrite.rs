@@ -158,11 +158,12 @@ fn main() {
     measure_with_setup(
         "release/register_w4",
         &mut records,
-        supersede::build_running_example_with_store,
-        |(mut system, store)| {
-            data::ingest_vod_v2(&store);
+        supersede::build_running_example,
+        |mut system| {
+            data::ingest_vod_v2(system.store());
+            let w4 = data::wrapper_w4(system.store().clone());
             system
-                .register_release(supersede::release_w4(Arc::new(data::wrapper_w4(store))))
+                .register_release(supersede::release_w4(Arc::new(w4)))
                 .expect("release applies")
                 .source_triples_added
         },

@@ -10,7 +10,7 @@ use bdi_core::system::AnswerRequest;
 use bdi_relational::SourceResolver;
 
 fn main() {
-    let (system, store) = supersede::build_running_example_with_store();
+    let system = supersede::build_running_example();
 
     println!("Table 1 — sample output of each wrapper\n");
     for name in ["w1", "w2", "w3"] {
@@ -30,7 +30,7 @@ fn main() {
 
     // §2.1 evolution: after w4, the same query unions both schema versions.
     let mut system = system;
-    supersede::evolve_with_w4(&mut system, &store);
+    supersede::evolve_with_w4(&mut system);
     let evolved = system
         .serve(AnswerRequest::sparql(supersede::exemplary_query()))
         .expect("query answers");

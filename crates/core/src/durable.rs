@@ -1,43 +1,39 @@
-//! The durable storage tier: WAL + snapshot recovery over a [`BdiSystem`].
+//! The write path and the journal that makes it durable.
 //!
-//! [`DurableSystem`] wraps a system and its backing [`DocStore`] with the
-//! `bdi_durability` substrate. Every mutation to the three mutable stores
-//! — the ontology's quad store, the document collections and the
-//! table-wrapper rows — goes through one `log_then_apply` funnel:
-//! the op is encoded, appended to the WAL and **fsynced before** it
-//! touches any in-memory state, so a mutation is acknowledged if and only
-//! if it is on stable storage. [`DurableSystem::checkpoint`] writes a
-//! `DurableImage` (the deployment snapshot *plus* every cache-validity
-//! counter) via tmp-file → fsync → atomic rename, then truncates the log;
-//! [`DurableSystem::open`] loads the image, restores the counters
-//! bit-exact, and replays only the log records with `seq` greater than
-//! the image's — exactly-once replay even when a crash landed between the
-//! snapshot rename and the log truncation.
+//! Every data write to a [`BdiSystem`] — quads, documents, table rows and
+//! clears — is one [`Write`] passed to [`BdiSystem::apply`], which
+//! validates it once, so a volatile system refuses what a journaled one
+//! does. A journaled system ([`BdiSystem::open`], [`BdiSystem::create`])
+//! then encodes the write, appends it to the WAL and **fsyncs before**
+//! applying it, all under the journal lock: a write is acknowledged if
+//! and only if it is on stable storage, and log order is apply order.
+//! [`BdiSystem::checkpoint`] writes a `DurableImage` (the deployment
+//! snapshot *plus* every cache-validity counter) via tmp-file → fsync →
+//! atomic rename, then truncates the log. [`BdiSystem::open`] loads the
+//! image and replays only the records with a greater `seq`, through
+//! `apply`'s own apply step: exactly-once replay even when a crash landed
+//! between the rename and the truncation.
 //!
 //! # Counter restoration
 //!
 //! The plan/scan-cache validity scheme hangs off monotonic counters
 //! (`QuadStore::mutation_count`, `DocStore::collection_version`,
-//! `TableWrapper::data_version`). A reboot that restarted them at 0 would
-//! let a stamp taken before the crash collide with a *different*
-//! post-restart state. Recovery therefore restores the persisted values
-//! first and then replays through the normal bump paths; since replayed
-//! ops bump exactly as the originals did, the recovered counters equal
-//! the pre-crash ones — and "equal counter ⇒ equal contents" survives the
-//! process boundary.
+//! `TableWrapper::data_version`). Recovery restores the persisted values
+//! first and then replays through the normal bump paths, so the recovered
+//! counters equal the pre-crash ones and "equal counter ⇒ equal contents"
+//! survives the process boundary.
 //!
 //! # Poisoning
 //!
-//! Any journal or checkpoint failure leaves memory and disk potentially
-//! divergent, so it *poisons* the handle: every further mutation fails
-//! with [`DurableError::Poisoned`] until the directory is reopened (which
-//! recovers from what actually reached the disk). Reads keep working.
+//! A journal or checkpoint failure may leave memory and disk divergent, so
+//! it *poisons* the journal: writes fail with [`DurableError::Poisoned`]
+//! until the directory is reopened. Reads keep working.
 //!
 //! # One codec
 //!
 //! Quads reach the log as TriG through [`bdi_rdf::trig`]'s one writer and
-//! reader, as the image's ontology does, so the image holds every quad
-//! the log accepted. Documents and rows go as the JSON `WrapperSpec` uses.
+//! reader, as the image's ontology does. Documents and rows go as the JSON
+//! `WrapperSpec` uses.
 
 // Recovery reads bytes from disk: a bad byte is an `Err`, never a panic.
 #![deny(
@@ -51,15 +47,15 @@
 
 use crate::release::{Release, ReleaseStats};
 use crate::snapshot::{SnapshotError, SystemSnapshot};
-use crate::system::{Answer, AnswerRequest, BdiSystem, SystemError};
+use crate::system::{BdiSystem, SystemError};
 use bdi_docstore::{DocStore, StoreError};
 use bdi_durability::{Snapshotter, StdVfs, Vfs, Wal, WalStats};
 pub use bdi_durability::{SNAPSHOT_FILE, WAL_FILE};
-use bdi_rdf::model::{GraphName, Iri, Quad, Term};
+use bdi_rdf::model::{GraphName, Iri, Quad};
 use bdi_rdf::trig::{parse_trig, write_trig};
 use bdi_rdf::turtle::PrefixMap;
 use bdi_wrappers::spec::{json_to_value, row_to_json};
-use bdi_wrappers::{Wrapper, WrapperError};
+use bdi_wrappers::{TableWrapper, Wrapper, WrapperError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -72,7 +68,7 @@ pub const STORE_DOC: u32 = 2;
 /// Store id journaled with every table-wrapper op.
 pub const STORE_TABLE: u32 = 3;
 
-/// Errors raised by the durable tier.
+/// Errors raised by the write path and its journal.
 #[derive(Debug, thiserror::Error)]
 pub enum DurableError {
     /// An I/O failure from the WAL, snapshot or directory handling.
@@ -104,25 +100,27 @@ pub enum DurableError {
         /// What failed to decode.
         reason: String,
     },
-    /// [`DurableSystem::create`] refused to clobber an existing image.
+    /// [`BdiSystem::create`] refused to clobber an existing image.
     #[error("data directory already initialised: {0}")]
     AlreadyInitialised(String),
-    /// A journaled table push names a wrapper the registry does not have
-    /// (or has as a non-table kind).
+    /// A row names a wrapper the registry does not have (or has as a
+    /// non-table kind).
     #[error("unknown table wrapper: {0}")]
     UnknownWrapper(String),
     /// The snapshot image declares a format (`found`) other than the one
     /// this build writes and reads (`expected`, [`IMAGE_FORMAT`]).
     #[error("snapshot image format {found} is not supported; this build reads format {expected}")]
     UnsupportedFormat { found: u32, expected: u32 },
-    /// A quad with a literal subject: the model can build one, RDF data
-    /// cannot hold it, so it is refused before journaling.
-    #[error("a literal cannot be a quad's subject: {0}")]
-    LiteralSubject(String),
+    /// A checkpoint of a volatile system.
+    #[error("the system has no journal; open it over a data directory")]
+    NoJournal,
+    /// A release registered through a [`DurableSystem`] already shared.
+    #[error("a shared system cannot register a release")]
+    Shared,
 }
 
-/// The image format [`DurableSystem::checkpoint`] writes and
-/// [`DurableSystem::open`] reads. Format 2 journals quads as TriG.
+/// The image format [`BdiSystem::checkpoint`] writes and
+/// [`BdiSystem::open`] reads. Format 2 journals quads as TriG.
 pub const IMAGE_FORMAT: u32 = 2;
 
 /// The persisted image: the deployment snapshot plus everything the
@@ -147,7 +145,7 @@ pub(crate) struct DurableImage {
     pub table_versions: BTreeMap<String, u64>,
 }
 
-/// What [`DurableSystem::open`] found and did while recovering.
+/// What [`BdiSystem::open`] found and did while recovering.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryInfo {
     /// Whether a snapshot image was loaded (`false` = cold, empty start
@@ -161,21 +159,46 @@ pub struct RecoveryInfo {
     pub wal_truncated_at: Option<u64>,
 }
 
-/// Counters surfaced by [`DurableSystem::durability_stats`].
+/// Counters surfaced by [`BdiSystem::durability_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurabilityStats {
     /// The last seq appended (0 when nothing ever was).
     pub last_seq: u64,
-    /// WAL write-path counters for this handle's lifetime.
+    /// WAL write-path counters for this journal's lifetime.
     pub wal: WalStats,
-    /// Checkpoints completed by this handle.
+    /// Checkpoints completed through this journal.
     pub checkpoints: u64,
-    /// Whether the handle is poisoned (see [`DurableError::Poisoned`]).
+    /// Whether the journal is poisoned (see [`DurableError::Poisoned`]).
     pub poisoned: bool,
 }
 
-/// The journaled mutation ops. Quads are carried as TriG text (see the
-/// module docs); documents and rows through the JSON value mapping
+/// One data write: what [`BdiSystem::apply`] validates, journals and
+/// applies. Each returns how many quads, documents or rows it added or
+/// removed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Write {
+    /// Inserts a quad into the ontology's store (1 if it was new).
+    InsertQuad(Quad),
+    /// Removes a quad (1 if it was present).
+    RemoveQuad(Quad),
+    /// Inserts a batch of quads under one fsync.
+    ExtendQuads(Vec<Quad>),
+    /// Clears a graph.
+    ClearGraph(GraphName),
+    /// Inserts one document into a collection; it must be a JSON object.
+    InsertDoc(String, serde_json::Value),
+    /// Inserts a batch of documents under one fsync, refused whole if any
+    /// is not an object (the raw store would append a prefix).
+    InsertDocs(String, Vec<serde_json::Value>),
+    /// Clears a collection.
+    ClearCollection(String),
+    /// Appends a row to the named table wrapper. The row must match its
+    /// arity and hold no NaN or infinite float, which JSON cannot carry.
+    PushRow(String, Vec<bdi_relational::Value>),
+}
+
+/// A write as the journal carries it. Quads are TriG text (see the module
+/// docs); documents and rows go through the JSON value mapping
 /// `WrapperSpec` uses, so each encoding has one source of truth.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 enum Op {
@@ -209,6 +232,43 @@ enum Op {
 }
 
 impl Op {
+    /// The record of a validated write on `system`.
+    fn encode(write: Write, system: &BdiSystem) -> Result<Op, DurableError> {
+        let trig = |quads: &[Quad]| write_trig(quads, &PrefixMap::new());
+        Ok(match write {
+            Write::InsertQuad(quad) => Op::InsertQuad { q: trig(&[quad]) },
+            Write::RemoveQuad(quad) => Op::RemoveQuad { q: trig(&[quad]) },
+            Write::ExtendQuads(quads) => Op::ExtendQuads { qs: trig(&quads) },
+            Write::ClearGraph(graph) => Op::ClearGraph {
+                g: graph.as_iri().map(|iri| iri.as_str().to_owned()),
+            },
+            Write::InsertDoc(c, d) => Op::InsertDoc { c, d },
+            Write::InsertDocs(c, ds) => Op::InsertDocs { c, ds },
+            Write::ClearCollection(c) => Op::ClearCollection { c },
+            Write::PushRow(w, row) => {
+                let r = row_to_json(&w, system.table(&w)?.schema(), &row)?;
+                Op::PushRow { w, r }
+            }
+        })
+    }
+
+    /// The write a record carries, as recovery and the live path apply it.
+    fn decode(self) -> Result<Write, DurableError> {
+        Ok(match self {
+            Op::InsertQuad { q } => Write::InsertQuad(one_quad(&q)?),
+            Op::RemoveQuad { q } => Write::RemoveQuad(one_quad(&q)?),
+            Op::ExtendQuads { qs } => Write::ExtendQuads(parse_trig(&qs).map_err(corrupt)?),
+            Op::ClearGraph { g: None } => Write::ClearGraph(GraphName::Default),
+            Op::ClearGraph { g: Some(iri) } => {
+                Write::ClearGraph(GraphName::Named(Iri::try_new(&iri).map_err(corrupt)?))
+            }
+            Op::InsertDoc { c, d } => Write::InsertDoc(c, d),
+            Op::InsertDocs { c, ds } => Write::InsertDocs(c, ds),
+            Op::ClearCollection { c } => Write::ClearCollection(c),
+            Op::PushRow { w, r } => Write::PushRow(w, r.iter().map(json_to_value).collect()),
+        })
+    }
+
     fn store_id(&self) -> u32 {
         match self {
             Op::InsertQuad { .. }
@@ -221,7 +281,15 @@ impl Op {
     }
 }
 
-struct Journal {
+/// The WAL and image directory a journaled [`BdiSystem`] persists to.
+pub(crate) struct Journal {
+    dir: PathBuf,
+    snapshotter: Snapshotter,
+    recovery: RecoveryInfo,
+    log: Mutex<Log>,
+}
+
+pub(crate) struct Log {
     wal: Wal,
     poisoned: Option<String>,
     checkpoints: u64,
@@ -230,26 +298,52 @@ struct Journal {
     crash_before_apply: Option<u64>,
 }
 
-/// A [`BdiSystem`] + [`DocStore`] pair whose mutations survive `kill -9`.
-pub struct DurableSystem {
-    system: BdiSystem,
-    store: DocStore,
-    dir: PathBuf,
-    snapshotter: Snapshotter,
-    journal: Mutex<Journal>,
-    recovery: RecoveryInfo,
+impl Journal {
+    fn new(dir: PathBuf, snapshotter: Snapshotter, wal: Wal, recovery: RecoveryInfo) -> Self {
+        let log = Log {
+            wal,
+            poisoned: None,
+            checkpoints: 0,
+            crash_before_apply: None,
+        };
+        Journal {
+            dir,
+            snapshotter,
+            recovery,
+            log: Mutex::new(log),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The log, unless an earlier failure poisoned it.
+    pub(crate) fn ready(&self) -> Result<MutexGuard<'_, Log>, DurableError> {
+        let log = self.lock();
+        match &log.poisoned {
+            Some(reason) => Err(DurableError::Poisoned(reason.clone())),
+            None => Ok(log),
+        }
+    }
+
+    /// Poisons the log for `error`, which it hands back.
+    pub(crate) fn poison(&self, context: &str, error: DurableError) -> DurableError {
+        self.lock().poisoned = Some(format!("{context}: {error}"));
+        error
+    }
 }
 
-impl DurableSystem {
-    /// Opens (or cold-starts) the durable deployment at `dir` on the real
-    /// filesystem: loads the snapshot image if one exists, restores every
-    /// cache-validity counter, replays the WAL's uncovered suffix, and
-    /// amputates any torn log tail.
+impl BdiSystem {
+    /// Opens (or cold-starts) the journaled deployment at `dir` on the
+    /// real filesystem: loads the snapshot image if one exists, restores
+    /// every cache-validity counter, replays the WAL's uncovered suffix,
+    /// and amputates any torn log tail.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, DurableError> {
         Self::open_with(dir, Arc::new(StdVfs))
     }
 
-    /// [`DurableSystem::open`] over an explicit [`Vfs`] (the crash-matrix
+    /// [`BdiSystem::open`] over an explicit [`Vfs`] (the crash-matrix
     /// tests recover through `CrashyVfs`-damaged directories with a clean
     /// `StdVfs`, and crash *during* recovery with another `CrashyVfs`).
     pub fn open_with(dir: impl AsRef<Path>, vfs: Arc<dyn Vfs>) -> Result<Self, DurableError> {
@@ -258,7 +352,7 @@ impl DurableSystem {
         let snapshotter = Snapshotter::new(Arc::clone(&vfs), dir.clone());
 
         let mut recovery = RecoveryInfo::default();
-        let (system, store) = match snapshotter.load()? {
+        let mut system = match snapshotter.load()? {
             Some(bytes) => {
                 let image: DurableImage =
                     serde_json::from_str(utf8(&bytes).map_err(image_corrupt)?)
@@ -269,8 +363,7 @@ impl DurableSystem {
                         expected: IMAGE_FORMAT,
                     });
                 }
-                let (system, store) =
-                    crate::snapshot::restore(&image.snapshot).map_err(image_corrupt)?;
+                let system = crate::snapshot::restore(&image.snapshot).map_err(image_corrupt)?;
                 // Counters first, replay second: the bumps replay performs
                 // on top of these exact values reproduce the pre-crash
                 // stamps (see the module docs).
@@ -279,19 +372,19 @@ impl DurableSystem {
                     .store()
                     .restore_mutation_count(image.quad_mutations);
                 for (name, version) in &image.collection_versions {
-                    store.restore_collection_version(name, *version);
+                    system.store().restore_collection_version(name, *version);
                 }
-                store.restore_data_version(image.doc_data_version);
+                system.store().restore_data_version(image.doc_data_version);
                 for (name, version) in &image.table_versions {
-                    if let Some(table) = system.registry().get(name).and_then(|w| w.as_table()) {
+                    if let Ok(table) = system.table(name) {
                         table.restore_data_version(*version);
                     }
                 }
                 recovery.snapshot_loaded = true;
                 recovery.snapshot_seq = image.seq;
-                (system, store)
+                system
             }
-            None => (BdiSystem::new(), DocStore::new()),
+            None => BdiSystem::new(),
         };
 
         // The image's seq floors the WAL's next seq: after a checkpoint
@@ -300,9 +393,7 @@ impl DurableSystem {
         // drop those acknowledged writes on the *next* open.
         let opened = Wal::open(Arc::clone(&vfs), dir.join(WAL_FILE), recovery.snapshot_seq)?;
         recovery.wal_truncated_at = opened.truncated_at;
-
-        let mut durable = Self::assemble(system, store, dir, snapshotter, opened.wal, recovery);
-        let covered = durable.recovery.snapshot_seq;
+        let covered = recovery.snapshot_seq;
         for record in opened.records.iter().filter(|r| r.seq > covered) {
             let at_seq = |reason| DurableError::Corrupt {
                 seq: record.seq,
@@ -310,63 +401,29 @@ impl DurableSystem {
             };
             let op: Op = serde_json::from_str(utf8(&record.op).map_err(at_seq)?)
                 .map_err(|e| at_seq(e.to_string()))?;
-            // Ops are validated before journaling, so a record that does
-            // not apply is a corrupt log, whatever the apply said.
-            durable.apply_op(&op).map_err(|e| {
-                at_seq(match e {
-                    DurableError::Corrupt { reason, .. } => reason,
-                    other => other.to_string(),
-                })
-            })?;
-            durable.recovery.replayed += 1;
+            // Writes are validated before journaling, so a record that
+            // does not apply is a corrupt log, whatever the apply said.
+            op.decode()
+                .and_then(|write| system.apply_write(write))
+                .map_err(|e| {
+                    at_seq(match e {
+                        DurableError::Corrupt { reason, .. } => reason,
+                        other => other.to_string(),
+                    })
+                })?;
+            recovery.replayed += 1;
         }
-        Ok(durable)
+        system.journal = Some(Journal::new(dir, snapshotter, opened.wal, recovery));
+        Ok(system)
     }
 
-    /// A handle over a recovered (or adopted) deployment and its open log.
-    fn assemble(
-        system: BdiSystem,
-        store: DocStore,
-        dir: PathBuf,
-        snapshotter: Snapshotter,
-        wal: Wal,
-        recovery: RecoveryInfo,
-    ) -> Self {
-        DurableSystem {
-            system,
-            store,
-            dir,
-            snapshotter,
-            journal: Mutex::new(Journal {
-                wal,
-                poisoned: None,
-                checkpoints: 0,
-                crash_before_apply: None,
-            }),
-            recovery,
-        }
-    }
-
-    /// Adopts an already-built in-memory deployment as the initial state
-    /// of a fresh data directory, writing its first snapshot image.
-    /// Refuses to clobber a directory that already holds an image — or a
-    /// WAL with journaled records (a never-checkpointed deployment that
-    /// [`DurableSystem::open`] would recover).
-    pub fn create(
-        dir: impl AsRef<Path>,
-        system: BdiSystem,
-        store: DocStore,
-    ) -> Result<Self, DurableError> {
-        Self::create_with(dir, Arc::new(StdVfs), system, store)
-    }
-
-    /// [`DurableSystem::create`] over an explicit [`Vfs`].
-    pub(crate) fn create_with(
-        dir: impl AsRef<Path>,
-        vfs: Arc<dyn Vfs>,
-        system: BdiSystem,
-        store: DocStore,
-    ) -> Result<Self, DurableError> {
+    /// Journals an already-built deployment in a fresh data directory,
+    /// writing its first snapshot image. Refuses to clobber a directory
+    /// that already holds an image — or a WAL with journaled records (a
+    /// never-checkpointed deployment that [`BdiSystem::open`] would
+    /// recover).
+    pub fn create(dir: impl AsRef<Path>, mut system: BdiSystem) -> Result<Self, DurableError> {
+        let vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
         let dir = dir.as_ref().to_path_buf();
         vfs.create_dir_all(&dir)?;
         let snapshotter = Snapshotter::new(Arc::clone(&vfs), dir.clone());
@@ -387,285 +444,131 @@ impl DurableSystem {
                 opened.records.len()
             )));
         }
-        let durable = Self::assemble(
-            system,
-            store,
+        system.journal = Some(Journal::new(
             dir,
             snapshotter,
             opened.wal,
             RecoveryInfo::default(),
-        );
-        durable.checkpoint()?;
-        Ok(durable)
+        ));
+        system.checkpoint()?;
+        Ok(system)
     }
 
-    /// The wrapped (read-only from here) system.
-    pub fn system(&self) -> &BdiSystem {
-        &self.system
-    }
-
-    /// The backing document store. Mutate it only through
-    /// [`DurableSystem::insert_doc`]-family methods, or the writes will
-    /// not survive a crash.
-    pub fn store(&self) -> &DocStore {
-        &self.store
-    }
-
-    /// The data directory this deployment persists under.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// What recovery found when this handle was opened.
-    pub fn recovery(&self) -> &RecoveryInfo {
-        &self.recovery
-    }
-
-    /// Answers a request — a passthrough to [`BdiSystem::serve`].
-    pub fn serve(&self, request: AnswerRequest) -> Result<Answer, SystemError> {
-        self.system.serve(request)
-    }
-
-    fn lock_journal(&self) -> MutexGuard<'_, Journal> {
-        self.journal.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The one write path: encode, append, fsync, *then* apply — all under
-    /// the journal lock, so log order equals apply order. Any failure
-    /// poisons the handle. Returns the op's numeric outcome (see
-    /// [`DurableSystem::apply_op`]).
-    fn log_then_apply(&self, op: Op) -> Result<u64, DurableError> {
-        let mut journal = self.lock_journal();
-        if let Some(reason) = &journal.poisoned {
-            return Err(DurableError::Poisoned(reason.clone()));
-        }
-        let encoded = serde_json::to_string(&op)
-            .map(String::into_bytes)
-            .map_err(|e| DurableError::Corrupt {
-                seq: journal.wal.next_seq(),
-                reason: format!("encode: {e}"),
-            })?;
-        let append = journal
-            .wal
-            .append(op.store_id(), &encoded)
-            .and_then(|_| journal.wal.commit());
-        if let Err(e) = append {
-            journal.poisoned = Some(format!("journal append failed: {e}"));
-            return Err(DurableError::Io(e));
-        }
-        if let Some(countdown) = journal.crash_before_apply {
-            if countdown <= 1 {
-                journal.crash_before_apply = None;
-                journal.poisoned = Some("injected crash between log and apply".to_owned());
-                return Err(DurableError::Io(std::io::Error::other(
-                    bdi_durability::SIMULATED_CRASH,
-                )));
+    /// The one write path. Validates `write`; a journaled system then
+    /// encodes it, appends it and fsyncs **before** applying it, all under
+    /// the journal lock, so log order is apply order. A failure once the
+    /// write is in the log poisons the journal. Returns the write's count
+    /// (see [`Write`]).
+    pub fn apply(&self, write: Write) -> Result<usize, DurableError> {
+        self.validate(&write)?;
+        let mut log = self.journal.as_ref().map(Journal::ready).transpose()?;
+        let write = match log.as_deref_mut() {
+            None => Ok(write),
+            Some(log) => {
+                let op = Op::encode(write, self)?;
+                let record = serde_json::to_string(&op).map_err(|e| DurableError::Corrupt {
+                    seq: log.wal.next_seq(),
+                    reason: format!("encode: {e}"),
+                })?;
+                let logged = log
+                    .wal
+                    .append(op.store_id(), record.as_bytes())
+                    .and_then(|_| log.wal.commit());
+                if let Err(e) = logged {
+                    log.poisoned = Some(format!("journal append failed: {e}"));
+                    return Err(DurableError::Io(e));
+                }
+                if let Some(countdown) = log.crash_before_apply {
+                    if countdown <= 1 {
+                        log.crash_before_apply = None;
+                        log.poisoned = Some("injected crash between log and apply".to_owned());
+                        return Err(DurableError::Io(std::io::Error::other(
+                            bdi_durability::SIMULATED_CRASH,
+                        )));
+                    }
+                    log.crash_before_apply = Some(countdown - 1);
+                }
+                // The live path applies what replay will: the decoded record.
+                op.decode()
             }
-            journal.crash_before_apply = Some(countdown - 1);
-        }
-        match self.apply_op(&op) {
-            Ok(outcome) => Ok(outcome),
-            Err(e) => {
-                // Journaled but not (fully) applied: memory may diverge
-                // from what replay will reconstruct. Only reopen recovers.
-                journal.poisoned = Some(format!("apply failed after journaling: {e}"));
-                Err(e)
-            }
-        }
-    }
-
-    /// Applies a decoded op to the in-memory stores — shared by the live
-    /// write path and recovery replay, so both bump the same counters the
-    /// same way. Ops are validated *before* journaling, so apply errors
-    /// here mean a corrupt log or a registry that no longer matches it.
-    fn apply_op(&self, op: &Op) -> Result<u64, DurableError> {
-        match op {
-            Op::InsertQuad { q } => {
-                let quad = one_quad(q)?;
-                Ok(u64::from(self.system.ontology().store().insert(&quad)))
-            }
-            Op::RemoveQuad { q } => {
-                let quad = one_quad(q)?;
-                Ok(u64::from(self.system.ontology().store().remove(&quad)))
-            }
-            Op::ExtendQuads { qs } => {
-                let quads = parse_trig(qs).map_err(corrupt)?;
-                Ok(self.system.ontology().store().extend(quads) as u64)
-            }
-            Op::ClearGraph { g } => {
-                let graph = match g {
-                    None => GraphName::Default,
-                    Some(iri) => GraphName::Named(Iri::try_new(iri).map_err(corrupt)?),
-                };
-                Ok(self.system.ontology().store().clear_graph(&graph) as u64)
-            }
-            Op::InsertDoc { c, d } => {
-                self.store.insert(c, d.clone())?;
-                Ok(1)
-            }
-            Op::InsertDocs { c, ds } => Ok(self.store.insert_many(c, ds.clone())? as u64),
-            Op::ClearCollection { c } => Ok(self.store.clear(c) as u64),
-            Op::PushRow { w, r } => {
-                let table = self
-                    .system
-                    .registry()
-                    .get(w)
-                    .and_then(|wrapper| wrapper.as_table())
-                    .ok_or_else(|| DurableError::UnknownWrapper(w.clone()))?;
-                table.push(r.iter().map(json_to_value).collect())?;
-                Ok(1)
-            }
-        }
-    }
-
-    /// Durably inserts a quad into the ontology's store. Returns whether
-    /// it was new (duplicates are journaled and replay as the same no-op).
-    pub fn insert_quad(&self, quad: &Quad) -> Result<bool, DurableError> {
-        let op = Op::InsertQuad {
-            q: encode_quads(std::slice::from_ref(quad))?,
         };
-        Ok(self.log_then_apply(op)? != 0)
-    }
-
-    /// Durably removes a quad. Returns whether it was present.
-    pub fn remove_quad(&self, quad: &Quad) -> Result<bool, DurableError> {
-        let op = Op::RemoveQuad {
-            q: encode_quads(std::slice::from_ref(quad))?,
-        };
-        Ok(self.log_then_apply(op)? != 0)
-    }
-
-    /// Durably inserts a batch of quads under **one** fsync, returning how
-    /// many were new.
-    pub fn extend_quads(&self, quads: &[Quad]) -> Result<usize, DurableError> {
-        let op = Op::ExtendQuads {
-            qs: encode_quads(quads)?,
-        };
-        Ok(self.log_then_apply(op)? as usize)
-    }
-
-    /// Durably clears a graph, returning how many quads it held.
-    pub fn clear_graph(&self, graph: &GraphName) -> Result<usize, DurableError> {
-        let op = Op::ClearGraph {
-            g: graph.as_iri().map(|iri| iri.as_str().to_owned()),
-        };
-        Ok(self.log_then_apply(op)? as usize)
-    }
-
-    /// Durably inserts one document. Unlike the raw [`DocStore::insert`],
-    /// a rejected document (non-object) fails *before* journaling and
-    /// mutates nothing — the journal only ever holds applicable ops.
-    pub fn insert_doc(&self, collection: &str, doc: serde_json::Value) -> Result<(), DurableError> {
-        if !doc.is_object() {
-            return Err(StoreError::NotAnObject(doc.to_string()).into());
+        let applied = write.and_then(|write| self.apply_write(write));
+        if let (Some(log), Err(e)) = (log.as_deref_mut(), &applied) {
+            // Journaled but not (fully) applied: memory may diverge from
+            // what replay will reconstruct. Only reopen recovers.
+            log.poisoned = Some(format!("apply failed after journaling: {e}"));
         }
-        let op = Op::InsertDoc {
-            c: collection.to_owned(),
-            d: doc,
-        };
-        self.log_then_apply(op).map(|_| ())
+        applied
     }
 
-    /// Durably inserts a batch of documents under one fsync. The batch is
-    /// validated up front and rejected whole if any document is not an
-    /// object (stricter than the raw store's partial append, for the same
-    /// reason as [`DurableSystem::insert_doc`]).
-    pub fn insert_docs(
-        &self,
-        collection: &str,
-        docs: Vec<serde_json::Value>,
-    ) -> Result<usize, DurableError> {
-        if let Some(bad) = docs.iter().find(|d| !d.is_object()) {
-            return Err(StoreError::NotAnObject(bad.to_string()).into());
+    /// Refuses a write the stores would refuse, or the journal could not
+    /// carry, before anything is journaled or applied.
+    fn validate(&self, write: &Write) -> Result<(), DurableError> {
+        let object = |doc: &serde_json::Value| match doc.is_object() {
+            true => Ok(()),
+            false => Err(StoreError::NotAnObject(doc.to_string())),
+        };
+        match write {
+            Write::InsertDoc(_, doc) => object(doc)?,
+            Write::InsertDocs(_, docs) => docs.iter().try_for_each(object)?,
+            Write::PushRow(wrapper, row) => {
+                let table = self.table(wrapper)?;
+                table.check_arity(row)?;
+                row_to_json(wrapper, table.schema(), row)?;
+            }
+            _ => {}
         }
-        let op = Op::InsertDocs {
-            c: collection.to_owned(),
-            ds: docs,
-        };
-        Ok(self.log_then_apply(op)? as usize)
+        Ok(())
     }
 
-    /// Durably clears a collection, returning how many documents it held.
-    pub fn clear_collection(&self, collection: &str) -> Result<usize, DurableError> {
-        let op = Op::ClearCollection {
-            c: collection.to_owned(),
-        };
-        Ok(self.log_then_apply(op)? as usize)
+    /// Applies a write to the in-memory stores — the step the live path
+    /// and recovery replay share, so both bump the same counters the same
+    /// way.
+    fn apply_write(&self, write: Write) -> Result<usize, DurableError> {
+        let quads = self.ontology().store();
+        Ok(match write {
+            Write::InsertQuad(quad) => usize::from(quads.insert(&quad)),
+            Write::RemoveQuad(quad) => usize::from(quads.remove(&quad)),
+            Write::ExtendQuads(batch) => quads.extend(batch),
+            Write::ClearGraph(graph) => quads.clear_graph(&graph),
+            Write::InsertDoc(collection, doc) => {
+                self.store().insert(&collection, doc)?;
+                1
+            }
+            Write::InsertDocs(collection, docs) => self.store().insert_many(&collection, docs)?,
+            Write::ClearCollection(collection) => self.store().clear(&collection),
+            Write::PushRow(wrapper, row) => {
+                self.table(&wrapper)?.push(row)?;
+                1
+            }
+        })
     }
 
-    /// Durably appends a row to a registered table wrapper. The wrapper
-    /// must exist, be a table, the row must match its arity and hold no
-    /// NaN or infinite float (the journal's JSON has no such number) — all
-    /// checked *before* journaling.
-    pub fn push_row(
-        &self,
-        wrapper: &str,
-        row: Vec<bdi_relational::Value>,
-    ) -> Result<(), DurableError> {
-        let table = self
-            .system
-            .registry()
-            .get(wrapper)
+    /// The registered table wrapper named `name`.
+    fn table(&self, name: &str) -> Result<&TableWrapper, DurableError> {
+        self.registry()
+            .get(name)
             .and_then(|w| w.as_table())
-            .ok_or_else(|| DurableError::UnknownWrapper(wrapper.to_owned()))?;
-        if row.len() != table.schema().len() {
-            return Err(
-                WrapperError::Relation(bdi_relational::RelationError::Arity {
-                    expected: table.schema().len(),
-                    found: row.len(),
-                })
-                .into(),
-            );
-        }
-        let op = Op::PushRow {
-            w: wrapper.to_owned(),
-            r: row_to_json(wrapper, table.schema(), &row)?,
-        };
-        self.log_then_apply(op).map(|_| ())
-    }
-
-    /// Durably registers a release. Schema evolution is rare and reshapes
-    /// the wrapper registry, so instead of journaling it the release is
-    /// applied in memory and then made durable by a synchronous
-    /// [`DurableSystem::checkpoint`] — the call only returns Ok once the
-    /// new deployment image is on disk. A checkpoint failure poisons the
-    /// handle (memory has the release, disk does not).
-    // analyze: allow(durability, releases are apply-then-checkpoint: the synchronous checkpoint below is the durability barrier, and a failure before it returns poisons the handle instead of acknowledging)
-    pub fn register_release(&mut self, release: Release) -> Result<ReleaseStats, DurableError> {
-        {
-            let journal = self.lock_journal();
-            if let Some(reason) = &journal.poisoned {
-                return Err(DurableError::Poisoned(reason.clone()));
-            }
-        }
-        let stats = self.system.register_release(release)?;
-        if let Err(e) = self.checkpoint() {
-            let mut journal = self.lock_journal();
-            journal.poisoned = Some(format!("release checkpoint failed: {e}"));
-            return Err(e);
-        }
-        Ok(stats)
+            .ok_or_else(|| DurableError::UnknownWrapper(name.to_owned()))
     }
 
     /// Captures and atomically installs a new snapshot image, then
     /// truncates the WAL it covers. Returns the covered seq. Held under
-    /// the journal lock, so no mutation can slip between the image
-    /// capture and the log truncation.
+    /// the journal lock, so no write can slip between the image capture
+    /// and the log truncation. [`DurableError::NoJournal`] on a volatile
+    /// system.
     pub fn checkpoint(&self) -> Result<u64, DurableError> {
-        let mut journal = self.lock_journal();
-        if let Some(reason) = &journal.poisoned {
-            return Err(DurableError::Poisoned(reason.clone()));
-        }
-        let seq = journal.wal.last_seq();
+        let journal = self.journal.as_ref().ok_or(DurableError::NoJournal)?;
+        let mut log = journal.ready()?;
+        let seq = log.wal.last_seq();
         let image = DurableImage {
             format: IMAGE_FORMAT,
             seq,
-            snapshot: crate::snapshot::snapshot(&self.system, &self.store)?,
-            quad_mutations: self.system.ontology().store().mutation_count(),
-            doc_data_version: self.store.data_version(),
-            collection_versions: self.store.collection_versions(),
+            snapshot: crate::snapshot::snapshot(self, self.store())?,
+            quad_mutations: self.ontology().store().mutation_count(),
+            doc_data_version: self.store().data_version(),
+            collection_versions: self.store().collection_versions(),
             table_versions: self
-                .system
                 .registry()
                 .iter()
                 .filter_map(|w| {
@@ -680,37 +583,119 @@ impl DurableSystem {
                 seq,
                 reason: format!("encode image: {e}"),
             })?;
-        let result = self
+        let result = journal
             .snapshotter
             .save(&bytes)
-            .and_then(|()| journal.wal.reset());
+            .and_then(|()| log.wal.reset());
         if let Err(e) = result {
-            journal.poisoned = Some(format!("checkpoint failed: {e}"));
+            log.poisoned = Some(format!("checkpoint failed: {e}"));
             return Err(DurableError::Io(e));
         }
-        journal.checkpoints += 1;
+        log.checkpoints += 1;
         Ok(seq)
     }
 
-    /// Write-path and checkpoint counters.
-    pub fn durability_stats(&self) -> DurabilityStats {
-        let journal = self.lock_journal();
-        DurabilityStats {
-            last_seq: journal.wal.last_seq(),
-            wal: journal.wal.stats(),
-            checkpoints: journal.checkpoints,
-            poisoned: journal.poisoned.is_some(),
-        }
+    /// Write-path and checkpoint counters; `None` without a journal.
+    pub fn durability_stats(&self) -> Option<DurabilityStats> {
+        let log = self.journal.as_ref()?.lock();
+        Some(DurabilityStats {
+            last_seq: log.wal.last_seq(),
+            wal: log.wal.stats(),
+            checkpoints: log.checkpoints,
+            poisoned: log.poisoned.is_some(),
+        })
+    }
+
+    /// What recovery found when the journal was opened; `None` without one.
+    pub fn recovery(&self) -> Option<&RecoveryInfo> {
+        self.journal.as_ref().map(|journal| &journal.recovery)
     }
 
     /// Test hook for the crash matrix: the `nth` (1-based) subsequent
-    /// mutation is journaled and fsynced, then fails — and poisons the
-    /// handle — *before* applying, emulating a crash between log and
-    /// apply. The recovered system must include that mutation (it was on
+    /// write is journaled and fsynced, then fails — and poisons the
+    /// journal — *before* applying, emulating a crash between log and
+    /// apply. The recovered system must include that write (it was on
     /// disk) even though the crashed process never saw it applied.
     #[doc(hidden)]
     pub fn inject_crash_before_apply(&self, nth: u64) {
-        self.lock_journal().crash_before_apply = Some(nth.max(1));
+        if let Some(journal) = &self.journal {
+            journal.lock().crash_before_apply = Some(nth.max(1));
+        }
+    }
+}
+
+/// The handle the serve benchmark was written against: a shared journaled
+/// [`BdiSystem`] under its earlier name. Each method delegates.
+pub struct DurableSystem(pub Arc<BdiSystem>);
+
+impl std::ops::Deref for DurableSystem {
+    type Target = BdiSystem;
+
+    fn deref(&self) -> &BdiSystem {
+        &self.0
+    }
+}
+
+impl DurableSystem {
+    /// [`BdiSystem::create`] over `system` backed by `store`.
+    pub fn create(
+        dir: impl AsRef<Path>,
+        system: BdiSystem,
+        store: DocStore,
+    ) -> Result<Self, DurableError> {
+        BdiSystem::create(dir, system.with_store(store)).map(|s| Self(Arc::new(s)))
+    }
+
+    /// [`BdiSystem::open`].
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, DurableError> {
+        BdiSystem::open(dir).map(|s| Self(Arc::new(s)))
+    }
+
+    /// The system itself.
+    pub fn system(&self) -> &BdiSystem {
+        &self.0
+    }
+
+    /// The data directory.
+    pub fn dir(&self) -> &Path {
+        self.0.journal.as_ref().map_or(Path::new(""), |j| &j.dir)
+    }
+
+    /// [`BdiSystem::durability_stats`].
+    pub fn durability_stats(&self) -> DurabilityStats {
+        self.0.durability_stats().unwrap_or_default()
+    }
+
+    /// [`Write::InsertDoc`].
+    pub fn insert_doc(&self, collection: &str, doc: serde_json::Value) -> Result<(), DurableError> {
+        self.0
+            .apply(Write::InsertDoc(collection.into(), doc))
+            .map(drop)
+    }
+
+    /// [`Write::InsertDocs`].
+    pub fn insert_docs(
+        &self,
+        collection: &str,
+        docs: Vec<serde_json::Value>,
+    ) -> Result<usize, DurableError> {
+        self.0.apply(Write::InsertDocs(collection.into(), docs))
+    }
+
+    /// [`Write::PushRow`].
+    pub fn push_row(
+        &self,
+        wrapper: &str,
+        row: Vec<bdi_relational::Value>,
+    ) -> Result<(), DurableError> {
+        self.0.apply(Write::PushRow(wrapper.into(), row)).map(drop)
+    }
+
+    /// [`BdiSystem::register_release`], before the handle is shared.
+    pub fn register_release(&mut self, release: Release) -> Result<ReleaseStats, DurableError> {
+        Arc::get_mut(&mut self.0)
+            .ok_or(DurableError::Shared)?
+            .register_release(release)
     }
 }
 
@@ -733,15 +718,6 @@ fn utf8(bytes: &[u8]) -> Result<&str, String> {
     std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))
 }
 
-/// A batch of quads as the TriG the log carries. A literal subject, the
-/// one quad the model builds that TriG cannot hold, never reaches the log.
-fn encode_quads(quads: &[Quad]) -> Result<String, DurableError> {
-    if let Some(quad) = quads.iter().find(|q| matches!(q.subject, Term::Literal(_))) {
-        return Err(DurableError::LiteralSubject(quad.to_string()));
-    }
-    Ok(write_trig(quads, &PrefixMap::new()))
-}
-
 /// The single quad an insert or remove record carries.
 fn one_quad(text: &str) -> Result<Quad, DurableError> {
     let quads = parse_trig(text).map_err(corrupt)?;
@@ -755,7 +731,8 @@ fn one_quad(text: &str) -> Result<Quad, DurableError> {
 mod tests {
     use super::*;
     use crate::supersede;
-    use bdi_rdf::model::Literal;
+    use crate::system::AnswerRequest;
+    use bdi_rdf::model::{Literal, Term};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -765,6 +742,10 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn doc(collection: &str, doc: serde_json::Value) -> Write {
+        Write::InsertDoc(collection.into(), doc)
     }
 
     fn probe_quad(n: i64) -> Quad {
@@ -782,21 +763,23 @@ mod tests {
     #[test]
     fn create_then_reopen_preserves_answers_and_recovers_writes() {
         let dir = tmp("reopen");
-        let (system, store) = supersede::build_running_example_with_store();
+        let system = supersede::build_running_example();
         let expected = system
             .serve(AnswerRequest::sparql(supersede::exemplary_query()))
             .unwrap();
 
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
-        durable.insert_quad(&probe_quad(1)).unwrap();
+        let durable = BdiSystem::create(&dir, system).unwrap();
         durable
-            .insert_doc("extra", serde_json::json!({"k": 1}))
+            .apply(Write::InsertQuad(probe_quad(1).clone()))
+            .unwrap();
+        durable
+            .apply(doc("extra", serde_json::json!({"k": 1})))
             .unwrap();
         drop(durable);
 
-        let reopened = DurableSystem::open(&dir).unwrap();
-        assert!(reopened.recovery().snapshot_loaded);
-        assert_eq!(reopened.recovery().replayed, 2);
+        let reopened = BdiSystem::open(&dir).unwrap();
+        assert!(reopened.recovery().unwrap().snapshot_loaded);
+        assert_eq!(reopened.recovery().unwrap().replayed, 2);
         assert_eq!(
             reopened
                 .serve(AnswerRequest::sparql(supersede::exemplary_query()))
@@ -804,11 +787,7 @@ mod tests {
                 .relation,
             expected.relation
         );
-        assert!(reopened
-            .system()
-            .ontology()
-            .store()
-            .contains(&probe_quad(1)));
+        assert!(reopened.ontology().store().contains(&probe_quad(1)));
         assert_eq!(reopened.store().count("extra"), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -816,28 +795,30 @@ mod tests {
     #[test]
     fn checkpoint_truncates_and_counters_survive_bit_exact() {
         let dir = tmp("counters");
-        let (system, store) = supersede::build_running_example_with_store();
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
+        let system = supersede::build_running_example();
+        let durable = BdiSystem::create(&dir, system).unwrap();
         durable
-            .insert_doc("c", serde_json::json!({"n": 1}))
+            .apply(doc("c", serde_json::json!({"n": 1})))
             .unwrap();
-        durable.insert_quad(&probe_quad(1)).unwrap();
+        durable
+            .apply(Write::InsertQuad(probe_quad(1).clone()))
+            .unwrap();
         durable.checkpoint().unwrap();
         durable
-            .insert_doc("c", serde_json::json!({"n": 2}))
+            .apply(doc("c", serde_json::json!({"n": 2})))
             .unwrap();
 
-        let quad_muts = durable.system().ontology().store().mutation_count();
+        let quad_muts = durable.ontology().store().mutation_count();
         let doc_version = durable.store().data_version();
         let coll_version = durable.store().collection_version("c");
         let validity_sensitive = (quad_muts, doc_version, coll_version);
         drop(durable);
 
-        let reopened = DurableSystem::open(&dir).unwrap();
-        assert_eq!(reopened.recovery().replayed, 1); // only the post-checkpoint insert
+        let reopened = BdiSystem::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().unwrap().replayed, 1); // only the post-checkpoint insert
         assert_eq!(
             (
-                reopened.system().ontology().store().mutation_count(),
+                reopened.ontology().store().mutation_count(),
                 reopened.store().data_version(),
                 reopened.store().collection_version("c"),
             ),
@@ -850,34 +831,34 @@ mod tests {
     #[test]
     fn writes_after_checkpoint_and_reopen_survive_the_next_reopen() {
         let dir = tmp("post-ckpt");
-        let (system, store) = supersede::build_running_example_with_store();
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
-        durable.insert_quad(&probe_quad(1)).unwrap(); // seq 1
+        let system = supersede::build_running_example();
+        let durable = BdiSystem::create(&dir, system).unwrap();
+        durable
+            .apply(Write::InsertQuad(probe_quad(1).clone()))
+            .unwrap(); // seq 1
         durable.checkpoint().unwrap(); // image.seq = 1, WAL truncated
         drop(durable);
 
         // The reopened handle must seed its seqs above the image's, or
         // this acknowledged write lands at seq 1 <= image.seq and the
         // next open's replay filter silently discards it.
-        let reopened = DurableSystem::open(&dir).unwrap();
-        reopened.insert_quad(&probe_quad(2)).unwrap();
+        let reopened = BdiSystem::open(&dir).unwrap();
+        reopened
+            .apply(Write::InsertQuad(probe_quad(2).clone()))
+            .unwrap();
         drop(reopened);
 
-        let again = DurableSystem::open(&dir).unwrap();
-        assert_eq!(again.recovery().replayed, 1);
-        assert!(again.system().ontology().store().contains(&probe_quad(1)));
-        assert!(again.system().ontology().store().contains(&probe_quad(2)));
+        let again = BdiSystem::open(&dir).unwrap();
+        assert_eq!(again.recovery().unwrap().replayed, 1);
+        assert!(again.ontology().store().contains(&probe_quad(1)));
+        assert!(again.ontology().store().contains(&probe_quad(2)));
 
         // And a checkpoint over the recovered handle must cover that
         // write, never regress below the image's seq.
         assert!(again.checkpoint().unwrap() >= 2);
         drop(again);
-        let final_open = DurableSystem::open(&dir).unwrap();
-        assert!(final_open
-            .system()
-            .ontology()
-            .store()
-            .contains(&probe_quad(2)));
+        let final_open = BdiSystem::open(&dir).unwrap();
+        assert!(final_open.ontology().store().contains(&probe_quad(2)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -886,8 +867,8 @@ mod tests {
         // Compacted, `sup:lagRatio.` would read back as `sup:lagRatio` and
         // a `.`, and the checkpoint image would not restore.
         let dir = tmp("dotted");
-        let (system, store) = supersede::build_running_example_with_store();
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
+        let system = supersede::build_running_example();
+        let durable = BdiSystem::create(&dir, system).unwrap();
         let dotted = Iri::new(format!("{}lagRatio.", supersede::SUP_NS));
         let quad = Quad::new(
             dotted.clone(),
@@ -895,13 +876,13 @@ mod tests {
             dotted,
             GraphName::Default,
         );
-        durable.insert_quad(&quad).unwrap();
+        durable.apply(Write::InsertQuad(quad.clone())).unwrap();
         durable.checkpoint().unwrap();
         drop(durable);
 
-        let reopened = DurableSystem::open(&dir).unwrap();
-        assert_eq!(reopened.recovery().replayed, 0);
-        assert!(reopened.system().ontology().store().contains(&quad));
+        let reopened = BdiSystem::open(&dir).unwrap();
+        assert_eq!(reopened.recovery().unwrap().replayed, 0);
+        assert!(reopened.ontology().store().contains(&quad));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -910,34 +891,31 @@ mod tests {
         let dir = tmp("refuse-wal");
         // A never-checkpointed deployment: cold open + journaled writes,
         // so the directory holds a WAL with records but no snapshot.
-        let cold = DurableSystem::open(&dir).unwrap();
-        cold.insert_quad(&probe_quad(1)).unwrap();
+        let cold = BdiSystem::open(&dir).unwrap();
+        cold.apply(Write::InsertQuad(probe_quad(1).clone()))
+            .unwrap();
         drop(cold);
 
-        let (system, store) = supersede::build_running_example_with_store();
+        let system = supersede::build_running_example();
         assert!(matches!(
-            DurableSystem::create(&dir, system, store),
+            BdiSystem::create(&dir, system),
             Err(DurableError::AlreadyInitialised(_))
         ));
         // The refused create must not have eaten the records.
-        let recovered = DurableSystem::open(&dir).unwrap();
-        assert!(recovered
-            .system()
-            .ontology()
-            .store()
-            .contains(&probe_quad(1)));
+        let recovered = BdiSystem::open(&dir).unwrap();
+        assert!(recovered.ontology().store().contains(&probe_quad(1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn create_refuses_an_initialised_directory() {
         let dir = tmp("refuse");
-        let (system, store) = supersede::build_running_example_with_store();
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
+        let system = supersede::build_running_example();
+        let durable = BdiSystem::create(&dir, system).unwrap();
         drop(durable);
-        let (system, store) = supersede::build_running_example_with_store();
+        let system = supersede::build_running_example();
         assert!(matches!(
-            DurableSystem::create(&dir, system, store),
+            BdiSystem::create(&dir, system),
             Err(DurableError::AlreadyInitialised(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -946,18 +924,15 @@ mod tests {
     #[test]
     fn rejected_mutations_do_not_journal_or_mutate() {
         let dir = tmp("reject");
-        let (system, store) = supersede::build_running_example_with_store();
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
-        let before = durable.durability_stats();
-        assert!(durable.insert_doc("c", serde_json::json!([1])).is_err());
-        assert!(durable
-            .insert_docs(
-                "c",
-                vec![serde_json::json!({"ok": 1}), serde_json::json!(2)]
-            )
-            .is_err());
-        assert!(durable.push_row("no-such-wrapper", vec![]).is_err());
-        let after = durable.durability_stats();
+        let system = supersede::build_running_example();
+        let durable = BdiSystem::create(&dir, system).unwrap();
+        let before = durable.durability_stats().unwrap();
+        assert!(durable.apply(doc("c", serde_json::json!([1]))).is_err());
+        let docs = vec![serde_json::json!({"ok": 1}), serde_json::json!(2)];
+        assert!(durable.apply(Write::InsertDocs("c".into(), docs)).is_err());
+        let row = Write::PushRow("no-such-wrapper".into(), vec![]);
+        assert!(durable.apply(row).is_err());
+        let after = durable.durability_stats().unwrap();
         assert_eq!(before.wal.records_appended, after.wal.records_appended);
         assert!(!after.poisoned);
         assert_eq!(durable.store().count("c"), 0);
@@ -967,27 +942,25 @@ mod tests {
     #[test]
     fn crash_between_log_and_apply_poisons_then_recovery_applies() {
         let dir = tmp("between");
-        let (system, store) = supersede::build_running_example_with_store();
-        let durable = DurableSystem::create(&dir, system, store).unwrap();
+        let system = supersede::build_running_example();
+        let durable = BdiSystem::create(&dir, system).unwrap();
         durable.inject_crash_before_apply(1);
-        let err = durable.insert_quad(&probe_quad(9)).unwrap_err();
+        let err = durable
+            .apply(Write::InsertQuad(probe_quad(9).clone()))
+            .unwrap_err();
         assert!(matches!(err, DurableError::Io(_)));
         // The crashed process never saw the apply…
-        assert!(!durable.system().ontology().store().contains(&probe_quad(9)));
+        assert!(!durable.ontology().store().contains(&probe_quad(9)));
         // …and is poisoned for further writes.
         assert!(matches!(
-            durable.insert_quad(&probe_quad(10)),
+            durable.apply(Write::InsertQuad(probe_quad(10).clone())),
             Err(DurableError::Poisoned(_))
         ));
         assert!(durable.checkpoint().is_err());
         drop(durable);
         // But the op was on disk, so recovery must surface it.
-        let reopened = DurableSystem::open(&dir).unwrap();
-        assert!(reopened
-            .system()
-            .ontology()
-            .store()
-            .contains(&probe_quad(9)));
+        let reopened = BdiSystem::open(&dir).unwrap();
+        assert!(reopened.ontology().store().contains(&probe_quad(9)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

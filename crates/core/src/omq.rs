@@ -6,7 +6,7 @@
 //! the template into that pair and provides the graph utilities Algorithms
 //! 2–3 need: topological sorting (DAG check) and connectivity.
 
-use bdi_rdf::model::{Iri, Term, Triple};
+use bdi_rdf::model::{Iri, Subject, Term, Triple};
 use bdi_rdf::sparql::{self, GraphSpec, SelectQuery, TermOrVar};
 use bdi_rdf::turtle::PrefixMap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -22,6 +22,8 @@ pub enum OmqError {
     NonIriValue(String),
     #[error("the template accepts only constant triple patterns in the WHERE clause; found a variable in `{0}`")]
     VariableInPattern(String),
+    #[error("a literal cannot be the subject of `{0}`")]
+    NonSubject(String),
     #[error("OMQ graph pattern must be connected; {0} component(s) found")]
     Disconnected(usize),
     #[error("projected attribute {0} does not occur in the graph pattern")]
@@ -79,7 +81,8 @@ impl Omq {
                 return Err(OmqError::VariableInPattern(qp.pattern.to_string()));
             };
             phi.push(Triple {
-                subject: s.clone(),
+                subject: Subject::try_from(s.clone())
+                    .map_err(|_| OmqError::NonSubject(qp.pattern.to_string()))?,
                 predicate: p.clone(),
                 object: o.clone(),
             });
@@ -95,7 +98,7 @@ impl Omq {
     pub(crate) fn vertices(&self) -> BTreeSet<Term> {
         let mut v = BTreeSet::new();
         for t in &self.phi {
-            v.insert(t.subject.clone());
+            v.insert(t.subject.clone().into());
             v.insert(t.object.clone());
         }
         v
@@ -114,46 +117,34 @@ impl Omq {
 
     /// Ensures `φ` defines one connected subgraph (Code 3's requirement).
     fn check_connected(&self) -> Result<(), OmqError> {
-        let vertices = self.vertices();
-        if vertices.len() <= 1 {
-            return Ok(());
-        }
-        let mut adjacency: BTreeMap<&Term, Vec<&Term>> = BTreeMap::new();
+        let mut adjacency: BTreeMap<Term, Vec<Term>> = BTreeMap::new();
         for t in &self.phi {
-            adjacency.entry(&t.subject).or_default().push(&t.object);
-            adjacency.entry(&t.object).or_default().push(&t.subject);
+            let subject = Term::from(t.subject.clone());
+            adjacency
+                .entry(subject.clone())
+                .or_default()
+                .push(t.object.clone());
+            adjacency.entry(t.object.clone()).or_default().push(subject);
         }
-        let start = vertices.iter().next().expect("non-empty");
-        let mut seen: BTreeSet<&Term> = BTreeSet::from([start]);
-        let mut queue = VecDeque::from([start]);
-        while let Some(v) = queue.pop_front() {
-            for next in adjacency.get(v).into_iter().flatten() {
-                if seen.insert(next) {
-                    queue.push_back(next);
-                }
-            }
-        }
-        if seen.len() != vertices.len() {
-            // Count components for the error message.
-            let mut components = 1;
-            let mut covered: BTreeSet<&Term> = seen;
-            for v in &vertices {
-                if !covered.contains(v) {
-                    components += 1;
-                    let mut queue = VecDeque::from([v]);
-                    covered.insert(v);
-                    while let Some(x) = queue.pop_front() {
-                        for next in adjacency.get(x).into_iter().flatten() {
-                            if covered.insert(next) {
-                                queue.push_back(next);
-                            }
+        let mut covered: BTreeSet<&Term> = BTreeSet::new();
+        let mut components = 0;
+        for start in adjacency.keys() {
+            if covered.insert(start) {
+                components += 1;
+                let mut queue = VecDeque::from([start]);
+                while let Some(v) = queue.pop_front() {
+                    for next in &adjacency[v] {
+                        if covered.insert(next) {
+                            queue.push_back(next);
                         }
                     }
                 }
             }
-            return Err(OmqError::Disconnected(components));
         }
-        Ok(())
+        match components {
+            0 | 1 => Ok(()),
+            n => Err(OmqError::Disconnected(n)),
+        }
     }
 
     /// Kahn topological sort of `φ` viewed as a directed graph. Returns
@@ -161,9 +152,12 @@ impl Omq {
     pub(crate) fn topological_sort(&self) -> Option<Vec<Term>> {
         let vertices = self.vertices();
         let mut in_degree: BTreeMap<&Term, usize> = vertices.iter().map(|v| (v, 0usize)).collect();
-        let mut out_edges: BTreeMap<&Term, Vec<&Term>> = BTreeMap::new();
+        let mut out_edges: BTreeMap<Term, Vec<&Term>> = BTreeMap::new();
         for t in &self.phi {
-            out_edges.entry(&t.subject).or_default().push(&t.object);
+            out_edges
+                .entry(t.subject.clone().into())
+                .or_default()
+                .push(&t.object);
             *in_degree.get_mut(&t.object).expect("vertex present") += 1;
         }
         let mut queue: VecDeque<&Term> = in_degree
@@ -185,12 +179,11 @@ impl Omq {
         (order.len() == vertices.len()).then_some(order)
     }
 
-    /// All triples of `φ` with the given subject.
-    pub(crate) fn triples_from<'a>(
-        &'a self,
-        subject: &'a Term,
-    ) -> impl Iterator<Item = &'a Triple> {
-        self.phi.iter().filter(move |t| &t.subject == subject)
+    /// All triples of `φ` about `concept`.
+    pub(crate) fn triples_from<'a>(&'a self, concept: &'a Iri) -> impl Iterator<Item = &'a Triple> {
+        self.phi
+            .iter()
+            .filter(move |t| matches!(&t.subject, Subject::Iri(iri) if iri == concept))
     }
 
     /// Adds a triple to `φ` if absent (query expansion, Algorithm 3 l. 12).
@@ -290,6 +283,20 @@ mod tests {
         assert!(matches!(
             Omq::parse(q, &prefixes()),
             Err(OmqError::MissingValues)
+        ));
+    }
+
+    /// The `Subject` type cannot hold a literal, so a pattern whose
+    /// subject is one is an `Err` at parse time.
+    #[test]
+    fn a_literal_subject_is_rejected() {
+        let q = r#"SELECT ?x WHERE {
+            VALUES (?x) { (sup:f) }
+            "A" G:hasFeature sup:f .
+        }"#;
+        assert!(matches!(
+            Omq::parse(q, &prefixes()),
+            Err(OmqError::NonSubject(_))
         ));
     }
 

@@ -9,7 +9,7 @@
 
 use crate::ontology::BdiOntology;
 use crate::vocab;
-use bdi_rdf::model::{GraphName, Iri, Term, Triple};
+use bdi_rdf::model::{GraphName, Iri, Subject, Term, Triple};
 use bdi_rdf::vocab::{owl, rdf};
 use bdi_wrappers::{Wrapper, WrapperRegistry};
 use std::collections::BTreeMap;
@@ -116,7 +116,7 @@ pub(crate) fn validate_release(
             return Err(ReleaseError::UnknownFeature(feature.as_str().to_owned()));
         }
         let in_lav = release.lav_graph.iter().any(|t| {
-            t.subject == Term::Iri(feature.clone()) || t.object == Term::Iri(feature.clone())
+            t.subject == Subject::Iri(feature.clone()) || t.object == Term::Iri(feature.clone())
         });
         if !in_lav {
             return Err(ReleaseError::FeatureNotInLavGraph(

@@ -59,7 +59,7 @@ pub fn query_expansion(ontology: &BdiOntology, query: &Omq) -> Result<ExpandedQu
             // The concept must still expose at least one queried feature,
             // otherwise later phases cannot anchor any wrapper on it.
             let has_queried_feature = expanded
-                .triples_from(&Term::Iri(concept.clone()))
+                .triples_from(concept)
                 .any(|t| t.predicate == *vocab::g::HAS_FEATURE);
             if !has_queried_feature {
                 return Err(ExpandError::UnjoinableConcept(concept.as_str().to_owned()));

@@ -16,7 +16,7 @@ use super::walk::Walk;
 use crate::omq::Omq;
 use crate::ontology::BdiOntology;
 use crate::vocab;
-use bdi_rdf::model::{Iri, Term};
+use bdi_rdf::model::Iri;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Partial walks grouped by concept, in query order.
@@ -35,7 +35,7 @@ pub fn intra_concept_generation(
     for concept in concepts {
         // Step ③ (line 6): features requested for this concept in Q'_G.φ.
         let features: BTreeSet<Iri> = expanded
-            .triples_from(&Term::Iri(concept.clone()))
+            .triples_from(concept)
             .filter(|t| t.predicate == *vocab::g::HAS_FEATURE)
             .filter_map(|t| t.object.as_iri().cloned())
             .collect();

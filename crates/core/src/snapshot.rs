@@ -6,21 +6,19 @@
 //! backing document collections and the release log — as one JSON document
 //! that restores to an equivalent, queryable [`BdiSystem`].
 //!
-//! There are two persisted types, on purpose. `SystemSnapshot` is the
-//! *portable* one: what `mdm snapshot` / `mdm load` exchange between
-//! machines, holding nothing but the deployment. A
-//! `DurableImage` (in [`crate::durable`]) wraps one and adds what only makes
-//! sense next to the write-ahead log it was checkpointed beside — the WAL
-//! seq it covers and the cache-validity counters recovery restores
-//! bit-exact — so it is private to its data directory and is never the
-//! exchange format: a restored `SystemSnapshot` starts its counters afresh,
-//! an image loaded without its log would claim writes it cannot replay.
+//! One system type persists two ways. A `SystemSnapshot` is *portable*:
+//! what `mdm snapshot` / `mdm load` exchange, holding only the deployment,
+//! and it restores to a volatile system with fresh counters. A journaled
+//! system's checkpoint wraps one in a `DurableImage` (see
+//! [`crate::durable`]) with the WAL seq it covers and the counters
+//! recovery restores bit-exact, so that image is private to its data
+//! directory: loaded without its log, it would claim writes it cannot
+//! replay.
 
 use crate::ontology::BdiOntology;
 use crate::system::{BdiSystem, ReleaseLogEntry};
 use bdi_docstore::DocStore;
 use bdi_rdf::trig;
-use bdi_rdf::turtle::PrefixMap;
 use bdi_wrappers::{WrapperRegistry, WrapperSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -86,17 +84,15 @@ pub fn snapshot(system: &BdiSystem, store: &DocStore) -> Result<SystemSnapshot, 
 }
 
 /// Restores a deployment: rebuilds the document store, the wrappers and the
-/// ontology, returning `(system, store)`.
-pub fn restore(image: &SystemSnapshot) -> Result<(BdiSystem, DocStore), SnapshotError> {
+/// ontology into a volatile system.
+pub fn restore(image: &SystemSnapshot) -> Result<BdiSystem, SnapshotError> {
     let store = DocStore::new();
     store
         .restore(image.collections.clone())
         .map_err(|e| SnapshotError::Store(e.to_string()))?;
 
     let mut ontology = BdiOntology::new();
-    let mut prefixes = PrefixMap::new();
     for (p, n) in &image.prefixes {
-        prefixes.insert(p.clone(), n.clone());
         ontology.prefixes_mut().insert(p.clone(), n.clone());
     }
     trig::load_trig(ontology.store(), &image.ontology_trig)
@@ -110,9 +106,9 @@ pub fn restore(image: &SystemSnapshot) -> Result<(BdiSystem, DocStore), Snapshot
         registry.register(wrapper);
     }
 
-    let mut system = BdiSystem::from_parts(ontology, registry);
+    let mut system = BdiSystem::from_parts(ontology, registry).with_store(store);
     system.set_release_log(image.release_log.clone());
-    Ok((system, store))
+    Ok(system)
 }
 
 /// Serializes a snapshot as pretty JSON.
@@ -133,16 +129,16 @@ mod tests {
 
     #[test]
     fn snapshot_restore_preserves_query_answers() {
-        let (mut system, store) = supersede::build_running_example_with_store();
-        supersede::evolve_with_w4(&mut system, &store);
+        let mut system = supersede::build_running_example();
+        supersede::evolve_with_w4(&mut system);
         let original = system
             .serve(AnswerRequest::sparql(supersede::exemplary_query()))
             .unwrap();
 
-        let image = snapshot(&system, &store).unwrap();
+        let image = snapshot(&system, system.store()).unwrap();
         let json = to_json(&image).unwrap();
         let parsed = from_json(&json).unwrap();
-        let (restored, _) = restore(&parsed).unwrap();
+        let restored = restore(&parsed).unwrap();
 
         let replayed = restored
             .serve(AnswerRequest::sparql(supersede::exemplary_query()))
@@ -157,10 +153,10 @@ mod tests {
     #[test]
     fn snapshot_preserves_the_release_log_and_scopes() {
         use crate::system::VersionScope;
-        let (mut system, store) = supersede::build_running_example_with_store();
-        supersede::evolve_with_w4(&mut system, &store);
-        let image = snapshot(&system, &store).unwrap();
-        let (restored, _) = restore(&image).unwrap();
+        let mut system = supersede::build_running_example();
+        supersede::evolve_with_w4(&mut system);
+        let image = snapshot(&system, system.store()).unwrap();
+        let restored = restore(&image).unwrap();
 
         assert_eq!(restored.release_log().len(), 4);
         let historical = restored
@@ -196,7 +192,7 @@ mod tests {
 }"#;
         let image = from_json(IMAGE).unwrap();
         assert_eq!(to_json(&image).unwrap(), IMAGE);
-        let (restored, _) = restore(&image).unwrap();
+        let restored = restore(&image).unwrap();
         let entry = |seq, wrapper: &str| ReleaseLogEntry {
             seq,
             wrapper: wrapper.into(),
@@ -205,11 +201,44 @@ mod tests {
         assert_eq!(restored.release_log(), [entry(0, "w1"), entry(1, "w4")]);
     }
 
+    /// A volatile system takes its writes through `apply`, validated as a
+    /// journaled one's are, so an image of it restores.
+    #[test]
+    fn a_volatile_system_written_through_apply_snapshots_and_restores() {
+        use crate::durable::Write;
+        use bdi_rdf::model::{GraphName, Iri, Literal, Quad};
+        let system = supersede::build_running_example();
+        let quad = Quad::new(
+            Iri::new(format!("{}lagRatio", supersede::SUP_NS)),
+            Iri::new("http://example.org/p"),
+            Literal::string("x"),
+            GraphName::Default,
+        );
+        assert_eq!(system.apply(Write::InsertQuad(quad.clone())).unwrap(), 1);
+        let doc =
+            serde_json::json!({"monitorId": 12, "timestamp": 1, "waitTime": 2, "watchTime": 10});
+        let vod = bdi_wrappers::supersede::VOD_COLLECTION;
+        system.apply(Write::InsertDoc(vod.into(), doc)).unwrap();
+        let not_an_object = Write::InsertDoc(vod.into(), serde_json::json!([1]));
+        assert!(system.apply(not_an_object).is_err());
+        let answer = |s: &BdiSystem| {
+            s.serve(AnswerRequest::sparql(supersede::exemplary_query()))
+                .unwrap()
+                .relation
+        };
+        assert_eq!(answer(&system).len(), 4);
+
+        let image = to_json(&snapshot(&system, system.store()).unwrap()).unwrap();
+        let restored = restore(&from_json(&image).unwrap()).unwrap();
+        assert!(restored.ontology().store().contains(&quad));
+        assert_eq!(answer(&restored), answer(&system));
+    }
+
     #[test]
     fn snapshot_preserves_ontology_size_exactly() {
-        let (system, store) = supersede::build_running_example_with_store();
-        let image = snapshot(&system, &store).unwrap();
-        let (restored, _) = restore(&image).unwrap();
+        let system = supersede::build_running_example();
+        let image = snapshot(&system, system.store()).unwrap();
+        let restored = restore(&image).unwrap();
         assert_eq!(
             restored.ontology().store().len(),
             system.ontology().store().len()

@@ -168,7 +168,7 @@ mod tests {
         let system = supersede::build_running_example();
         let lav = suggest_lav_graph(system.ontology(), &[features::monitor_id()]).unwrap();
         assert_eq!(lav.len(), 1);
-        assert_eq!(lav[0].subject, Term::Iri(concepts::monitor()));
+        assert_eq!(lav[0].subject, concepts::monitor().into());
     }
 
     #[test]

@@ -264,14 +264,9 @@ pub fn release_w4(wrapper: Arc<dyn Wrapper>) -> Release {
 /// Builds the complete running example: ontology + Table 1 data + releases
 /// of `w1`, `w2`, `w3`.
 pub fn build_running_example() -> BdiSystem {
-    build_running_example_with_store().0
-}
-
-/// Like [`build_running_example`], also returning the backing document
-/// store (needed to later ingest the evolved VoD API's documents).
-pub fn build_running_example_with_store() -> (BdiSystem, bdi_docstore::DocStore) {
     let store = data::sample_docstore();
-    let mut system = BdiSystem::from_parts(build_ontology(), Default::default());
+    let mut system =
+        BdiSystem::from_parts(build_ontology(), Default::default()).with_store(store.clone());
     system
         .register_release(release_w1(Arc::new(data::wrapper_w1(store.clone()))))
         .expect("static release");
@@ -281,18 +276,16 @@ pub fn build_running_example_with_store() -> (BdiSystem, bdi_docstore::DocStore)
     system
         .register_release(release_w3(Arc::new(data::wrapper_w3(store.clone()))))
         .expect("static release");
-    (system, store)
+    system
 }
 
 /// Applies the §2.1 evolution: the VoD API releases version 2 (lagRatio →
 /// bufferingRatio); the steward ingests its documents and registers `w4`.
-pub fn evolve_with_w4(
-    system: &mut BdiSystem,
-    store: &bdi_docstore::DocStore,
-) -> crate::release::ReleaseStats {
-    data::ingest_vod_v2(store);
+pub fn evolve_with_w4(system: &mut BdiSystem) -> crate::release::ReleaseStats {
+    data::ingest_vod_v2(system.store());
+    let w4 = data::wrapper_w4(system.store().clone());
     system
-        .register_release(release_w4(Arc::new(data::wrapper_w4(store.clone()))))
+        .register_release(release_w4(Arc::new(w4)))
         .expect("static release")
 }
 
@@ -406,8 +399,8 @@ mod tests {
 
     #[test]
     fn evolution_unions_both_schema_versions() {
-        let (mut system, store) = build_running_example_with_store();
-        let stats = evolve_with_w4(&mut system, &store);
+        let mut system = build_running_example();
+        let stats = evolve_with_w4(&mut system);
         assert!(!stats.new_source);
         assert_eq!(stats.attributes_reused, 1);
 

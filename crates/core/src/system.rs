@@ -17,6 +17,7 @@
 //! persistent [`ExecContext`]: each query that reuses scans pins the current
 //! `Arc`, and a replacement swaps it in without touching queries in flight.
 
+use crate::durable::{DurableError, Journal};
 use crate::exec::{
     self, CompiledQuery, ExecError, ExecOptions, PlanNote, PlanShape, SourceFailure,
 };
@@ -25,6 +26,7 @@ use crate::ontology::BdiOntology;
 use crate::release::{self, Release, ReleaseError, ReleaseStats};
 use crate::rewrite::{self, RewriteError, Rewriting};
 use crate::vocab;
+use bdi_docstore::DocStore;
 use bdi_relational::{ContextCounters, ExecContext};
 use bdi_wrappers::WrapperRegistry;
 use std::collections::{BTreeSet, HashMap};
@@ -263,17 +265,6 @@ impl Default for ExecCache {
     }
 }
 
-impl std::fmt::Debug for ExecCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecCache")
-            .field("entries", &self.entries())
-            .field("hits", &self.hits.load(Ordering::Relaxed))
-            .field("misses", &self.misses.load(Ordering::Relaxed))
-            .field("rewrite_hits", &self.rewrite_hits.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 impl ExecCache {
     /// Locks the plan cache and brings it up to `validity`. Every lookup
     /// does this. An ontology-side change flushes the plans: their
@@ -475,13 +466,17 @@ pub struct ContextStats {
     pub full_scans: u64,
 }
 
-/// A complete, queryable BDI deployment.
-#[derive(Debug, Default)]
+/// A complete, queryable BDI deployment, and its journal when it persists.
+/// Every data write goes through [`BdiSystem::apply`].
+#[derive(Default)]
 pub struct BdiSystem {
     ontology: BdiOntology,
     registry: WrapperRegistry,
+    store: DocStore,
     release_log: Vec<ReleaseLogEntry>,
     cache: ExecCache,
+    /// The WAL and image this system persists to (see [`crate::durable`]).
+    pub(crate) journal: Option<Journal>,
 }
 
 /// The answer to an OMQ, together with the rewriting that produced it.
@@ -611,9 +606,16 @@ impl BdiSystem {
         Self {
             ontology,
             registry,
+            store: DocStore::new(),
             release_log,
             cache: ExecCache::default(),
+            journal: None,
         }
+    }
+
+    /// Backs this system with the document store its JSON wrappers read.
+    pub fn with_store(self, store: DocStore) -> Self {
+        Self { store, ..self }
     }
 
     /// The cache validity stamp for the system's current state: release
@@ -635,20 +637,35 @@ impl BdiSystem {
         &self.registry
     }
 
+    /// The document store behind the JSON wrappers.
+    pub fn store(&self) -> &DocStore {
+        &self.store
+    }
+
     /// Applies Algorithm 1 for a new release and registers its wrapper.
     /// A release under a wrapper name already registered is refused before
     /// anything is written ([`ReleaseError::WrapperExists`]). Every
     /// registration flushes the cross-query plan cache, since the new
     /// wrapper changes what queries rewrite to. The persistent context
-    /// keeps its cached scans: none of them can read the new wrapper.
-    pub fn register_release(&mut self, release: Release) -> Result<ReleaseStats, SystemError> {
-        let stats = release::apply_release(&self.ontology, &mut self.registry, release)?;
+    /// keeps its cached scans: none of them can read the new wrapper. A
+    /// journaled system does not log a release: it checkpoints after it,
+    /// and a failed checkpoint poisons the journal.
+    pub fn register_release(&mut self, release: Release) -> Result<ReleaseStats, DurableError> {
+        if let Some(journal) = &self.journal {
+            drop(journal.ready()?);
+        }
+        let stats = release::apply_release(&self.ontology, &mut self.registry, release)
+            .map_err(SystemError::from)?;
         self.release_log.push(ReleaseLogEntry {
             seq: self.release_log.len(),
             wrapper: stats.wrapper.clone(),
             source: stats.source.clone(),
         });
         self.cache.invalidate(self.cache_validity());
+        if let Some(journal) = &self.journal {
+            self.checkpoint()
+                .map_err(|e| journal.poison("release checkpoint failed", e))?;
+        }
         Ok(stats)
     }
 

@@ -257,8 +257,8 @@ mod tests {
 
     #[test]
     fn evolved_example_stays_consistent() {
-        let (mut system, store) = supersede::build_running_example_with_store();
-        supersede::evolve_with_w4(&mut system, &store);
+        let mut system = supersede::build_running_example();
+        supersede::evolve_with_w4(&mut system);
         assert!(check_ontology(system.ontology()).is_empty());
     }
 

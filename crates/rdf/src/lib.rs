@@ -53,5 +53,5 @@ pub mod trig;
 pub mod turtle;
 pub mod vocab;
 
-pub use model::{BlankNode, GraphName, Iri, Literal, Quad, Term, Triple};
+pub use model::{BlankNode, GraphName, Iri, Literal, Quad, Subject, Term, Triple};
 pub use store::{GraphPattern, QuadStore};

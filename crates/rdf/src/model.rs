@@ -286,17 +286,84 @@ impl From<BlankNode> for Term {
     }
 }
 
+/// What a triple or quad is about: an IRI or a blank node. RDF data
+/// cannot hold a literal subject, so the model cannot build one:
+///
+/// ```compile_fail
+/// use bdi_rdf::model::{GraphName, Iri, Literal, Quad};
+/// let _ = Quad::new(
+///     Literal::string("not a subject"),
+///     Iri::new("http://e/p"),
+///     Iri::new("http://e/o"),
+///     GraphName::Default,
+/// );
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Subject {
+    Iri(Iri),
+    Blank(BlankNode),
+}
+
+impl fmt::Display for Subject {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Subject::Iri(iri) => iri.fmt(f),
+            Subject::Blank(b) => b.fmt(f),
+        }
+    }
+}
+
+impl From<Iri> for Subject {
+    fn from(value: Iri) -> Self {
+        Subject::Iri(value)
+    }
+}
+
+impl From<&Iri> for Subject {
+    fn from(value: &Iri) -> Self {
+        Subject::Iri(value.clone())
+    }
+}
+
+impl From<BlankNode> for Subject {
+    fn from(value: BlankNode) -> Self {
+        Subject::Blank(value)
+    }
+}
+
+/// A term in subject position; a literal is refused and handed back.
+impl TryFrom<Term> for Subject {
+    type Error = Literal;
+
+    fn try_from(value: Term) -> Result<Self, Literal> {
+        match value {
+            Term::Iri(iri) => Ok(Subject::Iri(iri)),
+            Term::Blank(b) => Ok(Subject::Blank(b)),
+            Term::Literal(l) => Err(l),
+        }
+    }
+}
+
+impl From<Subject> for Term {
+    fn from(value: Subject) -> Self {
+        match value {
+            Subject::Iri(iri) => Term::Iri(iri),
+            Subject::Blank(b) => Term::Blank(b),
+        }
+    }
+}
+
 /// A triple in the default graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
-    pub subject: Term,
+    pub subject: Subject,
     pub predicate: Iri,
     pub object: Term,
 }
 
 impl Triple {
     pub fn new(
-        subject: impl Into<Term>,
+        subject: impl Into<Subject>,
         predicate: impl Into<Iri>,
         object: impl Into<Term>,
     ) -> Self {
@@ -363,7 +430,7 @@ impl From<Iri> for GraphName {
 /// A quad: a triple plus the graph it belongs to.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Quad {
-    pub subject: Term,
+    pub subject: Subject,
     pub predicate: Iri,
     pub object: Term,
     pub graph: GraphName,
@@ -371,7 +438,7 @@ pub struct Quad {
 
 impl Quad {
     pub fn new(
-        subject: impl Into<Term>,
+        subject: impl Into<Subject>,
         predicate: impl Into<Iri>,
         object: impl Into<Term>,
         graph: impl Into<GraphName>,

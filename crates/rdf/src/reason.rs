@@ -117,6 +117,7 @@ mod tests {
             (*rdfs::SUB_CLASS_OF).clone(),
             blank.clone(),
         );
+        let blank = crate::model::Subject::try_from(blank).unwrap();
         store.insert_in(&g, blank, (*rdfs::SUB_CLASS_OF).clone(), iri("http://e/C"));
         assert!(is_subclass_of(
             &store,

@@ -29,7 +29,7 @@
 //! helpers are thin decoded views over the same primitive.
 
 use crate::interner::{Interner, TermId};
-use crate::model::{GraphName, Iri, Quad, Term, Triple};
+use crate::model::{GraphName, Iri, Quad, Subject, Term, Triple};
 use parking_lot::RwLock;
 use std::collections::BTreeSet;
 
@@ -143,7 +143,11 @@ impl Inner {
 
     fn encode_quad(&mut self, quad: &Quad) -> Key {
         let g = self.graph_code(&quad.graph);
-        let s = self.interner.intern(&quad.subject).raw();
+        let s = match &quad.subject {
+            Subject::Iri(iri) => self.interner.intern_iri(iri),
+            Subject::Blank(b) => self.interner.intern(&Term::Blank(b.clone())),
+        }
+        .raw();
         let p = self.interner.intern_iri(&quad.predicate).raw();
         let o = self.interner.intern(&quad.object).raw();
         [g, s, p, o]
@@ -152,7 +156,11 @@ impl Inner {
     fn encode_quad_existing(&self, quad: &Quad) -> Option<Key> {
         Some([
             self.graph_code_existing(&quad.graph)?,
-            self.interner.get(&quad.subject)?.raw(),
+            match &quad.subject {
+                Subject::Iri(iri) => self.interner.get_iri(iri),
+                Subject::Blank(b) => self.interner.get(&Term::Blank(b.clone())),
+            }?
+            .raw(),
             self.interner.get_iri(&quad.predicate)?.raw(),
             self.interner.get(&quad.object)?.raw(),
         ])
@@ -183,7 +191,8 @@ impl Inner {
     }
 
     fn decode(&self, g: u32, s: u32, p: u32, o: u32) -> Quad {
-        let subject = self.interner.resolve(TermId::from_raw(s)).clone();
+        let subject = Subject::try_from(self.interner.resolve(TermId::from_raw(s)).clone())
+            .unwrap_or_else(|l| unreachable!("subject resolved to the literal {l}"));
         let predicate = match self.interner.resolve(TermId::from_raw(p)) {
             Term::Iri(iri) => iri.clone(),
             other => unreachable!("predicate resolved to non-IRI term {other}"),
@@ -375,7 +384,7 @@ impl QuadStore {
     pub fn insert_in(
         &self,
         graph: &GraphName,
-        subject: impl Into<Term>,
+        subject: impl Into<Subject>,
         predicate: impl Into<Iri>,
         object: impl Into<Term>,
     ) -> bool {
@@ -1033,10 +1042,11 @@ mod tests {
         assert_eq!(a, b);
         // Every index permutation answers consistently after bulk build.
         for q in &quads {
+            let subject = Term::from(q.subject.clone());
             assert!(bulk.contains(q));
             assert!(!bulk
                 .match_quads(
-                    Some(&q.subject),
+                    Some(&subject),
                     Some(&q.predicate),
                     None,
                     &GraphPattern::from(&q.graph)
@@ -1051,7 +1061,7 @@ mod tests {
                 )
                 .is_empty());
             assert!(!bulk
-                .match_quads(Some(&q.subject), None, Some(&q.object), &GraphPattern::Any)
+                .match_quads(Some(&subject), None, Some(&q.object), &GraphPattern::Any)
                 .is_empty());
         }
     }

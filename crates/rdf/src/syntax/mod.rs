@@ -29,7 +29,7 @@
 
 pub(crate) mod lexer;
 
-use crate::model::{BlankNode, GraphName, InvalidTerm, Iri, Literal, Quad, Term};
+use crate::model::{BlankNode, GraphName, InvalidTerm, Iri, Literal, Quad, Subject, Term};
 use crate::sparql::ast::*;
 use crate::turtle::PrefixMap;
 use lexer::{tokenize, Token};
@@ -357,15 +357,11 @@ fn into_quad(qp: QuadPattern) -> Result<Quad, ParseError> {
             found: v.to_string(),
         }),
     };
-    let subject = match term(qp.pattern.subject)? {
-        Term::Literal(l) => {
-            return Err(ParseError::Unexpected {
-                expected: "IRI or blank node subject",
-                found: l.to_string(),
-            })
-        }
-        s => s,
-    };
+    let subject =
+        Subject::try_from(term(qp.pattern.subject)?).map_err(|l| ParseError::Unexpected {
+            expected: "IRI or blank node subject",
+            found: l.to_string(),
+        })?;
     let predicate = match term(qp.pattern.predicate)? {
         Term::Iri(p) => p,
         other => {

@@ -9,7 +9,7 @@
 //! rather than mis-reading. It is read with the tokenizer and triples
 //! grammar SPARQL and TriG use.
 
-use crate::model::{GraphName, Iri, Quad, Term, Triple};
+use crate::model::{GraphName, Iri, Quad, Subject, Term, Triple};
 use crate::syntax::{lexer, parse_document, ParseError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -132,11 +132,11 @@ pub(crate) fn write_prefixes(out: &mut String, prefixes: &PrefixMap) {
 /// line starting with `indent`.
 pub(crate) fn write_triples<'a>(
     out: &mut String,
-    triples: impl IntoIterator<Item = (&'a Term, &'a Iri, &'a Term)>,
+    triples: impl IntoIterator<Item = (&'a Subject, &'a Iri, &'a Term)>,
     prefixes: &PrefixMap,
     indent: &str,
 ) {
-    let mut by_subject: BTreeMap<String, (&Term, BTreeMap<&Iri, Vec<&Term>>)> = BTreeMap::new();
+    let mut by_subject: BTreeMap<String, (&Subject, BTreeMap<&Iri, Vec<&Term>>)> = BTreeMap::new();
     for (s, p, o) in triples {
         let (_, predicates) = by_subject
             .entry(s.to_string())
@@ -144,7 +144,8 @@ pub(crate) fn write_triples<'a>(
         predicates.entry(p).or_default().push(o);
     }
     for (subject, predicates) in by_subject.values() {
-        let _ = write!(out, "{indent}{}", render_term(subject, prefixes));
+        let subject = Term::from((*subject).clone());
+        let _ = write!(out, "{indent}{}", render_term(&subject, prefixes));
         for (i, (pred, objects)) in predicates.iter().enumerate() {
             if i > 0 {
                 let _ = write!(out, " ;\n{indent}   ");
@@ -249,7 +250,7 @@ mod tests {
         assert_eq!(triples.len(), 3);
         assert!(triples
             .iter()
-            .all(|t| t.subject == Term::iri("http://example.org/a")));
+            .all(|t| t.subject == Iri::new("http://example.org/a").into()));
     }
 
     #[test]
@@ -365,7 +366,7 @@ mod tests {
             _:b0 ex:p ex:a .
         "#;
         let (triples, _) = parse_turtle(doc).unwrap();
-        assert_eq!(triples[0].subject, Term::Blank(BlankNode::new("b0")));
+        assert_eq!(triples[0].subject, BlankNode::new("b0").into());
     }
 
     #[test]

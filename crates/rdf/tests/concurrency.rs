@@ -133,7 +133,7 @@ fn concurrent_removals_and_queries() {
                 let all = store.match_quads(None, None, None, &GraphPattern::Any);
                 assert!(all.len() <= 1_000);
                 for q in &all {
-                    assert!(q.subject.as_iri().is_some());
+                    assert!(matches!(q.subject, bdi_rdf::Subject::Iri(_)));
                 }
             }
         });

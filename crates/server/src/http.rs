@@ -285,25 +285,23 @@ pub mod client {
 
     /// `POST /query` with a JSON body; returns `(status, parsed body)`.
     pub fn post_query(addr: &str, body: &Value) -> io::Result<(u16, Value)> {
-        let (status, text) = request(addr, "POST", "/query", Some(&body.to_string()))?;
-        let parsed = serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok((status, parsed))
+        parsed(request(addr, "POST", "/query", Some(&body.to_string()))?)
     }
 
     /// `GET /stats`; returns `(status, parsed body)`.
     pub fn get_stats(addr: &str) -> io::Result<(u16, Value)> {
-        let (status, text) = request(addr, "GET", "/stats", None)?;
-        let parsed = serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok((status, parsed))
+        parsed(request(addr, "GET", "/stats", None)?)
     }
 
     /// `POST /checkpoint`; returns `(status, parsed body)`.
     pub fn post_checkpoint(addr: &str) -> io::Result<(u16, Value)> {
-        let (status, text) = request(addr, "POST", "/checkpoint", None)?;
-        let parsed = serde_json::from_str(&text)
+        parsed(request(addr, "POST", "/checkpoint", None)?)
+    }
+
+    /// A response with its JSON body parsed.
+    fn parsed((status, text): (u16, String)) -> io::Result<(u16, Value)> {
+        let body = serde_json::from_str(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok((status, parsed))
+        Ok((status, body))
     }
 }

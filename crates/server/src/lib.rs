@@ -24,10 +24,13 @@
 //!   "plan_notes", "source_failures"}`.
 //! * `GET /stats` — plan-cache (`entries`, `hits`, `misses`, and
 //!   `rewrite_hits`: the misses that re-planned over a cached rewriting),
-//!   context-pool, planner and retry counters (plus a `durability` section
-//!   when serving a durable backend).
-//! * `POST /checkpoint` — snapshots a durable backend's deployment image
-//!   and truncates its WAL; 404 on a volatile backend.
+//!   context-pool, planner and retry counters, plus a `durability` section
+//!   when the system has a journal.
+//! * `POST /checkpoint` — snapshots a journaled system's deployment image
+//!   and truncates its WAL; 404 when the system has no journal.
+//!
+//! Graceful shutdown checkpoints a journaled system, so the next boot
+//! recovers from the image instead of a long replay.
 //!
 //! Status mapping: 400 for malformed bodies and ill-posed queries, 404/405
 //! for unknown routes, 504 when a per-request deadline expires, 500 for
@@ -52,37 +55,6 @@ pub mod ops;
 /// shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(50);
 
-/// What the server serves from: a volatile in-memory system, or a durable
-/// deployment whose mutations and checkpoints persist under a data
-/// directory (`--data-dir`). The durable variant adds the
-/// `POST /checkpoint` admin endpoint, a `durability` section to
-/// `GET /stats`, and a best-effort checkpoint on graceful shutdown.
-#[derive(Clone)]
-pub(crate) enum Backend {
-    /// A volatile system (the pre-durability default).
-    Plain(Arc<BdiSystem>),
-    /// A durable deployment (see [`DurableSystem`]).
-    Durable(Arc<DurableSystem>),
-}
-
-impl Backend {
-    /// The query-serving system, whichever variant holds it.
-    pub(crate) fn system(&self) -> &BdiSystem {
-        match self {
-            Backend::Plain(system) => system,
-            Backend::Durable(durable) => durable.system(),
-        }
-    }
-
-    /// The durable deployment, when this backend has one.
-    pub(crate) fn durable(&self) -> Option<&DurableSystem> {
-        match self {
-            Backend::Plain(_) => None,
-            Backend::Durable(durable) => Some(durable),
-        }
-    }
-}
-
 /// Server-side knobs applied to every request.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
@@ -101,7 +73,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    backend: Backend,
+    system: Arc<BdiSystem>,
 }
 
 impl ServerHandle {
@@ -121,13 +93,10 @@ impl ServerHandle {
         let _ = TcpStream::connect(self.addr);
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-            // Graceful shutdown of a durable backend checkpoints it, so the
-            // next boot recovers from the image instead of a long replay.
-            // Best-effort: a failed checkpoint only costs replay time —
-            // every acknowledged mutation is already in the WAL.
-            if let Some(durable) = self.backend.durable() {
-                let _ = durable.checkpoint();
-            }
+            // Best-effort, and a no-op without a journal: a failed
+            // checkpoint only costs replay time, since every acknowledged
+            // write is already in the WAL.
+            let _ = self.system.checkpoint();
         }
     }
 }
@@ -150,45 +119,34 @@ pub fn start_with(
     addr: impl ToSocketAddrs,
     config: ServerConfig,
 ) -> io::Result<ServerHandle> {
-    start_backend(Backend::Plain(system), addr, config)
-}
-
-/// Starts the server over a durable deployment: queries serve from the
-/// recovered system, `POST /checkpoint` snapshots it, and graceful
-/// shutdown checkpoints best-effort.
-pub fn start_durable(
-    durable: Arc<DurableSystem>,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    start_backend(Backend::Durable(durable), addr, config)
-}
-
-/// Starts the server over an explicit [`Backend`].
-pub(crate) fn start_backend(
-    backend: Backend,
-    addr: impl ToSocketAddrs,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let accept = {
         let stop = stop.clone();
-        let backend = backend.clone();
-        std::thread::spawn(move || accept_loop(listener, backend, config, stop))
+        let system = system.clone();
+        std::thread::spawn(move || accept_loop(listener, system, config, stop))
     };
     Ok(ServerHandle {
         addr,
         stop,
         accept: Some(accept),
-        backend,
+        system,
     })
+}
+
+/// [`start_with`] over the system a [`DurableSystem`] shares.
+pub fn start_durable(
+    durable: Arc<DurableSystem>,
+    addr: impl ToSocketAddrs,
+    config: ServerConfig,
+) -> io::Result<ServerHandle> {
+    start_with(durable.0.clone(), addr, config)
 }
 
 fn accept_loop(
     listener: TcpListener,
-    backend: Backend,
+    system: Arc<BdiSystem>,
     config: ServerConfig,
     stop: Arc<AtomicBool>,
 ) {
@@ -199,11 +157,11 @@ fn accept_loop(
                 if stop.load(Ordering::Acquire) {
                     break;
                 }
-                let backend = backend.clone();
+                let system = system.clone();
                 let config = config.clone();
                 let stop = stop.clone();
                 let handle = std::thread::spawn(move || {
-                    let _ = serve_connection(stream, &backend, &config, &stop);
+                    let _ = serve_connection(stream, &system, &config, &stop);
                 });
                 // A worker thread that panicked mid-push must not take the
                 // accept loop down with it.
@@ -234,7 +192,7 @@ fn accept_loop(
 /// error occurs, a request is refused, or shutdown is requested.
 fn serve_connection(
     mut stream: TcpStream,
-    backend: &Backend,
+    system: &BdiSystem,
     config: &ServerConfig,
     stop: &AtomicBool,
 ) -> io::Result<()> {
@@ -252,7 +210,7 @@ fn serve_connection(
             }
             http::Incoming::Closed => return Ok(()),
         };
-        let (status, body) = route(backend, config, &request);
+        let (status, body) = route(system, config, &request);
         let keep_alive = request.keep_alive && !stop.load(Ordering::Acquire);
         http::write_response(&mut stream, status, &body, keep_alive)?;
         if !keep_alive {
@@ -262,11 +220,11 @@ fn serve_connection(
 }
 
 /// Dispatches one parsed request to its op.
-fn route(backend: &Backend, config: &ServerConfig, request: &http::Request) -> (u16, String) {
+fn route(system: &BdiSystem, config: &ServerConfig, request: &http::Request) -> (u16, String) {
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/query") => ops::query(backend.system(), config, &request.body),
-        ("GET", "/stats") => (200, monitoring::stats(backend)),
-        ("POST", "/checkpoint") => ops::checkpoint(backend),
+        ("POST", "/query") => ops::query(system, config, &request.body),
+        ("GET", "/stats") => (200, monitoring::stats(system)),
+        ("POST", "/checkpoint") => ops::checkpoint(system),
         (_, "/query") | (_, "/stats") | (_, "/checkpoint") => (
             405,
             serde_json::json!({"error": "method not allowed"}).to_string(),

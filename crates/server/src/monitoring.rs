@@ -2,19 +2,17 @@
 //! exposes, one JSON document. What an ops dashboard (or the CI smoke job)
 //! scrapes.
 
-use crate::Backend;
+use bdi_core::system::BdiSystem;
 use serde_json::json;
 
 /// Renders the stats document.
-pub(crate) fn stats(backend: &Backend) -> String {
-    let system = backend.system();
+pub(crate) fn stats(system: &BdiSystem) -> String {
     let plan_cache = system.plan_cache_stats();
     let contexts = system.context_stats();
     let planner = system.planner_stats();
     let retries = system.retry_stats();
-    let durability = backend.durable().map(|durable| {
-        let stats = durable.durability_stats();
-        let recovery = durable.recovery();
+    let journal = system.durability_stats().zip(system.recovery());
+    let durability = journal.map(|(stats, recovery)| {
         json!({
             "last_seq": (stats.last_seq),
             "records_appended": (stats.wal.records_appended),

@@ -16,6 +16,7 @@
 //! ```
 
 use crate::ServerConfig;
+use bdi_core::durable::DurableError;
 use bdi_core::exec::{ExecError, ExecOptions, SourceFailurePolicy};
 use bdi_core::omq::Omq;
 use bdi_core::system::{Answer, AnswerRequest, BdiSystem, SystemError, VersionScope};
@@ -256,20 +257,15 @@ fn render_value(value: &RelValue) -> Value {
     value_to_json(value).unwrap_or_else(|| Value::from(value.to_string()))
 }
 
-/// Executes `POST /checkpoint`: snapshots a durable backend's deployment
-/// image and truncates its WAL. 404 on a volatile backend (there is
-/// nothing to persist to), 500 when the checkpoint itself fails (which
-/// also poisons the backend's write path — see
-/// `bdi_core::durable::DurableError::Poisoned`).
-pub(crate) fn checkpoint(backend: &crate::Backend) -> (u16, String) {
-    match backend.durable() {
-        None => (
+/// Executes `POST /checkpoint`: 404 without a journal, 500 when the
+/// checkpoint fails (which poisons the journal).
+pub(crate) fn checkpoint(system: &BdiSystem) -> (u16, String) {
+    match system.checkpoint() {
+        Ok(seq) => (200, json!({"checkpointed_seq": (seq)}).to_string()),
+        Err(DurableError::NoJournal) => (
             404,
-            json!({"error": "no durable backend; start the server with --data-dir"}).to_string(),
+            json!({"error": "no journal; start the server with --data-dir"}).to_string(),
         ),
-        Some(durable) => match durable.checkpoint() {
-            Ok(seq) => (200, json!({"checkpointed_seq": (seq)}).to_string()),
-            Err(error) => (500, json!({"error": (error.to_string())}).to_string()),
-        },
+        Err(error) => (500, json!({"error": (error.to_string())}).to_string()),
     }
 }

@@ -4,34 +4,32 @@
 
 #![allow(clippy::expect_used, clippy::indexing_slicing)]
 
-use bdi_core::durable::DurableSystem;
+use bdi_core::durable::Write;
 use bdi_core::supersede;
+use bdi_core::system::BdiSystem;
 use bdi_server::http::client;
-use bdi_server::ServerConfig;
 use serde_json::json;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "bdi-durable-routes-{}-{name}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("bdi-durable-routes-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+fn doc(k: i64) -> Write {
+    Write::InsertDoc("extra".into(), json!({ "k": k }))
 }
 
 #[test]
 fn a_journaled_system_checkpoints_and_reports_durability() {
     let dir = tmp("journaled");
-    let (system, store) = supersede::build_running_example_with_store();
-    let durable = Arc::new(DurableSystem::create(&dir, system, store).expect("create"));
-    durable
-        .insert_doc("extra", json!({"k": 1}))
-        .expect("journaled write");
-    let server =
-        bdi_server::start_durable(durable.clone(), "127.0.0.1:0", ServerConfig::default())
-            .expect("bind loopback");
+    let system = BdiSystem::create(&dir, supersede::build_running_example()).expect("create");
+    let system = Arc::new(system);
+    system.apply(doc(1)).expect("journaled write");
+    let server = bdi_server::start(system.clone(), "127.0.0.1:0").expect("bind loopback");
     let addr = server.addr().to_string();
 
     let (status, stats) = client::get_stats(&addr).expect("stats");
@@ -48,19 +46,16 @@ fn a_journaled_system_checkpoints_and_reports_durability() {
 
     // A write after the checkpoint is in the log only until shutdown
     // checkpoints it.
-    durable
-        .insert_doc("extra", json!({"k": 2}))
-        .expect("journaled write");
+    system.apply(doc(2)).expect("journaled write");
     drop(server);
-    drop(durable);
-    let reopened = DurableSystem::open(&dir).expect("reopen");
-    assert!(reopened.recovery().snapshot_loaded);
-    assert_eq!(reopened.recovery().replayed, 0);
-    drop(reopened);
+    drop(system);
+    let reopened = BdiSystem::open(&dir).expect("reopen");
+    let recovery = reopened.recovery().expect("journaled");
+    assert!(recovery.snapshot_loaded);
+    assert_eq!(recovery.replayed, 0);
+    assert_eq!(reopened.store().count("extra"), 2);
 
-    let reopened = Arc::new(DurableSystem::open(&dir).expect("reopen again"));
-    let server = bdi_server::start_durable(reopened, "127.0.0.1:0", ServerConfig::default())
-        .expect("bind loopback");
+    let server = bdi_server::start(Arc::new(reopened), "127.0.0.1:0").expect("bind loopback");
     let (_, stats) = client::get_stats(&server.addr().to_string()).expect("stats");
     assert_eq!(stats["durability"]["recovered_snapshot"], json!(true));
     assert_eq!(stats["durability"]["recovered_replayed"], json!(0));

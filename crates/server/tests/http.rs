@@ -50,7 +50,11 @@ fn omq_json_body_answers_like_sparql() {
         .iter()
         .map(|t| {
             vec![
-                t.subject.as_iri().expect("iri subject").as_str().to_owned(),
+                bdi_rdf::Term::from(t.subject.clone())
+                    .as_iri()
+                    .expect("iri subject")
+                    .as_str()
+                    .to_owned(),
                 t.predicate.as_str().to_owned(),
                 t.object.as_iri().expect("iri object").as_str().to_owned(),
             ]

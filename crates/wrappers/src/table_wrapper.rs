@@ -111,20 +111,22 @@ impl TableWrapper {
     /// stats lock, so a concurrent [`Wrapper::column_stats`] can never
     /// observe a version whose sketches miss the row.
     pub fn push(&self, row: Tuple) -> Result<(), WrapperError> {
-        if row.len() != self.schema.len() {
-            return Err(WrapperError::Relation(
-                bdi_relational::RelationError::Arity {
-                    expected: self.schema.len(),
-                    found: row.len(),
-                },
-            ));
-        }
+        self.check_arity(&row)?;
         let mut stats = self.stats.lock();
         stats.builder.observe_row(&row);
         stats.cached = None;
         self.rows.write().push(row);
         self.version.fetch_add(1, Ordering::Release);
         Ok(())
+    }
+
+    /// Refuses a row whose arity is not the schema's.
+    pub fn check_arity(&self, row: &[Value]) -> Result<(), WrapperError> {
+        let (expected, found) = (self.schema.len(), row.len());
+        match expected == found {
+            true => Ok(()),
+            false => Err(bdi_relational::RelationError::Arity { expected, found }.into()),
+        }
     }
 
     /// Overwrites the data-version stamp — recovery only. Replayed pushes

@@ -27,7 +27,7 @@ fn has_feature(c: &bdi::rdf::Iri, f: &bdi::rdf::Iri) -> Triple {
 }
 
 fn main() {
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
 
     // --- Panel 1: which monitors and feedback tools serve each app? -----
     // The analyst drags three *concepts* onto the canvas (the paper's Code
@@ -88,7 +88,7 @@ fn main() {
     println!("{}\n", answer.relation);
 
     // --- The VoD API evolves mid-flight. ---------------------------------
-    supersede::evolve_with_w4(&mut system, &store);
+    supersede::evolve_with_w4(&mut system);
     println!("(VoD API released v2: lagRatio → bufferingRatio; w4 registered)\n");
 
     // --- Panel 3: QoS per app, across scopes. ----------------------------

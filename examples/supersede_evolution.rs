@@ -16,7 +16,7 @@ use bdi::core::vocab::graphs;
 use bdi::rdf::model::GraphName;
 
 fn main() {
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
 
     println!("=== Before evolution ===");
     let before = system
@@ -31,7 +31,7 @@ fn main() {
 
     // --- The provider releases API v2; the steward reacts (§4.1). ---
     println!("=== Release R = ⟨w4, G, F⟩ (Algorithm 1) ===");
-    let stats = supersede::evolve_with_w4(&mut system, &store);
+    let stats = supersede::evolve_with_w4(&mut system);
     println!(
         "wrapper {} registered for source {} (new source: {})",
         stats.wrapper, stats.source, stats.new_source

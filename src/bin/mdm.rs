@@ -56,9 +56,9 @@ fn main() -> ExitCode {
 }
 
 fn build(evolved: bool) -> BdiSystem {
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
     if evolved {
-        supersede::evolve_with_w4(&mut system, &store);
+        supersede::evolve_with_w4(&mut system);
     }
     system
 }
@@ -192,11 +192,12 @@ fn snapshot_cmd(evolved: bool, path: Option<&str>) -> ExitCode {
         eprintln!("usage: mdm snapshot <file> [--evolved]");
         return ExitCode::FAILURE;
     };
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
     if evolved {
-        supersede::evolve_with_w4(&mut system, &store);
+        supersede::evolve_with_w4(&mut system);
     }
-    let image = bdi::core::snapshot::snapshot(&system, &store).expect("builtin wrappers serialize");
+    let image =
+        bdi::core::snapshot::snapshot(&system, system.store()).expect("builtin wrappers serialize");
     let json = bdi::core::snapshot::to_json(&image).expect("serializes");
     match std::fs::write(path, &json) {
         Ok(()) => {
@@ -229,8 +230,8 @@ fn load_cmd(path: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (system, _store) = match bdi::core::snapshot::restore(&image) {
-        Ok(pair) => pair,
+    let system = match bdi::core::snapshot::restore(&image) {
+        Ok(system) => system,
         Err(e) => {
             eprintln!("restore failed: {e}");
             return ExitCode::FAILURE;

@@ -17,8 +17,9 @@
 //! amputation included. The probe mode is what the CI `serve-smoke` and
 //! `crash-smoke` jobs drive a freshly (re)started server with.
 
-use bdi::core::durable::DurableSystem;
+use bdi::core::durable::DurableError;
 use bdi::core::supersede;
+use bdi::core::system::BdiSystem;
 use bdi_server::http::client;
 use std::path::Path;
 use std::process::ExitCode;
@@ -68,31 +69,23 @@ fn main() -> ExitCode {
 }
 
 fn run_server(addr: &str, data_dir: Option<&str>) -> ExitCode {
-    let handle = match data_dir {
-        None => {
-            let system = Arc::new(supersede::build_running_example());
-            bdi_server::start(system, addr)
-        }
+    let system = match data_dir {
+        None => supersede::build_running_example(),
         Some(dir) => match open_or_seed(dir) {
-            Ok(durable) => {
-                let recovery = durable.recovery();
-                println!(
-                    "data dir {dir}: snapshot={} replayed={} torn_tail={:?}",
-                    recovery.snapshot_loaded, recovery.replayed, recovery.wal_truncated_at
-                );
-                bdi_server::start_durable(
-                    Arc::new(durable),
-                    addr,
-                    bdi_server::ServerConfig::default(),
-                )
-            }
+            Ok(system) => system,
             Err(e) => {
                 eprintln!("serve: cannot open data dir {dir}: {e}");
                 return ExitCode::FAILURE;
             }
         },
     };
-    let handle = match handle {
+    if let (Some(dir), Some(recovery)) = (data_dir, system.recovery()) {
+        println!(
+            "data dir {dir}: snapshot={} replayed={} torn_tail={:?}",
+            recovery.snapshot_loaded, recovery.replayed, recovery.wal_truncated_at
+        );
+    }
+    let handle = match bdi_server::start(Arc::new(system), addr) {
         Ok(handle) => handle,
         Err(e) => {
             eprintln!("serve: cannot bind {addr}: {e}");
@@ -108,15 +101,14 @@ fn run_server(addr: &str, data_dir: Option<&str>) -> ExitCode {
 
 /// Recovers an initialised data directory, or seeds a fresh one with the
 /// running example so the very first boot already answers Table 2.
-fn open_or_seed(dir: &str) -> Result<DurableSystem, bdi::core::durable::DurableError> {
+fn open_or_seed(dir: &str) -> Result<BdiSystem, DurableError> {
     let dir_path = Path::new(dir);
     if dir_path.join(bdi::core::durable::SNAPSHOT_FILE).exists()
         || dir_path.join(bdi::core::durable::WAL_FILE).exists()
     {
-        DurableSystem::open(dir)
+        BdiSystem::open(dir)
     } else {
-        let (system, store) = supersede::build_running_example_with_store();
-        DurableSystem::create(dir, system, store)
+        BdiSystem::create(dir, supersede::build_running_example())
     }
 }
 

@@ -29,7 +29,7 @@ fn body() -> Vec<u8> {
         .iter()
         .map(|t| {
             vec![
-                iri(&t.subject),
+                iri(&t.subject.clone().into()),
                 t.predicate.as_str().to_owned(),
                 iri(&t.object),
             ]

@@ -20,10 +20,10 @@
 //! Crash points derive from `BDI_CRASH_SEED` (see
 //! [`bdi_durability::env_crash_seed`]); CI sweeps several seeds.
 
-use bdi::core::durable::{DurableError, DurableSystem, IMAGE_FORMAT, SNAPSHOT_FILE};
+use bdi::core::durable::{DurableError, Write, IMAGE_FORMAT, SNAPSHOT_FILE};
 use bdi::core::supersede;
-use bdi::core::system::AnswerRequest;
-use bdi::rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Term};
+use bdi::core::system::{AnswerRequest, BdiSystem};
+use bdi::rdf::model::{BlankNode, GraphName, Iri, Literal, Quad, Subject, Term};
 use bdi::relational::{Schema, Value};
 use bdi::wrappers::supersede::VOD_COLLECTION;
 use bdi::wrappers::TableWrapper;
@@ -105,9 +105,9 @@ fn probe_quad(n: usize) -> Quad {
 /// The seeded deployment every cell starts from: the running example plus
 /// a durable table wrapper `w5` sharing `w1`'s LAV subgraph, so pushed
 /// rows surface in the exemplary query's answers.
-fn seed_deployment(dir: &PathBuf) -> DurableSystem {
-    let (system, store) = supersede::build_running_example_with_store();
-    let mut durable = DurableSystem::create(dir, system, store).expect("seed deployment");
+fn seed_deployment(dir: &PathBuf) -> BdiSystem {
+    let mut durable =
+        BdiSystem::create(dir, supersede::build_running_example()).expect("seed deployment");
     let table = TableWrapper::new(
         "w5",
         "D1",
@@ -130,39 +130,38 @@ enum StoreKind {
 
 /// The scripted mutation at workload index `i` — deterministic, so the
 /// crashed run and the reference run perform bit-identical sequences.
-fn apply_op(d: &DurableSystem, kind: StoreKind, i: usize) -> Result<(), DurableError> {
-    match kind {
+fn apply_op(d: &BdiSystem, kind: StoreKind, i: usize) -> Result<(), DurableError> {
+    let doc = |collection: &str, doc| Write::InsertDoc(collection.into(), doc);
+    let write = match kind {
         StoreKind::Quad => match i % 5 {
-            0 | 1 => d.insert_quad(&probe_quad(i)).map(|_| ()),
-            2 => d
-                .extend_quads(&[probe_quad(100 + i), probe_quad(200 + i)])
-                .map(|_| ()),
-            3 => d.remove_quad(&probe_quad(i - 2)).map(|_| ()),
-            _ => d.clear_graph(&test_graph()).map(|_| ()),
+            0 | 1 => Write::InsertQuad(probe_quad(i)),
+            2 => Write::ExtendQuads(vec![probe_quad(100 + i), probe_quad(200 + i)]),
+            3 => Write::RemoveQuad(probe_quad(i - 2)),
+            _ => Write::ClearGraph(test_graph()),
         },
         StoreKind::Doc => match i % 4 {
             // Lands in `w1`'s collection: changes the exemplary answers.
-            0 => d.insert_doc(
+            0 => doc(
                 VOD_COLLECTION,
                 json!({"monitorId": 12, "timestamp": (1_480_000_000 + i as i64), "waitTime": (i as i64 + 1), "watchTime": 10}),
             ),
-            1 => d.insert_doc(SCRATCH, json!({"n": (i as i64)})),
-            2 => d
-                .insert_docs(
-                    SCRATCH,
-                    vec![json!({"n": (i as i64)}), json!({"n": (i as i64 + 1000)})],
-                )
-                .map(|_| ()),
-            _ => d.clear_collection(SCRATCH).map(|_| ()),
+            1 => doc(SCRATCH, json!({"n": (i as i64)})),
+            2 => Write::InsertDocs(
+                SCRATCH.into(),
+                vec![json!({"n": (i as i64)}), json!({"n": (i as i64 + 1000)})],
+            ),
+            _ => Write::ClearCollection(SCRATCH.into()),
         },
-        StoreKind::Table => d.push_row(
-            "w5",
-            vec![
-                Value::Int(if i.is_multiple_of(2) { 12 } else { 18 }),
-                Value::Float(i as f64 / 10.0),
-            ],
-        ),
-    }
+        StoreKind::Table => push_w5(vec![
+            Value::Int(if i.is_multiple_of(2) { 12 } else { 18 }),
+            Value::Float(i as f64 / 10.0),
+        ]),
+    };
+    d.apply(write).map(drop)
+}
+
+fn push_w5(row: Vec<Value>) -> Write {
+    Write::PushRow("w5".into(), row)
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ struct Fingerprint {
     table_version: u64,
 }
 
-fn fingerprint(d: &DurableSystem) -> Fingerprint {
+fn fingerprint(d: &BdiSystem) -> Fingerprint {
     let answer = d
         .serve(AnswerRequest::sparql(supersede::exemplary_query()))
         .expect("exemplary query answers");
@@ -194,7 +193,7 @@ fn fingerprint(d: &DurableSystem) -> Fingerprint {
         .map(|row| format!("{row:?}"))
         .collect();
     answers.sort();
-    let store = d.system().ontology().store();
+    let store = d.ontology().store();
     let mut quads: Vec<String> = store
         .graph_quads(&test_graph())
         .iter()
@@ -209,7 +208,6 @@ fn fingerprint(d: &DurableSystem) -> Fingerprint {
         doc_data_version: d.store().data_version(),
         collection_versions: d.store().collection_versions(),
         table_version: d
-            .system()
             .registry()
             .get("w5")
             .map(|w| w.data_version())
@@ -252,7 +250,7 @@ enum CrashMode {
 /// acknowledged. `checkpoint_at` inserts a mid-workload snapshot (the
 /// snapshot+replay recovery variant); its own failure is tolerated — the
 /// WAL already holds everything it would have covered.
-fn run_workload(d: &DurableSystem, kind: StoreKind, checkpoint_at: Option<usize>) -> usize {
+fn run_workload(d: &BdiSystem, kind: StoreKind, checkpoint_at: Option<usize>) -> usize {
     let mut acked = 0;
     for i in 0..N_OPS {
         if checkpoint_at == Some(i) && d.checkpoint().is_err() {
@@ -278,7 +276,7 @@ fn run_cell(kind: StoreKind, mode: CrashMode, with_snapshot: bool) {
         let dir = tmp_dir(&format!("measure-{tag}"));
         seed_deployment(&dir);
         let vfs = CrashyVfs::new(Arc::new(StdVfs), CrashPlan::default());
-        let d = DurableSystem::open_with(&dir, Arc::new(vfs.clone())).expect("measuring open");
+        let d = BdiSystem::open_with(&dir, Arc::new(vfs.clone())).expect("measuring open");
         let acked = run_workload(&d, kind, checkpoint_at);
         assert_eq!(acked, N_OPS, "fault-free pass must ack everything");
         drop(d);
@@ -309,7 +307,7 @@ fn run_cell(kind: StoreKind, mode: CrashMode, with_snapshot: bool) {
         CrashMode::BetweenLogAndApply => CrashPlan::default(),
     };
     let vfs = CrashyVfs::new(Arc::new(StdVfs), plan);
-    let crashed = DurableSystem::open_with(&dir, Arc::new(vfs)).expect("pre-crash open");
+    let crashed = BdiSystem::open_with(&dir, Arc::new(vfs)).expect("pre-crash open");
     if let CrashMode::BetweenLogAndApply = mode {
         crashed.inject_crash_before_apply(rng.pick(N_OPS as u64));
     }
@@ -319,7 +317,7 @@ fn run_cell(kind: StoreKind, mode: CrashMode, with_snapshot: bool) {
 
     // Recovery over a clean filesystem must not panic and must reproduce
     // the acknowledged writes — at most the one in-flight op on top.
-    let recovered = DurableSystem::open(&dir).expect("recovery");
+    let recovered = BdiSystem::open(&dir).expect("recovery");
     let got = fingerprint(&recovered);
 
     if let CrashMode::BetweenLogAndApply = mode {
@@ -401,7 +399,7 @@ fn recovery_restores_counters_bit_exact_and_monotonic() {
         fingerprint(&d)
     };
 
-    let recovered = DurableSystem::open(&dir).expect("recovery");
+    let recovered = BdiSystem::open(&dir).expect("recovery");
     let after = fingerprint(&recovered);
     assert_eq!(after, before, "state and counters must round-trip");
 
@@ -449,9 +447,9 @@ fn garbage_wal_tail_is_truncated_not_panicked() {
         }
         std::fs::write(&wal, &bytes).expect("inject garbage");
 
-        let recovered = DurableSystem::open(&dir).expect("recovery must not panic");
+        let recovered = BdiSystem::open(&dir).expect("recovery must not panic");
         assert!(
-            recovered.recovery().wal_truncated_at.is_some(),
+            recovered.recovery().unwrap().wal_truncated_at.is_some(),
             "garbage tail must be detected and amputated"
         );
         assert_eq!(fingerprint(&recovered), acked, "acked writes survive");
@@ -466,9 +464,10 @@ fn garbage_wal_tail_is_truncated_not_panicked() {
 fn a_crc_valid_record_with_an_invalid_iri_is_reported_corrupt() {
     let dir = tmp_dir("invalid-iri");
     drop(seed_deployment(&dir));
-    let covered = DurableSystem::open(&dir)
+    let covered = BdiSystem::open(&dir)
         .expect("clean reopen")
         .recovery()
+        .unwrap()
         .snapshot_seq;
     let seq = {
         let mut wal = Wal::open(
@@ -484,7 +483,7 @@ fn a_crc_valid_record_with_an_invalid_iri_is_reported_corrupt() {
         wal.commit().expect("commit");
         seq
     };
-    match DurableSystem::open(&dir) {
+    match BdiSystem::open(&dir) {
         Err(DurableError::Corrupt { seq: at, reason }) => {
             assert_eq!(at, seq);
             assert!(reason.contains("empty"), "{reason}");
@@ -517,7 +516,7 @@ fn awkward_quads() -> Vec<Quad> {
     ];
     let mut quads = Vec::new();
     for graph in [GraphName::Default, GraphName::Named(odd("graph|`g`"))] {
-        for subject in [Term::Iri(odd("s^1")), Term::Blank(blank.clone())] {
+        for subject in [Subject::Iri(odd("s^1")), Subject::Blank(blank.clone())] {
             for object in &objects {
                 quads.push(Quad::new(
                     subject.clone(),
@@ -543,40 +542,40 @@ fn every_term_kind_survives_replay_and_checkpoint() {
     {
         let d = seed_deployment(&dir);
         for quad in half {
-            assert!(d.insert_quad(quad).expect("insert acknowledged"));
+            let inserted = d.apply(Write::InsertQuad(quad.clone()));
+            assert_eq!(inserted.expect("insert acknowledged"), 1);
         }
-        assert_eq!(
-            d.extend_quads(rest).expect("extend acknowledged"),
-            rest.len()
-        );
+        let extended = d.apply(Write::ExtendQuads(rest.to_vec()));
+        assert_eq!(extended.expect("extend acknowledged"), rest.len());
     }
-    let contains_all = |d: &DurableSystem| {
-        let store = d.system().ontology().store();
+    let contains_all = |d: &BdiSystem| {
+        let store = d.ontology().store();
         quads.iter().all(|q| store.contains(q))
     };
 
-    let replayed = DurableSystem::open(&dir).expect("replay the log");
-    assert_eq!(replayed.recovery().replayed, half.len() as u64 + 1);
+    let replayed = BdiSystem::open(&dir).expect("replay the log");
+    assert_eq!(replayed.recovery().unwrap().replayed, half.len() as u64 + 1);
     assert!(contains_all(&replayed));
     replayed.checkpoint().expect("checkpoint");
     drop(replayed);
 
-    let restored = DurableSystem::open(&dir).expect("restore the image");
-    assert_eq!(restored.recovery().replayed, 0);
+    let restored = BdiSystem::open(&dir).expect("restore the image");
+    assert_eq!(restored.recovery().unwrap().replayed, 0);
     assert!(contains_all(&restored));
     // A removal replays through the same codec.
-    assert!(restored
-        .remove_quad(&quads[0])
-        .expect("remove acknowledged"));
+    let removed = restored.apply(Write::RemoveQuad(quads[0].clone()));
+    assert_eq!(removed.expect("remove acknowledged"), 1);
     drop(restored);
-    let again = DurableSystem::open(&dir).expect("replay the removal");
-    assert!(!again.system().ontology().store().contains(&quads[0]));
+    let again = BdiSystem::open(&dir).expect("replay the removal");
+    assert!(!again.ontology().store().contains(&quads[0]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The terms the parent's probe broke the image with cannot be built, and
-/// the one quad the model builds that TriG cannot hold — a literal
-/// subject — is refused before it reaches the log.
+/// a literal subject cannot be built at all (see the `compile_fail`
+/// example on `Subject`): outside text that carries one — Turtle, TriG, or
+/// a WAL record whose frame and CRC are intact — is an `Err`, never a
+/// panic.
 #[test]
 fn terms_that_would_not_read_back_are_refused() {
     for label in ["a b", "b.", "", "a#b", "a\"b"] {
@@ -588,26 +587,40 @@ fn terms_that_would_not_read_back_are_refused() {
     assert!(BlankNode::try_new("b0.x").is_ok());
     assert!(Literal::try_lang_string("x", "en-US").is_ok());
 
+    let triple = "\"not a subject\" <http://example.org/p> <http://example.org/o> .";
+    assert!(bdi::rdf::turtle::parse_turtle(triple).is_err());
+    let graph = format!("GRAPH <http://example.org/g> {{ {triple} }}");
+    assert!(bdi::rdf::trig::parse_trig(&graph).is_err());
+
     let dir = tmp_dir("refused-terms");
-    let d = seed_deployment(&dir);
-    let before = d.durability_stats().wal.records_appended;
-    let literal_subject = Quad::new(
-        Literal::string("not a subject"),
-        Iri::new("http://example.org/p"),
-        Iri::new("http://example.org/o"),
-        GraphName::Default,
-    );
-    assert!(matches!(
-        d.insert_quad(&literal_subject),
-        Err(DurableError::LiteralSubject(_))
-    ));
-    assert!(matches!(
-        d.extend_quads(&[probe_quad(1), literal_subject]),
-        Err(DurableError::LiteralSubject(_))
-    ));
-    assert_eq!(d.durability_stats().wal.records_appended, before);
-    assert!(!d.durability_stats().poisoned);
-    drop(d);
+    drop(seed_deployment(&dir));
+    let covered = BdiSystem::open(&dir)
+        .expect("clean reopen")
+        .recovery()
+        .unwrap()
+        .snapshot_seq;
+    let seq = {
+        let mut wal = Wal::open(
+            Arc::new(StdVfs),
+            dir.join(bdi::core::durable::WAL_FILE),
+            covered,
+        )
+        .expect("wal opens")
+        .wal;
+        let op = json!({"InsertQuad": {"q": (triple)}});
+        // Store id 1 journals quad-store ops.
+        let seq = wal.append(1, op.to_string().as_bytes()).expect("append");
+        wal.commit().expect("commit");
+        seq
+    };
+    match BdiSystem::open(&dir) {
+        Err(DurableError::Corrupt { seq: at, reason }) => {
+            assert_eq!(at, seq);
+            assert!(reason.contains("subject"), "{reason}");
+        }
+        Err(other) => panic!("expected a corrupt record, got {other}"),
+        Ok(_) => panic!("expected a corrupt record, recovery succeeded"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -623,7 +636,7 @@ fn an_image_of_another_format_is_refused() {
     assert!(text.contains(&field), "the image declares its format");
     std::fs::write(&path, text.replacen(&field, "\"format\": 1,", 1)).expect("hand-edit the image");
 
-    match DurableSystem::open(&dir) {
+    match BdiSystem::open(&dir) {
         Err(e @ DurableError::UnsupportedFormat { found: 1, expected }) => {
             assert_eq!(expected, IMAGE_FORMAT);
             let message = e.to_string();
@@ -656,7 +669,7 @@ fn poisoned_handle_refuses_writes_but_serves_reads() {
             ..CrashPlan::default()
         },
     );
-    let d = DurableSystem::open_with(&dir, Arc::new(vfs)).expect("open");
+    let d = BdiSystem::open_with(&dir, Arc::new(vfs)).expect("open");
     assert!(apply_op(&d, StoreKind::Doc, 0).is_ok());
     assert!(apply_op(&d, StoreKind::Doc, 1).is_err(), "fsync 2 fails");
     // Poisoned: later mutations fail fast, including on other stores.
@@ -665,7 +678,7 @@ fn poisoned_handle_refuses_writes_but_serves_reads() {
         matches!(err, DurableError::Poisoned(_)),
         "expected poisoning, got {err:?}"
     );
-    assert!(d.durability_stats().poisoned);
+    assert!(d.durability_stats().unwrap().poisoned);
     // Reads still serve: Table 2's three rows plus the one from the
     // acknowledged VoD document.
     assert_eq!(
@@ -678,8 +691,8 @@ fn poisoned_handle_refuses_writes_but_serves_reads() {
     );
     drop(d);
 
-    let recovered = DurableSystem::open(&dir).expect("reopen");
-    assert!(!recovered.durability_stats().poisoned);
+    let recovered = BdiSystem::open(&dir).expect("reopen");
+    assert!(!recovered.durability_stats().unwrap().poisoned);
     assert!(
         apply_op(&recovered, StoreKind::Doc, 2).is_ok(),
         "writable again"
@@ -703,31 +716,30 @@ fn pushed_rows_recover_as_the_variants_written() {
         vec![Value::Int((1 << 53) + 1), Value::Float(0.5)],
     ];
     for row in &rows {
-        durable.push_row("w5", row.clone()).unwrap();
+        durable.apply(push_w5(row.clone())).unwrap();
     }
     // Non-finite floats have no JSON form: refused before journaling.
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        assert!(durable
-            .push_row("w5", vec![Value::Int(12), Value::Float(bad)])
-            .is_err());
+        let row = push_w5(vec![Value::Int(12), Value::Float(bad)]);
+        assert!(durable.apply(row).is_err());
     }
     // Debug tells `Int(1)` from `Float(1.0)` and `0.0` from `-0.0`.
-    let exact = |d: &DurableSystem| {
-        let table = d.system().registry().get("w5").unwrap();
+    let exact = |d: &BdiSystem| {
+        let table = d.registry().get("w5").unwrap();
         format!("{:?}", table.scan().unwrap().rows())
     };
     let written = exact(&durable);
     assert_eq!(written, format!("{rows:?}"));
     drop(durable);
 
-    let replayed = DurableSystem::open(&dir).unwrap();
-    assert_eq!(replayed.recovery().replayed, rows.len() as u64);
+    let replayed = BdiSystem::open(&dir).unwrap();
+    assert_eq!(replayed.recovery().unwrap().replayed, rows.len() as u64);
     assert_eq!(exact(&replayed), written);
     replayed.checkpoint().unwrap();
     drop(replayed);
 
-    let restored = DurableSystem::open(&dir).unwrap();
-    assert_eq!(restored.recovery().replayed, 0);
+    let restored = BdiSystem::open(&dir).unwrap();
+    assert_eq!(restored.recovery().unwrap().replayed, 0);
     assert_eq!(exact(&restored), written);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -738,7 +750,7 @@ fn pushed_rows_recover_as_the_variants_written() {
 #[test]
 fn a_snapshot_refuses_a_non_finite_table_cell() {
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let (mut system, store) = supersede::build_running_example_with_store();
+        let mut system = supersede::build_running_example();
         let table = TableWrapper::new(
             "w5",
             "D1",
@@ -749,14 +761,14 @@ fn a_snapshot_refuses_a_non_finite_table_cell() {
         system
             .register_release(supersede::release_w1(Arc::new(table)))
             .expect("release");
-        let refused = bdi::core::snapshot::snapshot(&system, &store).unwrap_err();
+        let refused = bdi::core::snapshot::snapshot(&system, system.store()).unwrap_err();
         let message = refused.to_string();
         assert!(
             message.contains("w5") && message.contains("lagRatio"),
             "{message}"
         );
         let dir = tmp_dir("non-finite");
-        assert!(DurableSystem::create(&dir, system, store).is_err());
+        assert!(BdiSystem::create(&dir, system).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,8 +13,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn evolved() -> bdi::core::BdiSystem {
-    let (mut system, store) = supersede::build_running_example_with_store();
-    supersede::evolve_with_w4(&mut system, &store);
+    let mut system = supersede::build_running_example();
+    supersede::evolve_with_w4(&mut system);
     system
 }
 

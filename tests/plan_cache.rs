@@ -127,12 +127,12 @@ fn register_release_invalidates_plans_and_scans() {
 /// scan cache: after the §2.1 evolution only the new wrapper is read.
 #[test]
 fn a_release_scans_only_the_new_wrapper() {
-    let (mut system, store) = bdi::core::supersede::build_running_example_with_store();
+    let mut system = bdi::core::supersede::build_running_example();
     let query = bdi::core::supersede::exemplary_query();
     system.serve(AnswerRequest::sparql(&query)).unwrap();
     let before = system.context_stats();
 
-    bdi::core::supersede::evolve_with_w4(&mut system, &store);
+    bdi::core::supersede::evolve_with_w4(&mut system);
     let after = system.serve(AnswerRequest::sparql(&query)).unwrap();
     assert_eq!(after.rewriting.walks.len(), 2);
     let stats = system.context_stats();
@@ -236,7 +236,7 @@ fn query_body(omq: &bdi::core::omq::Omq) -> Vec<u8> {
         .iter()
         .map(|t| {
             let predicate = t.predicate.as_str().to_owned();
-            vec![iri(&t.subject), predicate, iri(&t.object)]
+            vec![iri(&t.subject.clone().into()), predicate, iri(&t.object)]
         })
         .collect();
     serde_json::json!({"omq": {"pi": pi, "phi": phi}})

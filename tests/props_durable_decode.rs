@@ -1,13 +1,14 @@
 //! The durable tier's two decoders read whatever is on disk: a WAL
 //! record's op (once its CRC checks out) and the snapshot image. Fed
-//! arbitrary bytes through either, `DurableSystem::open` returns `Ok` or a
+//! arbitrary bytes through either, `BdiSystem::open` returns `Ok` or a
 //! typed decode error — `Corrupt` at the record's seq (0 for the image),
 //! or an unsupported image format — and never panics. Inputs are seeded
 //! (`BDI_PROP_SEED` draws other ones): op skeletons around TriG token soup,
 //! byte-level edits of a real image, and raw bytes.
 
-use bdi::core::durable::{DurableError, DurableSystem, SNAPSHOT_FILE, WAL_FILE};
+use bdi::core::durable::{DurableError, SNAPSHOT_FILE, WAL_FILE};
 use bdi::core::supersede;
+use bdi::core::system::BdiSystem;
 use bdi::relational::Schema;
 use bdi::wrappers::TableWrapper;
 use bdi_durability::{StdVfs, Wal};
@@ -149,8 +150,8 @@ fn base() -> &'static Base {
     static BASE: OnceLock<Base> = OnceLock::new();
     BASE.get_or_init(|| {
         let dir = fresh_dir("base");
-        let (system, store) = supersede::build_running_example_with_store();
-        let mut durable = DurableSystem::create(&dir, system, store).expect("create");
+        let mut durable =
+            BdiSystem::create(&dir, supersede::build_running_example()).expect("create");
         let table = TableWrapper::new(
             "w5",
             "D1",
@@ -183,7 +184,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// Opens `dir`, requiring `Ok` or a typed decode error; returns the error's
 /// seq when it is `Corrupt`.
 fn open_outcome(dir: &PathBuf) -> Result<Option<u64>, String> {
-    match DurableSystem::open(dir) {
+    match BdiSystem::open(dir) {
         Ok(_) => Ok(None),
         Err(DurableError::Corrupt { seq, .. }) => Ok(Some(seq)),
         Err(DurableError::UnsupportedFormat { .. }) => Ok(Some(0)),

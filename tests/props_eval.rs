@@ -4,7 +4,7 @@
 //! randomized stores and randomized queries (patterns, `GRAPH` selectors,
 //! `VALUES` tables, `FROM` clauses, both dataset modes).
 
-use bdi::rdf::model::{GraphName, Iri, Literal, Quad, Term};
+use bdi::rdf::model::{GraphName, Iri, Literal, Quad, Subject, Term};
 use bdi::rdf::sparql::{
     evaluate, EvalOptions, GraphSpec, QuadPattern, SelectQuery, TermOrVar, TriplePattern,
     ValuesClause, Variable,
@@ -36,8 +36,8 @@ fn arb_graph() -> impl Strategy<Value = GraphName> {
 }
 
 fn arb_quad() -> impl Strategy<Value = Quad> {
-    (arb_term(), arb_iri(), arb_term(), arb_graph()).prop_map(|(s, p, o, g)| Quad {
-        subject: s,
+    (arb_iri(), arb_iri(), arb_term(), arb_graph()).prop_map(|(s, p, o, g)| Quad {
+        subject: Subject::Iri(s),
         predicate: p,
         object: o,
         graph: g,
@@ -149,6 +149,8 @@ fn ref_bind(b: &mut RefBinding, var: &Variable, term: Term) -> bool {
 }
 
 fn ref_evaluate(quads: &[Quad], query: &SelectQuery, options: &EvalOptions) -> Vec<RefBinding> {
+    // A dataset is a set: a quad generated twice is stored once.
+    let quads: std::collections::BTreeSet<&Quad> = quads.iter().collect();
     let mut solutions: Vec<RefBinding> = match &query.values {
         Some(values) => values
             .rows
@@ -173,7 +175,7 @@ fn ref_evaluate(quads: &[Quad], query: &SelectQuery, options: &EvalOptions) -> V
             let s = ref_resolve(&qp.pattern.subject, binding);
             let p = ref_resolve(&qp.pattern.predicate, binding);
             let o = ref_resolve(&qp.pattern.object, binding);
-            for quad in quads {
+            for &quad in &quads {
                 // Graph admission.
                 let graph_ok = match &qp.graph {
                     GraphSpec::Active => match &query.from {
@@ -191,7 +193,9 @@ fn ref_evaluate(quads: &[Quad], query: &SelectQuery, options: &EvalOptions) -> V
                 if !graph_ok {
                     continue;
                 }
-                if s.as_ref().is_some_and(|t| t != &quad.subject) {
+                if s.as_ref()
+                    .is_some_and(|t| *t != Term::from(quad.subject.clone()))
+                {
                     continue;
                 }
                 if p.as_ref()
@@ -205,7 +209,7 @@ fn ref_evaluate(quads: &[Quad], query: &SelectQuery, options: &EvalOptions) -> V
                 let mut b = binding.clone();
                 let mut ok = true;
                 if let TermOrVar::Var(v) = &qp.pattern.subject {
-                    ok &= ref_bind(&mut b, v, quad.subject.clone());
+                    ok &= ref_bind(&mut b, v, quad.subject.clone().into());
                 }
                 if let TermOrVar::Var(v) = &qp.pattern.predicate {
                     ok &= ref_bind(&mut b, v, Term::Iri(quad.predicate.clone()));

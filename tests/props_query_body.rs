@@ -79,7 +79,11 @@ fn good_queries() -> Vec<String> {
         .iter()
         .map(|t| {
             let predicate = quoted(t.predicate.as_str());
-            format!("[{}, {predicate}, {}]", term(&t.subject), term(&t.object))
+            format!(
+                "[{}, {predicate}, {}]",
+                term(&t.subject.clone().into()),
+                term(&t.object)
+            )
         })
         .collect();
     vec![

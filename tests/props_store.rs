@@ -2,7 +2,7 @@
 //! shape must agree with a naive filter over the full quad set, and
 //! insert/remove must round-trip.
 
-use bdi::rdf::model::{GraphName, Iri, Literal, Quad, Term};
+use bdi::rdf::model::{GraphName, Iri, Literal, Quad, Subject, Term};
 use bdi::rdf::store::{GraphPattern, QuadStore};
 use proptest::prelude::*;
 
@@ -28,8 +28,8 @@ fn arb_graph() -> impl Strategy<Value = GraphName> {
 }
 
 fn arb_quad() -> impl Strategy<Value = Quad> {
-    (arb_term(), arb_iri(), arb_term(), arb_graph()).prop_map(|(s, p, o, g)| Quad {
-        subject: s,
+    (arb_iri(), arb_iri(), arb_term(), arb_graph()).prop_map(|(s, p, o, g)| Quad {
+        subject: Subject::Iri(s),
         predicate: p,
         object: o,
         graph: g,
@@ -43,7 +43,8 @@ fn matches_pattern(
     o: &Option<Term>,
     g: &GraphPattern,
 ) -> bool {
-    s.as_ref().is_none_or(|t| &q.subject == t)
+    s.as_ref()
+        .is_none_or(|t| *t == Term::from(q.subject.clone()))
         && p.as_ref().is_none_or(|iri| &q.predicate == iri)
         && o.as_ref().is_none_or(|t| &q.object == t)
         && match g {

@@ -1,6 +1,7 @@
 //! End-to-end reproduction of the paper's running example: Table 1 wrapper
 //! outputs, the Table 2 query answer, and the §2.1 evolution scenario.
 
+use bdi::core::durable::DurableError;
 use bdi::core::exec::{Engine, ExecOptions};
 use bdi::core::release::ReleaseError;
 use bdi::core::supersede;
@@ -82,11 +83,11 @@ fn rewriting_resolves_the_lav_mappings_to_w1_join_w3() {
 
 #[test]
 fn evolution_preserves_the_analysts_query() {
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
     let query = supersede::exemplary_query();
     let before = system.serve(AnswerRequest::sparql(&query)).unwrap();
 
-    supersede::evolve_with_w4(&mut system, &store);
+    supersede::evolve_with_w4(&mut system);
 
     // The *same* query string, untouched, now unions both versions — the
     // §2.1 requirement that analysts are shielded from schema evolution.
@@ -110,7 +111,7 @@ fn evolution_preserves_the_analysts_query() {
 /// union after the VoD release, on both engines and under every scope.
 #[test]
 fn application_ids_are_a_set_whatever_the_walk_count() {
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
     let mut omq = supersede::exemplary_omq();
     omq.pi = vec![supersede::features::application_id()];
     let ids = |system: &bdi::core::system::BdiSystem, scope: VersionScope, engine| {
@@ -131,7 +132,7 @@ fn application_ids_are_a_set_whatever_the_walk_count() {
     for engine in [Engine::Streaming, Engine::Eager] {
         assert_eq!(ids(&system, VersionScope::All, engine), expected);
     }
-    supersede::evolve_with_w4(&mut system, &store);
+    supersede::evolve_with_w4(&mut system);
     for engine in [Engine::Streaming, Engine::Eager] {
         for scope in [
             VersionScope::All,
@@ -149,8 +150,8 @@ fn application_ids_are_a_set_whatever_the_walk_count() {
 
 #[test]
 fn same_source_versions_are_never_joined() {
-    let (mut system, store) = supersede::build_running_example_with_store();
-    supersede::evolve_with_w4(&mut system, &store);
+    let mut system = supersede::build_running_example();
+    supersede::evolve_with_w4(&mut system);
     let answer = system
         .serve(AnswerRequest::sparql(supersede::exemplary_query()))
         .unwrap();
@@ -206,20 +207,21 @@ fn ontology_turtle_dumps_are_parseable() {
 /// meaning the wrapper that historical scopes read.
 #[test]
 fn a_release_reusing_a_wrapper_name_is_refused() {
-    let (mut system, store) = supersede::build_running_example_with_store();
-    supersede::evolve_with_w4(&mut system, &store);
+    let mut system = supersede::build_running_example();
+    supersede::evolve_with_w4(&mut system);
     let quads = system.ontology().store().len();
     let log = system.release_log().to_vec();
     let w4 = system.registry().get("w4").unwrap().clone();
 
     let again = supersede::release_w4(std::sync::Arc::new(bdi::wrappers::supersede::wrapper_w4(
-        store.clone(),
+        system.store().clone(),
     )));
     let refused = system.register_release(again);
     assert!(
         matches!(
             refused,
-            Err(SystemError::Release(ReleaseError::WrapperExists(ref name))) if name == "w4"
+            Err(DurableError::System(SystemError::Release(ReleaseError::WrapperExists(ref name))))
+                if name == "w4"
         ),
         "{refused:?}"
     );

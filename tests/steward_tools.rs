@@ -2,6 +2,7 @@
 //! integrity, mapping suggestion and LAV-subgraph suggestion working
 //! together to process a release semi-automatically (§4.1).
 
+use bdi::core::durable::Write;
 use bdi::core::release::Release;
 use bdi::core::supersede::{self, features};
 use bdi::core::system::AnswerRequest;
@@ -16,9 +17,9 @@ use std::sync::Arc;
 fn a_release_can_be_assembled_almost_automatically() {
     // Scenario: the VoD API publishes v2 with `bufferingRatio`. The steward
     // only confirms suggestions; every artefact of R = ⟨w, G, F⟩ is derived.
-    let (mut system, store) = supersede::build_running_example_with_store();
-    data::ingest_vod_v2(&store);
-    let wrapper = data::wrapper_w4(store.clone());
+    let mut system = supersede::build_running_example();
+    data::ingest_vod_v2(system.store());
+    let wrapper = data::wrapper_w4(system.store().clone());
 
     // 1. F is suggested from attribute names + ID flags.
     let candidates = vec![
@@ -63,14 +64,14 @@ fn a_release_can_be_assembled_almost_automatically() {
 
 #[test]
 fn typing_catches_unannounced_format_changes() {
-    let (system, store) = supersede::build_running_example_with_store();
+    let system = supersede::build_running_example();
     // The provider silently starts sending waitTime as a string: the Code 2
     // pipeline propagates nulls/strings and typing flags the drift.
-    store
-        .insert(
-            data::VOD_COLLECTION,
+    system
+        .apply(Write::InsertDoc(
+            data::VOD_COLLECTION.into(),
             serde_json::json!({"monitorId": 30, "waitTime": "3s", "watchTime": 4}),
-        )
+        ))
         .unwrap();
     // $divide on a string errors inside the wrapper's pipeline — the even
     // earlier signal: the scan fails loudly rather than delivering garbage,
@@ -99,8 +100,8 @@ fn typing_catches_unannounced_format_changes() {
 
 #[test]
 fn full_ontology_trig_round_trip() {
-    let (mut system, store) = supersede::build_running_example_with_store();
-    supersede::evolve_with_w4(&mut system, &store);
+    let mut system = supersede::build_running_example();
+    supersede::evolve_with_w4(&mut system);
     let doc = trig::write_trig(
         &system.ontology().store().quads(),
         system.ontology().prefixes(),
@@ -120,9 +121,9 @@ fn full_ontology_trig_round_trip() {
 
 #[test]
 fn consistency_checker_is_quiet_on_all_builtin_deployments() {
-    let (mut system, store) = supersede::build_running_example_with_store();
+    let mut system = supersede::build_running_example();
     assert!(validate::check_ontology(system.ontology()).is_empty());
-    supersede::evolve_with_w4(&mut system, &store);
+    supersede::evolve_with_w4(&mut system);
     assert!(validate::check_ontology(system.ontology()).is_empty());
     let (_, wp) = bdi::evolution::wordpress::replay_with_system();
     assert!(validate::check_ontology(wp.ontology()).is_empty());

@@ -1,33 +1,38 @@
-//! Bad fixture for the `durability` lint: `insert_quad` applies directly
-//! without journaling, `insert_doc` journals but *also* pokes the store
-//! itself, and `push_row` is missing entirely (dropped out of coverage).
+//! Bad fixture for the `durability` lint: the write path applies before it
+//! commits, `insert_doc` pokes the store itself instead of reaching the
+//! write path, `insert_docs` reaches it but *also* applies beside it, and
+//! `push_row` is missing entirely (dropped out of coverage).
+
+impl BdiSystem {
+    pub fn apply(&self, write: Write) -> Result<usize, DurableError> {
+        let mut log = self.journal.as_ref().map(Journal::ready).transpose()?;
+        let op = Op::encode(write.clone(), self)?;
+        log.wal.append(op.store_id(), &encode(&op)?)?;
+        // Applied before the fsync: a crash here acknowledges nothing, but
+        // a failed commit leaves memory ahead of the log.
+        let applied = self.apply_write(write);
+        log.wal.commit()?;
+        applied
+    }
+
+    fn apply_write(&self, write: Write) -> Result<usize, DurableError> {
+        match write {
+            Write::InsertQuad(quad) => Ok(usize::from(self.quads().insert(&quad))),
+            Write::InsertDoc(c, d) => self.docs.insert(&c, d).map(|_| 1),
+        }
+    }
+}
 
 impl DurableSystem {
-    pub fn insert_quad(&self, quad: &Quad) -> Result<bool, DurableError> {
-        // No WAL append at all: an acknowledged write a crash forgets.
-        Ok(self.store().insert(quad))
-    }
-
     pub fn insert_doc(&self, collection: &str, doc: Value) -> Result<(), DurableError> {
-        let op = Op::InsertDoc { c: collection.to_owned(), d: doc.clone() };
-        // Applies beside the funnel: the store mutates even if the
-        // journal append inside log_then_apply fails.
-        self.docs.insert(collection, doc)?;
-        self.log_then_apply(op).map(|_| ())
+        // No WAL append at all: an acknowledged write a crash forgets.
+        self.0.store().insert(collection, doc).map_err(Into::into)
     }
 
-    fn log_then_apply(&self, op: Op) -> Result<u64, DurableError> {
-        let mut journal = self.lock_journal();
-        let encoded = encode(&op)?;
-        journal.wal.append(op.store_id(), &encoded)?;
-        journal.wal.commit()?;
-        self.apply_op(&op)
-    }
-
-    fn apply_op(&self, op: &Op) -> Result<u64, DurableError> {
-        match op {
-            Op::InsertQuad { q } => Ok(u64::from(self.store().insert(&decode_quad(q)?))),
-            Op::InsertDoc { c, d } => self.docs.insert(c, d.clone()).map(|_| 1),
-        }
+    pub fn insert_docs(&self, collection: &str, docs: Vec<Value>) -> Result<usize, DurableError> {
+        // Applies beside the write path: the store mutates even if the
+        // journal append inside `apply` fails.
+        self.0.store().insert_many(collection, docs.clone())?;
+        self.0.apply(Write::InsertDocs(collection.into(), docs))
     }
 }

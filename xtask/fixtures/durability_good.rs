@@ -1,46 +1,42 @@
 //! Good fixture for the `durability` lint: every registered entry point
-//! routes through the journaling funnel, nothing applies directly, and
-//! the funnel appends + commits before it applies.
+//! reaches the one write path, nothing applies directly, and the write path
+//! appends + commits before its apply step.
 
-impl DurableSystem {
-    pub fn insert_quad(&self, quad: &Quad) -> Result<bool, DurableError> {
-        let op = Op::InsertQuad { q: encode_quad(quad) };
-        Ok(self.log_then_apply(op)? != 0)
+impl BdiSystem {
+    pub fn apply(&self, write: Write) -> Result<usize, DurableError> {
+        self.validate(&write)?;
+        let mut log = self.journal.as_ref().map(Journal::ready).transpose()?;
+        let write = match log.as_deref_mut() {
+            None => Ok(write),
+            Some(log) => {
+                let op = Op::encode(write, self)?;
+                log.wal.append(op.store_id(), &encode(&op)?)?;
+                log.wal.commit()?;
+                op.decode()
+            }
+        };
+        write.and_then(|write| self.apply_write(write))
     }
 
-    pub fn insert_doc(&self, collection: &str, doc: Value) -> Result<(), DurableError> {
-        if !doc.is_object() {
-            return Err(StoreError::NotAnObject(doc.to_string()).into());
+    fn apply_write(&self, write: Write) -> Result<usize, DurableError> {
+        match write {
+            Write::InsertQuad(quad) => Ok(usize::from(self.quads().insert(&quad))),
+            Write::InsertDoc(c, d) => self.docs.insert(&c, d).map(|_| 1),
+            Write::PushRow(w, r) => self.table(&w)?.push(r).map(|_| 1),
         }
-        let op = Op::InsertDoc { c: collection.to_owned(), d: doc };
-        self.log_then_apply(op).map(|_| ())
+    }
+}
+
+impl DurableSystem {
+    pub fn insert_doc(&self, collection: &str, doc: Value) -> Result<(), DurableError> {
+        self.0.apply(Write::InsertDoc(collection.into(), doc)).map(drop)
+    }
+
+    pub fn insert_docs(&self, collection: &str, docs: Vec<Value>) -> Result<usize, DurableError> {
+        self.0.apply(Write::InsertDocs(collection.into(), docs))
     }
 
     pub fn push_row(&self, wrapper: &str, row: Vec<Value>) -> Result<(), DurableError> {
-        let table = self
-            .registry()
-            .get(wrapper)
-            .ok_or_else(|| DurableError::UnknownWrapper(wrapper.to_owned()))?;
-        let op = Op::PushRow {
-            w: wrapper.to_owned(),
-            r: row.iter().map(value_to_json).collect(),
-        };
-        self.log_then_apply(op).map(|_| ())
-    }
-
-    fn log_then_apply(&self, op: Op) -> Result<u64, DurableError> {
-        let mut journal = self.lock_journal();
-        let encoded = encode(&op)?;
-        journal.wal.append(op.store_id(), &encoded)?;
-        journal.wal.commit()?;
-        self.apply_op(&op)
-    }
-
-    fn apply_op(&self, op: &Op) -> Result<u64, DurableError> {
-        match op {
-            Op::InsertQuad { q } => Ok(u64::from(self.store().insert(&decode_quad(q)?))),
-            Op::InsertDoc { c, d } => self.docs.insert(c, d.clone()).map(|_| 1),
-            Op::PushRow { w, r } => self.table(w)?.push(r.iter().map(json_to_value).collect()),
-        }
+        self.0.apply(Write::PushRow(wrapper.into(), row)).map(drop)
     }
 }

@@ -42,21 +42,11 @@ const LOCK_HOLD_DIRS: &[&str] = &[
     "crates/server/src",
 ];
 
-/// The durable tier, and the mutation entry points the `durability` lint
-/// holds to the WAL-append-before-apply contract. Adding a public
-/// mutation to `DurableSystem` means registering it here.
+/// The write path, and the entry points the `durability` lint holds to the
+/// WAL-append-before-apply contract: `BdiSystem::apply` and the
+/// `DurableSystem` shim's three writes, each of which must reach it.
 const DURABLE_RS: &str = "crates/core/src/durable.rs";
-const DURABLE_ENTRY_POINTS: &[&str] = &[
-    "insert_quad",
-    "remove_quad",
-    "extend_quads",
-    "clear_graph",
-    "insert_doc",
-    "insert_docs",
-    "clear_collection",
-    "push_row",
-    "register_release",
-];
+const DURABLE_ENTRY_POINTS: &[&str] = &["apply", "insert_doc", "insert_docs", "push_row"];
 
 /// A full analysis run's outcome.
 #[derive(Debug, Default)]
@@ -186,7 +176,7 @@ pub fn analyze(root: &Path) -> Report {
         }
     }
 
-    // durability over the durable tier's mutation entry points. The file
+    // durability over the write path and its entry points. The file
     // is in the lock_hold walk already; an unreadable copy was reported
     // above, but a *missing* one must fail here — losing the durable tier
     // silently would retire the contract with it.
@@ -384,7 +374,7 @@ pub fn self_test() -> Vec<String> {
 
     let bad = lexer::lex(include_str!("../fixtures/durability_bad.rs"));
     let good = lexer::lex(include_str!("../fixtures/durability_good.rs"));
-    let entry_points = ["insert_quad", "insert_doc", "push_row"];
+    let entry_points = ["apply", "insert_doc", "insert_docs", "push_row"];
     expect(
         lints::DURABILITY,
         durability::check("fixture", &bad, &entry_points),

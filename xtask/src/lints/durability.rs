@@ -1,38 +1,35 @@
-//! `durability`: the WAL-append-before-apply contract over the durable
-//! tier's mutation entry points.
+//! `durability`: the WAL-append-before-apply contract over the one write
+//! path.
 //!
-//! The durable tier acknowledges a mutation only once it is on stable
-//! storage, which holds exactly as long as every public mutation routes
-//! through the journaling funnel (`log_then_apply`) instead of poking the
-//! in-memory stores directly. Three rules over the registered file:
+//! A journaled system acknowledges a write only once it is on stable
+//! storage, which holds exactly as long as every public write routes
+//! through `BdiSystem::apply` instead of poking the in-memory stores
+//! directly. Four rules over the registered file:
 //!
 //! 1. **Coverage** — every registered entry point must exist; a rename or
-//!    removal that silently drops a mutation path out of the contract is
+//!    removal that silently drops a write path out of the contract is
 //!    flagged at the top of the file.
-//! 2. **Funnel evidence** — each entry point's body must mention the
-//!    journaling funnel (`log_then_apply`). Entry points that are durable
-//!    by a different mechanism (releases are apply-then-checkpoint) carry
-//!    `// analyze: allow(durability, <reason>)`.
-//! 3. **No direct applies** — an entry point must not call a store
-//!    mutation method (`.insert(…)`, `.extend(…)`, `.push(…)`, …)
-//!    itself: applying before (or beside) journaling would acknowledge
-//!    state the WAL never saw. The apply belongs in the funnel's
-//!    replay-shared `apply_op`.
-//!
-//! The funnel itself is checked for ordering: inside `log_then_apply`,
-//! `append` and `commit` (the fsync) must both occur before `apply_op`.
+//! 2. **Reach** — every other entry point's body must call the write path
+//!    (`apply`).
+//! 3. **No direct applies** — an entry point, the write path included,
+//!    must not call a store mutation method (`.insert(…)`, `.extend(…)`,
+//!    `.push(…)`, …) itself: applying before (or beside) journaling would
+//!    acknowledge state the WAL never saw. The apply belongs in the
+//!    replay-shared apply step (`apply_write`).
+//! 4. **Order** — inside the write path, `append` and `commit` (the fsync)
+//!    must both occur before the apply step.
 
 use super::{Diagnostic, DURABILITY};
 use crate::lexer::{Kind, Lexed, Tok};
 use crate::walker::functions;
 
-/// The journaling funnel every entry point must route through.
-const JOURNAL_FN: &str = "log_then_apply";
-/// What the funnel applies ops with (shared with recovery replay).
-const APPLY_FN: &str = "apply_op";
+/// The one write path every entry point must reach.
+const WRITE_FN: &str = "apply";
+/// The apply step the write path shares with recovery replay.
+const APPLY_FN: &str = "apply_write";
 
 /// Store-mutation method names an entry point must never call directly —
-/// the union of what `apply_op` invokes on the quad store, the document
+/// the union of what `apply_write` invokes on the quad store, the document
 /// store and the table wrappers.
 const MUTATION_CALLS: &[&str] = &[
     "insert",
@@ -53,7 +50,8 @@ fn method_call(tokens: &[Tok], i: usize, names: &[&str]) -> bool {
         && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
 }
 
-/// Checks the registered entry points (`fn_names`) of `lexed`.
+/// Checks the registered entry points (`fn_names`, the write path among
+/// them) of `lexed`.
 pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
     let tokens = &lexed.tokens;
     let fns = functions(tokens);
@@ -73,14 +71,14 @@ pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
             continue;
         };
         let body = &tokens[span.open..=span.close];
-        if !body.iter().any(|t| t.is_ident(JOURNAL_FN)) {
+        if *name != WRITE_FN && !body.iter().any(|t| t.is_ident(WRITE_FN)) {
             out.push(Diagnostic::new(
                 file,
                 span.start_line,
                 DURABILITY,
                 format!(
-                    "mutation entry point `{name}` shows no WAL-append evidence \
-                     (no `{JOURNAL_FN}` call); an acknowledged write must be \
+                    "entry point `{name}` does not reach the write path \
+                     (no `{WRITE_FN}` call); an acknowledged write must be \
                      journaled before it is applied"
                 ),
             ));
@@ -93,7 +91,7 @@ pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
                     DURABILITY,
                     format!(
                         "entry point `{name}` calls store mutation `.{}(…)` \
-                         directly; route the apply through `{JOURNAL_FN}` so \
+                         directly; route the apply through `{WRITE_FN}` so \
                          the WAL sees it first",
                         tokens[i].text
                     ),
@@ -102,14 +100,15 @@ pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
         }
     }
 
-    // The funnel's internal ordering: append + commit strictly before the
-    // apply. A funnel that applies first would acknowledge unlogged state.
-    match fns.iter().find(|f| f.name == JOURNAL_FN) {
+    // The write path's ordering: append + commit strictly before the apply
+    // step. A write path that applies first would acknowledge unlogged
+    // state.
+    match fns.iter().find(|f| f.name == WRITE_FN) {
         None => out.push(Diagnostic::new(
             file,
             1,
             DURABILITY,
-            format!("journaling funnel `{JOURNAL_FN}` not found"),
+            format!("write path `{WRITE_FN}` not found"),
         )),
         Some(span) => {
             let pos = |ident: &str| (span.open..=span.close).find(|&i| tokens[i].is_ident(ident));
@@ -126,7 +125,7 @@ pub fn check(file: &str, lexed: &Lexed, fn_names: &[&str]) -> Vec<Diagnostic> {
                         span.start_line,
                         DURABILITY,
                         format!(
-                            "`{JOURNAL_FN}` must `{evidence}` before `{APPLY_FN}` \
+                            "`{WRITE_FN}` must `{evidence}` before `{APPLY_FN}` \
                              — the WAL write and fsync are the acknowledgement"
                         ),
                     ));
@@ -145,18 +144,18 @@ mod tests {
 
     const GOOD: &str = include_str!("../../fixtures/durability_good.rs");
     const BAD: &str = include_str!("../../fixtures/durability_bad.rs");
-    const ENTRY_POINTS: &[&str] = &["insert_quad", "insert_doc", "push_row"];
+    const ENTRY_POINTS: &[&str] = &["apply", "insert_doc", "insert_docs", "push_row"];
 
     #[test]
     fn bad_fixture_is_flagged() {
         let diags = check("fixture", &lex(BAD), ENTRY_POINTS);
-        assert!(diags.len() >= 3, "got {diags:?}");
+        assert!(diags.len() >= 4, "got {diags:?}");
         assert!(diags.iter().all(|d| d.lint == DURABILITY));
         assert!(
             diags
                 .iter()
-                .any(|d| d.message.contains("no WAL-append evidence")),
-            "missing-funnel diagnostic absent: {diags:?}"
+                .any(|d| d.message.contains("does not reach the write path")),
+            "missing-reach diagnostic absent: {diags:?}"
         );
         assert!(
             diags.iter().any(|d| d.message.contains("directly")),
@@ -165,6 +164,12 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.message.contains("not found")),
             "missing-entry-point diagnostic absent: {diags:?}"
+        );
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.message.contains("before `apply_write`")),
+            "ordering diagnostic absent: {diags:?}"
         );
     }
 
@@ -175,24 +180,23 @@ mod tests {
     }
 
     #[test]
-    fn funnel_that_applies_before_commit_is_flagged() {
-        let src = "impl D { fn insert_quad(&self) { self.log_then_apply(op); } \
-                   fn log_then_apply(&self, op: Op) { self.apply_op(&op); \
-                   self.wal.append(1, &b); self.wal.commit(); } }";
-        let diags = check("f", &lex(src), &["insert_quad"]);
+    fn a_write_path_that_applies_before_commit_is_flagged() {
+        let src = "impl D { fn apply(&self, w: Write) { self.wal.append(1, &b); \
+                   self.apply_write(w); self.wal.commit(); } }";
+        let diags = check("f", &lex(src), &["apply"]);
         assert!(
             diags
                 .iter()
-                .any(|d| d.message.contains("before `apply_op`")),
+                .any(|d| d.message.contains("`commit` before `apply_write`")),
             "got {diags:?}"
         );
     }
 
     #[test]
     fn missing_entry_point_is_reported_even_in_clean_files() {
-        let src = "impl D { fn log_then_apply(&self) { self.wal.append(1, &b); \
-                   self.wal.commit(); self.apply_op(&op); } }";
-        let diags = check("f", &lex(src), &["insert_quad"]);
+        let src = "impl D { fn apply(&self) { self.wal.append(1, &b); \
+                   self.wal.commit(); self.apply_write(w); } }";
+        let diags = check("f", &lex(src), &["apply", "push_row"]);
         assert_eq!(diags.len(), 1, "got {diags:?}");
         assert!(diags[0].message.contains("not found"));
     }
